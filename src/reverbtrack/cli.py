@@ -13,6 +13,11 @@ from .reverb import ENVIRONMENTS, RoomParams, ab_to_gamma_beta, room_to_ab
 from .wavio import WavFormatError, read_wav, write_wav
 
 
+# accepted config spellings of a boolean, case-insensitive
+_BOOL_WORDS = {"1": True, "0": False, "true": True, "false": False,
+               "yes": True, "no": False, "on": True, "off": False}
+
+
 def load_config(path, base: EnhancerConfig | None = None) -> EnhancerConfig:
     """Flat key=value config file; every EnhancerConfig field addressable."""
     cfg = base or EnhancerConfig()
@@ -30,7 +35,12 @@ def load_config(path, base: EnhancerConfig | None = None) -> EnhancerConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             cur = values[key]
             if isinstance(cur, bool):
-                values[key] = val.lower() in ("1", "true", "yes", "on")
+                word = val.lower()
+                if word not in _BOOL_WORDS:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} expects one of "
+                        f"{'/'.join(_BOOL_WORDS)}, got {val!r}")
+                values[key] = _BOOL_WORDS[word]
             elif isinstance(cur, int):
                 values[key] = int(val)
             else:

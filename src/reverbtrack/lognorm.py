@@ -10,6 +10,17 @@ with a uniformly distributed phase difference phi, plus the linear
 operations (independent addition, straight-line constrained updates and
 Gaussian-Gaussian fusion) that the filter cascade needs.
 
+The two non-linear kernels carry almost all of the cascade's cost and
+are written for fewer operations per bin:
+- logsum_moments (the prior of log|A+B|) is closed-form except for the
+  mean dilogarithm E{Li2(e^{-2|a-b|})}, which is read from a table over
+  (|m|/s, log s) built lazily from a Chebyshev fit of its series;
+- _split_core (the posterior given log|A+B|) folds the three Gaussian
+  log-pdfs of its (u, phi) quadrature into one quadratic per node,
+  treats the nodes as one flat axis, sums them by a matrix product, and
+  clamps the shifted log-weights at -700 so that no exponential
+  underflows.
+
 Every operation exists in two forms: an array form working on numpy
 arrays of means/variances (used by the frame loop, vectorised across
 frequency bins), and a scalar form working on LogGaussian objects.
@@ -98,27 +109,24 @@ def phase_sigma_points(count: int) -> SigmaPointSet:
 def log_phasor_sum(la, lb, cos_phi):
     """log|A + B| from la=log|A|, lb=log|B| and the cosine of the phase gap.
 
-    Uses 0.5*(la+lb) + 0.5*log(2*cosh(la-lb) + 2*cos_phi), with an
-    asymptotic branch for large |la-lb| to avoid cosh overflow.
+    Branch-free: max(la, lb) + 0.5*log1p(q*(q + 2*cos_phi)) with
+    q = e^{-|la-lb|} <= 1, so nothing overflows for any gap. Exact
+    cancellation (la == lb, cos_phi == -1) gives -inf.
     """
-    d = np.asarray(la, dtype=float) - lb
-    ad = np.abs(d)
-    small = ad < 25.0
-    inner = np.where(
-        small,
-        np.log(np.maximum(2.0 * np.cosh(np.where(small, d, 0.0)) + 2.0 * cos_phi, 1e-300)),
-        ad + np.log1p(np.exp(-2.0 * np.minimum(ad, 700.0)) + 2.0 * cos_phi * np.exp(-np.minimum(ad, 700.0))),
-    )
-    return 0.5 * (np.asarray(la, dtype=float) + lb) + 0.5 * inner
+    q = np.subtract(lb, la, dtype=float)
+    np.abs(q, out=q)
+    np.negative(q, out=q)
+    np.exp(q, out=q)
+    out = q + 2.0 * np.asarray(cos_phi)
+    out *= q
+    np.log1p(out, out=out)
+    out *= 0.5
+    out += np.maximum(la, lb)
+    return out
 
 
-def _log_normal_pdf(x, mean, var):
-    v = np.maximum(var, _VAR_FLOOR)
-    return -0.5 * ((x - mean) ** 2 / v) - 0.5 * np.log(2.0 * np.pi * v)
-
-
-def _clamp_var(e2, e1, diag=None):
-    v = e2 - e1 * e1
+def _clamp_var(v, diag=None):
+    """Variances with rounding-level negatives set to 0, counted in diag."""
     neg = v < 0
     if diag is not None and np.any(neg):
         diag.variance_clamps += int(np.count_nonzero(neg))
@@ -137,13 +145,14 @@ def _dilog(x):
 _DILOG_SERIES_TERMS = 120
 
 
-def _mean_dilog_exp(md, vd):
-    """E{Li2(e^{-2|d|})} for d ~ N(md, vd), elementwise over arrays.
+def _mean_dilog_series(md, vd):
+    """E{Li2(e^{-2|d|})} for d ~ N(md, vd) by a 120-term series.
 
     Expands the dilogarithm as sum_k x^k / k^2 and uses the folded-normal
     moment generating function E{e^{-2k|d|}} term by term; each term is
     assembled in the log domain so the Gaussian tail factors never
-    overflow. The tail of the series decays like k^-3.
+    overflow. The tail of the series decays like k^-3. This is the
+    definition that _mean_dilog_exp tabulates.
     """
     md = np.abs(np.asarray(md, dtype=float))
     vd = np.asarray(vd, dtype=float)
@@ -155,6 +164,115 @@ def _mean_dilog_exp(md, vd):
     return np.sum((upper + lower) / (k * k), axis=0)
 
 
+# The series as a function of r = |m|/s and log s (d ~ N(m, s^2)) is
+# tabulated for r <= _DILOG_R_MAX and s in _DILOG_S_RANGE; the table is
+# built on first use into _DILOG_CACHE.
+_DILOG_R_MAX = 8.0
+_DILOG_S_RANGE = (0.05, 20.0)
+_DILOG_STEPS = (320, 240)       # table intervals along r and along log s
+_DILOG_CHEB_NODES = 32          # Chebyshev fit of the series, per axis
+_DILOG_GH_NODES = 8             # Gauss-Hermite nodes for r > _DILOG_R_MAX
+_DILOG_CACHE: dict = {}
+# 4-point Lagrange interpolation on nodes -1, 0, 1, 2: row i holds the
+# coefficients of p^i in the four weights, for the offset p in [0, 1)
+_LAGRANGE4 = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [-1.0 / 3.0, -0.5, 1.0, -1.0 / 6.0],
+    [0.5, -1.0, 0.5, 0.0],
+    [-1.0 / 6.0, 0.5, -0.5, 1.0 / 6.0],
+])
+
+
+def _chebyshev_basis(v, lo, hi, count):
+    """T_k((2v - lo - hi)/(hi - lo)), k < count, as a (len(v), count) matrix."""
+    x = np.clip((2.0 * v - lo - hi) / (hi - lo), -1.0, 1.0)
+    return np.cos(np.arccos(x)[:, None] * np.arange(count))
+
+
+def _dilog_table():
+    """The lookup table of _mean_dilog_exp, built on first call (~20 ms).
+
+    Rows sit at r = (i - 1)*h_r and columns at log s = log s_lo + (j - 1)*h_t:
+    one node before the start of each range and two past its end, so
+    every point in range has its full 4 x 4 stencil. The row at r = -h_r
+    mirrors r = h_r, as the function is even in m. The values come from
+    a Chebyshev interpolant of the series on _DILOG_CHEB_NODES^2 nodes
+    over the grid's box (~1e-8 from the series), which costs far less
+    than the series on every grid point.
+    """
+    if not _DILOG_CACHE:
+        nr, nt = _DILOG_STEPS
+        hr = _DILOG_R_MAX / nr
+        t_lo, t_hi = np.log(_DILOG_S_RANGE)
+        ht = (t_hi - t_lo) / nt
+        r = np.abs(np.arange(-1, nr + 3) * hr)
+        t = t_lo + np.arange(-1, nt + 3) * ht
+        n = _DILOG_CHEB_NODES
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        x = np.cos(theta)
+        r_nodes = 0.5 * (x + 1.0) * r[-1]
+        s_nodes = np.exp(t[0] + 0.5 * (x + 1.0) * (t[-1] - t[0]))
+        f = _mean_dilog_series(r_nodes[:, None] * s_nodes, s_nodes * s_nodes)
+        dct = np.cos(np.outer(np.arange(n), theta))
+        coef = (2.0 / n) ** 2 * (dct @ f @ dct.T)
+        coef[0] *= 0.5
+        coef[:, 0] *= 0.5
+        table = (_chebyshev_basis(r, 0.0, r[-1], n) @ coef
+                 @ _chebyshev_basis(t, t[0], t[-1], n).T)
+        cols = table.shape[1]
+        _DILOG_CACHE.update(
+            table=table.ravel(), cols=cols, inv_hr=1.0 / hr, inv_ht=1.0 / ht,
+            t_lo=t_lo, t_hi=t_hi,
+            stencil=(np.arange(4)[:, None] * cols + np.arange(4)).reshape(16, 1))
+    return _DILOG_CACHE
+
+
+def _lagrange4(p):
+    """(4,) + p.shape cubic interpolation weights of nodes -1, 0, 1, 2 at offsets p."""
+    c = _LAGRANGE4.reshape((4, 4) + (1,) * p.ndim)
+    return ((c[3] * p + c[2]) * p + c[1]) * p + c[0]
+
+
+def _mean_dilog_exp(md, vd):
+    """E{Li2(e^{-2|d|})} for d ~ N(md, vd), elementwise over arrays.
+
+    Equals the 120-term series of _mean_dilog_series (to ~2e-8), for a
+    small fraction of its cost:
+    - where s = sqrt(vd) lies in _DILOG_S_RANGE and r = |md|/s <= 8, by a
+      bicubic (4 x 4 point Lagrange) lookup in a table over (r, log s);
+    - where r > 8, by an 8-node Gauss-Hermite sum of Li2(e^{-2|d|}): the
+      kink at d = 0 lies 8 standard deviations out and carries no weight;
+    - outside the table's range of s, by the series itself.
+    The v = 0 limit Li2(e^{-2|m|}) is left to the caller.
+    """
+    md, vd = np.broadcast_arrays(np.abs(np.asarray(md, dtype=float)),
+                                 np.asarray(vd, dtype=float))
+    shape = md.shape
+    md, vd = md.ravel(), vd.ravel()
+    tab = _dilog_table()
+    s = np.sqrt(np.maximum(vd, _VAR_FLOOR))
+    r = md / s
+    t = np.log(s)
+    pos = np.empty((2,) + r.shape)
+    np.multiply(np.minimum(r, _DILOG_R_MAX), tab["inv_hr"], out=pos[0])
+    np.multiply(np.minimum(np.maximum(t, tab["t_lo"]), tab["t_hi"]) - tab["t_lo"],
+                tab["inv_ht"], out=pos[1])
+    cell = pos.astype(np.intp)
+    w = _lagrange4(pos - cell)
+    vals = tab["table"].take(tab["stencil"] + (cell[0] * tab["cols"] + cell[1]))
+    out = np.einsum("ij,ij->j", (w[:, None, 0] * w[:, 1]).reshape(16, -1), vals)
+
+    wide = (t < tab["t_lo"]) | (t > tab["t_hi"])
+    far = np.flatnonzero((r > _DILOG_R_MAX) & ~wide)
+    if far.size:
+        x, wx = _gh_nodes(_DILOG_GH_NODES)
+        d = np.abs(md[far, None] + s[far, None] * x)
+        out[far] = spence(-np.expm1(-2.0 * d)) @ wx
+    if np.any(wide):
+        out[wide] = _mean_dilog_series(md[wide], vd[wide])
+    return out.reshape(shape)
+
+
 def logsum_moments(ma, va, mb, vb, k_gauss=3, k_phase=6, diag=None):
     """Moments of r = log|A+B| for independent log-Gaussians a, b, uniform phase.
 
@@ -162,29 +280,50 @@ def logsum_moments(ma, va, mb, vb, k_gauss=3, k_phase=6, diag=None):
     conditional on (a, b), the phase average of log|A+B| is exactly
     max(a, b) and the conditional variance is 0.5*Li2(e^{-2|a-b|})
     (Fourier expansion of log|1 + q e^{j phi}|), so the outer Gaussian
-    expectation reduces to the classical moments of max(a, b) plus a
-    dilogarithm series.  The sigma-count arguments are accepted for
-    interface compatibility and ignored; the closed form is the
-    converged limit of the sigma-point evaluation.
+    expectation reduces to the moments of max(a, b) (Clark, 1961), taken
+    relative to mb, plus the mean dilogarithm E{Li2(e^{-2|a-b|})}, which
+    _mean_dilog_exp reads from a table. Where both variances are 0 the
+    dilogarithm is taken in closed form. The sigma-count arguments are
+    accepted for interface compatibility and ignored; the closed form is
+    the converged limit of the sigma-point evaluation.
     """
     del k_gauss, k_phase
     ma, va, mb, vb = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (ma, va, mb, vb)))
     theta2 = np.maximum(va, 0.0) + np.maximum(vb, 0.0)
     degenerate = theta2 <= 0.0
     theta = np.sqrt(np.where(degenerate, 1.0, theta2))
-    alpha = (ma - mb) / theta
+    d = ma - mb
+    alpha = d / theta
     cdf = ndtr(alpha)
-    pdf = np.exp(-0.5 * alpha * alpha) / np.sqrt(2.0 * np.pi)
-    e1 = ma * cdf + mb * (1.0 - cdf) + theta * pdf
-    e2 = (ma * ma + va) * cdf + (mb * mb + vb) * (1.0 - cdf) + (ma + mb) * theta * pdf
-    e1 = np.where(degenerate, np.maximum(ma, mb), e1)
-    e2 = np.where(degenerate, np.maximum(ma, mb) ** 2, e2)
-    phase_var = np.where(
-        degenerate,
-        _dilog(np.exp(-2.0 * np.abs(ma - mb))),
-        _mean_dilog_exp(ma - mb, theta2),
-    )
-    return e1, _clamp_var(e2 + 0.5 * phase_var, e1, diag)
+    tpdf = theta * np.exp(-0.5 * alpha * alpha) / np.sqrt(2.0 * np.pi)
+    # moments of max(a, b) - mb
+    e1 = d * cdf + tpdf
+    e2 = (d * d + va) * cdf + vb * (1.0 - cdf) + d * tpdf
+    phase_var = _mean_dilog_exp(d, np.where(degenerate, 1.0, theta2))
+    if np.any(degenerate):
+        e1 = np.where(degenerate, np.maximum(d, 0.0), e1)
+        e2 = np.where(degenerate, e1 * e1, e2)
+        phase_var = np.where(degenerate, _dilog(np.exp(-2.0 * np.abs(d))), phase_var)
+    return mb + e1, _clamp_var(e2 - e1 * e1 + 0.5 * phase_var, diag)
+
+
+# (u, phi) quadrature of the split, keyed by (k_u, k_phase)
+_SPLIT_CACHE: dict[tuple[int, int], tuple] = {}
+def _split_nodes(k_u, k_phase):
+    """Nodes of the split's quadrature, the (u, phi) axes flattened u-major.
+
+    Returns (x, cos_phi, const) per node: the standard normal node of u,
+    the phase cosine, and the constant part of the node's log-weight,
+    log w_u + log w_phi + x^2/2.
+    """
+    key = (k_u, k_phase)
+    if key not in _SPLIT_CACHE:
+        x, wu = _gh_nodes(k_u)
+        phase = phase_sigma_points(k_phase)
+        const = np.log(wu)[:, None] + np.log(phase.weights) + 0.5 * (x * x)[:, None]
+        _SPLIT_CACHE[key] = (np.repeat(x, k_phase), np.tile(np.cos(phase.points), k_u),
+                             const.ravel())
+    return _SPLIT_CACHE[key]
 
 
 def _split_core(ma, va, mb, vb, y, k_u, k_phase):
@@ -194,45 +333,80 @@ def _split_core(ma, va, mb, vb, y, k_u, k_phase):
     u-integral is Gaussian quadrature along the prior of u, solving the
     constraint for a at each (u, phi); the Jacobian is unity.
 
+    At node (x, phi), u = m_b - m_a + s_u*x and the offsets from the prior
+    means are e = a - m_a = y - m_a - log|1 + e^{u + j phi}| and
+    f = b - m_b = e + s_u*x. The three Gaussian log-pdfs of a, b and u
+    then fold into one quadratic in e, whose per-bin constants cancel in
+    the normalised weights; they are added back only to test the
+    unnormalised maximum against _LOG_TINY. The shifted log-weights are
+    clamped at -700 before the exponential: a weight below e^-700 is
+    under one ulp of their sum (>= 1), and np.exp is many times slower
+    on arguments that underflow. The five weighted sums over the
+    k_u*k_phase nodes are one matrix-vector product, taken relative to
+    the heaviest node so that a narrow posterior keeps a non-negative
+    variance.
+
     y may carry extra trailing quadrature axes relative to the priors.
-    Returns (e_a, e_a2, e_b, e_b2, fallback) with y's shape.
+    Returns (E e, var e, E f, var f, fallback) with y's shape; the
+    variances are not yet clamped at 0.
     """
     ma, va, mb, vb = (np.asarray(v, dtype=float) for v in (ma, va, mb, vb))
     y = np.asarray(y, dtype=float)
-    extra = y.ndim - ma.ndim
-    sl = (...,) + (None,) * extra
-    ma_e, va_e, mb_e, vb_e = ma[sl], va[sl], mb[sl], vb[sl]
+    x, cos_phi, const = _split_nodes(k_u, k_phase)
+    nodes = const.size
 
-    mu_u = mb_e - ma_e
-    vu = np.maximum(va_e + vb_e, _VAR_FLOOR)
-    x, wu = _gh_nodes(k_u)
-    phase = phase_sigma_points(k_phase)
-    cos_phi = np.cos(phase.points)
+    va_f = np.maximum(va, _VAR_FLOOR)
+    vb_f = np.maximum(vb, _VAR_FLOOR)
+    vu = np.maximum(va + vb, _VAR_FLOOR)
+    # per (bin, node): s_u*x and log|1 + e^{u + j phi}|
+    sx = np.sqrt(vu)[..., None] * x
+    lps = log_phasor_sum(0.0, (mb - ma)[..., None] + sx, cos_phi)
+    # log-weight = const - e^2/(2 va) - (e + s_u x)^2/(2 vb) + per-bin terms
+    #            = quad - e*(curv*e + lin)
+    hb = 0.5 / vb_f
+    curv = 0.5 / va_f + hb
+    lin = (2.0 * hb)[..., None] * sx
+    quad = const - hb[..., None] * sx * sx
+    lconst = 0.5 * (np.log(2.0 * np.pi * vu) - np.log(2.0 * np.pi * va_f)
+                    - np.log(2.0 * np.pi * vb_f))
 
-    # point axes: (..., ku, kphi)
-    u = mu_u[..., None, None] + np.sqrt(vu)[..., None, None] * x[:, None]
-    # y = a + 0.5*u + 0.5*log(2*cosh(u) + 2*cos(phi))  (= a + log|1 + e^{u+j phi}|)
-    a_pt = y[..., None, None] - log_phasor_sum(np.zeros_like(u), u, cos_phi)
-    b_pt = a_pt + u
+    # per-bin arrays gain y's extra axes, and then the node axis
+    ex = (...,) + (None,) * (y.ndim - ma.ndim)
+    node = ex + (slice(None),)
+    logw, we, e, wf, f = buf = np.empty((5,) + y.shape + const.shape)
+    np.subtract((y - ma[ex])[..., None], lps[node], out=e)
+    np.add(e, sx[node], out=f)
+    np.multiply(e, curv[ex + (None,)], out=logw)
+    logw += lin[node]
+    logw *= e
+    np.subtract(quad[node], logw, out=logw)
 
-    logw = (
-        np.log(wu)[:, None]
-        + np.log(phase.weights)[None, :]
-        + _log_normal_pdf(a_pt, ma_e[..., None, None], va_e[..., None, None])
-        + _log_normal_pdf(b_pt, mb_e[..., None, None], vb_e[..., None, None])
-        - _log_normal_pdf(u, mu_u[..., None, None], vu[..., None, None])
-    )
-    mx = np.max(logw, axis=(-2, -1), keepdims=True)
-    fallback = ~np.isfinite(mx[..., 0, 0]) | (mx[..., 0, 0] < _LOG_TINY)
-    wts = np.exp(logw - np.where(np.isfinite(mx), mx, 0.0))
-    z = np.sum(wts, axis=(-2, -1))
-    z_safe = np.where(z > 0, z, 1.0)
+    # the top node per point: its log-weight is the maximum, and e and f
+    # are taken relative to their values there, so that the sums below
+    # stay small where the posterior is narrow
+    top = logw.reshape(-1, nodes).argmax(axis=1) + np.arange(0, logw.size, nodes)
+    mx = logw.take(top).reshape(y.shape)
+    e0 = e.take(top).reshape(y.shape)
+    f0 = f.take(top).reshape(y.shape)
+    lmax = mx + lconst[ex]
+    fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY)
+    logw -= np.where(np.isfinite(mx), mx, 0.0)[..., None]
+    np.maximum(logw, -700.0, out=logw)
+    w = np.exp(logw, out=logw)
+    e -= e0[..., None]
+    f -= f0[..., None]
+    np.multiply(w, e, out=we)
+    e *= we
+    np.multiply(w, f, out=wf)
+    f *= wf
+    # sums of w, w e, w e^2, w f, w f^2 over the nodes
+    z, s_e, s_e2, s_f, s_f2 = (buf.reshape(-1, nodes) @ np.ones(nodes)).reshape(
+        (5,) + y.shape)
     fallback |= z <= 0
-
-    def _m(f):
-        return np.sum(f * wts, axis=(-2, -1)) / z_safe
-
-    return _m(a_pt), _m(a_pt * a_pt), _m(b_pt), _m(b_pt * b_pt), fallback
+    inv_z = 1.0 / np.where(z > 0, z, 1.0)
+    de, df = s_e * inv_z, s_f * inv_z
+    return (e0 + de, s_e2 * inv_z - de * de, f0 + df, s_f2 * inv_z - df * df,
+            fallback)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
@@ -244,13 +418,13 @@ def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
     ma, va, mb, vb, y = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (ma, va, mb, vb, y))
     )
-    e_a, e_a2, e_b, e_b2, fb = _split_core(ma, va, mb, vb, y, k_u, k_phase)
+    ea, va_post, eb, vb_post, fb = _split_core(ma, va, mb, vb, y, k_u, k_phase)
     if diag is not None and np.any(fb):
         diag.fallbacks += int(np.count_nonzero(fb))
-    ma_out = np.where(fb, ma, e_a)
-    va_out = np.where(fb, va, _clamp_var(e_a2, e_a, diag))
-    mb_out = np.where(fb, mb, e_b)
-    vb_out = np.where(fb, vb, _clamp_var(e_b2, e_b, diag))
+    ma_out = np.where(fb, ma, ma + ea)
+    va_out = np.where(fb, va, _clamp_var(va_post, diag))
+    mb_out = np.where(fb, mb, mb + eb)
+    vb_out = np.where(fb, vb, _clamp_var(vb_post, diag))
     return ma_out, va_out, mb_out, vb_out, fb
 
 
@@ -266,7 +440,7 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, di
     )
     x, w = _gh_nodes(k_obs)
     y = mo[..., None] + np.sqrt(np.maximum(vo, 0.0))[..., None] * x
-    e_a, e_a2, e_b, e_b2, fb = _split_core(ma, va, mb, vb, y, k_u, k_phase)
+    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, y, k_u, k_phase)
 
     wts = np.broadcast_to(w, fb.shape) * (~fb)
     z = np.sum(wts, axis=-1)
@@ -278,12 +452,15 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, di
     def _m(f):
         return np.sum(np.where(fb, 0.0, f) * wts, axis=-1) / z_safe
 
-    ea1, ea2 = _m(e_a), _m(e_a2)
-    eb1, eb2 = _m(e_b), _m(e_b2)
-    ma_out = np.where(all_fb, ma, ea1)
-    va_out = np.where(all_fb, va, _clamp_var(ea2, ea1, diag))
-    mb_out = np.where(all_fb, mb, eb1)
-    vb_out = np.where(all_fb, vb, _clamp_var(eb2, eb1, diag))
+    # mixture over the observation points: mean of the means, and mean of
+    # the variances plus the spread of the means
+    ea1, eb1 = _m(ea), _m(eb)
+    va_mix = _m(va_obs + (ea - ea1[..., None]) ** 2)
+    vb_mix = _m(vb_obs + (eb - eb1[..., None]) ** 2)
+    ma_out = np.where(all_fb, ma, ma + ea1)
+    va_out = np.where(all_fb, va, _clamp_var(va_mix, diag))
+    mb_out = np.where(all_fb, mb, mb + eb1)
+    vb_out = np.where(all_fb, vb, _clamp_var(vb_mix, diag))
     return ma_out, va_out, mb_out, vb_out, all_fb
 
 
@@ -314,9 +491,11 @@ def fuse_moments(m1, v1, m2, v2):
         *(np.asarray(v, dtype=float) for v in (m1, v1, m2, v2))
     )
     tot = v1 + v2
-    tot_safe = np.where(tot > 0, tot, 1.0)
-    mean = np.where(tot > 0, (m1 * v2 + m2 * v1) / tot_safe, m1)
-    var = np.where(tot > 0, v1 * v2 / tot_safe, 0.0)
+    # masked arithmetic: an infinite factor would give inf/inf here
+    ok = np.isfinite(tot) & (tot > 0)
+    v1_ok, v2_ok = np.where(ok, v1, 0.0), np.where(ok, v2, 0.0)
+    mean = np.divide(m1 * v2_ok + m2 * v1_ok, tot, out=np.array(m1), where=ok)
+    var = np.divide(v1_ok * v2_ok, tot, out=np.zeros_like(tot), where=ok)
     # infinite-variance inputs: the other factor wins
     mean = np.where(np.isinf(v1), m2, np.where(np.isinf(v2), m1, mean))
     var = np.where(np.isinf(v1), v2, np.where(np.isinf(v2), v1, var))

@@ -1,14 +1,21 @@
-"""Independent Monte-Carlo reference implementations used only by tests.
+"""Reference implementations used only by tests.
 
 The production code computes moments of log|A + B| (and its posterior
-decompositions) analytically / by quadrature; these oracles estimate the
-same quantities from raw samples so the two can be compared without
+decompositions) analytically / by quadrature. Most oracles here estimate
+the same quantities from raw samples, so the two can be compared without
 sharing any numerical machinery beyond the elementary log-phasor-sum
-formula itself.
+formula itself. Two are exact references for the fast kernels instead:
+the direct 120-term dilogarithm series that lognorm tabulates, and the
+unfolded split quadrature (three separate Gaussian log-pdfs on the full
+(u, phi) node grid) that lognorm's folded kernel must reproduce.
 """
 
 import numpy as np
+from scipy.special import log_ndtr, roots_hermitenorm
 from scipy.stats import norm
+
+LOG_TINY = np.log(1e-300)
+VAR_FLOOR = 1e-12
 
 
 def log_phasor_sum_ref(a, b, phi):
@@ -125,3 +132,115 @@ def schroeder_t60(rir, sample_rate, hi_db=-5.0, lo_db=-35.0):
     sel = (edc <= hi_db) & (edc >= lo_db)
     slope, _ = np.polyfit(t[sel], edc[sel], 1)
     return -60.0 / slope
+
+
+def mean_dilog_series_ref(md, vd, terms=120):
+    """E{Li2(e^{-2|d|})} for d ~ N(md, vd) by the direct series.
+
+    Li2(x) = sum_k x^k / k^2, with the folded-normal moment generating
+    function E{e^{-2k|d|}} taken term by term in the log domain.
+    """
+    md = np.abs(np.asarray(md, dtype=float))
+    vd = np.asarray(vd, dtype=float)
+    s = np.sqrt(np.maximum(vd, VAR_FLOOR))
+    k = np.arange(1, terms + 1).reshape((-1,) + (1,) * md.ndim)
+    t = 2.0 * k
+    upper = np.exp(t * md + t * t * vd / 2.0 + log_ndtr(-md / s - t * s))
+    lower = np.exp(-t * md + t * t * vd / 2.0 + log_ndtr(md / s - t * s))
+    return np.sum((upper + lower) / (k * k), axis=0)
+
+
+def _log_normal_pdf(x, mean, var):
+    v = np.maximum(var, VAR_FLOOR)
+    return -0.5 * ((x - mean) ** 2 / v) - 0.5 * np.log(2.0 * np.pi * v)
+
+
+def _log_phasor_sum_cosh(la, lb, cos_phi):
+    """0.5*(la+lb) + 0.5*log(2*cosh(la-lb) + 2*cos_phi), asymptotic for large gaps."""
+    d = np.asarray(la, dtype=float) - lb
+    ad = np.abs(d)
+    small = ad < 25.0
+    inner = np.where(
+        small,
+        np.log(np.maximum(2.0 * np.cosh(np.where(small, d, 0.0)) + 2.0 * cos_phi, 1e-300)),
+        ad + np.log1p(np.exp(-2.0 * np.minimum(ad, 700.0))
+                      + 2.0 * cos_phi * np.exp(-np.minimum(ad, 700.0))),
+    )
+    return 0.5 * (np.asarray(la, dtype=float) + lb) + 0.5 * inner
+
+
+def split_core_ref(ma, va, mb, vb, y, k_u=15, k_phase=6):
+    """Conditional raw moments of (a, b) given log|A+B| = y, unfolded.
+
+    Gauss-Hermite nodes along the prior of u = b - a times k_phase
+    midpoint phases; at each node a is solved from the constraint and
+    the node is weighted by N(a) N(b) / N(u). y may carry extra trailing
+    axes. Returns (E a, E a^2, E b, E b^2, fallback) with y's shape; the
+    fallback flag marks a non-finite or < 1e-300 unnormalised maximum
+    weight.
+    """
+    ma, va, mb, vb = (np.asarray(v, dtype=float) for v in (ma, va, mb, vb))
+    y = np.asarray(y, dtype=float)
+    sl = (...,) + (None,) * (y.ndim - ma.ndim)
+    ma_e, va_e, mb_e, vb_e = ma[sl], va[sl], mb[sl], vb[sl]
+
+    mu_u = mb_e - ma_e
+    vu = np.maximum(va_e + vb_e, VAR_FLOOR)
+    x, wu = roots_hermitenorm(k_u)
+    wu = wu / wu.sum()
+    phi = (np.arange(1, k_phase + 1) - 0.5) * np.pi / k_phase
+    cos_phi = np.cos(phi)
+
+    u = mu_u[..., None, None] + np.sqrt(vu)[..., None, None] * x[:, None]
+    a_pt = y[..., None, None] - _log_phasor_sum_cosh(np.zeros_like(u), u, cos_phi)
+    b_pt = a_pt + u
+    logw = (
+        np.log(wu)[:, None]
+        + np.log(np.full(k_phase, 1.0 / k_phase))[None, :]
+        + _log_normal_pdf(a_pt, ma_e[..., None, None], va_e[..., None, None])
+        + _log_normal_pdf(b_pt, mb_e[..., None, None], vb_e[..., None, None])
+        - _log_normal_pdf(u, mu_u[..., None, None], vu[..., None, None])
+    )
+    mx = np.max(logw, axis=(-2, -1), keepdims=True)
+    fallback = ~np.isfinite(mx[..., 0, 0]) | (mx[..., 0, 0] < LOG_TINY)
+    wts = np.exp(logw - np.where(np.isfinite(mx), mx, 0.0))
+    z = np.sum(wts, axis=(-2, -1))
+    z_safe = np.where(z > 0, z, 1.0)
+    fallback |= z <= 0
+
+    def _m(f):
+        return np.sum(f * wts, axis=(-2, -1)) / z_safe
+
+    return _m(a_pt), _m(a_pt * a_pt), _m(b_pt), _m(b_pt * b_pt), fallback
+
+
+def split_scalar_ref(ma, va, mb, vb, y, k_u=15, k_phase=6):
+    """(ma', va', mb', vb', fallback) of the scalar split, from split_core_ref."""
+    ma, va, mb, vb, y = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                              for v in (ma, va, mb, vb, y)))
+    ea, ea2, eb, eb2, fb = split_core_ref(ma, va, mb, vb, y, k_u, k_phase)
+    return (np.where(fb, ma, ea), np.where(fb, va, np.maximum(ea2 - ea * ea, 0.0)),
+            np.where(fb, mb, eb), np.where(fb, vb, np.maximum(eb2 - eb * eb, 0.0)), fb)
+
+
+def split_distributed_ref(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3):
+    """Distributed split from split_core_ref: raw moments mixed over k_obs
+    Gauss-Hermite points of the observation, then turned into variances."""
+    ma, va, mb, vb, mo, vo = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                                   for v in (ma, va, mb, vb, mo, vo)))
+    x, w = roots_hermitenorm(k_obs)
+    w = w / w.sum()
+    y = mo[..., None] + np.sqrt(np.maximum(vo, 0.0))[..., None] * x
+    ea, ea2, eb, eb2, fb = split_core_ref(ma, va, mb, vb, y, k_u, k_phase)
+    wts = np.broadcast_to(w, fb.shape) * (~fb)
+    z = np.sum(wts, axis=-1)
+    all_fb = z <= 0
+    z_safe = np.where(all_fb, 1.0, z)
+
+    def _m(f):
+        return np.sum(np.where(fb, 0.0, f) * wts, axis=-1) / z_safe
+
+    a1, a2, b1, b2 = _m(ea), _m(ea2), _m(eb), _m(eb2)
+    return (np.where(all_fb, ma, a1), np.where(all_fb, va, np.maximum(a2 - a1 * a1, 0.0)),
+            np.where(all_fb, mb, b1), np.where(all_fb, vb, np.maximum(b2 - b1 * b1, 0.0)),
+            all_fb)

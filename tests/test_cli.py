@@ -52,6 +52,18 @@ def test_load_config_overrides(tmp_path):
     assert cfg.q_gamma == EnhancerConfig().q_gamma    # untouched default
 
 
+def test_load_config_bool_words(tmp_path):
+    path = tmp_path / "cfg.txt"
+    for word, value in [("1", True), ("0", False), ("TRUE", True), ("False", False),
+                        ("yes", True), ("No", False), ("on", True), ("OFF", False)]:
+        path.write_text(f"lognormal_correction = {word}\n")
+        assert load_config(path).lognormal_correction is value
+    for word in ("ture", "2", "", "enabled"):
+        path.write_text(f"# header\nlognormal_correction = {word}\n")
+        with pytest.raises(ValueError, match=f"{path}:2:"):
+            load_config(path)
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("no_such_option = 1\n")

@@ -7,8 +7,9 @@ from reverbtrack.enhancer import (EnhancerConfig, NoiseBelief, enhance,
                                   enhance_frames, initial_bin_state,
                                   process_frame, track_noise)
 from reverbtrack.lognorm import LogGaussian
+from reverbtrack.reverb import RoomParams
 from reverbtrack.speech import ARModel
-from reverbtrack.simkit import speechlike_excitation
+from reverbtrack.simkit import make_scene, speechlike_excitation
 from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, stft
 
 FS = 16000
@@ -165,6 +166,24 @@ def test_enhance_suppresses_pure_stationary_noise():
     drop_db = 10.0 * np.log10(np.sum(audio.samples ** 2)
                               / max(np.sum(out.samples ** 2), 1e-300))
     assert drop_db >= 10.0
+
+
+@pytest.fixture(scope="module")
+def condition_g_1s():
+    clean = speechlike_excitation(1.0, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    out, _, _ = enhance(noisy)
+    return noisy, out
+
+
+@pytest.mark.parametrize("c", [0.25, 4.0])
+def test_enhance_scale_equivariance(condition_g_1s, c):
+    # a gain c shifts every log-spectrum by log c; each log-domain shift
+    # must cancel, so the output scales by c up to rounding
+    noisy, out = condition_g_1s
+    scaled, _, _ = enhance(AudioBuffer(c * noisy.samples, noisy.sample_rate))
+    ref = c * out.samples
+    assert np.max(np.abs(scaled.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_trace_schema_and_estimates_valid():

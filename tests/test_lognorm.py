@@ -1,16 +1,21 @@
 """Log-domain Gaussian calculus tests, backed by Monte-Carlo oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import BinnedPool, grid_conditional_gaussian, mc_logsum_moments
+from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
+                     mean_dilog_series_ref, split_distributed_ref, split_scalar_ref)
 
-from reverbtrack.lognorm import (InconsistentConstraintError, LogGaussian,
-                                 add_independent, constrained_linear_update,
-                                 fuse, gaussian_sigma_points, logsum_moments,
+from reverbtrack.lognorm import (Diagnostics, InconsistentConstraintError,
+                                 LogGaussian, _mean_dilog_exp, add_independent,
+                                 constrained_linear_update, fuse,
+                                 gaussian_sigma_points, logsum_moments,
                                  logsum_posterior_distributed,
                                  logsum_posterior_scalar, logsum_prior,
-                                 phase_sigma_points)
+                                 phase_sigma_points, split_distributed_obs,
+                                 split_scalar_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +267,86 @@ def test_log_gaussian_validation():
         LogGaussian(np.nan, 1.0)
     with pytest.raises(ValueError):
         LogGaussian(0.0, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# fast kernels against their exact references
+# ---------------------------------------------------------------------------
+
+def test_mean_dilog_matches_series():
+    # the table (|m|/s <= 8), the Gauss-Hermite tail (|m|/s > 8) and the
+    # series itself (s outside the table, v = 0) all within 1e-6 of the series
+    m = np.linspace(0.0, 50.0, 251)
+    v = np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 181)])
+    mm, vv = np.meshgrid(m, v)
+    err = np.abs(_mean_dilog_exp(mm, vv) - mean_dilog_series_ref(mm, vv))
+    assert err.max() <= 1e-6
+    # off-grid points inside the table, both signs of m
+    rng = np.random.default_rng(5)
+    s = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 4000))
+    m = rng.uniform(-8.0, 8.0, 4000) * s
+    err = np.abs(_mean_dilog_exp(m, s * s) - mean_dilog_series_ref(m, s * s))
+    assert err.max() <= 1e-6
+
+
+def _split_cases():
+    """Random and degenerate priors with observations (ma, va, mb, vb, y, vo)."""
+    rng = np.random.default_rng(23)
+    n = 300
+    ma, mb = rng.normal(-1.0, 3.0, (2, n))
+    va, vb = np.exp(rng.uniform(np.log(1e-3), np.log(8.0), (2, n)))
+    y = np.logaddexp(2 * ma, 2 * mb) / 2 + rng.normal(0.0, 1.0, n)
+    vo = rng.uniform(0.0, 2.0, n)
+    va_zero = np.where(np.arange(n) < 60, 0.0, va)          # v_a = 0
+    vb_zero = np.where(np.arange(n) >= n - 60, 0.0, vb)     # v_b = 0
+    big = 300.0 + rng.uniform(0.0, 100.0, (2, n))           # variances >= 300
+    sign = rng.choice([-1.0, 1.0], n)
+    far = y + sign * rng.uniform(20.0, 400.0, n)
+    tail = y + sign * rng.uniform(4.0, 12.0, n) * np.sqrt(va + vb)
+    # narrow priors with the unnormalised maximum weight near 1e-300, the
+    # fallback threshold
+    narrow = np.exp(rng.uniform(np.log(1e-4), np.log(1e-2), (2, n)))
+    edge = np.logaddexp(2 * ma, 2 * mb) / 2 + sign * np.sqrt(
+        rng.uniform(100.0, 800.0, n) * narrow.sum(axis=0))
+    return [
+        (ma, va, mb, vb, y, vo),
+        (ma, va_zero, mb, vb_zero, y, vo),
+        (ma, big[0], mb, big[1], y, vo),
+        (ma, big[0], mb, vb, far, vo),
+        (ma, va, mb, vb, far, vo),
+        (ma, va, mb, vb, tail, vo),
+        (ma, narrow[0], mb, narrow[1], edge, vo),
+        (30.0 + ma, va, mb - 40.0, vb, y + 30.0, vo),
+    ]
+
+
+def _assert_split_matches(got, ref):
+    assert np.array_equal(got[4], ref[4])
+    ok = ~ref[4]
+    for g, r in zip(got[:4], ref[:4]):
+        assert np.all(np.abs(g[ok] - r[ok]) <= 1e-9 * np.maximum(1.0, np.abs(r[ok])))
+
+
+def test_split_scalar_matches_unfolded_reference():
+    for ma, va, mb, vb, y, _ in _split_cases():
+        _assert_split_matches(split_scalar_obs(ma, va, mb, vb, y),
+                              split_scalar_ref(ma, va, mb, vb, y))
+
+
+def test_split_distributed_matches_unfolded_reference():
+    for ma, va, mb, vb, y, vo in _split_cases():
+        _assert_split_matches(split_distributed_obs(ma, va, mb, vb, y, vo),
+                              split_distributed_ref(ma, va, mb, vb, y, vo))
+
+
+def test_fast_kernels_emit_no_warnings():
+    diag = Diagnostics()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ma, va, mb, vb, y, vo in _split_cases():
+            split_scalar_obs(ma, va, mb, vb, y, diag=diag)
+            split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag)
+            logsum_moments(ma, va, mb, vb, diag=diag)
+            logsum_moments(ma, 0.0, mb, 0.0, diag=diag)
+            _mean_dilog_exp(ma - mb, np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 299)]))
+    assert diag.fallbacks > 0
