@@ -253,9 +253,10 @@ def _mean_dilog_exp(md, vd):
     s = np.sqrt(np.maximum(vd, _VAR_FLOOR))
     r = md / s
     t = np.log(s)
+    # table coordinates, clamped to the table (fmin/fmax keep NaN in it too)
     pos = np.empty((2,) + r.shape)
-    np.multiply(np.minimum(r, _DILOG_R_MAX), tab["inv_hr"], out=pos[0])
-    np.multiply(np.minimum(np.maximum(t, tab["t_lo"]), tab["t_hi"]) - tab["t_lo"],
+    np.multiply(np.fmin(r, _DILOG_R_MAX), tab["inv_hr"], out=pos[0])
+    np.multiply(np.fmin(np.fmax(t, tab["t_lo"]), tab["t_hi"]) - tab["t_lo"],
                 tab["inv_ht"], out=pos[1])
     cell = pos.astype(np.intp)
     w = _lagrange4(pos - cell)
@@ -270,6 +271,7 @@ def _mean_dilog_exp(md, vd):
         out[far] = spence(-np.expm1(-2.0 * d)) @ wx
     if np.any(wide):
         out[wide] = _mean_dilog_series(md[wide], vd[wide])
+    out[np.isnan(r)] = np.nan
     return out.reshape(shape)
 
 
@@ -309,20 +311,22 @@ def logsum_moments(ma, va, mb, vb, k_gauss=3, k_phase=6, diag=None):
 
 # (u, phi) quadrature of the split, keyed by (k_u, k_phase)
 _SPLIT_CACHE: dict[tuple[int, int], tuple] = {}
-def _split_nodes(k_u, k_phase):
-    """Nodes of the split's quadrature, the (u, phi) axes flattened u-major.
 
-    Returns (x, cos_phi, const) per node: the standard normal node of u,
-    the phase cosine, and the constant part of the node's log-weight,
-    log w_u + log w_phi + x^2/2.
+
+def _split_nodes(k_u, k_phase):
+    """Nodes of the split's quadrature.
+
+    Returns (x, cos_phi, const): the k_u standard normal nodes of u; the
+    phase cosines tiled over the k_u*k_phase (u, phi) nodes, u-major;
+    and per u node the constant part of the log-weight,
+    log w_u + log w_phi + x^2/2 (the phase weights are all 1/k_phase).
     """
     key = (k_u, k_phase)
     if key not in _SPLIT_CACHE:
         x, wu = _gh_nodes(k_u)
         phase = phase_sigma_points(k_phase)
-        const = np.log(wu)[:, None] + np.log(phase.weights) + 0.5 * (x * x)[:, None]
-        _SPLIT_CACHE[key] = (np.repeat(x, k_phase), np.tile(np.cos(phase.points), k_u),
-                             const.ravel())
+        _SPLIT_CACHE[key] = (x, np.tile(np.cos(phase.points), k_u),
+                             np.log(wu) + np.log(phase.weights[0]) + 0.5 * x * x)
     return _SPLIT_CACHE[key]
 
 
@@ -344,69 +348,78 @@ def _split_core(ma, va, mb, vb, y, k_u, k_phase):
     on arguments that underflow. The five weighted sums over the
     k_u*k_phase nodes are one matrix-vector product, taken relative to
     the heaviest node so that a narrow posterior keeps a non-negative
-    variance.
+    variance. Everything that does not depend on y is computed once;
+    the observation points are then taken one at a time, on (bins,
+    nodes) arrays that stay in cache.
 
-    y may carry extra trailing quadrature axes relative to the priors.
+    y has the priors' shape plus any trailing observation axes.
     Returns (E e, var e, E f, var f, fallback) with y's shape; the
     variances are not yet clamped at 0.
     """
-    ma, va, mb, vb = (np.asarray(v, dtype=float) for v in (ma, va, mb, vb))
+    ma, va, mb, vb = (np.asarray(v, dtype=float).ravel() for v in (ma, va, mb, vb))
     y = np.asarray(y, dtype=float)
+    obs = y.reshape(ma.size, -1).T                   # (observation points, bins)
     x, cos_phi, const = _split_nodes(k_u, k_phase)
-    nodes = const.size
+    nodes = cos_phi.size
+
+    def per_node(v):                                 # (bins, k_u) -> (bins, nodes)
+        return np.repeat(v, k_phase, axis=1)
 
     va_f = np.maximum(va, _VAR_FLOOR)
     vb_f = np.maximum(vb, _VAR_FLOOR)
     vu = np.maximum(va + vb, _VAR_FLOOR)
-    # per (bin, node): s_u*x and log|1 + e^{u + j phi}|
-    sx = np.sqrt(vu)[..., None] * x
-    lps = log_phasor_sum(0.0, (mb - ma)[..., None] + sx, cos_phi)
+    sx = np.sqrt(vu)[:, None] * x                    # s_u*x, (bins, k_u)
+    lps = log_phasor_sum(0.0, per_node((mb - ma)[:, None] + sx), cos_phi)
     # log-weight = const - e^2/(2 va) - (e + s_u x)^2/(2 vb) + per-bin terms
     #            = quad - e*(curv*e + lin)
     hb = 0.5 / vb_f
-    curv = 0.5 / va_f + hb
-    lin = (2.0 * hb)[..., None] * sx
-    quad = const - hb[..., None] * sx * sx
+    curv = (0.5 / va_f + hb)[:, None]
+    lin = per_node((2.0 * hb)[:, None] * sx)
+    quad = per_node(const - hb[:, None] * sx * sx)
+    sx = per_node(sx)
     lconst = 0.5 * (np.log(2.0 * np.pi * vu) - np.log(2.0 * np.pi * va_f)
                     - np.log(2.0 * np.pi * vb_f))
 
-    # per-bin arrays gain y's extra axes, and then the node axis
-    ex = (...,) + (None,) * (y.ndim - ma.ndim)
-    node = ex + (slice(None),)
-    logw, we, e, wf, f = buf = np.empty((5,) + y.shape + const.shape)
-    np.subtract((y - ma[ex])[..., None], lps[node], out=e)
-    np.add(e, sx[node], out=f)
-    np.multiply(e, curv[ex + (None,)], out=logw)
-    logw += lin[node]
-    logw *= e
-    np.subtract(quad[node], logw, out=logw)
+    # per observation point: the top node's log-weight, e and f, and the
+    # sums of w, w e, w e^2, w f, w f^2 with e and f taken relative to
+    # the top node, so that the sums stay small where the posterior is
+    # narrow
+    top_vals = np.empty((3,) + obs.shape)
+    sums = np.empty((5,) + obs.shape)
+    logw, we, e, wf, f = buf = np.empty((5, ma.size, nodes))
+    rows = np.arange(0, logw.size, nodes)
+    ones = np.ones(nodes)
+    for i, y_i in enumerate(obs):
+        np.subtract((y_i - ma)[:, None], lps, out=e)
+        np.add(e, sx, out=f)
+        np.multiply(e, curv, out=logw)
+        logw += lin
+        logw *= e
+        np.subtract(quad, logw, out=logw)
+        top = logw.argmax(axis=1) + rows
+        mx, e0, f0 = top_vals[:, i]
+        logw.take(top, out=mx)
+        e.take(top, out=e0)
+        f.take(top, out=f0)
+        logw -= np.where(np.isfinite(mx), mx, 0.0)[:, None]
+        np.maximum(logw, -700.0, out=logw)
+        w = np.exp(logw, out=logw)
+        e -= e0[:, None]
+        f -= f0[:, None]
+        np.multiply(w, e, out=we)
+        e *= we
+        np.multiply(w, f, out=wf)
+        f *= wf
+        np.matmul(buf, ones, out=sums[:, i])
 
-    # the top node per point: its log-weight is the maximum, and e and f
-    # are taken relative to their values there, so that the sums below
-    # stay small where the posterior is narrow
-    top = logw.reshape(-1, nodes).argmax(axis=1) + np.arange(0, logw.size, nodes)
-    mx = logw.take(top).reshape(y.shape)
-    e0 = e.take(top).reshape(y.shape)
-    f0 = f.take(top).reshape(y.shape)
-    lmax = mx + lconst[ex]
-    fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY)
-    logw -= np.where(np.isfinite(mx), mx, 0.0)[..., None]
-    np.maximum(logw, -700.0, out=logw)
-    w = np.exp(logw, out=logw)
-    e -= e0[..., None]
-    f -= f0[..., None]
-    np.multiply(w, e, out=we)
-    e *= we
-    np.multiply(w, f, out=wf)
-    f *= wf
-    # sums of w, w e, w e^2, w f, w f^2 over the nodes
-    z, s_e, s_e2, s_f, s_f2 = (buf.reshape(-1, nodes) @ np.ones(nodes)).reshape(
-        (5,) + y.shape)
-    fallback |= z <= 0
+    mx, e0, f0 = top_vals
+    z, s_e, s_e2, s_f, s_f2 = sums
+    lmax = mx + lconst
+    fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
     de, df = s_e * inv_z, s_f * inv_z
-    return (e0 + de, s_e2 * inv_z - de * de, f0 + df, s_f2 * inv_z - df * df,
-            fallback)
+    out = (e0 + de, s_e2 * inv_z - de * de, f0 + df, s_f2 * inv_z - df * df, fallback)
+    return tuple(v.T.reshape(y.shape) for v in out)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
