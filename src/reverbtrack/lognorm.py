@@ -190,7 +190,7 @@ def _chebyshev_basis(v, lo, hi, count):
 
 
 def _dilog_table():
-    """The lookup table of _mean_dilog_exp, built on first call (~20 ms).
+    """The lookup table of _mean_dilog_exp, built on first call (20-35 ms).
 
     Rows sit at r = (i - 1)*h_r and columns at log s = log s_lo + (j - 1)*h_t:
     one node before the start of each range and two past its end, so
