@@ -356,9 +356,10 @@ def _split_core(ma, va, mb, vb, y, k_u, k_phase):
     Returns (E e, var e, E f, var f, fallback) with y's shape; the
     variances are not yet clamped at 0.
     """
-    ma, va, mb, vb = (np.asarray(v, dtype=float).ravel() for v in (ma, va, mb, vb))
     y = np.asarray(y, dtype=float)
-    obs = y.reshape(ma.size, -1).T                   # (observation points, bins)
+    n_obs = int(np.prod(y.shape[np.ndim(ma):]))
+    ma, va, mb, vb = (np.asarray(v, dtype=float).ravel() for v in (ma, va, mb, vb))
+    obs = y.reshape(ma.size, n_obs).T                # (observation points, bins)
     x, cos_phi, const = _split_nodes(k_u, k_phase)
     nodes = cos_phi.size
 

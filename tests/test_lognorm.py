@@ -339,6 +339,18 @@ def test_split_distributed_matches_unfolded_reference():
                               split_distributed_ref(ma, va, mb, vb, y, vo))
 
 
+def test_split_keeps_input_shapes():
+    empty = np.zeros(0)
+    for got in (split_scalar_obs(*[empty] * 5), split_distributed_obs(*[empty] * 6)):
+        assert all(np.shape(g) == (0,) for g in got)
+    # 2-D priors: bins on both axes
+    ma, va, mb, vb, y, vo = (c.reshape(20, 15) for c in _split_cases()[0])
+    _assert_split_matches(split_scalar_obs(ma, va, mb, vb, y),
+                          split_scalar_ref(ma, va, mb, vb, y))
+    _assert_split_matches(split_distributed_obs(ma, va, mb, vb, y, vo),
+                          split_distributed_ref(ma, va, mb, vb, y, vo))
+
+
 def test_fast_kernels_emit_no_warnings():
     diag = Diagnostics()
     with warnings.catch_warnings():
