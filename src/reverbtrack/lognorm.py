@@ -314,24 +314,24 @@ _SPLIT_CACHE: dict[tuple[int, int], tuple] = {}
 
 
 def _split_nodes(k_u, k_phase):
-    """Nodes of the split's quadrature.
+    """Nodes of the split's quadrature, shaped for (k_u, k_phase, bins) arrays.
 
-    Returns (x, cos_phi, const): the k_u standard normal nodes of u; the
-    phase cosines tiled over the k_u*k_phase (u, phi) nodes, u-major;
-    and per u node the constant part of the log-weight,
-    log w_u + log w_phi + x^2/2 (the phase weights are all 1/k_phase).
+    Returns (x, cos_phi, const): the standard normal nodes of u as a
+    (k_u, 1) column, the phase cosines as a (k_phase, 1) column, and the
+    constant part of each u node's log-weight, log w_u + log w_phi + x^2/2,
+    as a (k_u, 1, 1) array (the phase weights are all 1/k_phase).
     """
     key = (k_u, k_phase)
     if key not in _SPLIT_CACHE:
         x, wu = _gh_nodes(k_u)
         phase = phase_sigma_points(k_phase)
-        _SPLIT_CACHE[key] = (x, np.tile(np.cos(phase.points), k_u),
-                             np.log(wu) + np.log(phase.weights[0]) + 0.5 * x * x)
+        const = np.log(wu) + np.log(phase.weights[0]) + 0.5 * x * x
+        _SPLIT_CACHE[key] = (x[:, None], np.cos(phase.points)[:, None], const[:, None, None])
     return _SPLIT_CACHE[key]
 
 
-def _split_core(ma, va, mb, vb, y, k_u, k_phase):
-    """Conditional moments of (a, b) given log|A+B| = y.
+def _split_core(ma, va, mb, vb, obs, k_u, k_phase):
+    """Conditional moments of (a, b) given log|A+B| = y, at each y in obs.
 
     Change of variables (a, b, phi) -> (u, y, phi) with u = b - a; the
     u-integral is Gaussian quadrature along the prior of u, solving the
@@ -348,36 +348,31 @@ def _split_core(ma, va, mb, vb, y, k_u, k_phase):
     on arguments that underflow. The five weighted sums over the
     k_u*k_phase nodes are one matrix-vector product, taken relative to
     the heaviest node so that a narrow posterior keeps a non-negative
-    variance. Everything that does not depend on y is computed once;
-    the observation points are then taken one at a time, on (bins,
-    nodes) arrays that stay in cache.
+    variance.
 
-    y has the priors' shape plus any trailing observation axes.
-    Returns (E e, var e, E f, var f, fallback) with y's shape; the
-    variances are not yet clamped at 0.
+    Everything that does not depend on y is computed once, per u node
+    where it does not depend on the phase. The observation points are
+    then taken one at a time, on (k_u, k_phase, bins) arrays that stay in
+    cache; with the bins last, every per-bin or per-node operand
+    broadcasts along whole rows of bins.
+
+    The priors are (bins,) arrays and obs is (observation points, bins).
+    Returns (E e, var e, E f, var f, fallback), each (observation points,
+    bins); the variances are not yet clamped at 0.
     """
-    y = np.asarray(y, dtype=float)
-    n_obs = int(np.prod(y.shape[np.ndim(ma):]))
-    ma, va, mb, vb = (np.asarray(v, dtype=float).ravel() for v in (ma, va, mb, vb))
-    obs = y.reshape(ma.size, n_obs).T                # (observation points, bins)
     x, cos_phi, const = _split_nodes(k_u, k_phase)
-    nodes = cos_phi.size
-
-    def per_node(v):                                 # (bins, k_u) -> (bins, nodes)
-        return np.repeat(v, k_phase, axis=1)
 
     va_f = np.maximum(va, _VAR_FLOOR)
     vb_f = np.maximum(vb, _VAR_FLOOR)
     vu = np.maximum(va + vb, _VAR_FLOOR)
-    sx = np.sqrt(vu)[:, None] * x                    # s_u*x, (bins, k_u)
-    lps = log_phasor_sum(0.0, per_node((mb - ma)[:, None] + sx), cos_phi)
+    sx = (np.sqrt(vu) * x)[:, None]                  # s_u*x, (k_u, 1, bins)
+    lps = log_phasor_sum(0.0, mb - ma + sx, cos_phi)  # (k_u, k_phase, bins)
     # log-weight = const - e^2/(2 va) - (e + s_u x)^2/(2 vb) + per-bin terms
     #            = quad - e*(curv*e + lin)
     hb = 0.5 / vb_f
-    curv = (0.5 / va_f + hb)[:, None]
-    lin = per_node((2.0 * hb)[:, None] * sx)
-    quad = per_node(const - hb[:, None] * sx * sx)
-    sx = per_node(sx)
+    curv = 0.5 / va_f + hb
+    lin = 2.0 * hb * sx
+    quad = const - hb * sx * sx
     lconst = 0.5 * (np.log(2.0 * np.pi * vu) - np.log(2.0 * np.pi * va_f)
                     - np.log(2.0 * np.pi * vb_f))
 
@@ -387,31 +382,32 @@ def _split_core(ma, va, mb, vb, y, k_u, k_phase):
     # narrow
     top_vals = np.empty((3,) + obs.shape)
     sums = np.empty((5,) + obs.shape)
-    logw, we, e, wf, f = buf = np.empty((5, ma.size, nodes))
-    rows = np.arange(0, logw.size, nodes)
+    logw, we, e, wf, f = buf = np.empty((5,) + lps.shape)
+    nodes = lps.shape[0] * lps.shape[1]
+    cols = np.arange(ma.size)
     ones = np.ones(nodes)
     for i, y_i in enumerate(obs):
-        np.subtract((y_i - ma)[:, None], lps, out=e)
+        np.subtract(y_i - ma, lps, out=e)
         np.add(e, sx, out=f)
         np.multiply(e, curv, out=logw)
         logw += lin
         logw *= e
         np.subtract(quad, logw, out=logw)
-        top = logw.argmax(axis=1) + rows
+        top = logw.reshape(nodes, -1).argmax(axis=0) * ma.size + cols
         mx, e0, f0 = top_vals[:, i]
         logw.take(top, out=mx)
         e.take(top, out=e0)
         f.take(top, out=f0)
-        logw -= np.where(np.isfinite(mx), mx, 0.0)[:, None]
+        logw -= np.where(np.isfinite(mx), mx, 0.0)
         np.maximum(logw, -700.0, out=logw)
         w = np.exp(logw, out=logw)
-        e -= e0[:, None]
-        f -= f0[:, None]
+        e -= e0
+        f -= f0
         np.multiply(w, e, out=we)
         e *= we
         np.multiply(w, f, out=wf)
         f *= wf
-        np.matmul(buf, ones, out=sums[:, i])
+        np.matmul(ones, buf.reshape(5, nodes, -1), out=sums[:, i])
 
     mx, e0, f0 = top_vals
     z, s_e, s_e2, s_f, s_f2 = sums
@@ -419,8 +415,7 @@ def _split_core(ma, va, mb, vb, y, k_u, k_phase):
     fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
     de, df = s_e * inv_z, s_f * inv_z
-    out = (e0 + de, s_e2 * inv_z - de * de, f0 + df, s_f2 * inv_z - df * df, fallback)
-    return tuple(v.T.reshape(y.shape) for v in out)
+    return e0 + de, s_e2 * inv_z - de * de, f0 + df, s_f2 * inv_z - df * df, fallback
 
 
 def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
@@ -432,7 +427,8 @@ def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
     ma, va, mb, vb, y = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (ma, va, mb, vb, y))
     )
-    ea, va_post, eb, vb_post, fb = _split_core(ma, va, mb, vb, y, k_u, k_phase)
+    ea, va_post, eb, vb_post, fb = (r.reshape(y.shape) for r in _split_core(
+        ma.ravel(), va.ravel(), mb.ravel(), vb.ravel(), y.reshape(1, -1), k_u, k_phase))
     if diag is not None and np.any(fb):
         diag.fallbacks += int(np.count_nonzero(fb))
     ma_out = np.where(fb, ma, ma + ea)
@@ -452,30 +448,31 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, di
     ma, va, mb, vb, mo, vo = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (ma, va, mb, vb, mo, vo))
     )
+    shape = ma.shape
+    ma, va, mb, vb, mo, vo = (v.ravel() for v in (ma, va, mb, vb, mo, vo))
     x, w = _gh_nodes(k_obs)
-    y = mo[..., None] + np.sqrt(np.maximum(vo, 0.0))[..., None] * x
-    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, y, k_u, k_phase)
+    obs = mo + np.sqrt(np.maximum(vo, 0.0)) * x[:, None]       # (k_obs, bins)
+    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, k_u, k_phase)
 
-    wts = np.broadcast_to(w, fb.shape) * (~fb)
-    z = np.sum(wts, axis=-1)
+    wts = np.where(fb, 0.0, w[:, None])
+    z = np.sum(wts, axis=0)
     all_fb = z <= 0
     z_safe = np.where(all_fb, 1.0, z)
     if diag is not None and np.any(all_fb):
         diag.fallbacks += int(np.count_nonzero(all_fb))
 
     def _m(f):
-        return np.sum(np.where(fb, 0.0, f) * wts, axis=-1) / z_safe
+        return np.sum(np.where(fb, 0.0, f) * wts, axis=0) / z_safe
 
     # mixture over the observation points: mean of the means, and mean of
     # the variances plus the spread of the means
     ea1, eb1 = _m(ea), _m(eb)
-    va_mix = _m(va_obs + (ea - ea1[..., None]) ** 2)
-    vb_mix = _m(vb_obs + (eb - eb1[..., None]) ** 2)
-    ma_out = np.where(all_fb, ma, ma + ea1)
-    va_out = np.where(all_fb, va, _clamp_var(va_mix, diag))
-    mb_out = np.where(all_fb, mb, mb + eb1)
-    vb_out = np.where(all_fb, vb, _clamp_var(vb_mix, diag))
-    return ma_out, va_out, mb_out, vb_out, all_fb
+    va_mix = _m(va_obs + (ea - ea1) ** 2)
+    vb_mix = _m(vb_obs + (eb - eb1) ** 2)
+    out = (np.where(all_fb, ma, ma + ea1), np.where(all_fb, va, _clamp_var(va_mix, diag)),
+           np.where(all_fb, mb, mb + eb1), np.where(all_fb, vb, _clamp_var(vb_mix, diag)),
+           all_fb)
+    return tuple(v.reshape(shape) for v in out)
 
 
 def line_constrained_update(mx, vx, my, vy, mt, vt):
