@@ -16,8 +16,8 @@ are written for fewer operations per bin:
   mean dilogarithm E{Li2(e^{-2|a-b|})}, which is read from a table over
   (|m|/s, log s) built lazily from a Chebyshev fit of its series;
 - _split_core (the posterior given log|A+B|) folds the three Gaussian
-  log-pdfs of its (u, phi) quadrature into one quadratic per node,
-  treats the nodes as one flat axis, sums them by a matrix product, and
+  log-pdfs of its (u, phi) quadrature into one quadratic per node, sums
+  the nodes by a matrix product relative to the heaviest node, and
   clamps the shifted log-weights at -700 so that no exponential
   underflows.
 
