@@ -6,7 +6,10 @@ prediction of the reverberation and total-disturbance log-spectra,
 then the observation-driven decompositions (y -> s, z; z -> r, n;
 r -> old/new reverberation) and straight-line constrained updates of
 gamma and beta. All bins advance in lockstep (vectorised); a bounded
-look-ahead of C frames feeds the decay priors.
+look-ahead of C frames feeds the decay priors. The r -> old/new split
+and the gamma/beta updates (steps 10-12) run only on the bins that pass
+the per-bin RNR gate in that frame; the other bins keep their gamma and
+beta priors.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -184,7 +187,15 @@ class _FilterState:
 def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
              prior_gm, prior_gv, prior_bm, prior_bv, prior_mask,
              cfg: EnhancerConfig, diag: Diagnostics, update_mask=None):
-    """One frame of the cascade for all bins. Returns the trace row dict."""
+    """One frame of the cascade for all bins. Returns the trace row dict.
+
+    update_mask, a (bins,) bool array, selects the bins whose decay is
+    informative in this frame; steps 9-12 (the r -> old/new split and the
+    gamma/beta line updates) run on those bins only, and the others keep
+    their gamma/beta priors with fallback bit 4 clear. None updates every
+    bin. Bins never interact, so the results on a bin do not depend on
+    which other bins are present.
+    """
     kg, kp, ku, ko = cfg.k_gauss, cfg.k_phase, cfg.k_u, cfg.k_obs
 
     # speech KF prediction + decorrelation
@@ -224,29 +235,34 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     else:
         sprev_m, sprev_v = fs.s_post_m, fs.s_post_v
 
-    # step 8: distributed split z -> (r, n); n posterior unused
+    # step 8: distributed split z -> (r, n); the n posterior is unused,
+    # so only the r posterior is computed
     rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
-        rm, rv, n_mean, n_var, zpm, zpv, k_u=ku, k_phase=kp, k_obs=ko, diag=diag)
+        rm, rv, n_mean, n_var, zpm, zpv, k_u=ku, k_phase=kp, k_obs=ko, diag=diag,
+        b_moments=False)
+
+    # steps 9-12 run on the gated bins only. Where a bin is
+    # noise-dominated the old/new decomposition carries no information
+    # about the decay, so gamma and beta keep their priors there. Step 10
+    # runs even when no bin is gated, so every frame has two distributed
+    # splits.
+    idx = slice(None) if update_mask is None else np.flatnonzero(update_mask)
+    gpm, gpv, bpm, bpv = gm.copy(), gv.copy(), bm.copy(), bv.copy()
+    fb10 = np.zeros(fb8.shape, dtype=bool)
 
     # step 9: refreshed new-reverberation prior
-    epm, epv = bm + sprev_m, bv + sprev_v
+    epm, epv = bm[idx] + sprev_m[idx], bv[idx] + sprev_v[idx]
 
     # step 10: distributed split r -> (old, new)
-    dpm, dpv, eppm, eppv, fb10 = lognorm.split_distributed_obs(
-        dm, dv, epm, epv, rpm, rpv, k_u=ku, k_phase=kp, k_obs=ko, diag=diag)
+    dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
+        dm[idx], dv[idx], epm, epv, rpm[idx], rpv[idx],
+        k_u=ku, k_phase=kp, k_obs=ko, diag=diag)
 
-    # steps 11-12: straight-line constrained updates of gamma and beta.
-    # When the bin is noise-dominated the old/new decomposition carries
-    # no information about the decay, so the update is masked off there.
-    gpm, gpv, _, _ = lognorm.line_constrained_update(
-        gm, gv, fs.r_mean, fs.r_var, dpm, dpv)
-    bpm, bpv, _, _ = lognorm.line_constrained_update(
-        bm, bv, sprev_m, sprev_v, eppm, eppv)
-    if update_mask is not None:
-        gpm = np.where(update_mask, gpm, gm)
-        gpv = np.where(update_mask, gpv, gv)
-        bpm = np.where(update_mask, bpm, bm)
-        bpv = np.where(update_mask, bpv, bv)
+    # steps 11-12: straight-line constrained updates of gamma and beta
+    gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(
+        gm[idx], gv[idx], fs.r_mean[idx], fs.r_var[idx], dpm, dpv)
+    bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(
+        bm[idx], bv[idx], sprev_m[idx], sprev_v[idx], eppm, eppv)
     gpm = reverb.clamp_gamma(gpm)
 
     # step 13: shift posteriors to priors

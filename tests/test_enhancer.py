@@ -1,13 +1,17 @@
 """Filter-cascade orchestration tests."""
 
+import copy
+import warnings
+
 import numpy as np
 import pytest
 
-from reverbtrack.enhancer import (EnhancerConfig, NoiseBelief, enhance,
-                                  enhance_frames, initial_bin_state,
+from reverbtrack import enhancer
+from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, NoiseBelief,
+                                  enhance, enhance_frames, initial_bin_state,
                                   process_frame, track_noise)
-from reverbtrack.lognorm import LogGaussian
-from reverbtrack.reverb import RoomParams
+from reverbtrack.lognorm import Diagnostics, LogGaussian, fuse_moments
+from reverbtrack.reverb import RoomParams, clamp_gamma
 from reverbtrack.speech import ARModel
 from reverbtrack.simkit import make_scene, speechlike_excitation
 from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, stft
@@ -184,6 +188,125 @@ def test_enhance_scale_equivariance(condition_g_1s, c):
     scaled, _, _ = enhance(AudioBuffer(c * noisy.samples, noisy.sample_rate))
     ref = c * out.samples
     assert np.max(np.abs(scaled.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# per-bin cascade: bin independence and the RNR gate on steps 10-12
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def recorded_frames():
+    """(filter state, inputs, update mask, config) of each frame of a 1 s
+    condition-G scene, as enhance_frames passes them to _advance.
+
+    The inputs are _advance's positional arguments from y to the decay
+    prior mask; the noise variance among them is a scalar, the rest are
+    per-bin arrays.
+    """
+    clean = speechlike_excitation(1.0, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    calls = []
+    advance = enhancer._advance
+
+    def record(fs, *args, update_mask=None):
+        calls.append((copy.deepcopy(fs), copy.deepcopy(args[:11]), update_mask.copy(), args[11]))
+        return advance(fs, *args, update_mask=update_mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enhancer, "_advance", record)
+        enhance(noisy)
+    return calls
+
+
+def _bins(values, sub):
+    """The bins sub of each per-bin array in values (scalars pass through)."""
+    return tuple(v if np.ndim(v) == 0 else v[sub] for v in values)
+
+
+def _state_bins(fs, sub):
+    part = copy.copy(fs)
+    for name, value in vars(fs).items():
+        setattr(part, name, value[sub])
+    return part
+
+
+def _advance_quietly(fs, inputs, cfg, update_mask, diag):
+    """One frame from a copy of fs; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return enhancer._advance(copy.deepcopy(fs), *inputs, cfg, diag,
+                                 update_mask=update_mask)
+
+
+def _assert_close(got, ref):
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_cascade_bins_are_independent(recorded_frames):
+    # frames 44-63 hold mixed RNR gates and, at frame 58, decay priors
+    start, count = 44, 20
+    fs0, cfg = recorded_frames[start][0], recorded_frames[start][3]
+    k_bins = fs0.gamma_m.size
+    sub = np.random.default_rng(0).permutation(k_bins)[:k_bins // 2]
+    window = recorded_frames[start:start + count]
+    assert any(0 < np.count_nonzero(mask[sub]) < sub.size for _, _, mask, _ in window)
+    assert any(np.any(inputs[10][sub]) for _, inputs, _, _ in window)
+
+    full, part = _state_bins(fs0, slice(None)), _state_bins(fs0, sub)
+    for _, inputs, mask, _ in window:
+        row_full = enhancer._advance(full, *inputs, cfg, Diagnostics(), update_mask=mask)
+        row_part = enhancer._advance(part, *_bins(inputs, sub), cfg, Diagnostics(),
+                                     update_mask=mask[sub])
+        for f in TRACE_FIELDS:
+            if f == "fallback_flags":
+                assert np.array_equal(row_part[f], row_full[f][sub])
+            else:
+                _assert_close(row_part[f], row_full[f][sub])
+    # the replay on every bin reproduces the recorded run
+    assert np.array_equal(full.gamma_m, recorded_frames[start + count][0].gamma_m)
+    assert np.array_equal(full.beta_v, recorded_frames[start + count][0].beta_v)
+
+
+def test_gate_restricts_steps_10_to_12(recorded_frames):
+    fs, inputs, gate, cfg = recorded_frames[58]
+    assert np.any(inputs[10])                  # decay priors in this frame
+    # three bins whose refreshed speech prior contradicts the last
+    # posterior by 100 nats: step 10 cannot explain r there and falls back
+    fs = copy.deepcopy(fs)
+    odd = [10, 100, 200]
+    fs.s_post_m[odd], fs.s_post_v[odd] = 50.0, 1e-6
+    fs.s_mean[odd], fs.s_cov[odd] = -50.0, 1e-6 * np.eye(cfg.p)
+    fs.gamma_v[odd] = fs.beta_v[odd] = fs.r_var[odd] = 1e-6
+
+    # steps 1-2: the random walk fused with the decay priors
+    gm, gv = fs.gamma_m, fs.gamma_v + cfg.q_gamma
+    bm, bv = fs.beta_m, fs.beta_v + cfg.q_beta
+    pg, pgv, pb, pbv, pmask = inputs[6:11]
+    fgm, fgv = fuse_moments(gm, gv, pg, pgv)
+    fbm, fbv = fuse_moments(bm, bv, pb, pbv)
+    priors = {"gamma_mean": clamp_gamma(np.where(pmask, fgm, gm)),
+              "gamma_var": np.where(pmask, fgv, gv),
+              "beta_mean": np.where(pmask, fbm, bm),
+              "beta_var": np.where(pmask, fbv, bv)}
+
+    ungated = _advance_quietly(fs, inputs, cfg, None, Diagnostics())
+    assert np.all(ungated["fallback_flags"][odd] & 4)
+    mixed = gate.copy()
+    mixed[odd] = [True, False, False]
+    k_bins = gate.size
+    for mask in (np.ones(k_bins, bool), np.zeros(k_bins, bool), mixed):
+        diag = Diagnostics()
+        row = _advance_quietly(fs, inputs, cfg, mask, diag)
+        for f, prior in priors.items():
+            _assert_close(row[f][mask], ungated[f][mask])
+            assert np.array_equal(row[f][~mask], prior[~mask])
+        for f in ("s_mean", "s_var", "r_mean", "r_var", "z_mean", "z_var"):
+            assert np.array_equal(row[f], ungated[f])
+        flags, ref = row["fallback_flags"], ungated["fallback_flags"]
+        assert np.array_equal(flags & 3, ref & 3)
+        assert np.array_equal(flags & 4, np.where(mask, ref & 4, 0))
+        # every counted fallback is a flagged one
+        assert diag.fallbacks == sum(np.count_nonzero(flags & bit) for bit in (1, 2, 4))
 
 
 def test_trace_schema_and_estimates_valid():

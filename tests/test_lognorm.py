@@ -335,14 +335,21 @@ def test_split_scalar_matches_unfolded_reference():
 
 def test_split_distributed_matches_unfolded_reference():
     for ma, va, mb, vb, y, vo in _split_cases():
-        _assert_split_matches(split_distributed_obs(ma, va, mb, vb, y, vo),
-                              split_distributed_ref(ma, va, mb, vb, y, vo))
+        full = split_distributed_obs(ma, va, mb, vb, y, vo)
+        _assert_split_matches(full, split_distributed_ref(ma, va, mb, vb, y, vo))
+        # without the b posterior: the same a posterior and fallback flags
+        a_only = split_distributed_obs(ma, va, mb, vb, y, vo, b_moments=False)
+        assert a_only[2] is None and a_only[3] is None
+        for got, ref in zip(a_only[:2] + a_only[4:], full[:2] + full[4:]):
+            assert np.array_equal(got, ref)
 
 
 def test_split_keeps_input_shapes():
     empty = np.zeros(0)
     for got in (split_scalar_obs(*[empty] * 5), split_distributed_obs(*[empty] * 6)):
         assert all(np.shape(g) == (0,) for g in got)
+    a_only = split_distributed_obs(*[empty] * 6, b_moments=False)
+    assert all(np.shape(a_only[i]) == (0,) for i in (0, 1, 4))
     # 2-D priors: bins on both axes
     ma, va, mb, vb, y, vo = (c.reshape(20, 15) for c in _split_cases()[0])
     _assert_split_matches(split_scalar_obs(ma, va, mb, vb, y),
@@ -358,6 +365,7 @@ def test_fast_kernels_emit_no_warnings():
         for ma, va, mb, vb, y, vo in _split_cases():
             split_scalar_obs(ma, va, mb, vb, y, diag=diag)
             split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag)
+            split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag, b_moments=False)
             logsum_moments(ma, va, mb, vb, diag=diag)
             logsum_moments(ma, 0.0, mb, 0.0, diag=diag)
             _mean_dilog_exp(ma - mb, np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 299)]))
