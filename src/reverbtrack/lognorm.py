@@ -425,12 +425,11 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
     de = s_e * inv_z
+    a_post = (e0 + de, s_e2 * inv_z - de * de)
     if not b_moments:
-        return e0 + de, s_e2 * inv_z - de * de, None, None, fallback
-    f0 = top_vals[2]
-    s_f, s_f2 = sums[3:]
-    df = s_f * inv_z
-    return e0 + de, s_e2 * inv_z - de * de, f0 + df, s_f2 * inv_z - df * df, fallback
+        return (*a_post, None, None, fallback)
+    df = sums[3] * inv_z
+    return (*a_post, top_vals[2] + df, sums[4] * inv_z - df * df, fallback)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
