@@ -461,7 +461,8 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, di
     observation points before conversion to variance. With b_moments
     False only the posterior of a is computed, and the posterior mean and
     variance of b are returned as None; the posterior of a and the
-    fallback flags are the same as with b_moments True.
+    fallback flags are the same as with b_moments True, and diag counts
+    variance clamps of a only.
     """
     ma, va, mb, vb, mo, vo = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (ma, va, mb, vb, mo, vo))

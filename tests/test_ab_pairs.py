@@ -15,10 +15,11 @@ SPEC = {"end_to_end": [{"name": "rtf", "unit": "s/s", "better": "lower"},
                        {"name": "score", "unit": "x", "better": "higher"}]}
 
 
-def _pairs(parent, change, name="rtf"):
-    def result(v):
-        return {"metrics": {name: {"value": v, "unit": "s/s"}}, "failed": 0, "attempted": 1}
-    return [{"parent": result(p), "change": result(c)} for p, c in zip(parent, change)]
+def _pairs(parent, change, name="rtf", change_failed=0):
+    def result(v, failed=0):
+        return {"metrics": {name: {"value": v, "unit": "s/s"}}, "failed": failed, "attempted": 2}
+    return [{"parent": result(p), "change": result(c, change_failed)}
+            for p, c in zip(parent, change)]
 
 
 def test_parse_seeds():
@@ -42,6 +43,11 @@ def test_summary_gain_rule():
     # every pair won, but by less than the parent's interquartile range
     (row,) = ab_pairs.summarise(SPEC, _pairs(parent, [p - 0.005 for p in parent]))
     assert (row["wins"], row["gain"]) == (10, False)
+    # a clear win on the metric, but the change fails more calls
+    pairs = _pairs(parent, [p - 0.12 for p in parent], change_failed=1)
+    (row,) = ab_pairs.summarise(SPEC, pairs)
+    assert (row["wins"], row["gain"]) == (10, False)
+    assert ab_pairs.failed_calls(pairs) == {"parent": (0, 20), "change": (10, 20)}
 
 
 def test_summary_higher_is_better():

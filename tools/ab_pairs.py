@@ -5,14 +5,16 @@ Run from anywhere:
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload room_g_4s --seeds 0-9
 
 For each seed, ``perfbench/run.py --trace 0`` runs once in each checkout,
-one after the other, each with its own benchmark code. The side that runs
+one after the other, each with its own benchmark code and for the
+``run_seconds`` that ``BENCHMARK.json`` fixes. The side that runs
 first alternates from seed to seed, so that a drift in machine load does
 not favour one side. For each end-to-end metric of ``BENCHMARK.json`` the
 script then prints each side's median and quartiles, the number of pairs
 the change wins (ties count for neither side), the ratio of the medians
 (change / parent) and whether the change shows a gain: it wins at least
-nine tenths of the pairs, and its median is better than the parent's by
-more than the distance between the parent's quartiles.
+nine tenths of the pairs, its median is better than the parent's by
+more than the distance between the parent's quartiles, and it fails no
+more calls than the parent.
 
 ``--out DIR`` keeps every run's result set (``DIR/parent/seedN`` and
 ``DIR/change/seedN``, readable by ``perfbench/run.py --compare``) and the
@@ -54,13 +56,22 @@ def run_once(checkout, workload, seed, seconds, out=None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def failed_calls(pairs):
+    """Per side, the (failed, attempted) calls summed over the pairs."""
+    return {side: (sum(p[side]["failed"] for p in pairs),
+                   sum(p[side]["attempted"] for p in pairs)) for side in SIDES}
+
+
 def summarise(spec, pairs):
     """Per end-to-end metric: each side's quartiles, wins, ratio and verdict.
 
     pairs is a list of {"parent": result, "change": result} with the
     result lines of perfbench/run.py. A pair counts only where both sides
-    report the metric.
+    report the metric. No metric shows a gain where the change fails more
+    calls than the parent.
     """
+    failed = failed_calls(pairs)
+    fails_more = failed["change"][0] > failed["parent"][0]
     rows = []
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -80,7 +91,8 @@ def summarise(spec, pairs):
             "metric": name, "unit": metric["unit"], "better": metric["better"],
             "pairs": len(vals), "parent": pq.tolist(), "change": cq.tolist(),
             "wins": wins, "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
-            "gain": bool(wins >= 0.9 * len(vals) and gain > pq[2] - pq[0]),
+            "gain": bool(wins >= 0.9 * len(vals) and gain > pq[2] - pq[0]
+                         and not fails_more),
         })
     return rows
 
@@ -91,8 +103,6 @@ def main(argv=None):
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="N or A-B (inclusive)")
-    ap.add_argument("--seconds", type=float,
-                    help="run length of each run (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--out", type=Path, help="directory to keep the result sets and pairs in")
     args = ap.parse_args(argv)
 
@@ -101,7 +111,7 @@ def main(argv=None):
         if not (d / "perfbench" / "run.py").is_file():
             ap.error(f"{side} checkout {d} has no perfbench/run.py")
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -119,9 +129,7 @@ def main(argv=None):
 
     print(f"workload {args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"{len(pairs)} pairs, {seconds:g} s per run")
-    for side in SIDES:
-        failed = sum(p[side]["failed"] for p in pairs)
-        attempted = sum(p[side]["attempted"] for p in pairs)
+    for side, (failed, attempted) in failed_calls(pairs).items():
         print(f"{side}: {failed} of {attempted} calls failed")
     print(f"{'metric':<12} {'unit':<5} {'parent median [q1, q3]':<30} "
           f"{'change median [q1, q3]':<30} {'wins':>7} {'ratio':>7}  gain")
