@@ -1,13 +1,12 @@
 """Blind joint denoising and dereverberation via log-spectral Kalman tracking."""
 
 from .enhancer import EnhancerConfig, Trace, enhance, enhance_frames
-from .lognorm import LogGaussian
-from .reverb import ReverbParams, RoomParams
+from .reverb import RoomParams
 from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, istft, stft
 
 __all__ = [
-    "AnalysisConfig", "AudioBuffer", "EnhancerConfig", "LogGaussian",
-    "ReverbParams", "RoomParams", "SpectralFrames", "Trace",
+    "AnalysisConfig", "AudioBuffer", "EnhancerConfig", "RoomParams",
+    "SpectralFrames", "Trace",
     "enhance", "enhance_frames", "istft", "stft",
 ]
 

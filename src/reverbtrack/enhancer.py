@@ -12,41 +12,19 @@ the per-bin RNR gate in that frame; the other bins keep their gamma and
 beta priors.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import minimum_filter1d
 
 from . import lognorm, reverb, speech
-from .lognorm import Diagnostics, LogGaussian
-from .reverb import ReverbParams
-from .speech import ARModel, SpeechState
+from .lognorm import Diagnostics
 from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, istft, log_magnitude, stft
-
-
-@dataclass
-class NoiseBelief:
-    mean: float          # nats (log-amplitude)
-    variance: float      # nats^2, fixed
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("noise belief variance must be positive")
-
-
-@dataclass
-class BinState:
-    speech: SpeechState
-    reverb_r: LogGaussian
-    params: ReverbParams
-    last_speech_posterior: LogGaussian
-    smoothed_prev_speech: LogGaussian
 
 
 @dataclass
 class EnhancerConfig:
     p: int = 2
-    k_gauss: int = 3
     k_phase: int = 6
     k_u: int = 15
     k_obs: int = 3
@@ -72,10 +50,16 @@ class EnhancerConfig:
     modulation_frame: float = 0.064
 
     def __post_init__(self):
-        if min(self.k_gauss, self.k_phase, self.k_u, self.k_obs) < 1:
+        if min(self.k_phase, self.k_u, self.k_obs) < 1:
             raise ValueError("sigma-point counts must be >= 1")
         if self.look_ahead < 0:
             raise ValueError("look-ahead must be >= 0")
+        if not (self.q_gamma >= 0 and self.q_beta >= 0):
+            raise ValueError("drift variances q_gamma, q_beta must be >= 0")
+        if not self.init_param_variance >= 0:
+            raise ValueError("init_param_variance must be >= 0")
+        if not self.noise_variance > 0:
+            raise ValueError("noise_variance must be > 0")
 
     def analysis(self):
         return AnalysisConfig(self.frame_length, self.frame_increment)
@@ -86,25 +70,6 @@ TRACE_FIELDS = [
     "gamma_mean", "gamma_var", "beta_mean", "beta_var",
     "t60_est", "drr_est", "fallback_flags",
 ]
-
-
-@dataclass
-class TraceRecord:
-    frame: int
-    bin: int
-    s_mean: float
-    s_var: float
-    r_mean: float
-    r_var: float
-    z_mean: float
-    z_var: float
-    gamma_mean: float
-    gamma_var: float
-    beta_mean: float
-    beta_var: float
-    t60_est: float
-    drr_est: float
-    fallback_flags: int
 
 
 @dataclass
@@ -121,11 +86,6 @@ class Trace:
     @property
     def n_bins(self):
         return self.arrays["s_mean"].shape[1]
-
-    def record(self, frame, bin_):
-        vals = {f: self.arrays[f][frame, bin_] for f in TRACE_FIELDS}
-        vals["fallback_flags"] = int(vals["fallback_flags"])
-        return TraceRecord(frame=frame, bin=bin_, **vals)
 
     def write_csv(self, path, bins=None):
         bins = range(self.n_bins) if bins is None else bins
@@ -189,6 +149,8 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
              cfg: EnhancerConfig, diag: Diagnostics, update_mask=None):
     """One frame of the cascade for all bins. Returns the trace row dict.
 
+    prior_mask, a (bins,) bool array, selects the bins whose gamma/beta
+    predictions are fused with the decay priors prior_gm...prior_bv.
     update_mask, a (bins,) bool array, selects the bins whose decay is
     informative in this frame; steps 9-12 (the r -> old/new split and the
     gamma/beta line updates) run on those bins only, and the others keep
@@ -196,7 +158,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     bin. Bins never interact, so the results on a bin do not depend on
     which other bins are present.
     """
-    kg, kp, ku, ko = cfg.k_gauss, cfg.k_phase, cfg.k_u, cfg.k_obs
+    kp, ku, ko = cfg.k_phase, cfg.k_u, cfg.k_obs
 
     # speech KF prediction + decorrelation
     sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, coeffs, resid, loc_mean)
@@ -206,7 +168,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     # steps 1-2: random walk + decay priors
     gm, gv = fs.gamma_m, fs.gamma_v + cfg.q_gamma
     bm, bv = fs.beta_m, fs.beta_v + cfg.q_beta
-    if prior_mask is not None and np.any(prior_mask):
+    if np.any(prior_mask):
         fgm, fgv = lognorm.fuse_moments(gm, gv, prior_gm, prior_gv)
         fbm, fbv = lognorm.fuse_moments(bm, bv, prior_bm, prior_bv)
         gm = np.where(prior_mask, fgm, gm)
@@ -220,8 +182,8 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     em, ev = bm + fs.s_post_m, bv + fs.s_post_v
 
     # step 5: reverberation prior; step 6: total disturbance prior
-    rm, rv = lognorm.logsum_moments(dm, dv, em, ev, kg, kp, diag)
-    zm, zv = lognorm.logsum_moments(rm, rv, n_mean, n_var, kg, kp, diag)
+    rm, rv = lognorm.logsum_moments(dm, dv, em, ev, diag=diag)
+    zm, zv = lognorm.logsum_moments(rm, rv, n_mean, n_var, diag=diag)
 
     # step 7: scalar observation split y -> (s, z)
     spm, spv, zpm, zpv, fb7 = lognorm.split_scalar_obs(
@@ -272,9 +234,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     fs.gamma_m, fs.gamma_v = gpm, gpv
     fs.beta_m, fs.beta_v = bpm, bpv
 
-    t60 = -3.0 * np.log(10.0) * cfg.frame_increment / gpm
-    drr = 10.0 * np.log10(np.maximum(
-        (1.0 - np.exp(2.0 * gpm)) / np.exp(2.0 * bpm), 1e-300))
+    t60, drr = reverb.gamma_beta_to_room(gpm, bpm, cfg.frame_increment)
     flags = fb7.astype(int) | (fb8.astype(int) << 1) | (fb10.astype(int) << 2)
     return {
         "s_mean": spm, "s_var": spv, "r_mean": rpm, "r_var": rpv,
@@ -418,69 +378,3 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     n_copy = min(len(out.samples), len(samples))
     samples[:n_copy] = out.samples[:n_copy]
     return AudioBuffer(samples, audio.sample_rate), trace, diag
-
-
-def process_frame(state: BinState, y: float, noise: NoiseBelief, ar: ARModel,
-                  cfg: EnhancerConfig | None = None, priors=None,
-                  diag: Diagnostics | None = None):
-    """Single-bin, single-frame cascade (the scalar contract).
-
-    priors, when given, is the (gamma, beta) LogGaussian pair from the
-    decay-region fit. Returns (new BinState, speech posterior, TraceRecord).
-    """
-    cfg = cfg or EnhancerConfig()
-    diag = diag if diag is not None else Diagnostics()
-    fs = _FilterState.__new__(_FilterState)
-    fs.s_mean = state.speech.mean[None].copy()
-    fs.s_cov = state.speech.covariance[None].copy()
-    fs.r_mean = np.array([state.reverb_r.mean])
-    fs.r_var = np.array([state.reverb_r.variance])
-    fs.gamma_m = np.array([state.params.gamma.mean])
-    fs.gamma_v = np.array([state.params.gamma.variance])
-    fs.beta_m = np.array([state.params.beta.mean])
-    fs.beta_v = np.array([state.params.beta.variance])
-    fs.s_post_m = np.array([state.last_speech_posterior.mean])
-    fs.s_post_v = np.array([state.last_speech_posterior.variance])
-
-    if priors is None:
-        pmask = None
-        pg = pgv = pb = pbv = None
-    else:
-        pmask = np.array([True])
-        pg = np.array([priors[0].mean])
-        pgv = np.array([priors[0].variance])
-        pb = np.array([priors[1].mean])
-        pbv = np.array([priors[1].variance])
-
-    row = _advance(fs, np.array([float(y)]), np.array([noise.mean]),
-                   noise.variance, ar.coefficients[None],
-                   np.array([ar.residual_variance]), np.array([ar.local_mean]),
-                   pg, pgv, pb, pbv, pmask, cfg, diag)
-    new_state = BinState(
-        speech=SpeechState(fs.s_mean[0], fs.s_cov[0]),
-        reverb_r=LogGaussian(float(fs.r_mean[0]), float(fs.r_var[0])),
-        params=ReverbParams(
-            LogGaussian(float(fs.gamma_m[0]), float(fs.gamma_v[0])),
-            LogGaussian(float(fs.beta_m[0]), float(fs.beta_v[0]))),
-        last_speech_posterior=LogGaussian(float(fs.s_post_m[0]), float(fs.s_post_v[0])),
-        smoothed_prev_speech=LogGaussian(float(fs.s_mean[0][1]) if cfg.p >= 2 else float(fs.s_post_m[0]),
-                                         float(max(fs.s_cov[0][1, 1], 0.0)) if cfg.p >= 2 else float(fs.s_post_v[0])),
-    )
-    s_post = LogGaussian(float(row["s_mean"][0]), float(row["s_var"][0]))
-    rec = TraceRecord(frame=0, bin=0,
-                      **{f: (int(row[f][0]) if f == "fallback_flags" else float(row[f][0]))
-                         for f in TRACE_FIELDS})
-    return new_state, s_post, rec
-
-
-def initial_bin_state(cfg: EnhancerConfig, first_log: float, noise_mean: float) -> BinState:
-    """Convenience initialiser matching the batch path's per-bin start state."""
-    fs = _FilterState(1, cfg, np.array([first_log]), np.array([noise_mean]))
-    return BinState(
-        speech=SpeechState(fs.s_mean[0], fs.s_cov[0]),
-        reverb_r=LogGaussian(float(fs.r_mean[0]), float(fs.r_var[0])),
-        params=ReverbParams(LogGaussian(float(fs.gamma_m[0]), float(fs.gamma_v[0])),
-                            LogGaussian(float(fs.beta_m[0]), float(fs.beta_v[0]))),
-        last_speech_posterior=LogGaussian(float(fs.s_post_m[0]), float(fs.s_post_v[0])),
-        smoothed_prev_speech=LogGaussian(float(fs.s_post_m[0]), float(fs.s_post_v[0])),
-    )

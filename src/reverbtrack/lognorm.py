@@ -7,8 +7,9 @@ Gaussians through the non-linear "phasor sum" relation
     |C| = |A + B|,  c = 0.5*log(e^{2a} + e^{2b} + 2*cos(phi)*e^{a+b})
 
 with a uniformly distributed phase difference phi, plus the linear
-operations (independent addition, straight-line constrained updates and
-Gaussian-Gaussian fusion) that the filter cascade needs.
+operations (straight-line constrained updates and Gaussian-Gaussian
+fusion) that the filter cascade needs; sums of independent Gaussians
+are formed inline by the caller.
 
 The two non-linear kernels carry almost all of the cascade's cost and
 are written for fewer operations per bin:
@@ -21,9 +22,9 @@ are written for fewer operations per bin:
   clamps the shifted log-weights at -700 so that no exponential
   underflows.
 
-Every operation exists in two forms: an array form working on numpy
-arrays of means/variances (used by the frame loop, vectorised across
-frequency bins), and a scalar form working on LogGaussian objects.
+Every operation works on numpy arrays of means and variances,
+elementwise over any shape of bins; the frame loop calls each one once
+per frame on all bins at once.
 """
 
 from dataclasses import dataclass
@@ -33,30 +34,6 @@ from scipy.special import log_ndtr, ndtr, roots_hermitenorm, spence
 
 _LOG_TINY = np.log(1e-300)
 _VAR_FLOOR = 1e-12
-
-
-class InconsistentConstraintError(ValueError):
-    """Raised when a zero-variance constraint cannot be satisfied."""
-
-
-@dataclass
-class LogGaussian:
-    """Scalar Gaussian over a log-magnitude value (mean nats, variance nats^2)."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.variance)):
-            raise ValueError("LogGaussian requires finite mean and variance")
-        if self.variance < 0:
-            raise ValueError("LogGaussian variance must be >= 0")
-
-
-@dataclass
-class SigmaPointSet:
-    points: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass
@@ -82,28 +59,17 @@ def _gh_nodes(count):
     return _GH_CACHE[count]
 
 
-def gaussian_sigma_points(g: LogGaussian, count: int) -> SigmaPointSet:
-    """Gauss-Hermite abscissae/weights scaled to the given Gaussian.
-
-    Exactly integrates polynomials up to degree 2*count-1 against g.
-    """
-    if count < 1:
-        raise ValueError(f"sigma-point count must be >= 1, got {count}")
-    x, w = _gh_nodes(count)
-    return SigmaPointSet(g.mean + np.sqrt(g.variance) * x, w.copy())
-
-
-def phase_sigma_points(count: int) -> SigmaPointSet:
+def phase_sigma_points(count: int):
     """Equal-weight points ((i-0.5)*pi/count, i=1..count) on (0, pi).
 
-    Integrates sums of cos(n*phi) terms exactly for every n that is not
-    a positive multiple of 2*count -- in particular all n <= 2*count-1
-    and n = 2*count+1.
+    Returns (points, weights). Integrates sums of cos(n*phi) terms
+    exactly for every n that is not a positive multiple of 2*count -- in
+    particular all n <= 2*count-1 and n = 2*count+1.
     """
     if count < 1:
         raise ValueError("phase sigma-point count must be >= 1")
     i = np.arange(1, count + 1)
-    return SigmaPointSet((i - 0.5) * np.pi / count, np.full(count, 1.0 / count))
+    return (i - 0.5) * np.pi / count, np.full(count, 1.0 / count)
 
 
 def log_phasor_sum(la, lb, cos_phi):
@@ -275,7 +241,7 @@ def _mean_dilog_exp(md, vd):
     return out.reshape(shape)
 
 
-def logsum_moments(ma, va, mb, vb, k_gauss=3, k_phase=6, diag=None):
+def logsum_moments(ma, va, mb, vb, diag=None):
     """Moments of r = log|A+B| for independent log-Gaussians a, b, uniform phase.
 
     Evaluated in closed form rather than by nested sigma-point sums:
@@ -285,11 +251,9 @@ def logsum_moments(ma, va, mb, vb, k_gauss=3, k_phase=6, diag=None):
     expectation reduces to the moments of max(a, b) (Clark, 1961), taken
     relative to mb, plus the mean dilogarithm E{Li2(e^{-2|a-b|})}, which
     _mean_dilog_exp reads from a table. Where both variances are 0 the
-    dilogarithm is taken in closed form. The sigma-count arguments are
-    accepted for interface compatibility and ignored; the closed form is
-    the converged limit of the sigma-point evaluation.
+    dilogarithm is taken in closed form. The closed form is the converged
+    limit of a sigma-point evaluation over (a, b, phi).
     """
-    del k_gauss, k_phase
     ma, va, mb, vb = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (ma, va, mb, vb)))
     theta2 = np.maximum(va, 0.0) + np.maximum(vb, 0.0)
     degenerate = theta2 <= 0.0
@@ -324,9 +288,9 @@ def _split_nodes(k_u, k_phase):
     key = (k_u, k_phase)
     if key not in _SPLIT_CACHE:
         x, wu = _gh_nodes(k_u)
-        phase = phase_sigma_points(k_phase)
-        const = np.log(wu) + np.log(phase.weights[0]) + 0.5 * x * x
-        _SPLIT_CACHE[key] = (x[:, None], np.cos(phase.points)[:, None], const[:, None, None])
+        phi, w_phi = phase_sigma_points(k_phase)
+        const = np.log(wu) + np.log(w_phi[0]) + 0.5 * x * x
+        _SPLIT_CACHE[key] = (x[:, None], np.cos(phi)[:, None], const[:, None, None])
     return _SPLIT_CACHE[key]
 
 
@@ -501,8 +465,8 @@ def line_constrained_update(mx, vx, my, vy, mt, vt):
     """Condition the diagonal Gaussian (x, y, w) on x + y - w = mt.
 
     w is a zero-mean slack with variance vt. Returns the posterior
-    marginals (mx', vx', my', vy'). Array form; degenerate bins (all
-    three variances zero) keep their priors.
+    marginals (mx', vx', my', vy'). Degenerate bins (all three variances
+    zero) keep their priors.
     """
     mx, vx, my, vy, mt, vt = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (mx, vx, my, vy, mt, vt))
@@ -519,7 +483,7 @@ def line_constrained_update(mx, vx, my, vy, mt, vt):
 
 
 def fuse_moments(m1, v1, m2, v2):
-    """Gaussian-Gaussian multiplication (precision-weighted fusion), array form."""
+    """Gaussian-Gaussian multiplication (precision-weighted fusion)."""
     m1, v1, m2, v2 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (m1, v1, m2, v2))
     )
@@ -533,64 +497,3 @@ def fuse_moments(m1, v1, m2, v2):
     mean = np.where(np.isinf(v1), m2, np.where(np.isinf(v2), m1, mean))
     var = np.where(np.isinf(v1), v2, np.where(np.isinf(v2), v1, var))
     return mean, var
-
-
-# ---------------------------------------------------------------------------
-# scalar wrappers
-# ---------------------------------------------------------------------------
-
-def add_independent(g1: LogGaussian, g2: LogGaussian) -> LogGaussian:
-    """Sum of independent Gaussians: means add, variances add."""
-    return LogGaussian(g1.mean + g2.mean, g1.variance + g2.variance)
-
-
-def logsum_prior(a: LogGaussian, b: LogGaussian, k_gauss=3, k_phase=6) -> LogGaussian:
-    m, v = logsum_moments(a.mean, a.variance, b.mean, b.variance, k_gauss, k_phase)
-    return LogGaussian(float(m), float(v))
-
-
-def logsum_posterior_scalar(prior_a: LogGaussian, prior_b: LogGaussian, y: float,
-                            k_phase=6, k_u=15, diag=None):
-    ma, va, mb, vb, _ = split_scalar_obs(
-        prior_a.mean, prior_a.variance, prior_b.mean, prior_b.variance, y,
-        k_u=k_u, k_phase=k_phase, diag=diag,
-    )
-    return LogGaussian(float(ma), float(va)), LogGaussian(float(mb), float(vb))
-
-
-def logsum_posterior_distributed(prior_a: LogGaussian, prior_b: LogGaussian,
-                                 obs: LogGaussian, k_phase=6, k_u=15, k_obs=3,
-                                 diag=None):
-    ma, va, mb, vb, _ = split_distributed_obs(
-        prior_a.mean, prior_a.variance, prior_b.mean, prior_b.variance,
-        obs.mean, obs.variance, k_u=k_u, k_phase=k_phase, k_obs=k_obs, diag=diag,
-    )
-    return LogGaussian(float(ma), float(va)), LogGaussian(float(mb), float(vb))
-
-
-def constrained_linear_update(prior_x: LogGaussian, prior_y: LogGaussian,
-                              total: LogGaussian):
-    """Condition (x, y, w) with diagonal covariance on x + y - w = total.mean."""
-    denom = prior_x.variance + prior_y.variance + total.variance
-    if denom == 0.0:
-        if abs(prior_x.mean + prior_y.mean - total.mean) > 1e-12:
-            raise InconsistentConstraintError(
-                "zero-variance constraint inconsistent with prior means"
-            )
-        return (LogGaussian(prior_x.mean, 0.0), LogGaussian(prior_y.mean, 0.0))
-    mx, vx, my, vy = line_constrained_update(
-        prior_x.mean, prior_x.variance, prior_y.mean, prior_y.variance,
-        total.mean, total.variance,
-    )
-    return LogGaussian(float(mx), float(vx)), LogGaussian(float(my), float(vy))
-
-
-def fuse(g1: LogGaussian, g2: LogGaussian) -> LogGaussian:
-    if g1.variance + g2.variance == 0.0:
-        if g1.mean != g2.mean:
-            raise InconsistentConstraintError(
-                "cannot fuse two zero-variance Gaussians with unequal means"
-            )
-        return LogGaussian(g1.mean, 0.0)
-    m, v = fuse_moments(g1.mean, g1.variance, g2.mean, g2.variance)
-    return LogGaussian(float(m), float(v))

@@ -1,18 +1,18 @@
-"""Reverberation parameterisation, random-walk prediction and decay priors.
+"""Reverberation parameterisation and the constants of the decay priors.
 
 The per-bin recursion R_t = sqrt(a) R_{t-1} e^{j theta} + sqrt(b) S_{t-1}
 e^{j psi} is parameterised either by room quantities (T60, DRR) or by the
-log-domain pair gamma = 0.5*log(a), beta = 0.5*log(b). During free decay
-regions (runs of frames with decreasing energy) a weighted least-squares
-line fit to the decay supplies Gaussian priors for gamma and beta that
-keep the filter from drifting to unrealistic rooms.
+log-domain pair gamma = 0.5*log(a), beta = 0.5*log(b). The decay priors
+themselves -- a least-squares line through each free decay region (a run
+of frames with decreasing energy), which keeps the filter from drifting
+to unrealistic rooms -- are fitted by enhancer._fdr_priors_at, on all
+bins at once; this module holds the thresholds and the observation
+variance they use.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .lognorm import LogGaussian, fuse
 
 DB_TO_NATS = np.log(10.0) / 20.0       # amplitude dB -> nats
 FDR_R_VARIANCE = DB_TO_NATS ** 2        # "1 dB^2" observation variance in nats^2
@@ -51,36 +51,6 @@ class RoomParams:
             raise ValueError("DRR must be finite")
 
 
-@dataclass
-class ReverbParams:
-    gamma: LogGaussian
-    beta: LogGaussian
-
-
-@dataclass
-class FreeDecayRegion:
-    frame_indices: np.ndarray           # consecutive, length M
-    r_values: list                      # LogGaussian per frame
-    look_ahead: int = 3
-
-    def __post_init__(self):
-        self.frame_indices = np.asarray(self.frame_indices, dtype=int)
-        if len(self.frame_indices) != len(self.r_values):
-            raise ValueError("indices and values must have equal length")
-        if len(self.frame_indices) > 1 and np.any(np.diff(self.frame_indices) != 1):
-            raise ValueError("FDR frame indices must be consecutive")
-
-    @property
-    def length(self):
-        return len(self.frame_indices)
-
-
-@dataclass
-class LinePrior:
-    theta_mean: np.ndarray   # (slope nats/s, intercept nats)
-    theta_cov: np.ndarray    # (2, 2)
-
-
 def room_to_ab(room: RoomParams):
     """a from a^{T60/L} = 1e-6; b = (1-a) / DRR (power-domain DRR)."""
     a = 10.0 ** (-6.0 * room.frame_increment / room.t60)
@@ -96,103 +66,18 @@ def ab_to_gamma_beta(a, b):
     return 0.5 * np.log(a), 0.5 * np.log(b)
 
 
-def gamma_beta_to_room(gamma, beta, frame_increment=0.008) -> RoomParams:
-    """Invert (gamma, beta) to (T60, DRR in dB)."""
-    if gamma >= 0:
+def gamma_beta_to_room(gamma, beta, frame_increment=0.008):
+    """Invert (gamma, beta) to (T60 in s, DRR in dB), elementwise.
+
+    The DRR's power ratio is floored at 1e-300, so a vanishing ratio
+    reads -3000 dB rather than -inf.
+    """
+    if np.any(np.asarray(gamma) >= 0):
         raise ValueError("gamma must be negative")
     t60 = -3.0 * np.log(10.0) * frame_increment / gamma
-    drr_pow = (1.0 - np.exp(2.0 * gamma)) / np.exp(2.0 * beta)
-    return RoomParams(t60, 10.0 * np.log10(drr_pow), frame_increment)
-
-
-def random_walk_predict(params: ReverbParams, q_gamma, q_beta) -> ReverbParams:
-    """Means preserved, variances inflated by the drift terms."""
-    if q_gamma < 0 or q_beta < 0:
-        raise ValueError("drift variances must be >= 0")
-    return ReverbParams(
-        LogGaussian(params.gamma.mean, params.gamma.variance + q_gamma),
-        LogGaussian(params.beta.mean, params.beta.variance + q_beta),
-    )
-
-
-def detect_fdr(recent_r, look_ahead=3, min_length=MIN_FDR_LENGTH):
-    """Maximal strictly-decreasing run ending at the last element.
-
-    recent_r is a sequence of LogGaussian or None (None marks frames
-    excluded by the RNR gate and breaks the run). Returns a
-    FreeDecayRegion or None if the run is shorter than min_length.
-    """
-    n = len(recent_r)
-    if n == 0 or recent_r[-1] is None:
-        return None
-    run = 1
-    for i in range(n - 1, 0, -1):
-        prev, cur = recent_r[i - 1], recent_r[i]
-        if prev is None or not (cur.mean < prev.mean):
-            break
-        run += 1
-    if run < min_length:
-        return None
-    idx = np.arange(n - run, n)
-    return FreeDecayRegion(idx, list(recent_r[n - run:]), look_ahead)
-
-
-def fit_line_prior(fdr: FreeDecayRegion, frame_increment=0.008) -> LinePrior:
-    """Weighted LS line through the FDR, excluding its first frame.
-
-    x is time in seconds with origin at the first *fitted* frame; the
-    weights are the inverse per-frame variances.
-    """
-    if fdr.length < 3:
-        raise ValueError("need at least 2 usable frames after dropping the first")
-    vals = fdr.r_values[1:]
-    x = (fdr.frame_indices[1:] - fdr.frame_indices[1]) * frame_increment
-    r = np.array([g.mean for g in vals])
-    w = 1.0 / np.maximum(np.array([g.variance for g in vals]), 1e-12)
-    a11 = np.sum(w * x * x)
-    a12 = np.sum(w * x)
-    a22 = np.sum(w)
-    det = a11 * a22 - a12 * a12
-    if det <= 0 or not np.isfinite(det):
-        raise ValueError("singular design (all x identical)")
-    b1 = np.sum(w * x * r)
-    b2 = np.sum(w * r)
-    cov = np.array([[a22, -a12], [-a12, a11]]) / det
-    mean = cov @ np.array([b1, b2])
-    return LinePrior(mean, cov)
-
-
-def priors_from_line(prior: LinePrior, fdr: FreeDecayRegion, frame_increment=0.008):
-    """Gaussian priors (gamma, beta) from the fitted decay line.
-
-    gamma = L * slope. beta is the offset of the fitted line at the first
-    fitted frame relative to the FDR's first frame (the energy peak just
-    before free decay): beta = intercept - r_first; means subtract,
-    variances add.
-    """
-    l = frame_increment
-    gamma_prior = LogGaussian(l * prior.theta_mean[0], l * l * prior.theta_cov[0, 0])
-    first = fdr.r_values[0]
-    beta_mean = prior.theta_mean[1] - first.mean
-    beta_var = prior.theta_cov[1, 1] + first.variance
-    return gamma_prior, LogGaussian(beta_mean, beta_var)
-
-
-def apply_priors(predicted: ReverbParams, priors) -> ReverbParams:
-    """Element-wise Gaussian-Gaussian multiplication of the predictions
-    with the internally computed priors; never increases variance."""
-    gamma_prior, beta_prior = priors
-    return ReverbParams(fuse(predicted.gamma, gamma_prior),
-                        fuse(predicted.beta, beta_prior))
-
-
-def fdr_observation_to_r(z: LogGaussian, noise_floor: LogGaussian,
-                         rnr_threshold_db=RNR_THRESHOLD_DB):
-    """Denoised decay observation: at high RNR set r = z with a 1 dB^2
-    variance, otherwise exclude the frame (None)."""
-    if z.mean - noise_floor.mean <= rnr_threshold_db * DB_TO_NATS:
-        return None
-    return LogGaussian(z.mean, FDR_R_VARIANCE)
+    drr = 10.0 * np.log10(np.maximum(
+        (1.0 - np.exp(2.0 * gamma)) / np.exp(2.0 * beta), 1e-300))
+    return t60, drr
 
 
 def clamp_gamma(mean):

@@ -8,48 +8,10 @@ decorrelated (tail conditioned on head) before the update and
 recorrelated afterwards.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import exp1
 
-from .lognorm import LogGaussian
-
 PRECLEAN_GAIN_FLOOR_DB = -20.0
-
-
-@dataclass
-class SpeechState:
-    mean: np.ndarray       # (p,)
-    covariance: np.ndarray  # (p, p)
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if self.mean.ndim != 1 or self.covariance.shape != (len(self.mean),) * 2:
-            raise ValueError("state mean must be (p,), covariance (p, p)")
-
-
-@dataclass
-class ARModel:
-    coefficients: np.ndarray    # (p,)
-    residual_variance: float
-    local_mean: float = 0.0
-    modulation_frame: float = 0.064
-    modulation_increment: float = 0.008
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.residual_variance < 0:
-            raise ValueError("residual variance must be >= 0")
-
-
-@dataclass
-class DecorrelatedState:
-    head: LogGaussian
-    tail_mean: np.ndarray   # (p-1,)
-    tail_cov: np.ndarray    # (p-1, p-1)
-    transform: np.ndarray   # (p, p), the B matrix actually applied
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +106,7 @@ def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008)
 
 
 # ---------------------------------------------------------------------------
-# KF prediction / decorrelation (array cores + dataclass wrappers)
+# KF prediction / decorrelation, vectorised over leading (bin) axes
 # ---------------------------------------------------------------------------
 
 def predict_arrays(mean, cov, coeffs, resid, local_mean):
@@ -187,39 +149,3 @@ def recorrelate_arrays(head_m, head_v, tail_m, tail_cov, c):
     cov[..., 1:, 0] = head_v[..., None] * c
     cov[..., 1:, 1:] = tail_cov + c[..., :, None] * c[..., None, :] * head_v[..., None, None]
     return mean, cov
-
-
-def predict(state: SpeechState, model: ARModel) -> SpeechState:
-    if len(model.coefficients) != len(state.mean):
-        raise ValueError("AR order does not match state dimension")
-    m, s = predict_arrays(
-        state.mean[None], state.covariance[None],
-        model.coefficients[None], np.array([model.residual_variance]),
-        np.array([model.local_mean]),
-    )
-    return SpeechState(m[0], s[0])
-
-
-def decorrelate(state: SpeechState) -> DecorrelatedState:
-    hm, hv, tm, tc, c = decorrelate_arrays(state.mean[None], state.covariance[None])
-    p = len(state.mean)
-    b = np.eye(p)
-    b[1:, 0] = -c[0]
-    return DecorrelatedState(LogGaussian(float(hm[0]), float(max(hv[0], 0.0))),
-                             tm[0], tc[0], b)
-
-
-def recorrelate(updated_head: LogGaussian, dec: DecorrelatedState):
-    """Map the updated head back through B^-1.
-
-    Returns (state, smoothed_prev) where smoothed_prev is the second
-    component of the recorrelated state (the smoothed previous frame).
-    """
-    c = -dec.transform[1:, 0]
-    m, s = recorrelate_arrays(
-        np.array([updated_head.mean]), np.array([updated_head.variance]),
-        dec.tail_mean[None], dec.tail_cov[None], c[None],
-    )
-    state = SpeechState(m[0], s[0])
-    smoothed_prev = LogGaussian(float(m[0][1]), float(max(s[0][1, 1], 0.0)))
-    return state, smoothed_prev

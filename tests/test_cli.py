@@ -71,6 +71,13 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_invalid_value(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("q_beta = -1\n")
+    with pytest.raises(ValueError, match="q_beta"):
+        load_config(path)
+
+
 # ---------------------------------------------------------------------------
 # params command
 # ---------------------------------------------------------------------------

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from reverbtrack import enhancer
-from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, NoiseBelief,
-                                  enhance, enhance_frames, initial_bin_state,
-                                  process_frame, track_noise)
-from reverbtrack.lognorm import Diagnostics, LogGaussian, fuse_moments
+from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
+                                  enhance, enhance_frames, track_noise)
+from reverbtrack.lognorm import Diagnostics, fuse_moments
 from reverbtrack.reverb import RoomParams, clamp_gamma
-from reverbtrack.speech import ARModel
 from reverbtrack.simkit import make_scene, speechlike_excitation
 from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, stft
 
@@ -57,56 +55,51 @@ def test_track_noise_constant_input():
 # single-frame cascade
 # ---------------------------------------------------------------------------
 
-def _ar():
-    return ARModel(np.array([1.0, 0.0]), 0.01, local_mean=0.0)
+def _one_bin(cfg, first_log, noise_mean):
+    """The batch path's start state for a single bin."""
+    return _FilterState(1, cfg, np.array([first_log]), np.array([noise_mean]))
 
 
-def test_process_frame_low_observation_lowers_speech():
+def test_advance_low_observation_lowers_speech(advance_bin):
     cfg = EnhancerConfig()
-    state = initial_bin_state(cfg, first_log=0.0, noise_mean=-2.0)
-    new_state, s_post, rec = process_frame(state, y=-8.0,
-                                           noise=NoiseBelief(-2.0, 0.5),
-                                           ar=_ar(), cfg=cfg)
+    fs = _one_bin(cfg, first_log=0.0, noise_mean=-2.0)
+    prior_head = fs.s_mean[0, 0]
+    row = advance_bin(fs, -8.0, (-2.0, 0.5), cfg)
     # evidence far below the prior cannot raise the speech belief
-    assert s_post.mean <= state.speech.mean[0]
-    assert np.isfinite(rec.t60_est) and rec.t60_est > 0
+    assert row["s_mean"] <= prior_head
+    assert np.isfinite(row["t60_est"]) and row["t60_est"] > 0
 
 
-def test_process_frame_tracks_y_without_disturbance():
+def test_advance_tracks_y_without_disturbance(advance_bin):
     cfg = EnhancerConfig()
-    state = initial_bin_state(cfg, first_log=0.0, noise_mean=-30.0)
+    fs = _one_bin(cfg, first_log=0.0, noise_mean=-30.0)
     # kill reverberation: a = 1e-6, b = 1e-6, tight beliefs
     g = 0.5 * np.log(1e-6)
-    state.params.gamma = LogGaussian(g, 1e-8)
-    state.params.beta = LogGaussian(g, 1e-8)
-    noise = NoiseBelief(-30.0, 1e-4)
+    fs.gamma_m[:], fs.gamma_v[:] = g, 1e-8
+    fs.beta_m[:], fs.beta_v[:] = g, 1e-8
     y = 0.3
-    s_post = None
     for _ in range(20):
-        state, s_post, _ = process_frame(state, y, noise, _ar(), cfg)
-    assert abs(s_post.mean - y) <= 0.2
+        row = advance_bin(fs, y, (-30.0, 1e-4), cfg)
+    assert abs(row["s_mean"] - y) <= 0.2
 
 
-def test_process_frame_z_matches_r_when_noise_negligible():
+def test_advance_z_matches_r_when_noise_negligible(advance_bin):
     cfg = EnhancerConfig()
-    state = initial_bin_state(cfg, first_log=0.0, noise_mean=0.0)
-    state.reverb_r = LogGaussian(-1.0, 0.3)
-    noise = NoiseBelief(state.reverb_r.mean - 40.0, 0.5)
-    _, _, rec = process_frame(state, y=0.0, noise=noise, ar=_ar(), cfg=cfg)
-    assert abs(rec.z_mean - rec.r_mean) <= 0.1
+    fs = _one_bin(cfg, first_log=0.0, noise_mean=0.0)
+    fs.r_mean[:], fs.r_var[:] = -1.0, 0.3
+    row = advance_bin(fs, 0.0, (-1.0 - 40.0, 0.5), cfg)
+    assert abs(row["z_mean"] - row["r_mean"]) <= 0.1
 
 
-def test_process_frame_posterior_variances_nonnegative():
+def test_advance_posterior_variances_nonnegative(advance_bin):
     cfg = EnhancerConfig()
     rng = np.random.default_rng(2)
-    state = initial_bin_state(cfg, first_log=0.0, noise_mean=-3.0)
+    fs = _one_bin(cfg, first_log=0.0, noise_mean=-3.0)
     for _ in range(50):
-        y = float(rng.normal(-1.0, 2.0))
-        state, s_post, rec = process_frame(state, y, NoiseBelief(-3.0, 0.5),
-                                           _ar(), cfg)
-        for v in (rec.s_var, rec.r_var, rec.z_var, rec.gamma_var, rec.beta_var):
-            assert np.isfinite(v) and v >= 0.0
-        assert rec.gamma_mean < 0.0
+        row = advance_bin(fs, rng.normal(-1.0, 2.0), (-3.0, 0.5), cfg)
+        for f in ("s_var", "r_var", "z_var", "gamma_var", "beta_var"):
+            assert np.isfinite(row[f]) and row[f] >= 0.0
+        assert row["gamma_mean"] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +307,8 @@ def test_trace_schema_and_estimates_valid():
     _, trace, _ = enhance_frames(spec)
     assert trace.n_frames == spec.n_frames
     assert trace.n_bins == spec.n_bins
-    rec = trace.record(10, 32)
-    assert rec.frame == 10 and rec.bin == 32
+    assert set(trace.arrays) == set(TRACE_FIELDS)
+    assert all(arr.shape == (trace.n_frames, trace.n_bins) for arr in trace.arrays.values())
     t60 = trace.arrays["t60_est"]
     assert np.all(np.isfinite(t60)) and np.all(t60 > 0.0)
     assert np.all(np.isfinite(trace.arrays["drr_est"]))
@@ -336,5 +329,10 @@ def test_config_validation():
         EnhancerConfig(k_phase=0)
     with pytest.raises(ValueError):
         EnhancerConfig(look_ahead=-1)
-    with pytest.raises(ValueError):
-        NoiseBelief(0.0, 0.0)
+    for bad in ({"q_gamma": -1.0}, {"q_beta": -1.0}, {"init_param_variance": -1.0},
+                {"noise_variance": 0.0}, {"noise_variance": -0.5},
+                {"q_gamma": float("nan")}):
+        with pytest.raises(ValueError):
+            EnhancerConfig(**bad)
+    # the boundary values stay valid
+    EnhancerConfig(q_gamma=0.0, q_beta=0.0, init_param_variance=0.0)

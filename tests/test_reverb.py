@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from reverbtrack.lognorm import LogGaussian
+from reverbtrack.enhancer import (EnhancerConfig, _decay_run_lengths,
+                                  _fdr_priors_at, _FilterState)
 from reverbtrack.reverb import (DB_TO_NATS, ENVIRONMENTS, FDR_R_VARIANCE,
-                                FreeDecayRegion, ReverbParams, RoomParams,
-                                ab_to_gamma_beta, apply_priors, clamp_gamma,
-                                detect_fdr, fdr_observation_to_r,
-                                fit_line_prior, gamma_beta_to_room,
-                                priors_from_line, random_walk_predict,
-                                room_to_ab)
+                                RoomParams, ab_to_gamma_beta, clamp_gamma,
+                                gamma_beta_to_room, room_to_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +48,12 @@ def test_ab_to_gamma_beta():
 
 
 def test_gamma_beta_to_room_inverts():
-    room = gamma_beta_to_room(-0.3077, 0.5 * np.log(0.0659), 0.008)
-    assert room.t60 == pytest.approx(0.1796, abs=2e-3)
+    t60, _ = gamma_beta_to_room(-0.3077, 0.5 * np.log(0.0659), 0.008)
+    assert t60 == pytest.approx(0.1796, abs=2e-3)
     with pytest.raises(ValueError):
         gamma_beta_to_room(0.1, 0.0)
+    with pytest.raises(ValueError):
+        gamma_beta_to_room(np.array([-0.3, 0.0]), np.zeros(2))
 
 
 def test_round_trip_identity_over_grid():
@@ -62,9 +61,16 @@ def test_round_trip_identity_over_grid():
         for drr in np.linspace(-10.0, 15.0, 11):
             a, b = room_to_ab(RoomParams(t60, drr, 0.008))
             g, be = ab_to_gamma_beta(a, b)
-            room = gamma_beta_to_room(g, be, 0.008)
-            assert room.t60 == pytest.approx(t60, rel=1e-9)
-            assert room.drr == pytest.approx(drr, abs=1e-9)
+            t60_out, drr_out = gamma_beta_to_room(g, be, 0.008)
+            assert t60_out == pytest.approx(t60, rel=1e-9)
+            assert drr_out == pytest.approx(drr, abs=1e-9)
+    # elementwise over arrays, as the frame loop converts all bins at once
+    t60s, drrs = np.meshgrid(np.linspace(0.1, 2.0, 9), np.linspace(-10.0, 15.0, 11))
+    a = 10.0 ** (-6.0 * 0.008 / t60s)
+    b = (1.0 - a) / 10.0 ** (drrs / 10.0)
+    t60_out, drr_out = gamma_beta_to_room(0.5 * np.log(a), 0.5 * np.log(b), 0.008)
+    assert np.allclose(t60_out, t60s, rtol=1e-9, atol=0.0)
+    assert np.allclose(drr_out, drrs, rtol=0.0, atol=1e-9)
 
 
 def test_environment_table_shape():
@@ -74,168 +80,175 @@ def test_environment_table_shape():
 
 
 # ---------------------------------------------------------------------------
-# random walk
+# random walk and decay priors, one frame of the cascade on one bin
 # ---------------------------------------------------------------------------
 
-def _params(gm=-0.3, gv=0.01, bm=-0.8, bv=0.02):
-    return ReverbParams(LogGaussian(gm, gv), LogGaussian(bm, bv))
+def _params_state(cfg, gm=-0.3, gv=0.01, bm=-0.8, bv=0.02):
+    fs = _FilterState(1, cfg, np.zeros(1), np.array([-3.0]))
+    fs.gamma_m[:], fs.gamma_v[:], fs.beta_m[:], fs.beta_v[:] = gm, gv, bm, bv
+    return fs
 
 
-def test_random_walk_predict():
-    out = random_walk_predict(_params(), 0.0, 0.0)
-    assert out.gamma.variance == pytest.approx(0.01)
-    out = random_walk_predict(_params(), 0.0004, 0.0)
-    assert out.gamma.mean == pytest.approx(-0.3)
-    assert out.gamma.variance == pytest.approx(0.0104)
-    p = _params()
+def test_random_walk_predict(advance_bin):
+    # a bin outside the RNR gate keeps the predicted gamma and beta
+    cfg = EnhancerConfig(q_gamma=0.0, q_beta=0.0)
+    row = advance_bin(_params_state(cfg), -1.0, (-3.0, 0.5), cfg, update=False)
+    assert row["gamma_var"] == pytest.approx(0.01)
+    cfg = EnhancerConfig(q_gamma=0.0004, q_beta=0.0)
+    row = advance_bin(_params_state(cfg), -1.0, (-3.0, 0.5), cfg, update=False)
+    assert row["gamma_mean"] == pytest.approx(-0.3)
+    assert row["gamma_var"] == pytest.approx(0.0104)
+    cfg = EnhancerConfig(q_gamma=0.0004, q_beta=0.001)
+    fs = _params_state(cfg)
     for _ in range(5):
-        p = random_walk_predict(p, 0.0004, 0.001)
-    assert p.gamma.variance == pytest.approx(0.01 + 5 * 0.0004)
-    assert p.beta.variance == pytest.approx(0.02 + 5 * 0.001)
+        row = advance_bin(fs, -1.0, (-3.0, 0.5), cfg, update=False)
+    assert row["gamma_var"] == pytest.approx(0.01 + 5 * 0.0004)
+    assert row["beta_var"] == pytest.approx(0.02 + 5 * 0.001)
     with pytest.raises(ValueError):
-        random_walk_predict(_params(), -1.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# free decay regions
-# ---------------------------------------------------------------------------
-
-def _seq(means):
-    return [LogGaussian(m, FDR_R_VARIANCE) for m in means]
-
-
-def test_detect_fdr_full_run():
-    fdr = detect_fdr(_seq(np.linspace(0.0, -7.0, 8)))
-    assert fdr is not None
-    assert fdr.length == 8
-
-
-def test_detect_fdr_rejects_increasing():
-    assert detect_fdr(_seq([0.0, 0.5, 1.0, 1.5, 2.0])) is None
-
-
-def test_detect_fdr_run_broken_by_rise():
-    means = [0.0, -1.0, -2.0, -1.5, -2.5, -3.5, -4.5, -5.5]
-    fdr = detect_fdr(_seq(means))
-    assert fdr is not None
-    assert fdr.length == 5                # frames after the rise at index 3
-    assert list(fdr.frame_indices) == [3, 4, 5, 6, 7]
-
-
-def test_detect_fdr_gap_breaks_run():
-    seq = _seq([0.0, -1.0, -2.0, -3.0, -4.0, -5.0])
-    seq[2] = None
-    fdr = detect_fdr(seq, min_length=3)
-    assert fdr is not None
-    assert fdr.length == 3
-
-
-def test_fdr_region_validation():
+        EnhancerConfig(q_gamma=-1.0)
     with pytest.raises(ValueError):
-        FreeDecayRegion(np.array([0, 2, 3]), _seq([0.0, -1.0, -2.0]))
+        EnhancerConfig(q_beta=-1.0)
 
 
-# ---------------------------------------------------------------------------
-# line fitting and priors
-# ---------------------------------------------------------------------------
+def test_decay_run_lengths_full_run():
+    run = _decay_run_lengths(np.linspace(0.0, -7.0, 8))
+    assert list(run) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_decay_run_lengths_rejects_increasing():
+    energy = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    run = _decay_run_lengths(energy)
+    assert np.all(run == 1)
+    # a run of one frame yields no decay prior
+    z = np.tile(energy[:, None], (1, 3))
+    *_, mask = _fdr_priors_at(4, run[4], z, np.ones(z.shape, bool), EnhancerConfig())
+    assert not np.any(mask)
+
+
+def test_decay_run_lengths_run_broken_by_rise():
+    run = _decay_run_lengths([0.0, -1.0, -2.0, -1.5, -2.5, -3.5, -4.5, -5.5])
+    assert run[-1] == 5                   # frames 3-7, after the rise at index 3
+    assert list(run[3:]) == [1, 2, 3, 4, 5]
+
+
+def _decay(slope, intercept, peak, m=8, l=0.008):
+    """(m,) log-magnitudes of a free decay: the peak, then the line
+    intercept + slope*x with x = 0 one frame after the peak."""
+    x = (np.arange(m) - 1.0) * l
+    z = intercept + slope * x
+    z[0] = peak
+    return z
+
+
+def test_fdr_priors_gap_breaks_run():
+    cfg = EnhancerConfig()
+    z = np.tile(_decay(-50.0, 1.0, 2.0, m=10)[:, None], (1, 3))
+    z[6:] += 0.5                          # frames 6-9 leave the line
+    gate = np.ones(z.shape, bool)
+    gate[6, 1] = False                    # bin 1: gate fails at frame 6 ...
+    gate[3, 2] = False                    # bin 2: ... and at frame 3
+    gm, gv, bm, bv, mask = _fdr_priors_at(9, 10, z, gate, cfg)
+    # bin 1 fits frames 2-5 only: frames 7-9 pass the gate again but stay
+    # out of the fit, so it recovers the line. Bin 0 also fits frames 6-9,
+    # which are off it; bin 2 keeps a single frame, too few for a prior
+    assert list(mask) == [True, True, False]
+    assert gm[1] == pytest.approx(-50.0 * cfg.frame_increment, rel=1e-9)
+    assert bm[1] == pytest.approx(1.0 - 2.0, abs=1e-9)
+    assert abs(gm[0] - gm[1]) > 1e-3
+
+
+def _prior_terms(cfg, m):
+    """The OLS sums over the fitted frames fdr_skip..m-1 of the window."""
+    x = (np.arange(cfg.fdr_skip, m) - 1.0) * cfg.frame_increment
+    n, sx, sxx = x.size, x.sum(), (x * x).sum()
+    return x, n, sxx, n * sxx - sx * sx
+
 
 def test_fit_line_exact_recovery():
-    idx = np.arange(8)
-    x = idx * 0.008
-    vals = [LogGaussian(-5.0 * xi + 2.0, 1.0) for xi in x]
-    fdr = FreeDecayRegion(idx, vals)
-    prior = fit_line_prior(fdr, 0.008)
-    assert prior.theta_mean[0] == pytest.approx(-5.0, abs=1e-9)
-    # intercept is referenced to the first fitted frame (peak excluded)
-    assert prior.theta_mean[1] == pytest.approx(2.0 - 5.0 * 0.008, abs=1e-9)
-
-
-def test_fit_line_variance_scaling():
-    idx = np.arange(6)
-    r = -3.0 * idx * 0.008 + 1.0
-    f1 = FreeDecayRegion(idx, [LogGaussian(v, 1.0) for v in r])
-    f2 = FreeDecayRegion(idx, [LogGaussian(v, 2.0) for v in r])
-    p1, p2 = fit_line_prior(f1), fit_line_prior(f2)
-    assert np.allclose(p2.theta_cov, 2.0 * p1.theta_cov)
-    assert np.allclose(p2.theta_mean, p1.theta_mean)
-
-
-def test_fit_line_weights_pull_toward_confident_frame():
-    idx = np.arange(6)
-    x = idx * 0.008
-    r = np.array([0.0, -1.0, -2.1, -2.9, -4.2, -5.0])
-    variances = np.ones(6)
-    variances[4] = 1e-4          # one very confident frame
-    fdr_w = FreeDecayRegion(idx, [LogGaussian(v, s) for v, s in zip(r, variances)])
-    fdr_u = FreeDecayRegion(idx, [LogGaussian(v, 1.0) for v in r])
-    pw, pu = fit_line_prior(fdr_w), fit_line_prior(fdr_u)
-    xw = x[4] - x[1]
-    resid_w = abs(pw.theta_mean[1] + pw.theta_mean[0] * xw - r[4])
-    resid_u = abs(pu.theta_mean[1] + pu.theta_mean[0] * xw - r[4])
-    assert resid_w < resid_u
+    cfg = EnhancerConfig()
+    l = cfg.frame_increment
+    z = _decay(-5.0, 2.0, 2.5)[:, None]
+    gm, gv, bm, bv, mask = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool), cfg)
+    assert mask[0]
+    assert gm[0] == pytest.approx(-5.0 * l, abs=1e-9)
+    # the intercept is referenced to the frame after the peak, and beta
+    # is the intercept minus the peak value
+    assert bm[0] == pytest.approx(2.0 - 2.5, abs=1e-9)
+    _, n, sxx, det = _prior_terms(cfg, 8)
+    assert gv[0] == pytest.approx(l * l * FDR_R_VARIANCE * n / det, rel=1e-12)
+    assert bv[0] == pytest.approx(FDR_R_VARIANCE * sxx / det + FDR_R_VARIANCE
+                                  + cfg.fdr_beta_extra_var, rel=1e-12)
 
 
 def test_fit_line_equals_ols_for_equal_weights():
-    idx = np.arange(7)
-    x = (idx[1:] - idx[1]) * 0.008
+    cfg = EnhancerConfig()
     rng = np.random.default_rng(5)
-    r = -4.0 * idx * 0.008 + 0.3 + 0.01 * rng.standard_normal(7)
-    fdr = FreeDecayRegion(idx, [LogGaussian(v, 0.7) for v in r])
-    prior = fit_line_prior(fdr)
-    slope, intercept = np.polyfit(x, r[1:], 1)
-    assert prior.theta_mean[0] == pytest.approx(slope, abs=1e-10)
-    assert prior.theta_mean[1] == pytest.approx(intercept, abs=1e-10)
+    z = _decay(-4.0, 0.3, 0.5, m=9) + 0.01 * rng.standard_normal(9)
+    gm, _, bm, _, mask = _fdr_priors_at(8, 9, z[:, None], np.ones((9, 1), bool), cfg)
+    x, *_ = _prior_terms(cfg, 9)
+    slope, intercept = np.polyfit(x, z[cfg.fdr_skip:], 1)
+    assert mask[0]
+    assert gm[0] / cfg.frame_increment == pytest.approx(slope, abs=1e-10)
+    assert bm[0] + z[0] == pytest.approx(intercept, abs=1e-10)
 
 
 def test_priors_from_line_gamma_chain():
     # slope corresponding to T60 = 0.18 s: theta1 = -3 ln10 / 0.18
+    cfg = EnhancerConfig()
     theta1 = -3.0 * np.log(10.0) / 0.18
-    prior_cov = np.diag([0.5, 0.2])
-    from reverbtrack.reverb import LinePrior
-    line = LinePrior(np.array([theta1, -1.0]), prior_cov)
-    idx = np.arange(5)
-    fdr = FreeDecayRegion(idx, _seq(np.linspace(0, -4, 5)))
-    g, b = priors_from_line(line, fdr, 0.008)
-    assert g.mean == pytest.approx(0.008 * theta1, abs=1e-12)
-    assert g.mean == pytest.approx(-0.3070, abs=1e-3)
-    assert g.variance == pytest.approx(0.008 ** 2 * 0.5)
-    # beta combines the intercept with the pre-decay peak frame:
-    # means subtract, variances add
-    assert b.variance == pytest.approx(0.2 + fdr.r_values[0].variance)
+    z = _decay(theta1, -1.0, 0.0)[:, None]
+    gm, gv, bm, bv, _ = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool), cfg)
+    assert gm[0] == pytest.approx(0.008 * theta1, abs=1e-12)
+    assert gm[0] == pytest.approx(-0.3070, abs=1e-3)
+    # beta combines the intercept with the pre-decay peak frame: means
+    # subtract, and the peak's 1 dB^2 and the extra beta variance add
+    _, n, sxx, det = _prior_terms(cfg, 8)
+    assert bm[0] == pytest.approx(-1.0, abs=1e-12)
+    assert bv[0] == pytest.approx(FDR_R_VARIANCE * sxx / det + FDR_R_VARIANCE
+                                  + cfg.fdr_beta_extra_var, rel=1e-12)
 
 
 def test_priors_from_line_equal_terms_give_zero_beta():
-    from reverbtrack.reverb import LinePrior
-    line = LinePrior(np.array([-10.0, 0.0]), np.zeros((2, 2)))
-    fdr = FreeDecayRegion(np.arange(4), [LogGaussian(0.0, 0.0)] + _seq([-1.0, -2.0, -3.0]))
-    g, b = priors_from_line(line, fdr)
-    assert b.mean == pytest.approx(0.0)
-    assert b.variance == pytest.approx(0.0)   # both sources certain
+    cfg = EnhancerConfig()
+    z = _decay(-10.0, 0.0, 0.0)[:, None]
+    _, _, bm, _, mask = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool), cfg)
+    assert mask[0]
+    assert bm[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_apply_priors():
-    p = _params(gv=0.01, bv=0.02)
-    out = apply_priors(p, (LogGaussian(0.0, 1e12), LogGaussian(0.0, 1e12)))
-    assert out.gamma.mean == pytest.approx(p.gamma.mean, abs=1e-9)
-    out = apply_priors(p, (p.gamma, p.beta))
-    assert out.gamma.variance == pytest.approx(0.005)
-    assert out.beta.variance == pytest.approx(0.01)
+def test_apply_priors(advance_bin):
+    # a bin outside the RNR gate: its gamma and beta are the random-walk
+    # prediction fused with the decay priors
+    cfg = EnhancerConfig(q_gamma=0.0, q_beta=0.0)
+
+    def fused(priors):
+        return advance_bin(_params_state(cfg), -1.0, (-3.0, 0.5), cfg,
+                           priors=priors, update=False)
+
+    out = fused((0.0, 1e12, 0.0, 1e12))
+    assert out["gamma_mean"] == pytest.approx(-0.3, abs=1e-9)
+    out = fused((-0.3, 0.01, -0.8, 0.02))
+    assert out["gamma_var"] == pytest.approx(0.005)
+    assert out["beta_var"] == pytest.approx(0.01)
     # fusion never increases variance
-    out = apply_priors(p, (LogGaussian(-0.5, 0.5), LogGaussian(0.0, 0.5)))
-    assert out.gamma.variance <= p.gamma.variance
-    assert out.beta.variance <= p.beta.variance
+    out = fused((-0.5, 0.5, 0.0, 0.5))
+    assert out["gamma_var"] <= 0.01
+    assert out["beta_var"] <= 0.02
 
 
 def test_fdr_observation_to_r():
-    z = LogGaussian(0.0, 0.5)
-    floor = LogGaussian(-30.0 * DB_TO_NATS, 0.5)
-    r = fdr_observation_to_r(z, floor)
-    assert r is not None
-    assert r.mean == pytest.approx(0.0)
-    assert r.variance == pytest.approx((np.log(10.0) / 20.0) ** 2)
-    assert r.variance == pytest.approx(0.013256, abs=2e-6)
-    assert fdr_observation_to_r(z, LogGaussian(0.0, 0.5)) is None
-    assert fdr_observation_to_r(z, LogGaussian(-1e6, 0.5)) is not None
+    # each fitted decay frame counts as an observation of r with a
+    # 1 dB^2 variance: the slope prior's variance is that variance
+    # propagated through the OLS fit
+    assert FDR_R_VARIANCE == pytest.approx((np.log(10.0) / 20.0) ** 2)
+    assert FDR_R_VARIANCE == pytest.approx(0.013256, abs=2e-6)
+    assert DB_TO_NATS ** 2 == FDR_R_VARIANCE
+    cfg = EnhancerConfig()
+    z = _decay(-20.0, 0.0, 1.0, m=12)[:, None]
+    gv = _fdr_priors_at(11, 12, z, np.ones(z.shape, bool), cfg)[1]
+    x, *_ = _prior_terms(cfg, 12)
+    assert gv[0] == pytest.approx(cfg.frame_increment ** 2 * FDR_R_VARIANCE
+                                  / np.sum((x - x.mean()) ** 2), rel=1e-12)
 
 
 def test_clamp_gamma():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from reverbtrack.lognorm import LogGaussian
-from reverbtrack.speech import (ARModel, SpeechState, decorrelate, estimate_ar,
-                                log_mmse_gain, log_mmse_preclean, predict,
-                                recorrelate)
+from reverbtrack.speech import (decorrelate_arrays, estimate_ar, log_mmse_gain,
+                                log_mmse_preclean, predict_arrays,
+                                recorrelate_arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +90,26 @@ def test_estimate_ar_order_and_shapes():
 
 
 # ---------------------------------------------------------------------------
-# prediction
+# prediction (one bin: a leading bin axis of length 1)
 # ---------------------------------------------------------------------------
 
+def _predict(mean, cov, coeffs, resid, local_mean=0.0):
+    m, c = predict_arrays(np.asarray(mean, float)[None], np.asarray(cov, float)[None],
+                          np.asarray(coeffs, float)[None], np.array([resid]),
+                          np.array([local_mean]))
+    return m[0], c[0]
+
+
 def test_predict_random_walk_keeps_mean():
-    state = SpeechState(np.array([1.3, 0.7]), np.zeros((2, 2)))
-    model = ARModel(np.array([1.0, 0.0]), 0.0, local_mean=0.0)
-    out = predict(state, model)
-    assert out.mean[0] == pytest.approx(1.3)
-    assert out.mean[1] == pytest.approx(1.3)   # history shifts
+    mean, _ = _predict([1.3, 0.7], np.zeros((2, 2)), [1.0, 0.0], 0.0)
+    assert mean[0] == pytest.approx(1.3)
+    assert mean[1] == pytest.approx(1.3)   # history shifts
 
 
 def test_predict_residual_feeds_head_variance():
-    state = SpeechState(np.zeros(2), np.zeros((2, 2)))
-    model = ARModel(np.array([0.5, 0.1]), 0.37)
-    out = predict(state, model)
-    assert out.covariance[0, 0] == pytest.approx(0.37)
-    assert np.allclose(out.covariance[1:], 0.0)
+    _, cov = _predict(np.zeros(2), np.zeros((2, 2)), [0.5, 0.1], 0.37)
+    assert cov[0, 0] == pytest.approx(0.37)
+    assert np.allclose(cov[1:], 0.0)
 
 
 def test_predict_matches_hand_computed_ar2():
@@ -119,46 +121,59 @@ def test_predict_matches_hand_computed_ar2():
     f = np.array([a, [1.0, 0.0]])
     ref_mean = f @ (mu - local) + local
     ref_cov = f @ sigma @ f.T + np.diag([q, 0.0])
-    out = predict(SpeechState(mu, sigma), ARModel(a, q, local_mean=local))
-    assert np.allclose(out.mean, ref_mean, atol=1e-12)
-    assert np.allclose(out.covariance, ref_cov, atol=1e-12)
+    mean, cov = _predict(mu, sigma, a, q, local)
+    assert np.allclose(mean, ref_mean, atol=1e-12)
+    assert np.allclose(cov, ref_cov, atol=1e-12)
 
 
 def test_predict_order_mismatch():
     with pytest.raises(ValueError):
-        predict(SpeechState(np.zeros(2), np.eye(2)), ARModel(np.zeros(3), 0.0))
+        _predict(np.zeros(2), np.eye(2), np.zeros(3), 0.0)
 
 
 def test_predict_contracts_variance_for_stable_ar():
-    state = SpeechState(np.zeros(2), np.eye(2))
-    model = ARModel(np.array([0.5, 0.2]), 0.0)
-    prev = np.trace(state.covariance)
+    mean, cov = np.zeros(2), np.eye(2)
+    prev = np.trace(cov)
     for _ in range(50):
-        state = predict(state, model)
-    assert np.trace(state.covariance) < prev
-    assert np.all(np.linalg.eigvalsh(state.covariance) >= -1e-12)
+        mean, cov = _predict(mean, cov, [0.5, 0.2], 0.0)
+    assert np.trace(cov) < prev
+    assert np.all(np.linalg.eigvalsh(cov) >= -1e-12)
 
 
 # ---------------------------------------------------------------------------
 # decorrelation / recorrelation
 # ---------------------------------------------------------------------------
 
+def _decorrelate(mean, cov):
+    """(head mean, head variance, tail mean, tail covariance, c) of one bin
+    and the transform B = [[1, 0], [-c, I]] that decorrelation applies."""
+    hm, hv, tm, tc, c = decorrelate_arrays(np.asarray(mean, float)[None],
+                                           np.asarray(cov, float)[None])
+    b = np.eye(len(mean))
+    b[1:, 0] = -c[0]
+    return (hm[0], hv[0], tm[0], tc[0], c[0]), b
+
+
+def _recorrelate(head_m, head_v, dec):
+    _, _, tm, tc, c = dec
+    m, s = recorrelate_arrays(np.array([head_m]), np.array([head_v]),
+                              tm[None], tc[None], c[None])
+    return m[0], s[0]
+
+
 def test_decorrelate_diagonal_is_identity_transform():
-    state = SpeechState(np.array([1.0, 2.0]), np.diag([0.5, 0.7]))
-    dec = decorrelate(state)
-    assert np.allclose(dec.transform, np.eye(2))
-    assert dec.head.mean == pytest.approx(1.0)
-    assert dec.head.variance == pytest.approx(0.5)
+    dec, b = _decorrelate(np.array([1.0, 2.0]), np.diag([0.5, 0.7]))
+    assert np.allclose(b, np.eye(2))
+    assert dec[0] == pytest.approx(1.0)
+    assert dec[1] == pytest.approx(0.5)
 
 
 def test_decorrelate_removes_cross_term():
-    state = SpeechState(np.array([0.0, 0.0]), np.array([[1.0, 0.5], [0.5, 1.0]]))
-    dec = decorrelate(state)
+    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+    dec, b = _decorrelate(np.array([0.0, 0.0]), cov)
     # Schur complement of the head
-    assert dec.tail_cov[0, 0] == pytest.approx(0.75)
-    b = dec.transform
-    cov = b @ state.covariance @ b.T
-    assert abs(cov[0, 1]) <= 1e-12
+    assert dec[3][0, 0] == pytest.approx(0.75)
+    assert abs((b @ cov @ b.T)[0, 1]) <= 1e-12
 
 
 def test_recorrelate_inverts_decorrelate():
@@ -166,27 +181,18 @@ def test_recorrelate_inverts_decorrelate():
     m = rng.standard_normal(2)
     a = rng.standard_normal((2, 2))
     cov = a @ a.T + 0.1 * np.eye(2)
-    state = SpeechState(m, cov)
-    dec = decorrelate(state)
-    back, smoothed = recorrelate(dec.head, dec)
-    assert np.allclose(back.mean, state.mean, atol=1e-10)
-    assert np.allclose(back.covariance, state.covariance, atol=1e-10)
-    assert smoothed.mean == pytest.approx(back.mean[1])
+    dec, _ = _decorrelate(m, cov)
+    back_m, back_cov = _recorrelate(dec[0], dec[1], dec)
+    assert np.allclose(back_m, m, atol=1e-10)
+    assert np.allclose(back_cov, cov, atol=1e-10)
 
 
 def test_recorrelate_propagates_head_shift():
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    state = SpeechState(np.array([0.0, 0.0]), cov)
-    dec = decorrelate(state)
-    # pin the head at +1 with zero variance: the second component must
-    # move by cov[1,0]/cov[0,0] * shift, per conditional-Gaussian algebra
-    back, smoothed = recorrelate(LogGaussian(1.0, 0.0), dec)
-    assert smoothed.mean == pytest.approx(0.5)
-    assert back.covariance[1, 1] == pytest.approx(0.75)
-
-
-def test_speech_state_validation():
-    with pytest.raises(ValueError):
-        SpeechState(np.zeros(2), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        ARModel(np.zeros(2), -1.0)
+    dec, _ = _decorrelate(np.array([0.0, 0.0]), cov)
+    # pin the head at +1 with zero variance: the second component (the
+    # smoothed previous frame) must move by cov[1,0]/cov[0,0] * shift,
+    # per conditional-Gaussian algebra
+    back_m, back_cov = _recorrelate(1.0, 0.0, dec)
+    assert back_m[1] == pytest.approx(0.5)
+    assert back_cov[1, 1] == pytest.approx(0.75)
