@@ -49,18 +49,26 @@ def load_config(path, base: EnhancerConfig | None = None) -> EnhancerConfig:
 
 
 def _bin_for_hz(hz, cfg: EnhancerConfig, sample_rate=16000):
-    n_fft = int(round(cfg.frame_length * sample_rate))
-    return int(round(hz * n_fft / sample_rate))
+    return int(round(hz * cfg.analysis().frame_samples(sample_rate) / sample_rate))
+
+
+def _parse_bins(text, n_bins):
+    """The bins of a comma-separated --bins list, each checked against 0 <= b < n_bins."""
+    bins = [int(b) for b in text.split(",")]
+    for b in bins:
+        if not 0 <= b < n_bins:
+            raise ValueError(f"--bins: bin {b} is outside 0..{n_bins - 1}")
+    return bins
 
 
 def cmd_enhance(args):
     cfg = load_config(args.config) if args.config else EnhancerConfig()
     audio = read_wav(args.input)
     out, trace, diag = enhance(audio, cfg)
+    bins = (_parse_bins(args.bins, trace.n_bins) if args.bins
+            else [_bin_for_hz(1000.0, cfg)])
     write_wav(args.output, out)
     if args.trace:
-        bins = ([int(b) for b in args.bins.split(",")] if args.bins
-                else [_bin_for_hz(1000.0, cfg)])
         trace.write_csv(args.trace, bins)
     if diag.fallbacks or diag.variance_clamps:
         print(f"diagnostics: {diag.fallbacks} fallbacks, "
@@ -76,16 +84,15 @@ def cmd_simulate(args):
     room = RoomParams(args.t60, args.drr)
     noisy, truth, _ = simkit.make_scene(clean, room, args.snr,
                                         noise_kind=args.noise, seed=args.seed)
+    t_frames, k_bins = truth.s_true.shape
+    bins = _parse_bins(args.bins, k_bins) if args.bins else range(k_bins)
     write_wav(args.out, noisy)
     if args.truth:
         a, b = room_to_ab(room)
-        t_frames, k_bins = truth.s_true.shape
         with open(args.truth, "w", newline="") as fh:
             fh.write(f"# t60={args.t60} drr={args.drr} a={a:.4f} b={b:.4f} "
                      f"snr={args.snr} noise={args.noise} seed={args.seed}\n")
             fh.write("frame,bin,s_true,r_true,z_true,n_true\n")
-            bins = ([int(x) for x in args.bins.split(",")] if args.bins
-                    else range(k_bins))
             for b_ in bins:
                 for t in range(t_frames):
                     fh.write(f"{t},{b_},{truth.s_true[t, b_]:.6g},"

@@ -38,8 +38,6 @@ class AudioBuffer:
 class AnalysisConfig:
     frame_length: float = 0.032
     frame_increment: float = 0.008
-    window: str = "sqrt_hann"
-    fft_size: int | None = None
 
     def frame_samples(self, sample_rate):
         return int(round(self.frame_length * sample_rate))
@@ -47,18 +45,11 @@ class AnalysisConfig:
     def hop_samples(self, sample_rate):
         return int(round(self.frame_increment * sample_rate))
 
-    def n_fft(self, sample_rate):
-        return self.fft_size if self.fft_size is not None else self.frame_samples(sample_rate)
-
     def make_window(self, sample_rate):
         n = self.frame_samples(sample_rate)
-        if self.window == "sqrt_hann":
-            # periodic Hann; sqrt applied so analysis*synthesis = Hann
-            hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-            return np.sqrt(hann)
-        if self.window == "rect":
-            return np.ones(n)
-        raise ValueError(f"unknown window {self.window!r}")
+        # periodic Hann; sqrt applied so analysis*synthesis = Hann
+        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        return np.sqrt(hann)
 
     def check_cola(self, sample_rate, tol=1e-6):
         """Verify that the squared window overlap-adds to a constant."""
@@ -114,11 +105,10 @@ def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFr
     x = audio.samples
     if len(x) < n:
         raise StftError(f"audio ({len(x)} samples) shorter than one frame ({n})")
-    n_fft = config.n_fft(fs)
     win = config.make_window(fs)
     n_frames = (len(x) - n) // hop + 1
     idx = np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = np.fft.rfft(x[idx] * win, n_fft, axis=1)
+    frames = np.fft.rfft(x[idx] * win, n, axis=1)
     return SpectralFrames(frames, config, fs)
 
 
@@ -127,13 +117,12 @@ def istft(spec: SpectralFrames, config: AnalysisConfig | None = None) -> AudioBu
     fs = spec.sample_rate
     n = config.frame_samples(fs)
     hop = config.hop_samples(fs)
-    n_fft = config.n_fft(fs)
-    if spec.n_bins != n_fft // 2 + 1:
+    if spec.n_bins != n // 2 + 1:
         raise StftError(
-            f"frame bins ({spec.n_bins}) do not match config fft size ({n_fft})"
+            f"frame bins ({spec.n_bins}) do not match config frame size ({n})"
         )
     win = config.make_window(fs)
-    frames = np.fft.irfft(spec.frames, n_fft, axis=1)[:, :n] * win
+    frames = np.fft.irfft(spec.frames, n, axis=1) * win
     t = spec.n_frames
     out = np.zeros((t - 1) * hop + n)
     norm = np.zeros_like(out)

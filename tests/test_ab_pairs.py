@@ -11,8 +11,8 @@ _SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
 ab_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab_pairs)
 
-SPEC = {"end_to_end": [{"name": "rtf", "unit": "s/s", "better": "lower"},
-                       {"name": "score", "unit": "x", "better": "higher"}]}
+SPEC = {"end_to_end": [{"name": "rtf", "unit": "s/s", "better": "lower", "bound": 0.25},
+                       {"name": "score", "unit": "x", "better": "higher", "bound": 0.01}]}
 
 
 def _pairs(parent, change, name="rtf", change_failed=0):
@@ -56,3 +56,21 @@ def test_summary_higher_is_better():
     assert (row["metric"], row["wins"], row["gain"]) == ("score", 10, True)
     (row,) = ab_pairs.summarise(SPEC, _pairs(parent, [p - 1.0 for p in parent], "score"))
     assert (row["wins"], row["gain"]) == (0, False)
+
+
+def test_summary_no_regression_verdict():
+    # rtf: median 0.63, quartiles 0.62-0.64, margin 0.25 * 0.63 = 0.1575
+    parent = [0.60, 0.62, 0.64, 0.66, 0.61, 0.63, 0.65, 0.64, 0.62, 0.63]
+    (row,) = ab_pairs.summarise(SPEC, _pairs(parent, [p + 0.15 for p in parent]))
+    assert (row["wins"], row["gain"], row["verdict"]) == (0, False, "ok")
+    (row,) = ab_pairs.summarise(SPEC, _pairs(parent, [p + 0.17 for p in parent]))
+    assert row["verdict"] == "worse"
+    # score: quartiles 0.985-1.015 lie further apart than the margin 0.01
+    parent = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]
+    (row,) = ab_pairs.summarise(SPEC, _pairs(parent, parent, "score"))
+    assert row["verdict"] == "unresolved"
+    # unless every change run beats every parent run
+    (row,) = ab_pairs.summarise(SPEC, _pairs(parent, [p + 0.21 for p in parent], "score"))
+    assert row["verdict"] == "ok"
+    (row,) = ab_pairs.summarise(SPEC, _pairs(parent, [p - 0.02 for p in parent], "score"))
+    assert row["verdict"] == "worse"

@@ -147,6 +147,32 @@ def test_enhance_silence_round_trip(tmp_path):
     assert all(ln.split(",")[1] == "32" for ln in lines[1:])
 
 
+def test_enhance_rejects_out_of_range_bins(tmp_path, capsys):
+    src = tmp_path / "sil.wav"
+    dst = tmp_path / "out.wav"
+    trace = tmp_path / "trace.csv"
+    write_wav(src, AudioBuffer(np.zeros(FS // 4)))
+    # 257 bins: 0 and 256 are the edges
+    assert main(["enhance", str(src), str(dst), "--trace", str(trace), "--bins", "0,256"]) == 0
+    assert {ln.split(",")[1] for ln in trace.read_text().splitlines()[1:]} == {"0", "256"}
+    dst.unlink()
+    trace.unlink()
+    for bins in ("999", "-1", "32,257"):
+        assert main(["enhance", str(src), str(dst), "--trace", str(trace), "--bins", bins]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not dst.exists() and not trace.exists()
+
+
+def test_simulate_rejects_out_of_range_bins(tmp_path, clean_wav, capsys):
+    out = tmp_path / "noisy.wav"
+    truth = tmp_path / "truth.csv"
+    for bins in ("999", "-1"):
+        assert main(["simulate", str(clean_wav), str(out), "--t60", "0.5", "--drr", "0",
+                     "--truth", str(truth), "--bins", bins]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() and not truth.exists()
+
+
 def test_enhance_missing_input_fails(tmp_path):
     assert main(["enhance", str(tmp_path / "nope.wav"),
                  str(tmp_path / "out.wav")]) != 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
-                     mean_dilog_series_ref, split_distributed_ref, split_scalar_ref)
+                     mean_dilog_ref, split_distributed_ref, split_scalar_ref)
 
 from reverbtrack.lognorm import (Diagnostics, _gh_nodes, _mean_dilog_exp,
                                  fuse_moments, line_constrained_update,
@@ -258,20 +258,36 @@ def test_inconsistent_observation_falls_back_to_priors():
 # fast kernels against their exact references
 # ---------------------------------------------------------------------------
 
-def test_mean_dilog_matches_series():
-    # the table (|m|/s <= 8), the Gauss-Hermite tail (|m|/s > 8) and the
-    # series itself (s outside the table, v = 0) all within 1e-6 of the series
-    m = np.linspace(0.0, 50.0, 251)
-    v = np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 181)])
+def test_mean_dilog_matches_integral():
+    # the table (|m|/s <= 8), the Gauss-Hermite tail (|m|/s > 8), the
+    # quadrature (s outside the table) and v = 0, all within 1e-6 of the
+    # exact integral
+    m = np.linspace(0.0, 50.0, 51)
+    v = np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 61)])
     mm, vv = np.meshgrid(m, v)
-    err = np.abs(_mean_dilog_exp(mm, vv) - mean_dilog_series_ref(mm, vv))
+    err = np.abs(_mean_dilog_exp(mm, vv) - mean_dilog_ref(mm, vv))
     assert err.max() <= 1e-6
     # off-grid points inside the table, both signs of m
     rng = np.random.default_rng(5)
-    s = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 4000))
-    m = rng.uniform(-8.0, 8.0, 4000) * s
-    err = np.abs(_mean_dilog_exp(m, s * s) - mean_dilog_series_ref(m, s * s))
+    s = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 1500))
+    r = rng.uniform(-8.0, 8.0, 1500)
+    # the table's edges: r = 8 and s = 0.05, 20, each on, just in and just
+    # out; and s far outside the table, from 1e-8 to 1e4
+    eps = 1.0 + np.array([-1e-12, 0.0, 1e-12])
+    r_edge, s_edge = np.meshgrid(8.0 * eps, np.geomspace(0.05, 20.0, 13))
+    r_side, s_side = np.meshgrid(np.linspace(0.0, 10.0, 21), np.concatenate(
+        [np.outer([0.05, 20.0], eps).ravel(), np.geomspace(1e-8, 1e-2, 7), np.geomspace(50.0, 1e4, 6)]))
+    r = np.concatenate([r, r_edge.ravel(), r_side.ravel()])
+    s = np.concatenate([s, s_edge.ravel(), s_side.ravel()])
+    err = np.abs(_mean_dilog_exp(r * s, s * s) - mean_dilog_ref(r * s, s * s))
     assert err.max() <= 1e-6
+
+
+def test_logsum_moments_continuous_at_zero_variance():
+    # the mean dilogarithm's v -> 0 limit meets its closed form at v = 0
+    d = np.array([0.0, 0.3, -2.0, 9.0])
+    for got, ref in zip(logsum_moments(d, 0.5e-20, 0.0, 0.5e-20), logsum_moments(d, 0.0, 0.0, 0.0)):
+        assert np.all(np.abs(got - ref) <= 1e-8)
 
 
 def _split_cases():
@@ -354,4 +370,8 @@ def test_fast_kernels_emit_no_warnings():
             logsum_moments(ma, va, mb, vb, diag=diag)
             logsum_moments(ma, 0.0, mb, 0.0, diag=diag)
             _mean_dilog_exp(ma - mb, np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 299)]))
+            for vd in (0.0, 1e-300, 900.0):
+                assert np.all(np.isfinite(_mean_dilog_exp(ma - mb, vd)))
+            assert np.all(np.isnan(_mean_dilog_exp(ma - mb, np.nan)))
+            assert np.all(np.isnan(_mean_dilog_exp(np.nan, va)))
     assert diag.fallbacks > 0

@@ -14,7 +14,12 @@ the change wins (ties count for neither side), the ratio of the medians
 (change / parent) and whether the change shows a gain: it wins at least
 nine tenths of the pairs, its median is better than the parent's by
 more than the distance between the parent's quartiles, and it fails no
-more calls than the parent.
+more calls than the parent. It also prints a no-regression verdict
+against the metric's ``bound``, a fraction of the parent's median (so
+``peak_rss_mb``'s 0.05 is 5 %, not 0.05 MiB): "worse" where the change's
+median is worse than the parent's by more than that margin;
+"unresolved" where the parent's quartiles lie further apart than the
+margin, unless every change run beats every parent run; else "ok".
 
 ``--out DIR`` keeps every run's result set (``DIR/parent/seedN`` and
 ``DIR/change/seedN``, readable by ``perfbench/run.py --compare``) and the
@@ -63,7 +68,7 @@ def failed_calls(pairs):
 
 
 def summarise(spec, pairs):
-    """Per end-to-end metric: each side's quartiles, wins, ratio and verdict.
+    """Per end-to-end metric: each side's quartiles, wins, ratio, gain and verdict.
 
     pairs is a list of {"parent": result, "change": result} with the
     result lines of perfbench/run.py. A pair counts only where both sides
@@ -87,12 +92,18 @@ def summarise(spec, pairs):
         pq = np.percentile(par, [25, 50, 75])
         cq = np.percentile(chg, [25, 50, 75])
         gain = sign * (pq[1] - cq[1])
+        margin = metric["bound"] * abs(pq[1])
+        beats_all = np.max(sign * chg) < np.min(sign * par)
+        verdict = ("worse" if -gain > margin
+                   else "unresolved" if pq[2] - pq[0] > margin and not beats_all
+                   else "ok")
         rows.append({
             "metric": name, "unit": metric["unit"], "better": metric["better"],
             "pairs": len(vals), "parent": pq.tolist(), "change": cq.tolist(),
             "wins": wins, "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
             "gain": bool(wins >= 0.9 * len(vals) and gain > pq[2] - pq[0]
                          and not fails_more),
+            "verdict": verdict,
         })
     return rows
 
@@ -132,13 +143,13 @@ def main(argv=None):
     for side, (failed, attempted) in failed_calls(pairs).items():
         print(f"{side}: {failed} of {attempted} calls failed")
     print(f"{'metric':<12} {'unit':<5} {'parent median [q1, q3]':<30} "
-          f"{'change median [q1, q3]':<30} {'wins':>7} {'ratio':>7}  gain")
+          f"{'change median [q1, q3]':<30} {'wins':>7} {'ratio':>7}  gain  verdict")
     for r in summarise(spec, pairs):
         p, c = r["parent"], r["change"]
         print(f"{r['metric']:<12} {r['unit']:<5} "
               f"{f'{p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]':<30} "
               f"{f'{c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]':<30} "
-              f"{r['wins']:>3}/{r['pairs']:<3} {r['ratio']:>7.3f}  {'yes' if r['gain'] else 'no'}")
+              f"{r['wins']:>3}/{r['pairs']:<3} {r['ratio']:>7.3f}  {'yes' if r['gain'] else 'no':<4}  {r['verdict']}")
     return 0
 
 
