@@ -6,10 +6,14 @@ prediction of the reverberation and total-disturbance log-spectra,
 then the observation-driven decompositions (y -> s, z; z -> r, n;
 r -> old/new reverberation) and straight-line constrained updates of
 gamma and beta. All bins advance in lockstep (vectorised); a bounded
-look-ahead of C frames feeds the decay priors. The r -> old/new split
-and the gamma/beta updates (steps 10-12) run only on the bins that pass
-the per-bin RNR gate in that frame; the other bins keep their gamma and
-beta priors.
+look-ahead of C frames feeds the decay priors. The stages ahead of the
+cascade (noise tracking, pre-cleaning, AR fits, decay-run detection) run
+a block of frames at a time just ahead of it, and each frame's gain is
+applied as soon as the frame is done, so nothing but the input, the
+Trace and the output grows with the number of frames. The r -> old/new
+split and the gamma/beta updates (steps 10-12) run only on the bins that
+pass the per-bin RNR gate in that frame; the other bins keep their gamma
+and beta priors.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from scipy.ndimage import minimum_filter1d
 
 from . import lognorm, reverb, speech
 from .lognorm import Diagnostics
-from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, istft, log_magnitude, stft
+from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, floored_magnitude, istft, stft
 
 
 @dataclass
@@ -74,7 +78,12 @@ TRACE_FIELDS = [
 
 @dataclass
 class Trace:
-    """Per-frame, per-bin posterior log as (T, K) arrays."""
+    """Per-frame, per-bin posterior log as (T, K) arrays.
+
+    Every field is float64 except fallback_flags, a uint8 that holds one
+    bit per cascade step that fell back: 1 for step 7, 2 for step 8 and
+    4 for step 10.
+    """
 
     arrays: dict
     frame_increment: float
@@ -88,7 +97,15 @@ class Trace:
         return self.arrays["s_mean"].shape[1]
 
     def write_csv(self, path, bins=None):
-        bins = range(self.n_bins) if bins is None else bins
+        """Write the rows of the given bins (all by default) as CSV.
+
+        Raises ValueError, before the file is opened, if a bin lies
+        outside 0..K-1.
+        """
+        bins = range(self.n_bins) if bins is None else list(bins)
+        for b in bins:
+            if not 0 <= b < self.n_bins:
+                raise ValueError(f"bin {b} is outside 0..{self.n_bins - 1}")
         with open(path, "w", newline="") as fh:
             fh.write("frame,bin," + ",".join(TRACE_FIELDS) + "\n")
             for b in bins:
@@ -101,25 +118,35 @@ class Trace:
 
 
 def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
-                bias=1.5, noise_variance=0.5):
+                bias=1.5, noise_variance=0.5, state=None):
     """Minimum-statistics style noise tracker.
 
     Sliding-window minimum of exponentially smoothed power over window_s,
     bias-compensated by a fixed factor. Returns (mean (T, K) in nats of
-    log-amplitude, variance scalar).
+    log-amplitude, variance scalar). state, when given, is a dict carried
+    from the call on the previous block of frames (empty before the first
+    block) and is updated in place; it keeps the smoother's last value
+    and the smoothed rows the next block's window reaches back to.
     """
     power = np.asarray(noisy_power, dtype=float)
+    state = {} if state is None else state
     smoothed = np.empty_like(power)
-    acc = power[0]
+    acc = state.get("acc", power[0])
     for t in range(power.shape[0]):
         acc = smooth * acc + (1 - smooth) * power[t]
         smoothed[t] = acc
     w = max(int(round(window_s / frame_increment)), 1)
-    # causal window [t-w+1, t]: pad the front, then take the centred
+    # causal window [t-w+1, t]: prepend the w-1 rows before the block
+    # (copies of the first row at the start), then take the centred
     # filter output at the window's centre index
-    pad = np.concatenate([np.repeat(smoothed[:1], w - 1, axis=0), smoothed], axis=0)
+    history = state.get("history")
+    if history is None:
+        history = np.repeat(smoothed[:1], w - 1, axis=0)
+    pad = np.concatenate([history, smoothed], axis=0)
     mins = minimum_filter1d(pad, size=w, axis=0, mode="nearest")
     mins = mins[w // 2:w // 2 + power.shape[0]]
+    state["acc"] = acc
+    state["history"] = pad[pad.shape[0] - (w - 1):].copy()
     est = bias * np.maximum(mins, 1e-300)
     return 0.5 * np.log(est), noise_variance
 
@@ -235,7 +262,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     fs.beta_m, fs.beta_v = bpm, bpv
 
     t60, drr = reverb.gamma_beta_to_room(gpm, bpm, cfg.frame_increment)
-    flags = fb7.astype(int) | (fb8.astype(int) << 1) | (fb10.astype(int) << 2)
+    flags = fb7.astype(np.uint8) | (fb8.astype(np.uint8) << 1) | (fb10.astype(np.uint8) << 2)
     return {
         "s_mean": spm, "s_var": spv, "r_mean": rpm, "r_var": rpv,
         "z_mean": zpm, "z_var": zpv, "gamma_mean": gpm, "gamma_var": gpv,
@@ -244,28 +271,79 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     }
 
 
-def _decay_run_lengths(frame_energy):
+def _decay_run_lengths(frame_energy, state=None):
     """Length of the maximal strictly-decreasing run of the broadband
     frame energy ending at each frame; (T,) ints.
 
     Detection uses the energy summed across bins so that per-bin
     magnitude fluctuations do not truncate (or, worse, select for)
-    decay runs; per-bin gating happens at fit time instead.
+    decay runs; per-bin gating happens at fit time instead. state, when
+    given, is a dict carried from the call on the previous block of
+    frames (empty before the first block) and is updated in place.
     """
     e = np.asarray(frame_energy, dtype=float)
+    state = {} if state is None else state
     run = np.ones(len(e), dtype=int)
-    for t in range(1, len(e)):
-        if e[t] < e[t - 1]:
-            run[t] = run[t - 1] + 1
+    prev_e, prev_run = state.get("energy", np.inf), state.get("run", 0)
+    for t in range(len(e)):
+        if e[t] < prev_e:
+            run[t] = prev_run + 1
+        prev_e, prev_run = e[t], run[t]
+    state["energy"], state["run"] = prev_e, prev_run
     return run
 
 
-def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=100):
-    """Decay-line priors from the FDR of length m ending at frame j.
+_ENERGY_KERNEL = np.ones(3) / 3.0
 
-    z_fdr is the (T, K) denoised log-magnitude; gate is the per-bin
-    RNR inclusion mask. Returns (gm, gv, bm, bv, mask). The FDR's first
-    frame is the energy peak. The first fdr_skip frames after the peak
+
+def _smooth_energy(frame_energy, state=None, final=True):
+    """Centred 3-frame moving average of the broadband frame energy,
+    zero-padded at both ends as np.convolve's mode "same" is.
+
+    A frame's average needs the next frame. So with a carried state (a
+    dict as in _decay_run_lengths) a call returns the averages of the
+    frames not yet returned up to the one before the last frame seen, and
+    through the last frame when final is true. Each average comes from
+    the same np.convolve routine as in one whole-array call, so any split
+    into blocks gives identical values.
+    """
+    e = np.asarray(frame_energy, dtype=float)
+    state = {} if state is None else state
+    done = state.get("done", 0)
+    x = np.concatenate([state.get("tail", e[:0]), e])
+    seen = state.get("seen", 0) + len(e)
+    off = seen - len(x)             # the frame of x[0]
+    parts = []
+    if seen < 3:                    # the whole input is shorter than the kernel
+        if final:
+            parts.append(np.convolve(x, _ENERGY_KERNEL, mode="same")[done:seen])
+            done = seen
+    else:
+        if done == 0:
+            parts.append(np.convolve(x[:3], _ENERGY_KERNEL, mode="same")[:1])
+            done = 1
+        if seen - 1 > done:
+            parts.append(np.convolve(x[done - 1 - off:], _ENERGY_KERNEL, mode="valid"))
+            done = seen - 1
+        if final and done < seen:
+            parts.append(np.convolve(x[-3:], _ENERGY_KERNEL, mode="same")[-1:])
+            done = seen
+    state.update(seen=seen, done=done, tail=x[-3:].copy())
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+# the longest FDR the decay priors fit, in frames
+_FDR_MAX_LEN = 100
+
+
+def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=_FDR_MAX_LEN):
+    """Decay-line priors from the FDR of length m ending at row j.
+
+    z_fdr holds rows of the (T, K) denoised log-magnitude and gate the
+    matching rows of the per-bin RNR inclusion mask; row j is the FDR's
+    last frame. The rows must start at frame 0 or reach max_len rows back
+    from j, so that no FDR the fit can use is cut short. Returns (gm, gv,
+    bm, bv, mask). The FDR's first frame is the energy peak. The first fdr_skip frames after the peak
     still carry windowed-out speech and are excluded from the fit; per
     bin, the fit stops at the first frame that fails the RNR gate. The
     line's intercept is referenced to the frame after the peak, so
@@ -314,55 +392,124 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=100):
     return gm, gv, bm, bv, mask
 
 
+# frames the stages ahead of the cascade process per call
+_BLOCK = 32
+
+
+class _FrontEnd:
+    """The stages ahead of the cascade, run block by block with carried state.
+
+    The noise tracker, the Log-MMSE pre-clean, the AR fits, the RNR gate,
+    the smoothed broadband energy and the decay-run counter advance one
+    block of frames at a time, just far enough ahead of the cascade for
+    its look-ahead. Only rows that the cascade or the decay-prior fits can
+    still read are kept, so memory does not grow with the input length.
+    """
+
+    def __init__(self, frames, cfg: EnhancerConfig):
+        self.frames, self.cfg = frames, cfg
+        self.n_frames = frames.shape[0]
+        self.ready = 0              # frames processed
+        self.base = 0               # first frame in rows and runs
+        self.hist_base = 0          # first frame in hist
+        self.rows = {}              # per-frame cascade inputs
+        self.hist = {}              # pre-cleaned log-magnitude and RNR gate
+        self.runs = np.empty(0, dtype=int)   # decay-run lengths; one frame behind rows
+        self.states = {k: {} for k in ("noise", "preclean", "ar", "energy", "runs")}
+        self.n_var = None           # the noise tracker's variance
+
+    def advance(self, t):
+        """Make the inputs of frame t and of its decay priors available."""
+        # the priors read the run length at t + look_ahead, and its
+        # smoothed energy reads the frame after that
+        need = min(t + self.cfg.look_ahead + 2, self.n_frames)
+        if self.ready >= need:
+            return
+        for k in self.rows:
+            self.rows[k] = self.rows[k][t - self.base:]
+        self.runs = self.runs[t - self.base:]
+        self.base = t
+        lo = max(t - _FDR_MAX_LEN + 1, 0)
+        for k in self.hist:
+            self.hist[k] = self.hist[k][lo - self.hist_base:]
+        self.hist_base = lo
+        while self.ready < need:
+            self._block()
+
+    def _block(self):
+        cfg, st, a = self.cfg, self.states, self.ready
+        b = min(a + _BLOCK, self.n_frames)
+        mag = floored_magnitude(self.frames[a:b])
+        n_mean, self.n_var = track_noise(
+            mag ** 2, cfg.frame_increment, cfg.noise_window_s,
+            cfg.noise_smooth, cfg.noise_bias, cfg.noise_variance, state=st["noise"])
+        precleaned = speech.log_mmse_preclean(
+            mag, np.exp(2.0 * n_mean), gain_floor_db=cfg.preclean_gain_floor_db,
+            state=st["preclean"])
+        pre_log = np.log(np.maximum(precleaned, 1e-300))
+        coeffs, resid, loc_mean = speech.estimate_ar(
+            pre_log, cfg.p, cfg.modulation_frame, cfg.frame_increment, state=st["ar"])
+        # decay-region detection on broadband energy; per-bin RNR gate for fits
+        gate = (pre_log - n_mean) > cfg.rnr_threshold_db * reverb.DB_TO_NATS
+        energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))
+        # a 3-frame moving average keeps frame-to-frame wiggle from cutting
+        # genuine decay runs short
+        energy = _smooth_energy(energy, st["energy"], final=b == self.n_frames)
+        self.runs = np.concatenate([self.runs, _decay_run_lengths(energy, st["runs"])])
+        _append(self.rows, y_log=np.log(mag), n_mean=n_mean, coeffs=coeffs,
+                resid=resid, loc_mean=loc_mean)
+        _append(self.hist, pre_log=pre_log, gate=gate)
+        self.ready = b
+
+    def inputs(self, t):
+        """Frame t's observation, noise mean, AR model and RNR gate."""
+        r, i = self.rows, t - self.base
+        return (r["y_log"][i], r["n_mean"][i], r["coeffs"][i], r["resid"][i],
+                r["loc_mean"][i], self.hist["gate"][t - self.hist_base])
+
+    def decay_priors(self, t):
+        """The decay priors of frame t, fitted at frame t + look_ahead."""
+        j = min(t + self.cfg.look_ahead, self.n_frames - 1)
+        return _fdr_priors_at(j - self.hist_base, self.runs[j - self.base],
+                              self.hist["pre_log"], self.hist["gate"], self.cfg)
+
+
+def _append(store, **blocks):
+    for k, v in blocks.items():
+        store[k] = np.concatenate([store[k], v]) if k in store else v
+
+
 def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     """Run the tracking cascade on STFT frames.
 
     Returns (enhanced SpectralFrames, Trace, Diagnostics). This is the
     core of enhance(); it also serves callers whose data originates in
-    the STFT domain.
+    the STFT domain. Apart from its input, the Trace and the output
+    spectrum, its memory does not grow with the number of frames.
     """
     cfg = cfg or EnhancerConfig()
-    y_log = log_magnitude(spec)
-    t_frames, k_bins = y_log.shape
-    mag = spec.magnitude()
-
-    n_mean_all, n_var = track_noise(
-        mag ** 2, cfg.frame_increment, cfg.noise_window_s,
-        cfg.noise_smooth, cfg.noise_bias, cfg.noise_variance)
-
-    precleaned = speech.log_mmse_preclean(
-        mag, np.exp(2.0 * n_mean_all), gain_floor_db=cfg.preclean_gain_floor_db)
-    pre_log = np.log(np.maximum(precleaned, 1e-300))
-    coeffs, resid, loc_mean = speech.estimate_ar(
-        pre_log, cfg.p, cfg.modulation_frame, cfg.frame_increment)
-
-    # decay-region detection on broadband energy; per-bin RNR gate for fits
-    gate = (pre_log - n_mean_all) > cfg.rnr_threshold_db * reverb.DB_TO_NATS
-    frame_energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))
-    # a 3-frame moving average keeps frame-to-frame wiggle from cutting
-    # genuine decay runs short
-    frame_energy = np.convolve(frame_energy, np.ones(3) / 3.0, mode="same")
-    run_len = _decay_run_lengths(frame_energy)
-
+    t_frames, k_bins = spec.frames.shape
+    front = _FrontEnd(spec.frames, cfg)
+    front.advance(0)
     diag = Diagnostics()
-    fs = _FilterState(k_bins, cfg, pre_log[0], n_mean_all[0])
+    fs = _FilterState(k_bins, cfg, front.hist["pre_log"][0], front.rows["n_mean"][0])
     trace = {f: np.zeros((t_frames, k_bins)) for f in TRACE_FIELDS}
-    trace["fallback_flags"] = np.zeros((t_frames, k_bins), dtype=int)
+    trace["fallback_flags"] = np.zeros((t_frames, k_bins), dtype=np.uint8)
+    out = np.empty_like(spec.frames)
+    gain_floor = 10.0 ** (cfg.gain_floor_db / 20.0)
 
     for t in range(t_frames):
-        j = min(t + cfg.look_ahead, t_frames - 1)
-        pg, pgv, pb, pbv, pmask = _fdr_priors_at(j, run_len[j], pre_log, gate, cfg)
-        row = _advance(fs, y_log[t], n_mean_all[t], n_var,
-                       coeffs[t], resid[t], loc_mean[t],
-                       pg, pgv, pb, pbv, pmask, cfg, diag,
-                       update_mask=gate[t])
+        front.advance(t)
+        y, n_mean, coeffs, resid, loc_mean, gate = front.inputs(t)
+        pg, pgv, pb, pbv, pmask = front.decay_priors(t)
+        row = _advance(fs, y, n_mean, front.n_var, coeffs, resid, loc_mean,
+                       pg, pgv, pb, pbv, pmask, cfg, diag, update_mask=gate)
         for f in TRACE_FIELDS:
             trace[f][t] = row[f]
+        out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
+        out[t] = np.clip(np.exp(out_log - y), gain_floor, 1.0) * spec.frames[t]
 
-    out_log = trace["s_mean"] + (0.5 * trace["s_var"] if cfg.lognormal_correction else 0.0)
-    gain = np.exp(out_log - y_log)
-    gain = np.clip(gain, 10.0 ** (cfg.gain_floor_db / 20.0), 1.0)
-    enhanced = SpectralFrames(gain * spec.frames, spec.config, spec.sample_rate)
+    enhanced = SpectralFrames(out, spec.config, spec.sample_rate)
     return enhanced, Trace(trace, cfg.frame_increment), diag
 
 
@@ -373,6 +520,7 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
         raise ValueError(f"unsupported sample rate {audio.sample_rate}; need 16000")
     spec = stft(audio, cfg.analysis())
     enhanced, trace, diag = enhance_frames(spec, cfg)
+    del spec                        # synthesis needs only the enhanced spectrum
     out = istft(enhanced)
     samples = np.zeros(len(audio.samples))
     n_copy = min(len(out.samples), len(samples))

@@ -17,6 +17,7 @@ from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, floored_magnitude
 ACTIVE_RANGE_DB = 40.0     # frames within this of the utterance max count as active
 DIRECT_WINDOW_S = 0.002    # RIR direct-path window for DRR scaling
 CEPSTRUM_ORDER = 24
+_Z_BLOCK = 256             # frames of the noisy disturbance formed at a time
 
 
 @dataclass
@@ -56,7 +57,6 @@ def stft_domain_reverb(clean_frames: SpectralFrames, room: RoomParams, seed=0):
     truth = GroundTruth(s_log, r_log, r_log.copy(),
                         np.full_like(s_log, np.log(1e-12)), room)
     truth._r_frames = r          # kept for noise addition
-    truth._s_frames = s
     return out, truth
 
 
@@ -64,22 +64,35 @@ def add_stft_noise(reverberant: SpectralFrames, truth: GroundTruth, snr_db,
                    kind="white", seed=1):
     """Add seeded noise in the STFT domain at the given SNR (vs S + R
     power) and update the ground-truth z/n logs. Returns new frames."""
+    if kind not in ("white", "pink"):
+        raise ValueError(f"unknown noise kind {kind!r}")
     rng = np.random.default_rng(seed)
     y = reverberant.frames
     t_frames, k_bins = y.shape
-    noise = rng.standard_normal((t_frames, k_bins)) + 1j * rng.standard_normal((t_frames, k_bins))
+    # real parts first, then imaginary parts, written in place
+    noise = np.empty((t_frames, k_bins), dtype=complex)
+    noise.real = rng.standard_normal((t_frames, k_bins))
+    noise.imag = rng.standard_normal((t_frames, k_bins))
     if kind == "pink":
-        shape = 1.0 / np.sqrt(np.maximum(np.arange(k_bins), 1.0))
-        noise *= shape
-    elif kind != "white":
-        raise ValueError(f"unknown noise kind {kind!r}")
-    sig_pow = np.mean(np.abs(y) ** 2)
-    noise_pow = np.mean(np.abs(noise) ** 2)
-    noise *= np.sqrt(sig_pow / noise_pow / 10.0 ** (snr_db / 10.0))
-    z = truth._r_frames + noise
-    truth.z_true = np.log(floored_magnitude(z))
-    truth.n_true = np.log(floored_magnitude(noise))
-    return SpectralFrames(y + noise, reverberant.config, reverberant.sample_rate)
+        noise *= 1.0 / np.sqrt(np.maximum(np.arange(k_bins), 1.0))
+    noise *= np.sqrt(_mean_power(y) / _mean_power(noise) / 10.0 ** (snr_db / 10.0))
+    # z = r + n a block of frames at a time, so that it never exists whole
+    z_true = np.empty((t_frames, k_bins))
+    for a in range(0, t_frames, _Z_BLOCK):
+        z_true[a:a + _Z_BLOCK] = np.log(floored_magnitude(
+            truth._r_frames[a:a + _Z_BLOCK] + noise[a:a + _Z_BLOCK]))
+    truth.z_true = z_true
+    n_mag = floored_magnitude(noise)
+    truth.n_true = np.log(n_mag, out=n_mag)
+    noise += y
+    return SpectralFrames(noise, reverberant.config, reverberant.sample_rate)
+
+
+def _mean_power(frames):
+    """Mean of |X|^2 over all frames and bins."""
+    power = np.abs(frames)
+    power *= power
+    return np.mean(power)
 
 
 def make_scene(clean: AudioBuffer, room: RoomParams, snr_db, noise_kind="white",
@@ -89,8 +102,8 @@ def make_scene(clean: AudioBuffer, room: RoomParams, snr_db, noise_kind="white",
     Returns (noisy AudioBuffer, GroundTruth, noisy SpectralFrames).
     """
     config = config or AnalysisConfig()
-    frames = stft(clean, config)
-    rev, truth = stft_domain_reverb(frames, room, seed=seed)
+    # no reference to the clean spectrum outlives the reverberation step
+    rev, truth = stft_domain_reverb(stft(clean, config), room, seed=seed)
     noisy = add_stft_noise(rev, truth, snr_db, kind=noise_kind, seed=seed + 1)
     audio = istft(noisy)
     return audio, truth, noisy

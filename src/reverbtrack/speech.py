@@ -27,10 +27,13 @@ def log_mmse_gain(xi, gamma_post):
 
 
 def log_mmse_preclean(noisy_mag, noise_power, alpha=0.98,
-                      gain_floor_db=PRECLEAN_GAIN_FLOOR_DB):
+                      gain_floor_db=PRECLEAN_GAIN_FLOOR_DB, state=None):
     """Apply per-bin Log-MMSE gains with decision-directed a-priori SNR.
 
     noisy_mag and noise_power are (T, K); returns cleaned magnitudes.
+    state, when given, is a dict carried from the call on the previous
+    block of frames (empty before the first block) and is updated in
+    place, so that consecutive blocks give the rows of one whole call.
     """
     noisy_mag = np.asarray(noisy_mag, dtype=float)
     noise_power = np.asarray(noise_power, dtype=float)
@@ -38,8 +41,9 @@ def log_mmse_preclean(noisy_mag, noise_power, alpha=0.98,
         raise ValueError("noisy_mag and noise_power must have the same shape")
     gmin = 10.0 ** (gain_floor_db / 20.0)
     xi_min = 10.0 ** (-25.0 / 10.0)
+    state = {} if state is None else state
     out = np.empty_like(noisy_mag)
-    prev_clean_pow = None
+    prev_clean_pow = state.get("clean_pow")
     for t in range(noisy_mag.shape[0]):
         npow = np.maximum(noise_power[t], 1e-300)
         gamma_post = np.minimum(noisy_mag[t] ** 2 / npow, 1e4)
@@ -51,6 +55,7 @@ def log_mmse_preclean(noisy_mag, noise_power, alpha=0.98,
         gain = np.clip(log_mmse_gain(xi, gamma_post), gmin, 1.0)
         out[t] = gain * noisy_mag[t]
         prev_clean_pow = out[t] ** 2
+    state["clean_pow"] = prev_clean_pow
     return out
 
 
@@ -58,24 +63,33 @@ def log_mmse_preclean(noisy_mag, noise_power, alpha=0.98,
 # AR estimation on modulation frames
 # ---------------------------------------------------------------------------
 
-def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008):
+def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008,
+                state=None):
     """Per-bin, per-frame AR(order) fits over a causal modulation window.
 
     log_mag is (T, K). Returns (coeffs (T, K, p), residual_var (T, K),
     local_mean (T, K)). The window holds the last `modulation_frame /
     frame_increment` acoustic frames; early frames use what is available.
     Degenerate (constant) windows get zero coefficients and residual.
+    state, when given, is a dict carried from the call on the previous
+    block of frames (empty before the first block) and is updated in
+    place; it keeps the rows the next block's windows reach back to.
     """
     log_mag = np.asarray(log_mag, dtype=float)
     t_frames, k_bins = log_mag.shape
     p = order
     win = max(int(round(modulation_frame / frame_increment)), p + 2)
+    state = {} if state is None else state
+    history = state.get("history", log_mag[:0])
+    h = history.shape[0]
+    rows = np.concatenate([history, log_mag]) if h else log_mag
+    state["history"] = rows[max(rows.shape[0] - (win - 1), 0):].copy()
     coeffs = np.zeros((t_frames, k_bins, p))
     resid = np.zeros((t_frames, k_bins))
     mean = np.zeros((t_frames, k_bins))
     for t in range(t_frames):
-        lo = max(0, t - win + 1)
-        seg = log_mag[lo:t + 1]
+        lo = max(0, h + t - win + 1)
+        seg = rows[lo:h + t + 1]
         m = seg.mean(axis=0)
         mean[t] = m
         n = seg.shape[0]
@@ -113,16 +127,34 @@ def predict_arrays(mean, cov, coeffs, resid, local_mean):
     """Companion-matrix AR prediction on deviations from the local mean.
 
     mean (..., p), cov (..., p, p), coeffs (..., p), resid/local_mean (...,).
+    The companion matrix F has the coefficients c in its first row and a
+    shifted identity below, so F C F^T needs no matrix product: its head
+    variance is c^T C c, the rest of its first row is (c^T C)[:-1], the
+    rest of its first column (C c)[:-1], and its lower block C[:-1, :-1].
     """
-    p = mean.shape[-1]
-    f = np.zeros(mean.shape[:-1] + (p, p))
-    f[..., 0, :] = coeffs
-    for i in range(1, p):
-        f[..., i, i - 1] = 1.0
     dev = mean - local_mean[..., None]
-    new_mean = np.einsum("...ij,...j->...i", f, dev) + local_mean[..., None]
-    new_cov = np.einsum("...ij,...jk,...lk->...il", f, cov, f)
-    new_cov[..., 0, 0] += resid
+    new_mean = np.empty_like(dev)
+    new_mean[..., 0] = np.einsum("...j,...j->...", coeffs, dev)
+    new_mean[..., 1:] = dev[..., :-1]
+    new_mean += local_mean[..., None]
+    # each sum runs term by term from the first, as in the multiplied-out
+    # product, so that p = 1 and p = 2 reproduce its rounding exactly
+    cc = coeffs[..., :, None] * cov                 # c_j C_jk
+    ccc = cc * coeffs[..., None, :]                 # c_j C_jk c_k
+    cl = cov[..., :-1, :] * coeffs[..., None, :]    # C_ik c_k
+    per_j, row, col = ccc[..., 0], cc[..., 0, :-1], cl[..., 0]
+    for i in range(1, mean.shape[-1]):
+        per_j = per_j + ccc[..., i]
+        row = row + cc[..., i, :-1]
+        col = col + cl[..., i]
+    head = per_j[..., 0]
+    for j in range(1, mean.shape[-1]):
+        head = head + per_j[..., j]
+    new_cov = np.empty_like(cov)
+    new_cov[..., 0, 0] = head + resid
+    new_cov[..., 0, 1:] = row
+    new_cov[..., 1:, 0] = col
+    new_cov[..., 1:, 1:] = cov[..., :-1, :-1]
     return new_mean, new_cov
 
 

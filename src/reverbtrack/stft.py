@@ -11,6 +11,7 @@ import numpy as np
 
 MAG_FLOOR_REL = 1e-10
 MAG_FLOOR_ABS = 1e-12
+_SYNTHESIS_BLOCK = 256      # frames inverse-transformed at a time by istft
 
 
 class StftError(ValueError):
@@ -93,7 +94,7 @@ def floored_magnitude(frames):
     """|X| floored per frame: max(|X|, 1e-10 * frame max, 1e-12)."""
     mag = np.abs(frames)
     frame_max = mag.max(axis=-1, keepdims=True)
-    return np.maximum(mag, np.maximum(MAG_FLOOR_REL * frame_max, MAG_FLOOR_ABS))
+    return np.maximum(mag, np.maximum(MAG_FLOOR_REL * frame_max, MAG_FLOOR_ABS), out=mag)
 
 
 def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFrames:
@@ -122,18 +123,22 @@ def istft(spec: SpectralFrames, config: AnalysisConfig | None = None) -> AudioBu
             f"frame bins ({spec.n_bins}) do not match config frame size ({n})"
         )
     win = config.make_window(fs)
-    frames = np.fft.irfft(spec.frames, n, axis=1) * win
     t = spec.n_frames
     out = np.zeros((t - 1) * hop + n)
     norm = np.zeros_like(out)
     w2 = win * win
-    for i in range(t):
-        out[i * hop:i * hop + n] += frames[i]
-        norm[i * hop:i * hop + n] += w2
+    # block by block, so that the time-domain frames never exist all at once
+    for start in range(0, t, _SYNTHESIS_BLOCK):
+        frames = np.fft.irfft(spec.frames[start:start + _SYNTHESIS_BLOCK], n, axis=1)
+        frames *= win
+        for i, frame in enumerate(frames, start):
+            out[i * hop:i * hop + n] += frame
+            norm[i * hop:i * hop + n] += w2
     out /= np.maximum(norm, 1e-8)
     return AudioBuffer(out, fs)
 
 
 def log_magnitude(spec: SpectralFrames) -> np.ndarray:
     """Natural log of the floored magnitude; always finite."""
-    return np.log(floored_magnitude(spec.frames))
+    mag = floored_magnitude(spec.frames)
+    return np.log(mag, out=mag)

@@ -4,11 +4,12 @@ The production code computes moments of log|A + B| (and its posterior
 decompositions) analytically / by quadrature. Most oracles here estimate
 the same quantities from raw samples, so the two can be compared without
 sharing any numerical machinery beyond the elementary log-phasor-sum
-formula itself. Two are exact references for the fast kernels instead:
+formula itself. Three are exact references for the fast kernels instead:
 an adaptive quadrature of the mean dilogarithm that lognorm tabulates,
-and the unfolded split quadrature (three separate Gaussian log-pdfs on
-the full (u, phi) node grid) that lognorm's folded kernel must
-reproduce.
+the unfolded split quadrature (three separate Gaussian log-pdfs on the
+full (u, phi) node grid) that lognorm's folded kernel must reproduce, and
+the explicit companion-matrix product F C F^T that the speech KF's
+prediction forms in closed form.
 """
 
 import math
@@ -165,6 +166,21 @@ def mean_dilog_ref(md, vd):
             points=[p for p in (0.0, m) if lo < p < hi], limit=200,
             epsabs=1e-13, epsrel=1e-11)[0]
     return out
+
+
+def predict_ref(mean, cov, coeffs, resid, local_mean):
+    """AR prediction with the companion matrix F built and multiplied out:
+    F (m - local) + local and F C F^T + diag(resid, 0, ...)."""
+    p = mean.shape[-1]
+    f = np.zeros(mean.shape[:-1] + (p, p))
+    f[..., 0, :] = coeffs
+    for i in range(1, p):
+        f[..., i, i - 1] = 1.0
+    dev = mean - local_mean[..., None]
+    new_mean = np.einsum("...ij,...j->...i", f, dev) + local_mean[..., None]
+    new_cov = np.einsum("...ij,...jk,...lk->...il", f, cov, f)
+    new_cov[..., 0, 0] += resid
+    return new_mean, new_cov
 
 
 def _log_normal_pdf(x, mean, var):

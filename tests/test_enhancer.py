@@ -309,6 +309,9 @@ def test_trace_schema_and_estimates_valid():
     assert trace.n_bins == spec.n_bins
     assert set(trace.arrays) == set(TRACE_FIELDS)
     assert all(arr.shape == (trace.n_frames, trace.n_bins) for arr in trace.arrays.values())
+    assert trace.arrays["fallback_flags"].dtype == np.uint8
+    assert all(arr.dtype == np.float64 for f, arr in trace.arrays.items()
+               if f != "fallback_flags")
     t60 = trace.arrays["t60_est"]
     assert np.all(np.isfinite(t60)) and np.all(t60 > 0.0)
     assert np.all(np.isfinite(trace.arrays["drr_est"]))
@@ -322,6 +325,16 @@ def test_trace_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("frame,bin,s_mean,s_var")
     assert len(lines) == 1 + 2 * trace.n_frames
+
+
+@pytest.mark.parametrize("bins", [[-1], [32, 999]])
+def test_trace_csv_rejects_out_of_range_bins(tmp_path, bins):
+    spec = _random_frames(t_frames=30, seed=9)
+    _, trace, _ = enhance_frames(spec)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="outside 0..256"):
+        trace.write_csv(path, bins=bins)
+    assert not path.exists()
 
 
 def test_config_validation():

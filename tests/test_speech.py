@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from oracles import predict_ref
+
 from reverbtrack.speech import (decorrelate_arrays, estimate_ar, log_mmse_gain,
                                 log_mmse_preclean, predict_arrays,
                                 recorrelate_arrays)
@@ -124,6 +126,23 @@ def test_predict_matches_hand_computed_ar2():
     mean, cov = _predict(mu, sigma, a, q, local)
     assert np.allclose(mean, ref_mean, atol=1e-12)
     assert np.allclose(cov, ref_cov, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_predict_matches_companion_product(p):
+    rng = np.random.default_rng(10 + p)
+    k_bins = 257
+    a = rng.standard_normal((k_bins, p, p))
+    cov = a @ np.swapaxes(a, 1, 2)
+    args = (rng.standard_normal((k_bins, p)), cov, rng.uniform(-1.0, 1.0, (k_bins, p)),
+            rng.uniform(0.0, 0.5, k_bins), rng.standard_normal(k_bins))
+    mean, new_cov = predict_arrays(*args)
+    ref_mean, ref_cov = predict_ref(*args)
+    assert np.array_equal(mean, ref_mean)
+    if p <= 2:   # the closed form sums in the product's order
+        assert np.array_equal(new_cov, ref_cov)
+    assert np.allclose(new_cov, ref_cov, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(new_cov, np.swapaxes(new_cov, 1, 2))
 
 
 def test_predict_order_mismatch():

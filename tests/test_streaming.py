@@ -1,0 +1,130 @@
+"""Block-by-block stages ahead of the cascade, and enhance_frames's memory.
+
+Each stage that enhance_frames advances block by block takes a carried
+state; consecutive uneven blocks must reproduce one whole-array call bit
+for bit. Apart from its outputs, enhance_frames must hold a working set
+that does not grow with the number of frames.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from reverbtrack import enhancer
+from reverbtrack.enhancer import (_decay_run_lengths, _smooth_energy, enhance_frames,
+                                  track_noise)
+from reverbtrack.reverb import RoomParams
+from reverbtrack.simkit import make_scene, speechlike_excitation
+from reverbtrack.speech import estimate_ar, log_mmse_preclean
+from reverbtrack.stft import AnalysisConfig, SpectralFrames, stft
+
+# uneven blocks of 400 frames: single frames, a block shorter than the AR
+# window, and blocks shorter and longer than the 188-frame noise window
+SPANS = ((0, 1), (1, 6), (6, 7), (7, 170), (170, 400))
+
+
+def _in_blocks(fn, *arrays, **kwargs):
+    """fn applied to SPANS of the leading axis of arrays with one carried state."""
+    state = {}
+    return [fn(*(a[lo:hi] for a in arrays), state=state, **kwargs) for lo, hi in SPANS]
+
+
+def _power(seed):
+    """(400, 6) noisy power with silent stretches and a loud burst."""
+    rng = np.random.default_rng(seed)
+    power = 0.01 * rng.chisquare(2, size=(400, 6))
+    power[50:120] = 1e-8
+    power[200:230] *= 1e3
+    return power
+
+
+def test_track_noise_blocks_match_whole():
+    power = _power(0)
+    whole, var = track_noise(power)
+    parts = _in_blocks(track_noise, power)
+    assert np.array_equal(np.concatenate([m for m, _ in parts]), whole)
+    assert all(v == var for _, v in parts)
+
+
+def test_log_mmse_preclean_blocks_match_whole():
+    power = _power(1)
+    mag, noise = np.sqrt(power), np.full(power.shape, 0.02)
+    whole = log_mmse_preclean(mag, noise)
+    assert np.array_equal(np.concatenate(_in_blocks(log_mmse_preclean, mag, noise)), whole)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_estimate_ar_blocks_match_whole(order):
+    x = np.log(_power(2))
+    whole = estimate_ar(x, order=order)
+    parts = _in_blocks(estimate_ar, x, order=order)
+    for i, ref in enumerate(whole):
+        assert np.array_equal(np.concatenate([p[i] for p in parts]), ref)
+
+
+def test_decay_run_lengths_blocks_match_whole():
+    # runs that cross every block boundary, ties and rises
+    e = np.cumsum(np.random.default_rng(3).normal(-0.2, 1.0, 400))
+    e[100:110] = e[99]
+    whole = _decay_run_lengths(e)
+    assert whole.max() >= 5
+    assert np.array_equal(np.concatenate(_in_blocks(_decay_run_lengths, e)), whole)
+
+
+@pytest.mark.parametrize("t_frames", [1, 2, 3, 4, 400])
+def test_smooth_energy_matches_convolve_in_any_blocks(t_frames):
+    e = np.random.default_rng(4).standard_normal(t_frames)
+    ref = np.convolve(e, np.ones(3) / 3.0, mode="same")[:t_frames]
+    assert np.array_equal(_smooth_energy(e), ref)
+    spans = [(lo, min(hi, t_frames)) for lo, hi in SPANS if lo < t_frames]
+    state, parts = {}, []
+    for lo, hi in spans:
+        parts.append(_smooth_energy(e[lo:hi], state, final=hi == t_frames))
+        # a frame's average waits for the next frame until the end
+        expected = hi if hi == t_frames else hi - 1 if hi >= 3 else 0
+        assert sum(map(len, parts)) == expected
+    assert np.array_equal(np.concatenate(parts), ref)
+
+
+def test_enhance_frames_independent_of_block_size(monkeypatch):
+    rng = np.random.default_rng(5)
+    frames = 0.1 * (rng.standard_normal((90, 257)) + 1j * rng.standard_normal((90, 257)))
+    frames[30:45] *= 1e-3                      # a decay-like drop for the priors
+    spec = SpectralFrames(frames, AnalysisConfig(), 16000)
+    runs = []
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(enhancer, "_BLOCK", block)
+        runs.append(enhance_frames(spec))
+    ref_out, ref_trace, _ = runs[-1]
+    for out, trace, _ in runs[:-1]:
+        assert np.array_equal(out.frames, ref_out.frames)
+        for f, arr in trace.arrays.items():
+            assert np.array_equal(arr, ref_trace.arrays[f])
+
+
+def _excess_bytes(seconds):
+    """(tracemalloc peak of enhance_frames on a condition-G scene less the
+    bytes of the Trace and the output spectrum it returns, bytes of one
+    (T, K) float64 array). The input spectrum exists before tracing starts,
+    so it is not in the peak."""
+    clean = speechlike_excitation(seconds, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    spec = stft(noisy)
+    tracemalloc.start()
+    try:
+        out, trace, _ = enhance_frames(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = out.frames.nbytes + sum(a.nbytes for a in trace.arrays.values())
+    return peak - returned, spec.n_frames * spec.n_bins * 8
+
+
+def test_enhance_frames_working_set_does_not_grow_with_length():
+    excess_1s, array_1s = _excess_bytes(1.0)
+    excess_4s, array_4s = _excess_bytes(4.0)
+    # from 1 s to 4 s the working set may grow by at most half of one
+    # (T, K) float64 array of the added frames; whole-utterance
+    # intermediates grow by about 11 such arrays
+    assert excess_4s - excess_1s <= 0.5 * (array_4s - array_1s)
