@@ -181,11 +181,14 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     update_mask, a (bins,) bool array, selects the bins whose decay is
     informative in this frame; steps 9-12 (the r -> old/new split and the
     gamma/beta line updates) run on those bins only, and the others keep
-    their gamma/beta priors with fallback bit 4 clear. None updates every
-    bin. Bins never interact, so the results on a bin do not depend on
-    which other bins are present.
+    their gamma/beta priors with fallback bit 4 clear. In a frame where no
+    bin is selected, steps 9-12 do not run at all. None updates every bin.
+    Bins never interact, so the results on a bin do not depend on which
+    other bins are present.
     """
     kp, ku, ko = cfg.k_phase, cfg.k_u, cfg.k_obs
+    # one variance per bin, so that no cascade operation has to broadcast
+    n_var = np.full(n_mean.shape, n_var, dtype=float)
 
     # speech KF prediction + decorrelation
     sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, coeffs, resid, loc_mean)
@@ -195,7 +198,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     # steps 1-2: random walk + decay priors
     gm, gv = fs.gamma_m, fs.gamma_v + cfg.q_gamma
     bm, bv = fs.beta_m, fs.beta_v + cfg.q_beta
-    if np.any(prior_mask):
+    if prior_mask.any():
         fgm, fgv = lognorm.fuse_moments(gm, gv, prior_gm, prior_gv)
         fbm, fbv = lognorm.fuse_moments(bm, bv, prior_bm, prior_bv)
         gm = np.where(prior_mask, fgm, gm)
@@ -232,26 +235,26 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
 
     # steps 9-12 run on the gated bins only. Where a bin is
     # noise-dominated the old/new decomposition carries no information
-    # about the decay, so gamma and beta keep their priors there. Step 10
-    # runs even when no bin is gated, so every frame has two distributed
-    # splits.
+    # about the decay, so gamma and beta keep their priors there. In a
+    # frame with no gated bin they do not run, so such a frame has one
+    # distributed split (step 8), not two.
     idx = slice(None) if update_mask is None else np.flatnonzero(update_mask)
     gpm, gpv, bpm, bpv = gm.copy(), gv.copy(), bm.copy(), bv.copy()
     fb10 = np.zeros(fb8.shape, dtype=bool)
+    if update_mask is None or idx.size:
+        # step 9: refreshed new-reverberation prior
+        epm, epv = bm[idx] + sprev_m[idx], bv[idx] + sprev_v[idx]
 
-    # step 9: refreshed new-reverberation prior
-    epm, epv = bm[idx] + sprev_m[idx], bv[idx] + sprev_v[idx]
+        # step 10: distributed split r -> (old, new)
+        dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
+            dm[idx], dv[idx], epm, epv, rpm[idx], rpv[idx],
+            k_u=ku, k_phase=kp, k_obs=ko, diag=diag)
 
-    # step 10: distributed split r -> (old, new)
-    dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
-        dm[idx], dv[idx], epm, epv, rpm[idx], rpv[idx],
-        k_u=ku, k_phase=kp, k_obs=ko, diag=diag)
-
-    # steps 11-12: straight-line constrained updates of gamma and beta
-    gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(
-        gm[idx], gv[idx], fs.r_mean[idx], fs.r_var[idx], dpm, dpv)
-    bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(
-        bm[idx], bv[idx], sprev_m[idx], sprev_v[idx], eppm, eppv)
+        # steps 11-12: straight-line constrained updates of gamma and beta
+        gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(
+            gm[idx], gv[idx], fs.r_mean[idx], fs.r_var[idx], dpm, dpv)
+        bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(
+            bm[idx], bv[idx], sprev_m[idx], sprev_v[idx], eppm, eppv)
     gpm = reverb.clamp_gamma(gpm)
 
     # step 13: shift posteriors to priors

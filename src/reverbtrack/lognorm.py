@@ -18,13 +18,16 @@ are written for fewer operations per bin:
   (|m|/s, log s) that one exact quadrature fills on first use;
 - _split_core (the posterior given log|A+B|) folds the three Gaussian
   log-pdfs of its (u, phi) quadrature into one quadratic per node, sums
-  the nodes by a matrix product relative to the heaviest node, and
-  clamps the shifted log-weights at -700 so that no exponential
-  underflows.
+  the nodes by a matrix product relative to one reference node (the
+  heaviest of the middle observation point), and clamps the shifted
+  log-weights at -700 so that no exponential underflows.
 
 Every operation works on numpy arrays of means and variances,
 elementwise over any shape of bins; the frame loop calls each one once
-per frame on all bins at once.
+per frame on all bins at once. A call costs tens of microseconds even
+on one bin, so the operations skip their broadcasting and masking
+where the frame loop's equal-shape inputs and fallback-free results
+make them a no-op.
 """
 
 import functools
@@ -89,11 +92,29 @@ def log_phasor_sum(la, lb, cos_phi):
 
 
 def _clamp_var(v, diag=None):
-    """Variances with rounding-level negatives set to 0, counted in diag."""
+    """Variances with rounding-level negatives set to 0, counted in diag.
+
+    v itself is returned where nothing is negative.
+    """
     neg = v < 0
-    if diag is not None and np.any(neg):
+    if not neg.any():
+        return v
+    if diag is not None:
         diag.variance_clamps += int(np.count_nonzero(neg))
     return np.where(neg, 0.0, v)
+
+
+def _float_arrays(*values):
+    """The values as float64 arrays of one shape.
+
+    Arrays that already are (as the frame loop passes them) are returned
+    as they are, without the cost of broadcasting.
+    """
+    shape = np.shape(values[0])
+    for v in values:
+        if type(v) is not np.ndarray or v.dtype != np.float64 or v.shape != shape:
+            return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +222,7 @@ def _mean_dilog_exp(md, vd):
     vd is floored at the smallest normal double, so vd <= 0 takes one of
     the last two branches, which give the limit Li2(e^{-2|md|}) to 1e-14.
     """
-    md, vd = np.broadcast_arrays(np.abs(np.asarray(md, dtype=float)),
-                                 np.asarray(vd, dtype=float))
+    md, vd = _float_arrays(np.abs(md), vd)
     shape = md.shape
     md, vd = md.ravel(), np.maximum(vd.ravel(), _DILOG_VAR_MIN)
     tab = _dilog_table()
@@ -219,15 +239,19 @@ def _mean_dilog_exp(md, vd):
     vals = tab["table"].take(tab["stencil"] + (cell[0] * tab["cols"] + cell[1]))
     out = np.einsum("ij,ij->j", (w[:, None, 0] * w[:, 1]).reshape(16, -1), vals)
 
-    far = np.flatnonzero(r > _DILOG_R_MAX)
-    if far.size:
+    far = r > _DILOG_R_MAX
+    if far.any():
+        far = far.nonzero()[0]
         x, wx = _gh_nodes(_DILOG_GH_NODES)
         d = np.abs(md[far, None] + s[far, None] * x)
         out[far] = spence(-np.expm1(-2.0 * d)) @ wx
-    wide = np.flatnonzero(((t < tab["t_lo"]) | (t > tab["t_hi"])) & (r <= _DILOG_R_MAX))
-    if wide.size:
+    wide = ((t < tab["t_lo"]) | (t > tab["t_hi"])) & (r <= _DILOG_R_MAX)
+    if wide.any():
+        wide = wide.nonzero()[0]
         out[wide] = _mean_dilog_quad(md[wide], vd[wide])
-    out[np.isnan(r)] = np.nan
+    nan = np.isnan(r)
+    if nan.any():
+        out[nan] = np.nan
     return out.reshape(shape)
 
 
@@ -244,10 +268,12 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     continuous as they go to 0. The closed form is the converged
     limit of a sigma-point evaluation over (a, b, phi).
     """
-    ma, va, mb, vb = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (ma, va, mb, vb)))
+    # every result broadcasts over all four inputs, so none is broadcast here
+    ma, va, mb, vb = (np.asarray(x, dtype=float) for x in (ma, va, mb, vb))
     theta2 = np.maximum(va, 0.0) + np.maximum(vb, 0.0)
     degenerate = theta2 <= 0.0
-    theta = np.sqrt(np.where(degenerate, 1.0, theta2))
+    some_degenerate = degenerate.any()
+    theta = np.sqrt(np.where(degenerate, 1.0, theta2) if some_degenerate else theta2)
     d = ma - mb
     alpha = d / theta
     cdf = ndtr(alpha)
@@ -255,7 +281,7 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     # moments of max(a, b) - mb
     e1 = d * cdf + tpdf
     e2 = (d * d + va) * cdf + vb * (1.0 - cdf) + d * tpdf
-    if np.any(degenerate):
+    if some_degenerate:
         e1 = np.where(degenerate, np.maximum(d, 0.0), e1)
         e2 = np.where(degenerate, e1 * e1, e2)
     return mb + e1, _clamp_var(e2 - e1 * e1 + 0.5 * _mean_dilog_exp(d, theta2), diag)
@@ -282,6 +308,14 @@ def _split_nodes(k_u, k_phase):
     return _SPLIT_CACHE[key]
 
 
+@functools.cache
+def _ones(n):
+    """A read-only vector of n ones, shared by every call."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     """Conditional moments of (a, b) given log|A+B| = y, at each y in obs.
 
@@ -294,13 +328,19 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     f = b - m_b = e + s_u*x. The three Gaussian log-pdfs of a, b and u
     then fold into one quadratic in e, whose per-bin constants cancel in
     the normalised weights; they are added back only to test the
-    unnormalised maximum against _LOG_TINY. The shifted log-weights are
-    clamped at -700 before the exponential: a weight below e^-700 is
-    under one ulp of their sum (>= 1), and np.exp is many times slower
-    on arguments that underflow. The five weighted sums over the
-    k_u*k_phase nodes are one matrix-vector product, taken relative to
-    the heaviest node so that a narrow posterior keeps a non-negative
-    variance.
+    unnormalised maximum against _LOG_TINY. Each point's log-weights are
+    shifted by their maximum and clamped at -700 before the exponential:
+    a weight below e^-700 is under one ulp of their sum (>= 1), and
+    np.exp is many times slower on arguments that underflow. The five
+    weighted sums over the k_u*k_phase nodes are one matrix-vector
+    product, taken relative to a reference node so that a narrow
+    posterior keeps a non-negative variance.
+
+    The reference is the heaviest node of the middle observation point,
+    found by the one argmax of the call. At a node, e differs between
+    points only by the gap in y, so with the reference's e taken as
+    e_ref + (y_i - y_mid) at point i, the offsets e - e_ref and f - f_ref
+    are the same at every point and are formed once.
 
     Everything that does not depend on y is computed once, per u node
     where it does not depend on the phase. The observation points are
@@ -309,8 +349,7 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     broadcasts along whole rows of bins.
 
     With b_moments False, f is never formed: only the sums of w, w e and
-    w e^2 are taken, which drops 5 of the ~17 passes over the nodes per
-    observation point, and E f, var f are returned as None.
+    w e^2 are taken, and E f, var f are returned as None.
 
     The priors are (bins,) arrays and obs is (observation points, bins).
     Returns (E e, var e, E f, var f, fallback), each (observation points,
@@ -332,56 +371,66 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     lconst = 0.5 * (np.log(2.0 * np.pi * vu) - np.log(2.0 * np.pi * va_f)
                     - np.log(2.0 * np.pi * vb_f))
 
-    # per observation point: the top node's log-weight, e and f, and the
-    # sums of w, w e, w e^2, w f, w f^2 (the f rows only with b_moments)
-    # with e and f taken relative to the top node, so that the sums stay
-    # small where the posterior is narrow
-    rows, tops = (5, 3) if b_moments else (3, 2)
-    top_vals = np.empty((tops,) + obs.shape)
+    # per observation point: the maximum log-weight, and the sums of w,
+    # w de, w de^2, w df, w df^2 (the df rows only with b_moments), where
+    # de = e - e_ref and df = f - f_ref are the offsets from the reference.
+    # A single point's de and df are squared in place, as nothing reads
+    # them afterwards; with more points they are kept apart from buf. The
+    # other points' e is formed in buf[1] before that row is needed.
+    rows = 5 if b_moments else 3
+    mx = np.empty(obs.shape)
     sums = np.empty((rows,) + obs.shape)
     buf = np.empty((rows,) + lps.shape)
-    logw, we, e = buf[:3]
-    if b_moments:
-        wf, f = buf[3:]
+    logw = buf[0]
+    single = obs.shape[0] == 1
     nodes = lps.shape[0] * lps.shape[1]
-    cols = np.arange(ma.size)
-    ones = np.ones(nodes)
-    for i, y_i in enumerate(obs):
+    mid = obs.shape[0] // 2
+
+    def log_weights(y_i, e):
         np.subtract(y_i - ma, lps, out=e)
         np.multiply(e, curv, out=logw)
-        logw += lin
-        logw *= e
+        np.add(logw, lin, out=logw)
+        np.multiply(logw, e, out=logw)
         np.subtract(quad, logw, out=logw)
-        top = logw.reshape(nodes, -1).argmax(axis=0) * ma.size + cols
-        mx, e0 = top_vals[:2, i]
-        logw.take(top, out=mx)
-        e.take(top, out=e0)
-        if b_moments:
-            np.add(e, sx, out=f)
-            f.take(top, out=top_vals[2, i])
-            f -= top_vals[2, i]
-        logw -= np.where(np.isfinite(mx), mx, 0.0)
+
+    de = buf[2] if single else np.empty(lps.shape)
+    log_weights(obs[mid], de)
+    node = logw.reshape(nodes, -1).argmax(axis=0)
+    cols = np.arange(ma.size)
+    top = node * ma.size + cols
+    e_ref = de.take(top)
+    de -= e_ref
+    if b_moments:
+        sx_ref = sx[node // lps.shape[1], 0, cols]
+        df = np.add(de, sx - sx_ref, out=buf[4] if single else None)
+    for i in (mid, *range(mid), *range(mid + 1, obs.shape[0])):
+        if i == mid:
+            logw.take(top, out=mx[i])
+        else:
+            log_weights(obs[i], buf[1])
+            logw.reshape(nodes, -1).max(axis=0, out=mx[i])
+        logw -= np.where(np.isfinite(mx[i]), mx[i], 0.0)
         np.maximum(logw, -700.0, out=logw)
         w = np.exp(logw, out=logw)
-        e -= e0
-        np.multiply(w, e, out=we)
-        e *= we
+        np.multiply(w, de, out=buf[1])
+        np.multiply(buf[1], de, out=buf[2])
         if b_moments:
-            np.multiply(w, f, out=wf)
-            f *= wf
-        np.matmul(ones, buf.reshape(rows, nodes, -1), out=sums[:, i])
+            np.multiply(w, df, out=buf[3])
+            np.multiply(buf[3], df, out=buf[4])
+        np.matmul(_ones(nodes), buf.reshape(rows, nodes, -1), out=sums[:, i])
 
-    mx, e0 = top_vals[:2]
+    # the reference's e at each point: e_ref shifted by the gap in y
+    e0 = e_ref + (obs - obs[mid])
     z, s_e, s_e2 = sums[:3]
     lmax = mx + lconst
     fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
-    de = s_e * inv_z
-    a_post = (e0 + de, s_e2 * inv_z - de * de)
+    d_e = s_e * inv_z
+    a_post = (e0 + d_e, s_e2 * inv_z - d_e * d_e)
     if not b_moments:
         return (*a_post, None, None, fallback)
-    df = sums[3] * inv_z
-    return (*a_post, top_vals[2] + df, sums[4] * inv_z - df * df, fallback)
+    d_f = sums[3] * inv_z
+    return (*a_post, e0 + sx_ref + d_f, sums[4] * inv_z - d_f * d_f, fallback)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
@@ -390,18 +439,16 @@ def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
     Where the observation is numerically inconsistent with the priors the
     priors are returned unchanged and the fallback flag is set.
     """
-    ma, va, mb, vb, y = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (ma, va, mb, vb, y))
-    )
+    ma, va, mb, vb, y = _float_arrays(ma, va, mb, vb, y)
     ea, va_post, eb, vb_post, fb = (r.reshape(y.shape) for r in _split_core(
         ma.ravel(), va.ravel(), mb.ravel(), vb.ravel(), y.reshape(1, -1), k_u, k_phase))
-    if diag is not None and np.any(fb):
+    va_post, vb_post = _clamp_var(va_post, diag), _clamp_var(vb_post, diag)
+    if not fb.any():
+        return ma + ea, va_post, mb + eb, vb_post, fb
+    if diag is not None:
         diag.fallbacks += int(np.count_nonzero(fb))
-    ma_out = np.where(fb, ma, ma + ea)
-    va_out = np.where(fb, va, _clamp_var(va_post, diag))
-    mb_out = np.where(fb, mb, mb + eb)
-    vb_out = np.where(fb, vb, _clamp_var(vb_post, diag))
-    return ma_out, va_out, mb_out, vb_out, fb
+    return (np.where(fb, ma, ma + ea), np.where(fb, va, va_post),
+            np.where(fb, mb, mb + eb), np.where(fb, vb, vb_post), fb)
 
 
 def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, diag=None,
@@ -416,37 +463,43 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, di
     fallback flags are the same as with b_moments True, and diag counts
     variance clamps of a only.
     """
-    ma, va, mb, vb, mo, vo = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (ma, va, mb, vb, mo, vo))
-    )
+    ma, va, mb, vb, mo, vo = _float_arrays(ma, va, mb, vb, mo, vo)
     shape = ma.shape
     ma, va, mb, vb, mo, vo = (v.ravel() for v in (ma, va, mb, vb, mo, vo))
     x, w = _gh_nodes(k_obs)
     obs = mo + np.sqrt(np.maximum(vo, 0.0)) * x[:, None]       # (k_obs, bins)
     ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments)
 
-    wts = np.where(fb, 0.0, w[:, None])
-    z = np.sum(wts, axis=0)
-    all_fb = z <= 0
-    z_safe = np.where(all_fb, 1.0, z)
-    if diag is not None and np.any(all_fb):
-        diag.fallbacks += int(np.count_nonzero(all_fb))
+    # mixture over the observation points that did not fall back: mean of
+    # the means, and mean of the variances plus the spread of the means
+    some_fb = fb.any()
+    if some_fb:
+        wts = np.where(fb, 0.0, w[:, None])
+        z = wts.sum(axis=0)
+        all_fb = z <= 0
+        z = np.where(all_fb, 1.0, z)
+        if diag is not None:
+            diag.fallbacks += int(np.count_nonzero(all_fb))
+    else:
+        # the weights added first to last, as the sum over the rows of a
+        # (k_obs, bins) array adds them (np.sum over w itself may not)
+        wts, z = w[:, None], np.add.accumulate(w)[-1]
+        all_fb = np.zeros(ma.shape, dtype=bool)
 
-    def _m(f):
-        return np.sum(np.where(fb, 0.0, f) * wts, axis=0) / z_safe
+    def _kept(f):
+        return np.where(fb, 0.0, f) if some_fb else f
 
-    # mixture over the observation points: mean of the means, and mean of
-    # the variances plus the spread of the means
-    ea1 = _m(ea)
-    va_mix = _m(va_obs + (ea - ea1) ** 2)
-    ma_out = np.where(all_fb, ma, ma + ea1).reshape(shape)
-    va_out = np.where(all_fb, va, _clamp_var(va_mix, diag)).reshape(shape)
-    if not b_moments:
-        return ma_out, va_out, None, None, all_fb.reshape(shape)
-    eb1 = _m(eb)
-    vb_mix = _m(vb_obs + (eb - eb1) ** 2)
-    return (ma_out, va_out, np.where(all_fb, mb, mb + eb1).reshape(shape),
-            np.where(all_fb, vb, _clamp_var(vb_mix, diag)).reshape(shape), all_fb.reshape(shape))
+    def _mix(prior_m, prior_v, m, v):
+        m1 = (_kept(m) * wts).sum(axis=0) / z
+        v1 = _clamp_var((_kept(v + (m - m1) ** 2) * wts).sum(axis=0) / z, diag)
+        post_m, post_v = prior_m + m1, v1
+        if some_fb:
+            post_m, post_v = np.where(all_fb, prior_m, post_m), np.where(all_fb, prior_v, v1)
+        return post_m.reshape(shape), post_v.reshape(shape)
+
+    a_out = _mix(ma, va, ea, va_obs)
+    b_out = _mix(mb, vb, eb, vb_obs) if b_moments else (None, None)
+    return (*a_out, *b_out, all_fb.reshape(shape))
 
 
 def line_constrained_update(mx, vx, my, vy, mt, vt):
@@ -456,13 +509,14 @@ def line_constrained_update(mx, vx, my, vy, mt, vt):
     marginals (mx', vx', my', vy'). Degenerate bins (all three variances
     zero) keep their priors.
     """
-    mx, vx, my, vy, mt, vt = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (mx, vx, my, vy, mt, vt))
-    )
+    mx, vx, my, vy, mt, vt = _float_arrays(mx, vx, my, vy, mt, vt)
     denom = vx + vy + vt
     ok = denom > 0
-    d_safe = np.where(ok, denom, 1.0)
     innov = mt - (mx + my)
+    if ok.all():
+        return (mx + vx / denom * innov, np.maximum(vx * (1.0 - vx / denom), 0.0),
+                my + vy / denom * innov, np.maximum(vy * (1.0 - vy / denom), 0.0))
+    d_safe = np.where(ok, denom, 1.0)
     mx_out = np.where(ok, mx + vx / d_safe * innov, mx)
     my_out = np.where(ok, my + vy / d_safe * innov, my)
     vx_out = np.where(ok, vx * (1.0 - vx / d_safe), vx)
@@ -472,12 +526,12 @@ def line_constrained_update(mx, vx, my, vy, mt, vt):
 
 def fuse_moments(m1, v1, m2, v2):
     """Gaussian-Gaussian multiplication (precision-weighted fusion)."""
-    m1, v1, m2, v2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (m1, v1, m2, v2))
-    )
+    m1, v1, m2, v2 = _float_arrays(m1, v1, m2, v2)
     tot = v1 + v2
     # masked arithmetic: an infinite factor would give inf/inf here
     ok = np.isfinite(tot) & (tot > 0)
+    if ok.all():
+        return (m1 * v2 + m2 * v1) / tot, v1 * v2 / tot
     v1_ok, v2_ok = np.where(ok, v1, 0.0), np.where(ok, v2, 0.0)
     mean = np.divide(m1 * v2_ok + m2 * v1_ok, tot, out=np.array(m1), where=ok)
     var = np.divide(v1_ok * v2_ok, tot, out=np.zeros_like(tot), where=ok)

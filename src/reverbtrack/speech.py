@@ -87,36 +87,66 @@ def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008,
     coeffs = np.zeros((t_frames, k_bins, p))
     resid = np.zeros((t_frames, k_bins))
     mean = np.zeros((t_frames, k_bins))
-    for t in range(t_frames):
-        lo = max(0, h + t - win + 1)
-        seg = rows[lo:h + t + 1]
-        m = seg.mean(axis=0)
-        mean[t] = m
-        n = seg.shape[0]
-        if n < p + 2:
-            continue
-        dev = seg - m
-        # biased autocorrelation, lags 0..p
-        lags = np.stack(
-            [np.sum(dev[j:] * dev[:n - j] if j else dev * dev, axis=0) / n
-             for j in range(p + 1)], axis=0
-        )  # (p+1, K)
-        r0 = lags[0]
-        ok = r0 > 1e-12
-        # Yule-Walker: Toeplitz(r0..r_{p-1}) a = (r1..rp)
-        toep = np.empty((k_bins, p, p))
-        for i in range(p):
-            for j in range(p):
-                toep[:, i, j] = lags[abs(i - j)]
-        toep[:, np.arange(p), np.arange(p)] += np.maximum(r0[:, None], 1e-12) * 1e-9
-        rhs = lags[1:].T  # (K, p)
-        a = np.zeros((k_bins, p))
-        if np.any(ok):
-            a[ok] = np.linalg.solve(toep[ok], rhs[ok][..., None])[..., 0]
-        rv = r0 - np.einsum("kp,kp->k", a, rhs)
-        coeffs[t] = a
-        resid[t] = np.where(ok, np.maximum(rv, 0.0), 0.0)
+    # the window of frame t ends at row h + t; until the input has win
+    # rows it starts at row 0 and is shorter, so those frames (at most the
+    # first win - 1) are fitted one at a time, the others in one pass
+    full = min(max(win - 1 - h, 0), t_frames)
+    for t in range(full):
+        _fit_windows(rows, 0, 1, h + t + 1, p, coeffs[t:t + 1], resid[t:t + 1],
+                     mean[t:t + 1])
+    if full < t_frames:
+        _fit_windows(rows, h + full - win + 1, t_frames - full, win, p,
+                     coeffs[full:], resid[full:], mean[full:])
     return coeffs, resid, mean
+
+
+def _fit_windows(rows, first, count, n, p, coeffs, resid, mean):
+    """Yule-Walker AR(p) fits of the count windows rows[s:s + n], s = first,
+    first + 1, ..., written into coeffs (count, K, p), resid and mean
+    (count, K).
+
+    The windows are taken as n shifted (count, K) views of rows, so every
+    sum over a window runs over its rows in order, and each fit is bit for
+    bit the one of its window alone.
+    """
+    seg = [rows[first + j:first + j + count] for j in range(n)]
+    m = mean
+    m[...] = seg[0]
+    for x in seg[1:]:
+        m += x
+    m /= n
+    if n < p + 2:
+        return
+    dev = [x - m for x in seg]
+    # biased autocorrelation, lags 0..p
+    lags = []
+    for j in range(p + 1):
+        acc = dev[j] * dev[0]
+        for i in range(1, n - j):
+            acc += dev[j + i] * dev[i]
+        acc /= n
+        lags.append(acc)
+    r0 = lags[0]
+    ok = r0 > 1e-12
+    # Yule-Walker: Toeplitz(r0..r_{p-1}) a = (r1..rp)
+    toep = np.empty(r0.shape + (p, p))
+    for i in range(p):
+        for j in range(p):
+            toep[..., i, j] = lags[abs(i - j)]
+    toep[..., np.arange(p), np.arange(p)] += np.maximum(r0[..., None], 1e-12) * 1e-9
+    rhs_t = np.stack(lags[1:])               # (p, count, K)
+    rhs = np.moveaxis(rhs_t, 0, -1)          # (count, K, p)
+    if ok.all():
+        a = np.linalg.solve(toep, rhs[..., None])[..., 0]
+    else:
+        a = np.zeros(rhs.shape)
+        if ok.any():
+            a[ok] = np.linalg.solve(toep[ok], rhs[ok][..., None])[..., 0]
+    # a^T r one window at a time: einsum's summation order depends on the
+    # operands' layout, and this is the layout of a single window's fit
+    rv = np.stack([np.einsum("kp,kp->k", a[s], rhs_t[:, s].copy().T) for s in range(count)])
+    coeffs[...] = a
+    resid[...] = np.where(ok, np.maximum(r0 - rv, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

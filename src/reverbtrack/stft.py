@@ -11,6 +11,7 @@ import numpy as np
 
 MAG_FLOOR_REL = 1e-10
 MAG_FLOOR_ABS = 1e-12
+_ANALYSIS_BLOCK = 32        # frames transformed at a time by stft
 _SYNTHESIS_BLOCK = 256      # frames inverse-transformed at a time by istft
 
 
@@ -98,6 +99,12 @@ def floored_magnitude(frames):
 
 
 def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFrames:
+    """The complex (T, n // 2 + 1) spectrum of the windowed frames.
+
+    The frames are read through a strided view of the samples and
+    transformed a block at a time into the preallocated result, so that
+    nothing but the result grows with the input's length.
+    """
     config = config or AnalysisConfig()
     fs = audio.sample_rate
     n = config.frame_samples(fs)
@@ -107,9 +114,11 @@ def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFr
     if len(x) < n:
         raise StftError(f"audio ({len(x)} samples) shorter than one frame ({n})")
     win = config.make_window(fs)
-    n_frames = (len(x) - n) // hop + 1
-    idx = np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = np.fft.rfft(x[idx] * win, n, axis=1)
+    framed = np.lib.stride_tricks.sliding_window_view(x, n)[::hop]     # (T, n) view
+    frames = np.empty((framed.shape[0], n // 2 + 1), dtype=complex)
+    for start in range(0, framed.shape[0], _ANALYSIS_BLOCK):
+        block = slice(start, start + _ANALYSIS_BLOCK)
+        np.fft.rfft(framed[block] * win, n, axis=1, out=frames[block])
     return SpectralFrames(frames, config, fs)
 
 

@@ -7,9 +7,10 @@ sharing any numerical machinery beyond the elementary log-phasor-sum
 formula itself. Three are exact references for the fast kernels instead:
 an adaptive quadrature of the mean dilogarithm that lognorm tabulates,
 the unfolded split quadrature (three separate Gaussian log-pdfs on the
-full (u, phi) node grid) that lognorm's folded kernel must reproduce, and
-the explicit companion-matrix product F C F^T that the speech KF's
-prediction forms in closed form.
+full (u, phi) node grid) that lognorm's folded kernel must reproduce, the
+explicit companion-matrix product F C F^T that the speech KF's
+prediction forms in closed form, and the AR fit of one window at a time
+that speech.estimate_ar makes for many windows at once.
 """
 
 import math
@@ -181,6 +182,39 @@ def predict_ref(mean, cov, coeffs, resid, local_mean):
     new_cov = np.einsum("...ij,...jk,...lk->...il", f, cov, f)
     new_cov[..., 0, 0] += resid
     return new_mean, new_cov
+
+
+def estimate_ar_ref(log_mag, order=2, win=8):
+    """Yule-Walker AR(order) fits of each frame's window of the last win
+    rows of log_mag (fewer at the start), one window at a time: (coeffs
+    (T, K, p), residual variance (T, K), window mean (T, K))."""
+    t_frames, k_bins = log_mag.shape
+    p = order
+    coeffs = np.zeros((t_frames, k_bins, p))
+    resid = np.zeros((t_frames, k_bins))
+    mean = np.zeros((t_frames, k_bins))
+    for t in range(t_frames):
+        seg = log_mag[max(0, t - win + 1):t + 1]
+        n = seg.shape[0]
+        mean[t] = seg.mean(axis=0)
+        if n < p + 2:
+            continue
+        dev = seg - mean[t]
+        lags = np.stack([np.sum(dev[j:] * dev[:n - j], axis=0) / n for j in range(p + 1)])
+        r0 = lags[0]
+        ok = r0 > 1e-12
+        toep = np.empty((k_bins, p, p))
+        for i in range(p):
+            for j in range(p):
+                toep[:, i, j] = lags[abs(i - j)]
+        toep[:, np.arange(p), np.arange(p)] += np.maximum(r0[:, None], 1e-12) * 1e-9
+        rhs = lags[1:].T
+        a = np.zeros((k_bins, p))
+        if np.any(ok):
+            a[ok] = np.linalg.solve(toep[ok], rhs[ok][..., None])[..., 0]
+        coeffs[t] = a
+        resid[t] = np.where(ok, np.maximum(r0 - np.einsum("kp,kp->k", a, rhs), 0.0), 0.0)
+    return coeffs, resid, mean
 
 
 def _log_normal_pdf(x, mean, var):

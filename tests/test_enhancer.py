@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reverbtrack import enhancer
+from reverbtrack import enhancer, lognorm
 from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
                                   enhance, enhance_frames, track_noise)
 from reverbtrack.lognorm import Diagnostics, fuse_moments
@@ -260,7 +260,7 @@ def test_cascade_bins_are_independent(recorded_frames):
     assert np.array_equal(full.beta_v, recorded_frames[start + count][0].beta_v)
 
 
-def test_gate_restricts_steps_10_to_12(recorded_frames):
+def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
     fs, inputs, gate, cfg = recorded_frames[58]
     assert np.any(inputs[10])                  # decay priors in this frame
     # three bins whose refreshed speech prior contradicts the last
@@ -284,12 +284,29 @@ def test_gate_restricts_steps_10_to_12(recorded_frames):
 
     ungated = _advance_quietly(fs, inputs, cfg, None, Diagnostics())
     assert np.all(ungated["fallback_flags"][odd] & 4)
+
+    # count the distributed splits (steps 8 and 10) and the line updates
+    # (steps 11 and 12) that each frame runs
+    calls = {}
+    for name in ("split_distributed_obs", "line_constrained_update"):
+        def counted(*args, _fn=getattr(lognorm, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lognorm, name, counted)
+
     mixed = gate.copy()
     mixed[odd] = [True, False, False]
     k_bins = gate.size
     for mask in (np.ones(k_bins, bool), np.zeros(k_bins, bool), mixed):
         diag = Diagnostics()
+        calls.clear()
         row = _advance_quietly(fs, inputs, cfg, mask, diag)
+        # with no gated bin, steps 9-12 do not run at all: step 8 is the
+        # frame's only distributed split
+        steps_10_to_12 = 1 if mask.any() else 0
+        assert (calls.get("split_distributed_obs", 0),
+                calls.get("line_constrained_update", 0)) == (1 + steps_10_to_12,
+                                                             2 * steps_10_to_12)
         for f, prior in priors.items():
             _assert_close(row[f][mask], ungated[f][mask])
             assert np.array_equal(row[f][~mask], prior[~mask])

@@ -309,6 +309,14 @@ def _split_cases():
     narrow = np.exp(rng.uniform(np.log(1e-4), np.log(1e-2), (2, n)))
     edge = np.logaddexp(2 * ma, 2 * mb) / 2 + sign * np.sqrt(
         rng.uniform(100.0, 800.0, n) * narrow.sum(axis=0))
+    # narrow priors under a wide observation (vo 10-50): the observation
+    # points lie 5-12 nats apart, so their heaviest nodes differ. The mean
+    # sits an outer point's offset (sqrt(3 vo)) from the priors' log-sum,
+    # give or take a nat, so that an outer point, not the middle one, is
+    # the one the priors can explain
+    wide_vo = rng.uniform(10.0, 50.0, n)
+    spread = (np.logaddexp(2 * ma, 2 * mb) / 2 + sign * np.sqrt(3.0 * wide_vo)
+              + rng.uniform(-1.0, 1.0, n))
     return [
         (ma, va, mb, vb, y, vo),
         (ma, va_zero, mb, vb_zero, y, vo),
@@ -318,6 +326,7 @@ def _split_cases():
         (ma, va, mb, vb, tail, vo),
         (ma, narrow[0], mb, narrow[1], edge, vo),
         (30.0 + ma, va, mb - 40.0, vb, y + 30.0, vo),
+        (ma, narrow[0], mb, narrow[1], spread, wide_vo),
     ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from oracles import predict_ref
+from oracles import estimate_ar_ref, predict_ref
 
 from reverbtrack.speech import (decorrelate_arrays, estimate_ar, log_mmse_gain,
                                 log_mmse_preclean, predict_arrays,
@@ -89,6 +89,17 @@ def test_estimate_ar_order_and_shapes():
     assert coeffs.shape == (40, 5, 2)
     assert resid.shape == (40, 5)
     assert np.all(resid >= 0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_estimate_ar_matches_one_window_at_a_time(order):
+    rng = np.random.default_rng(20 + order)
+    x = np.cumsum(rng.standard_normal((300, 7)), axis=0)
+    x[100:140, :3] = 1.5                 # constant windows: zero fit
+    x[:, 6] = 0.0                        # a bin that never varies
+    got = estimate_ar(x, order=order)
+    for g, ref in zip(got, estimate_ar_ref(x, order=order)):
+        assert np.array_equal(g, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Block-by-block stages ahead of the cascade, and enhance_frames's memory.
+"""Block-by-block stages ahead of the cascade, and the memory of enhance.
 
 Each stage that enhance_frames advances block by block takes a carried
 state; consecutive uneven blocks must reproduce one whole-array call bit
 for bit. Apart from its outputs, enhance_frames must hold a working set
-that does not grow with the number of frames.
+that does not grow with the number of frames, and stft little more than
+the spectrum it returns.
 """
 
 import tracemalloc
@@ -103,14 +104,37 @@ def test_enhance_frames_independent_of_block_size(monkeypatch):
             assert np.array_equal(arr, ref_trace.arrays[f])
 
 
+def _scene_spectrum(seconds):
+    clean = speechlike_excitation(seconds, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    return noisy, stft(noisy)
+
+
+def test_stft_in_blocks_matches_whole_signal_and_peaks_near_its_result():
+    noisy, spec = _scene_spectrum(4.0)
+    cfg = AnalysisConfig()
+    n, hop = cfg.frame_samples(16000), cfg.hop_samples(16000)
+    # the reference frames the whole signal at once through an index array
+    idx = np.arange(n)[None, :] + hop * np.arange(spec.n_frames)[:, None]
+    ref = np.fft.rfft(noisy.samples[idx] * cfg.make_window(16000), n, axis=1)
+    assert np.array_equal(spec.frames, ref)
+    tracemalloc.start()
+    try:
+        stft(noisy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complex result is 2 (T, K) float64 arrays; the reference's index
+    # array and two framed copies take it to 6
+    assert peak <= 2.5 * spec.n_frames * spec.n_bins * 8
+
+
 def _excess_bytes(seconds):
     """(tracemalloc peak of enhance_frames on a condition-G scene less the
     bytes of the Trace and the output spectrum it returns, bytes of one
     (T, K) float64 array). The input spectrum exists before tracing starts,
     so it is not in the peak."""
-    clean = speechlike_excitation(seconds, seed=3)
-    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
-    spec = stft(noisy)
+    _, spec = _scene_spectrum(seconds)
     tracemalloc.start()
     try:
         out, trace, _ = enhance_frames(spec)
