@@ -308,14 +308,6 @@ def _split_nodes(k_u, k_phase):
     return _SPLIT_CACHE[key]
 
 
-@functools.cache
-def _ones(n):
-    """A read-only vector of n ones, shared by every call."""
-    ones = np.ones(n)
-    ones.flags.writeable = False
-    return ones
-
-
 def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     """Conditional moments of (a, b) given log|A+B| = y, at each y in obs.
 
@@ -334,13 +326,17 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     np.exp is many times slower on arguments that underflow. The five
     weighted sums over the k_u*k_phase nodes are one matrix-vector
     product, taken relative to a reference node so that a narrow
-    posterior keeps a non-negative variance.
+    posterior keeps its variance.
 
     The reference is the heaviest node of the middle observation point,
     found by the one argmax of the call. At a node, e differs between
     points only by the gap in y, so with the reference's e taken as
     e_ref + (y_i - y_mid) at point i, the offsets e - e_ref and f - f_ref
-    are the same at every point and are formed once.
+    are the same at every point and are formed once. At the middle point
+    the reference is the point's own heaviest node, so its variance is
+    never negative. At the other points the heaviest node can lie some
+    nats of offset d from the reference, and E de^2 - (E de)^2 there is
+    exact only to about eps * d^2.
 
     Everything that does not depend on y is computed once, per u node
     where it does not depend on the phase. The observation points are
@@ -374,17 +370,15 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     # per observation point: the maximum log-weight, and the sums of w,
     # w de, w de^2, w df, w df^2 (the df rows only with b_moments), where
     # de = e - e_ref and df = f - f_ref are the offsets from the reference.
-    # A single point's de and df are squared in place, as nothing reads
-    # them afterwards; with more points they are kept apart from buf. The
-    # other points' e is formed in buf[1] before that row is needed.
+    # The other points' e is formed in buf[1] before that row is needed.
     rows = 5 if b_moments else 3
     mx = np.empty(obs.shape)
     sums = np.empty((rows,) + obs.shape)
     buf = np.empty((rows,) + lps.shape)
     logw = buf[0]
-    single = obs.shape[0] == 1
     nodes = lps.shape[0] * lps.shape[1]
     mid = obs.shape[0] // 2
+    ones = np.ones(nodes)
 
     def log_weights(y_i, e):
         np.subtract(y_i - ma, lps, out=e)
@@ -393,7 +387,7 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
         np.multiply(logw, e, out=logw)
         np.subtract(quad, logw, out=logw)
 
-    de = buf[2] if single else np.empty(lps.shape)
+    de = np.empty(lps.shape)
     log_weights(obs[mid], de)
     node = logw.reshape(nodes, -1).argmax(axis=0)
     cols = np.arange(ma.size)
@@ -402,7 +396,7 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     de -= e_ref
     if b_moments:
         sx_ref = sx[node // lps.shape[1], 0, cols]
-        df = np.add(de, sx - sx_ref, out=buf[4] if single else None)
+        df = de + (sx - sx_ref)
     for i in (mid, *range(mid), *range(mid + 1, obs.shape[0])):
         if i == mid:
             logw.take(top, out=mx[i])
@@ -417,7 +411,7 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
         if b_moments:
             np.multiply(w, df, out=buf[3])
             np.multiply(buf[3], df, out=buf[4])
-        np.matmul(_ones(nodes), buf.reshape(rows, nodes, -1), out=sums[:, i])
+        np.matmul(ones, buf.reshape(rows, nodes, -1), out=sums[:, i])
 
     # the reference's e at each point: e_ref shifted by the gap in y
     e0 = e_ref + (obs - obs[mid])
@@ -512,15 +506,14 @@ def line_constrained_update(mx, vx, my, vy, mt, vt):
     mx, vx, my, vy, mt, vt = _float_arrays(mx, vx, my, vy, mt, vt)
     denom = vx + vy + vt
     ok = denom > 0
+    all_ok = ok.all()
+    d = denom if all_ok else np.where(ok, denom, 1.0)
     innov = mt - (mx + my)
-    if ok.all():
-        return (mx + vx / denom * innov, np.maximum(vx * (1.0 - vx / denom), 0.0),
-                my + vy / denom * innov, np.maximum(vy * (1.0 - vy / denom), 0.0))
-    d_safe = np.where(ok, denom, 1.0)
-    mx_out = np.where(ok, mx + vx / d_safe * innov, mx)
-    my_out = np.where(ok, my + vy / d_safe * innov, my)
-    vx_out = np.where(ok, vx * (1.0 - vx / d_safe), vx)
-    vy_out = np.where(ok, vy * (1.0 - vy / d_safe), vy)
+    mx_out, my_out = mx + vx / d * innov, my + vy / d * innov
+    vx_out, vy_out = vx * (1.0 - vx / d), vy * (1.0 - vy / d)
+    if not all_ok:
+        mx_out, my_out = np.where(ok, mx_out, mx), np.where(ok, my_out, my)
+        vx_out, vy_out = np.where(ok, vx_out, vx), np.where(ok, vy_out, vy)
     return mx_out, np.maximum(vx_out, 0.0), my_out, np.maximum(vy_out, 0.0)
 
 
@@ -530,12 +523,16 @@ def fuse_moments(m1, v1, m2, v2):
     tot = v1 + v2
     # masked arithmetic: an infinite factor would give inf/inf here
     ok = np.isfinite(tot) & (tot > 0)
-    if ok.all():
-        return (m1 * v2 + m2 * v1) / tot, v1 * v2 / tot
-    v1_ok, v2_ok = np.where(ok, v1, 0.0), np.where(ok, v2, 0.0)
-    mean = np.divide(m1 * v2_ok + m2 * v1_ok, tot, out=np.array(m1), where=ok)
-    var = np.divide(v1_ok * v2_ok, tot, out=np.zeros_like(tot), where=ok)
-    # infinite-variance inputs: the other factor wins
-    mean = np.where(np.isinf(v1), m2, np.where(np.isinf(v2), m1, mean))
-    var = np.where(np.isinf(v1), v2, np.where(np.isinf(v2), v1, var))
+    all_ok = ok.all()
+    if all_ok:
+        v1_ok, v2_ok, t = v1, v2, tot
+    else:
+        v1_ok, v2_ok, t = np.where(ok, v1, 0.0), np.where(ok, v2, 0.0), np.where(ok, tot, 1.0)
+    mean = (m1 * v2_ok + m2 * v1_ok) / t
+    var = v1_ok * v2_ok / t
+    if not all_ok:
+        mean, var = np.where(ok, mean, m1), np.where(ok, var, 0.0)
+        # infinite-variance inputs: the other factor wins
+        mean = np.where(np.isinf(v1), m2, np.where(np.isinf(v2), m1, mean))
+        var = np.where(np.isinf(v1), v2, np.where(np.isinf(v2), v1, var))
     return mean, var

@@ -118,7 +118,7 @@ def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFr
     frames = np.empty((framed.shape[0], n // 2 + 1), dtype=complex)
     for start in range(0, framed.shape[0], _ANALYSIS_BLOCK):
         block = slice(start, start + _ANALYSIS_BLOCK)
-        np.fft.rfft(framed[block] * win, n, axis=1, out=frames[block])
+        frames[block] = np.fft.rfft(framed[block] * win, n, axis=1)
     return SpectralFrames(frames, config, fs)
 
 

@@ -2,16 +2,16 @@
 
 Run from anywhere:
 
-    python3 tools/frame_cost.py [--repeats 5] [--bin 64]
+    python3 tools/frame_cost.py
 
 Synthesises the 4 s condition-G scene of the benchmark (white noise at
 20 dB SNR, acoustics seed 0, utterance seed 3), takes its STFT and times
 ``enhance_frames`` on the full spectrum (K = 257) and on the single bin
-``--bin`` (K = 1), alternating the two, ``--repeats`` times each. Prints
-the minimum of each in ms per frame and their ratio. Time that does not
-scale with K is the per-call cost of the cascade's numpy operations, so
-the K = 1 figure is that fixed cost. It imports ``reverbtrack`` from the
-``src`` of the checkout it lives in, and pins BLAS to one thread.
+64 (K = 1), alternating the two, five times each. Prints the minimum of
+each in ms per frame and their ratio. Time that does not scale with K
+is the per-call cost of the cascade's numpy operations, so the K = 1
+figure is that fixed cost. It imports ``reverbtrack`` from the ``src``
+of the checkout it lives in, and pins BLAS to one thread.
 """
 
 import os
@@ -19,7 +19,6 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy loads its BLAS
 
-import argparse  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -30,6 +29,9 @@ from reverbtrack.enhancer import enhance_frames  # noqa: E402
 from reverbtrack.reverb import RoomParams  # noqa: E402
 from reverbtrack.simkit import make_scene, speechlike_excitation  # noqa: E402
 from reverbtrack.stft import SpectralFrames, stft  # noqa: E402
+
+BIN = 64            # the bin of the K = 1 run
+REPEATS = 5         # timed calls per K
 
 
 def scene_spectrum():
@@ -45,23 +47,16 @@ def ms_per_frame(spec):
     return 1e3 * (time.perf_counter() - t0) / spec.n_frames
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description="enhance_frames ms/frame at K = 1 and K = 257")
-    ap.add_argument("--repeats", type=int, default=5, help="timed calls per K (default 5)")
-    ap.add_argument("--bin", type=int, default=64, help="the bin of the K = 1 run (default 64)")
-    args = ap.parse_args(argv)
+def main():
     spec = scene_spectrum()
-    if not 0 <= args.bin < spec.n_bins:
-        ap.error(f"--bin must lie in 0..{spec.n_bins - 1}")
-    one = SpectralFrames(spec.frames[:, args.bin:args.bin + 1].copy(), spec.config,
-                         spec.sample_rate)
+    one = SpectralFrames(spec.frames[:, BIN:BIN + 1].copy(), spec.config, spec.sample_rate)
     runs = {"K = 1": (one, []), f"K = {spec.n_bins}": (spec, [])}
     enhance_frames(one)             # builds the lookup tables outside the timing
-    for _ in range(max(args.repeats, 1)):
+    for _ in range(REPEATS):
         for s, times in runs.values():
             times.append(ms_per_frame(s))
     best = {k: min(times) for k, (_, times) in runs.items()}
-    print(f"{spec.n_frames} frames, min of {max(args.repeats, 1)} calls each")
+    print(f"{spec.n_frames} frames, min of {REPEATS} calls each")
     for k, v in best.items():
         print(f"{k:<8} {v:.3f} ms/frame")
     lo, hi = best.values()
