@@ -16,7 +16,8 @@ pass the per-bin RNR gate in that frame; the other bins keep their gamma
 and beta priors.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.ndimage import minimum_filter1d
@@ -29,9 +30,6 @@ from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, floored_magnitude
 @dataclass
 class EnhancerConfig:
     p: int = 2
-    k_phase: int = 6
-    k_u: int = 15
-    k_obs: int = 3
     q_gamma: float = 1e-4
     q_beta: float = 4e-4
     look_ahead: int = 3
@@ -54,8 +52,9 @@ class EnhancerConfig:
     modulation_frame: float = 0.064
 
     def __post_init__(self):
-        if min(self.k_phase, self.k_u, self.k_obs) < 1:
-            raise ValueError("sigma-point counts must be >= 1")
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.look_ahead < 0:
             raise ValueError("look-ahead must be >= 0")
         if not (self.q_gamma >= 0 and self.q_beta >= 0):
@@ -173,7 +172,7 @@ class _FilterState:
 
 def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
              prior_gm, prior_gv, prior_bm, prior_bv, prior_mask,
-             cfg: EnhancerConfig, diag: Diagnostics, update_mask=None):
+             cfg: EnhancerConfig, diag: Diagnostics, update_mask):
     """One frame of the cascade for all bins. Returns the trace row dict.
 
     prior_mask, a (bins,) bool array, selects the bins whose gamma/beta
@@ -182,11 +181,10 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     informative in this frame; steps 9-12 (the r -> old/new split and the
     gamma/beta line updates) run on those bins only, and the others keep
     their gamma/beta priors with fallback bit 4 clear. In a frame where no
-    bin is selected, steps 9-12 do not run at all. None updates every bin.
+    bin is selected, steps 9-12 do not run at all.
     Bins never interact, so the results on a bin do not depend on which
     other bins are present.
     """
-    kp, ku, ko = cfg.k_phase, cfg.k_u, cfg.k_obs
     # one variance per bin, so that no cascade operation has to broadcast
     n_var = np.full(n_mean.shape, n_var, dtype=float)
 
@@ -217,7 +215,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
 
     # step 7: scalar observation split y -> (s, z)
     spm, spv, zpm, zpv, fb7 = lognorm.split_scalar_obs(
-        head_m, head_v, zm, zv, y, k_u=ku, k_phase=kp, diag=diag)
+        head_m, head_v, zm, zv, y, diag=diag)
 
     # recorrelate; smoothed previous-frame speech
     new_s_mean, new_s_cov = speech.recorrelate_arrays(spm, spv, tail_m, tail_c, c)
@@ -230,25 +228,23 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     # step 8: distributed split z -> (r, n); the n posterior is unused,
     # so only the r posterior is computed
     rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
-        rm, rv, n_mean, n_var, zpm, zpv, k_u=ku, k_phase=kp, k_obs=ko, diag=diag,
-        b_moments=False)
+        rm, rv, n_mean, n_var, zpm, zpv, diag=diag, b_moments=False)
 
     # steps 9-12 run on the gated bins only. Where a bin is
     # noise-dominated the old/new decomposition carries no information
     # about the decay, so gamma and beta keep their priors there. In a
     # frame with no gated bin they do not run, so such a frame has one
     # distributed split (step 8), not two.
-    idx = slice(None) if update_mask is None else np.flatnonzero(update_mask)
+    idx = np.flatnonzero(update_mask)
     gpm, gpv, bpm, bpv = gm.copy(), gv.copy(), bm.copy(), bv.copy()
     fb10 = np.zeros(fb8.shape, dtype=bool)
-    if update_mask is None or idx.size:
+    if idx.size:
         # step 9: refreshed new-reverberation prior
         epm, epv = bm[idx] + sprev_m[idx], bv[idx] + sprev_v[idx]
 
         # step 10: distributed split r -> (old, new)
         dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
-            dm[idx], dv[idx], epm, epv, rpm[idx], rpv[idx],
-            k_u=ku, k_phase=kp, k_obs=ko, diag=diag)
+            dm[idx], dv[idx], epm, epv, rpm[idx], rpv[idx], diag=diag)
 
         # steps 11-12: straight-line constrained updates of gamma and beta
         gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(
@@ -301,38 +297,20 @@ _ENERGY_KERNEL = np.ones(3) / 3.0
 
 def _smooth_energy(frame_energy, state=None, final=True):
     """Centred 3-frame moving average of the broadband frame energy,
-    zero-padded at both ends as np.convolve's mode "same" is.
+    zero-padded at both ends.
 
     A frame's average needs the next frame. So with a carried state (a
     dict as in _decay_run_lengths) a call returns the averages of the
     frames not yet returned up to the one before the last frame seen, and
-    through the last frame when final is true. Each average comes from
-    the same np.convolve routine as in one whole-array call, so any split
-    into blocks gives identical values.
+    through the last frame when final is true. The state holds the last
+    two energies (at first the left pad's zero), and the final call adds
+    the right pad's zero; every average then comes from one mode "valid"
+    np.convolve, so any split into blocks gives identical values.
     """
-    e = np.asarray(frame_energy, dtype=float)
     state = {} if state is None else state
-    done = state.get("done", 0)
-    x = np.concatenate([state.get("tail", e[:0]), e])
-    seen = state.get("seen", 0) + len(e)
-    off = seen - len(x)             # the frame of x[0]
-    parts = []
-    if seen < 3:                    # the whole input is shorter than the kernel
-        if final:
-            parts.append(np.convolve(x, _ENERGY_KERNEL, mode="same")[done:seen])
-            done = seen
-    else:
-        if done == 0:
-            parts.append(np.convolve(x[:3], _ENERGY_KERNEL, mode="same")[:1])
-            done = 1
-        if seen - 1 > done:
-            parts.append(np.convolve(x[done - 1 - off:], _ENERGY_KERNEL, mode="valid"))
-            done = seen - 1
-        if final and done < seen:
-            parts.append(np.convolve(x[-3:], _ENERGY_KERNEL, mode="same")[-1:])
-            done = seen
-    state.update(seen=seen, done=done, tail=x[-3:].copy())
-    return np.concatenate(parts) if parts else np.empty(0)
+    x = np.concatenate([state.get("tail", np.zeros(1)), frame_energy, np.zeros(int(final))])
+    state["tail"] = x[-2:].copy()
+    return np.convolve(x, _ENERGY_KERNEL, mode="valid") if len(x) >= 3 else np.empty(0)
 
 
 # the longest FDR the decay priors fit, in frames
@@ -346,11 +324,11 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=_FDR_MAX_LEN)
     matching rows of the per-bin RNR inclusion mask; row j is the FDR's
     last frame. The rows must start at frame 0 or reach max_len rows back
     from j, so that no FDR the fit can use is cut short. Returns (gm, gv,
-    bm, bv, mask). The FDR's first frame is the energy peak. The first fdr_skip frames after the peak
-    still carry windowed-out speech and are excluded from the fit; per
-    bin, the fit stops at the first frame that fails the RNR gate. The
-    line's intercept is referenced to the frame after the peak, so
-    beta = intercept - peak value.
+    bm, bv, mask). The FDR's first frame is the energy peak. The first
+    fdr_skip frames after the peak still carry windowed-out speech and are
+    excluded from the fit; per bin, the fit stops at the first frame that
+    fails the RNR gate. The line's intercept is referenced to the frame
+    after the peak, so beta = intercept - peak value.
     """
     k_bins = z_fdr.shape[1]
     gm = np.zeros(k_bins)
@@ -413,11 +391,10 @@ class _FrontEnd:
         self.frames, self.cfg = frames, cfg
         self.n_frames = frames.shape[0]
         self.ready = 0              # frames processed
-        self.base = 0               # first frame in rows and runs
+        self.base = 0               # first frame in rows
         self.hist_base = 0          # first frame in hist
-        self.rows = {}              # per-frame cascade inputs
+        self.rows = {}              # per-frame cascade inputs and decay-run lengths
         self.hist = {}              # pre-cleaned log-magnitude and RNR gate
-        self.runs = np.empty(0, dtype=int)   # decay-run lengths; one frame behind rows
         self.states = {k: {} for k in ("noise", "preclean", "ar", "energy", "runs")}
         self.n_var = None           # the noise tracker's variance
 
@@ -430,7 +407,6 @@ class _FrontEnd:
             return
         for k in self.rows:
             self.rows[k] = self.rows[k][t - self.base:]
-        self.runs = self.runs[t - self.base:]
         self.base = t
         lo = max(t - _FDR_MAX_LEN + 1, 0)
         for k in self.hist:
@@ -458,9 +434,9 @@ class _FrontEnd:
         # a 3-frame moving average keeps frame-to-frame wiggle from cutting
         # genuine decay runs short
         energy = _smooth_energy(energy, st["energy"], final=b == self.n_frames)
-        self.runs = np.concatenate([self.runs, _decay_run_lengths(energy, st["runs"])])
+        # the run lengths are one frame behind the other rows until the end
         _append(self.rows, y_log=np.log(mag), n_mean=n_mean, coeffs=coeffs,
-                resid=resid, loc_mean=loc_mean)
+                resid=resid, loc_mean=loc_mean, runs=_decay_run_lengths(energy, st["runs"]))
         _append(self.hist, pre_log=pre_log, gate=gate)
         self.ready = b
 
@@ -473,7 +449,7 @@ class _FrontEnd:
     def decay_priors(self, t):
         """The decay priors of frame t, fitted at frame t + look_ahead."""
         j = min(t + self.cfg.look_ahead, self.n_frames - 1)
-        return _fdr_priors_at(j - self.hist_base, self.runs[j - self.base],
+        return _fdr_priors_at(j - self.hist_base, self.rows["runs"][j - self.base],
                               self.hist["pre_log"], self.hist["gate"], self.cfg)
 
 

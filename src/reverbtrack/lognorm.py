@@ -21,6 +21,9 @@ are written for fewer operations per bin:
   the nodes by a matrix product relative to one reference node (the
   heaviest of the middle observation point), and clamps the shifted
   log-weights at -700 so that no exponential underflows.
+The split's quadrature orders are constants of the module: _K_U = 15
+Gauss-Hermite nodes along u = b - a, _K_PHASE = 6 phase nodes, and
+_K_OBS = 3 Gauss-Hermite points of a Gaussian observation.
 
 Every operation works on numpy arrays of means and variances,
 elementwise over any shape of bins; the frame loop calls each one once
@@ -38,6 +41,7 @@ from scipy.special import ndtr, roots_hermitenorm, roots_legendre, spence
 
 _LOG_TINY = np.log(1e-300)
 _VAR_FLOOR = 1e-12
+_K_U, _K_PHASE, _K_OBS = 15, 6, 3     # the split's quadrature orders
 
 
 @dataclass
@@ -48,15 +52,11 @@ class Diagnostics:
     fallbacks: int = 0
 
 
-# cached Gauss-Hermite (probabilists') nodes/weights, weights sum to 1
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gh_nodes(count):
-    if count not in _GH_CACHE:
-        x, w = roots_hermitenorm(count)
-        _GH_CACHE[count] = (x, w / w.sum())
-    return _GH_CACHE[count]
+    """Gauss-Hermite (probabilists') nodes and weights; the weights sum to 1."""
+    x, w = roots_hermitenorm(count)
+    return x, w / w.sum()
 
 
 def phase_sigma_points(count: int):
@@ -123,13 +123,12 @@ def _float_arrays(*values):
 
 # E{Li2(e^{-2|d|})} is tabulated as a function of r = |m|/s and log s
 # (d ~ N(m, s^2)) for r <= _DILOG_R_MAX and s in _DILOG_S_RANGE; the
-# table is built on first use into _DILOG_CACHE.
+# table is built on first use.
 _DILOG_R_MAX = 8.0
 _DILOG_S_RANGE = (0.05, 20.0)
 _DILOG_STEPS = (120, 90)        # table intervals along r and along log s
 _DILOG_GH_NODES = 8             # Gauss-Hermite nodes for r > _DILOG_R_MAX
 _DILOG_VAR_MIN = np.finfo(float).tiny   # floor of the variance, so that s > 0
-_DILOG_CACHE: dict = {}
 # 4-point Lagrange interpolation on nodes -1, 0, 1, 2: row i holds the
 # coefficients of p^i in the four weights, for the offset p in [0, 1)
 _LAGRANGE4 = np.array([
@@ -174,6 +173,7 @@ def _mean_dilog_quad(md, vd):
     return (spence(-np.expm1(-2.0 * s * u)) * dens) @ w * span[..., 0]
 
 
+@functools.cache
 def _dilog_table():
     """The lookup table of _mean_dilog_exp, built on first call (~20 ms).
 
@@ -184,20 +184,17 @@ def _dilog_table():
     from _mean_dilog_quad, one column of s at a time so that the build
     stays small in memory.
     """
-    if not _DILOG_CACHE:
-        nr, nt = _DILOG_STEPS
-        hr = _DILOG_R_MAX / nr
-        t_lo, t_hi = np.log(_DILOG_S_RANGE)
-        ht = (t_hi - t_lo) / nt
-        r = np.arange(-1, nr + 3) * hr
-        s = np.exp(t_lo + np.arange(-1, nt + 3) * ht)
-        table = np.stack([_mean_dilog_quad(r * s_j, s_j * s_j) for s_j in s], axis=1)
-        cols = table.shape[1]
-        _DILOG_CACHE.update(
-            table=table.ravel(), cols=cols, inv_hr=1.0 / hr, inv_ht=1.0 / ht,
-            t_lo=t_lo, t_hi=t_hi,
-            stencil=(np.arange(4)[:, None] * cols + np.arange(4)).reshape(16, 1))
-    return _DILOG_CACHE
+    nr, nt = _DILOG_STEPS
+    hr = _DILOG_R_MAX / nr
+    t_lo, t_hi = np.log(_DILOG_S_RANGE)
+    ht = (t_hi - t_lo) / nt
+    r = np.arange(-1, nr + 3) * hr
+    s = np.exp(t_lo + np.arange(-1, nt + 3) * ht)
+    table = np.stack([_mean_dilog_quad(r * s_j, s_j * s_j) for s_j in s], axis=1)
+    cols = table.shape[1]
+    return dict(table=table.ravel(), cols=cols, inv_hr=1.0 / hr, inv_ht=1.0 / ht,
+                t_lo=t_lo, t_hi=t_hi,
+                stencil=(np.arange(4)[:, None] * cols + np.arange(4)).reshape(16, 1))
 
 
 def _lagrange4(p):
@@ -287,28 +284,22 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     return mb + e1, _clamp_var(e2 - e1 * e1 + 0.5 * _mean_dilog_exp(d, theta2), diag)
 
 
-# (u, phi) quadrature of the split, keyed by (k_u, k_phase)
-_SPLIT_CACHE: dict[tuple[int, int], tuple] = {}
-
-
-def _split_nodes(k_u, k_phase):
-    """Nodes of the split's quadrature, shaped for (k_u, k_phase, bins) arrays.
+@functools.cache
+def _split_nodes():
+    """Nodes of the split's quadrature, shaped for (_K_U, _K_PHASE, bins) arrays.
 
     Returns (x, cos_phi, const): the standard normal nodes of u as a
-    (k_u, 1) column, the phase cosines as a (k_phase, 1) column, and the
+    (_K_U, 1) column, the phase cosines as a (_K_PHASE, 1) column, and the
     constant part of each u node's log-weight, log w_u + log w_phi + x^2/2,
-    as a (k_u, 1, 1) array (the phase weights are all 1/k_phase).
+    as a (_K_U, 1, 1) array (the phase weights are all 1/_K_PHASE).
     """
-    key = (k_u, k_phase)
-    if key not in _SPLIT_CACHE:
-        x, wu = _gh_nodes(k_u)
-        phi, w_phi = phase_sigma_points(k_phase)
-        const = np.log(wu) + np.log(w_phi[0]) + 0.5 * x * x
-        _SPLIT_CACHE[key] = (x[:, None], np.cos(phi)[:, None], const[:, None, None])
-    return _SPLIT_CACHE[key]
+    x, wu = _gh_nodes(_K_U)
+    phi, w_phi = phase_sigma_points(_K_PHASE)
+    const = np.log(wu) + np.log(w_phi[0]) + 0.5 * x * x
+    return x[:, None], np.cos(phi)[:, None], const[:, None, None]
 
 
-def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
+def _split_core(ma, va, mb, vb, obs, b_moments=True):
     """Conditional moments of (a, b) given log|A+B| = y, at each y in obs.
 
     Change of variables (a, b, phi) -> (u, y, phi) with u = b - a; the
@@ -324,7 +315,7 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     shifted by their maximum and clamped at -700 before the exponential:
     a weight below e^-700 is under one ulp of their sum (>= 1), and
     np.exp is many times slower on arguments that underflow. The five
-    weighted sums over the k_u*k_phase nodes are one matrix-vector
+    weighted sums over the _K_U*_K_PHASE nodes are one matrix-vector
     product, taken relative to a reference node so that a narrow
     posterior keeps its variance.
 
@@ -340,7 +331,7 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
 
     Everything that does not depend on y is computed once, per u node
     where it does not depend on the phase. The observation points are
-    then taken one at a time, on (k_u, k_phase, bins) arrays that stay in
+    then taken one at a time, on (_K_U, _K_PHASE, bins) arrays that stay in
     cache; with the bins last, every per-bin or per-node operand
     broadcasts along whole rows of bins.
 
@@ -351,13 +342,13 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     Returns (E e, var e, E f, var f, fallback), each (observation points,
     bins); the variances are not yet clamped at 0.
     """
-    x, cos_phi, const = _split_nodes(k_u, k_phase)
+    x, cos_phi, const = _split_nodes()
 
     va_f = np.maximum(va, _VAR_FLOOR)
     vb_f = np.maximum(vb, _VAR_FLOOR)
     vu = np.maximum(va + vb, _VAR_FLOOR)
-    sx = (np.sqrt(vu) * x)[:, None]                  # s_u*x, (k_u, 1, bins)
-    lps = log_phasor_sum(0.0, mb - ma + sx, cos_phi)  # (k_u, k_phase, bins)
+    sx = (np.sqrt(vu) * x)[:, None]                  # s_u*x, (_K_U, 1, bins)
+    lps = log_phasor_sum(0.0, mb - ma + sx, cos_phi)  # (_K_U, _K_PHASE, bins)
     # log-weight = const - e^2/(2 va) - (e + s_u x)^2/(2 vb) + per-bin terms
     #            = quad - e*(curv*e + lin)
     hb = 0.5 / vb_f
@@ -427,7 +418,7 @@ def _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments=True):
     return (*a_post, e0 + sx_ref + d_f, sums[4] * inv_z - d_f * d_f, fallback)
 
 
-def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
+def split_scalar_obs(ma, va, mb, vb, y, diag=None):
     """Posterior moments of (a, b) given the scalar observation log|A+B| = y.
 
     Where the observation is numerically inconsistent with the priors the
@@ -435,7 +426,7 @@ def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
     """
     ma, va, mb, vb, y = _float_arrays(ma, va, mb, vb, y)
     ea, va_post, eb, vb_post, fb = (r.reshape(y.shape) for r in _split_core(
-        ma.ravel(), va.ravel(), mb.ravel(), vb.ravel(), y.reshape(1, -1), k_u, k_phase))
+        ma.ravel(), va.ravel(), mb.ravel(), vb.ravel(), y.reshape(1, -1)))
     va_post, vb_post = _clamp_var(va_post, diag), _clamp_var(vb_post, diag)
     if not fb.any():
         return ma + ea, va_post, mb + eb, vb_post, fb
@@ -445,8 +436,7 @@ def split_scalar_obs(ma, va, mb, vb, y, k_u=15, k_phase=6, diag=None):
             np.where(fb, mb, mb + eb), np.where(fb, vb, vb_post), fb)
 
 
-def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, diag=None,
-                          b_moments=True):
+def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True):
     """Posterior moments of (a, b) when the observation is itself Gaussian.
 
     Outer sigma-point sum over the observation distribution of the
@@ -460,9 +450,9 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, di
     ma, va, mb, vb, mo, vo = _float_arrays(ma, va, mb, vb, mo, vo)
     shape = ma.shape
     ma, va, mb, vb, mo, vo = (v.ravel() for v in (ma, va, mb, vb, mo, vo))
-    x, w = _gh_nodes(k_obs)
-    obs = mo + np.sqrt(np.maximum(vo, 0.0)) * x[:, None]       # (k_obs, bins)
-    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, k_u, k_phase, b_moments)
+    x, w = _gh_nodes(_K_OBS)
+    obs = mo + np.sqrt(np.maximum(vo, 0.0)) * x[:, None]       # (_K_OBS, bins)
+    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, b_moments)
 
     # mixture over the observation points that did not fall back: mean of
     # the means, and mean of the variances plus the spread of the means
@@ -476,7 +466,7 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3, di
             diag.fallbacks += int(np.count_nonzero(all_fb))
     else:
         # the weights added first to last, as the sum over the rows of a
-        # (k_obs, bins) array adds them (np.sum over w itself may not)
+        # (_K_OBS, bins) array adds them (np.sum over w itself may not)
         wts, z = w[:, None], np.add.accumulate(w)[-1]
         all_fb = np.zeros(ma.shape, dtype=bool)
 

@@ -134,17 +134,17 @@ def _fit_windows(rows, first, count, n, p, coeffs, resid, mean):
         for j in range(p):
             toep[..., i, j] = lags[abs(i - j)]
     toep[..., np.arange(p), np.arange(p)] += np.maximum(r0[..., None], 1e-12) * 1e-9
-    rhs_t = np.stack(lags[1:])               # (p, count, K)
-    rhs = np.moveaxis(rhs_t, 0, -1)          # (count, K, p)
+    rhs = np.stack(lags[1:], axis=-1)        # (count, K, p)
     if ok.all():
         a = np.linalg.solve(toep, rhs[..., None])[..., 0]
     else:
         a = np.zeros(rhs.shape)
         if ok.any():
             a[ok] = np.linalg.solve(toep[ok], rhs[ok][..., None])[..., 0]
-    # a^T r one window at a time: einsum's summation order depends on the
-    # operands' layout, and this is the layout of a single window's fit
-    rv = np.stack([np.einsum("kp,kp->k", a[s], rhs_t[:, s].copy().T) for s in range(count)])
+    # a^T r, its terms added in order, as one window's einsum adds them
+    rv = a[..., 0] * lags[1]
+    for j in range(1, p):
+        rv = rv + a[..., j] * lags[j + 1]
     coeffs[...] = a
     resid[...] = np.where(ok, np.maximum(r0 - rv, 0.0), 0.0)
 

@@ -20,13 +20,13 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def _advance_bin(fs, y, noise, cfg, priors=None, update=None, diag=None):
+def _advance_bin(fs, y, noise, cfg, priors=None, update=True, diag=None):
     """One frame of enhancer._advance on the single bin of the state fs.
 
     noise is the (mean, variance) of the noise log-magnitude. priors, when
     given, are the decay priors (gamma mean, gamma variance, beta mean,
-    beta variance) to fuse; update, when given, is the bin's RNR gate
-    (None runs steps 10-12). The AR model is a random walk with residual
+    beta variance) to fuse; update is the bin's RNR gate, which runs
+    steps 10-12 when true. The AR model is a random walk with residual
     variance 0.01. Returns the trace row with a float per field.
     """
     mask = np.array([priors is not None])
@@ -37,7 +37,7 @@ def _advance_bin(fs, y, noise, cfg, priors=None, update=None, diag=None):
     row = enhancer._advance(fs, np.array([float(y)]), np.array([noise[0]]), noise[1],
                             coeffs, np.array([0.01]), np.zeros(1), *prior_rows, mask,
                             cfg, Diagnostics() if diag is None else diag,
-                            update_mask=None if update is None else np.array([update]))
+                            update_mask=np.array([update]))
     return {f: row[f][0].item() for f in row}
 
 

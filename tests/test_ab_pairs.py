@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,33 @@ def test_summary_no_regression_verdict():
     assert row["verdict"] == "ok"
     (row,) = ab_pairs.summarise(SPEC, _pairs(parent, [p - 0.02 for p in parent], "score"))
     assert row["verdict"] == "worse"
+
+
+def test_output_identity(tmp_path, monkeypatch, capsys):
+    def pair(seed, parent, change):
+        return {"seed": seed, "parent": {"sha256": parent}, "change": {"sha256": change}}
+    pairs = [pair(s, "aa", "aa") for s in range(3)]
+    assert ab_pairs.differing_outputs(pairs) == []
+    # one seed's outputs differ, and a run that wrote no output never matches
+    pairs += [pair(3, "aa", "bb"), pair(4, None, None)]
+    assert ab_pairs.differing_outputs(pairs) == [3, 4]
+
+    # the summary line, and both hashes kept in pairs.json
+    for side in ab_pairs.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({**SPEC, "run_seconds": 1}))
+
+    def run_once(checkout, workload, seed, seconds, out=None):
+        sha = "bb" if checkout.name == "change" and seed == 2 else "aa"
+        return {"metrics": {"rtf": {"value": 0.5, "unit": "s/s"}}, "failed": 0,
+                "attempted": 1, "sha256": sha}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                   "--seeds", "0-3", "--out", str(tmp_path / "out")])
+    assert "outputs identical on 3 of 4 seeds; they differ on seeds 2" in capsys.readouterr().out
+    pairs = json.loads((tmp_path / "out" / "pairs.json").read_text())
+    assert [(p["parent"]["sha256"], p["change"]["sha256"]) for p in pairs][1:3] == [
+        ("aa", "aa"), ("aa", "bb")]

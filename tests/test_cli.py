@@ -66,16 +66,19 @@ def test_load_config_bool_words(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("no_such_option = 1\n")
-    with pytest.raises(ValueError):
-        load_config(path)
+    # the split's quadrature orders are no longer config keys
+    for key in ("no_such_option", "k_u", "k_phase", "k_obs"):
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config(path)
 
 
 def test_load_config_rejects_invalid_value(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("q_beta = -1\n")
-    with pytest.raises(ValueError, match="q_beta"):
-        load_config(path)
+    for key, value in (("q_beta", "-1"), ("rnr_threshold_db", "nan"), ("noise_bias", "inf")):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
 
 
 # ---------------------------------------------------------------------------

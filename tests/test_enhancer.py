@@ -201,7 +201,7 @@ def recorded_frames():
     calls = []
     advance = enhancer._advance
 
-    def record(fs, *args, update_mask=None):
+    def record(fs, *args, update_mask):
         calls.append((copy.deepcopy(fs), copy.deepcopy(args[:11]), update_mask.copy(), args[11]))
         return advance(fs, *args, update_mask=update_mask)
 
@@ -282,7 +282,7 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
               "beta_mean": np.where(pmask, fbm, bm),
               "beta_var": np.where(pmask, fbv, bv)}
 
-    ungated = _advance_quietly(fs, inputs, cfg, None, Diagnostics())
+    ungated = _advance_quietly(fs, inputs, cfg, np.ones(gate.size, bool), Diagnostics())
     assert np.all(ungated["fallback_flags"][odd] & 4)
 
     # count the distributed splits (steps 8 and 10) and the line updates
@@ -356,13 +356,17 @@ def test_trace_csv_rejects_out_of_range_bins(tmp_path, bins):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EnhancerConfig(k_phase=0)
-    with pytest.raises(ValueError):
         EnhancerConfig(look_ahead=-1)
     for bad in ({"q_gamma": -1.0}, {"q_beta": -1.0}, {"init_param_variance": -1.0},
                 {"noise_variance": 0.0}, {"noise_variance": -0.5},
                 {"q_gamma": float("nan")}):
         with pytest.raises(ValueError):
             EnhancerConfig(**bad)
+    # every float field must be finite; the error names the field
+    for name, value in (("gain_floor_db", float("nan")), ("noise_bias", float("inf")),
+                        ("rnr_threshold_db", float("nan")),
+                        ("fdr_beta_extra_var", float("nan")), ("init_t60", -float("inf"))):
+        with pytest.raises(ValueError, match=name):
+            EnhancerConfig(**{name: value})
     # the boundary values stay valid
     EnhancerConfig(q_gamma=0.0, q_beta=0.0, init_param_variance=0.0)

@@ -91,7 +91,7 @@ def test_estimate_ar_order_and_shapes():
     assert np.all(resid >= 0.0)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_estimate_ar_matches_one_window_at_a_time(order):
     rng = np.random.default_rng(20 + order)
     x = np.cumsum(rng.standard_normal((300, 7)), axis=0)

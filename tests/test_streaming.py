@@ -55,7 +55,7 @@ def test_log_mmse_preclean_blocks_match_whole():
     assert np.array_equal(np.concatenate(_in_blocks(log_mmse_preclean, mag, noise)), whole)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_estimate_ar_blocks_match_whole(order):
     x = np.log(_power(2))
     whole = estimate_ar(x, order=order)
@@ -75,17 +75,21 @@ def test_decay_run_lengths_blocks_match_whole():
 
 @pytest.mark.parametrize("t_frames", [1, 2, 3, 4, 400])
 def test_smooth_energy_matches_convolve_in_any_blocks(t_frames):
-    e = np.random.default_rng(4).standard_normal(t_frames)
-    ref = np.convolve(e, np.ones(3) / 3.0, mode="same")[:t_frames]
-    assert np.array_equal(_smooth_energy(e), ref)
-    spans = [(lo, min(hi, t_frames)) for lo, hi in SPANS if lo < t_frames]
-    state, parts = {}, []
-    for lo, hi in spans:
-        parts.append(_smooth_energy(e[lo:hi], state, final=hi == t_frames))
-        # a frame's average waits for the next frame until the end
-        expected = hi if hi == t_frames else hi - 1 if hi >= 3 else 0
-        assert sum(map(len, parts)) == expected
-    assert np.array_equal(np.concatenate(parts), ref)
+    # the reference is the centred zero-padded average. np.convolve's mode
+    # "same" is not: it gives e0/3 at frame 0 when t_frames = 2, and on the
+    # scaled input its two-term edge sums differ from it by 1 ulp at the
+    # first and last frames
+    for e in (np.random.default_rng(4).standard_normal(t_frames),
+              10.0 * np.random.default_rng(15).standard_normal(t_frames) - 30.0):
+        ref = np.convolve(np.pad(e, 1), np.ones(3) / 3.0, mode="valid")
+        assert np.array_equal(_smooth_energy(e), ref)
+        spans = [(lo, min(hi, t_frames)) for lo, hi in SPANS if lo < t_frames]
+        state, parts = {}, []
+        for lo, hi in spans:
+            parts.append(_smooth_energy(e[lo:hi], state, final=hi == t_frames))
+            # a frame's average waits for the next frame until the end
+            assert sum(map(len, parts)) == (hi if hi == t_frames else hi - 1)
+        assert np.array_equal(np.concatenate(parts), ref)
 
 
 def test_enhance_frames_independent_of_block_size(monkeypatch):

@@ -20,10 +20,13 @@ against the metric's ``bound``, a fraction of the parent's median (so
 median is worse than the parent's by more than that margin;
 "unresolved" where the parent's quartiles lie further apart than the
 margin, unless every change run beats every parent run; else "ok".
+Last, it prints on how many seeds the two sides' outputs are identical
+(the same sha256 in the run's report line) and names the seeds where
+they differ.
 
 ``--out DIR`` keeps every run's result set (``DIR/parent/seedN`` and
 ``DIR/change/seedN``, readable by ``perfbench/run.py --compare``) and the
-raw pairs as ``DIR/pairs.json``.
+raw pairs, with both sides' output hashes, as ``DIR/pairs.json``.
 """
 
 import argparse
@@ -50,7 +53,11 @@ def parse_seeds(text):
 
 
 def run_once(checkout, workload, seed, seconds, out=None):
-    """One untraced benchmark run in a checkout; returns its result line."""
+    """One untraced benchmark run in a checkout.
+
+    Returns its result line, with the output's sha256 from the report line
+    before it (None where the run wrote no output).
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     if out is not None:
@@ -58,13 +65,21 @@ def run_once(checkout, workload, seed, seconds, out=None):
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: perfbench/run.py failed on seed {seed}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, report, result = proc.stdout.strip().splitlines()
+    return {**json.loads(result), "sha256": json.loads(report).get("sha256")}
 
 
 def failed_calls(pairs):
     """Per side, the (failed, attempted) calls summed over the pairs."""
     return {side: (sum(p[side]["failed"] for p in pairs),
                    sum(p[side]["attempted"] for p in pairs)) for side in SIDES}
+
+
+def differing_outputs(pairs):
+    """The seeds of the pairs whose sides' outputs differ or are missing."""
+    return [p["seed"] for p in pairs
+            if p["parent"].get("sha256") is None
+            or p["parent"].get("sha256") != p["change"].get("sha256")]
 
 
 def summarise(spec, pairs):
@@ -150,6 +165,9 @@ def main(argv=None):
               f"{f'{p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]':<30} "
               f"{f'{c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]':<30} "
               f"{r['wins']:>3}/{r['pairs']:<3} {r['ratio']:>7.3f}  {'yes' if r['gain'] else 'no':<4}  {r['verdict']}")
+    differ = differing_outputs(pairs)
+    print(f"outputs identical on {len(pairs) - len(differ)} of {len(pairs)} seeds"
+          + (f"; they differ on seeds {', '.join(map(str, differ))}" if differ else ""))
     return 0
 
 
