@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 
-from . import simkit
 from .enhancer import EnhancerConfig, enhance
 from .reverb import ENVIRONMENTS, RoomParams, ab_to_gamma_beta, room_to_ab
 from .wavio import WavFormatError, read_wav, write_wav
@@ -80,6 +79,8 @@ def cmd_simulate(args):
     if args.t60 <= 0:
         print("error: --t60 must be positive", file=sys.stderr)
         return 2
+    from . import simkit        # scipy.signal, which enhance and params never load
+
     clean = read_wav(args.clean)
     room = RoomParams(args.t60, args.drr)
     noisy, truth, _ = simkit.make_scene(clean, room, args.snr,
@@ -134,6 +135,8 @@ def cmd_params(args):
 
 
 def cmd_eval(args):
+    from . import simkit
+
     ref = read_wav(args.ref)
     test = read_wav(args.test)
     if len(ref.samples) != len(test.samples):

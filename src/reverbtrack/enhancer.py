@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from . import lognorm, reverb, speech
 from .lognorm import Diagnostics
@@ -53,10 +52,22 @@ class EnhancerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.look_ahead < 0:
-            raise ValueError("look-ahead must be >= 0")
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type is int and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+        if self.p < 1:
+            raise ValueError(f"p must be >= 1, got {self.p!r}")
+        for name in ("look_ahead", "fdr_skip", "min_fdr_length"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("frame_length", "frame_increment", "modulation_frame",
+                     "noise_window_s", "noise_bias"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not 0 <= self.noise_smooth < 1:
+            raise ValueError(f"noise_smooth must lie in [0, 1), got {self.noise_smooth!r}")
         if not (self.q_gamma >= 0 and self.q_beta >= 0):
             raise ValueError("drift variances q_gamma, q_beta must be >= 0")
         if not self.init_param_variance >= 0:
@@ -126,6 +137,11 @@ def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
     from the call on the previous block of frames (empty before the first
     block) and is updated in place; it keeps the smoother's last value
     and the smoothed rows the next block's window reaches back to.
+
+    The window minimum is taken by doubling (_window_min): floor(log2 w)
+    np.minimum passes over the w - 1 carried rows and the block, then one
+    pass that joins two overlapping power-of-two spans. A minimum is
+    exact, so this gives the same bits as any other way of taking it.
     """
     power = np.asarray(noisy_power, dtype=float)
     state = {} if state is None else state
@@ -136,18 +152,31 @@ def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
         smoothed[t] = acc
     w = max(int(round(window_s / frame_increment)), 1)
     # causal window [t-w+1, t]: prepend the w-1 rows before the block
-    # (copies of the first row at the start), then take the centred
-    # filter output at the window's centre index
+    # (copies of the first row at the start), so that row t of the block
+    # is the minimum of pad[t:t + w]
     history = state.get("history")
     if history is None:
         history = np.repeat(smoothed[:1], w - 1, axis=0)
     pad = np.concatenate([history, smoothed], axis=0)
-    mins = minimum_filter1d(pad, size=w, axis=0, mode="nearest")
-    mins = mins[w // 2:w // 2 + power.shape[0]]
+    mins = _window_min(pad, w)
     state["acc"] = acc
     state["history"] = pad[pad.shape[0] - (w - 1):].copy()
     est = bias * np.maximum(mins, 1e-300)
     return 0.5 * np.log(est), noise_variance
+
+
+def _window_min(x, w):
+    """min(x[j:j + w]) along axis 0, for j = 0 .. len(x) - w.
+
+    After each doubling pass, row j holds the minimum of the next `span`
+    rows from j on; the last pass joins the spans at j and j + w - span,
+    which overlap and together cover the w rows.
+    """
+    span = 1
+    while 2 * span <= w:
+        x = np.minimum(x[:-span], x[span:])
+        span *= 2
+    return np.minimum(x[:x.shape[0] - (w - span)], x[w - span:])
 
 
 class _FilterState:
@@ -337,7 +366,7 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=_FDR_MAX_LEN)
     bv = np.ones(k_bins)
     mask = np.zeros(k_bins, dtype=bool)
     m = min(int(m), j + 1, max_len)
-    skip = max(int(cfg.fdr_skip), 1)
+    skip = max(cfg.fdr_skip, 1)
     if m < max(cfg.min_fdr_length, skip + 3):
         return gm, gv, bm, bv, mask
     sigma_r2 = reverb.FDR_R_VARIANCE

@@ -327,7 +327,8 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     the reference is the point's own heaviest node, so its variance is
     never negative. At the other points the heaviest node can lie some
     nats of offset d from the reference, and E de^2 - (E de)^2 there is
-    exact only to about eps * d^2.
+    exact only to about eps * d^2; where that leaves a variance below 0,
+    _own_reference takes the point again against its own heaviest node.
 
     Everything that does not depend on y is computed once, per u node
     where it does not depend on the phase. The observation points are
@@ -411,11 +412,39 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
     d_e = s_e * inv_z
-    a_post = (e0 + d_e, s_e2 * inv_z - d_e * d_e)
-    if not b_moments:
-        return (*a_post, None, None, fallback)
-    d_f = sums[3] * inv_z
-    return (*a_post, e0 + sx_ref + d_f, sums[4] * inv_z - d_f * d_f, fallback)
+    post = [e0 + d_e, s_e2 * inv_z - d_e * d_e, None, None]
+    if b_moments:
+        d_f = sums[3] * inv_z
+        post[2:] = e0 + sx_ref + d_f, sums[4] * inv_z - d_f * d_f
+    if obs.shape[0] > 1:
+        _own_reference(ma, va, mb, vb, obs, post)
+    return (*post, fallback)
+
+
+def _own_reference(ma, va, mb, vb, obs, post):
+    """Retake, against their own heaviest node, the outer points' variances below 0.
+
+    post is _split_core's [E e, var e, E f, var f] (the f pair None without
+    b moments) and is updated in place. Each (point, bin) whose variance
+    cancelled below 0 is split again as a one-point call, whose reference
+    is that point's own heaviest node; the mean and variance of e are
+    replaced where var e < 0, and those of f where var f < 0, so that the
+    posterior of a does not depend on whether the b moments are taken.
+    """
+    neg = [post[1] < 0]
+    if post[3] is not None:
+        neg.append(post[3] < 0)
+    redo = neg[0] | neg[-1]         # neg[0] alone without b moments
+    if not redo.any():
+        return
+    pts, cols = np.nonzero(redo)
+    sels = [n[pts, cols] for n in neg]
+    own = _split_core(ma[cols], va[cols], mb[cols], vb[cols], obs[pts, cols][None],
+                      b_moments=any(sel.any() for sel in sels[1:]))
+    for j, sel in enumerate(sels):
+        if sel.any():
+            for k in (2 * j, 2 * j + 1):
+                post[k][pts[sel], cols[sel]] = own[k][0, sel]
 
 
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):

@@ -1,10 +1,15 @@
 """Command-line interface and WAV I/O tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reverbtrack
 from reverbtrack.cli import load_config, main
 from reverbtrack.enhancer import EnhancerConfig
 from reverbtrack.simkit import speechlike_excitation
@@ -75,10 +80,26 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_invalid_value(tmp_path):
     path = tmp_path / "bad.txt"
-    for key, value in (("q_beta", "-1"), ("rnr_threshold_db", "nan"), ("noise_bias", "inf")):
+    for key, value in (("q_beta", "-1"), ("rnr_threshold_db", "nan"), ("noise_bias", "inf"),
+                       ("p", "0"), ("noise_smooth", "1.5")):
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=key):
             load_config(path)
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("reverbtrack", ("scipy.ndimage", "scipy.signal")),
+    ("reverbtrack.cli", ("scipy.signal", "reverbtrack.simkit")),
+])
+def test_import_leaves_out_what_enhance_does_not_need(module, unloaded):
+    """A fresh process that imports the package, or the CLI module, loads
+    neither the simulation kit nor the scipy modules only it uses."""
+    code = (f"import sys, {module}; "
+            f"print(','.join(m for m in {unloaded!r} if m in sys.modules))")
+    src = str(Path(reverbtrack.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import minimum_filter1d
 
 from reverbtrack import enhancer, lognorm
 from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
@@ -49,6 +50,18 @@ def test_track_noise_follows_silence_floor():
 def test_track_noise_constant_input():
     mean, _ = track_noise(np.full((400, 2), 0.01), bias=1.5)
     assert np.allclose(mean[-1], 0.5 * np.log(0.015))
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 127, 128, 129, 188, 250])
+def test_window_min_matches_minimum_filter(w):
+    """The doubling window minimum gives the centred minimum filter's bits
+    at the window centres, whose windows never reach past the rows."""
+    rng = np.random.default_rng(w)
+    for n in (1, 2, 31, 219, 400):
+        pad = rng.exponential(size=(n + w - 1, 5))
+        pad[rng.random(pad.shape) < 0.2] = 0.0      # ties
+        ref = minimum_filter1d(pad, w, axis=0, mode="nearest")[w // 2:w // 2 + n]
+        assert np.array_equal(enhancer._window_min(pad, w), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -368,5 +381,23 @@ def test_config_validation():
                         ("fdr_beta_extra_var", float("nan")), ("init_t60", -float("inf"))):
         with pytest.raises(ValueError, match=name):
             EnhancerConfig(**{name: value})
+    # integer fields take ints only, not floats or bools; the error names the field
+    for name, value in (("p", 2.5), ("p", True), ("look_ahead", 1.5), ("fdr_skip", 2.0),
+                        ("min_fdr_length", False)):
+        with pytest.raises(ValueError, match=name):
+            EnhancerConfig(**{name: value})
+    # ranges; the error names the field
+    for name, value in (("p", 0), ("p", -1), ("fdr_skip", -3), ("min_fdr_length", -1),
+                        ("frame_length", 0.0), ("frame_increment", 0.0),
+                        ("frame_increment", -0.008), ("modulation_frame", 0.0),
+                        ("noise_window_s", -1.0), ("noise_window_s", 0.0),
+                        ("noise_bias", 0.0), ("noise_bias", -1.5),
+                        ("noise_smooth", 1.5), ("noise_smooth", 1.0),
+                        ("noise_smooth", -0.5)):
+        with pytest.raises(ValueError, match=name):
+            EnhancerConfig(**{name: value})
     # the boundary values stay valid
     EnhancerConfig(q_gamma=0.0, q_beta=0.0, init_param_variance=0.0)
+    edge = EnhancerConfig(p=1, look_ahead=0, fdr_skip=0, min_fdr_length=0, noise_smooth=0.0)
+    out, _, _ = enhance(AudioBuffer(np.random.default_rng(4).normal(0.0, 0.1, FS // 2)), edge)
+    assert np.all(np.isfinite(out.samples))

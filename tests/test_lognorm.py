@@ -354,6 +354,30 @@ def test_split_distributed_matches_unfolded_reference():
             assert np.array_equal(got, ref)
 
 
+def test_split_distributed_outer_points_keep_their_variance():
+    """_split_cases' narrow priors under a wide observation, one prior decade
+    at a time from 1e-10 to 1e-4: an outer point's heaviest node lies nats
+    from the middle point's, and referenced to that node its variance
+    cancels below 0 on a few bins per decade unless it is taken again
+    against its own node."""
+    rng = np.random.default_rng(23)
+    n = 2000
+    ma, mb = rng.normal(-1.0, 3.0, (2, n))
+    sign = rng.choice([-1.0, 1.0], n)
+    vo = rng.uniform(10.0, 50.0, n)
+    y = (np.logaddexp(2 * ma, 2 * mb) / 2 + sign * np.sqrt(3.0 * vo)
+         + rng.uniform(-1.0, 1.0, n))
+    for lo in range(-10, -4):
+        va, vb = np.exp(rng.uniform(lo * np.log(10.0), (lo + 1) * np.log(10.0), (2, n)))
+        diag = Diagnostics()
+        full = split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag)
+        a_only = split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag, b_moments=False)
+        assert diag.variance_clamps == 0
+        _assert_split_matches(full, split_distributed_ref(ma, va, mb, vb, y, vo))
+        for got, ref in zip(a_only[:2] + a_only[4:], full[:2] + full[4:]):
+            assert np.array_equal(got, ref)
+
+
 def test_split_keeps_input_shapes():
     empty = np.zeros(0)
     for got in (split_scalar_obs(*[empty] * 5), split_distributed_obs(*[empty] * 6)):

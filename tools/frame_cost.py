@@ -12,6 +12,12 @@ each in ms per frame and their ratio. Time that does not scale with K
 is the per-call cost of the cascade's numpy operations, so the K = 1
 figure is that fixed cost. It imports ``reverbtrack`` from the ``src``
 of the checkout it lives in, and pins BLAS to one thread.
+
+Each timed call runs under ``perfbench/probe.py``'s ``Probe`` with its
+``ArrayKernel``, the host-speed probe the benchmark scales ``rtf`` with,
+and the minimum of the probe-scaled times is printed next to the wall
+time. The wall figure moves with the load that other work puts on a
+shared host; the scaled one is the measure the benchmark's ``rtf`` uses.
 """
 
 import os
@@ -20,11 +26,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy loads its BLAS
 
 import sys  # noqa: E402
-import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "perfbench"))
 
+import probe  # noqa: E402
 from reverbtrack.enhancer import enhance_frames  # noqa: E402
 from reverbtrack.reverb import RoomParams  # noqa: E402
 from reverbtrack.simkit import make_scene, speechlike_excitation  # noqa: E402
@@ -42,9 +50,10 @@ def scene_spectrum():
 
 
 def ms_per_frame(spec):
-    t0 = time.perf_counter()
-    enhance_frames(spec)
-    return 1e3 * (time.perf_counter() - t0) / spec.n_frames
+    """(wall, probe-scaled) ms per frame of one enhance_frames call."""
+    with probe.Probe(probe.ArrayKernel()) as p:
+        enhance_frames(spec)
+    return 1e3 * p.wall / spec.n_frames, 1e3 * p.scaled / spec.n_frames
 
 
 def main():
@@ -55,12 +64,13 @@ def main():
     for _ in range(REPEATS):
         for s, times in runs.values():
             times.append(ms_per_frame(s))
-    best = {k: min(times) for k, (_, times) in runs.items()}
-    print(f"{spec.n_frames} frames, min of {REPEATS} calls each")
-    for k, v in best.items():
-        print(f"{k:<8} {v:.3f} ms/frame")
-    lo, hi = best.values()
-    print(f"ratio    {lo / hi:.3f}")
+    best = {k: [min(col) for col in zip(*times)] for k, (_, times) in runs.items()}
+    print(f"{spec.n_frames} frames, min of {REPEATS} calls each, ms/frame")
+    print(f"{'':<8} {'wall':>7} {'scaled':>7}")
+    for k, (wall, scaled) in best.items():
+        print(f"{k:<8} {wall:7.3f} {scaled:7.3f}")
+    (lo_w, lo_s), (hi_w, hi_s) = best.values()
+    print(f"{'ratio':<8} {lo_w / hi_w:7.3f} {lo_s / hi_s:7.3f}")
     return 0
 
 
