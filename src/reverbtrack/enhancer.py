@@ -17,6 +17,7 @@ and beta priors.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,7 +56,8 @@ class EnhancerConfig:
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.type is int and (not isinstance(value, int) or isinstance(value, bool)):
+            if f.type is int and (not isinstance(value, numbers.Integral)
+                                  or isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p!r}")

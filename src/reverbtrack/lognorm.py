@@ -327,8 +327,8 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     the reference is the point's own heaviest node, so its variance is
     never negative. At the other points the heaviest node can lie some
     nats of offset d from the reference, and E de^2 - (E de)^2 there is
-    exact only to about eps * d^2; where that leaves a variance below 0,
-    _own_reference takes the point again against its own heaviest node.
+    exact only to about eps * d^2; split_distributed_obs takes the points
+    again against their own heaviest nodes where that clamps its mixture.
 
     Everything that does not depend on y is computed once, per u node
     where it does not depend on the phase. The observation points are
@@ -412,39 +412,11 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
     d_e = s_e * inv_z
-    post = [e0 + d_e, s_e2 * inv_z - d_e * d_e, None, None]
-    if b_moments:
-        d_f = sums[3] * inv_z
-        post[2:] = e0 + sx_ref + d_f, sums[4] * inv_z - d_f * d_f
-    if obs.shape[0] > 1:
-        _own_reference(ma, va, mb, vb, obs, post)
-    return (*post, fallback)
-
-
-def _own_reference(ma, va, mb, vb, obs, post):
-    """Retake, against their own heaviest node, the outer points' variances below 0.
-
-    post is _split_core's [E e, var e, E f, var f] (the f pair None without
-    b moments) and is updated in place. Each (point, bin) whose variance
-    cancelled below 0 is split again as a one-point call, whose reference
-    is that point's own heaviest node; the mean and variance of e are
-    replaced where var e < 0, and those of f where var f < 0, so that the
-    posterior of a does not depend on whether the b moments are taken.
-    """
-    neg = [post[1] < 0]
-    if post[3] is not None:
-        neg.append(post[3] < 0)
-    redo = neg[0] | neg[-1]         # neg[0] alone without b moments
-    if not redo.any():
-        return
-    pts, cols = np.nonzero(redo)
-    sels = [n[pts, cols] for n in neg]
-    own = _split_core(ma[cols], va[cols], mb[cols], vb[cols], obs[pts, cols][None],
-                      b_moments=any(sel.any() for sel in sels[1:]))
-    for j, sel in enumerate(sels):
-        if sel.any():
-            for k in (2 * j, 2 * j + 1):
-                post[k][pts[sel], cols[sel]] = own[k][0, sel]
+    a_post = (e0 + d_e, s_e2 * inv_z - d_e * d_e)
+    if not b_moments:
+        return (*a_post, None, None, fallback)
+    d_f = sums[3] * inv_z
+    return (*a_post, e0 + sx_ref + d_f, sums[4] * inv_z - d_f * d_f, fallback)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):
@@ -502,16 +474,32 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True):
     def _kept(f):
         return np.where(fb, 0.0, f) if some_fb else f
 
-    def _mix(prior_m, prior_v, m, v):
+    def _mix(m, v):
         m1 = (_kept(m) * wts).sum(axis=0) / z
-        v1 = _clamp_var((_kept(v + (m - m1) ** 2) * wts).sum(axis=0) / z, diag)
+        return m1, (_kept(v + (m - m1) ** 2) * wts).sum(axis=0) / z
+
+    def _post(prior_m, prior_v, m, v, of_b):
+        m1, v1 = _mix(m, v)
+        neg = v1 < 0
+        if neg.any():
+            # an outer point's variance, referenced to the middle point's
+            # heaviest node, cancelled below 0: split those bins' points
+            # again, each point against its own heaviest node, and mix again
+            cols = np.flatnonzero(neg)
+            own = _split_core(*(np.tile(p[cols], _K_OBS) for p in (ma, va, mb, vb)),
+                              obs[:, cols].reshape(1, -1), b_moments=of_b)
+            own_m, own_v = own[2:4] if of_b else own[:2]
+            m, v = m.copy(), v.copy()
+            m[:, cols], v[:, cols] = own_m.reshape(_K_OBS, -1), own_v.reshape(_K_OBS, -1)
+            m1, v1 = _mix(m, v)
+        v1 = _clamp_var(v1, diag)
         post_m, post_v = prior_m + m1, v1
         if some_fb:
             post_m, post_v = np.where(all_fb, prior_m, post_m), np.where(all_fb, prior_v, v1)
         return post_m.reshape(shape), post_v.reshape(shape)
 
-    a_out = _mix(ma, va, ea, va_obs)
-    b_out = _mix(mb, vb, eb, vb_obs) if b_moments else (None, None)
+    a_out = _post(ma, va, ea, va_obs, of_b=False)
+    b_out = _post(mb, vb, eb, vb_obs, of_b=True) if b_moments else (None, None)
     return (*a_out, *b_out, all_fb.reshape(shape))
 
 

@@ -381,11 +381,13 @@ def test_config_validation():
                         ("fdr_beta_extra_var", float("nan")), ("init_t60", -float("inf"))):
         with pytest.raises(ValueError, match=name):
             EnhancerConfig(**{name: value})
-    # integer fields take ints only, not floats or bools; the error names the field
+    # integer fields take integers only, not floats or bools; the error names the field
     for name, value in (("p", 2.5), ("p", True), ("look_ahead", 1.5), ("fdr_skip", 2.0),
-                        ("min_fdr_length", False)):
+                        ("min_fdr_length", False), ("look_ahead", np.bool_(True))):
         with pytest.raises(ValueError, match=name):
             EnhancerConfig(**{name: value})
+    # numpy integers are integers
+    assert EnhancerConfig(p=np.int64(3), look_ahead=np.arange(3).max()).look_ahead == 2
     # ranges; the error names the field
     for name, value in (("p", 0), ("p", -1), ("fdr_skip", -3), ("min_fdr_length", -1),
                         ("frame_length", 0.0), ("frame_increment", 0.0),

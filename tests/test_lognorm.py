@@ -358,8 +358,8 @@ def test_split_distributed_outer_points_keep_their_variance():
     """_split_cases' narrow priors under a wide observation, one prior decade
     at a time from 1e-10 to 1e-4: an outer point's heaviest node lies nats
     from the middle point's, and referenced to that node its variance
-    cancels below 0 on a few bins per decade unless it is taken again
-    against its own node."""
+    cancels so far below 0 that the mixture clamps on a few bins per decade
+    unless those bins' points are split again against their own nodes."""
     rng = np.random.default_rng(23)
     n = 2000
     ma, mb = rng.normal(-1.0, 3.0, (2, n))
