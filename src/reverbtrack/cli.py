@@ -40,10 +40,13 @@ def load_config(path, base: EnhancerConfig | None = None) -> EnhancerConfig:
                         f"{path}:{lineno}: {key} expects one of "
                         f"{'/'.join(_BOOL_WORDS)}, got {val!r}")
                 values[key] = _BOOL_WORDS[word]
-            elif isinstance(cur, int):
-                values[key] = int(val)
             else:
-                values[key] = float(val)
+                kind, word = (int, "an integer") if isinstance(cur, int) else (float, "a number")
+                try:
+                    values[key] = kind(val)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} expects {word}, got {val!r}") from None
     return EnhancerConfig(**values)
 
 
@@ -53,7 +56,12 @@ def _bin_for_hz(hz, cfg: EnhancerConfig, sample_rate=16000):
 
 def _parse_bins(text, n_bins):
     """The bins of a comma-separated --bins list, each checked against 0 <= b < n_bins."""
-    bins = [int(b) for b in text.split(",")]
+    bins = []
+    for word in text.split(","):
+        try:
+            bins.append(int(word))
+        except ValueError:
+            raise ValueError(f"--bins: {word!r} is not an integer") from None
     for b in bins:
         if not 0 <= b < n_bins:
             raise ValueError(f"--bins: bin {b} is outside 0..{n_bins - 1}")

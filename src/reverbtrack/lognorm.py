@@ -37,7 +37,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, roots_hermitenorm, roots_legendre, spence
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr, spence
 
 _LOG_TINY = np.log(1e-300)
 _VAR_FLOOR = 1e-12
@@ -55,7 +57,7 @@ class Diagnostics:
 @functools.cache
 def _gh_nodes(count):
     """Gauss-Hermite (probabilists') nodes and weights; the weights sum to 1."""
-    x, w = roots_hermitenorm(count)
+    x, w = hermegauss(count)
     return x, w / w.sum()
 
 
@@ -144,10 +146,11 @@ def _quad_rule():
     """The 48-point Gauss-Legendre rule of _mean_dilog_quad as (t^2, weights).
 
     t lies in [0, 1]; the weights carry the Jacobian 2t of
-    u = lo + span*t^2 and the normal density's 1/sqrt(2 pi). Built on
-    first use, as roots_legendre imports scipy.linalg.
+    u = lo + span*t^2 and the normal density's 1/sqrt(2 pi). The rule
+    comes from numpy.polynomial, as scipy's roots_legendre would load
+    scipy.linalg into every process that calls enhance.
     """
-    t, w = roots_legendre(48)
+    t, w = leggauss(48)
     t = 0.5 * (t + 1.0)
     return t * t, w * t / np.sqrt(2.0 * np.pi)
 

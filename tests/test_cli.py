@@ -87,6 +87,25 @@ def test_load_config_rejects_invalid_value(tmp_path):
             load_config(path)
 
 
+def test_load_config_names_an_unparsable_number(tmp_path):
+    path = tmp_path / "bad.txt"
+    for key, value, word in (("p", "2.5", "an integer"), ("look_ahead", "x", "an integer"),
+                             ("q_gamma", "abc", "a number"), ("gain_floor_db", "", "a number")):
+        path.write_text(f"# header\n{key} = {value}\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}:2: {key} expects {word}, got '{value}'"
+
+
+def _loaded_after(code, modules):
+    """Those of ``modules`` that a fresh process has loaded once it has run ``code``."""
+    code += f"\nimport sys; print(','.join(m for m in {modules!r} if m in sys.modules))"
+    src = str(Path(reverbtrack.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    return done.stdout.strip()
+
+
 @pytest.mark.parametrize("module, unloaded", [
     ("reverbtrack", ("scipy.ndimage", "scipy.signal")),
     ("reverbtrack.cli", ("scipy.signal", "reverbtrack.simkit")),
@@ -94,12 +113,17 @@ def test_load_config_rejects_invalid_value(tmp_path):
 def test_import_leaves_out_what_enhance_does_not_need(module, unloaded):
     """A fresh process that imports the package, or the CLI module, loads
     neither the simulation kit nor the scipy modules only it uses."""
-    code = (f"import sys, {module}; "
-            f"print(','.join(m for m in {unloaded!r} if m in sys.modules))")
-    src = str(Path(reverbtrack.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.strip() == ""
+    assert _loaded_after(f"import {module}", unloaded) == ""
+
+
+def test_enhance_leaves_out_scipy_linalg():
+    """The quadrature rules come from numpy, so a call to enhance loads no
+    scipy.linalg. The test session's oracles load it, hence the fresh process."""
+    code = ("import numpy as np\n"
+            "from reverbtrack import AudioBuffer, enhance\n"
+            "x = 0.1 * np.random.default_rng(0).standard_normal(16000)\n"
+            "enhance(AudioBuffer(x))")
+    assert _loaded_after(code, ("scipy.linalg",)) == ""
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +208,10 @@ def test_enhance_rejects_out_of_range_bins(tmp_path, capsys):
     for bins in ("999", "-1", "32,257"):
         assert main(["enhance", str(src), str(dst), "--trace", str(trace), "--bins", bins]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not dst.exists() and not trace.exists()
+    for bins, word in (("1,x", "x"), ("2.5", "2.5"), ("3,", "")):
+        assert main(["enhance", str(src), str(dst), "--trace", str(trace), "--bins", bins]) == 1
+        assert capsys.readouterr().err == f"error: --bins: '{word}' is not an integer\n"
         assert not dst.exists() and not trace.exists()
 
 

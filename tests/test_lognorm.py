@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermitenorm, roots_legendre
 
 from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
                      mean_dilog_ref, split_distributed_ref, split_scalar_ref)
 
 from reverbtrack.lognorm import (Diagnostics, _gh_nodes, _mean_dilog_exp,
-                                 fuse_moments, line_constrained_update,
+                                 _quad_rule, fuse_moments, line_constrained_update,
                                  logsum_moments, phase_sigma_points,
                                  split_distributed_obs, split_scalar_obs)
 
@@ -26,6 +27,22 @@ def test_gaussian_sigma_points_standard_three():
     std_moments = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0}
     for deg, ref in std_moments.items():
         assert np.sum(weights * points ** deg) == pytest.approx(ref, abs=1e-12)
+
+
+def test_quadrature_rules_match_scipy():
+    """numpy.polynomial's rules are scipy's roots_hermitenorm/roots_legendre
+    to within 4 ulp of 1."""
+    tol = 4 * np.finfo(float).eps
+    for count in (3, 8, 15):
+        x, w = _gh_nodes(count)
+        x_ref, w_ref = roots_hermitenorm(count)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(w, w_ref / w_ref.sum(), rtol=0, atol=tol)
+    t, w = roots_legendre(48)
+    t = 0.5 * (t + 1.0)
+    t2, wq = _quad_rule()
+    np.testing.assert_allclose(t2, t * t, rtol=0, atol=tol)
+    np.testing.assert_allclose(wq, w * t / np.sqrt(2.0 * np.pi), rtol=0, atol=tol)
 
 
 def test_gaussian_sigma_points_degenerate_and_moment_match():

@@ -14,10 +14,12 @@ figure is that fixed cost. It imports ``reverbtrack`` from the ``src``
 of the checkout it lives in, and pins BLAS to one thread.
 
 Each timed call runs under ``perfbench/probe.py``'s ``Probe`` with its
-``ArrayKernel``, the host-speed probe the benchmark scales ``rtf`` with,
-and the minimum of the probe-scaled times is printed next to the wall
-time. The wall figure moves with the load that other work puts on a
-shared host; the scaled one is the measure the benchmark's ``rtf`` uses.
+``ArrayKernel``, the host-speed probe the benchmark scales ``rtf`` with.
+The wall figure moves with the load that other work puts on a shared
+host. The scaled one takes the kernel runs out of each call's time and
+scales it by the median kernel time over the whole run, not by each
+call's own few samples, whose noise would add to the call's; the
+minimum of the scaled times is printed next to the wall time.
 """
 
 import os
@@ -25,6 +27,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy loads its BLAS
 
+import statistics  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -49,22 +52,30 @@ def scene_spectrum():
     return stft(noisy)
 
 
-def ms_per_frame(spec):
-    """(wall, probe-scaled) ms per frame of one enhance_frames call."""
-    with probe.Probe(probe.ArrayKernel()) as p:
+def timed_call(spec, kernel):
+    """(wall s, wall s without the kernel runs, kernel durations) of one call."""
+    with probe.Probe(kernel) as p:
         enhance_frames(spec)
-    return 1e3 * p.wall / spec.n_frames, 1e3 * p.scaled / spec.n_frames
+    inside = sum(d for t, d in p.samples if p.t0 <= t < p.t1)
+    return p.wall, p.wall - inside, [d for _, d in p.samples]
 
 
 def main():
     spec = scene_spectrum()
     one = SpectralFrames(spec.frames[:, BIN:BIN + 1].copy(), spec.config, spec.sample_rate)
     runs = {"K = 1": (one, []), f"K = {spec.n_bins}": (spec, [])}
+    kernel = probe.ArrayKernel()
     enhance_frames(one)             # builds the lookup tables outside the timing
+    durations = []
     for _ in range(REPEATS):
-        for s, times in runs.values():
-            times.append(ms_per_frame(s))
-    best = {k: [min(col) for col in zip(*times)] for k, (_, times) in runs.items()}
+        for s, calls in runs.values():
+            wall, body, d = timed_call(s, kernel)
+            calls.append((wall, body))
+            durations += d
+    scale = kernel.REF_S / statistics.median(durations)
+    best = {k: (1e3 * min(w for w, _ in calls) / s.n_frames,
+                1e3 * min(b for _, b in calls) * scale / s.n_frames)
+            for k, (s, calls) in runs.items()}
     print(f"{spec.n_frames} frames, min of {REPEATS} calls each, ms/frame")
     print(f"{'':<8} {'wall':>7} {'scaled':>7}")
     for k, (wall, scaled) in best.items():
