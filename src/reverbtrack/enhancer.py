@@ -494,11 +494,19 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
 
     Returns (enhanced SpectralFrames, Trace, Diagnostics). This is the
     core of enhance(); it also serves callers whose data originates in
-    the STFT domain. Apart from its input, the Trace and the output
-    spectrum, its memory does not grow with the number of frames.
+    the STFT domain. The spectrum needs at least one frame, analysed
+    with cfg's frame_length and frame_increment, from which every time
+    constant of the cascade is taken. Apart from its input, the Trace and
+    the output spectrum, its memory does not grow with the number of
+    frames.
     """
     cfg = cfg or EnhancerConfig()
     t_frames, k_bins = spec.frames.shape
+    if t_frames == 0:
+        raise ValueError("enhance_frames needs at least one frame")
+    if spec.config != cfg.analysis():
+        raise ValueError(f"spectrum analysed with {spec.config}, but the config's "
+                         f"time constants assume {cfg.analysis()}")
     front = _FrontEnd(spec.frames, cfg)
     front.advance(0)
     diag = Diagnostics()

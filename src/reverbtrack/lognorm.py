@@ -18,9 +18,9 @@ are written for fewer operations per bin:
   (|m|/s, log s) that one exact quadrature fills on first use;
 - _split_core (the posterior given log|A+B|) folds the three Gaussian
   log-pdfs of its (u, phi) quadrature into one quadratic per node, sums
-  the nodes by a matrix product relative to one reference node (the
-  heaviest of the middle observation point), and clamps the shifted
-  log-weights at -700 so that no exponential underflows.
+  the nodes by a matrix product relative to each observation point's
+  heaviest node, and clamps the shifted log-weights at -700 so that no
+  exponential underflows.
 The split's quadrature orders are constants of the module: _K_U = 15
 Gauss-Hermite nodes along u = b - a, _K_PHASE = 6 phase nodes, and
 _K_OBS = 3 Gauss-Hermite points of a Gaussian observation.
@@ -322,16 +322,8 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     product, taken relative to a reference node so that a narrow
     posterior keeps its variance.
 
-    The reference is the heaviest node of the middle observation point,
-    found by the one argmax of the call. At a node, e differs between
-    points only by the gap in y, so with the reference's e taken as
-    e_ref + (y_i - y_mid) at point i, the offsets e - e_ref and f - f_ref
-    are the same at every point and are formed once. At the middle point
-    the reference is the point's own heaviest node, so its variance is
-    never negative. At the other points the heaviest node can lie some
-    nats of offset d from the reference, and E de^2 - (E de)^2 there is
-    exact only to about eps * d^2; split_distributed_obs takes the points
-    again against their own heaviest nodes where that clamps its mixture.
+    Each observation point's reference is its own heaviest node, found by
+    one argmax per point.
 
     Everything that does not depend on y is computed once, per u node
     where it does not depend on the phase. The observation points are
@@ -364,62 +356,52 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
 
     # per observation point: the maximum log-weight, and the sums of w,
     # w de, w de^2, w df, w df^2 (the df rows only with b_moments), where
-    # de = e - e_ref and df = f - f_ref are the offsets from the reference.
-    # The other points' e is formed in buf[1] before that row is needed.
+    # de = e - e_ref and df = f - f_ref are the offsets from the point's
+    # heaviest node
     rows = 5 if b_moments else 3
     mx = np.empty(obs.shape)
+    e_ref = np.empty(obs.shape)
+    f_ref = np.empty(obs.shape)
     sums = np.empty((rows,) + obs.shape)
     buf = np.empty((rows,) + lps.shape)
-    logw = buf[0]
+    logw, de = buf[0], np.empty(lps.shape)
     nodes = lps.shape[0] * lps.shape[1]
-    mid = obs.shape[0] // 2
-    ones = np.ones(nodes)
-
-    def log_weights(y_i, e):
-        np.subtract(y_i - ma, lps, out=e)
-        np.multiply(e, curv, out=logw)
-        np.add(logw, lin, out=logw)
-        np.multiply(logw, e, out=logw)
-        np.subtract(quad, logw, out=logw)
-
-    de = np.empty(lps.shape)
-    log_weights(obs[mid], de)
-    node = logw.reshape(nodes, -1).argmax(axis=0)
     cols = np.arange(ma.size)
-    top = node * ma.size + cols
-    e_ref = de.take(top)
-    de -= e_ref
-    if b_moments:
-        sx_ref = sx[node // lps.shape[1], 0, cols]
-        df = de + (sx - sx_ref)
-    for i in (mid, *range(mid), *range(mid + 1, obs.shape[0])):
-        if i == mid:
-            logw.take(top, out=mx[i])
-        else:
-            log_weights(obs[i], buf[1])
-            logw.reshape(nodes, -1).max(axis=0, out=mx[i])
+    ones = np.ones(nodes)
+    for i, y_i in enumerate(obs):
+        np.subtract(y_i - ma, lps, out=de)
+        np.multiply(de, curv, out=logw)
+        np.add(logw, lin, out=logw)
+        np.multiply(logw, de, out=logw)
+        np.subtract(quad, logw, out=logw)
+        node = logw.reshape(nodes, -1).argmax(axis=0)
+        top = node * ma.size + cols
+        logw.take(top, out=mx[i])
+        de.take(top, out=e_ref[i])
+        de -= e_ref[i]
         logw -= np.where(np.isfinite(mx[i]), mx[i], 0.0)
         np.maximum(logw, -700.0, out=logw)
         w = np.exp(logw, out=logw)
         np.multiply(w, de, out=buf[1])
         np.multiply(buf[1], de, out=buf[2])
         if b_moments:
-            np.multiply(w, df, out=buf[3])
-            np.multiply(buf[3], df, out=buf[4])
+            sx_ref = sx[node // lps.shape[1], 0, cols]
+            f_ref[i] = e_ref[i] + sx_ref
+            np.add(de, sx - sx_ref, out=buf[4])
+            np.multiply(w, buf[4], out=buf[3])
+            buf[4] *= buf[3]
         np.matmul(ones, buf.reshape(rows, nodes, -1), out=sums[:, i])
 
-    # the reference's e at each point: e_ref shifted by the gap in y
-    e0 = e_ref + (obs - obs[mid])
     z, s_e, s_e2 = sums[:3]
     lmax = mx + lconst
     fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
     d_e = s_e * inv_z
-    a_post = (e0 + d_e, s_e2 * inv_z - d_e * d_e)
+    a_post = (e_ref + d_e, s_e2 * inv_z - d_e * d_e)
     if not b_moments:
         return (*a_post, None, None, fallback)
     d_f = sums[3] * inv_z
-    return (*a_post, e0 + sx_ref + d_f, sums[4] * inv_z - d_f * d_f, fallback)
+    return (*a_post, f_ref + d_f, sums[4] * inv_z - d_f * d_f, fallback)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):
@@ -477,32 +459,16 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True):
     def _kept(f):
         return np.where(fb, 0.0, f) if some_fb else f
 
-    def _mix(m, v):
+    def _post(prior_m, prior_v, m, v):
         m1 = (_kept(m) * wts).sum(axis=0) / z
-        return m1, (_kept(v + (m - m1) ** 2) * wts).sum(axis=0) / z
-
-    def _post(prior_m, prior_v, m, v, of_b):
-        m1, v1 = _mix(m, v)
-        neg = v1 < 0
-        if neg.any():
-            # an outer point's variance, referenced to the middle point's
-            # heaviest node, cancelled below 0: split those bins' points
-            # again, each point against its own heaviest node, and mix again
-            cols = np.flatnonzero(neg)
-            own = _split_core(*(np.tile(p[cols], _K_OBS) for p in (ma, va, mb, vb)),
-                              obs[:, cols].reshape(1, -1), b_moments=of_b)
-            own_m, own_v = own[2:4] if of_b else own[:2]
-            m, v = m.copy(), v.copy()
-            m[:, cols], v[:, cols] = own_m.reshape(_K_OBS, -1), own_v.reshape(_K_OBS, -1)
-            m1, v1 = _mix(m, v)
-        v1 = _clamp_var(v1, diag)
+        v1 = _clamp_var((_kept(v + (m - m1) ** 2) * wts).sum(axis=0) / z, diag)
         post_m, post_v = prior_m + m1, v1
         if some_fb:
             post_m, post_v = np.where(all_fb, prior_m, post_m), np.where(all_fb, prior_v, v1)
         return post_m.reshape(shape), post_v.reshape(shape)
 
-    a_out = _post(ma, va, ea, va_obs, of_b=False)
-    b_out = _post(mb, vb, eb, vb_obs, of_b=True) if b_moments else (None, None)
+    a_out = _post(ma, va, ea, va_obs)
+    b_out = _post(mb, vb, eb, vb_obs) if b_moments else (None, None)
     return (*a_out, *b_out, all_fb.reshape(shape))
 
 

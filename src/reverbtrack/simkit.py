@@ -244,25 +244,30 @@ def speechlike_excitation(duration_s, sample_rate=16000, seed=0):
 # metrics
 # ---------------------------------------------------------------------------
 
-def _metric_frames(ref: AudioBuffer, test: AudioBuffer, frame=512, hop=256):
+def _frame_index(ref: AudioBuffer, test: AudioBuffer, frame, hop):
+    """(frames, frame) sample indices of the metric frames of two equal-length signals."""
     if len(ref.samples) != len(test.samples):
         raise ValueError("metric inputs must have equal length")
-    win = np.hanning(frame)
     n_frames = (len(ref.samples) - frame) // hop + 1
     if n_frames < 1:
         raise ValueError("signals too short for metric framing")
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
+    return np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
+
+
+def _metric_frames(ref: AudioBuffer, test: AudioBuffer, frame=512, hop=256):
+    idx = _frame_index(ref, test, frame, hop)
+    win = np.hanning(frame)
     rf = np.fft.rfft(ref.samples[idx] * win, axis=1)
     tf = np.fft.rfft(test.samples[idx] * win, axis=1)
     energy = np.sum((ref.samples[idx] * win) ** 2, axis=1)
     active = energy >= energy.max() * 10.0 ** (-ACTIVE_RANGE_DB / 10.0)
-    return rf, tf, active, idx
+    return rf, tf, active
 
 
 def cepstral_distance(ref: AudioBuffer, test: AudioBuffer) -> float:
     """Truncated-cepstrum distance (order 24) in dB, averaged over active
     reference frames."""
-    rf, tf, active, _ = _metric_frames(ref, test)
+    rf, tf, active = _metric_frames(ref, test)
     lr = np.log(floored_magnitude(rf))
     lt = np.log(floored_magnitude(tf))
     cr = np.fft.irfft(lr, axis=1)
@@ -275,7 +280,7 @@ def cepstral_distance(ref: AudioBuffer, test: AudioBuffer) -> float:
 
 def log_spectral_distance(ref: AudioBuffer, test: AudioBuffer) -> float:
     """RMS log-magnitude spectral difference in dB over active frames."""
-    rf, tf, active, _ = _metric_frames(ref, test)
+    rf, tf, active = _metric_frames(ref, test)
     diff_db = 20.0 * (np.log10(floored_magnitude(rf)) - np.log10(floored_magnitude(tf)))
     per_frame = np.sqrt(np.mean(diff_db ** 2, axis=1))
     return float(np.mean(per_frame[active]))
@@ -283,10 +288,7 @@ def log_spectral_distance(ref: AudioBuffer, test: AudioBuffer) -> float:
 
 def segmental_snr(ref: AudioBuffer, test: AudioBuffer, frame=512, hop=256) -> float:
     """Frame SNR clamped to [-10, 35] dB, averaged over active frames."""
-    if len(ref.samples) != len(test.samples):
-        raise ValueError("metric inputs must have equal length")
-    n_frames = (len(ref.samples) - frame) // hop + 1
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
+    idx = _frame_index(ref, test, frame, hop)
     r = ref.samples[idx]
     e = ref.samples[idx] - test.samples[idx]
     energy = np.sum(r ** 2, axis=1)

@@ -145,6 +145,21 @@ def test_enhance_frames_gain_bounds():
     assert np.all(gain >= floor - 1e-9)
 
 
+def test_enhance_frames_needs_a_frame():
+    with pytest.raises(ValueError, match="at least one frame"):
+        enhance_frames(SpectralFrames(np.zeros((0, 257), complex), AnalysisConfig()))
+
+
+def test_enhance_frames_needs_the_config_geometry():
+    """A spectrum analysed at another hop than the config's would run every
+    time constant of the cascade at the wrong rate."""
+    spec = _random_frames(t_frames=20, seed=6)
+    coarse = SpectralFrames(spec.frames, AnalysisConfig(frame_increment=0.016), FS)
+    with pytest.raises(ValueError, match=r"frame_increment=0\.016\).*frame_increment=0\.008\)"):
+        enhance_frames(coarse)
+    enhance_frames(coarse, EnhancerConfig(frame_increment=0.016))
+
+
 def test_enhance_frames_bounded_look_ahead():
     cfg = EnhancerConfig()
     spec1 = _random_frames(t_frames=100, seed=5)

@@ -9,10 +9,11 @@ from scipy.special import roots_hermitenorm, roots_legendre
 from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
                      mean_dilog_ref, split_distributed_ref, split_scalar_ref)
 
-from reverbtrack.lognorm import (Diagnostics, _gh_nodes, _mean_dilog_exp,
-                                 _quad_rule, fuse_moments, line_constrained_update,
-                                 logsum_moments, phase_sigma_points,
-                                 split_distributed_obs, split_scalar_obs)
+from reverbtrack.lognorm import (_K_OBS, Diagnostics, _gh_nodes, _mean_dilog_exp,
+                                 _quad_rule, _split_core, fuse_moments,
+                                 line_constrained_update, logsum_moments,
+                                 phase_sigma_points, split_distributed_obs,
+                                 split_scalar_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +375,10 @@ def test_split_distributed_matches_unfolded_reference():
 def test_split_distributed_outer_points_keep_their_variance():
     """_split_cases' narrow priors under a wide observation, one prior decade
     at a time from 1e-10 to 1e-4: an outer point's heaviest node lies nats
-    from the middle point's, and referenced to that node its variance
-    cancels so far below 0 that the mixture clamps on a few bins per decade
-    unless those bins' points are split again against their own nodes."""
+    from the middle point's, and referenced to any node but its own, its
+    variance cancels so far below 0 that the mixture clamps on a few bins
+    per decade. Every point's variances of a and b stay >= 0 wherever the
+    point does not fall back."""
     rng = np.random.default_rng(23)
     n = 2000
     ma, mb = rng.normal(-1.0, 3.0, (2, n))
@@ -390,6 +392,9 @@ def test_split_distributed_outer_points_keep_their_variance():
         full = split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag)
         a_only = split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag, b_moments=False)
         assert diag.variance_clamps == 0
+        obs = y + np.sqrt(vo) * _gh_nodes(_K_OBS)[0][:, None]
+        _, va_obs, _, vb_obs, fb = _split_core(ma, va, mb, vb, obs)
+        assert np.all(va_obs[~fb] >= 0) and np.all(vb_obs[~fb] >= 0)
         _assert_split_matches(full, split_distributed_ref(ma, va, mb, vb, y, vo))
         for got, ref in zip(a_only[:2] + a_only[4:], full[:2] + full[4:]):
             assert np.array_equal(got, ref)

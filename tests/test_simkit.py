@@ -213,6 +213,13 @@ def test_metric_length_mismatch():
             metric(ref, short)
 
 
+def test_metric_too_short_for_a_frame():
+    short = AudioBuffer(_speech_pair().samples[:511])
+    for metric in (cepstral_distance, log_spectral_distance, segmental_snr):
+        with pytest.raises(ValueError, match="too short"):
+            metric(short, short)
+
+
 def test_metric_sanity_ordering():
     ref = _speech_pair()
     noisy = mix_noise(ref, "white", 5.0, seed=23)
