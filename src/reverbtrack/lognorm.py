@@ -15,7 +15,9 @@ The two non-linear kernels carry almost all of the cascade's cost and
 are written for fewer operations per bin:
 - logsum_moments (the prior of log|A+B|) is closed-form except for the
   mean dilogarithm E{Li2(e^{-2|a-b|})}, which is read from a table over
-  (|m|/s, log s) that one exact quadrature fills on first use;
+  (|m|/s, log s) that one exact quadrature fills on first use; each cell
+  holds the 16 coefficients of its bicubic, so a lookup is one gather and
+  one einsum;
 - _split_core (the posterior given log|A+B|) folds the three Gaussian
   log-pdfs of its (u, phi) quadrature into one quadratic per node, sums
   the nodes by a matrix product relative to each observation point's
@@ -24,6 +26,9 @@ are written for fewer operations per bin:
 The split's quadrature orders are constants of the module: _K_U = 15
 Gauss-Hermite nodes along u = b - a, _K_PHASE = 6 phase nodes, and
 _K_OBS = 3 Gauss-Hermite points of a Gaussian observation.
+
+The normal CDF and the dilogarithm come from reverbtrack.special, and
+the quadrature rules from numpy.polynomial, so no scipy module is loaded.
 
 Every operation works on numpy arrays of means and variances,
 elementwise over any shape of bins; the frame loop calls each one once
@@ -37,11 +42,14 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, spence
+
+from .special import li2_exp, ndtr
 
 _LOG_TINY = np.log(1e-300)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 _VAR_FLOOR = 1e-12
 _K_U, _K_PHASE, _K_OBS = 15, 6, 3     # the split's quadrature orders
 
@@ -132,12 +140,13 @@ _DILOG_STEPS = (120, 90)        # table intervals along r and along log s
 _DILOG_GH_NODES = 8             # Gauss-Hermite nodes for r > _DILOG_R_MAX
 _DILOG_VAR_MIN = np.finfo(float).tiny   # floor of the variance, so that s > 0
 # 4-point Lagrange interpolation on nodes -1, 0, 1, 2: row i holds the
-# coefficients of p^i in the four weights, for the offset p in [0, 1)
+# coefficients of p^0..p^3 in the weight of node i - 1, for the offset p
+# in [0, 1)
 _LAGRANGE4 = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0 / 3.0, -0.5, 1.0, -1.0 / 6.0],
-    [0.5, -1.0, 0.5, 0.0],
-    [-1.0 / 6.0, 0.5, -0.5, 1.0 / 6.0],
+    [0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0],
+    [1.0, -0.5, -1.0, 0.5],
+    [0.0, 1.0, 0.5, -0.5],
+    [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0],
 ])
 
 
@@ -147,8 +156,8 @@ def _quad_rule():
 
     t lies in [0, 1]; the weights carry the Jacobian 2t of
     u = lo + span*t^2 and the normal density's 1/sqrt(2 pi). The rule
-    comes from numpy.polynomial, as scipy's roots_legendre would load
-    scipy.linalg into every process that calls enhance.
+    comes from numpy.polynomial, which, unlike scipy's roots_legendre,
+    loads no scipy module into a process that calls enhance.
     """
     t, w = leggauss(48)
     t = 0.5 * (t + 1.0)
@@ -173,19 +182,22 @@ def _mean_dilog_quad(md, vd):
     span = np.maximum(np.minimum(r + 9.0, 20.0 / s) - lo, 0.0)
     u = lo + span * t2
     dens = np.exp(-0.5 * (u - r) ** 2) + np.exp(-0.5 * (u + r) ** 2)
-    return (spence(-np.expm1(-2.0 * s * u)) * dens) @ w * span[..., 0]
+    return (li2_exp(s * u) * dens) @ w * span[..., 0]
 
 
 @functools.cache
 def _dilog_table():
-    """The lookup table of _mean_dilog_exp, built on first call (~20 ms).
+    """The lookup table of _mean_dilog_exp, built on first call (~40 ms).
 
-    Rows sit at r = (i - 1)*h_r and columns at log s = log s_lo + (j - 1)*h_t:
-    one node before the start of each range and two past its end, so
-    every point in range has its full 4 x 4 stencil. The row at r = -h_r
-    mirrors r = h_r, as the function is even in m. Every entry is read
-    from _mean_dilog_quad, one column of s at a time so that the build
-    stays small in memory.
+    Nodes sit at r = (i - 1)*h_r and log s = log s_lo + (j - 1)*h_t: one
+    node before the start of each range and two past its end, so every
+    point in range has its full 4 x 4 stencil. The row at r = -h_r
+    mirrors r = h_r, as the function is even in m. Every node value is
+    read from _mean_dilog_quad, one column of s at a time so that the
+    build stays small in memory. Each cell then holds the 16
+    coefficients C_kl of its bicubic sum_kl C_kl p^k q^l in the offsets
+    (p, q) in [0, 1)^2, which is the 4 x 4 point Lagrange interpolation
+    of its stencil: C = L^T V L with L = _LAGRANGE4 and V the stencil.
     """
     nr, nt = _DILOG_STEPS
     hr = _DILOG_R_MAX / nr
@@ -193,17 +205,17 @@ def _dilog_table():
     ht = (t_hi - t_lo) / nt
     r = np.arange(-1, nr + 3) * hr
     s = np.exp(t_lo + np.arange(-1, nt + 3) * ht)
-    table = np.stack([_mean_dilog_quad(r * s_j, s_j * s_j) for s_j in s], axis=1)
-    cols = table.shape[1]
-    return dict(table=table.ravel(), cols=cols, inv_hr=1.0 / hr, inv_ht=1.0 / ht,
-                t_lo=t_lo, t_hi=t_hi,
-                stencil=(np.arange(4)[:, None] * cols + np.arange(4)).reshape(16, 1))
+    nodes = np.stack([_mean_dilog_quad(r * s_j, s_j * s_j) for s_j in s], axis=1)
+    coef = (_LAGRANGE4.T @ sliding_window_view(nodes, (4, 4)) @ _LAGRANGE4).transpose(2, 3, 0, 1)
+    return dict(coef=np.ascontiguousarray(coef.reshape(16, -1)), cols=nt + 1,
+                inv_hr=1.0 / hr, inv_ht=1.0 / ht, t_lo=t_lo, t_hi=t_hi,
+                pos_max=np.array([[nr], [nt]], dtype=float))
 
 
-def _lagrange4(p):
-    """(4,) + p.shape cubic interpolation weights of nodes -1, 0, 1, 2 at offsets p."""
-    c = _LAGRANGE4.reshape((4, 4) + (1,) * p.ndim)
-    return ((c[3] * p + c[2]) * p + c[1]) * p + c[0]
+def _all_or_where(mask):
+    """A full slice where every entry of the 1-D mask is True, else the
+    indices of its True entries: a slice indexes without a copy."""
+    return slice(None) if mask.all() else mask.nonzero()[0]
 
 
 def _mean_dilog_exp(md, vd):
@@ -221,6 +233,10 @@ def _mean_dilog_exp(md, vd):
       quadrature itself.
     vd is floored at the smallest normal double, so vd <= 0 takes one of
     the last two branches, which give the limit Li2(e^{-2|md|}) to 1e-14.
+    Each point reads its cell's 16 bicubic coefficients and sums them
+    against the powers of its offsets in one einsum. Where every point
+    lies in the table, as in the frame loop's common case, the branches
+    cost only the three range checks.
     """
     md, vd = _float_arrays(np.abs(md), vd)
     shape = md.shape
@@ -229,25 +245,36 @@ def _mean_dilog_exp(md, vd):
     s = np.sqrt(vd)
     r = md / s
     t = np.log(s)
-    # table coordinates, clamped to the table (fmin/fmax keep NaN in it too)
-    pos = np.empty((2,) + r.shape)
-    np.multiply(np.fmin(r, _DILOG_R_MAX), tab["inv_hr"], out=pos[0])
-    np.multiply(np.fmin(np.fmax(t, tab["t_lo"]), tab["t_hi"]) - tab["t_lo"],
-                tab["inv_ht"], out=pos[1])
+    pos = np.empty((2,) + r.shape)                      # table coordinates
+    np.multiply(r, tab["inv_hr"], out=pos[0])
+    np.subtract(t, tab["t_lo"], out=pos[1])
+    pos[1] *= tab["inv_ht"]
+    # NaN fails every comparison, so it never counts as inside
+    inside = not r.size or (r.max() <= _DILOG_R_MAX and t.min() >= tab["t_lo"]
+                            and t.max() <= tab["t_hi"])
+    if not inside:
+        # clamped into the table (fmin/fmax keep NaN in it too); what is
+        # read there for points outside the table is replaced below
+        np.fmax(np.fmin(pos, tab["pos_max"], out=pos), 0.0, out=pos)
     cell = pos.astype(np.intp)
-    w = _lagrange4(pos - cell)
-    vals = tab["table"].take(tab["stencil"] + (cell[0] * tab["cols"] + cell[1]))
-    out = np.einsum("ij,ij->j", (w[:, None, 0] * w[:, 1]).reshape(16, -1), vals)
+    powers = np.empty((4,) + pos.shape)                # (power, coordinate, point)
+    powers[0] = 1.0
+    np.subtract(pos, cell, out=powers[1])
+    np.multiply(powers[1], powers[1], out=powers[2])
+    np.multiply(powers[2], powers[1], out=powers[3])
+    coef = tab["coef"].take(cell[0] * tab["cols"] + cell[1], axis=1).reshape(4, 4, -1)
+    out = np.einsum("kn,ln,kln->n", powers[:, 0], powers[:, 1], coef)
+    if inside:
+        return out.reshape(shape)
 
     far = r > _DILOG_R_MAX
     if far.any():
-        far = far.nonzero()[0]
+        far = _all_or_where(far)
         x, wx = _gh_nodes(_DILOG_GH_NODES)
-        d = np.abs(md[far, None] + s[far, None] * x)
-        out[far] = spence(-np.expm1(-2.0 * d)) @ wx
+        out[far] = li2_exp(np.abs(md[far, None] + s[far, None] * x)) @ wx
     wide = ((t < tab["t_lo"]) | (t > tab["t_hi"])) & (r <= _DILOG_R_MAX)
     if wide.any():
-        wide = wide.nonzero()[0]
+        wide = _all_or_where(wide)
         out[wide] = _mean_dilog_quad(md[wide], vd[wide])
     nan = np.isnan(r)
     if nan.any():
@@ -277,7 +304,7 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     d = ma - mb
     alpha = d / theta
     cdf = ndtr(alpha)
-    tpdf = theta * np.exp(-0.5 * alpha * alpha) / np.sqrt(2.0 * np.pi)
+    tpdf = theta * np.exp(-0.5 * alpha * alpha) / _SQRT_2PI
     # moments of max(a, b) - mb
     e1 = d * cdf + tpdf
     e2 = (d * d + va) * cdf + vb * (1.0 - cdf) + d * tpdf

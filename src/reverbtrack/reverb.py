@@ -43,12 +43,12 @@ class RoomParams:
     frame_increment: float = 0.008
 
     def __post_init__(self):
-        if self.t60 <= 0:
-            raise ValueError("T60 must be positive")
-        if self.frame_increment <= 0:
-            raise ValueError("frame increment must be positive")
+        for name in ("t60", "frame_increment"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not np.isfinite(self.drr):
-            raise ValueError("DRR must be finite")
+            raise ValueError(f"drr must be finite, got {self.drr!r}")
 
 
 def room_to_ab(room: RoomParams):

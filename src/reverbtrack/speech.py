@@ -5,11 +5,13 @@ coefficients are re-fit every modulation frame increment on pre-cleaned
 log-magnitudes, on deviations from the local (modulation-frame) mean.
 The KF update touches only the current frame, so the state is
 decorrelated (tail conditioned on head) before the update and
-recorrelated afterwards.
+recorrelated afterwards. The Log-MMSE gain's exponential integral E1
+comes from reverbtrack.special.
 """
 
 import numpy as np
-from scipy.special import exp1
+
+from .special import exp1
 
 PRECLEAN_GAIN_FLOOR_DB = -20.0
 

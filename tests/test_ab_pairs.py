@@ -105,3 +105,24 @@ def test_output_identity(tmp_path, monkeypatch, capsys):
     pairs = json.loads((tmp_path / "out" / "pairs.json").read_text())
     assert [(p["parent"]["sha256"], p["change"]["sha256"]) for p in pairs][1:3] == [
         ("aa", "aa"), ("aa", "bb")]
+
+
+def test_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch, capsys):
+    for side in ab_pairs.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({**SPEC, "run_seconds": 1}))
+
+    def run_once(checkout, workload, seed, seconds, out=None):
+        if seed == 2:
+            raise ab_pairs.RunFailed(f"{checkout}: perfbench/run.py failed on seed {seed}:\nboom")
+        return {"metrics": {"rtf": {"value": 0.5, "unit": "s/s"}}, "failed": 0,
+                "attempted": 1, "sha256": "aa"}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    status = ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                            "w", "--seeds", "0-4", "--out", str(tmp_path / "out")])
+    assert status != 0
+    assert "run of seed 2 failed; 2 pairs done" in capsys.readouterr().err
+    pairs = json.loads((tmp_path / "out" / "pairs.json").read_text())
+    assert [p["seed"] for p in pairs] == [0, 1]

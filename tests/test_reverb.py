@@ -37,6 +37,16 @@ def test_invalid_room_params():
         RoomParams(0.5, np.inf)
 
 
+def test_room_params_require_finite_positive_times():
+    """A non-finite T60 or frame increment fails with the field's name."""
+    for t60, increment, name in ((np.nan, 0.008, "t60"), (np.inf, 0.008, "t60"),
+                                 (0.0, 0.008, "t60"), (0.5, np.nan, "frame_increment"),
+                                 (0.5, np.inf, "frame_increment"),
+                                 (0.5, 0.0, "frame_increment")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            RoomParams(t60, 0.0, increment)
+
+
 def test_ab_to_gamma_beta():
     g, be = ab_to_gamma_beta(0.54, 1.0)
     assert g == pytest.approx(-0.3077, abs=1e-3)

@@ -26,7 +26,10 @@ they differ.
 
 ``--out DIR`` keeps every run's result set (``DIR/parent/seedN`` and
 ``DIR/change/seedN``, readable by ``perfbench/run.py --compare``) and the
-raw pairs, with both sides' output hashes, as ``DIR/pairs.json``.
+raw pairs, with both sides' output hashes, as ``DIR/pairs.json``, which
+is rewritten after every pair. A run that fails ends the script with
+exit status 1 and a message naming its side and seed; ``pairs.json``
+then holds the pairs finished before it.
 """
 
 import argparse
@@ -38,6 +41,10 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+
+
+class RunFailed(RuntimeError):
+    """A benchmark run that exited with an error."""
 
 
 def parse_seeds(text):
@@ -64,7 +71,7 @@ def run_once(checkout, workload, seed, seconds, out=None):
         cmd += ["--out", str(out)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: perfbench/run.py failed on seed {seed}:\n{proc.stderr}")
+        raise RunFailed(f"{checkout}: perfbench/run.py failed on seed {seed}:\n{proc.stderr}")
     *_, report, result = proc.stdout.strip().splitlines()
     return {**json.loads(result), "sha256": json.loads(report).get("sha256")}
 
@@ -139,19 +146,25 @@ def main(argv=None):
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
 
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
     pairs = []
     for i, seed in enumerate(args.seeds):
         pair = {"seed": seed, "first": SIDES[i % 2]}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             out = args.out.resolve() / side / f"seed{seed}" if args.out else None
-            pair[side] = run_once(dirs[side], args.workload, seed, seconds, out)
+            try:
+                pair[side] = run_once(dirs[side], args.workload, seed, seconds, out)
+            except RunFailed as exc:
+                print(f"error: {side} run of seed {seed} failed; "
+                      f"{len(pairs)} pairs done\n{exc}", file=sys.stderr)
+                return 1
         pairs.append(pair)
+        if args.out:
+            (args.out / "pairs.json").write_text(json.dumps(pairs, indent=1))
         brief = {side: {k: round(v["value"], 4) for k, v in pair[side]["metrics"].items()}
                  for side in SIDES}
         print(f"seed {seed} ({pair['first']} first): {json.dumps(brief)}", file=sys.stderr)
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "pairs.json").write_text(json.dumps(pairs, indent=1))
 
     print(f"workload {args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"{len(pairs)} pairs, {seconds:g} s per run")
