@@ -76,13 +76,11 @@ class EnhancerConfig:
             raise ValueError("init_param_variance must be >= 0")
         if not self.noise_variance > 0:
             raise ValueError("noise_variance must be > 0")
-        # the initial room as (gamma, beta), formed here so that a room the
-        # filter cannot start from fails with the fields that describe it
+        # a room the filter cannot start from fails here, naming its fields
         try:
-            a, b = reverb.room_to_ab(reverb.RoomParams(self.init_t60, self.init_drr,
-                                                       self.frame_increment))
-            self.init_gamma_beta = reverb.ab_to_gamma_beta(a, b)
-        except (ValueError, ArithmeticError) as exc:
+            reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(
+                self.init_t60, self.init_drr, self.frame_increment)))
+        except ValueError as exc:
             raise ValueError(f"init_t60 = {self.init_t60!r} and init_drr = {self.init_drr!r} "
                              f"give no initial room: {exc}") from None
 
@@ -199,7 +197,9 @@ class _FilterState:
         self.s_cov = np.tile(np.eye(p) * cfg.init_param_variance, (k_bins, 1, 1))
         self.r_mean = noise_mean0.copy()
         self.r_var = np.full(k_bins, 1.0)
-        g0, b0 = cfg.init_gamma_beta
+        a, b = reverb.room_to_ab(reverb.RoomParams(cfg.init_t60, cfg.init_drr,
+                                                   cfg.frame_increment))
+        g0, b0 = reverb.ab_to_gamma_beta(a, b)
         self.gamma_m = np.full(k_bins, g0)
         self.gamma_v = np.full(k_bins, cfg.init_param_variance)
         self.beta_m = np.full(k_bins, b0)

@@ -10,6 +10,8 @@ bins at once; this module holds the thresholds and the observation
 variance they use.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +49,15 @@ class RoomParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not np.isfinite(self.drr):
-            raise ValueError(f"drr must be finite, got {self.drr!r}")
+        # room_to_ab divides by the power ratio 10^(drr/10): it must be a
+        # normal float, so drr lies within about [-3076, +3082] dB
+        try:
+            ratio = math.pow(10.0, float(self.drr) / 10.0)
+        except OverflowError:
+            ratio = math.inf
+        if not sys.float_info.min <= ratio < math.inf:
+            raise ValueError(f"drr must be finite with 10^(drr/10) a normal float, "
+                             f"got {self.drr!r}")
 
 
 def room_to_ab(room: RoomParams):

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 _SQRT_HALF = math.sqrt(0.5)
 _ZETA2 = math.pi ** 2 / 6.0            # Li2(1)
@@ -27,30 +28,9 @@ _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.5772156649015329      # Euler's constant, the double nearest it
 _Z_MAX = 1.0 - 2.0 ** -53              # largest double below 1
 _LI2_TERMS = 9                         # Bernoulli terms of _li2_series, t <= ln 2
-_LI2_TAIL = 2.0 ** -18                 # Li2(z) = z + z^2/4 + z^3/9 below, to 4e-18 (relative)
 _EXP1_SPLIT = 4.0                      # exp1: _ein_rule below, _exp1_rule above
 _EIN_NODES = 12
 _EXP1_FAR_NODES = 30
-
-
-def _polyval(coeffs, x):
-    """sum_k coeffs[k] x^k, elementwise.
-
-    The powers of x are built by doubling (x^0..x^(n-1) times x^n gives
-    x^n..x^(2n-1)) and summed by one matrix product: some 10 numpy calls
-    for ten terms, against Horner's 20.
-    """
-    count = len(coeffs)
-    powers = np.empty((count,) + x.shape)
-    powers[0] = 1.0
-    done, step = 1, x
-    while done < count:
-        m = min(done, count - done)
-        np.multiply(powers[:m], step, out=powers[done:done + m])
-        done += m
-        if done < count:
-            step = step * step
-    return coeffs @ powers.reshape(count, -1)
 
 
 def ndtr(x):
@@ -99,30 +79,14 @@ def li2_exp(x):
     the value where that is tiny; pi^2/6 at 0 and 0 at +inf. Both
     branches share log(1 - e^{-w}), taken by log1p(-e^{-w}): where
     e^{-w} >= 1/2, 1 - e^{-w} is exact, so the product with w errs by
-    about one ulp of 1 even as w goes to 0. Where more than half of the
-    points have z = e^{-w} <= _LI2_TAIL, as in the far branch of
-    lognorm._mean_dilog_exp on degenerate inputs, those take
-    z + z^2/4 + z^3/9 and the series runs on the others only.
+    about one ulp of 1 even as w goes to 0.
     """
     x = np.asarray(x, dtype=float)
     w = np.where(x >= 0.0, 2.0 * x, np.nan)
-    z = np.exp(-w)
-    tail = z <= _LI2_TAIL
-    if tail.sum() <= tail.size // 2:
-        return _li2_bernoulli(w, z)
-    out = z * (1.0 + z * (0.25 + z / 9.0))
-    rest = ~tail
-    if rest.any():
-        out[rest] = _li2_bernoulli(w[rest], z[rest])
-    return out
-
-
-def _li2_bernoulli(w, z):
-    """Li2(z) at z = e^{-w} by the Bernoulli series, as li2_exp describes."""
-    lz = np.log1p(-np.minimum(z, _Z_MAX))               # log(1 - e^{-w}), finite at w = 0
+    lz = np.log1p(-np.minimum(np.exp(-w), _Z_MAX))     # log(1 - e^{-w}), finite at w = 0
     near = w < _LN2
     t = np.where(near, w, -lz)
-    b = t * (_polyval(_li2_series(), t * t).reshape(t.shape) + 1.0 - 0.25 * t)
+    b = t * (polyval(t * t, _li2_series()) + 1.0 - 0.25 * t)
     return np.where(near, _ZETA2 + np.minimum(w, _LN2) * lz - b, b)
 
 
@@ -164,17 +128,14 @@ def exp1(v):
 
     For v <= _EXP1_SPLIT, E1(v) = -gamma - log v + Ein(v) with Ein by the
     quadrature of _ein_rule, whose terms are all positive; above, the
-    quadrature of _exp1_far, taken only on the points above the split;
-    the first form is skipped where every point lies above it. Within
-    7e-16*max(1, E1) of the exact value on [1e-10, 700] (scipy's exp1
-    comes within 3.3e-16); inf at 0, 0 at +inf, NaN where v < 0 or v is
-    NaN.
+    quadrature of _exp1_far, taken only on the points above the split.
+    Within 7e-16*max(1, E1) of the exact value on [1e-10, 700] (scipy's
+    exp1 comes within 3.3e-16); inf at 0, 0 at +inf, NaN where v < 0 or v
+    is NaN.
     """
     shape = np.shape(v)
     v = np.asarray(v, dtype=float).ravel()
     far = v > _EXP1_SPLIT
-    if far.all():
-        return _exp1_far(v).reshape(shape)
     s, w = _ein_rule()
     near = np.minimum(v, _EXP1_SPLIT)            # NaN stays NaN
     with np.errstate(all="ignore"):              # log: -inf at 0, NaN below 0

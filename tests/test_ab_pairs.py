@@ -107,7 +107,7 @@ def test_output_identity(tmp_path, monkeypatch, capsys):
         ("aa", "aa"), ("aa", "bb")]
 
 
-def test_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch, capsys):
+def test_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch):
     for side in ab_pairs.SIDES:
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text("")
@@ -115,14 +115,13 @@ def test_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch, capsys):
 
     def run_once(checkout, workload, seed, seconds, out=None):
         if seed == 2:
-            raise ab_pairs.RunFailed(f"{checkout}: perfbench/run.py failed on seed {seed}:\nboom")
+            raise SystemExit(f"{checkout}: perfbench/run.py failed on seed {seed}:\nboom")
         return {"metrics": {"rtf": {"value": 0.5, "unit": "s/s"}}, "failed": 0,
                 "attempted": 1, "sha256": "aa"}
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
-    status = ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
-                            "w", "--seeds", "0-4", "--out", str(tmp_path / "out")])
-    assert status != 0
-    assert "run of seed 2 failed; 2 pairs done" in capsys.readouterr().err
+    with pytest.raises(SystemExit, match="failed on seed 2"):
+        ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                       "--seeds", "0-4", "--out", str(tmp_path / "out")])
     pairs = json.loads((tmp_path / "out" / "pairs.json").read_text())
     assert [p["seed"] for p in pairs] == [0, 1]

@@ -82,7 +82,7 @@ def test_load_config_rejects_invalid_value(tmp_path):
     path = tmp_path / "bad.txt"
     for key, value in (("q_beta", "-1"), ("rnr_threshold_db", "nan"), ("noise_bias", "inf"),
                        ("p", "0"), ("noise_smooth", "1.5"), ("init_t60", "-1"),
-                       ("init_t60", "1e-9")):
+                       ("init_t60", "1e-9"), ("init_drr", "-4000")):
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=key):
             load_config(path)
@@ -158,6 +158,9 @@ def test_params_table_lists_all_environments(capsys):
 
 def test_params_rejects_nonpositive_t60(capsys):
     assert main(["params", "--t60", "-0.5", "--drr", "0"]) != 0
+    # as is a DRR whose power ratio leaves the float range, by an error line
+    assert main(["params", "--t60", "0.5", "--drr", "-4000"]) != 0
+    assert "error: drr must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

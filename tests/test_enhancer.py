@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import minimum_filter1d
 
-from reverbtrack import enhancer, lognorm, reverb
+from reverbtrack import enhancer, lognorm
 from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
                                   enhance, enhance_frames, track_noise)
 from reverbtrack.lognorm import Diagnostics, fuse_moments
@@ -417,8 +417,6 @@ def test_config_validation():
     for t60, drr in ((-1.0, 0.0), (1e-9, 0.0), (1e300, 0.0), (0.5, 1e308), (0.5, -1e308)):
         with pytest.raises(ValueError, match="init_t60 .* init_drr"):
             EnhancerConfig(init_t60=t60, init_drr=drr)
-    assert EnhancerConfig().init_gamma_beta == reverb.ab_to_gamma_beta(
-        *reverb.room_to_ab(reverb.RoomParams(0.5, 0.0, 0.008)))
     # the boundary values stay valid
     EnhancerConfig(q_gamma=0.0, q_beta=0.0, init_param_variance=0.0)
     edge = EnhancerConfig(p=1, look_ahead=0, fdr_skip=0, min_fdr_length=0, noise_smooth=0.0)

@@ -33,8 +33,14 @@ def test_room_to_ab_zero_drr():
 def test_invalid_room_params():
     with pytest.raises(ValueError):
         RoomParams(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        RoomParams(0.5, np.inf)
+    # a DRR whose power ratio 10^(drr/10) overflows or underflows fails
+    # with the field's name; near the ends of the ratio's range it works
+    for drr in (np.inf, np.nan, -np.inf, 1e308, 3100.0, -3100.0, -4000.0, -1e308):
+        with pytest.raises(ValueError, match="^drr must be finite"):
+            RoomParams(0.5, drr)
+    for drr in (3080.0, -3070.0):
+        a, b = room_to_ab(RoomParams(0.5, drr))
+        assert 0.0 < b < np.inf
 
 
 def test_room_params_require_finite_positive_times():

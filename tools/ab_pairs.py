@@ -28,7 +28,7 @@ they differ.
 ``DIR/change/seedN``, readable by ``perfbench/run.py --compare``) and the
 raw pairs, with both sides' output hashes, as ``DIR/pairs.json``, which
 is rewritten after every pair. A run that fails ends the script with
-exit status 1 and a message naming its side and seed; ``pairs.json``
+exit status 1 and a message naming its checkout and seed; ``pairs.json``
 then holds the pairs finished before it.
 """
 
@@ -41,10 +41,6 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-
-
-class RunFailed(RuntimeError):
-    """A benchmark run that exited with an error."""
 
 
 def parse_seeds(text):
@@ -71,7 +67,7 @@ def run_once(checkout, workload, seed, seconds, out=None):
         cmd += ["--out", str(out)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RunFailed(f"{checkout}: perfbench/run.py failed on seed {seed}:\n{proc.stderr}")
+        raise SystemExit(f"{checkout}: perfbench/run.py failed on seed {seed}:\n{proc.stderr}")
     *_, report, result = proc.stdout.strip().splitlines()
     return {**json.loads(result), "sha256": json.loads(report).get("sha256")}
 
@@ -153,12 +149,7 @@ def main(argv=None):
         pair = {"seed": seed, "first": SIDES[i % 2]}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             out = args.out.resolve() / side / f"seed{seed}" if args.out else None
-            try:
-                pair[side] = run_once(dirs[side], args.workload, seed, seconds, out)
-            except RunFailed as exc:
-                print(f"error: {side} run of seed {seed} failed; "
-                      f"{len(pairs)} pairs done\n{exc}", file=sys.stderr)
-                return 1
+            pair[side] = run_once(dirs[side], args.workload, seed, seconds, out)
         pairs.append(pair)
         if args.out:
             (args.out / "pairs.json").write_text(json.dumps(pairs, indent=1))
