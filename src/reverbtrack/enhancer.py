@@ -6,14 +6,15 @@ prediction of the reverberation and total-disturbance log-spectra,
 then the observation-driven decompositions (y -> s, z; z -> r, n;
 r -> old/new reverberation) and straight-line constrained updates of
 gamma and beta. All bins advance in lockstep (vectorised); a bounded
-look-ahead of C frames feeds the decay priors. The stages ahead of the
-cascade (noise tracking, pre-cleaning, AR fits, decay-run detection) run
-a block of frames at a time just ahead of it, and each frame's gain is
-applied as soon as the frame is done, so nothing but the input, the
-Trace and the output grows with the number of frames. The r -> old/new
-split and the gamma/beta updates (steps 10-12) run only on the bins that
-pass the per-bin RNR gate in that frame; the other bins keep their gamma
-and beta priors.
+look-ahead of C frames feeds the decay priors. One generator,
+_front_end, runs the stages ahead of the cascade (noise tracking,
+pre-cleaning, AR fits, decay-run detection) a block of frames at a time
+just ahead of it and yields each frame's inputs, RNR gate and decay
+priors. Each frame's gain is applied as soon as the frame is done, so
+nothing but the input, the Trace and the output grows with the number
+of frames. The r -> old/new split and the gamma/beta updates (steps
+10-12) run only on the bins that pass the per-bin RNR gate in that
+frame; the other bins keep their gamma and beta priors.
 """
 
 import math
@@ -105,7 +106,6 @@ class Trace:
     """
 
     arrays: dict
-    frame_increment: float
 
     @property
     def n_frames(self):
@@ -137,12 +137,13 @@ class Trace:
 
 
 def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
-                bias=1.5, noise_variance=0.5, state=None):
+                bias=1.5, state=None):
     """Minimum-statistics style noise tracker.
 
     Sliding-window minimum of exponentially smoothed power over window_s,
-    bias-compensated by a fixed factor. Returns (mean (T, K) in nats of
-    log-amplitude, variance scalar). state, when given, is a dict carried
+    bias-compensated by a fixed factor. Returns the noise mean, (T, K) in
+    nats of log-amplitude; the cascade takes its variance from the
+    config's noise_variance. state, when given, is a dict carried
     from the call on the previous block of frames (empty before the first
     block) and is updated in place; it keeps the smoother's last value
     and the smoothed rows the next block's window reaches back to.
@@ -171,7 +172,7 @@ def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
     state["acc"] = acc
     state["history"] = pad[pad.shape[0] - (w - 1):].copy()
     est = bias * np.maximum(mins, 1e-300)
-    return 0.5 * np.log(est), noise_variance
+    return 0.5 * np.log(est)
 
 
 def _window_min(x, w):
@@ -189,7 +190,8 @@ def _window_min(x, w):
 
 
 class _FilterState:
-    """Vectorised filter state across K bins."""
+    """Vectorised filter state across K bins; the head of the speech
+    state, s_mean[:, 0] and s_cov[:, 0, 0], is the last speech posterior."""
 
     def __init__(self, k_bins, cfg: EnhancerConfig, first_log, noise_mean0):
         p = cfg.p
@@ -204,8 +206,6 @@ class _FilterState:
         self.gamma_v = np.full(k_bins, cfg.init_param_variance)
         self.beta_m = np.full(k_bins, b0)
         self.beta_v = np.full(k_bins, cfg.init_param_variance)
-        self.s_post_m = first_log.copy()
-        self.s_post_v = np.full(k_bins, cfg.init_param_variance)
 
 
 def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
@@ -213,6 +213,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
              cfg: EnhancerConfig, diag: Diagnostics, update_mask):
     """One frame of the cascade for all bins. Returns the trace row dict.
 
+    n_var is the noise log-magnitude's variance, one scalar for every bin.
     prior_mask, a (bins,) bool array, selects the bins whose gamma/beta
     predictions are fused with the decay priors prior_gm...prior_bv.
     update_mask, a (bins,) bool array, selects the bins whose decay is
@@ -243,9 +244,10 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
         bv = np.where(prior_mask, fbv, bv)
     gm = reverb.clamp_gamma(gm)
 
-    # steps 3-4: old/new reverberation priors
+    # steps 3-4: old/new reverberation priors, from the last speech posterior
+    post_m, post_v = fs.s_mean[:, 0], fs.s_cov[:, 0, 0]
     dm, dv = gm + fs.r_mean, gv + fs.r_var
-    em, ev = bm + fs.s_post_m, bv + fs.s_post_v
+    em, ev = bm + post_m, bv + post_v
 
     # step 5: reverberation prior; step 6: total disturbance prior
     rm, rv = lognorm.logsum_moments(dm, dv, em, ev, diag=diag)
@@ -261,7 +263,7 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
         sprev_m = new_s_mean[:, 1]
         sprev_v = np.maximum(new_s_cov[:, 1, 1], 0.0)
     else:
-        sprev_m, sprev_v = fs.s_post_m, fs.s_post_v
+        sprev_m, sprev_v = post_m, post_v
 
     # step 8: distributed split z -> (r, n); the n posterior is unused,
     # so only the r posterior is computed
@@ -293,7 +295,6 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
 
     # step 13: shift posteriors to priors
     fs.s_mean, fs.s_cov = new_s_mean, new_s_cov
-    fs.s_post_m, fs.s_post_v = spm, spv
     fs.r_mean, fs.r_var = rpm, rpv
     fs.gamma_m, fs.gamma_v = gpm, gpv
     fs.beta_m, fs.beta_v = bpm, bpv
@@ -355,14 +356,14 @@ def _smooth_energy(frame_energy, state=None, final=True):
 _FDR_MAX_LEN = 100
 
 
-def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=_FDR_MAX_LEN):
+def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
     """Decay-line priors from the FDR of length m ending at row j.
 
     z_fdr holds rows of the (T, K) denoised log-magnitude and gate the
     matching rows of the per-bin RNR inclusion mask; row j is the FDR's
-    last frame. The rows must start at frame 0 or reach max_len rows back
-    from j, so that no FDR the fit can use is cut short. Returns (gm, gv,
-    bm, bv, mask). The FDR's first frame is the energy peak. The first
+    last frame. The rows must start at frame 0 or reach _FDR_MAX_LEN rows
+    back from j, so that no FDR the fit can use is cut short. Returns (gm,
+    gv, bm, bv, mask). The FDR's first frame is the energy peak. The first
     fdr_skip frames after the peak still carry windowed-out speech and are
     excluded from the fit; per bin, the fit stops at the first frame that
     fails the RNR gate. The line's intercept is referenced to the frame
@@ -374,7 +375,7 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=_FDR_MAX_LEN)
     bm = np.zeros(k_bins)
     bv = np.ones(k_bins)
     mask = np.zeros(k_bins, dtype=bool)
-    m = min(int(m), j + 1, max_len)
+    m = min(int(m), j + 1, _FDR_MAX_LEN)
     skip = max(cfg.fdr_skip, 1)
     if m < max(cfg.min_fdr_length, skip + 3):
         return gm, gv, bm, bv, mask
@@ -415,80 +416,71 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig, max_len=_FDR_MAX_LEN)
 _BLOCK = 32
 
 
-class _FrontEnd:
+def _front_end(frames, cfg: EnhancerConfig):
     """The stages ahead of the cascade, run block by block with carried state.
 
     The noise tracker, the Log-MMSE pre-clean, the AR fits, the RNR gate,
     the smoothed broadband energy and the decay-run counter advance one
     block of frames at a time, just far enough ahead of the cascade for
-    its look-ahead. Only rows that the cascade or the decay-prior fits can
-    still read are kept, so memory does not grow with the input length.
+    its look-ahead. For each frame t this yields (pre_log, y, n_mean,
+    coeffs, resid, loc_mean, gate, priors): the frame's pre-cleaned
+    log-magnitude, from which (with n_mean) the filter state starts at
+    t = 0; its observation, noise mean and AR model; its RNR gate; and the
+    _fdr_priors_at tuple of its decay priors, fitted at frame t +
+    look_ahead. Only rows the cascade or the fits can still read are kept
+    (the per-frame inputs from frame t on, pre_log and gate from frame
+    t - _FDR_MAX_LEN + 1 on), so memory does not grow with the input length.
     """
-
-    def __init__(self, frames, cfg: EnhancerConfig):
-        self.frames, self.cfg = frames, cfg
-        self.n_frames = frames.shape[0]
-        self.ready = 0              # frames processed
-        self.base = 0               # first frame in rows
-        self.hist_base = 0          # first frame in hist
-        self.rows = {}              # per-frame cascade inputs and decay-run lengths
-        self.hist = {}              # pre-cleaned log-magnitude and RNR gate
-        self.states = {k: {} for k in ("noise", "preclean", "ar", "energy", "runs")}
-        self.n_var = None           # the noise tracker's variance
-
-    def advance(self, t):
-        """Make the inputs of frame t and of its decay priors available."""
+    n_frames = frames.shape[0]
+    states = {k: {} for k in ("noise", "preclean", "ar", "energy", "runs")}
+    rows, base = {}, 0          # per-frame cascade inputs and decay-run lengths
+    hist, hist_base = {}, 0     # pre-cleaned log-magnitude and RNR gate
+    ready = 0                   # frames processed
+    for t in range(n_frames):
         # the priors read the run length at t + look_ahead, and its
         # smoothed energy reads the frame after that
-        need = min(t + self.cfg.look_ahead + 2, self.n_frames)
-        if self.ready >= need:
-            return
-        for k in self.rows:
-            self.rows[k] = self.rows[k][t - self.base:]
-        self.base = t
-        lo = max(t - _FDR_MAX_LEN + 1, 0)
-        for k in self.hist:
-            self.hist[k] = self.hist[k][lo - self.hist_base:]
-        self.hist_base = lo
-        while self.ready < need:
-            self._block()
+        need = min(t + cfg.look_ahead + 2, n_frames)
+        if ready < need:
+            lo = max(t - _FDR_MAX_LEN + 1, 0)
+            rows = {k: v[t - base:] for k, v in rows.items()}
+            hist = {k: v[lo - hist_base:] for k, v in hist.items()}
+            base, hist_base = t, lo
+        while ready < need:
+            b = min(ready + _BLOCK, n_frames)
+            _front_block(frames[ready:b], cfg, states, rows, hist, final=b == n_frames)
+            ready = b
+        i, h = t - base, t - hist_base
+        j = min(t + cfg.look_ahead, n_frames - 1)
+        priors = _fdr_priors_at(j - hist_base, rows["runs"][j - base],
+                                hist["pre_log"], hist["gate"], cfg)
+        yield (hist["pre_log"][h], rows["y_log"][i], rows["n_mean"][i], rows["coeffs"][i],
+               rows["resid"][i], rows["loc_mean"][i], hist["gate"][h], priors)
 
-    def _block(self):
-        cfg, st, a = self.cfg, self.states, self.ready
-        b = min(a + _BLOCK, self.n_frames)
-        mag = floored_magnitude(self.frames[a:b])
-        n_mean, self.n_var = track_noise(
-            mag ** 2, cfg.frame_increment, cfg.noise_window_s,
-            cfg.noise_smooth, cfg.noise_bias, cfg.noise_variance, state=st["noise"])
-        precleaned = speech.log_mmse_preclean(
-            mag, np.exp(2.0 * n_mean), gain_floor_db=cfg.preclean_gain_floor_db,
-            state=st["preclean"])
-        pre_log = np.log(np.maximum(precleaned, 1e-300))
-        coeffs, resid, loc_mean = speech.estimate_ar(
-            pre_log, cfg.p, cfg.modulation_frame, cfg.frame_increment, state=st["ar"])
-        # decay-region detection on broadband energy; per-bin RNR gate for fits
-        gate = (pre_log - n_mean) > cfg.rnr_threshold_db * reverb.DB_TO_NATS
-        energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))
-        # a 3-frame moving average keeps frame-to-frame wiggle from cutting
-        # genuine decay runs short
-        energy = _smooth_energy(energy, st["energy"], final=b == self.n_frames)
-        # the run lengths are one frame behind the other rows until the end
-        _append(self.rows, y_log=np.log(mag), n_mean=n_mean, coeffs=coeffs,
-                resid=resid, loc_mean=loc_mean, runs=_decay_run_lengths(energy, st["runs"]))
-        _append(self.hist, pre_log=pre_log, gate=gate)
-        self.ready = b
 
-    def inputs(self, t):
-        """Frame t's observation, noise mean, AR model and RNR gate."""
-        r, i = self.rows, t - self.base
-        return (r["y_log"][i], r["n_mean"][i], r["coeffs"][i], r["resid"][i],
-                r["loc_mean"][i], self.hist["gate"][t - self.hist_base])
-
-    def decay_priors(self, t):
-        """The decay priors of frame t, fitted at frame t + look_ahead."""
-        j = min(t + self.cfg.look_ahead, self.n_frames - 1)
-        return _fdr_priors_at(j - self.hist_base, self.rows["runs"][j - self.base],
-                              self.hist["pre_log"], self.hist["gate"], self.cfg)
+def _front_block(frames, cfg: EnhancerConfig, states, rows, hist, final):
+    """The stages ahead of the cascade on one block of frames, with the
+    carried states; appends the block's per-frame inputs and decay-run
+    lengths to rows and its pre_log and gate to hist. Its block-sized
+    temporaries are freed on return, not kept alive across a yield."""
+    mag = floored_magnitude(frames)
+    n_mean = track_noise(mag ** 2, cfg.frame_increment, cfg.noise_window_s,
+                         cfg.noise_smooth, cfg.noise_bias, state=states["noise"])
+    precleaned = speech.log_mmse_preclean(
+        mag, np.exp(2.0 * n_mean), gain_floor_db=cfg.preclean_gain_floor_db,
+        state=states["preclean"])
+    pre_log = np.log(np.maximum(precleaned, 1e-300))
+    coeffs, resid, loc_mean = speech.estimate_ar(
+        pre_log, cfg.p, cfg.modulation_frame, cfg.frame_increment, state=states["ar"])
+    # decay-region detection on broadband energy; per-bin RNR gate for fits
+    gate = (pre_log - n_mean) > cfg.rnr_threshold_db * reverb.DB_TO_NATS
+    energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))
+    # a 3-frame moving average keeps frame-to-frame wiggle from cutting
+    # genuine decay runs short
+    energy = _smooth_energy(energy, states["energy"], final=final)
+    # the run lengths are one frame behind the other rows until the end
+    _append(rows, y_log=np.log(mag), n_mean=n_mean, coeffs=coeffs, resid=resid,
+            loc_mean=loc_mean, runs=_decay_run_lengths(energy, states["runs"]))
+    _append(hist, pre_log=pre_log, gate=gate)
 
 
 def _append(store, **blocks):
@@ -514,28 +506,25 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     if spec.config != cfg.analysis():
         raise ValueError(f"spectrum analysed with {spec.config}, but the config's "
                          f"time constants assume {cfg.analysis()}")
-    front = _FrontEnd(spec.frames, cfg)
-    front.advance(0)
     diag = Diagnostics()
-    fs = _FilterState(k_bins, cfg, front.hist["pre_log"][0], front.rows["n_mean"][0])
     trace = {f: np.zeros((t_frames, k_bins)) for f in TRACE_FIELDS}
     trace["fallback_flags"] = np.zeros((t_frames, k_bins), dtype=np.uint8)
     out = np.empty_like(spec.frames)
     gain_floor = 10.0 ** (cfg.gain_floor_db / 20.0)
 
-    for t in range(t_frames):
-        front.advance(t)
-        y, n_mean, coeffs, resid, loc_mean, gate = front.inputs(t)
-        pg, pgv, pb, pbv, pmask = front.decay_priors(t)
-        row = _advance(fs, y, n_mean, front.n_var, coeffs, resid, loc_mean,
-                       pg, pgv, pb, pbv, pmask, cfg, diag, update_mask=gate)
+    frames_in = _front_end(spec.frames, cfg)
+    for t, (pre_log, y, n_mean, coeffs, resid, loc_mean, gate, priors) in enumerate(frames_in):
+        if t == 0:
+            fs = _FilterState(k_bins, cfg, pre_log, n_mean)
+        row = _advance(fs, y, n_mean, cfg.noise_variance, coeffs, resid, loc_mean,
+                       *priors, cfg, diag, update_mask=gate)
         for f in TRACE_FIELDS:
             trace[f][t] = row[f]
         out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
         out[t] = np.clip(np.exp(out_log - y), gain_floor, 1.0) * spec.frames[t]
 
     enhanced = SpectralFrames(out, spec.config, spec.sample_rate)
-    return enhanced, Trace(trace, cfg.frame_increment), diag
+    return enhanced, Trace(trace), diag
 
 
 def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):

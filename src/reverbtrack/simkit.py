@@ -64,6 +64,8 @@ def add_stft_noise(reverberant: SpectralFrames, truth: GroundTruth, snr_db,
                    kind="white", seed=1):
     """Add seeded noise in the STFT domain at the given SNR (vs S + R
     power) and update the ground-truth z/n logs. Returns new frames."""
+    if not np.isfinite(snr_db):
+        raise ValueError("SNR must be finite")
     if kind not in ("white", "pink"):
         raise ValueError(f"unknown noise kind {kind!r}")
     rng = np.random.default_rng(seed)

@@ -232,6 +232,16 @@ def test_simulate_rejects_out_of_range_bins(tmp_path, clean_wav, capsys):
         assert not out.exists() and not truth.exists()
 
 
+def test_simulate_rejects_non_finite_snr(tmp_path, clean_wav, capsys):
+    out = tmp_path / "noisy.wav"
+    truth = tmp_path / "truth.csv"
+    for snr in ("nan", "inf", "-inf"):
+        assert main(["simulate", str(clean_wav), str(out), "--t60", "0.5", "--drr", "0",
+                     f"--snr={snr}", "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == "error: SNR must be finite\n"
+        assert not out.exists() and not truth.exists()
+
+
 def test_enhance_missing_input_fails(tmp_path):
     assert main(["enhance", str(tmp_path / "nope.wav"),
                  str(tmp_path / "out.wav")]) != 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import minimum_filter1d
 
-from reverbtrack import enhancer, lognorm
+from reverbtrack import enhancer, lognorm, speech
 from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
                                   enhance, enhance_frames, track_noise)
 from reverbtrack.lognorm import Diagnostics, fuse_moments
@@ -26,12 +26,11 @@ def test_track_noise_stationary_accuracy():
     rng = np.random.default_rng(0)
     sigma2 = 0.04
     power = sigma2 * rng.chisquare(2, size=(1000, 8)) / 2.0
-    mean, var = track_noise(power)
+    mean = track_noise(power)
     est_db = 20.0 * mean[-1] / np.log(10.0)          # nats -> power dB
     true_db = 10.0 * np.log10(sigma2)
     # after the 1.5 s window has filled, within +-2 dB of truth
     assert np.all(np.abs(est_db - true_db) <= 2.0)
-    assert var == 0.5
 
 
 def test_track_noise_follows_silence_floor():
@@ -41,14 +40,14 @@ def test_track_noise_follows_silence_floor():
     speech = np.abs(rng.standard_normal((t_frames, 4)))
     active = (np.arange(t_frames) // 50) % 2 == 0
     power[active] += speech[active]
-    mean, _ = track_noise(power)
+    mean = track_noise(power)
     speech_db = 10.0 * np.log10(np.median(power[active]))
     floor_db = 20.0 * np.median(mean[500:]) / np.log(10.0)
     assert speech_db - floor_db >= 10.0
 
 
 def test_track_noise_constant_input():
-    mean, _ = track_noise(np.full((400, 2), 0.01), bias=1.5)
+    mean = track_noise(np.full((400, 2), 0.01), bias=1.5)
     assert np.allclose(mean[-1], 0.5 * np.log(0.015))
 
 
@@ -291,13 +290,19 @@ def test_cascade_bins_are_independent(recorded_frames):
 def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
     fs, inputs, gate, cfg = recorded_frames[58]
     assert np.any(inputs[10])                  # decay priors in this frame
-    # three bins whose refreshed speech prior contradicts the last
-    # posterior by 100 nats: step 10 cannot explain r there and falls back
+    # three bins whose refreshed speech prior (step 9's smoothed
+    # previous-frame speech) contradicts the last posterior (step 4's) by
+    # 100 nats: step 10 cannot explain r there and falls back
     fs = copy.deepcopy(fs)
     odd = [10, 100, 200]
-    fs.s_post_m[odd], fs.s_post_v[odd] = 50.0, 1e-6
     fs.s_mean[odd], fs.s_cov[odd] = -50.0, 1e-6 * np.eye(cfg.p)
     fs.gamma_v[odd] = fs.beta_v[odd] = fs.r_var[odd] = 1e-6
+
+    def recorrelate_off(*args, _fn=speech.recorrelate_arrays):
+        mean, cov = _fn(*args)
+        mean[odd, 1] += 100.0
+        return mean, cov
+    monkeypatch.setattr(speech, "recorrelate_arrays", recorrelate_off)
 
     # steps 1-2: the random walk fused with the decay priors
     gm, gv = fs.gamma_m, fs.gamma_v + cfg.q_gamma

@@ -79,6 +79,16 @@ def test_add_stft_noise_power_and_truth():
         add_stft_noise(rev, truth, 10.0, kind="brown")
 
 
+@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
+def test_add_stft_noise_rejects_non_finite_snr(snr_db):
+    rev, truth = stft_domain_reverb(_impulse_frames(), RoomParams(0.5, 0.0, 0.008), seed=4)
+    z_true, n_true = truth.z_true, truth.n_true
+    with pytest.raises(ValueError, match="SNR must be finite"):
+        add_stft_noise(rev, truth, snr_db, seed=5)
+    # the truth keeps its noiseless z and n
+    assert truth.z_true is z_true and truth.n_true is n_true
+
+
 def test_make_scene_deterministic():
     clean = speechlike_excitation(1.0, seed=6)
     room = RoomParams(0.4, 1.0)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from reverbtrack import enhancer
-from reverbtrack.enhancer import (_decay_run_lengths, _smooth_energy, enhance_frames,
-                                  track_noise)
+from reverbtrack.enhancer import (EnhancerConfig, _decay_run_lengths, _smooth_energy,
+                                  enhance_frames, track_noise)
 from reverbtrack.reverb import RoomParams
 from reverbtrack.simkit import make_scene, speechlike_excitation
 from reverbtrack.speech import estimate_ar, log_mmse_preclean
@@ -42,10 +42,8 @@ def _power(seed):
 
 def test_track_noise_blocks_match_whole():
     power = _power(0)
-    whole, var = track_noise(power)
-    parts = _in_blocks(track_noise, power)
-    assert np.array_equal(np.concatenate([m for m, _ in parts]), whole)
-    assert all(v == var for _, v in parts)
+    whole = track_noise(power)
+    assert np.array_equal(np.concatenate(_in_blocks(track_noise, power)), whole)
 
 
 def test_log_mmse_preclean_blocks_match_whole():
@@ -92,15 +90,21 @@ def test_smooth_energy_matches_convolve_in_any_blocks(t_frames):
         assert np.array_equal(np.concatenate(parts), ref)
 
 
-def test_enhance_frames_independent_of_block_size(monkeypatch):
+@pytest.mark.parametrize("look_ahead", [0, 3])
+@pytest.mark.parametrize("t_frames", [1, 2, 5, 90])
+def test_enhance_frames_independent_of_block_size(monkeypatch, t_frames, look_ahead):
+    # inputs shorter than the look-ahead and than a block pin the end of
+    # the input: the frames the front end must have ready, the look-ahead
+    # frame of the decay priors and the final smoothed energy
     rng = np.random.default_rng(5)
     frames = 0.1 * (rng.standard_normal((90, 257)) + 1j * rng.standard_normal((90, 257)))
     frames[30:45] *= 1e-3                      # a decay-like drop for the priors
-    spec = SpectralFrames(frames, AnalysisConfig(), 16000)
+    spec = SpectralFrames(frames[:t_frames], AnalysisConfig(), 16000)
+    cfg = EnhancerConfig(look_ahead=look_ahead)
     runs = []
-    for block in (1, 7, 1000):
+    for block in (1, 2, 7, 1000):
         monkeypatch.setattr(enhancer, "_BLOCK", block)
-        runs.append(enhance_frames(spec))
+        runs.append(enhance_frames(spec, cfg))
     ref_out, ref_trace, _ = runs[-1]
     for out, trace, _ in runs[:-1]:
         assert np.array_equal(out.frames, ref_out.frames)
