@@ -25,7 +25,8 @@ import numpy as np
 
 from . import lognorm, reverb, speech
 from .lognorm import Diagnostics
-from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, floored_magnitude, istft, stft
+from .stft import (SAMPLE_RATE, AnalysisConfig, AudioBuffer, SpectralFrames,
+                   floored_magnitude, istft, stft)
 
 
 @dataclass
@@ -36,7 +37,7 @@ class EnhancerConfig:
     look_ahead: int = 3
     gain_floor_db: float = -14.0
     noise_variance: float = 0.5
-    preclean_gain_floor_db: float = -20.0
+    preclean_gain_floor_db: float = speech.PRECLEAN_GAIN_FLOOR_DB
     min_fdr_length: int = reverb.MIN_FDR_LENGTH
     rnr_threshold_db: float = reverb.RNR_THRESHOLD_DB
     fdr_skip: int = 2
@@ -146,12 +147,13 @@ def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
     config's noise_variance. state, when given, is a dict carried
     from the call on the previous block of frames (empty before the first
     block) and is updated in place; it keeps the smoother's last value
-    and the smoothed rows the next block's window reaches back to.
+    and the last min(w - 1, frames seen) smoothed rows, for a window of w
+    frames: a window longer than the frames seen has their minimum.
 
-    The window minimum is taken by doubling (_window_min): floor(log2 w)
-    np.minimum passes over the w - 1 carried rows and the block, then one
-    pass that joins two overlapping power-of-two spans. A minimum is
-    exact, so this gives the same bits as any other way of taking it.
+    The window minimum is taken by doubling (_window_min): at most
+    floor(log2 w) np.minimum passes over the carried rows and the block,
+    then one pass that joins two overlapping power-of-two spans. A minimum
+    is exact, so this gives the same bits as any other way of taking it.
     """
     power = np.asarray(noisy_power, dtype=float)
     state = {} if state is None else state
@@ -161,16 +163,16 @@ def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
         acc = smooth * acc + (1 - smooth) * power[t]
         smoothed[t] = acc
     w = max(int(round(window_s / frame_increment)), 1)
-    # causal window [t-w+1, t]: prepend the w-1 rows before the block
-    # (copies of the first row at the start), so that row t of the block
-    # is the minimum of pad[t:t + w]
-    history = state.get("history")
-    if history is None:
-        history = np.repeat(smoothed[:1], w - 1, axis=0)
-    pad = np.concatenate([history, smoothed], axis=0)
-    mins = _window_min(pad, w)
+    # causal window [t-w+1, t] of at most the frames seen: prepend the carried
+    # rows and copies of frame 0, so that row t is the minimum of pad[t:t + span]
+    history = state.get("history", smoothed[:0])
+    h, n = history.shape[0], smoothed.shape[0]
+    span = min(w, h + n)
+    first = history[:1] if h else smoothed[:1]
+    pad = np.concatenate([np.repeat(first, span - 1 - h, axis=0), history, smoothed])
+    mins = _window_min(pad, span)
     state["acc"] = acc
-    state["history"] = pad[pad.shape[0] - (w - 1):].copy()
+    state["history"] = pad[pad.shape[0] - min(w - 1, h + n):].copy()
     est = bias * np.maximum(mins, 1e-300)
     return 0.5 * np.log(est)
 
@@ -530,8 +532,8 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
 def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     """Enhance one utterance. Returns (enhanced AudioBuffer, Trace, Diagnostics)."""
     cfg = cfg or EnhancerConfig()
-    if audio.sample_rate != 16000:
-        raise ValueError(f"unsupported sample rate {audio.sample_rate}; need 16000")
+    if audio.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"unsupported sample rate {audio.sample_rate}; need {SAMPLE_RATE}")
     spec = stft(audio, cfg.analysis())
     enhanced, trace, diag = enhance_frames(spec, cfg)
     del spec                        # synthesis needs only the enhanced spectrum

@@ -82,22 +82,22 @@ def phase_sigma_points(count: int):
     return (i - 0.5) * np.pi / count, np.full(count, 1.0 / count)
 
 
-def log_phasor_sum(la, lb, cos_phi):
-    """log|A + B| from la=log|A|, lb=log|B| and the cosine of the phase gap.
+def log_phasor_sum(u, cos_phi):
+    """log|A + B| - log|A| from the gap u = log|B| - log|A| and the cosine
+    of the phase gap; the split references each sum to its first term.
 
-    Branch-free: max(la, lb) + 0.5*log1p(q*(q + 2*cos_phi)) with
-    q = e^{-|la-lb|} <= 1, so nothing overflows for any gap. Exact
-    cancellation (la == lb, cos_phi == -1) gives -inf.
+    Branch-free: max(0, u) + 0.5*log1p(q*(q + 2*cos_phi)) with
+    q = e^{-|u|} <= 1, so nothing overflows for any gap. Exact
+    cancellation (u == 0, cos_phi == -1) gives -inf.
     """
-    q = np.subtract(lb, la, dtype=float)
-    np.abs(q, out=q)
+    q = np.abs(u, dtype=float)
     np.negative(q, out=q)
     np.exp(q, out=q)
     out = q + 2.0 * np.asarray(cos_phi)
     out *= q
     np.log1p(out, out=out)
     out *= 0.5
-    out += np.maximum(la, lb)
+    out += np.maximum(0.0, u)
     return out
 
 
@@ -371,7 +371,7 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     vb_f = np.maximum(vb, _VAR_FLOOR)
     vu = np.maximum(va + vb, _VAR_FLOOR)
     sx = (np.sqrt(vu) * x)[:, None]                  # s_u*x, (_K_U, 1, bins)
-    lps = log_phasor_sum(0.0, mb - ma + sx, cos_phi)  # (_K_U, _K_PHASE, bins)
+    lps = log_phasor_sum(mb - ma + sx, cos_phi)      # (_K_U, _K_PHASE, bins)
     # log-weight = const - e^2/(2 va) - (e + s_u x)^2/(2 vb) + per-bin terms
     #            = quad - e*(curv*e + lin)
     hb = 0.5 / vb_f

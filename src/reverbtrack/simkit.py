@@ -12,10 +12,13 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .reverb import RoomParams, room_to_ab
-from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, floored_magnitude, stft, istft
+from .stft import SAMPLE_RATE, AudioBuffer, SpectralFrames, floored_magnitude, stft, istft
 
 ACTIVE_RANGE_DB = 40.0     # frames within this of the utterance max count as active
 DIRECT_WINDOW_S = 0.002    # RIR direct-path window for DRR scaling
+LATE_CUTOFF_S = 0.030      # RIR start zeroed by true_reverb_reference (direct + early)
+METRIC_FRAME = 512         # samples per metric frame (32 ms at 16 kHz)
+METRIC_HOP = 256           # samples between metric frames
 CEPSTRUM_ORDER = 24
 _Z_BLOCK = 256             # frames of the noisy disturbance formed at a time
 
@@ -40,8 +43,8 @@ def stft_domain_reverb(clean_frames: SpectralFrames, room: RoomParams, seed=0):
     rng = np.random.default_rng(seed)
     s = clean_frames.frames
     t_frames, k_bins = s.shape
-    sqrt_a = np.sqrt(room_to_ab(room)[0])
-    sqrt_b = np.sqrt(room_to_ab(room)[1])
+    a, b = room_to_ab(room)
+    sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
     r = np.zeros_like(s)
     prev_r = np.zeros(k_bins, dtype=complex)
     prev_s = np.zeros(k_bins, dtype=complex)
@@ -97,30 +100,26 @@ def _mean_power(frames):
     return np.mean(power)
 
 
-def make_scene(clean: AudioBuffer, room: RoomParams, snr_db, noise_kind="white",
-               seed=0, config: AnalysisConfig | None = None):
+def make_scene(clean: AudioBuffer, room: RoomParams, snr_db, noise_kind="white", seed=0):
     """Full STFT-domain synthetic scene: clean -> reverberant + noise.
 
     Returns (noisy AudioBuffer, GroundTruth, noisy SpectralFrames).
     """
-    config = config or AnalysisConfig()
     # no reference to the clean spectrum outlives the reverberation step
-    rev, truth = stft_domain_reverb(stft(clean, config), room, seed=seed)
+    rev, truth = stft_domain_reverb(stft(clean), room, seed=seed)
     noisy = add_stft_noise(rev, truth, snr_db, kind=noise_kind, seed=seed + 1)
     audio = istft(noisy)
     return audio, truth, noisy
 
 
-def polack_rir(room: RoomParams, sample_rate=16000, seed=0, length_s=None):
+def polack_rir(room: RoomParams, sample_rate=SAMPLE_RATE, seed=0):
     """Unit direct impulse plus an exponentially decaying noise tail.
 
-    Tail starts after 2 ms and is scaled so the direct/tail energy ratio
-    equals the requested DRR.
+    The RIR lasts max(1.5 T60, 0.1 s). The tail starts after 2 ms and is
+    scaled so the direct/tail energy ratio equals the requested DRR.
     """
     rng = np.random.default_rng(seed)
-    if length_s is None:
-        length_s = max(1.5 * room.t60, 0.1)
-    n = int(round(length_s * sample_rate))
+    n = int(round(max(1.5 * room.t60, 0.1) * sample_rate))
     h = np.zeros(n)
     h[0] = 1.0
     start = int(round(DIRECT_WINDOW_S * sample_rate))
@@ -134,10 +133,10 @@ def polack_rir(room: RoomParams, sample_rate=16000, seed=0, length_s=None):
     return h
 
 
-def true_reverb_reference(clean: AudioBuffer, rir, cutoff_s=0.030) -> AudioBuffer:
+def true_reverb_reference(clean: AudioBuffer, rir) -> AudioBuffer:
     """Convolve with the RIR with its first 30 ms zeroed (late reverb only)."""
     rir = np.asarray(rir, dtype=float)
-    cut = int(round(cutoff_s * clean.sample_rate))
+    cut = int(round(LATE_CUTOFF_S * clean.sample_rate))
     if len(rir) <= cut:
         raise ValueError("RIR shorter than the direct/early cutoff")
     late = rir.copy()
@@ -199,66 +198,66 @@ def _unvoiced_syllable(burst, sample_rate, rng):
     return y / (np.std(y) + 1e-12)
 
 
-def speechlike_excitation(duration_s, sample_rate=16000, seed=0):
-    """Syllable-like voiced/unvoiced bursts with pauses.
+def speechlike_excitation(duration_s, seed=0):
+    """Syllable-like voiced/unvoiced bursts with pauses, at 16 kHz.
 
     Not speech, but with speech-like harmonic structure, formant-like
     resonances, spectral tilt, syllabic rhythm and frequent abrupt
     energy offsets so free decay regions occur.
     """
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sample_rate))
+    n = int(round(duration_s * SAMPLE_RATE))
     x = np.zeros(n)
     pos = 0
     syllables = 0
     next_pause = int(rng.integers(5, 9))
     while pos < n:
-        burst = int(rng.uniform(0.12, 0.30) * sample_rate)
+        burst = int(rng.uniform(0.12, 0.30) * SAMPLE_RATE)
         if syllables >= next_pause:
             # sentence-level pause: long enough for the reverberant tail
             # to decay to the noise floor
-            gap = int(rng.uniform(0.4, 0.6) * sample_rate)
+            gap = int(rng.uniform(0.4, 0.6) * SAMPLE_RATE)
             syllables = 0
             next_pause = int(rng.integers(5, 9))
         else:
-            gap = int(rng.uniform(0.06, 0.22) * sample_rate)
+            gap = int(rng.uniform(0.06, 0.22) * SAMPLE_RATE)
         syllables += 1
         burst = min(burst, n - pos)
         if burst > 80:
             if rng.uniform() < 0.75:
-                y = _voiced_syllable(burst, sample_rate, rng)
+                y = _voiced_syllable(burst, SAMPLE_RATE, rng)
             else:
-                y = _unvoiced_syllable(burst, sample_rate, rng)
+                y = _unvoiced_syllable(burst, SAMPLE_RATE, rng)
             # fast attack, sustained body, sharp release: abrupt offsets
             # leave clean free-decay regions in the reverberant mixture
             env = np.ones(burst)
-            attack = min(int(0.020 * sample_rate), burst // 2)
-            release = min(int(0.005 * sample_rate), burst // 2)
+            attack = min(int(0.020 * SAMPLE_RATE), burst // 2)
+            release = min(int(0.005 * SAMPLE_RATE), burst // 2)
             env[:attack] = np.linspace(0.0, 1.0, attack, endpoint=False)
             env[burst - release:] = np.linspace(1.0, 0.0, release)
             amp = rng.uniform(0.5, 1.0)
             x[pos:pos + burst] = amp * env * y / (np.std(y) + 1e-12)
         pos += burst + gap
-    return AudioBuffer(0.05 * x, sample_rate)
+    return AudioBuffer(0.05 * x, SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
-def _frame_index(ref: AudioBuffer, test: AudioBuffer, frame, hop):
-    """(frames, frame) sample indices of the metric frames of two equal-length signals."""
+def _frame_index(ref: AudioBuffer, test: AudioBuffer):
+    """(frames, METRIC_FRAME) sample indices of two equal-length signals' metric frames."""
     if len(ref.samples) != len(test.samples):
         raise ValueError("metric inputs must have equal length")
-    n_frames = (len(ref.samples) - frame) // hop + 1
+    n_frames = (len(ref.samples) - METRIC_FRAME) // METRIC_HOP + 1
     if n_frames < 1:
         raise ValueError("signals too short for metric framing")
-    return np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
+    return np.arange(METRIC_FRAME)[None, :] + METRIC_HOP * np.arange(n_frames)[:, None]
 
 
-def _metric_frames(ref: AudioBuffer, test: AudioBuffer, frame=512, hop=256):
-    idx = _frame_index(ref, test, frame, hop)
-    win = np.hanning(frame)
+def _metric_frames(ref: AudioBuffer, test: AudioBuffer):
+    idx = _frame_index(ref, test)
+    win = np.hanning(METRIC_FRAME)
     rf = np.fft.rfft(ref.samples[idx] * win, axis=1)
     tf = np.fft.rfft(test.samples[idx] * win, axis=1)
     energy = np.sum((ref.samples[idx] * win) ** 2, axis=1)
@@ -288,9 +287,9 @@ def log_spectral_distance(ref: AudioBuffer, test: AudioBuffer) -> float:
     return float(np.mean(per_frame[active]))
 
 
-def segmental_snr(ref: AudioBuffer, test: AudioBuffer, frame=512, hop=256) -> float:
+def segmental_snr(ref: AudioBuffer, test: AudioBuffer) -> float:
     """Frame SNR clamped to [-10, 35] dB, averaged over active frames."""
-    idx = _frame_index(ref, test, frame, hop)
+    idx = _frame_index(ref, test)
     r = ref.samples[idx]
     e = ref.samples[idx] - test.samples[idx]
     energy = np.sum(r ** 2, axis=1)

@@ -14,6 +14,7 @@ import numpy as np
 from .special import exp1
 
 PRECLEAN_GAIN_FLOOR_DB = -20.0
+DD_ALPHA = 0.98     # decision-directed a-priori SNR weight
 
 
 # ---------------------------------------------------------------------------
@@ -28,9 +29,9 @@ def log_mmse_gain(xi, gamma_post):
     return a * np.exp(0.5 * exp1(v))
 
 
-def log_mmse_preclean(noisy_mag, noise_power, alpha=0.98,
-                      gain_floor_db=PRECLEAN_GAIN_FLOOR_DB, state=None):
-    """Apply per-bin Log-MMSE gains with decision-directed a-priori SNR.
+def log_mmse_preclean(noisy_mag, noise_power, gain_floor_db=PRECLEAN_GAIN_FLOOR_DB, state=None):
+    """Apply per-bin Log-MMSE gains with decision-directed a-priori SNR,
+    weight DD_ALPHA = 0.98 (Ephraim & Malah, IEEE TASSP 32(6), 1984).
 
     noisy_mag and noise_power are (T, K); returns cleaned magnitudes.
     state, when given, is a dict carried from the call on the previous
@@ -52,7 +53,8 @@ def log_mmse_preclean(noisy_mag, noise_power, alpha=0.98,
         if prev_clean_pow is None:
             xi = np.maximum(gamma_post - 1.0, xi_min)
         else:
-            xi = alpha * prev_clean_pow / npow + (1 - alpha) * np.maximum(gamma_post - 1.0, 0.0)
+            xi = (DD_ALPHA * prev_clean_pow / npow
+                  + (1 - DD_ALPHA) * np.maximum(gamma_post - 1.0, 0.0))
             xi = np.maximum(xi, xi_min)
         gain = np.clip(log_mmse_gain(xi, gamma_post), gmin, 1.0)
         out[t] = gain * noisy_mag[t]

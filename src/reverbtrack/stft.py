@@ -9,10 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+SAMPLE_RATE = 16000         # the one rate the enhancer and its file I/O take
 MAG_FLOOR_REL = 1e-10
 MAG_FLOOR_ABS = 1e-12
 _ANALYSIS_BLOCK = 32        # frames transformed at a time by stft
 _SYNTHESIS_BLOCK = 256      # frames inverse-transformed at a time by istft
+_COLA_TOL = 1e-6            # largest relative ripple of the overlap-added window
 
 
 class StftError(ValueError):
@@ -22,7 +24,7 @@ class StftError(ValueError):
 @dataclass
 class AudioBuffer:
     samples: np.ndarray
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -53,7 +55,7 @@ class AnalysisConfig:
         hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
         return np.sqrt(hann)
 
-    def check_cola(self, sample_rate, tol=1e-6):
+    def check_cola(self, sample_rate):
         """Verify that the squared window overlap-adds to a constant."""
         n = self.frame_samples(sample_rate)
         hop = self.hop_samples(sample_rate)
@@ -65,7 +67,7 @@ class AnalysisConfig:
             acc[start:start + n] += w2
         interior = acc[n:2 * n]
         ripple = (interior.max() - interior.min()) / interior.mean()
-        if ripple > tol:
+        if ripple > _COLA_TOL:
             raise StftError(f"window/overlap pair violates COLA (ripple {ripple:.2e})")
         return interior.mean()
 
@@ -74,7 +76,7 @@ class AnalysisConfig:
 class SpectralFrames:
     frames: np.ndarray  # complex, (T, K)
     config: AnalysisConfig
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     @property
     def n_frames(self):
@@ -122,8 +124,9 @@ def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFr
     return SpectralFrames(frames, config, fs)
 
 
-def istft(spec: SpectralFrames, config: AnalysisConfig | None = None) -> AudioBuffer:
-    config = config or spec.config
+def istft(spec: SpectralFrames) -> AudioBuffer:
+    """Overlap-add synthesis with the geometry the spectrum was analysed with."""
+    config = spec.config
     fs = spec.sample_rate
     n = config.frame_samples(fs)
     hop = config.hop_samples(fs)

@@ -4,23 +4,24 @@ import wave
 
 import numpy as np
 
-from .stft import AudioBuffer
+from .stft import SAMPLE_RATE, AudioBuffer
 
 
 class WavFormatError(ValueError):
     pass
 
 
-def read_wav(path, expected_rate=16000) -> AudioBuffer:
+def read_wav(path) -> AudioBuffer:
+    """A mono 16-bit PCM WAV at 16 kHz, the only format enhance takes."""
     with wave.open(str(path), "rb") as wf:
         if wf.getnchannels() != 1:
             raise WavFormatError(f"{path}: need mono, got {wf.getnchannels()} channels")
         if wf.getsampwidth() != 2:
             raise WavFormatError(f"{path}: need 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
         rate = wf.getframerate()
-        if expected_rate is not None and rate != expected_rate:
+        if rate != SAMPLE_RATE:
             raise WavFormatError(
-                f"{path}: sample rate {rate} unsupported, need {expected_rate} "
+                f"{path}: sample rate {rate} unsupported, need {SAMPLE_RATE} "
                 "(resampling is out of scope)")
         data = wf.readframes(wf.getnframes())
     samples = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0

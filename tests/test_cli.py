@@ -157,7 +157,9 @@ def test_params_table_lists_all_environments(capsys):
 
 
 def test_params_rejects_nonpositive_t60(capsys):
-    assert main(["params", "--t60", "-0.5", "--drr", "0"]) != 0
+    # RoomParams makes the check and names the field
+    assert main(["params", "--t60", "-0.5", "--drr", "0"]) == 1
+    assert "error: t60 must be finite and > 0" in capsys.readouterr().err
     # as is a DRR whose power ratio leaves the float range, by an error line
     assert main(["params", "--t60", "0.5", "--drr", "-4000"]) != 0
     assert "error: drr must be finite" in capsys.readouterr().err
@@ -232,6 +234,13 @@ def test_simulate_rejects_out_of_range_bins(tmp_path, clean_wav, capsys):
         assert not out.exists() and not truth.exists()
 
 
+def test_simulate_rejects_nonpositive_t60(tmp_path, clean_wav, capsys):
+    out = tmp_path / "noisy.wav"
+    assert main(["simulate", str(clean_wav), str(out), "--t60", "-0.5", "--drr", "0"]) == 1
+    assert "error: t60 must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_non_finite_snr(tmp_path, clean_wav, capsys):
     out = tmp_path / "noisy.wav"
     truth = tmp_path / "truth.csv"
@@ -258,10 +267,12 @@ def test_eval_outputs(capsys, tmp_path, clean_wav):
     assert all(isinstance(v, float) for v in data.values())
 
 
-def test_eval_length_mismatch(tmp_path, clean_wav):
+def test_eval_length_mismatch(tmp_path, clean_wav, capsys):
     short = tmp_path / "short.wav"
     write_wav(short, AudioBuffer(np.zeros(FS // 2)))
-    assert main(["eval", str(clean_wav), str(short)]) != 0
+    # the metrics make the check
+    assert main(["eval", str(clean_wav), str(short)]) == 1
+    assert capsys.readouterr().err == "error: metric inputs must have equal length\n"
 
 
 def test_end_to_end_condition_g_improves_cd(tmp_path, clean_wav):

@@ -40,14 +40,24 @@ def test_too_short_input_raises():
         stft(AudioBuffer(np.zeros(100)))
 
 
-def test_round_trip_interior_identity():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(FS)
-    out = istft(stft(AudioBuffer(x)))
-    n = 512
+def _round_trip_error_db(cfg):
+    """Interior error of istft(stft(x, cfg)) on white noise, in dB of x."""
+    x = np.random.default_rng(0).standard_normal(FS)
+    out = istft(stft(AudioBuffer(x), cfg))
+    n = cfg.frame_samples(FS)
     m = min(len(out.samples), len(x))
     err = np.linalg.norm(out.samples[n:m - n] - x[n:m - n])
-    assert 20.0 * np.log10(err / np.linalg.norm(x[n:m - n])) <= -100.0
+    return 20.0 * np.log10(err / np.linalg.norm(x[n:m - n]))
+
+
+def test_round_trip_interior_identity():
+    assert _round_trip_error_db(AnalysisConfig()) <= -100.0
+
+
+@pytest.mark.parametrize("frame_length, frame_increment", [(0.032, 0.016), (0.064, 0.016)])
+def test_round_trip_uses_the_spectrum_geometry(frame_length, frame_increment):
+    """istft takes its geometry from the spectrum it is given."""
+    assert _round_trip_error_db(AnalysisConfig(frame_length, frame_increment)) <= -100.0
 
 
 def test_zero_frames_give_zero_audio():

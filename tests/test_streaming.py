@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reverbtrack import enhancer
 from reverbtrack.enhancer import (EnhancerConfig, _decay_run_lengths, _smooth_energy,
@@ -44,6 +46,33 @@ def test_track_noise_blocks_match_whole():
     power = _power(0)
     whole = track_noise(power)
     assert np.array_equal(np.concatenate(_in_blocks(track_noise, power)), whole)
+
+
+def test_track_noise_history_is_bounded_by_the_frames_seen():
+    """A 60 s window over a 1 s input (122 frames) keeps no more rows than
+    it has seen, and gives the minimum of a window of the input's length."""
+    power = np.random.default_rng(3).exponential(size=(122, 257))
+    state = {}
+    mean = track_noise(power, window_s=60.0, state=state)
+    assert state["history"].shape[0] <= 122
+    assert np.array_equal(mean, track_noise(power, window_s=122 * 0.008))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(t_frames=st.integers(1, 199), w=st.integers(1, 7500),
+       cuts=st.lists(st.integers(1, 198), max_size=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_track_noise_any_blocks_match_whole(t_frames, w, cuts, seed):
+    """For windows of 8 ms to 60 s, track_noise in any blocks gives the whole
+    call's bits and keeps at most min(w - 1, frames seen) history rows."""
+    power = np.random.default_rng(seed).exponential(size=(t_frames, 3))
+    window_s = w * 0.008
+    whole = track_noise(power, window_s=window_s)
+    bounds = [0] + sorted({c for c in cuts if c < t_frames}) + [t_frames]
+    state = {}
+    parts = [track_noise(power[lo:hi], window_s=window_s, state=state)
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert state["history"].shape[0] <= min(w - 1, t_frames)
 
 
 def test_log_mmse_preclean_blocks_match_whole():
