@@ -154,6 +154,36 @@ def cmd_eval(args):
     return 0
 
 
+def _is_number(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv):
+    """argv with each negative number that follows a long option joined to
+    it as --option=value.
+
+    argparse takes a separate word such as -inf, -nan or -1e3, which its
+    negative-number pattern does not match, for an unknown option and
+    stops with a usage error; joined, the value reaches the library's
+    own check. Words after a bare "--" are left as they are.
+    """
+    out = []
+    for i, word in enumerate(argv):
+        if word == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        if (word.startswith("-") and _is_number(word) and prev.startswith("--")
+                and "=" not in prev):
+            out[-1] = f"{prev}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="reverbtrack",
                                  description="Blind joint denoising and dereverberation")
@@ -196,7 +226,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (WavFormatError, FileNotFoundError, ValueError) as exc:

@@ -268,9 +268,10 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
         sprev_m, sprev_v = post_m, post_v
 
     # step 8: distributed split z -> (r, n); the n posterior is unused,
-    # so only the r posterior is computed
+    # so only the r posterior is computed. The z posterior is narrow
+    # against the r prior, so two observation points do as well as three
     rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
-        rm, rv, n_mean, n_var, zpm, zpv, diag=diag, b_moments=False)
+        rm, rv, n_mean, n_var, zpm, zpv, diag=diag, b_moments=False, obs_points=2)
 
     # steps 9-12 run on the gated bins only. Where a bin is
     # noise-dominated the old/new decomposition carries no information

@@ -19,13 +19,16 @@ are written for fewer operations per bin:
   holds the 16 coefficients of its bicubic, so a lookup is one gather and
   one einsum;
 - _split_core (the posterior given log|A+B|) folds the three Gaussian
-  log-pdfs of its (u, phi) quadrature into one quadratic per node, sums
-  the nodes by a matrix product relative to each observation point's
-  heaviest node, and clamps the shifted log-weights at -700 so that no
-  exponential underflows.
+  log-pdfs of its (u, phi) quadrature into one quadratic per node and
+  takes all observation points in one stacked pass. It clamps the
+  log-weights, shifted to each point's heaviest node, at -600, so that
+  no exponential underflows and a weighted product w*de^2 falls
+  subnormal only for |de| below ~3e-24, and sums the nodes relative to
+  that node by einsum reductions that form no product array.
 The split's quadrature orders are constants of the module: _K_U = 15
-Gauss-Hermite nodes along u = b - a, _K_PHASE = 6 phase nodes, and
-_K_OBS = 3 Gauss-Hermite points of a Gaussian observation.
+Gauss-Hermite nodes along u = b - a, _K_PHASE = 6 phase nodes, and by
+default _K_OBS = 3 Gauss-Hermite points of a Gaussian observation, which
+split_distributed_obs takes as its obs_points keyword.
 
 The normal CDF and the dilogarithm come from reverbtrack.special, and
 the quadrature rules from numpy.polynomial, so no scipy module is loaded.
@@ -52,6 +55,10 @@ _LOG_TINY = np.log(1e-300)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _VAR_FLOOR = 1e-12
 _K_U, _K_PHASE, _K_OBS = 15, 6, 3     # the split's quadrature orders
+# floor of the split's shifted log-weights: e^-600 is far below one ulp
+# of their sum (>= 1), and w*de^2 stays a normal double for any |de| above
+# ~3e-24, where e^-700 let it fall subnormal below |de| ~ 0.015
+_LOG_W_MIN = -600.0
 
 
 @dataclass
@@ -341,25 +348,27 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     f = b - m_b = e + s_u*x. The three Gaussian log-pdfs of a, b and u
     then fold into one quadratic in e, whose per-bin constants cancel in
     the normalised weights; they are added back only to test the
-    unnormalised maximum against _LOG_TINY. Each point's log-weights are
-    shifted by their maximum and clamped at -700 before the exponential:
-    a weight below e^-700 is under one ulp of their sum (>= 1), and
-    np.exp is many times slower on arguments that underflow. The five
-    weighted sums over the _K_U*_K_PHASE nodes are one matrix-vector
-    product, taken relative to a reference node so that a narrow
-    posterior keeps its variance.
+    unnormalised maximum against _LOG_TINY.
 
-    Each observation point's reference is its own heaviest node, found by
-    one argmax per point.
+    All observation points are taken in one pass over
+    (points, _K_U, _K_PHASE, bins) arrays: one log-weight pass, one argmax
+    over the nodes, one shift and clamp and one exponential, whatever the
+    number of points. Each point's log-weights are shifted by their
+    maximum, so its heaviest node, which is also its reference, weighs 1;
+    they are then clamped at _LOG_W_MIN before the exponential. The sums
+    of w, w de and w de^2 (and of w df, w df^2), where de and df are the
+    offsets of e and f from the point's reference node, are einsum
+    reductions over the _K_U*_K_PHASE nodes that form no product array;
+    referenced to the heaviest node, a narrow posterior keeps its
+    variance.
 
     Everything that does not depend on y is computed once, per u node
-    where it does not depend on the phase. The observation points are
-    then taken one at a time, on (_K_U, _K_PHASE, bins) arrays that stay in
-    cache; with the bins last, every per-bin or per-node operand
-    broadcasts along whole rows of bins.
+    where it does not depend on the phase. With the bins last, every
+    per-bin or per-node operand broadcasts along whole rows of bins.
 
-    With b_moments False, f is never formed: only the sums of w, w e and
-    w e^2 are taken, and E f, var f are returned as None.
+    With b_moments False, f is never formed: only the sums of w, w de and
+    w de^2 are taken, by the same calls as with b_moments True, and E f,
+    var f are returned as None.
 
     The priors are (bins,) arrays and obs is (observation points, bins).
     Returns (E e, var e, E f, var f, fallback), each (observation points,
@@ -378,48 +387,33 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     curv = 0.5 / va_f + hb
     lin = 2.0 * hb * sx
     quad = const - hb * sx * sx
-    lconst = 0.5 * (np.log(2.0 * np.pi * vu) - np.log(2.0 * np.pi * va_f)
-                    - np.log(2.0 * np.pi * vb_f))
+    lconst = 0.5 * np.log(vu / va_f / vb_f / (2.0 * np.pi))
 
-    # per observation point: the maximum log-weight, and the sums of w,
-    # w de, w de^2, w df, w df^2 (the df rows only with b_moments), where
-    # de = e - e_ref and df = f - f_ref are the offsets from the point's
-    # heaviest node
-    rows = 5 if b_moments else 3
-    mx = np.empty(obs.shape)
-    e_ref = np.empty(obs.shape)
-    f_ref = np.empty(obs.shape)
-    sums = np.empty((rows,) + obs.shape)
-    buf = np.empty((rows,) + lps.shape)
-    logw, de = buf[0], np.empty(lps.shape)
+    # one workspace for e (then de, then df) and the log-weights (then
+    # w): a fresh array per step, at this size, cost page faults per call
+    points, bins = obs.shape
     nodes = lps.shape[0] * lps.shape[1]
-    cols = np.arange(ma.size)
-    ones = np.ones(nodes)
-    for i, y_i in enumerate(obs):
-        np.subtract(y_i - ma, lps, out=de)
-        np.multiply(de, curv, out=logw)
-        np.add(logw, lin, out=logw)
-        np.multiply(logw, de, out=logw)
-        np.subtract(quad, logw, out=logw)
-        node = logw.reshape(nodes, -1).argmax(axis=0)
-        top = node * ma.size + cols
-        logw.take(top, out=mx[i])
-        de.take(top, out=e_ref[i])
-        de -= e_ref[i]
-        logw -= np.where(np.isfinite(mx[i]), mx[i], 0.0)
-        np.maximum(logw, -700.0, out=logw)
-        w = np.exp(logw, out=logw)
-        np.multiply(w, de, out=buf[1])
-        np.multiply(buf[1], de, out=buf[2])
-        if b_moments:
-            sx_ref = sx[node // lps.shape[1], 0, cols]
-            f_ref[i] = e_ref[i] + sx_ref
-            np.add(de, sx - sx_ref, out=buf[4])
-            np.multiply(w, buf[4], out=buf[3])
-            buf[4] *= buf[3]
-        np.matmul(ones, buf.reshape(rows, nodes, -1), out=sums[:, i])
+    cols = np.arange(bins)
+    work = np.empty((2, points) + lps.shape)
+    de, logw = work[0], work[1]
+    np.subtract((obs - ma)[:, None, None, :], lps, out=de)
+    np.multiply(de, curv, out=logw)
+    logw += lin
+    logw *= de
+    np.subtract(quad, logw, out=logw)
+    de, logw = de.reshape(points, nodes, bins), logw.reshape(points, nodes, bins)
+    # each point's heaviest node: its maximum log-weight and reference e
+    node = logw.argmax(axis=1)
+    top = (np.arange(0, points * nodes, nodes)[:, None] + node) * bins + cols
+    mx, e_ref = logw.take(top), de.take(top)
+    de -= e_ref[:, None]
+    logw -= np.where(np.isfinite(mx), mx, 0.0)[:, None]
+    np.maximum(logw, _LOG_W_MIN, out=logw)
+    w = np.exp(logw, out=logw)
+    z = np.einsum("onk->ok", w)
+    s_e = np.einsum("onk,onk->ok", w, de)
+    s_e2 = np.einsum("onk,onk,onk->ok", w, de, de)
 
-    z, s_e, s_e2 = sums[:3]
     lmax = mx + lconst
     fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
     inv_z = 1.0 / np.where(z > 0, z, 1.0)
@@ -427,8 +421,12 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     a_post = (e_ref + d_e, s_e2 * inv_z - d_e * d_e)
     if not b_moments:
         return (*a_post, None, None, fallback)
-    d_f = sums[3] * inv_z
-    return (*a_post, f_ref + d_f, sums[4] * inv_z - d_f * d_f, fallback)
+    # df = de + s_u x - (s_u x at the reference node), in place of de
+    sx_ref = sx[node // lps.shape[1], 0, cols]
+    df = np.add(work[0], sx - sx_ref[:, None, None], out=work[0]).reshape(points, nodes, bins)
+    d_f = np.einsum("onk,onk->ok", w, df) * inv_z
+    return (*a_post, e_ref + sx_ref + d_f,
+            np.einsum("onk,onk,onk->ok", w, df, df) * inv_z - d_f * d_f, fallback)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):
@@ -449,22 +447,23 @@ def split_scalar_obs(ma, va, mb, vb, y, diag=None):
             np.where(fb, mb, mb + eb), np.where(fb, vb, vb_post), fb)
 
 
-def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True):
+def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True,
+                          obs_points=_K_OBS):
     """Posterior moments of (a, b) when the observation is itself Gaussian.
 
-    Outer sigma-point sum over the observation distribution of the
-    scalar-observation split; conditional moments are combined across
-    observation points before conversion to variance. With b_moments
-    False only the posterior of a is computed, and the posterior mean and
-    variance of b are returned as None; the posterior of a and the
-    fallback flags are the same as with b_moments True, and diag counts
-    variance clamps of a only.
+    Outer sigma-point sum, over obs_points Gauss-Hermite points of the
+    observation distribution, of the scalar-observation split;
+    conditional moments are combined across observation points before
+    conversion to variance. With b_moments False only the posterior of a
+    is computed, and the posterior mean and variance of b are returned as
+    None; the posterior of a and the fallback flags are the same as with
+    b_moments True, and diag counts variance clamps of a only.
     """
     ma, va, mb, vb, mo, vo = _float_arrays(ma, va, mb, vb, mo, vo)
     shape = ma.shape
     ma, va, mb, vb, mo, vo = (v.ravel() for v in (ma, va, mb, vb, mo, vo))
-    x, w = _gh_nodes(_K_OBS)
-    obs = mo + np.sqrt(np.maximum(vo, 0.0)) * x[:, None]       # (_K_OBS, bins)
+    x, w = _gh_nodes(obs_points)
+    obs = mo + np.sqrt(np.maximum(vo, 0.0)) * x[:, None]       # (obs_points, bins)
     ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, b_moments)
 
     # mixture over the observation points that did not fall back: mean of
@@ -478,8 +477,8 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True):
         if diag is not None:
             diag.fallbacks += int(np.count_nonzero(all_fb))
     else:
-        # the weights added first to last, as the sum over the rows of a
-        # (_K_OBS, bins) array adds them (np.sum over w itself may not)
+        # the weights added first to last, as the sum over the rows of an
+        # (obs_points, bins) array adds them (np.sum over w itself may not)
         wts, z = w[:, None], np.add.accumulate(w)[-1]
         all_fb = np.zeros(ma.shape, dtype=bool)
 

@@ -192,7 +192,7 @@ def _voiced_syllable(burst, sample_rate, rng):
     return y + 10.0 ** (-25.0 / 20.0) * breath
 
 
-def _unvoiced_syllable(burst, sample_rate, rng):
+def _unvoiced_syllable(burst, rng):
     """Lowpassed noise burst (fricative-like)."""
     y = lfilter([0.3], [1.0, -0.7], rng.standard_normal(burst))
     return y / (np.std(y) + 1e-12)
@@ -227,7 +227,7 @@ def speechlike_excitation(duration_s, seed=0):
             if rng.uniform() < 0.75:
                 y = _voiced_syllable(burst, SAMPLE_RATE, rng)
             else:
-                y = _unvoiced_syllable(burst, SAMPLE_RATE, rng)
+                y = _unvoiced_syllable(burst, rng)
             # fast attack, sustained body, sharp release: abrupt offsets
             # leave clean free-decay regions in the reverberant mixture
             env = np.ones(burst)

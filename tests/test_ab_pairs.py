@@ -77,6 +77,45 @@ def test_summary_no_regression_verdict():
     assert row["verdict"] == "worse"
 
 
+def test_unscaled_times(tmp_path, monkeypatch, capsys):
+    def side(walls, probes):
+        return {"enhance_walls_s": walls, "probe_means_s": probes}
+    pairs = [{"parent": side([1.6, 1.5], [50e-6]), "change": side([1.4, 1.5], [60e-6])},
+             {"parent": side([1.5], [52e-6, 54e-6]), "change": side([1.6], [58e-6])},
+             {"parent": side([1.7], [51e-6]), "change": side([1.3], [59e-6])},
+             # a run that made no call reports no times, so its pair is left out
+             {"parent": side([], []), "change": side([1.0], [1e-6])}]
+    wall, probe = ab_pairs.unscaled_times(pairs)
+    # run medians: walls 1.55/1.5/1.7 against 1.45/1.6/1.3, probes 50/53/51
+    # against 60/58/59 us
+    assert (wall["name"], wall["unit"], wall["pairs"], wall["lower"]) == ("wall", "s", 3, 2)
+    assert (wall["parent"], wall["change"]) == pytest.approx((1.55, 1.45))
+    assert wall["ratio"] == pytest.approx(1.45 / 1.55)
+    assert (probe["name"], probe["unit"], probe["lower"]) == ("probe", "us", 0)
+    assert (probe["parent"], probe["change"]) == pytest.approx((51.0, 59.0))
+    # runs without the report fields give no rows
+    assert ab_pairs.unscaled_times([{"parent": {}, "change": {}}]) == []
+
+    # main prints both rows from what run_once keeps of the report line
+    for name in ab_pairs.SIDES:
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({**SPEC, "run_seconds": 1}))
+
+    def run_once(checkout, workload, seed, seconds, out=None):
+        wall = 1.2 if checkout.name == "change" else 1.5
+        return {"metrics": {"rtf": {"value": 0.5, "unit": "s/s"}}, "failed": 0,
+                "attempted": 1, "sha256": "aa", **side([wall], [55e-6])}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                   "--seeds", "0-1"])
+    out = capsys.readouterr().out
+    assert ("unscaled wall (s): parent median 1.5, change median 1.2, ratio 0.800, "
+            "change lower in 2/2") in out
+    assert "unscaled probe (us): parent median 55, change median 55, ratio 1.000" in out
+
+
 def test_output_identity(tmp_path, monkeypatch, capsys):
     def pair(seed, parent, change):
         return {"seed": seed, "parent": {"sha256": parent}, "change": {"sha256": change}}

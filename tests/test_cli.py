@@ -251,6 +251,19 @@ def test_simulate_rejects_non_finite_snr(tmp_path, clean_wav, capsys):
         assert not out.exists() and not truth.exists()
 
 
+def test_negative_value_as_its_own_word_reaches_the_library_check(tmp_path, clean_wav,
+                                                                capsys):
+    out = tmp_path / "noisy.wav"
+    assert main(["simulate", str(clean_wav), str(out), "--t60", "0.5", "--drr", "0",
+                 "--snr", "-inf"]) == 1
+    assert capsys.readouterr().err == "error: SNR must be finite\n"
+    assert main(["simulate", str(clean_wav), str(out), "--t60", "-inf", "--drr", "0"]) == 1
+    assert "error: t60 must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["params", "--t60", "0.5", "--drr", "-1e400"]) == 1
+    assert "error: drr must be finite" in capsys.readouterr().err
+
+
 def test_enhance_missing_input_fails(tmp_path):
     assert main(["enhance", str(tmp_path / "nope.wav"),
                  str(tmp_path / "out.wav")]) != 0

@@ -361,12 +361,16 @@ def test_split_scalar_matches_unfolded_reference():
                               split_scalar_ref(ma, va, mb, vb, y))
 
 
-def test_split_distributed_matches_unfolded_reference():
+@pytest.mark.parametrize("points", [2, 3])
+def test_split_distributed_matches_unfolded_reference(points):
+    """At the enhancer's two rules: 2 observation points (step 8) and the
+    default _K_OBS = 3 (step 10)."""
     for ma, va, mb, vb, y, vo in _split_cases():
-        full = split_distributed_obs(ma, va, mb, vb, y, vo)
-        _assert_split_matches(full, split_distributed_ref(ma, va, mb, vb, y, vo))
+        full = split_distributed_obs(ma, va, mb, vb, y, vo, obs_points=points)
+        _assert_split_matches(full, split_distributed_ref(ma, va, mb, vb, y, vo, k_obs=points))
         # without the b posterior: the same a posterior and fallback flags
-        a_only = split_distributed_obs(ma, va, mb, vb, y, vo, b_moments=False)
+        a_only = split_distributed_obs(ma, va, mb, vb, y, vo, b_moments=False,
+                                       obs_points=points)
         assert a_only[2] is None and a_only[3] is None
         for got, ref in zip(a_only[:2] + a_only[4:], full[:2] + full[4:]):
             assert np.array_equal(got, ref)

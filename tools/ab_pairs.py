@@ -20,9 +20,14 @@ against the metric's ``bound``, a fraction of the parent's median (so
 median is worse than the parent's by more than that margin;
 "unresolved" where the parent's quartiles lie further apart than the
 margin, unless every change run beats every parent run; else "ok".
-Last, it prints on how many seeds the two sides' outputs are identical
-(the same sha256 in the run's report line) and names the seeds where
-they differ.
+Beside ``rtf``, which ``perfbench`` scales by a probe kernel's time, it
+prints the unscaled times behind it, read from each run's report line:
+per side, the median over the runs of each run's median ``enhance`` wall
+time and of its median probe-kernel time, their ratio, and in how many
+pairs the change's value is the lower. Where the wall times do not move
+with ``rtf``, the probe scaling carries the difference. Last, it prints
+on how many seeds the two sides' outputs are identical (the same sha256
+in the run's report line) and names the seeds where they differ.
 
 ``--out DIR`` keeps every run's result set (``DIR/parent/seedN`` and
 ``DIR/change/seedN``, readable by ``perfbench/run.py --compare``) and the
@@ -41,6 +46,8 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+# report-line fields kept with each run: (key, name, unit, scale)
+UNSCALED = (("enhance_walls_s", "wall", "s", 1.0), ("probe_means_s", "probe", "us", 1e6))
 
 
 def parse_seeds(text):
@@ -58,8 +65,9 @@ def parse_seeds(text):
 def run_once(checkout, workload, seed, seconds, out=None):
     """One untraced benchmark run in a checkout.
 
-    Returns its result line, with the output's sha256 from the report line
-    before it (None where the run wrote no output).
+    Returns its result line, with the output's sha256 and the UNSCALED
+    timings from the report line before it (the sha256 is None where the
+    run wrote no output).
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -69,7 +77,9 @@ def run_once(checkout, workload, seed, seconds, out=None):
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: perfbench/run.py failed on seed {seed}:\n{proc.stderr}")
     *_, report, result = proc.stdout.strip().splitlines()
-    return {**json.loads(result), "sha256": json.loads(report).get("sha256")}
+    report = json.loads(report)
+    return {**json.loads(result), "sha256": report.get("sha256"),
+            **{key: report.get(key) for key, *_ in UNSCALED}}
 
 
 def failed_calls(pairs):
@@ -83,6 +93,24 @@ def differing_outputs(pairs):
     return [p["seed"] for p in pairs
             if p["parent"].get("sha256") is None
             or p["parent"].get("sha256") != p["change"].get("sha256")]
+
+
+def unscaled_times(pairs):
+    """Per UNSCALED field: each side's median over the runs of the run's
+    median, their ratio (change / parent), and the pairs in which the
+    change's run median is the lower. A pair counts only where both sides
+    report the field."""
+    rows = []
+    for key, name, unit, scale in UNSCALED:
+        vals = [(np.median(p["parent"][key]) * scale, np.median(p["change"][key]) * scale)
+                for p in pairs if p["parent"].get(key) and p["change"].get(key)]
+        if not vals:
+            continue
+        par, chg = np.median(vals, axis=0)
+        rows.append({"name": name, "unit": unit, "pairs": len(vals), "parent": par,
+                     "change": chg, "ratio": chg / par if par else float("nan"),
+                     "lower": sum(c < p for p, c in vals)})
+    return rows
 
 
 def summarise(spec, pairs):
@@ -169,6 +197,9 @@ def main(argv=None):
               f"{f'{p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]':<30} "
               f"{f'{c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]':<30} "
               f"{r['wins']:>3}/{r['pairs']:<3} {r['ratio']:>7.3f}  {'yes' if r['gain'] else 'no':<4}  {r['verdict']}")
+    for r in unscaled_times(pairs):
+        print(f"unscaled {r['name']} ({r['unit']}): parent median {r['parent']:.4g}, change median "
+              f"{r['change']:.4g}, ratio {r['ratio']:.3f}, change lower in {r['lower']}/{r['pairs']}")
     differ = differing_outputs(pairs)
     print(f"outputs identical on {len(pairs) - len(differ)} of {len(pairs)} seeds"
           + (f"; they differ on seeds {', '.join(map(str, differ))}" if differ else ""))
