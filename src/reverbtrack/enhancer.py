@@ -78,6 +78,10 @@ class EnhancerConfig:
             raise ValueError("init_param_variance must be >= 0")
         if not self.noise_variance > 0:
             raise ValueError("noise_variance must be > 0")
+        # a gain is clipped to [floor, 1], so a floor above 0 dB passes the input
+        for name in ("gain_floor_db", "preclean_gain_floor_db"):
+            if getattr(self, name) > 0:
+                raise ValueError(f"{name} must be <= 0 dB, got {getattr(self, name)!r}")
         # a room the filter cannot start from fails here, naming its fields
         try:
             reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(

@@ -25,20 +25,25 @@ are written for fewer operations per bin:
   no exponential underflows and a weighted product w*de^2 falls
   subnormal only for |de| below ~3e-24, and sums the nodes relative to
   that node by einsum reductions that form no product array.
-The split's quadrature orders are constants of the module: _K_U = 15
-Gauss-Hermite nodes along u = b - a, _K_PHASE = 6 phase nodes, and by
-default _K_OBS = 3 Gauss-Hermite points of a Gaussian observation, which
-split_distributed_obs takes as its obs_points keyword.
+
+Both public splits run one path, _split: _split_core at observation
+points (one of weight 1 in split_scalar_obs, Gauss-Hermite points of the
+observation in split_distributed_obs), mixed over those that did not
+fall back. Its (u, phi) rule comes from _split_nodes(k_u, k_phase); the
+public splits pass _K_U = 15 nodes along u = b - a and _K_PHASE = 6
+phase nodes, with by default _K_OBS = 3 observation points (the
+obs_points keyword of split_distributed_obs).
 
 The normal CDF and the dilogarithm come from reverbtrack.special, and
-the quadrature rules from numpy.polynomial, so no scipy module is loaded.
+the quadrature rules from numpy.polynomial, imported on first use, so
+no scipy module is loaded and an import loads no numpy.polynomial.
 
 Every operation works on numpy arrays of means and variances,
 elementwise over any shape of bins; the frame loop calls each one once
 per frame on all bins at once. A call costs tens of microseconds even
-on one bin, so the operations skip their broadcasting and masking
-where the frame loop's equal-shape inputs and fallback-free results
-make them a no-op.
+on one bin, so the operations skip their broadcasting where the frame
+loop's equal-shape inputs make it a no-op, and all but the splits their
+masking where no bin is degenerate.
 """
 
 import functools
@@ -46,8 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.legendre import leggauss
 
 from .special import li2_exp, ndtr
 
@@ -72,6 +75,7 @@ class Diagnostics:
 @functools.cache
 def _gh_nodes(count):
     """Gauss-Hermite (probabilists') nodes and weights; the weights sum to 1."""
+    from numpy.polynomial.hermite_e import hermegauss
     x, w = hermegauss(count)
     return x, w / w.sum()
 
@@ -166,6 +170,7 @@ def _quad_rule():
     comes from numpy.polynomial, which, unlike scipy's roots_legendre,
     loads no scipy module into a process that calls enhance.
     """
+    from numpy.polynomial.legendre import leggauss
     t, w = leggauss(48)
     t = 0.5 * (t + 1.0)
     return t * t, w * t / np.sqrt(2.0 * np.pi)
@@ -322,22 +327,24 @@ def logsum_moments(ma, va, mb, vb, diag=None):
 
 
 @functools.cache
-def _split_nodes():
-    """Nodes of the split's quadrature, shaped for (_K_U, _K_PHASE, bins) arrays.
+def _split_nodes(k_u, k_phase):
+    """The split's (u, phi) rule, k_u Gauss-Hermite nodes along u by k_phase
+    phase nodes, for (k_u, k_phase, bins) arrays; built once per order.
 
     Returns (x, cos_phi, const): the standard normal nodes of u as a
-    (_K_U, 1) column, the phase cosines as a (_K_PHASE, 1) column, and the
+    (k_u, 1) column, the phase cosines as a (k_phase, 1) column, and the
     constant part of each u node's log-weight, log w_u + log w_phi + x^2/2,
-    as a (_K_U, 1, 1) array (the phase weights are all 1/_K_PHASE).
+    as a (k_u, 1, 1) array (the phase weights are all 1/k_phase).
     """
-    x, wu = _gh_nodes(_K_U)
-    phi, w_phi = phase_sigma_points(_K_PHASE)
+    x, wu = _gh_nodes(k_u)
+    phi, w_phi = phase_sigma_points(k_phase)
     const = np.log(wu) + np.log(w_phi[0]) + 0.5 * x * x
     return x[:, None], np.cos(phi)[:, None], const[:, None, None]
 
 
-def _split_core(ma, va, mb, vb, obs, b_moments=True):
-    """Conditional moments of (a, b) given log|A+B| = y, at each y in obs.
+def _split_core(ma, va, mb, vb, obs, nodes, b_moments=True):
+    """Conditional moments of (a, b) given log|A+B| = y, at each y in obs,
+    on the (u, phi) rule nodes = _split_nodes(k_u, k_phase); _split's kernel.
 
     Change of variables (a, b, phi) -> (u, y, phi) with u = b - a; the
     u-integral is Gaussian quadrature along the prior of u, solving the
@@ -351,14 +358,14 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     unnormalised maximum against _LOG_TINY.
 
     All observation points are taken in one pass over
-    (points, _K_U, _K_PHASE, bins) arrays: one log-weight pass, one argmax
+    (points, k_u, k_phase, bins) arrays: one log-weight pass, one argmax
     over the nodes, one shift and clamp and one exponential, whatever the
     number of points. Each point's log-weights are shifted by their
     maximum, so its heaviest node, which is also its reference, weighs 1;
     they are then clamped at _LOG_W_MIN before the exponential. The sums
     of w, w de and w de^2 (and of w df, w df^2), where de and df are the
     offsets of e and f from the point's reference node, are einsum
-    reductions over the _K_U*_K_PHASE nodes that form no product array;
+    reductions over the k_u*k_phase nodes that form no product array;
     referenced to the heaviest node, a narrow posterior keeps its
     variance.
 
@@ -370,17 +377,16 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
     w de^2 are taken, by the same calls as with b_moments True, and E f,
     var f are returned as None.
 
-    The priors are (bins,) arrays and obs is (observation points, bins).
-    Returns (E e, var e, E f, var f, fallback), each (observation points,
-    bins); the variances are not yet clamped at 0.
+    The priors are (bins,) arrays and obs is (points, bins). Returns (E e,
+    var e, E f, var f, fallback), each (points, bins), variances unclamped.
     """
-    x, cos_phi, const = _split_nodes()
+    x, cos_phi, const = nodes
 
     va_f = np.maximum(va, _VAR_FLOOR)
     vb_f = np.maximum(vb, _VAR_FLOOR)
     vu = np.maximum(va + vb, _VAR_FLOOR)
-    sx = (np.sqrt(vu) * x)[:, None]                  # s_u*x, (_K_U, 1, bins)
-    lps = log_phasor_sum(mb - ma + sx, cos_phi)      # (_K_U, _K_PHASE, bins)
+    sx = (np.sqrt(vu) * x)[:, None]                  # s_u*x, (k_u, 1, bins)
+    lps = log_phasor_sum(mb - ma + sx, cos_phi)      # (k_u, k_phase, bins)
     # log-weight = const - e^2/(2 va) - (e + s_u x)^2/(2 vb) + per-bin terms
     #            = quad - e*(curv*e + lin)
     hb = 0.5 / vb_f
@@ -429,73 +435,66 @@ def _split_core(ma, va, mb, vb, obs, b_moments=True):
             np.einsum("onk,onk,onk->ok", w, df, df) * inv_z - d_f * d_f, fallback)
 
 
+def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
+    """Posterior moments of (a, b) given log|A+B| at the observation points
+    obs, mixed with the (points,) weights: the one path of both public
+    splits. The priors are float arrays of one shape, and obs stacks the
+    points on a first axis before it.
+
+    _split_core takes each point on the (u, phi) rule nodes. The mixture
+    runs over the points that did not fall back: the mean of their means,
+    and the mean of their variances plus the spread of their means,
+    clamped at 0 (counted in diag) where a bin keeps it. Where all points
+    fall back, the priors are kept, flagged and counted in diag. One point
+    of weight 1 gives that point's posterior to the bit. Returns (ma', va',
+    mb', vb', fallback), with mb' and vb' None where b_moments is False.
+    """
+    shape = ma.shape
+    ma, va, mb, vb = (v.ravel() for v in (ma, va, mb, vb))
+    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs.reshape(len(obs), -1),
+                                             nodes, b_moments)
+    wts = np.where(fb, 0.0, weights[:, None])
+    z = wts.sum(axis=0)
+    all_fb = z <= 0
+    z = np.where(all_fb, 1.0, z)
+    if diag is not None:
+        diag.fallbacks += int(np.count_nonzero(all_fb))
+
+    def _post(prior_m, prior_v, m, v):
+        m1 = (np.where(fb, 0.0, m) * wts).sum(axis=0) / z
+        v1 = _clamp_var((np.where(fb, 0.0, v + (m - m1) ** 2) * wts).sum(axis=0) / z, diag)
+        return (np.where(all_fb, prior_m, prior_m + m1).reshape(shape),
+                np.where(all_fb, prior_v, v1).reshape(shape))
+
+    b_out = _post(mb, vb, eb, vb_obs) if b_moments else (None, None)
+    return (*_post(ma, va, ea, va_obs), *b_out, all_fb.reshape(shape))
+
+
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):
     """Posterior moments of (a, b) given the scalar observation log|A+B| = y.
 
-    Where the observation is numerically inconsistent with the priors the
-    priors are returned unchanged and the fallback flag is set.
+    The one-point case of _split. Where the observation is numerically
+    inconsistent with the priors the priors are returned unchanged and
+    the fallback flag is set.
     """
     ma, va, mb, vb, y = _float_arrays(ma, va, mb, vb, y)
-    ea, va_post, eb, vb_post, fb = (r.reshape(y.shape) for r in _split_core(
-        ma.ravel(), va.ravel(), mb.ravel(), vb.ravel(), y.reshape(1, -1)))
-    va_post, vb_post = _clamp_var(va_post, diag), _clamp_var(vb_post, diag)
-    if not fb.any():
-        return ma + ea, va_post, mb + eb, vb_post, fb
-    if diag is not None:
-        diag.fallbacks += int(np.count_nonzero(fb))
-    return (np.where(fb, ma, ma + ea), np.where(fb, va, va_post),
-            np.where(fb, mb, mb + eb), np.where(fb, vb, vb_post), fb)
+    return _split(ma, va, mb, vb, y[None], np.ones(1), _split_nodes(_K_U, _K_PHASE), diag)
 
 
 def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True,
                           obs_points=_K_OBS):
     """Posterior moments of (a, b) when the observation is itself Gaussian.
 
-    Outer sigma-point sum, over obs_points Gauss-Hermite points of the
-    observation distribution, of the scalar-observation split;
-    conditional moments are combined across observation points before
-    conversion to variance. With b_moments False only the posterior of a
-    is computed, and the posterior mean and variance of b are returned as
-    None; the posterior of a and the fallback flags are the same as with
-    b_moments True, and diag counts variance clamps of a only.
+    _split at obs_points Gauss-Hermite points of the observation. With
+    b_moments False only the posterior of a is computed, and the
+    posterior mean and variance of b are returned as None; the posterior
+    of a and the fallback flags are the same as with b_moments True, and
+    diag counts variance clamps of a only.
     """
     ma, va, mb, vb, mo, vo = _float_arrays(ma, va, mb, vb, mo, vo)
-    shape = ma.shape
-    ma, va, mb, vb, mo, vo = (v.ravel() for v in (ma, va, mb, vb, mo, vo))
     x, w = _gh_nodes(obs_points)
-    obs = mo + np.sqrt(np.maximum(vo, 0.0)) * x[:, None]       # (obs_points, bins)
-    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, b_moments)
-
-    # mixture over the observation points that did not fall back: mean of
-    # the means, and mean of the variances plus the spread of the means
-    some_fb = fb.any()
-    if some_fb:
-        wts = np.where(fb, 0.0, w[:, None])
-        z = wts.sum(axis=0)
-        all_fb = z <= 0
-        z = np.where(all_fb, 1.0, z)
-        if diag is not None:
-            diag.fallbacks += int(np.count_nonzero(all_fb))
-    else:
-        # the weights added first to last, as the sum over the rows of an
-        # (obs_points, bins) array adds them (np.sum over w itself may not)
-        wts, z = w[:, None], np.add.accumulate(w)[-1]
-        all_fb = np.zeros(ma.shape, dtype=bool)
-
-    def _kept(f):
-        return np.where(fb, 0.0, f) if some_fb else f
-
-    def _post(prior_m, prior_v, m, v):
-        m1 = (_kept(m) * wts).sum(axis=0) / z
-        v1 = _clamp_var((_kept(v + (m - m1) ** 2) * wts).sum(axis=0) / z, diag)
-        post_m, post_v = prior_m + m1, v1
-        if some_fb:
-            post_m, post_v = np.where(all_fb, prior_m, post_m), np.where(all_fb, prior_v, v1)
-        return post_m.reshape(shape), post_v.reshape(shape)
-
-    a_out = _post(ma, va, ea, va_obs)
-    b_out = _post(mb, vb, eb, vb_obs) if b_moments else (None, None)
-    return (*a_out, *b_out, all_fb.reshape(shape))
+    obs = mo + np.multiply.outer(x, np.sqrt(np.maximum(vo, 0.0)))    # (obs_points, ...)
+    return _split(ma, va, mb, vb, obs, w, _split_nodes(_K_U, _K_PHASE), diag, b_moments)
 
 
 def line_constrained_update(mx, vx, my, vy, mt, vt):

@@ -10,17 +10,14 @@ Each agrees with scipy.special to rounding level (tests/test_special.py)
 without loading scipy, whose special-function module alone takes about
 0.3 s to import. Every constant is a named mathematical constant, a
 Gauss rule from numpy.polynomial, or a series coefficient built once, on
-first use, in exact fractions.
+first use, in exact fractions; numpy.polynomial and fractions are
+imported then, so that importing this module loads neither.
 """
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 _SQRT_HALF = math.sqrt(0.5)
 _ZETA2 = math.pi ** 2 / 6.0            # Li2(1)
@@ -58,13 +55,15 @@ def _li2_series():
 
     The Bernoulli numbers come from their recurrence in exact fractions.
     For t <= ln 2 the terms fall by (t/2pi)^2 < 0.0122 each, so the last
-    one is below 1e-18 of B(t).
+    one is below 1e-18 of B(t). The coefficients are returned highest
+    power first, as np.polyval takes them.
     """
+    from fractions import Fraction
     bern = [Fraction(1)]
     for m in range(1, 2 * _LI2_TERMS + 1):
         bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
-    return np.array([0.0] + [float(bern[2 * k] / math.factorial(2 * k + 1))
-                             for k in range(1, _LI2_TERMS + 1)])
+    return np.array([float(bern[2 * k] / math.factorial(2 * k + 1))
+                     for k in range(_LI2_TERMS, 0, -1)] + [0.0])
 
 
 def li2_exp(x):
@@ -86,7 +85,7 @@ def li2_exp(x):
     lz = np.log1p(-np.minimum(np.exp(-w), _Z_MAX))     # log(1 - e^{-w}), finite at w = 0
     near = w < _LN2
     t = np.where(near, w, -lz)
-    b = t * (polyval(t * t, _li2_series()) + 1.0 - 0.25 * t)
+    b = t * (np.polyval(_li2_series(), t * t) + 1.0 - 0.25 * t)
     return np.where(near, _ZETA2 + np.minimum(w, _LN2) * lz - b, b)
 
 
@@ -98,6 +97,7 @@ def _ein_rule():
     The integrand is entire in s, so for v <= _EXP1_SPLIT the rule is
     exact to rounding. The rule comes from numpy.polynomial.
     """
+    from numpy.polynomial.legendre import leggauss
     s, w = leggauss(_EIN_NODES)
     s = 0.5 * (s + 1.0)
     return s[:, None], 0.5 * w / s
@@ -113,6 +113,7 @@ def _exp1_rule():
     fraction; for v > _EXP1_SPLIT it is within 1e-14 of E1 (relative) and
     3e-17 (absolute). The rule comes from numpy.polynomial.
     """
+    from numpy.polynomial.laguerre import laggauss
     t, w = laggauss(_EXP1_FAR_NODES)
     return t[:, None], w
 

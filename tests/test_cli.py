@@ -110,12 +110,14 @@ def _loaded_after(code, modules):
 
 
 @pytest.mark.parametrize("module, unloaded", [
-    ("reverbtrack", ("scipy",)),
-    ("reverbtrack.cli", ("scipy", "reverbtrack.simkit")),
+    ("reverbtrack", ("scipy", "numpy.polynomial", "fractions")),
+    ("reverbtrack.cli", ("scipy", "numpy.polynomial", "fractions", "reverbtrack.simkit")),
 ])
 def test_import_leaves_out_what_enhance_does_not_need(module, unloaded):
     """A fresh process that imports the package, or the CLI module, loads
-    no scipy module at all, and the CLI module not the simulation kit."""
+    no scipy module at all, and the CLI module not the simulation kit.
+    Neither loads numpy.polynomial or fractions, which only the first use
+    of a quadrature rule or of the dilogarithm's series needs."""
     assert _loaded_after(f"import {module}", unloaded) == ""
 
 

@@ -415,7 +415,8 @@ def test_config_validation():
                         ("noise_window_s", -1.0), ("noise_window_s", 0.0),
                         ("noise_bias", 0.0), ("noise_bias", -1.5),
                         ("noise_smooth", 1.5), ("noise_smooth", 1.0),
-                        ("noise_smooth", -0.5)):
+                        ("noise_smooth", -0.5), ("gain_floor_db", 6.0),
+                        ("preclean_gain_floor_db", 6.0)):
         with pytest.raises(ValueError, match=name):
             EnhancerConfig(**{name: value})
     # an initial room the filter cannot start from fails here, naming both fields

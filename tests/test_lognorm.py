@@ -9,11 +9,11 @@ from scipy.special import roots_hermitenorm, roots_legendre
 from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
                      mean_dilog_ref, split_distributed_ref, split_scalar_ref)
 
-from reverbtrack.lognorm import (_K_OBS, Diagnostics, _gh_nodes, _mean_dilog_exp,
-                                 _quad_rule, _split_core, fuse_moments,
-                                 line_constrained_update, logsum_moments,
-                                 phase_sigma_points, split_distributed_obs,
-                                 split_scalar_obs)
+from reverbtrack.lognorm import (_K_OBS, _K_PHASE, _K_U, Diagnostics, _gh_nodes,
+                                 _mean_dilog_exp, _quad_rule, _split, _split_core,
+                                 _split_nodes, fuse_moments, line_constrained_update,
+                                 logsum_moments, phase_sigma_points,
+                                 split_distributed_obs, split_scalar_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +397,27 @@ def test_split_distributed_outer_points_keep_their_variance():
         a_only = split_distributed_obs(ma, va, mb, vb, y, vo, diag=diag, b_moments=False)
         assert diag.variance_clamps == 0
         obs = y + np.sqrt(vo) * _gh_nodes(_K_OBS)[0][:, None]
-        _, va_obs, _, vb_obs, fb = _split_core(ma, va, mb, vb, obs)
+        _, va_obs, _, vb_obs, fb = _split_core(ma, va, mb, vb, obs, _split_nodes(_K_U, _K_PHASE))
         assert np.all(va_obs[~fb] >= 0) and np.all(vb_obs[~fb] >= 0)
         _assert_split_matches(full, split_distributed_ref(ma, va, mb, vb, y, vo))
         for got, ref in zip(a_only[:2] + a_only[4:], full[:2] + full[4:]):
             assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("k_u, k_phase", [(7, 4), (31, 12)])
+def test_split_at_other_orders_matches_unfolded_reference(k_u, k_phase):
+    """The split path on (u, phi) rules other than the public splits' own:
+    one observation point of weight 1, and 2 and 3 Gauss-Hermite points of
+    a Gaussian observation."""
+    nodes = _split_nodes(k_u, k_phase)
+    for ma, va, mb, vb, y, vo in _split_cases():
+        _assert_split_matches(_split(ma, va, mb, vb, y[None], np.ones(1), nodes),
+                              split_scalar_ref(ma, va, mb, vb, y, k_u, k_phase))
+        for k_obs in (2, 3):
+            x, w = _gh_nodes(k_obs)
+            _assert_split_matches(
+                _split(ma, va, mb, vb, y + np.sqrt(vo) * x[:, None], w, nodes),
+                split_distributed_ref(ma, va, mb, vb, y, vo, k_u, k_phase, k_obs))
 
 
 def test_split_keeps_input_shapes():
