@@ -12,9 +12,11 @@ pre-cleaning, AR fits, decay-run detection) a block of frames at a time
 just ahead of it and yields each frame's inputs, RNR gate and decay
 priors. Each frame's gain is applied as soon as the frame is done, so
 nothing but the input, the Trace and the output grows with the number
-of frames. The r -> old/new split and the gamma/beta updates (steps
-10-12) run only on the bins that pass the per-bin RNR gate in that
-frame; the other bins keep their gamma and beta priors.
+of frames. No frame reads the T60/DRR estimates, so they are converted
+from the stored gamma/beta once, after the last frame. The r -> old/new
+split and the gamma/beta updates (steps 10-12) run only on the bins
+that pass the per-bin RNR gate in that frame; the other bins keep their
+gamma and beta priors.
 """
 
 import math
@@ -217,7 +219,9 @@ class _FilterState:
 def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
              prior_gm, prior_gv, prior_bm, prior_bv, prior_mask,
              cfg: EnhancerConfig, diag: Diagnostics, update_mask):
-    """One frame of the cascade for all bins. Returns the trace row dict.
+    """One frame of the cascade for all bins. Returns the trace row dict,
+    without t60_est and drr_est, which enhance_frames converts from the
+    stored gamma_mean and beta_mean after the last frame.
 
     n_var is the noise log-magnitude's variance, one scalar for every bin.
     prior_mask, a (bins,) bool array, selects the bins whose gamma/beta
@@ -306,13 +310,11 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     fs.gamma_m, fs.gamma_v = gpm, gpv
     fs.beta_m, fs.beta_v = bpm, bpv
 
-    t60, drr = reverb.gamma_beta_to_room(gpm, bpm, cfg.frame_increment)
     flags = fb7.astype(np.uint8) | (fb8.astype(np.uint8) << 1) | (fb10.astype(np.uint8) << 2)
     return {
         "s_mean": spm, "s_var": spv, "r_mean": rpm, "r_var": rpv,
         "z_mean": zpm, "z_var": zpv, "gamma_mean": gpm, "gamma_var": gpv,
-        "beta_mean": bpm, "beta_var": bpv, "t60_est": t60, "drr_est": drr,
-        "fallback_flags": flags,
+        "beta_mean": bpm, "beta_var": bpv, "fallback_flags": flags,
     }
 
 
@@ -419,7 +421,8 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
     return gm, gv, bm, bv, mask
 
 
-# frames the stages ahead of the cascade process per call
+# frames the stages ahead of the cascade process per call, and rows per
+# call of the T60/DRR conversion after it
 _BLOCK = 32
 
 
@@ -525,10 +528,16 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
             fs = _FilterState(k_bins, cfg, pre_log, n_mean)
         row = _advance(fs, y, n_mean, cfg.noise_variance, coeffs, resid, loc_mean,
                        *priors, cfg, diag, update_mask=gate)
-        for f in TRACE_FIELDS:
-            trace[f][t] = row[f]
+        for f, v in row.items():
+            trace[f][t] = v
         out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
         out[t] = np.clip(np.exp(out_log - y), gain_floor, 1.0) * spec.frames[t]
+    # no frame reads the room estimates, so they are converted once, a
+    # block of rows at a time so that no (T, K) temporary is formed
+    for lo in range(0, t_frames, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        trace["t60_est"][rows], trace["drr_est"][rows] = reverb.gamma_beta_to_room(
+            trace["gamma_mean"][rows], trace["beta_mean"][rows], cfg.frame_increment)
 
     enhanced = SpectralFrames(out, spec.config, spec.sample_rate)
     return enhanced, Trace(trace), diag

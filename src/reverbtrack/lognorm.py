@@ -29,7 +29,10 @@ are written for fewer operations per bin:
 Both public splits run one path, _split: _split_core at observation
 points (one of weight 1 in split_scalar_obs, Gauss-Hermite points of the
 observation in split_distributed_obs), mixed over those that did not
-fall back. Its (u, phi) rule comes from _split_nodes(k_u, k_phase); the
+fall back. It masks the points only in a call where one fell back: a
+single point is its own posterior, and points of which none fell back
+are mixed by plain weighted sums, at the bits of the masked mixture.
+Its (u, phi) rule comes from _split_nodes(k_u, k_phase); the
 public splits pass _K_U = 15 nodes along u = b - a and _K_PHASE = 6
 phase nodes, with by default _K_OBS = 3 observation points (the
 obs_points keyword of split_distributed_obs).
@@ -42,8 +45,8 @@ Every operation works on numpy arrays of means and variances,
 elementwise over any shape of bins; the frame loop calls each one once
 per frame on all bins at once. A call costs tens of microseconds even
 on one bin, so the operations skip their broadcasting where the frame
-loop's equal-shape inputs make it a no-op, and all but the splits their
-masking where no bin is degenerate.
+loop's equal-shape inputs make it a no-op, and their masking where no
+bin is degenerate (in the splits, where no observation point fell back).
 """
 
 import functools
@@ -57,6 +60,7 @@ from .special import li2_exp, ndtr
 _LOG_TINY = np.log(1e-300)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _VAR_FLOOR = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 _K_U, _K_PHASE, _K_OBS = 15, 6, 3     # the split's quadrature orders
 # floor of the split's shifted log-weights: e^-600 is far below one ulp
 # of their sum (>= 1), and w*de^2 stays a normal double for any |de| above
@@ -129,11 +133,13 @@ def _float_arrays(*values):
     """The values as float64 arrays of one shape.
 
     Arrays that already are (as the frame loop passes them) are returned
-    as they are, without the cost of broadcasting.
+    as they are, without the cost of broadcasting. The dtype is tested by
+    identity, which is cheaper than ==; an equal dtype that is another
+    object (one with metadata) only takes the broadcasting path.
     """
     shape = np.shape(values[0])
     for v in values:
-        if type(v) is not np.ndarray or v.dtype != np.float64 or v.shape != shape:
+        if type(v) is not np.ndarray or v.dtype is not _FLOAT64 or v.shape != shape:
             return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
     return values
 
@@ -420,9 +426,12 @@ def _split_core(ma, va, mb, vb, obs, nodes, b_moments=True):
     s_e = np.einsum("onk,onk->ok", w, de)
     s_e2 = np.einsum("onk,onk,onk->ok", w, de, de)
 
+    # a point falls back unless its unnormalised maximum is a finite number
+    # >= 1e-300. Where it is, the heaviest node's log-weight is finite, so
+    # that node weighs 1, no node is NaN, and 1 <= z <= k_u*k_phase
     lmax = mx + lconst
-    fallback = ~np.isfinite(lmax) | (lmax < _LOG_TINY) | (z <= 0)
-    inv_z = 1.0 / np.where(z > 0, z, 1.0)
+    fallback = ~((lmax >= _LOG_TINY) & (lmax < np.inf))
+    inv_z = 1.0 / z
     d_e = s_e * inv_z
     a_post = (e_ref + d_e, s_e2 * inv_z - d_e * d_e)
     if not b_moments:
@@ -445,26 +454,48 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
     runs over the points that did not fall back: the mean of their means,
     and the mean of their variances plus the spread of their means,
     clamped at 0 (counted in diag) where a bin keeps it. Where all points
-    fall back, the priors are kept, flagged and counted in diag. One point
-    of weight 1 gives that point's posterior to the bit. Returns (ma', va',
-    mb', vb', fallback), with mb' and vb' None where b_moments is False.
+    fall back, the priors are kept, flagged and counted in diag. Returns
+    (ma', va', mb', vb', fallback), with mb' and vb' None where b_moments
+    is False.
+
+    The mixture masks the points only in a call where one fell back. A
+    single point is taken at weight 1 and is its own mixture: its
+    posterior, or the prior where it fell back. Points of which none fell
+    back are mixed by plain weighted sums. Each path gives the bits of
+    the masked mixture, whose sums over the points run in the same order.
     """
     shape = ma.shape
     ma, va, mb, vb = (v.ravel() for v in (ma, va, mb, vb))
     ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs.reshape(len(obs), -1),
                                              nodes, b_moments)
-    wts = np.where(fb, 0.0, weights[:, None])
-    z = wts.sum(axis=0)
-    all_fb = z <= 0
-    z = np.where(all_fb, 1.0, z)
-    if diag is not None:
+    points, some_fb = len(fb), fb.any()
+    if points == 1:
+        all_fb = fb[0]
+    elif some_fb:
+        wts = np.where(fb, 0.0, weights[:, None])
+        z = wts.sum(axis=0)
+        all_fb = z <= 0
+        z = np.where(all_fb, 1.0, z)
+    else:
+        wts, all_fb = weights[:, None], fb[0]
+        z = weights[0]
+        for w in weights[1:]:       # in the order of the masked sum over the points
+            z = z + w
+    if some_fb and diag is not None:
         diag.fallbacks += int(np.count_nonzero(all_fb))
 
     def _post(prior_m, prior_v, m, v):
-        m1 = (np.where(fb, 0.0, m) * wts).sum(axis=0) / z
-        v1 = _clamp_var((np.where(fb, 0.0, v + (m - m1) ** 2) * wts).sum(axis=0) / z, diag)
-        return (np.where(all_fb, prior_m, prior_m + m1).reshape(shape),
-                np.where(all_fb, prior_v, v1).reshape(shape))
+        if points == 1:
+            m1, v1 = m[0], np.where(all_fb, 0.0, v[0]) if some_fb else v[0]
+        else:
+            m1 = ((np.where(fb, 0.0, m) if some_fb else m) * wts).sum(axis=0) / z
+            v1 = v + (m - m1) ** 2
+            v1 = ((np.where(fb, 0.0, v1) if some_fb else v1) * wts).sum(axis=0) / z
+        v1 = _clamp_var(v1, diag)
+        if some_fb:
+            return (np.where(all_fb, prior_m, prior_m + m1).reshape(shape),
+                    np.where(all_fb, prior_v, v1).reshape(shape))
+        return (prior_m + m1).reshape(shape), v1.reshape(shape)
 
     b_out = _post(mb, vb, eb, vb_obs) if b_moments else (None, None)
     return (*_post(ma, va, ea, va_obs), *b_out, all_fb.reshape(shape))

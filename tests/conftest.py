@@ -7,7 +7,7 @@ advance_bin fixture runs one frame of the cascade on a single bin.
 import numpy as np
 import pytest
 
-from reverbtrack import enhancer
+from reverbtrack import enhancer, reverb
 from reverbtrack.lognorm import Diagnostics
 
 CRITERION_LINES = []
@@ -27,7 +27,9 @@ def _advance_bin(fs, y, noise, cfg, priors=None, update=True, diag=None):
     given, are the decay priors (gamma mean, gamma variance, beta mean,
     beta variance) to fuse; update is the bin's RNR gate, which runs
     steps 10-12 when true. The AR model is a random walk with residual
-    variance 0.01. Returns the trace row with a float per field.
+    variance 0.01. Returns the trace row with a float per field, its
+    t60_est and drr_est converted from gamma_mean and beta_mean as
+    enhance_frames converts them.
     """
     mask = np.array([priors is not None])
     prior_rows = np.array(priors if priors is not None else (0.0, 1.0, 0.0, 1.0),
@@ -38,6 +40,8 @@ def _advance_bin(fs, y, noise, cfg, priors=None, update=True, diag=None):
                             coeffs, np.array([0.01]), np.zeros(1), *prior_rows, mask,
                             cfg, Diagnostics() if diag is None else diag,
                             update_mask=np.array([update]))
+    row["t60_est"], row["drr_est"] = reverb.gamma_beta_to_room(
+        row["gamma_mean"], row["beta_mean"], cfg.frame_increment)
     return {f: row[f][0].item() for f in row}
 
 

@@ -4,13 +4,15 @@ The production code computes moments of log|A + B| (and its posterior
 decompositions) analytically / by quadrature. Most oracles here estimate
 the same quantities from raw samples, so the two can be compared without
 sharing any numerical machinery beyond the elementary log-phasor-sum
-formula itself. Three are exact references for the fast kernels instead:
+formula itself. Five are exact references for the fast kernels instead:
 an adaptive quadrature of the mean dilogarithm that lognorm tabulates,
 the unfolded split quadrature (three separate Gaussian log-pdfs on the
 full (u, phi) node grid) that lognorm's folded kernel must reproduce, the
 explicit companion-matrix product F C F^T that the speech KF's
-prediction forms in closed form, and the AR fit of one window at a time
-that speech.estimate_ar makes for many windows at once.
+prediction forms in closed form, the AR fit of one window at a time
+that speech.estimate_ar makes for many windows at once, and the split's
+mixture of observation points masked on every call, which lognorm masks
+only where a point fell back.
 """
 
 import math
@@ -311,3 +313,33 @@ def split_distributed_ref(ma, va, mb, vb, mo, vo, k_u=15, k_phase=6, k_obs=3):
     return (np.where(all_fb, ma, a1), np.where(all_fb, va, np.maximum(a2 - a1 * a1, 0.0)),
             np.where(all_fb, mb, b1), np.where(all_fb, vb, np.maximum(b2 - b1 * b1, 0.0)),
             all_fb)
+
+
+def split_mixture_ref(ma, va, mb, vb, core, weights, diag):
+    """The split's mixture of per-point posteriors, masked on every call.
+
+    core is _split_core's (E e, var e, E f, var f, fallback) at the
+    observation points, (points, bins) each, with E f and var f None
+    where the b posterior is not taken; weights are the points' (points,)
+    weights. The points that fall back get weight 0 in every sum; where
+    all of a bin's points fall back the priors are kept, and diag counts
+    those bins as fallbacks and the negative variances it clamps to 0 at
+    the other bins. Returns (ma', va', mb', vb', fallback) as the
+    lognorm split does, bit for bit.
+    """
+    ea, va_obs, eb, vb_obs, fb = core
+    wts = np.where(fb, 0.0, weights[:, None])
+    z = wts.sum(axis=0)
+    all_fb = z <= 0
+    z = np.where(all_fb, 1.0, z)
+    diag.fallbacks += int(np.count_nonzero(all_fb))
+
+    def _post(prior_m, prior_v, m, v):
+        m1 = (np.where(fb, 0.0, m) * wts).sum(axis=0) / z
+        v1 = (np.where(fb, 0.0, v + (m - m1) ** 2) * wts).sum(axis=0) / z
+        diag.variance_clamps += int(np.count_nonzero(v1 < 0))
+        v1 = np.where(v1 < 0, 0.0, v1)
+        return np.where(all_fb, prior_m, prior_m + m1), np.where(all_fb, prior_v, v1)
+
+    b_out = _post(mb, vb, eb, vb_obs) if eb is not None else (None, None)
+    return (*_post(ma, va, ea, va_obs), *b_out, all_fb)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import minimum_filter1d
 
-from reverbtrack import enhancer, lognorm, speech
+from reverbtrack import enhancer, lognorm, reverb, speech
 from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
                                   enhance, enhance_frames, track_noise)
 from reverbtrack.lognorm import Diagnostics, fuse_moments
@@ -277,7 +277,9 @@ def test_cascade_bins_are_independent(recorded_frames):
         row_full = enhancer._advance(full, *inputs, cfg, Diagnostics(), update_mask=mask)
         row_part = enhancer._advance(part, *_bins(inputs, sub), cfg, Diagnostics(),
                                      update_mask=mask[sub])
-        for f in TRACE_FIELDS:
+        # the fields _advance returns: t60_est and drr_est follow from
+        # gamma and beta after the last frame
+        for f in row_full:
             if f == "fallback_flags":
                 assert np.array_equal(row_part[f], row_full[f][sub])
             else:
@@ -365,6 +367,24 @@ def test_trace_schema_and_estimates_valid():
     t60 = trace.arrays["t60_est"]
     assert np.all(np.isfinite(t60)) and np.all(t60 > 0.0)
     assert np.all(np.isfinite(trace.arrays["drr_est"]))
+
+
+@pytest.mark.parametrize("n_frames", [1, enhancer._BLOCK - 1, enhancer._BLOCK,
+                                      enhancer._BLOCK + 1])
+def test_room_estimates_are_gamma_and_beta_converted(n_frames):
+    """t60_est and drr_est, converted after the last frame a block of rows
+    at a time, hold the bits of one conversion of all rows and of one
+    conversion per row."""
+    cfg = EnhancerConfig()
+    _, trace, _ = enhance_frames(_random_frames(t_frames=n_frames, seed=8), cfg)
+    gamma, beta = trace.arrays["gamma_mean"], trace.arrays["beta_mean"]
+    t60, drr = reverb.gamma_beta_to_room(gamma, beta, cfg.frame_increment)
+    assert np.array_equal(trace.arrays["t60_est"], t60)
+    assert np.array_equal(trace.arrays["drr_est"], drr)
+    for t in range(n_frames):
+        t60, drr = reverb.gamma_beta_to_room(gamma[t], beta[t], cfg.frame_increment)
+        assert np.array_equal(trace.arrays["t60_est"][t], t60)
+        assert np.array_equal(trace.arrays["drr_est"][t], drr)
 
 
 def test_trace_csv_export(tmp_path):

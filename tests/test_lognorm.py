@@ -7,8 +7,10 @@ import pytest
 from scipy.special import roots_hermitenorm, roots_legendre
 
 from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
-                     mean_dilog_ref, split_distributed_ref, split_scalar_ref)
+                     mean_dilog_ref, split_distributed_ref, split_mixture_ref,
+                     split_scalar_ref)
 
+from reverbtrack import lognorm
 from reverbtrack.lognorm import (_K_OBS, _K_PHASE, _K_U, Diagnostics, _gh_nodes,
                                  _mean_dilog_exp, _quad_rule, _split, _split_core,
                                  _split_nodes, fuse_moments, line_constrained_update,
@@ -418,6 +420,65 @@ def test_split_at_other_orders_matches_unfolded_reference(k_u, k_phase):
             _assert_split_matches(
                 _split(ma, va, mb, vb, y + np.sqrt(vo) * x[:, None], w, nodes),
                 split_distributed_ref(ma, va, mb, vb, y, vo, k_u, k_phase, k_obs))
+
+
+def _mixture_inputs(points):
+    """Priors and points of an observation (ma, va, mb, vb, obs, far) on 300
+    bins. The points lie within a nat or so of the priors' log-sum, but
+    those that far marks lie 500 nats above it and fall back: by bin
+    mod 3, no point, the first point only (with more than one point) and
+    every point."""
+    rng = np.random.default_rng(5)
+    n = 300
+    ma, mb = rng.normal(-1.0, 2.0, (2, n))
+    va, vb = rng.uniform(0.1, 2.0, (2, n))
+    group = np.arange(n) % 3
+    first = (np.arange(points) == 0)[:, None] & (points > 1)
+    far = (group == 2) | ((group == 1) & first)
+    obs = (np.logaddexp(2 * ma, 2 * mb) / 2 + np.sqrt(0.5) * _gh_nodes(points)[0][:, None]
+           + np.where(far, 500.0, 0.0))
+    return ma, va, mb, vb, obs, far
+
+
+def _same_bits(got, ref):
+    return (got is None and ref is None) or (
+        got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes())
+
+
+@pytest.mark.parametrize("b_moments", [True, False])
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_split_mixture_matches_masked_reference(monkeypatch, points, b_moments):
+    """_split against the mixture that masks its points on every call
+    (tests/oracles.py), bit for bit in its outputs and Diagnostics: on
+    the bins where no point falls back, which take the unmasked path, and
+    on all bins, where no point, some points or every point falls back.
+    Every fifth bin's per-point variances are lowered by 10, so that the
+    mixture clamps there and the clamps are counted too. The weights of
+    several points are not the Gauss-Hermite ones: their sum depends on
+    the order it is taken in."""
+    ma, va, mb, vb, obs, far = _mixture_inputs(points)
+    weights = np.array([0.1, 0.2, 0.3])[:points] if points > 1 else np.ones(1)
+    nodes = _split_nodes(_K_U, _K_PHASE)
+    core = lognorm._split_core
+    assert np.array_equal(core(ma, va, mb, vb, obs, nodes)[4], far)
+
+    def lowered(*args):
+        ea, va_obs, eb, vb_obs, fb = core(*args)
+        va_obs[:, ::5] -= 10.0
+        if vb_obs is not None:
+            vb_obs[:, ::5] -= 10.0
+        return ea, va_obs, eb, vb_obs, fb
+
+    monkeypatch.setattr(lognorm, "_split_core", lowered)
+    for bins in (~far.any(axis=0), slice(None)):
+        priors = tuple(v[bins] for v in (ma, va, mb, vb))
+        diag, ref_diag = Diagnostics(), Diagnostics()
+        got = _split(*priors, obs[:, bins], weights, nodes, diag, b_moments)
+        ref = split_mixture_ref(*priors, lowered(*priors, obs[:, bins], nodes, b_moments),
+                                weights, ref_diag)
+        assert all(_same_bits(g, r) for g, r in zip(got, ref))
+        assert diag == ref_diag and diag.variance_clamps > 0
+        assert diag.fallbacks == np.count_nonzero(far.all(axis=0)[bins])
 
 
 def test_split_keeps_input_shapes():

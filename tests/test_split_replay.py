@@ -1,0 +1,32 @@
+"""tools/split_replay.py on a 0.25 s scene, replayed against this same checkout."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from reverbtrack.reverb import RoomParams
+from reverbtrack.simkit import make_scene, speechlike_excitation
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("split_replay", _ROOT / "tools" / "split_replay.py")
+split_replay = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(split_replay)
+
+
+def test_replay_against_this_checkout():
+    clean = speechlike_excitation(0.25, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    calls = split_replay.capture(noisy)
+    frames = sum(step == 7 for step, *_ in calls)
+    assert frames > 0 and sum(step == 8 for step, *_ in calls) == frames
+    assert any(step == 10 for step, *_ in calls)
+    parent = split_replay.load_package(_ROOT / "src", "replayed_reverbtrack")
+    assert parent.lognorm is not split_replay.lognorm
+    assert Path(parent.lognorm.__file__) == Path(split_replay.lognorm.__file__)
+    rows = split_replay.replay(calls, parent.lognorm, rounds=2)
+    assert [row["step"] for row in rows] == [7, 8, 10]
+    for row in rows:
+        assert row["identical"]
+        assert row["calls"] == sum(step == row["step"] for step, *_ in calls)
+        assert np.isfinite(row["ratio"]) and row["ratio"] > 0

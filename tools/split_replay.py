@@ -1,0 +1,165 @@
+"""Per-call times of the phasor-sum splits in two checkouts, on the same inputs.
+
+Run from anywhere:
+
+    python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --seed 0
+
+Synthesises the workload's input as ``perfbench/run.py`` does, runs
+``enhance`` on it once in this checkout and keeps the arguments of every
+call the cascade makes to ``lognorm.split_scalar_obs`` (step 7) and
+``lognorm.split_distributed_obs`` (step 8 without the b posterior, step
+10 with it). It then imports PARENT_DIR's ``reverbtrack`` under another
+name, so that the parent's relative imports load the parent's own
+modules, and replays every captured call in both checkouts. The first
+pass is untimed and compares each call's outputs and ``Diagnostics`` bit
+for bit. Each of ``--rounds`` timed passes then times every call on both
+sides with ``time.perf_counter``, the side that runs first alternating
+from call to call and from round to round, so that a drift in machine
+load favours neither side. Prints one JSON line per step: its calls,
+each side's µs per call (the median over the rounds), their ratio
+(change / parent) and whether every output and every Diagnostics count
+was identical.
+
+Single whole-run walls drift by several per cent on a shared host; the
+interleaved replay times the splits alone, on identical inputs, with
+the load spread over both sides. It imports this checkout's
+``reverbtrack`` from its ``src``, and pins BLAS to one thread.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"      # before numpy loads its BLAS
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+
+from reverbtrack import AudioBuffer, enhance, lognorm  # noqa: E402
+
+PARENT_NAME = "parent_reverbtrack"
+SPLITS = ("split_scalar_obs", "split_distributed_obs")
+
+
+def load_package(src_dir, name=PARENT_NAME):
+    """The reverbtrack package under src_dir, imported as name, with its
+    lognorm module loaded."""
+    init = Path(src_dir) / "reverbtrack" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no reverbtrack package under {src_dir}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.lognorm")
+    return package
+
+
+def _step(name, kwargs):
+    if name == "split_scalar_obs":
+        return 7
+    return 10 if kwargs.get("b_moments", True) else 8
+
+
+def capture(audio):
+    """(step, split name, args, kwargs) of every split call of one enhance
+    call on audio, in call order; the arrays are copies and the
+    Diagnostics argument is left out."""
+    calls = []
+    originals = {name: getattr(lognorm, name) for name in SPLITS}
+
+    def wrapped(name):
+        def record(*args, diag=None, **kwargs):
+            calls.append((_step(name, kwargs), name,
+                          tuple(np.array(a, copy=True) for a in args), kwargs))
+            return originals[name](*args, diag=diag, **kwargs)
+        return record
+
+    try:
+        for name in SPLITS:
+            setattr(lognorm, name, wrapped(name))
+        enhance(audio)
+    finally:
+        for name, fn in originals.items():
+            setattr(lognorm, name, fn)
+    return calls
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _run(module, call):
+    _, name, args, kwargs = call
+    diag = module.Diagnostics()
+    out = getattr(module, name)(*args, diag=diag, **kwargs)
+    return out, (diag.fallbacks, diag.variance_clamps)
+
+
+def replay(calls, parent_lognorm, rounds=5):
+    """One row per step: calls, each side's µs per call (median over the
+    timed rounds), their ratio and whether outputs and Diagnostics were
+    identical in every call."""
+    sides = {"parent": parent_lognorm, "change": lognorm}
+    steps = sorted({c[0] for c in calls})
+    identical = dict.fromkeys(steps, True)
+    for call in calls:
+        (out_p, diag_p), (out_c, diag_c) = (_run(m, call) for m in sides.values())
+        identical[call[0]] &= diag_p == diag_c and all(
+            _same_bits(p, c) for p, c in zip(out_p, out_c))
+    totals = {side: {s: [] for s in steps} for side in sides}
+    for r in range(rounds):
+        spent = {side: dict.fromkeys(steps, 0.0) for side in sides}
+        for i, call in enumerate(calls):
+            order = tuple(sides) if (i + r) % 2 == 0 else tuple(reversed(sides))
+            for side in order:
+                t0 = time.perf_counter()
+                _run(sides[side], call)
+                spent[side][call[0]] += time.perf_counter() - t0
+        for side in sides:
+            for s in steps:
+                totals[side][s].append(spent[side][s])
+    rows = []
+    for s in steps:
+        n = sum(c[0] == s for c in calls)
+        us = {side: statistics.median(totals[side][s]) / n * 1e6 for side in sides}
+        rows.append({"step": s, "calls": n, "parent_us": us["parent"], "change_us": us["change"],
+                     "ratio": us["change"] / us["parent"], "identical": identical[s]})
+    return rows
+
+
+def main(argv=None):
+    import run as bench     # perfbench/run.py, for its workload scenes
+
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="the other checkout (its src/reverbtrack)")
+    ap.add_argument("--workload", choices=sorted(bench.WORKLOADS), default="room_g_4s")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--rounds", type=int, default=5, help="timed passes over the calls")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be >= 1")
+    parent = load_package(args.parent / "src")
+    scene = bench.WORKLOADS[args.workload](args.seed)
+    calls = capture(AudioBuffer(scene.noisy))
+    for row in replay(calls, parent.lognorm, args.rounds):
+        print(json.dumps({"workload": args.workload, "seed": args.seed, **row}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
