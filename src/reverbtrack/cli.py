@@ -70,10 +70,11 @@ def _parse_bins(text, n_bins):
 
 def cmd_enhance(args):
     cfg = load_config(args.config) if args.config else EnhancerConfig()
+    # a bad --bins fails here, not after a whole enhancement
+    k_bins = cfg.analysis().frame_samples(SAMPLE_RATE) // 2 + 1
+    bins = _parse_bins(args.bins, k_bins) if args.bins else [_bin_for_hz(1000.0, cfg)]
     audio = read_wav(args.input)
     out, trace, diag = enhance(audio, cfg)
-    bins = (_parse_bins(args.bins, trace.n_bins) if args.bins
-            else [_bin_for_hz(1000.0, cfg)])
     write_wav(args.output, out)
     if args.trace:
         trace.write_csv(args.trace, bins)

@@ -22,6 +22,7 @@ gamma and beta priors.
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,29 +217,41 @@ class _FilterState:
         self.beta_v = np.full(k_bins, cfg.init_param_variance)
 
 
-def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
-             prior_gm, prior_gv, prior_bm, prior_bv, prior_mask,
-             cfg: EnhancerConfig, diag: Diagnostics, update_mask):
-    """One frame of the cascade for all bins. Returns the trace row dict,
-    without t60_est and drr_est, which enhance_frames converts from the
-    stored gamma_mean and beta_mean after the last frame.
+class _Frame(NamedTuple):
+    """One frame's inputs to the cascade, as _front_end yields them: the
+    pre-cleaned log-magnitude, from which (with n_mean) the filter state
+    starts at frame 0; the observed log-magnitude y; the noise mean; the AR
+    model (speech.estimate_ar); the RNR gate; and the _fdr_priors_at tuple
+    of the decay priors, fitted at frame t + look_ahead. Every field but
+    priors is an array with the bins on its first axis."""
 
-    n_var is the noise log-magnitude's variance, one scalar for every bin.
-    prior_mask, a (bins,) bool array, selects the bins whose gamma/beta
-    predictions are fused with the decay priors prior_gm...prior_bv.
-    update_mask, a (bins,) bool array, selects the bins whose decay is
-    informative in this frame; steps 9-12 (the r -> old/new split and the
-    gamma/beta line updates) run on those bins only, and the others keep
-    their gamma/beta priors with fallback bit 4 clear. In a frame where no
-    bin is selected, steps 9-12 do not run at all.
-    Bins never interact, so the results on a bin do not depend on which
-    other bins are present.
-    """
+    pre_log: np.ndarray
+    y: np.ndarray
+    n_mean: np.ndarray
+    coeffs: np.ndarray
+    resid: np.ndarray
+    loc_mean: np.ndarray
+    gate: np.ndarray
+    priors: tuple
+
+
+def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnostics):
+    """One frame of the cascade for all bins, updating fs in place. Returns
+    the trace row dict, without t60_est and drr_est, which enhance_frames
+    converts from the stored gamma_mean and beta_mean after the last frame.
+
+    The noise variance is cfg.noise_variance on every bin. Bins never
+    interact, but a split's sums pick their inner loop by the number of
+    bins, so a bin's results match those in another set of bins only to
+    rounding."""
+    y, n_mean = frame.y, frame.n_mean
+    prior_gm, prior_gv, prior_bm, prior_bv, prior_mask = frame.priors
     # one variance per bin, so that no cascade operation has to broadcast
-    n_var = np.full(n_mean.shape, n_var, dtype=float)
+    n_var = np.full(n_mean.shape, cfg.noise_variance, dtype=float)
 
     # speech KF prediction + decorrelation
-    sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, coeffs, resid, loc_mean)
+    sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, frame.coeffs, frame.resid,
+                                   frame.loc_mean)
     head_m, head_v, tail_m, tail_c, c = speech.decorrelate_arrays(sm, sc)
     head_v = np.maximum(head_v, 0.0)
 
@@ -281,28 +294,9 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
     rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
         rm, rv, n_mean, n_var, zpm, zpv, diag=diag, b_moments=False, obs_points=2)
 
-    # steps 9-12 run on the gated bins only. Where a bin is
-    # noise-dominated the old/new decomposition carries no information
-    # about the decay, so gamma and beta keep their priors there. In a
-    # frame with no gated bin they do not run, so such a frame has one
-    # distributed split (step 8), not two.
-    idx = np.flatnonzero(update_mask)
-    gpm, gpv, bpm, bpv = gm.copy(), gv.copy(), bm.copy(), bv.copy()
-    fb10 = np.zeros(fb8.shape, dtype=bool)
-    if idx.size:
-        # step 9: refreshed new-reverberation prior
-        epm, epv = bm[idx] + sprev_m[idx], bv[idx] + sprev_v[idx]
-
-        # step 10: distributed split r -> (old, new)
-        dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
-            dm[idx], dv[idx], epm, epv, rpm[idx], rpv[idx], diag=diag)
-
-        # steps 11-12: straight-line constrained updates of gamma and beta
-        gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(
-            gm[idx], gv[idx], fs.r_mean[idx], fs.r_var[idx], dpm, dpv)
-        bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(
-            bm[idx], bv[idx], sprev_m[idx], sprev_v[idx], eppm, eppv)
-    gpm = reverb.clamp_gamma(gpm)
+    gpm, gpv, bpm, bpv, fb10 = _learn_room(
+        (gm, gv), (bm, bv), (fs.r_mean, fs.r_var), (sprev_m, sprev_v), (rpm, rpv),
+        frame.gate, diag)
 
     # step 13: shift posteriors to priors
     fs.s_mean, fs.s_cov = new_s_mean, new_s_cov
@@ -316,6 +310,38 @@ def _advance(fs: _FilterState, y, n_mean, n_var, coeffs, resid, loc_mean,
         "z_mean": zpm, "z_var": zpv, "gamma_mean": gpm, "gamma_var": gpv,
         "beta_mean": bpm, "beta_var": bpv, "fallback_flags": flags,
     }
+
+
+def _learn_room(gamma, beta, r_prev, s_prev, r_post, gate, diag: Diagnostics):
+    """Steps 9-12: the (gm, gv, bm, bv, step-10 fallbacks) posterior of gamma
+    and beta, from their priors, the last frame's reverberation and
+    smoothed speech, and this frame's reverberation posterior, each a
+    (mean, var) pair of (bins,) arrays. A noise-dominated bin's old/new
+    split tells nothing of the decay, so the steps run only on the bins
+    gate selects, and the others keep their priors with no fallback. With
+    no gated bin a frame has one distributed split (step 8), not two."""
+    (gm, gv), (bm, bv) = gamma, beta
+    idx = np.flatnonzero(gate)
+    gpm, gpv, bpm, bpv = gm.copy(), gv.copy(), bm.copy(), bv.copy()
+    fb10 = np.zeros(gm.shape, dtype=bool)
+    if idx.size:
+        r_m, r_v = r_prev[0][idx], r_prev[1][idx]
+        s_m, s_v = s_prev[0][idx], s_prev[1][idx]
+        # step 3's old-reverberation prior on these bins; step 9: the
+        # new-reverberation prior, refreshed from the smoothed speech
+        dm, dv = gm[idx] + r_m, gv[idx] + r_v
+        epm, epv = bm[idx] + s_m, bv[idx] + s_v
+
+        # step 10: distributed split r -> (old, new)
+        dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
+            dm, dv, epm, epv, r_post[0][idx], r_post[1][idx], diag=diag)
+
+        # steps 11-12: straight-line constrained updates of gamma and beta
+        gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(
+            gm[idx], gv[idx], r_m, r_v, dpm, dpv)
+        bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(
+            bm[idx], bv[idx], s_m, s_v, eppm, eppv)
+    return reverb.clamp_gamma(gpm), gpv, bpm, bpv, fb10
 
 
 def _decay_run_lengths(frame_energy, state=None):
@@ -432,14 +458,10 @@ def _front_end(frames, cfg: EnhancerConfig):
     The noise tracker, the Log-MMSE pre-clean, the AR fits, the RNR gate,
     the smoothed broadband energy and the decay-run counter advance one
     block of frames at a time, just far enough ahead of the cascade for
-    its look-ahead. For each frame t this yields (pre_log, y, n_mean,
-    coeffs, resid, loc_mean, gate, priors): the frame's pre-cleaned
-    log-magnitude, from which (with n_mean) the filter state starts at
-    t = 0; its observation, noise mean and AR model; its RNR gate; and the
-    _fdr_priors_at tuple of its decay priors, fitted at frame t +
-    look_ahead. Only rows the cascade or the fits can still read are kept
-    (the per-frame inputs from frame t on, pre_log and gate from frame
-    t - _FDR_MAX_LEN + 1 on), so memory does not grow with the input length.
+    its look-ahead; this yields each frame's inputs as a _Frame. Only rows
+    the cascade or the fits can still read are kept (the per-frame inputs
+    from frame t on, pre_log and gate from frame t - _FDR_MAX_LEN + 1 on),
+    so memory does not grow with the input length.
     """
     n_frames = frames.shape[0]
     states = {k: {} for k in ("noise", "preclean", "ar", "energy", "runs")}
@@ -463,8 +485,8 @@ def _front_end(frames, cfg: EnhancerConfig):
         j = min(t + cfg.look_ahead, n_frames - 1)
         priors = _fdr_priors_at(j - hist_base, rows["runs"][j - base],
                                 hist["pre_log"], hist["gate"], cfg)
-        yield (hist["pre_log"][h], rows["y_log"][i], rows["n_mean"][i], rows["coeffs"][i],
-               rows["resid"][i], rows["loc_mean"][i], hist["gate"][h], priors)
+        yield _Frame(hist["pre_log"][h], rows["y_log"][i], rows["n_mean"][i], rows["coeffs"][i],
+                     rows["resid"][i], rows["loc_mean"][i], hist["gate"][h], priors)
 
 
 def _front_block(frames, cfg: EnhancerConfig, states, rows, hist, final):
@@ -522,16 +544,14 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     out = np.empty_like(spec.frames)
     gain_floor = 10.0 ** (cfg.gain_floor_db / 20.0)
 
-    frames_in = _front_end(spec.frames, cfg)
-    for t, (pre_log, y, n_mean, coeffs, resid, loc_mean, gate, priors) in enumerate(frames_in):
+    for t, frame in enumerate(_front_end(spec.frames, cfg)):
         if t == 0:
-            fs = _FilterState(k_bins, cfg, pre_log, n_mean)
-        row = _advance(fs, y, n_mean, cfg.noise_variance, coeffs, resid, loc_mean,
-                       *priors, cfg, diag, update_mask=gate)
+            fs = _FilterState(k_bins, cfg, frame.pre_log, frame.n_mean)
+        row = _advance(fs, frame, cfg, diag)
         for f, v in row.items():
             trace[f][t] = v
         out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
-        out[t] = np.clip(np.exp(out_log - y), gain_floor, 1.0) * spec.frames[t]
+        out[t] = np.clip(np.exp(out_log - frame.y), gain_floor, 1.0) * spec.frames[t]
     # no frame reads the room estimates, so they are converted once, a
     # block of rows at a time so that no (T, K) temporary is formed
     for lo in range(0, t_frames, _BLOCK):

@@ -1,4 +1,4 @@
-"""Time-frequency analysis/synthesis and log-magnitude extraction.
+"""Time-frequency analysis/synthesis and the floored magnitude.
 
 Default geometry: 32 ms frames, 8 ms increment, 16 kHz, no zero padding.
 A periodic square-root raised-cosine window is applied at both analysis
@@ -32,10 +32,6 @@ class AudioBuffer:
             raise ValueError("sample_rate must be positive")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio contains non-finite samples")
-
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -85,12 +81,6 @@ class SpectralFrames:
     @property
     def n_bins(self):
         return self.frames.shape[1]
-
-    def magnitude(self):
-        return floored_magnitude(self.frames)
-
-    def log_magnitude(self):
-        return log_magnitude(self)
 
 
 def floored_magnitude(frames):
@@ -149,8 +139,3 @@ def istft(spec: SpectralFrames) -> AudioBuffer:
     out /= np.maximum(norm, 1e-8)
     return AudioBuffer(out, fs)
 
-
-def log_magnitude(spec: SpectralFrames) -> np.ndarray:
-    """Natural log of the floored magnitude; always finite."""
-    mag = floored_magnitude(spec.frames)
-    return np.log(mag, out=mag)

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reverbtrack
-from reverbtrack.cli import load_config, main
+from reverbtrack import cli
+from reverbtrack.cli import _join_negative_values, load_config, main
 from reverbtrack.enhancer import EnhancerConfig
 from reverbtrack.simkit import speechlike_excitation
 from reverbtrack.stft import AudioBuffer
@@ -38,6 +40,17 @@ def test_wav_rejects_wrong_rate(tmp_path):
     write_wav(path, AudioBuffer(np.zeros(8000), sample_rate=8000))
     with pytest.raises(WavFormatError):
         read_wav(path)
+    # as it rejects stereo and 8-bit files, naming what it got
+    for channels, width, message in ((2, 2, "need mono, got 2 channels"),
+                                     (1, 1, "need 16-bit PCM, got 8-bit")):
+        path = tmp_path / f"x{channels}x{width}.wav"
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(width)
+            wf.setframerate(FS)
+            wf.writeframes(bytes(channels * width * 16))
+        with pytest.raises(WavFormatError, match=message):
+            read_wav(path)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +89,10 @@ def test_load_config_rejects_unknown_key(tmp_path):
         path.write_text(f"{key} = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
+    # a line with no "=" names neither key nor value
+    path.write_text("# header\np 3\n")
+    with pytest.raises(ValueError, match=f"{path}:2: expected key=value"):
+        load_config(path)
 
 
 def test_load_config_rejects_invalid_value(tmp_path):
@@ -165,6 +182,10 @@ def test_params_rejects_nonpositive_t60(capsys):
     # as is a DRR whose power ratio leaves the float range, by an error line
     assert main(["params", "--t60", "0.5", "--drr", "-4000"]) != 0
     assert "error: drr must be finite" in capsys.readouterr().err
+    # a single point needs both values
+    for args in (["--t60", "0.5"], ["--drr", "0"], []):
+        assert main(["params"] + args) == 2
+        assert capsys.readouterr().err == "error: need --t60 and --drr (or --table / --fig1)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +227,7 @@ def test_enhance_silence_round_trip(tmp_path):
     assert all(ln.split(",")[1] == "32" for ln in lines[1:])
 
 
-def test_enhance_rejects_out_of_range_bins(tmp_path, capsys):
+def test_enhance_rejects_out_of_range_bins(tmp_path, capsys, monkeypatch):
     src = tmp_path / "sil.wav"
     dst = tmp_path / "out.wav"
     trace = tmp_path / "trace.csv"
@@ -216,6 +237,11 @@ def test_enhance_rejects_out_of_range_bins(tmp_path, capsys):
     assert {ln.split(",")[1] for ln in trace.read_text().splitlines()[1:]} == {"0", "256"}
     dst.unlink()
     trace.unlink()
+
+    # the list is checked before the input is enhanced
+    def no_enhance(*args):
+        raise AssertionError("enhance ran before --bins was checked")
+    monkeypatch.setattr(cli, "enhance", no_enhance)
     for bins in ("999", "-1", "32,257"):
         assert main(["enhance", str(src), str(dst), "--trace", str(trace), "--bins", bins]) == 1
         assert "error:" in capsys.readouterr().err
@@ -264,6 +290,9 @@ def test_negative_value_as_its_own_word_reaches_the_library_check(tmp_path, clea
     assert not out.exists()
     assert main(["params", "--t60", "0.5", "--drr", "-1e400"]) == 1
     assert "error: drr must be finite" in capsys.readouterr().err
+    # the words after a bare "--" are left as they are
+    assert (_join_negative_values(["--snr", "-1", "--", "--t60", "-2"])
+            == ["--snr=-1", "--", "--t60", "-2"])
 
 
 def test_enhance_missing_input_fails(tmp_path):

@@ -12,7 +12,7 @@ from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
                                   enhance, enhance_frames, track_noise)
 from reverbtrack.lognorm import Diagnostics, fuse_moments
 from reverbtrack.reverb import RoomParams, clamp_gamma
-from reverbtrack.simkit import make_scene, speechlike_excitation
+from reverbtrack.simkit import make_scene, speechlike_excitation, stft_domain_reverb
 from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, stft
 
 FS = 16000
@@ -76,14 +76,14 @@ def test_advance_low_observation_lowers_speech(advance_bin):
     cfg = EnhancerConfig()
     fs = _one_bin(cfg, first_log=0.0, noise_mean=-2.0)
     prior_head = fs.s_mean[0, 0]
-    row = advance_bin(fs, -8.0, (-2.0, 0.5), cfg)
+    row = advance_bin(fs, -8.0, -2.0, cfg)
     # evidence far below the prior cannot raise the speech belief
     assert row["s_mean"] <= prior_head
     assert np.isfinite(row["t60_est"]) and row["t60_est"] > 0
 
 
 def test_advance_tracks_y_without_disturbance(advance_bin):
-    cfg = EnhancerConfig()
+    cfg = EnhancerConfig(noise_variance=1e-4)
     fs = _one_bin(cfg, first_log=0.0, noise_mean=-30.0)
     # kill reverberation: a = 1e-6, b = 1e-6, tight beliefs
     g = 0.5 * np.log(1e-6)
@@ -91,7 +91,7 @@ def test_advance_tracks_y_without_disturbance(advance_bin):
     fs.beta_m[:], fs.beta_v[:] = g, 1e-8
     y = 0.3
     for _ in range(20):
-        row = advance_bin(fs, y, (-30.0, 1e-4), cfg)
+        row = advance_bin(fs, y, -30.0, cfg)
     assert abs(row["s_mean"] - y) <= 0.2
 
 
@@ -99,7 +99,7 @@ def test_advance_z_matches_r_when_noise_negligible(advance_bin):
     cfg = EnhancerConfig()
     fs = _one_bin(cfg, first_log=0.0, noise_mean=0.0)
     fs.r_mean[:], fs.r_var[:] = -1.0, 0.3
-    row = advance_bin(fs, 0.0, (-1.0 - 40.0, 0.5), cfg)
+    row = advance_bin(fs, 0.0, -1.0 - 40.0, cfg)
     assert abs(row["z_mean"] - row["r_mean"]) <= 0.1
 
 
@@ -108,7 +108,7 @@ def test_advance_posterior_variances_nonnegative(advance_bin):
     rng = np.random.default_rng(2)
     fs = _one_bin(cfg, first_log=0.0, noise_mean=-3.0)
     for _ in range(50):
-        row = advance_bin(fs, rng.normal(-1.0, 2.0), (-3.0, 0.5), cfg)
+        row = advance_bin(fs, rng.normal(-1.0, 2.0), -3.0, cfg)
         for f in ("s_var", "r_var", "z_var", "gamma_var", "beta_var"):
             assert np.isfinite(row[f]) and row[f] >= 0.0
         assert row["gamma_mean"] < 0.0
@@ -216,21 +216,16 @@ def test_enhance_scale_equivariance(condition_g_1s, c):
 
 @pytest.fixture(scope="module")
 def recorded_frames():
-    """(filter state, inputs, update mask, config) of each frame of a 1 s
-    condition-G scene, as enhance_frames passes them to _advance.
-
-    The inputs are _advance's positional arguments from y to the decay
-    prior mask; the noise variance among them is a scalar, the rest are
-    per-bin arrays.
-    """
+    """(filter state, frame, config) of each frame of a 1 s condition-G
+    scene, as enhance_frames passes them to _advance."""
     clean = speechlike_excitation(1.0, seed=3)
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     calls = []
     advance = enhancer._advance
 
-    def record(fs, *args, update_mask):
-        calls.append((copy.deepcopy(fs), copy.deepcopy(args[:11]), update_mask.copy(), args[11]))
-        return advance(fs, *args, update_mask=update_mask)
+    def record(fs, frame, cfg, diag):
+        calls.append((copy.deepcopy(fs), copy.deepcopy(frame), cfg))
+        return advance(fs, frame, cfg, diag)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enhancer, "_advance", record)
@@ -238,9 +233,11 @@ def recorded_frames():
     return calls
 
 
-def _bins(values, sub):
-    """The bins sub of each per-bin array in values (scalars pass through)."""
-    return tuple(v if np.ndim(v) == 0 else v[sub] for v in values)
+def _frame_bins(frame, sub):
+    """frame on the bins sub alone."""
+    return enhancer._Frame(**{f: getattr(frame, f)[sub] for f in frame._fields
+                              if f != "priors"},
+                           priors=tuple(v[sub] for v in frame.priors))
 
 
 def _state_bins(fs, sub):
@@ -250,12 +247,11 @@ def _state_bins(fs, sub):
     return part
 
 
-def _advance_quietly(fs, inputs, cfg, update_mask, diag):
+def _advance_quietly(fs, frame, cfg, diag):
     """One frame from a copy of fs; any warning is an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return enhancer._advance(copy.deepcopy(fs), *inputs, cfg, diag,
-                                 update_mask=update_mask)
+        return enhancer._advance(copy.deepcopy(fs), frame, cfg, diag)
 
 
 def _assert_close(got, ref):
@@ -265,18 +261,17 @@ def _assert_close(got, ref):
 def test_cascade_bins_are_independent(recorded_frames):
     # frames 44-63 hold mixed RNR gates and, at frame 58, decay priors
     start, count = 44, 20
-    fs0, cfg = recorded_frames[start][0], recorded_frames[start][3]
+    fs0, _, cfg = recorded_frames[start]
     k_bins = fs0.gamma_m.size
     sub = np.random.default_rng(0).permutation(k_bins)[:k_bins // 2]
-    window = recorded_frames[start:start + count]
-    assert any(0 < np.count_nonzero(mask[sub]) < sub.size for _, _, mask, _ in window)
-    assert any(np.any(inputs[10][sub]) for _, inputs, _, _ in window)
+    window = [frame for _, frame, _ in recorded_frames[start:start + count]]
+    assert any(0 < np.count_nonzero(frame.gate[sub]) < sub.size for frame in window)
+    assert any(np.any(pmask[sub]) for *_, pmask in (frame.priors for frame in window))
 
     full, part = _state_bins(fs0, slice(None)), _state_bins(fs0, sub)
-    for _, inputs, mask, _ in window:
-        row_full = enhancer._advance(full, *inputs, cfg, Diagnostics(), update_mask=mask)
-        row_part = enhancer._advance(part, *_bins(inputs, sub), cfg, Diagnostics(),
-                                     update_mask=mask[sub])
+    for frame in window:
+        row_full = enhancer._advance(full, frame, cfg, Diagnostics())
+        row_part = enhancer._advance(part, _frame_bins(frame, sub), cfg, Diagnostics())
         # the fields _advance returns: t60_est and drr_est follow from
         # gamma and beta after the last frame
         for f in row_full:
@@ -290,8 +285,9 @@ def test_cascade_bins_are_independent(recorded_frames):
 
 
 def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
-    fs, inputs, gate, cfg = recorded_frames[58]
-    assert np.any(inputs[10])                  # decay priors in this frame
+    fs, frame, cfg = recorded_frames[58]
+    pg, pgv, pb, pbv, pmask = frame.priors
+    assert np.any(pmask)                       # decay priors in this frame
     # three bins whose refreshed speech prior (step 9's smoothed
     # previous-frame speech) contradicts the last posterior (step 4's) by
     # 100 nats: step 10 cannot explain r there and falls back
@@ -309,7 +305,6 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
     # steps 1-2: the random walk fused with the decay priors
     gm, gv = fs.gamma_m, fs.gamma_v + cfg.q_gamma
     bm, bv = fs.beta_m, fs.beta_v + cfg.q_beta
-    pg, pgv, pb, pbv, pmask = inputs[6:11]
     fgm, fgv = fuse_moments(gm, gv, pg, pgv)
     fbm, fbv = fuse_moments(bm, bv, pb, pbv)
     priors = {"gamma_mean": clamp_gamma(np.where(pmask, fgm, gm)),
@@ -317,7 +312,9 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
               "beta_mean": np.where(pmask, fbm, bm),
               "beta_var": np.where(pmask, fbv, bv)}
 
-    ungated = _advance_quietly(fs, inputs, cfg, np.ones(gate.size, bool), Diagnostics())
+    k_bins = frame.gate.size
+    ungated = _advance_quietly(fs, frame._replace(gate=np.ones(k_bins, bool)), cfg,
+                               Diagnostics())
     assert np.all(ungated["fallback_flags"][odd] & 4)
 
     # count the distributed splits (steps 8 and 10) and the line updates
@@ -329,13 +326,12 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(lognorm, name, counted)
 
-    mixed = gate.copy()
+    mixed = frame.gate.copy()
     mixed[odd] = [True, False, False]
-    k_bins = gate.size
     for mask in (np.ones(k_bins, bool), np.zeros(k_bins, bool), mixed):
         diag = Diagnostics()
         calls.clear()
-        row = _advance_quietly(fs, inputs, cfg, mask, diag)
+        row = _advance_quietly(fs, frame._replace(gate=mask), cfg, diag)
         # with no gated bin, steps 9-12 do not run at all: step 8 is the
         # frame's only distributed split
         steps_10_to_12 = 1 if mask.any() else 0
@@ -352,6 +348,40 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
         assert np.array_equal(flags & 4, np.where(mask, ref & 4, 0))
         # every counted fallback is a flagged one
         assert diag.fallbacks == sum(np.count_nonzero(flags & bit) for bit in (1, 2, 4))
+
+
+@pytest.fixture(scope="module")
+def clean_spectrum_2s():
+    return stft(speechlike_excitation(2.0, seed=3))
+
+
+@pytest.mark.parametrize("t60, drr", [(0.61, -1.74), (0.33, 3.13)])
+@pytest.mark.parametrize("start_t60, drr_offset", [(1.0, 5.0), (0.3, -5.0)])
+def test_learn_room_identifies_the_room_from_true_spectra(clean_spectrum_2s, t60, drr,
+                                                          start_t60, drr_offset):
+    """Steps 9-12 alone, fed the true log-spectra of an STFT-domain scene
+    (the last frame's reverberation and speech, this frame's reverberation)
+    with a small variance, converge to the room's T60 and DRR from a start
+    far from both."""
+    cfg = EnhancerConfig()
+    _, truth = stft_domain_reverb(clean_spectrum_2s, RoomParams(t60, drr))
+    r, s = truth.r_true, truth.s_true
+    k_bins = r.shape[1]
+    g0, b0 = reverb.ab_to_gamma_beta(*reverb.room_to_ab(RoomParams(start_t60, drr + drr_offset)))
+    gm, bm = np.full(k_bins, g0), np.full(k_bins, b0)
+    gv = bv = np.full(k_bins, cfg.init_param_variance)
+    var, gate = np.full(k_bins, 1e-4), np.ones(k_bins, bool)
+    t60_est, drr_est = [], []
+    for t in range(1, r.shape[0]):
+        gm, gv, bm, bv, _ = enhancer._learn_room(
+            (gm, gv + cfg.q_gamma), (bm, bv + cfg.q_beta), (r[t - 1], var), (s[t - 1], var),
+            (r[t], var), gate, Diagnostics())
+        room = reverb.gamma_beta_to_room(gm[16:97], bm[16:97], cfg.frame_increment)
+        t60_est.append(room[0])
+        drr_est.append(room[1])
+    last_quarter = slice(3 * len(t60_est) // 4, None)
+    assert np.median(t60_est[last_quarter]) == pytest.approx(t60, rel=0.05)
+    assert np.median(drr_est[last_quarter]) == pytest.approx(drr, abs=0.5)
 
 
 def test_trace_schema_and_estimates_valid():

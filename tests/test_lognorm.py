@@ -68,6 +68,8 @@ def test_phase_sigma_points():
     points, weights = phase_sigma_points(1)
     assert points[0] == pytest.approx(np.pi / 2)
     assert weights[0] == 1.0
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        phase_sigma_points(0)
     for count in (1, 3, 6):
         points, weights = phase_sigma_points(count)
         # exact for cos(n phi) except at multiples of 2*count (aliasing)

@@ -108,16 +108,16 @@ def _params_state(cfg, gm=-0.3, gv=0.01, bm=-0.8, bv=0.02):
 def test_random_walk_predict(advance_bin):
     # a bin outside the RNR gate keeps the predicted gamma and beta
     cfg = EnhancerConfig(q_gamma=0.0, q_beta=0.0)
-    row = advance_bin(_params_state(cfg), -1.0, (-3.0, 0.5), cfg, update=False)
+    row = advance_bin(_params_state(cfg), -1.0, -3.0, cfg, update=False)
     assert row["gamma_var"] == pytest.approx(0.01)
     cfg = EnhancerConfig(q_gamma=0.0004, q_beta=0.0)
-    row = advance_bin(_params_state(cfg), -1.0, (-3.0, 0.5), cfg, update=False)
+    row = advance_bin(_params_state(cfg), -1.0, -3.0, cfg, update=False)
     assert row["gamma_mean"] == pytest.approx(-0.3)
     assert row["gamma_var"] == pytest.approx(0.0104)
     cfg = EnhancerConfig(q_gamma=0.0004, q_beta=0.001)
     fs = _params_state(cfg)
     for _ in range(5):
-        row = advance_bin(fs, -1.0, (-3.0, 0.5), cfg, update=False)
+        row = advance_bin(fs, -1.0, -3.0, cfg, update=False)
     assert row["gamma_var"] == pytest.approx(0.01 + 5 * 0.0004)
     assert row["beta_var"] == pytest.approx(0.02 + 5 * 0.001)
     with pytest.raises(ValueError):
@@ -238,7 +238,7 @@ def test_apply_priors(advance_bin):
     cfg = EnhancerConfig(q_gamma=0.0, q_beta=0.0)
 
     def fused(priors):
-        return advance_bin(_params_state(cfg), -1.0, (-3.0, 0.5), cfg,
+        return advance_bin(_params_state(cfg), -1.0, -3.0, cfg,
                            priors=priors, update=False)
 
     out = fused((0.0, 1e12, 0.0, 1e12))

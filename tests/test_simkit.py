@@ -75,7 +75,7 @@ def test_add_stft_noise_power_and_truth():
     # z is the log magnitude of reverberation plus noise
     z_ref = np.log(np.maximum(np.abs(truth._r_frames + noise), 1e-12))
     assert np.allclose(truth.z_true, z_ref, atol=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown noise kind 'brown'"):
         add_stft_noise(rev, truth, 10.0, kind="brown")
 
 
@@ -157,6 +157,8 @@ def test_mix_noise_high_snr_is_identity():
     assert np.allclose(mixed.samples, sig.samples, atol=1e-6)
     with pytest.raises(ValueError):
         mix_noise(sig, "white", np.inf)
+    with pytest.raises(ValueError, match="unknown noise kind 'brown'"):
+        mix_noise(sig, "brown")
 
 
 def test_mix_noise_white_spectrum_flat():

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from reverbtrack.reverb import RoomParams
 from reverbtrack.simkit import make_scene, speechlike_excitation
@@ -30,3 +31,33 @@ def test_replay_against_this_checkout():
         assert row["identical"]
         assert row["calls"] == sum(step == row["step"] for step, *_ in calls)
         assert np.isfinite(row["ratio"]) and row["ratio"] > 0
+
+
+def test_frame_replay_against_this_checkout(monkeypatch):
+    clean = speechlike_excitation(0.25, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    frames = split_replay.capture_frames(noisy)
+    _, trace, _ = split_replay.enhance(noisy)
+    assert len(frames) == trace.n_frames
+    # each captured state is the one its frame started from
+    for t, (fs, _, _) in enumerate(frames[1:]):
+        assert np.array_equal(fs.gamma_m, trace.arrays["gamma_mean"][t])
+    parent = split_replay.load_package(_ROOT / "src", "replayed_frames_reverbtrack")
+    assert parent.enhancer is not split_replay.enhancer
+    row = split_replay.replay_frames(frames, parent.enhancer, rounds=2)
+    assert row["frames"] == len(frames)
+    assert row["identical"] and row["max_abs_diff"] == {}
+    assert np.isfinite(row["ratio"]) and row["ratio"] > 0
+    assert 0.0 <= row["change_won"] <= 1.0
+    # a side whose rows move is reported, field by field
+    advance = parent.enhancer._advance
+
+    def nudged(*args):
+        row = advance(*args)
+        row["s_mean"] = row["s_mean"] - 1e-3
+        return row
+    monkeypatch.setattr(parent.enhancer, "_advance", nudged)
+    row = split_replay.replay_frames(frames, parent.enhancer, rounds=1)
+    assert not row["identical"]
+    assert list(row["max_abs_diff"]) == ["s_mean"]
+    assert row["max_abs_diff"]["s_mean"] == pytest.approx(1e-3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reverbtrack.stft import (MAG_FLOOR_ABS, AnalysisConfig, AudioBuffer,
-                              SpectralFrames, StftError, istft, log_magnitude,
+                              SpectralFrames, StftError, floored_magnitude, istft,
                               stft)
 
 FS = 16000
@@ -21,14 +21,13 @@ def test_default_geometry():
 
 def test_silence_hits_magnitude_floor():
     spec = stft(AudioBuffer(np.zeros(FS)))
-    assert np.all(spec.magnitude() == MAG_FLOOR_ABS)
-    assert np.all(spec.log_magnitude() == np.log(MAG_FLOOR_ABS))
+    assert np.all(floored_magnitude(spec.frames) == MAG_FLOOR_ABS)
 
 
 def test_sinusoid_concentrates_at_1khz_bin():
     t = np.arange(FS) / FS
     spec = stft(AudioBuffer(np.sin(2.0 * np.pi * 1000.0 * t)))
-    mag_db = 20.0 * np.log10(spec.magnitude())
+    mag_db = 20.0 * np.log10(floored_magnitude(spec.frames))
     k = np.arange(spec.n_bins)
     far = np.abs(k - 32) > 2
     # every frame: bin 32 at least 20 dB above all bins more than 2 away
@@ -90,10 +89,8 @@ def test_parseval_per_frame():
 
 
 def test_log_magnitude_values_and_monotonicity():
-    cfg = AnalysisConfig()
     frames = np.array([[1.0 + 0j, np.e, 0.0, 2.0]])
-    spec = SpectralFrames(frames, cfg, FS)
-    lm = log_magnitude(spec)
+    lm = np.log(floored_magnitude(frames))
     assert lm[0, 0] == pytest.approx(0.0)
     assert lm[0, 1] == pytest.approx(1.0)
     assert np.isfinite(lm[0, 2])            # zero magnitude floored, not -inf
@@ -104,7 +101,7 @@ def test_synthesis_with_replaced_magnitude_keeps_length():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(FS)
     spec = stft(AudioBuffer(x))
-    new_mag = np.exp(np.log(spec.magnitude()) - 0.5)
+    new_mag = np.exp(np.log(floored_magnitude(spec.frames)) - 0.5)
     phase = np.angle(spec.frames)
     replaced = SpectralFrames(new_mag * np.exp(1j * phase), spec.config, FS)
     out = istft(replaced)
@@ -115,8 +112,15 @@ def test_cola_violation_detected():
     cfg = AnalysisConfig(frame_length=0.032, frame_increment=0.012)
     with pytest.raises(StftError):
         stft(AudioBuffer(np.zeros(FS)), cfg)
+    # a hop of 0 samples, and one longer than the frame
+    for frame_length, frame_increment in ((0.032, 0.0), (0.016, 0.032)):
+        with pytest.raises(StftError, match="need 0 < frame_increment <= frame_length"):
+            stft(AudioBuffer(np.zeros(FS)), AnalysisConfig(frame_length, frame_increment))
 
 
 def test_audio_buffer_rejects_nonfinite():
     with pytest.raises(ValueError):
         AudioBuffer(np.array([0.0, np.nan]))
+    for rate in (0, -16000):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            AudioBuffer(np.zeros(4), sample_rate=rate)

@@ -1,28 +1,37 @@
-"""Per-call times of the phasor-sum splits in two checkouts, on the same inputs.
+"""Per-call times of the phasor-sum splits, or per-frame times of the
+cascade, in two checkouts, on the same inputs.
 
 Run from anywhere:
 
     python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --seed 0
+    python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --level frame
 
-Synthesises the workload's input as ``perfbench/run.py`` does, runs
-``enhance`` on it once in this checkout and keeps the arguments of every
-call the cascade makes to ``lognorm.split_scalar_obs`` (step 7) and
-``lognorm.split_distributed_obs`` (step 8 without the b posterior, step
-10 with it). It then imports PARENT_DIR's ``reverbtrack`` under another
-name, so that the parent's relative imports load the parent's own
-modules, and replays every captured call in both checkouts. The first
-pass is untimed and compares each call's outputs and ``Diagnostics`` bit
-for bit. Each of ``--rounds`` timed passes then times every call on both
-sides with ``time.perf_counter``, the side that runs first alternating
-from call to call and from round to round, so that a drift in machine
-load favours neither side. Prints one JSON line per step: its calls,
-each side's µs per call (the median over the rounds), their ratio
+Synthesises the workload's input as ``perfbench/run.py`` does and runs
+``enhance`` on it once in this checkout. At ``--level split`` (the
+default) it keeps the arguments of every call the cascade makes to
+``lognorm.split_scalar_obs`` (step 7) and ``lognorm.split_distributed_obs``
+(step 8 without the b posterior, step 10 with it); at ``--level frame``,
+a copy of the filter state and the frame record at every call of
+``enhancer._advance``. It then imports PARENT_DIR's ``reverbtrack`` under
+another name, so that the parent's relative imports load the parent's own
+modules, and replays every captured call in both checkouts, each frame
+from its own copy of the state. The first pass is untimed and compares
+each call's outputs and ``Diagnostics`` bit for bit. Each of ``--rounds``
+timed passes then times every call on both sides with
+``time.perf_counter``, the side that runs first alternating from call to
+call and from round to round, so that a drift in machine load favours
+neither side. At the split level it prints one JSON line per step: its
+calls, each side's µs per call (the median over the rounds), their ratio
 (change / parent) and whether every output and every Diagnostics count
-was identical.
+was identical. At the frame level it prints one line: the frames, each
+side's µs per frame, their ratio, the share of frames the change ran
+faster (summed over the rounds), whether every trace row and every
+Diagnostics count was identical, and the largest |change - parent| of
+each row field that was not.
 
 Single whole-run walls drift by several per cent on a shared host; the
-interleaved replay times the splits alone, on identical inputs, with
-the load spread over both sides. It imports this checkout's
+interleaved replay times the splits or the frames alone, on identical
+inputs, with the load spread over both sides. It imports this checkout's
 ``reverbtrack`` from its ``src``, and pins BLAS to one thread.
 """
 
@@ -32,6 +41,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy loads its BLAS
 
 import argparse  # noqa: E402
+import copy  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
@@ -46,7 +56,7 @@ sys.path.insert(0, str(_ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
-from reverbtrack import AudioBuffer, enhance, lognorm  # noqa: E402
+from reverbtrack import AudioBuffer, enhance, enhancer, lognorm  # noqa: E402
 
 PARENT_NAME = "parent_reverbtrack"
 SPLITS = ("split_scalar_obs", "split_distributed_obs")
@@ -54,7 +64,7 @@ SPLITS = ("split_scalar_obs", "split_distributed_obs")
 
 def load_package(src_dir, name=PARENT_NAME):
     """The reverbtrack package under src_dir, imported as name, with its
-    lognorm module loaded."""
+    lognorm and enhancer modules loaded."""
     init = Path(src_dir) / "reverbtrack" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"no reverbtrack package under {src_dir}")
@@ -64,6 +74,7 @@ def load_package(src_dir, name=PARENT_NAME):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     importlib.import_module(f"{name}.lognorm")
+    importlib.import_module(f"{name}.enhancer")
     return package
 
 
@@ -110,6 +121,25 @@ def _run(module, call):
     return out, (diag.fallbacks, diag.variance_clamps)
 
 
+def _alternate(calls, sides, timed, rounds):
+    """{side: (rounds, calls) array of seconds}: timed(module, call) on
+    both sides for every call, in each round, the side that runs first
+    alternating from call to call and from round to round."""
+    spent = {side: np.zeros((rounds, len(calls))) for side in sides}
+    for r in range(rounds):
+        for i, call in enumerate(calls):
+            order = tuple(sides) if (i + r) % 2 == 0 else tuple(reversed(sides))
+            for side in order:
+                spent[side][r, i] = timed(sides[side], call)
+    return spent
+
+
+def _timed_split(module, call):
+    t0 = time.perf_counter()
+    _run(module, call)
+    return time.perf_counter() - t0
+
+
 def replay(calls, parent_lognorm, rounds=5):
     """One row per step: calls, each side's µs per call (median over the
     timed rounds), their ratio and whether outputs and Diagnostics were
@@ -121,25 +151,69 @@ def replay(calls, parent_lognorm, rounds=5):
         (out_p, diag_p), (out_c, diag_c) = (_run(m, call) for m in sides.values())
         identical[call[0]] &= diag_p == diag_c and all(
             _same_bits(p, c) for p, c in zip(out_p, out_c))
-    totals = {side: {s: [] for s in steps} for side in sides}
-    for r in range(rounds):
-        spent = {side: dict.fromkeys(steps, 0.0) for side in sides}
-        for i, call in enumerate(calls):
-            order = tuple(sides) if (i + r) % 2 == 0 else tuple(reversed(sides))
-            for side in order:
-                t0 = time.perf_counter()
-                _run(sides[side], call)
-                spent[side][call[0]] += time.perf_counter() - t0
-        for side in sides:
-            for s in steps:
-                totals[side][s].append(spent[side][s])
+    spent = _alternate(calls, sides, _timed_split, rounds)
     rows = []
     for s in steps:
-        n = sum(c[0] == s for c in calls)
-        us = {side: statistics.median(totals[side][s]) / n * 1e6 for side in sides}
+        of_step = np.array([c[0] == s for c in calls])
+        n = int(of_step.sum())
+        us = {side: statistics.median(spent[side][:, of_step].sum(axis=1)) / n * 1e6
+              for side in sides}
         rows.append({"step": s, "calls": n, "parent_us": us["parent"], "change_us": us["change"],
                      "ratio": us["change"] / us["parent"], "identical": identical[s]})
     return rows
+
+
+def capture_frames(audio):
+    """(filter state, frame, config) at every _advance call of one enhance
+    call on audio, in frame order; the state is a copy taken before the
+    frame ran."""
+    frames = []
+    advance = enhancer._advance
+
+    def record(fs, frame, cfg, diag):
+        frames.append((copy.deepcopy(fs), copy.deepcopy(frame), cfg))
+        return advance(fs, frame, cfg, diag)
+
+    enhancer._advance = record
+    try:
+        enhance(audio)
+    finally:
+        enhancer._advance = advance
+    return frames
+
+
+def _run_frame(module, captured):
+    """One captured frame from a copy of its state: (trace row,
+    Diagnostics counts, seconds _advance took)."""
+    fs, frame, cfg = captured
+    fs, diag = copy.deepcopy(fs), module.Diagnostics()
+    t0 = time.perf_counter()
+    row = module._advance(fs, frame, cfg, diag)
+    return row, (diag.fallbacks, diag.variance_clamps), time.perf_counter() - t0
+
+
+def replay_frames(frames, parent_enhancer, rounds=5):
+    """Frames, each side's µs per frame (median over the timed rounds),
+    their ratio, the share of frames the change ran faster over all
+    rounds, whether every row and Diagnostics count was identical, and
+    max |change - parent| of each row field that was not."""
+    sides = {"parent": parent_enhancer, "change": enhancer}
+    identical, max_diff = True, {}
+    for captured in frames:
+        (row_p, diag_p, _), (row_c, diag_c, _) = (_run_frame(m, captured) for m in sides.values())
+        identical &= diag_p == diag_c and row_p.keys() == row_c.keys()
+        for f in row_p.keys() & row_c.keys():
+            if not _same_bits(row_p[f], row_c[f]):
+                identical = False
+                diff = np.max(np.abs(row_c[f].astype(float) - row_p[f].astype(float)))
+                max_diff[f] = max(max_diff.get(f, 0.0), float(diff))
+    spent = _alternate(frames, sides, lambda m, captured: _run_frame(m, captured)[2], rounds)
+    n = len(frames)
+    us = {side: statistics.median(spent[side].sum(axis=1)) / n * 1e6 for side in sides}
+    won = np.mean(spent["change"].sum(axis=0) < spent["parent"].sum(axis=0))
+    return {"frames": n, "parent_us": us["parent"], "change_us": us["change"],
+            "ratio": us["change"] / us["parent"], "change_won": float(won),
+            "identical": identical, "max_abs_diff": max_diff}
 
 
 def main(argv=None):
@@ -149,15 +223,22 @@ def main(argv=None):
     ap.add_argument("parent", type=Path, help="the other checkout (its src/reverbtrack)")
     ap.add_argument("--workload", choices=sorted(bench.WORKLOADS), default="room_g_4s")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--level", choices=("split", "frame"), default="split",
+                    help="replay the split calls or whole frames of the cascade")
     ap.add_argument("--rounds", type=int, default=5, help="timed passes over the calls")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
     parent = load_package(args.parent / "src")
     scene = bench.WORKLOADS[args.workload](args.seed)
+    head = {"workload": args.workload, "seed": args.seed}
+    if args.level == "frame":
+        frames = capture_frames(AudioBuffer(scene.noisy))
+        print(json.dumps({**head, **replay_frames(frames, parent.enhancer, args.rounds)}))
+        return 0
     calls = capture(AudioBuffer(scene.noisy))
     for row in replay(calls, parent.lognorm, args.rounds):
-        print(json.dumps({"workload": args.workload, "seed": args.seed, **row}))
+        print(json.dumps({**head, **row}))
     return 0
 
 
