@@ -9,7 +9,7 @@ import numpy as np
 
 from .enhancer import EnhancerConfig, enhance
 from .reverb import ENVIRONMENTS, RoomParams, ab_to_gamma_beta, room_to_ab
-from .stft import SAMPLE_RATE
+from .stft import SAMPLE_RATE, AnalysisConfig
 from .wavio import WavFormatError, read_wav, write_wav
 
 
@@ -86,13 +86,16 @@ def cmd_enhance(args):
 
 def cmd_simulate(args):
     room = RoomParams(args.t60, args.drr)
+    # make_scene analyses with the default AnalysisConfig; a bad --bins
+    # fails here, not after the scene is synthesised
+    k_bins = AnalysisConfig().frame_samples(SAMPLE_RATE) // 2 + 1
+    bins = _parse_bins(args.bins, k_bins) if args.bins else range(k_bins)
     from . import simkit        # scipy.signal, which enhance and params never load
 
     clean = read_wav(args.clean)
     noisy, truth, _ = simkit.make_scene(clean, room, args.snr,
                                         noise_kind=args.noise, seed=args.seed)
-    t_frames, k_bins = truth.s_true.shape
-    bins = _parse_bins(args.bins, k_bins) if args.bins else range(k_bins)
+    t_frames = truth.s_true.shape[0]
     write_wav(args.out, noisy)
     if args.truth:
         a, b = room_to_ab(room)

@@ -17,10 +17,29 @@ from the stored gamma/beta once, after the last frame. The r -> old/new
 split and the gamma/beta updates (steps 10-12) run only on the bins
 that pass the per-bin RNR gate in that frame; the other bins keep their
 gamma and beta priors.
+
+No stage mixes bins but the decay-run detector's broadband energy, so
+the bins run in fixed groups (_bin_groups): two contiguous halves from
+64 bins on, else one, chosen by the spectrum's shape alone. Each group
+has its own front end, which pre-cleans every bin for the broadband
+energy and runs the per-bin stages on its own bins, and its own filter
+state. Group 0 runs in the caller's process and each other group in a
+child of os.fork at the same time (_run_forked); the children write
+their columns into one shared anonymous mmap that backs the returned
+arrays, send their Diagnostics counts or their exception through a
+pipe, and are reaped before enhance_frames returns. Where a fork is not
+safe or would not pay (_may_fork: no os.fork, one usable CPU, another
+thread, a short input, a tracer or profiler, tracemalloc, or any
+module-level function of the package replaced since import) the same
+groups run one after another in-process, at the same bits.
 """
 
 import math
 import numbers
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -172,30 +191,35 @@ def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
     w = max(int(round(window_s / frame_increment)), 1)
     # causal window [t-w+1, t] of at most the frames seen: prepend the carried
     # rows and copies of frame 0, so that row t is the minimum of pad[t:t + span]
-    history = state.get("history", smoothed[:0])
+    history = state.pop("history", smoothed[:0])
     h, n = history.shape[0], smoothed.shape[0]
     span = min(w, h + n)
     first = history[:1] if h else smoothed[:1]
     pad = np.concatenate([np.repeat(first, span - 1 - h, axis=0), history, smoothed])
-    mins = _window_min(pad, span)
+    del history, first          # freed before the next history is copied out of pad
     state["acc"] = acc
     state["history"] = pad[pad.shape[0] - min(w - 1, h + n):].copy()
+    mins = _window_min(pad, span)
     est = bias * np.maximum(mins, 1e-300)
     return 0.5 * np.log(est)
 
 
 def _window_min(x, w):
-    """min(x[j:j + w]) along axis 0, for j = 0 .. len(x) - w.
+    """min(x[j:j + w]) along axis 0, for j = 0 .. len(x) - w; overwrites x.
 
     After each doubling pass, row j holds the minimum of the next `span`
     rows from j on; the last pass joins the spans at j and j + w - span,
-    which overlap and together cover the w rows.
+    which overlap and together cover the w rows. A pass writes row j from
+    rows j and j + span, behind where it reads, so it runs in place: numpy
+    takes no copy of such an overlap, and the window costs no array
+    beyond x and the result.
     """
-    span = 1
+    span, n = 1, x.shape[0]
     while 2 * span <= w:
-        x = np.minimum(x[:-span], x[span:])
+        np.minimum(x[:n - span], x[span:n], out=x[:n - span])
+        n -= span
         span *= 2
-    return np.minimum(x[:x.shape[0] - (w - span)], x[w - span:])
+    return np.minimum(x[:n - (w - span)], x[w - span:n])
 
 
 class _FilterState:
@@ -452,16 +476,17 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
 _BLOCK = 32
 
 
-def _front_end(frames, cfg: EnhancerConfig):
+def _front_end(frames, cfg: EnhancerConfig, bins):
     """The stages ahead of the cascade, run block by block with carried state.
 
     The noise tracker, the Log-MMSE pre-clean, the AR fits, the RNR gate,
     the smoothed broadband energy and the decay-run counter advance one
     block of frames at a time, just far enough ahead of the cascade for
-    its look-ahead; this yields each frame's inputs as a _Frame. Only rows
-    the cascade or the fits can still read are kept (the per-frame inputs
-    from frame t on, pre_log and gate from frame t - _FDR_MAX_LEN + 1 on),
-    so memory does not grow with the input length.
+    its look-ahead; this yields each frame's inputs on the bins slice as
+    a _Frame. Only rows the cascade or the fits can still read are kept
+    (the per-frame inputs from frame t on, pre_log and gate from frame
+    t - _FDR_MAX_LEN + 1 on), so memory does not grow with the input
+    length.
     """
     n_frames = frames.shape[0]
     states = {k: {} for k in ("noise", "preclean", "ar", "energy", "runs")}
@@ -479,7 +504,7 @@ def _front_end(frames, cfg: EnhancerConfig):
             base, hist_base = t, lo
         while ready < need:
             b = min(ready + _BLOCK, n_frames)
-            _front_block(frames[ready:b], cfg, states, rows, hist, final=b == n_frames)
+            _front_block(frames[ready:b], cfg, bins, states, rows, hist, final=b == n_frames)
             ready = b
         i, h = t - base, t - hist_base
         j = min(t + cfg.look_ahead, n_frames - 1)
@@ -489,23 +514,28 @@ def _front_end(frames, cfg: EnhancerConfig):
                      rows["resid"][i], rows["loc_mean"][i], hist["gate"][h], priors)
 
 
-def _front_block(frames, cfg: EnhancerConfig, states, rows, hist, final):
+def _front_block(frames, cfg: EnhancerConfig, bins, states, rows, hist, final):
     """The stages ahead of the cascade on one block of frames, with the
-    carried states; appends the block's per-frame inputs and decay-run
-    lengths to rows and its pre_log and gate to hist. Its block-sized
-    temporaries are freed on return, not kept alive across a yield."""
+    carried states; appends the block's per-frame inputs on the bins slice
+    and its decay-run lengths to rows and its pre_log and gate to hist.
+    The broadband energy of the decay-run detector sums every bin's
+    pre-cleaned power, so the noise tracker and the pre-clean run on every
+    bin; the per-bin stages after them run on the slice alone. Its
+    block-sized temporaries are freed on return, not kept alive across a
+    yield."""
     mag = floored_magnitude(frames)
     n_mean = track_noise(mag ** 2, cfg.frame_increment, cfg.noise_window_s,
                          cfg.noise_smooth, cfg.noise_bias, state=states["noise"])
     precleaned = speech.log_mmse_preclean(
         mag, np.exp(2.0 * n_mean), gain_floor_db=cfg.preclean_gain_floor_db,
         state=states["preclean"])
-    pre_log = np.log(np.maximum(precleaned, 1e-300))
+    # decay-region detection on broadband energy; per-bin RNR gate for fits
+    energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))
+    mag, n_mean = mag[:, bins], n_mean[:, bins]
+    pre_log = np.log(np.maximum(precleaned[:, bins], 1e-300))
     coeffs, resid, loc_mean = speech.estimate_ar(
         pre_log, cfg.p, cfg.modulation_frame, cfg.frame_increment, state=states["ar"])
-    # decay-region detection on broadband energy; per-bin RNR gate for fits
     gate = (pre_log - n_mean) > cfg.rnr_threshold_db * reverb.DB_TO_NATS
-    energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))
     # a 3-frame moving average keeps frame-to-frame wiggle from cutting
     # genuine decay runs short
     energy = _smooth_energy(energy, states["energy"], final=final)
@@ -520,6 +550,162 @@ def _append(store, **blocks):
         store[k] = np.concatenate([store[k], v]) if k in store else v
 
 
+# spectra with fewer bins run as one group; the fewest frames for which a
+# child process repays its fork
+_MIN_SPLIT_BINS = 64
+_MIN_FORK_FRAMES = 16
+
+
+def _bin_groups(k_bins):
+    """The bin slices that the cascade runs one group at a time: two
+    contiguous halves from _MIN_SPLIT_BINS bins on, else one. The groups
+    depend on the spectrum's shape alone, never on the host, so that a
+    spectrum gives the same bits wherever its groups run."""
+    if k_bins < _MIN_SPLIT_BINS:
+        return [slice(0, k_bins)]
+    return [slice(0, k_bins // 2), slice(k_bins // 2, k_bins)]
+
+
+def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
+    """The cascade on one group: its own front end and filter state on the
+    bins slice, writing the slice's columns of the output spectrum and of
+    every trace field but t60_est and drr_est."""
+    gain_floor = 10.0 ** (cfg.gain_floor_db / 20.0)
+    for t, frame in enumerate(_front_end(spec.frames, cfg, bins)):
+        if t == 0:
+            fs = _FilterState(frame.y.size, cfg, frame.pre_log, frame.n_mean)
+        row = _advance(fs, frame, cfg, diag)
+        for f, v in row.items():
+            trace[f][t, bins] = v
+        out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
+        out[t, bins] = np.clip(np.exp(out_log - frame.y), gain_floor, 1.0) * spec.frames[t, bins]
+
+
+def _package_functions():
+    """(module, name, object) of every module-level function of the
+    package's loaded modules."""
+    prefix = __name__.rpartition(".")[0] + "."
+    return [(mod, name, v) for mod_name, mod in list(sys.modules.items())
+            if mod_name.startswith(prefix) and mod is not None
+            for name, v in vars(mod).items() if callable(v) and not isinstance(v, type)]
+
+
+def _may_fork(t_frames, groups):
+    """Whether enhance_frames may run groups 1.. in forked children.
+
+    Not if there is one group, fewer than _MIN_FORK_FRAMES frames, no
+    os.fork, one usable CPU or another thread in the process (a BLAS pool
+    counts: pin it to one thread), nor while the process is traced or
+    profiled, since a child's calls and allocations do not reach the
+    parent's tracer. Nor if any module-level function of the package is
+    not the one it was at import: a child would lose a replaced
+    function's side effects.
+    """
+    if len(groups) < 2 or t_frames < _MIN_FORK_FRAMES or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    tracemalloc = sys.modules.get("tracemalloc")
+    if ((cpus or 1) < 2 or threads > 1 or sys.gettrace() or sys.getprofile()
+            or (tracemalloc is not None and tracemalloc.is_tracing())):
+        return False
+    return all(getattr(mod, name, None) is v for mod, name, v in _AT_IMPORT)
+
+
+def _output_arrays(t_frames, k_bins, out_dtype, shared):
+    """The trace dict and the output spectrum, zeroed. When shared, all of
+    them are views of one anonymous shared mmap, so that forked children
+    write their columns where the caller reads them."""
+    kinds = {f: np.float64 for f in TRACE_FIELDS}
+    kinds["fallback_flags"] = np.uint8
+    kinds["out"] = out_dtype
+    if not shared:
+        arrays = {f: np.zeros((t_frames, k_bins), dtype) for f, dtype in kinds.items()}
+    else:
+        import mmap
+
+        sizes = {f: -(-t_frames * k_bins * np.dtype(dtype).itemsize // 64) * 64
+                 for f, dtype in kinds.items()}
+        buf, offset, arrays = mmap.mmap(-1, sum(sizes.values())), 0, {}
+        for f, dtype in kinds.items():
+            arrays[f] = np.frombuffer(buf, dtype, t_frames * k_bins, offset).reshape(
+                t_frames, k_bins)
+            offset += sizes[f]
+    return arrays, arrays.pop("out")
+
+
+def _run_forked(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics):
+    """Runs group 0 here and every other group in a forked child, which
+    writes its columns into the shared trace and out and sends its
+    Diagnostics counts, or the exception it raised, through a pipe. Every
+    child is reaped before this returns, and killed first if this raises."""
+    import signal
+
+    children = []               # (pid, read end of its pipe, bins)
+    try:
+        for bins in groups[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(w, spec, cfg, bins, trace, out)
+            os.close(w)
+            children.append((pid, r, bins))
+        _run_group(spec, cfg, groups[0], trace, out, diag)
+        for pid, r, bins in children:
+            with open(r, "rb", closefd=False) as fh:
+                message = fh.read()
+            where = f"the process of bins {bins.start}-{bins.stop - 1}"
+            if not message:
+                raise ChildProcessError(f"{where} ended with no result")
+            result = pickle.loads(message)
+            if isinstance(result[0], BaseException):
+                exc, text = result
+                raise exc from ChildProcessError(f"in {where}:\n{text}")
+            diag.fallbacks += result[0]
+            diag.variance_clamps += result[1]
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)    # an unreaped child can always be signalled
+        raise
+    finally:
+        for pid, r, _ in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
+def _child(w, spec, cfg: EnhancerConfig, bins, trace, out):
+    """A forked child's whole life: runs its group, writes the pickled
+    (fallbacks, variance clamps), or (exception, traceback text), to the
+    pipe's write end w, and ends in os._exit, whatever happens."""
+    try:
+        diag = Diagnostics()
+        try:
+            _run_group(spec, cfg, bins, trace, out, diag)
+            message = pickle.dumps((diag.fallbacks, diag.variance_clamps))
+        except BaseException as exc:
+            import traceback
+
+            text = "".join(traceback.format_exception(exc))
+            try:
+                message = pickle.dumps((exc, text))
+                pickle.loads(message)
+            except Exception:   # an exception that does not survive pickling
+                message = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
+        with open(w, "wb") as fh:
+            fh.write(message)
+    finally:
+        os._exit(0)
+
+
 def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     """Run the tracking cascade on STFT frames.
 
@@ -530,6 +716,14 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     constant of the cascade is taken. Apart from its input, the Trace and
     the output spectrum, its memory does not grow with the number of
     frames.
+
+    The bins run in the groups of _bin_groups, each with its own front
+    end and filter state. Group 0 runs in the caller's process and, where
+    _may_fork allows, every other group at the same time in a child of
+    os.fork, writing into a shared anonymous mmap that backs the returned
+    arrays; elsewhere the groups run one after another in-process. The
+    groups are fixed by the spectrum's shape, so both ways give the same
+    bits.
     """
     cfg = cfg or EnhancerConfig()
     t_frames, k_bins = spec.frames.shape
@@ -539,19 +733,14 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
         raise ValueError(f"spectrum analysed with {spec.config}, but the config's "
                          f"time constants assume {cfg.analysis()}")
     diag = Diagnostics()
-    trace = {f: np.zeros((t_frames, k_bins)) for f in TRACE_FIELDS}
-    trace["fallback_flags"] = np.zeros((t_frames, k_bins), dtype=np.uint8)
-    out = np.empty_like(spec.frames)
-    gain_floor = 10.0 ** (cfg.gain_floor_db / 20.0)
-
-    for t, frame in enumerate(_front_end(spec.frames, cfg)):
-        if t == 0:
-            fs = _FilterState(k_bins, cfg, frame.pre_log, frame.n_mean)
-        row = _advance(fs, frame, cfg, diag)
-        for f, v in row.items():
-            trace[f][t] = v
-        out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
-        out[t] = np.clip(np.exp(out_log - frame.y), gain_floor, 1.0) * spec.frames[t]
+    groups = _bin_groups(k_bins)
+    forked = _may_fork(t_frames, groups)
+    trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=forked)
+    if forked:
+        _run_forked(spec, cfg, groups, trace, out, diag)
+    else:
+        for bins in groups:
+            _run_group(spec, cfg, bins, trace, out, diag)
     # no frame reads the room estimates, so they are converted once, a
     # block of rows at a time so that no (T, K) temporary is formed
     for lo in range(0, t_frames, _BLOCK):
@@ -576,3 +765,8 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     n_copy = min(len(out.samples), len(samples))
     samples[:n_copy] = out.samples[:n_copy]
     return AudioBuffer(samples, audio.sample_rate), trace, diag
+
+
+# every module-level function of the package as imported; _may_fork
+# compares them by identity
+_AT_IMPORT = _package_functions()

@@ -4,11 +4,19 @@ The hook echoes acceptance-criterion verdicts in the summary; the
 advance_bin fixture runs one frame of the cascade on a single bin.
 """
 
-import numpy as np
-import pytest
+import os
 
-from reverbtrack import enhancer, reverb
-from reverbtrack.lognorm import Diagnostics
+# one BLAS thread, as perfbench and the tools pin it: enhance_frames forks
+# only from a process with no other thread, so that the suite runs the
+# forked path where it would run in the benchmark
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"      # before numpy loads its BLAS
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from reverbtrack import enhancer, reverb  # noqa: E402
+from reverbtrack.lognorm import Diagnostics  # noqa: E402
 
 CRITERION_LINES = []
 

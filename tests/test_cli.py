@@ -262,6 +262,20 @@ def test_simulate_rejects_out_of_range_bins(tmp_path, clean_wav, capsys):
         assert not out.exists() and not truth.exists()
 
 
+def test_simulate_checks_bins_before_making_the_scene(tmp_path, clean_wav, capsys, monkeypatch):
+    from reverbtrack import simkit
+
+    def no_scene(*args, **kwargs):
+        raise AssertionError("make_scene ran before --bins was checked")
+    monkeypatch.setattr(simkit, "make_scene", no_scene)
+    out = tmp_path / "noisy.wav"
+    for bins in ("999", "-1", "0,257", "x"):
+        assert main(["simulate", str(clean_wav), str(out), "--t60", "0.5", "--drr", "0",
+                     "--truth", str(tmp_path / "t.csv"), "--bins", bins]) == 1
+        assert capsys.readouterr().err.startswith("error: --bins")
+        assert not out.exists()
+
+
 def test_simulate_rejects_nonpositive_t60(tmp_path, clean_wav, capsys):
     out = tmp_path / "noisy.wav"
     assert main(["simulate", str(clean_wav), str(out), "--t60", "-0.5", "--drr", "0"]) == 1

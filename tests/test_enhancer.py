@@ -1,6 +1,9 @@
 """Filter-cascade orchestration tests."""
 
 import copy
+import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -217,7 +220,8 @@ def test_enhance_scale_equivariance(condition_g_1s, c):
 @pytest.fixture(scope="module")
 def recorded_frames():
     """(filter state, frame, config) of each frame of a 1 s condition-G
-    scene, as enhance_frames passes them to _advance."""
+    scene, as enhance_frames passes them to _advance, with every bin in
+    one group."""
     clean = speechlike_excitation(1.0, seed=3)
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     calls = []
@@ -228,6 +232,7 @@ def recorded_frames():
         return advance(fs, frame, cfg, diag)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enhancer, "_bin_groups", lambda k_bins: [slice(0, k_bins)])
         mp.setattr(enhancer, "_advance", record)
         enhance(noisy)
     return calls
@@ -382,6 +387,105 @@ def test_learn_room_identifies_the_room_from_true_spectra(clean_spectrum_2s, t60
     last_quarter = slice(3 * len(t60_est) // 4, None)
     assert np.median(t60_est[last_quarter]) == pytest.approx(t60, rel=0.05)
     assert np.median(drr_est[last_quarter]) == pytest.approx(drr, abs=0.5)
+
+
+# ---------------------------------------------------------------------------
+# bin groups: forked children and the in-process path
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def condition_g_spec_1s():
+    clean = speechlike_excitation(1.0, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    return stft(noisy)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls that enhance_frames makes; fails the test if a
+    call leaves a child unreaped."""
+    calls = []
+
+    def fork(_fork=os.fork):
+        calls.append(os.getpid())
+        return _fork()
+    monkeypatch.setattr(os, "fork", fork)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def test_bin_groups_follow_the_shape():
+    assert enhancer._bin_groups(257) == [slice(0, 128), slice(128, 257)]
+    assert enhancer._bin_groups(64) == [slice(0, 32), slice(32, 64)]
+    assert enhancer._bin_groups(63) == [slice(0, 63)]
+
+
+def test_forked_groups_give_the_bits_of_the_groups_in_process(condition_g_spec_1s, forks,
+                                                              monkeypatch):
+    spec = condition_g_spec_1s
+    out_f, trace_f, diag_f = enhance_frames(spec)
+    assert len(forks) == 1
+    # with one usable CPU the same groups run one after another in-process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    out_i, trace_i, diag_i = enhance_frames(spec)
+    assert np.array_equal(out_f.frames, out_i.frames)
+    assert set(trace_f.arrays) == set(trace_i.arrays) == set(TRACE_FIELDS)
+    for f in TRACE_FIELDS:
+        assert trace_f.arrays[f].dtype == trace_i.arrays[f].dtype
+        assert np.array_equal(trace_f.arrays[f], trace_i.arrays[f])
+    assert diag_f == diag_i and diag_f.fallbacks > 0
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_a_failing_group_raises_in_the_caller_and_leaves_no_child(condition_g_spec_1s, forks,
+                                                                  monkeypatch, where):
+    caller = os.getpid()
+
+    def clip(*args, _clip=np.clip, **kwargs):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise ZeroDivisionError(f"clip in the {where}")
+        return _clip(*args, **kwargs)
+    monkeypatch.setattr(np, "clip", clip)
+    with pytest.raises(ZeroDivisionError, match=f"^clip in the {where}$"):
+        enhance_frames(condition_g_spec_1s)
+    assert len(forks) == 1
+
+
+def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, forks, monkeypatch):
+    spec = condition_g_spec_1s
+    monkeypatch.setattr(os, "fork", _no_fork)
+    short = SpectralFrames(spec.frames[:enhancer._MIN_FORK_FRAMES - 1].copy(), spec.config, FS)
+    enhance_frames(short)
+    # a replaced function's side effects would be lost in a child
+    calls = []
+
+    def counted(*args, _fn=lognorm.logsum_moments, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(lognorm, "logsum_moments", counted)
+        enhance_frames(spec)
+    assert len(calls) == 2 * 2 * spec.n_frames          # two per frame in each group
+    # nor under a memory tracer, or beside another thread
+    tracemalloc.start()
+    try:
+        enhance_frames(spec)
+    finally:
+        tracemalloc.stop()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        enhance_frames(spec)
+    finally:
+        stop.set()
+        thread.join()
 
 
 def test_trace_schema_and_estimates_valid():

@@ -38,10 +38,14 @@ def test_frame_replay_against_this_checkout(monkeypatch):
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     frames = split_replay.capture_frames(noisy)
     _, trace, _ = split_replay.enhance(noisy)
-    assert len(frames) == trace.n_frames
-    # each captured state is the one its frame started from
-    for t, (fs, _, _) in enumerate(frames[1:]):
-        assert np.array_equal(fs.gamma_m, trace.arrays["gamma_mean"][t])
+    groups = split_replay.enhancer._bin_groups(trace.n_bins)
+    assert len(frames) == len(groups) * trace.n_frames
+    # each captured state is the one its frame started from, the frames of
+    # one bin group after another
+    for g, bins in enumerate(groups):
+        own = frames[g * trace.n_frames:(g + 1) * trace.n_frames]
+        for t, (fs, _, _) in enumerate(own[1:]):
+            assert np.array_equal(fs.gamma_m, trace.arrays["gamma_mean"][t, bins])
     parent = split_replay.load_package(_ROOT / "src", "replayed_frames_reverbtrack")
     assert parent.enhancer is not split_replay.enhancer
     row = split_replay.replay_frames(frames, parent.enhancer, rounds=2)
@@ -61,3 +65,28 @@ def test_frame_replay_against_this_checkout(monkeypatch):
     assert not row["identical"]
     assert list(row["max_abs_diff"]) == ["s_mean"]
     assert row["max_abs_diff"]["s_mean"] == pytest.approx(1e-3)
+
+
+def test_call_replay_against_this_checkout():
+    clean = speechlike_excitation(0.25, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    parent = split_replay.load_package(_ROOT / "src", "replayed_calls_reverbtrack")
+    assert parent.enhancer is not split_replay.enhancer
+    row = split_replay.replay_calls(noisy.samples, parent, rounds=2)
+    assert row["calls"] == 2
+    assert row["identical"] and row["max_abs_diff"] == 0.0
+    assert np.isfinite(row["ratio"]) and row["ratio"] > 0
+    assert 0.0 <= row["change_won"] <= 1.0
+    assert row["parent_cpu_s"] > 0 and row["change_cpu_s"] > 0
+    # a side whose output moves is reported
+    enhance = parent.enhance
+
+    def louder(audio):
+        out, trace, diag = enhance(audio)
+        return parent.AudioBuffer(2.0 * out.samples), trace, diag
+    parent.enhance = louder
+    try:
+        row = split_replay.replay_calls(noisy.samples, parent, rounds=1)
+    finally:
+        parent.enhance = enhance
+    assert not row["identical"] and row["max_abs_diff"] > 0

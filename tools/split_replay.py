@@ -1,33 +1,47 @@
-"""Per-call times of the phasor-sum splits, or per-frame times of the
-cascade, in two checkouts, on the same inputs.
+"""Per-call times of the phasor-sum splits, per-frame times of the
+cascade, or whole ``enhance`` calls, in two checkouts, on the same inputs.
 
 Run from anywhere:
 
     python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --seed 0
     python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --level frame
+    python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --level call
 
-Synthesises the workload's input as ``perfbench/run.py`` does and runs
-``enhance`` on it once in this checkout. At ``--level split`` (the
-default) it keeps the arguments of every call the cascade makes to
+Synthesises the workload's input as ``perfbench/run.py`` does and imports
+PARENT_DIR's ``reverbtrack`` under another name, so that the parent's
+relative imports load the parent's own modules.
+
+At ``--level split`` (the default) and ``--level frame`` it runs
+``enhance`` on the input once in this checkout and keeps, at the split
+level, the arguments of every call the cascade makes to
 ``lognorm.split_scalar_obs`` (step 7) and ``lognorm.split_distributed_obs``
-(step 8 without the b posterior, step 10 with it); at ``--level frame``,
-a copy of the filter state and the frame record at every call of
-``enhancer._advance``. It then imports PARENT_DIR's ``reverbtrack`` under
-another name, so that the parent's relative imports load the parent's own
-modules, and replays every captured call in both checkouts, each frame
-from its own copy of the state. The first pass is untimed and compares
-each call's outputs and ``Diagnostics`` bit for bit. Each of ``--rounds``
-timed passes then times every call on both sides with
-``time.perf_counter``, the side that runs first alternating from call to
-call and from round to round, so that a drift in machine load favours
-neither side. At the split level it prints one JSON line per step: its
-calls, each side's µs per call (the median over the rounds), their ratio
-(change / parent) and whether every output and every Diagnostics count
-was identical. At the frame level it prints one line: the frames, each
-side's µs per frame, their ratio, the share of frames the change ran
-faster (summed over the rounds), whether every trace row and every
-Diagnostics count was identical, and the largest |change - parent| of
-each row field that was not.
+(step 8 without the b posterior, step 10 with it); at the frame level, a
+copy of the filter state and the frame record at every call of
+``enhancer._advance``, one per frame and bin group. The capture wrappers
+replace package functions, so ``enhance_frames`` runs its bin groups one
+after another in-process, and every call is seen. It then replays every
+captured call in both checkouts, each frame from its own copy of the
+state. The first pass is untimed and compares each call's outputs and
+``Diagnostics`` bit for bit. Each of ``--rounds`` timed passes then
+times every call on both sides with ``time.perf_counter``, the side that
+runs first alternating from call to call and from round to round, so
+that a drift in machine load favours neither side. At the split level it
+prints one JSON line per step: its calls, each side's µs per call (the
+median over the rounds), their ratio (change / parent) and whether every
+output and every Diagnostics count was identical. At the frame level it
+prints one line: the frames, each side's µs per frame, their ratio, the
+share of frames the change ran faster (summed over the rounds), whether
+every trace row and every Diagnostics count was identical, and the
+largest |change - parent| of each row field that was not.
+
+At ``--level call`` it alternates whole ``enhance`` calls of the two
+checkouts, after one untimed call each, so that the work of a forked
+child, which no replay in this process sees, is in the wall time. It
+prints one line: each side's median wall and the CPU time of this
+process alone (children excluded) per call, the wall ratio, the share of
+rounds the change ran faster, whether the samples, all Trace arrays and
+the Diagnostics counts were identical, and the largest |change - parent|
+of the samples.
 
 Single whole-run walls drift by several per cent on a shared host; the
 interleaved replay times the splits or the frames alone, on identical
@@ -56,6 +70,7 @@ sys.path.insert(0, str(_ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
+import reverbtrack  # noqa: E402
 from reverbtrack import AudioBuffer, enhance, enhancer, lognorm  # noqa: E402
 
 PARENT_NAME = "parent_reverbtrack"
@@ -165,8 +180,8 @@ def replay(calls, parent_lognorm, rounds=5):
 
 def capture_frames(audio):
     """(filter state, frame, config) at every _advance call of one enhance
-    call on audio, in frame order; the state is a copy taken before the
-    frame ran."""
+    call on audio: the frames of each bin group in order, one group after
+    another; the state is a copy taken before the frame ran."""
     frames = []
     advance = enhancer._advance
 
@@ -216,6 +231,45 @@ def replay_frames(frames, parent_enhancer, rounds=5):
             "identical": identical, "max_abs_diff": max_diff}
 
 
+def _outputs_equal(a, b):
+    """Whether two enhance results hold the same sample, Trace and
+    Diagnostics bits."""
+    (out_a, trace_a, diag_a), (out_b, trace_b, diag_b) = a, b
+    return (_same_bits(out_a.samples, out_b.samples)
+            and trace_a.arrays.keys() == trace_b.arrays.keys()
+            and all(_same_bits(v, trace_b.arrays[f]) for f, v in trace_a.arrays.items())
+            and (diag_a.fallbacks, diag_a.variance_clamps)
+            == (diag_b.fallbacks, diag_b.variance_clamps))
+
+
+def replay_calls(samples, parent, rounds=5):
+    """Each side's median wall and this process's CPU seconds per enhance
+    call on samples, the wall ratio, the share of rounds the change ran
+    faster, whether the two outputs were identical and max |change -
+    parent| of the samples. Each side runs once untimed, then once per
+    round, the side that runs first alternating from round to round."""
+    sides = {"parent": parent, "change": reverbtrack}
+    inputs = {side: package.AudioBuffer(samples) for side, package in sides.items()}
+    first = {side: package.enhance(inputs[side]) for side, package in sides.items()}
+    walls = {side: [] for side in sides}
+    cpus = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in (tuple(sides) if r % 2 == 0 else tuple(reversed(sides))):
+            c0, t0 = time.process_time(), time.perf_counter()
+            sides[side].enhance(inputs[side])
+            walls[side].append(time.perf_counter() - t0)
+            cpus[side].append(time.process_time() - c0)
+    wall = {side: statistics.median(v) for side, v in walls.items()}
+    won = np.mean(np.array(walls["change"]) < np.array(walls["parent"]))
+    diff = np.max(np.abs(first["change"][0].samples - first["parent"][0].samples))
+    return {"calls": rounds, "parent_s": wall["parent"], "change_s": wall["change"],
+            "ratio": wall["change"] / wall["parent"], "change_won": float(won),
+            "parent_cpu_s": statistics.median(cpus["parent"]),
+            "change_cpu_s": statistics.median(cpus["change"]),
+            "identical": _outputs_equal(first["change"], first["parent"]),
+            "max_abs_diff": float(diff)}
+
+
 def main(argv=None):
     import run as bench     # perfbench/run.py, for its workload scenes
 
@@ -223,8 +277,9 @@ def main(argv=None):
     ap.add_argument("parent", type=Path, help="the other checkout (its src/reverbtrack)")
     ap.add_argument("--workload", choices=sorted(bench.WORKLOADS), default="room_g_4s")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--level", choices=("split", "frame"), default="split",
-                    help="replay the split calls or whole frames of the cascade")
+    ap.add_argument("--level", choices=("split", "frame", "call"), default="split",
+                    help="replay the split calls or whole frames of the cascade, "
+                         "or alternate whole enhance calls")
     ap.add_argument("--rounds", type=int, default=5, help="timed passes over the calls")
     args = ap.parse_args(argv)
     if args.rounds < 1:
@@ -232,6 +287,9 @@ def main(argv=None):
     parent = load_package(args.parent / "src")
     scene = bench.WORKLOADS[args.workload](args.seed)
     head = {"workload": args.workload, "seed": args.seed}
+    if args.level == "call":
+        print(json.dumps({**head, **replay_calls(scene.noisy, parent, args.rounds)}))
+        return 0
     if args.level == "frame":
         frames = capture_frames(AudioBuffer(scene.noisy))
         print(json.dumps({**head, **replay_frames(frames, parent.enhancer, args.rounds)}))
