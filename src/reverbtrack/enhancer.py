@@ -19,19 +19,22 @@ that pass the per-bin RNR gate in that frame; the other bins keep their
 gamma and beta priors.
 
 No stage mixes bins but the decay-run detector's broadband energy, so
-the bins run in fixed groups (_bin_groups): two contiguous halves from
-64 bins on, else one, chosen by the spectrum's shape alone. Each group
-has its own front end, which pre-cleans every bin for the broadband
-energy and runs the per-bin stages on its own bins, and its own filter
-state. Group 0 runs in the caller's process and each other group in a
-child of os.fork at the same time (_run_forked); the children write
-their columns into one shared anonymous mmap that backs the returned
-arrays, send their Diagnostics counts or their exception through a
-pipe, and are reaped before enhance_frames returns. Where a fork is not
-safe or would not pay (_may_fork: no os.fork, one usable CPU, another
-thread, a short input, a tracer or profiler, tracemalloc, or any
-module-level function of the package replaced since import) the same
-groups run one after another in-process, at the same bits.
+the bins can run in groups (_bin_groups). Where this process can fork a
+child to compute beside it (_host_forks: os.fork, two usable CPUs, no
+other thread) and the spectrum has at least 64 bins and 16 frames, there
+are two, the contiguous halves of the bins; elsewhere one group holds
+every bin, which costs what a single process always cost. Each group has
+its own front end, which pre-cleans every bin for the broadband energy
+and runs the per-bin stages on its own bins, and its own filter state.
+The first group runs in the caller's process and the second in a child
+of os.fork at the same time (_run_forked); the child writes its columns
+into one shared anonymous mmap that backs the returned arrays, sends its
+Diagnostics counts or its exception through a pipe, and is reaped before
+enhance_frames returns. While something in the process would miss the
+child's work (_watched: a tracer or profiler, tracemalloc, or a
+module-level function of the package replaced since import) the two
+groups run one after another in-process, at the bits of the fork. One
+group and two groups differ only in the last bits of a few samples.
 """
 
 import math
@@ -550,20 +553,48 @@ def _append(store, **blocks):
         store[k] = np.concatenate([store[k], v]) if k in store else v
 
 
-# spectra with fewer bins run as one group; the fewest frames for which a
-# child process repays its fork
+# spectra with fewer bins, or fewer frames, run as one group: a child
+# process would not repay its fork
 _MIN_SPLIT_BINS = 64
 _MIN_FORK_FRAMES = 16
 
 
-def _bin_groups(k_bins):
+def _bin_groups(t_frames, k_bins):
     """The bin slices that the cascade runs one group at a time: two
-    contiguous halves from _MIN_SPLIT_BINS bins on, else one. The groups
-    depend on the spectrum's shape alone, never on the host, so that a
-    spectrum gives the same bits wherever its groups run."""
-    if k_bins < _MIN_SPLIT_BINS:
+    contiguous halves where a forked child could run the second beside
+    the caller (_host_forks) and the spectrum has _MIN_SPLIT_BINS bins and
+    _MIN_FORK_FRAMES frames, else every bin in one group. A tracer, a
+    profiler or a replaced function never changes the groups, so a traced
+    run gives the bits of an untraced one on the same host."""
+    if k_bins < _MIN_SPLIT_BINS or t_frames < _MIN_FORK_FRAMES or not _host_forks():
         return [slice(0, k_bins)]
     return [slice(0, k_bins // 2), slice(k_bins // 2, k_bins)]
+
+
+def _host_forks():
+    """Whether this process can fork a child to compute beside it: os.fork
+    exists, two CPUs are usable and no other thread runs (a BLAS pool
+    counts: pin it to one thread)."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    return (cpus or 1) >= 2 and threads == 1
+
+
+def _watched():
+    """Whether a forked child's work would escape this process's view: a
+    tracer, a profiler or tracemalloc is on, or a module-level function of
+    the package is not the one it was at import, whose side effects a
+    child would lose."""
+    tracemalloc = sys.modules.get("tracemalloc")
+    if (sys.gettrace() or sys.getprofile()
+            or (tracemalloc is not None and tracemalloc.is_tracing())):
+        return True
+    return not all(getattr(mod, name, None) is v for mod, name, v in _AT_IMPORT)
 
 
 def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
@@ -590,35 +621,10 @@ def _package_functions():
             for name, v in vars(mod).items() if callable(v) and not isinstance(v, type)]
 
 
-def _may_fork(t_frames, groups):
-    """Whether enhance_frames may run groups 1.. in forked children.
-
-    Not if there is one group, fewer than _MIN_FORK_FRAMES frames, no
-    os.fork, one usable CPU or another thread in the process (a BLAS pool
-    counts: pin it to one thread), nor while the process is traced or
-    profiled, since a child's calls and allocations do not reach the
-    parent's tracer. Nor if any module-level function of the package is
-    not the one it was at import: a child would lose a replaced
-    function's side effects.
-    """
-    if len(groups) < 2 or t_frames < _MIN_FORK_FRAMES or not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        threads = threading.active_count()
-    tracemalloc = sys.modules.get("tracemalloc")
-    if ((cpus or 1) < 2 or threads > 1 or sys.gettrace() or sys.getprofile()
-            or (tracemalloc is not None and tracemalloc.is_tracing())):
-        return False
-    return all(getattr(mod, name, None) is v for mod, name, v in _AT_IMPORT)
-
-
 def _output_arrays(t_frames, k_bins, out_dtype, shared):
     """The trace dict and the output spectrum, zeroed. When shared, all of
-    them are views of one anonymous shared mmap, so that forked children
-    write their columns where the caller reads them."""
+    them are views of one anonymous shared mmap, so that a forked child
+    writes its columns where the caller reads them."""
     kinds = {f: np.float64 for f in TRACE_FIELDS}
     kinds["fallback_flags"] = np.uint8
     kinds["out"] = out_dtype
@@ -638,48 +644,44 @@ def _output_arrays(t_frames, k_bins, out_dtype, shared):
 
 
 def _run_forked(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics):
-    """Runs group 0 here and every other group in a forked child, which
-    writes its columns into the shared trace and out and sends its
-    Diagnostics counts, or the exception it raised, through a pipe. Every
-    child is reaped before this returns, and killed first if this raises."""
+    """Runs the first of the two groups here and the second in a forked
+    child, which writes its columns into the shared trace and out and
+    sends its Diagnostics counts, or the exception it raised, through a
+    pipe. The child is reaped before this returns, and killed first if
+    this raises."""
     import signal
 
-    children = []               # (pid, read end of its pipe, bins)
+    first, second = groups
+    r, w = os.pipe()
     try:
-        for bins in groups[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _child(w, spec, cfg, bins, trace, out)
-            os.close(w)
-            children.append((pid, r, bins))
-        _run_group(spec, cfg, groups[0], trace, out, diag)
-        for pid, r, bins in children:
-            with open(r, "rb", closefd=False) as fh:
-                message = fh.read()
-            where = f"the process of bins {bins.start}-{bins.stop - 1}"
-            if not message:
-                raise ChildProcessError(f"{where} ended with no result")
-            result = pickle.loads(message)
-            if isinstance(result[0], BaseException):
-                exc, text = result
-                raise exc from ChildProcessError(f"in {where}:\n{text}")
-            diag.fallbacks += result[0]
-            diag.variance_clamps += result[1]
+        pid = os.fork()
     except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)    # an unreaped child can always be signalled
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        os.close(r)
+        _child(w, spec, cfg, second, trace, out)
+    os.close(w)
+    try:
+        _run_group(spec, cfg, first, trace, out, diag)
+        with open(r, "rb", closefd=False) as fh:
+            message = fh.read()
+        where = f"the process of bins {second.start}-{second.stop - 1}"
+        if not message:
+            raise ChildProcessError(f"{where} ended with no result")
+        result = pickle.loads(message)
+        if isinstance(result[0], BaseException):
+            exc, text = result
+            raise exc from ChildProcessError(f"in {where}:\n{text}")
+        diag.fallbacks += result[0]
+        diag.variance_clamps += result[1]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)    # an unreaped child can always be signalled
         raise
     finally:
-        for pid, r, _ in children:
-            os.close(r)
-            os.waitpid(pid, 0)
+        os.close(r)
+        os.waitpid(pid, 0)
 
 
 def _child(w, spec, cfg: EnhancerConfig, bins, trace, out):
@@ -697,8 +699,7 @@ def _child(w, spec, cfg: EnhancerConfig, bins, trace, out):
             text = "".join(traceback.format_exception(exc))
             try:
                 message = pickle.dumps((exc, text))
-                pickle.loads(message)
-            except Exception:   # an exception that does not survive pickling
+            except Exception:   # an exception that cannot be pickled
                 message = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
         with open(w, "wb") as fh:
             fh.write(message)
@@ -718,12 +719,14 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     frames.
 
     The bins run in the groups of _bin_groups, each with its own front
-    end and filter state. Group 0 runs in the caller's process and, where
-    _may_fork allows, every other group at the same time in a child of
+    end and filter state: two halves where this process could fork a
+    child beside it and the spectrum is large enough to repay the fork,
+    else one group of every bin. With two groups, the first runs in the
+    caller's process and the second at the same time in a child of
     os.fork, writing into a shared anonymous mmap that backs the returned
-    arrays; elsewhere the groups run one after another in-process. The
-    groups are fixed by the spectrum's shape, so both ways give the same
-    bits.
+    arrays; while a tracer, a profiler, tracemalloc or a replaced package
+    function watches (_watched), the two run one after another
+    in-process instead, at the same bits.
     """
     cfg = cfg or EnhancerConfig()
     t_frames, k_bins = spec.frames.shape
@@ -733,8 +736,8 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
         raise ValueError(f"spectrum analysed with {spec.config}, but the config's "
                          f"time constants assume {cfg.analysis()}")
     diag = Diagnostics()
-    groups = _bin_groups(k_bins)
-    forked = _may_fork(t_frames, groups)
+    groups = _bin_groups(t_frames, k_bins)
+    forked = len(groups) == 2 and not _watched()
     trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=forked)
     if forked:
         _run_forked(spec, cfg, groups, trace, out, diag)
@@ -767,6 +770,6 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     return AudioBuffer(samples, audio.sample_rate), trace, diag
 
 
-# every module-level function of the package as imported; _may_fork
+# every module-level function of the package as imported; _watched
 # compares them by identity
 _AT_IMPORT = _package_functions()

@@ -232,7 +232,7 @@ def recorded_frames():
         return advance(fs, frame, cfg, diag)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enhancer, "_bin_groups", lambda k_bins: [slice(0, k_bins)])
+        mp.setattr(enhancer, "_bin_groups", lambda t_frames, k_bins: [slice(0, k_bins)])
         mp.setattr(enhancer, "_advance", record)
         enhance(noisy)
     return calls
@@ -402,27 +402,76 @@ def condition_g_spec_1s():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The os.fork calls that enhance_frames makes; fails the test if a
-    call leaves a child unreaped."""
+    """The os.fork calls that enhance_frames makes, on a host that shows
+    it two usable CPUs; fails the test if a call leaves a child
+    unreaped."""
     calls = []
 
     def fork(_fork=os.fork):
         calls.append(os.getpid())
         return _fork()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", fork)
     yield calls
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+_ADVANCE = enhancer._advance
+
+
 def _no_fork():
     raise AssertionError("os.fork was called")
 
 
-def test_bin_groups_follow_the_shape():
-    assert enhancer._bin_groups(257) == [slice(0, 128), slice(128, 257)]
-    assert enhancer._bin_groups(64) == [slice(0, 32), slice(32, 64)]
-    assert enhancer._bin_groups(63) == [slice(0, 63)]
+def _beside_a_thread(fn):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        return fn()
+    finally:
+        stop.set()
+        thread.join()
+
+
+def test_bin_groups_follow_the_shape_and_the_host(forks, monkeypatch):
+    halves = [slice(0, 128), slice(128, 257)]
+    assert enhancer._bin_groups(500, 257) == halves
+    assert enhancer._bin_groups(enhancer._MIN_FORK_FRAMES, 64) == [slice(0, 32), slice(32, 64)]
+    assert enhancer._bin_groups(500, 63) == [slice(0, 63)]
+    assert enhancer._bin_groups(enhancer._MIN_FORK_FRAMES - 1, 257) == [slice(0, 257)]
+    # a host that cannot run a child beside the caller runs every bin at once
+    assert _beside_a_thread(lambda: enhancer._bin_groups(500, 257)) == [slice(0, 257)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert enhancer._bin_groups(500, 257) == [slice(0, 257)]
+    # a tracer or a replaced function does not change the groups
+    tracemalloc.start()
+    try:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert enhancer._watched()
+        assert enhancer._bin_groups(500, 257) == halves
+    finally:
+        tracemalloc.stop()
+    assert not enhancer._watched()
+    assert forks == []
+
+
+@pytest.fixture
+def advance_calls(monkeypatch):
+    return _count_advance_calls(monkeypatch)
+
+
+def _count_advance_calls(monkeypatch):
+    """The number of bins of each _advance call; replacing _advance keeps
+    enhance_frames from forking."""
+    calls = []
+
+    def counted(fs, frame, cfg, diag, _advance=enhancer._advance):
+        calls.append(frame.y.size)
+        return _advance(fs, frame, cfg, diag)
+    monkeypatch.setattr(enhancer, "_advance", counted)
+    return calls
 
 
 def test_forked_groups_give_the_bits_of_the_groups_in_process(condition_g_spec_1s, forks,
@@ -430,10 +479,11 @@ def test_forked_groups_give_the_bits_of_the_groups_in_process(condition_g_spec_1
     spec = condition_g_spec_1s
     out_f, trace_f, diag_f = enhance_frames(spec)
     assert len(forks) == 1
-    # with one usable CPU the same groups run one after another in-process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # a replaced function runs the same two groups one after another here
     monkeypatch.setattr(os, "fork", _no_fork)
+    advance_calls = _count_advance_calls(monkeypatch)
     out_i, trace_i, diag_i = enhance_frames(spec)
+    assert advance_calls == [128] * spec.n_frames + [129] * spec.n_frames
     assert np.array_equal(out_f.frames, out_i.frames)
     assert set(trace_f.arrays) == set(trace_i.arrays) == set(TRACE_FIELDS)
     for f in TRACE_FIELDS:
@@ -457,35 +507,35 @@ def test_a_failing_group_raises_in_the_caller_and_leaves_no_child(condition_g_sp
     assert len(forks) == 1
 
 
-def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, forks, monkeypatch):
+def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, forks, monkeypatch,
+                                                        advance_calls):
     spec = condition_g_spec_1s
     monkeypatch.setattr(os, "fork", _no_fork)
     short = SpectralFrames(spec.frames[:enhancer._MIN_FORK_FRAMES - 1].copy(), spec.config, FS)
     enhance_frames(short)
+    assert advance_calls == [spec.n_bins] * short.n_frames
     # a replaced function's side effects would be lost in a child
-    calls = []
-
-    def counted(*args, _fn=lognorm.logsum_moments, **kwargs):
-        calls.append(1)
-        return _fn(*args, **kwargs)
-    with monkeypatch.context() as mp:
-        mp.setattr(lognorm, "logsum_moments", counted)
-        enhance_frames(spec)
-    assert len(calls) == 2 * 2 * spec.n_frames          # two per frame in each group
-    # nor under a memory tracer, or beside another thread
+    advance_calls.clear()
+    enhance_frames(spec)
+    assert advance_calls == [128] * spec.n_frames + [129] * spec.n_frames
+    # nor under a memory tracer
+    monkeypatch.setattr(enhancer, "_advance", _ADVANCE)
+    assert not enhancer._watched()
     tracemalloc.start()
     try:
         enhance_frames(spec)
     finally:
         tracemalloc.stop()
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        enhance_frames(spec)
-    finally:
-        stop.set()
-        thread.join()
+
+
+def test_a_host_that_cannot_fork_runs_every_bin_at_once(condition_g_spec_1s, forks, monkeypatch,
+                                                        advance_calls):
+    spec = condition_g_spec_1s
+    monkeypatch.setattr(os, "fork", _no_fork)
+    _beside_a_thread(lambda: enhance_frames(spec))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    enhance_frames(spec)
+    assert advance_calls == [spec.n_bins] * (2 * spec.n_frames)
 
 
 def test_trace_schema_and_estimates_valid():

@@ -38,7 +38,7 @@ def test_frame_replay_against_this_checkout(monkeypatch):
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     frames = split_replay.capture_frames(noisy)
     _, trace, _ = split_replay.enhance(noisy)
-    groups = split_replay.enhancer._bin_groups(trace.n_bins)
+    groups = split_replay.enhancer._bin_groups(trace.n_frames, trace.n_bins)
     assert len(frames) == len(groups) * trace.n_frames
     # each captured state is the one its frame started from, the frames of
     # one bin group after another

@@ -7,13 +7,12 @@ Run from anywhere:
 Synthesises the 4 s condition-G scene of the benchmark (white noise at
 20 dB SNR, acoustics seed 0, utterance seed 3), takes its STFT and times
 ``enhance_frames`` on the full spectrum (K = 257) and on the single bin
-64 (K = 1), alternating the two, five times each, with every bin group
-run one after another in this process. Prints the minimum of each in ms
-per frame and their ratio. Time that does not scale with K is the
-per-call cost of the cascade's numpy operations, so the K = 1 figure is
-that fixed cost; at K = 257 it is paid once per bin group. It imports
-``reverbtrack`` from the ``src`` of the checkout it lives in, and pins
-BLAS to one thread.
+64 (K = 1), alternating the two, five times each, with every bin in one
+group in this process, as it runs where it cannot fork. Prints the
+minimum of each in ms per frame and their ratio. Time that does not
+scale with K is the per-call cost of the cascade's numpy operations, so
+the K = 1 figure is that fixed cost. It imports ``reverbtrack`` from the
+``src`` of the checkout it lives in, and pins BLAS to one thread.
 
 Each in-process call runs under ``perfbench/probe.py``'s ``Probe`` with
 its ``ArrayKernel``, the host-speed probe the benchmark scales ``rtf``
@@ -28,8 +27,8 @@ Beside them, in the ``forked`` column, is the wall time of K = 257 run as
 child, timed in the same rounds. It is not scaled: the probe's kernel
 slows while the child computes, so a scaled figure would overstate the
 gain. K = 1 is one group, which never forks. On a host where
-``enhance_frames`` cannot fork (one usable CPU, another thread), the
-column reads ``-``.
+``enhance_frames`` cannot fork (one usable CPU, another thread), it runs
+one group as in the ``wall`` column, and the column reads ``-``.
 """
 
 import os
@@ -66,14 +65,14 @@ def scene_spectrum():
 
 def timed_call(spec, kernel):
     """(wall s, wall s without the kernel runs, kernel durations) of one
-    call with the bin groups run in-process."""
-    may_fork = enhancer._may_fork
-    enhancer._may_fork = lambda t_frames, groups: False
+    call with every bin in one group in this process."""
+    bin_groups = enhancer._bin_groups
+    enhancer._bin_groups = lambda t_frames, k_bins: [slice(0, k_bins)]
     try:
         with probe.Probe(kernel) as p:
             enhance_frames(spec)
     finally:
-        enhancer._may_fork = may_fork
+        enhancer._bin_groups = bin_groups
     inside = sum(d for t, d in p.samples if p.t0 <= t < p.t1)
     return p.wall, p.wall - inside, [d for _, d in p.samples]
 
@@ -89,7 +88,7 @@ def main():
     spec = scene_spectrum()
     one = SpectralFrames(spec.frames[:, BIN:BIN + 1].copy(), spec.config, spec.sample_rate)
     runs = {"K = 1": (one, []), f"K = {spec.n_bins}": (spec, [])}
-    forks = enhancer._may_fork(spec.n_frames, enhancer._bin_groups(spec.n_bins))
+    forks = len(enhancer._bin_groups(spec.n_frames, spec.n_bins)) == 2
     kernel = probe.ArrayKernel()
     enhance_frames(one)             # builds the lookup tables outside the timing
     durations, forked = [], []
