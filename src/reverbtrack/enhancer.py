@@ -18,23 +18,18 @@ split and the gamma/beta updates (steps 10-12) run only on the bins
 that pass the per-bin RNR gate in that frame; the other bins keep their
 gamma and beta priors.
 
-No stage mixes bins but the decay-run detector's broadband energy, so
-the bins can run in groups (_bin_groups). Where this process can fork a
-child to compute beside it (_host_forks: os.fork, two usable CPUs, no
-other thread) and the spectrum has at least 64 bins and 16 frames, there
-are two, the contiguous halves of the bins; elsewhere one group holds
-every bin, which costs what a single process always cost. Each group has
-its own front end, which pre-cleans every bin for the broadband energy
-and runs the per-bin stages on its own bins, and its own filter state.
-The first group runs in the caller's process and the second in a child
-of os.fork at the same time (_run_forked); the child writes its columns
-into one shared anonymous mmap that backs the returned arrays, sends its
-Diagnostics counts or its exception through a pipe, and is reaped before
-enhance_frames returns. While something in the process would miss the
-child's work (_watched: a tracer or profiler, tracemalloc, or a
-module-level function of the package replaced since import) the two
-groups run one after another in-process, at the bits of the fork. One
-group and two groups differ only in the last bits of a few samples.
+No stage mixes bins but the decay-run detector's broadband energy, and no
+sum of the cascade depends on how many bins share a call, so the bins
+can run in groups (_bin_groups) at the bits of one group. There are two,
+the contiguous halves, where this process can fork a child beside it
+(_host_forks), nothing would miss the child's work (_watched) and the
+spectrum has at least 64 bins and 16 frames; elsewhere one group holds
+every bin. Each group has its own front end, which pre-cleans every bin
+for the broadband energy, and its own filter state. The first group runs
+in the caller and the second at the same time in a child of os.fork
+(_run_forked), which writes its columns into a shared anonymous mmap
+that backs the returned arrays and sends its Diagnostics counts or its
+exception through a pipe.
 """
 
 import math
@@ -268,9 +263,8 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     converts from the stored gamma_mean and beta_mean after the last frame.
 
     The noise variance is cfg.noise_variance on every bin. Bins never
-    interact, but a split's sums pick their inner loop by the number of
-    bins, so a bin's results match those in another set of bins only to
-    rounding."""
+    interact, and no sum runs in an order that depends on the number of
+    bins, so a bin's results have the same bits in any set of bins."""
     y, n_mean = frame.y, frame.n_mean
     prior_gm, prior_gv, prior_bm, prior_bv, prior_mask = frame.priors
     # one variance per bin, so that no cascade operation has to broadcast
@@ -562,11 +556,11 @@ _MIN_FORK_FRAMES = 16
 def _bin_groups(t_frames, k_bins):
     """The bin slices that the cascade runs one group at a time: two
     contiguous halves where a forked child could run the second beside
-    the caller (_host_forks) and the spectrum has _MIN_SPLIT_BINS bins and
-    _MIN_FORK_FRAMES frames, else every bin in one group. A tracer, a
-    profiler or a replaced function never changes the groups, so a traced
-    run gives the bits of an untraced one on the same host."""
-    if k_bins < _MIN_SPLIT_BINS or t_frames < _MIN_FORK_FRAMES or not _host_forks():
+    the caller (_host_forks), nothing would miss its work (_watched) and
+    the spectrum has _MIN_SPLIT_BINS bins and _MIN_FORK_FRAMES frames,
+    else every bin in one group. The groups do not change the bits."""
+    if (k_bins < _MIN_SPLIT_BINS or t_frames < _MIN_FORK_FRAMES or _watched()
+            or not _host_forks()):
         return [slice(0, k_bins)]
     return [slice(0, k_bins // 2), slice(k_bins // 2, k_bins)]
 
@@ -589,7 +583,7 @@ def _watched():
     """Whether a forked child's work would escape this process's view: a
     tracer, a profiler or tracemalloc is on, or a module-level function of
     the package is not the one it was at import, whose side effects a
-    child would lose."""
+    child would lose. Such a call runs every bin in one group."""
     tracemalloc = sys.modules.get("tracemalloc")
     if (sys.gettrace() or sys.getprofile()
             or (tracemalloc is not None and tracemalloc.is_tracing())):
@@ -712,38 +706,37 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
 
     Returns (enhanced SpectralFrames, Trace, Diagnostics). This is the
     core of enhance(); it also serves callers whose data originates in
-    the STFT domain. The spectrum needs at least one frame, analysed
-    with cfg's frame_length and frame_increment, from which every time
-    constant of the cascade is taken. Apart from its input, the Trace and
-    the output spectrum, its memory does not grow with the number of
-    frames.
+    the STFT domain. The spectrum needs at least one frame and one bin,
+    all finite (else ValueError), analysed with cfg's frame_length and
+    frame_increment, from which every time constant of the cascade is
+    taken. Apart from its input, the Trace and the output spectrum, its
+    memory does not grow with the number of frames.
 
     The bins run in the groups of _bin_groups, each with its own front
-    end and filter state: two halves where this process could fork a
-    child beside it and the spectrum is large enough to repay the fork,
-    else one group of every bin. With two groups, the first runs in the
-    caller's process and the second at the same time in a child of
-    os.fork, writing into a shared anonymous mmap that backs the returned
-    arrays; while a tracer, a profiler, tracemalloc or a replaced package
-    function watches (_watched), the two run one after another
-    in-process instead, at the same bits.
+    end and filter state, the second, if any, in a forked child
+    (_run_forked); one group and two give the same bits.
     """
     cfg = cfg or EnhancerConfig()
     t_frames, k_bins = spec.frames.shape
     if t_frames == 0:
         raise ValueError("enhance_frames needs at least one frame")
+    if k_bins == 0:
+        raise ValueError("enhance_frames needs at least one bin")
     if spec.config != cfg.analysis():
         raise ValueError(f"spectrum analysed with {spec.config}, but the config's "
                          f"time constants assume {cfg.analysis()}")
+    # a block of rows at a time, so that no (T, K) temporary is formed
+    for lo in range(0, t_frames, _BLOCK):
+        if not np.isfinite(spec.frames[lo:lo + _BLOCK]).all():
+            raise ValueError(f"enhance_frames needs finite frames; frames {lo}-"
+                             f"{min(lo + _BLOCK, t_frames) - 1} hold a NaN or an inf")
     diag = Diagnostics()
     groups = _bin_groups(t_frames, k_bins)
-    forked = len(groups) == 2 and not _watched()
-    trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=forked)
-    if forked:
+    trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=len(groups) == 2)
+    if len(groups) == 2:
         _run_forked(spec, cfg, groups, trace, out, diag)
     else:
-        for bins in groups:
-            _run_group(spec, cfg, bins, trace, out, diag)
+        _run_group(spec, cfg, groups[0], trace, out, diag)
     # no frame reads the room estimates, so they are converted once, a
     # block of rows at a time so that no (T, K) temporary is formed
     for lo in range(0, t_frames, _BLOCK):

@@ -200,7 +200,7 @@ def _mean_dilog_quad(md, vd):
     span = np.maximum(np.minimum(r + 9.0, 20.0 / s) - lo, 0.0)
     u = lo + span * t2
     dens = np.exp(-0.5 * (u - r) ** 2) + np.exp(-0.5 * (u + r) ** 2)
-    return (li2_exp(s * u) * dens) @ w * span[..., 0]
+    return np.einsum("...n,n->...", li2_exp(s * u) * dens, w) * span[..., 0]
 
 
 @functools.cache
@@ -254,7 +254,9 @@ def _mean_dilog_exp(md, vd):
     Each point reads its cell's 16 bicubic coefficients and sums them
     against the powers of its offsets in one einsum. Where every point
     lies in the table, as in the frame loop's common case, the branches
-    cost only the three range checks.
+    cost only the three range checks. Every sum over nodes here and in
+    _mean_dilog_quad is an einsum, not a BLAS @, whose order for a point
+    changes with the number of points in the call.
     """
     md, vd = _float_arrays(np.abs(md), vd)
     shape = md.shape
@@ -289,7 +291,7 @@ def _mean_dilog_exp(md, vd):
     if far.any():
         far = _all_or_where(far)
         x, wx = _gh_nodes(_DILOG_GH_NODES)
-        out[far] = li2_exp(np.abs(md[far, None] + s[far, None] * x)) @ wx
+        out[far] = np.einsum("pn,n->p", li2_exp(np.abs(md[far, None] + s[far, None] * x)), wx)
     wide = ((t < tab["t_lo"]) | (t > tab["t_hi"])) & (r <= _DILOG_R_MAX)
     if wide.any():
         wide = _all_or_where(wide)
@@ -466,8 +468,13 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
     """
     shape = ma.shape
     ma, va, mb, vb = (v.ravel() for v in (ma, va, mb, vb))
-    ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs.reshape(len(obs), -1),
-                                             nodes, b_moments)
+    obs = obs.reshape(len(obs), -1)
+    if ma.size == 1:    # einsum sums a lone bin's nodes in another order than a row's
+        core = _split_core(*(np.repeat(v, 2, axis=-1) for v in (ma, va, mb, vb, obs)),
+                           nodes, b_moments)
+        ea, va_obs, eb, vb_obs, fb = (None if v is None else v[:, :1] for v in core)
+    else:
+        ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, nodes, b_moments)
     points, some_fb = len(fb), fb.any()
     if points == 1:
         all_fb = fb[0]

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import minimum_filter1d
 
 from reverbtrack import enhancer, lognorm, reverb, speech
@@ -152,6 +154,25 @@ def test_enhance_frames_needs_a_frame():
         enhance_frames(SpectralFrames(np.zeros((0, 257), complex), AnalysisConfig()))
 
 
+def test_enhance_frames_needs_a_bin():
+    with pytest.raises(ValueError, match="at least one bin"):
+        enhance_frames(SpectralFrames(np.zeros((20, 0), complex), AnalysisConfig()))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_enhance_frames_needs_finite_frames(bad):
+    """A non-finite frame would run the cascade on NaN and return it."""
+    spec = _random_frames(t_frames=40, seed=6)
+    frames = spec.frames[:, :3].copy()
+    frames[:, 1] = bad
+    with pytest.raises(ValueError, match="finite frames; frames 0-31 "):
+        enhance_frames(SpectralFrames(frames, spec.config, FS))
+    frames = spec.frames.copy()
+    frames[35, 200] = bad
+    with pytest.raises(ValueError, match="finite frames; frames 32-39 "):
+        enhance_frames(SpectralFrames(frames, spec.config, FS))
+
+
 def test_enhance_frames_needs_the_config_geometry():
     """A spectrum analysed at another hop than the config's would run every
     time constant of the cascade at the wrong rate."""
@@ -220,8 +241,8 @@ def test_enhance_scale_equivariance(condition_g_1s, c):
 @pytest.fixture(scope="module")
 def recorded_frames():
     """(filter state, frame, config) of each frame of a 1 s condition-G
-    scene, as enhance_frames passes them to _advance, with every bin in
-    one group."""
+    scene, as enhance_frames passes them to _advance; a replaced _advance
+    runs every bin in one group."""
     clean = speechlike_excitation(1.0, seed=3)
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     calls = []
@@ -232,7 +253,6 @@ def recorded_frames():
         return advance(fs, frame, cfg, diag)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enhancer, "_bin_groups", lambda t_frames, k_bins: [slice(0, k_bins)])
         mp.setattr(enhancer, "_advance", record)
         enhance(noisy)
     return calls
@@ -259,34 +279,67 @@ def _advance_quietly(fs, frame, cfg, diag):
         return enhancer._advance(copy.deepcopy(fs), frame, cfg, diag)
 
 
-def _assert_close(got, ref):
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+# frames 44-63 hold mixed RNR gates and, at frame 58, decay priors
+_WINDOW = slice(44, 64)
 
 
-def test_cascade_bins_are_independent(recorded_frames):
-    # frames 44-63 hold mixed RNR gates and, at frame 58, decay priors
-    start, count = 44, 20
-    fs0, _, cfg = recorded_frames[start]
-    k_bins = fs0.gamma_m.size
+def _advance_bins(recorded_frames, sub):
+    """The rows of _advance over the frames of _WINDOW on the bins sub
+    alone, from the recorded state at the window's first frame, and the
+    state after its last frame."""
+    fs0, _, cfg = recorded_frames[_WINDOW.start]
+    part = _state_bins(fs0, sub)
+    rows = [enhancer._advance(part, _frame_bins(frame, sub), cfg, Diagnostics())
+            for _, frame, _ in recorded_frames[_WINDOW]]
+    return rows, part
+
+
+def _assert_rows_equal(got, ref, sub):
+    """got's rows hold the bits of ref's columns sub, in every field
+    _advance returns (t60_est and drr_est follow from gamma and beta after
+    the last frame)."""
+    for row_got, row_ref in zip(got, ref, strict=True):
+        assert row_got.keys() == row_ref.keys()
+        for f, v in row_got.items():
+            assert v.dtype == row_ref[f].dtype
+            assert np.array_equal(v, row_ref[f][sub])
+
+
+@pytest.fixture(scope="module")
+def all_bins(recorded_frames):
+    return _advance_bins(recorded_frames, slice(None))
+
+
+def test_cascade_bins_are_independent(recorded_frames, all_bins):
+    k_bins = recorded_frames[0][0].gamma_m.size
     sub = np.random.default_rng(0).permutation(k_bins)[:k_bins // 2]
-    window = [frame for _, frame, _ in recorded_frames[start:start + count]]
+    window = [frame for _, frame, _ in recorded_frames[_WINDOW]]
     assert any(0 < np.count_nonzero(frame.gate[sub]) < sub.size for frame in window)
     assert any(np.any(pmask[sub]) for *_, pmask in (frame.priors for frame in window))
 
-    full, part = _state_bins(fs0, slice(None)), _state_bins(fs0, sub)
-    for frame in window:
-        row_full = enhancer._advance(full, frame, cfg, Diagnostics())
-        row_part = enhancer._advance(part, _frame_bins(frame, sub), cfg, Diagnostics())
-        # the fields _advance returns: t60_est and drr_est follow from
-        # gamma and beta after the last frame
-        for f in row_full:
-            if f == "fallback_flags":
-                assert np.array_equal(row_part[f], row_full[f][sub])
-            else:
-                _assert_close(row_part[f], row_full[f][sub])
+    rows_full, full = all_bins
+    # half the bins, and bins alone: gated in some frames, gated with decay
+    # priors, and never gated
+    assert 0 < sum(frame.gate[12] for frame in window) < len(window)
+    assert any(frame.gate[136] and frame.priors[-1][136] for frame in window)
+    assert not any(frame.gate[200] for frame in window)
+    for part in (sub, [12], [136], [200]):
+        _assert_rows_equal(_advance_bins(recorded_frames, part)[0], rows_full, part)
     # the replay on every bin reproduces the recorded run
-    assert np.array_equal(full.gamma_m, recorded_frames[start + count][0].gamma_m)
-    assert np.array_equal(full.beta_v, recorded_frames[start + count][0].beta_v)
+    assert np.array_equal(full.gamma_m, recorded_frames[_WINDOW.stop][0].gamma_m)
+    assert np.array_equal(full.beta_v, recorded_frames[_WINDOW.stop][0].beta_v)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_any_set_of_bins_gets_the_bits_of_every_bin(recorded_frames, all_bins, data):
+    """Per-bin independence as a property: a bin's rows have the same bits
+    whatever other bins share the calls, one bin alone included (a step-10
+    split holds one bin where one bin of a call passes the RNR gate)."""
+    k_bins = recorded_frames[0][0].gamma_m.size
+    size = data.draw(st.integers(1, k_bins), label="bins")
+    sub = np.sort(data.draw(st.permutations(range(k_bins)), label="order")[:size])
+    _assert_rows_equal(_advance_bins(recorded_frames, sub)[0], all_bins[0], sub)
 
 
 def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
@@ -344,7 +397,7 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
                 calls.get("line_constrained_update", 0)) == (1 + steps_10_to_12,
                                                              2 * steps_10_to_12)
         for f, prior in priors.items():
-            _assert_close(row[f][mask], ungated[f][mask])
+            assert np.array_equal(row[f][mask], ungated[f][mask])
             assert np.array_equal(row[f][~mask], prior[~mask])
         for f in ("s_mean", "s_var", "r_mean", "r_var", "z_mean", "z_var"):
             assert np.array_equal(row[f], ungated[f])
@@ -390,7 +443,7 @@ def test_learn_room_identifies_the_room_from_true_spectra(clean_spectrum_2s, t60
 
 
 # ---------------------------------------------------------------------------
-# bin groups: forked children and the in-process path
+# bin groups: a forked child, or every bin in one group
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -445,15 +498,19 @@ def test_bin_groups_follow_the_shape_and_the_host(forks, monkeypatch):
     assert _beside_a_thread(lambda: enhancer._bin_groups(500, 257)) == [slice(0, 257)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert enhancer._bin_groups(500, 257) == [slice(0, 257)]
-    # a tracer or a replaced function does not change the groups
+    # and so does a call that a tracer or a replaced function watches
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     tracemalloc.start()
     try:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert enhancer._watched()
-        assert enhancer._bin_groups(500, 257) == halves
+        assert enhancer._bin_groups(500, 257) == [slice(0, 257)]
     finally:
         tracemalloc.stop()
     assert not enhancer._watched()
+    assert enhancer._bin_groups(500, 257) == halves
+    monkeypatch.setattr(speech, "estimate_ar", lambda *args, **kwargs: None)
+    assert enhancer._watched()
+    assert enhancer._bin_groups(500, 257) == [slice(0, 257)]
     assert forks == []
 
 
@@ -474,16 +531,15 @@ def _count_advance_calls(monkeypatch):
     return calls
 
 
-def test_forked_groups_give_the_bits_of_the_groups_in_process(condition_g_spec_1s, forks,
-                                                              monkeypatch):
+def test_forked_groups_give_the_bits_of_one_group(condition_g_spec_1s, forks, monkeypatch):
     spec = condition_g_spec_1s
     out_f, trace_f, diag_f = enhance_frames(spec)
     assert len(forks) == 1
-    # a replaced function runs the same two groups one after another here
+    # a replaced function runs every bin in one group here
     monkeypatch.setattr(os, "fork", _no_fork)
     advance_calls = _count_advance_calls(monkeypatch)
     out_i, trace_i, diag_i = enhance_frames(spec)
-    assert advance_calls == [128] * spec.n_frames + [129] * spec.n_frames
+    assert advance_calls == [spec.n_bins] * spec.n_frames
     assert np.array_equal(out_f.frames, out_i.frames)
     assert set(trace_f.arrays) == set(trace_i.arrays) == set(TRACE_FIELDS)
     for f in TRACE_FIELDS:
@@ -517,7 +573,7 @@ def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, for
     # a replaced function's side effects would be lost in a child
     advance_calls.clear()
     enhance_frames(spec)
-    assert advance_calls == [128] * spec.n_frames + [129] * spec.n_frames
+    assert advance_calls == [spec.n_bins] * spec.n_frames
     # nor under a memory tracer
     monkeypatch.setattr(enhancer, "_advance", _ADVANCE)
     assert not enhancer._watched()

@@ -305,6 +305,25 @@ def test_mean_dilog_matches_integral():
     assert err.max() <= 1e-6
 
 
+def test_mean_dilog_outside_the_table_has_the_bits_of_any_subset():
+    # the Gauss-Hermite tail (r > 8) and the quadrature (s outside the
+    # table) sum each point's nodes in an order that does not depend on how
+    # many points share the call
+    rng = np.random.default_rng(11)
+    lo, hi = lognorm._DILOG_S_RANGE
+    s = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 24)),
+                        np.exp(rng.uniform(np.log(1e-6), np.log(lo), 12)),
+                        np.exp(rng.uniform(np.log(hi), np.log(1e4), 12))])
+    r = np.concatenate([rng.uniform(8.5, 60.0, 24), rng.uniform(0.0, 8.0, 24)])
+    md, vd = r * s * rng.choice([-1.0, 1.0], r.size), s * s
+    full = _mean_dilog_exp(md, vd)
+    for i in range(r.size):
+        assert np.array_equal(_mean_dilog_exp(md[i:i + 1], vd[i:i + 1]), full[i:i + 1])
+    for size in (2, 3, 7, 17, 31):
+        sub = np.sort(rng.choice(r.size, size, replace=False))
+        assert np.array_equal(_mean_dilog_exp(md[sub], vd[sub]), full[sub])
+
+
 def test_logsum_moments_continuous_at_zero_variance():
     # the mean dilogarithm's v -> 0 limit meets its closed form at v = 0
     d = np.array([0.0, 0.3, -2.0, 9.0])

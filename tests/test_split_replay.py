@@ -38,14 +38,13 @@ def test_frame_replay_against_this_checkout(monkeypatch):
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     frames = split_replay.capture_frames(noisy)
     _, trace, _ = split_replay.enhance(noisy)
-    groups = split_replay.enhancer._bin_groups(trace.n_frames, trace.n_bins)
-    assert len(frames) == len(groups) * trace.n_frames
-    # each captured state is the one its frame started from, the frames of
-    # one bin group after another
-    for g, bins in enumerate(groups):
-        own = frames[g * trace.n_frames:(g + 1) * trace.n_frames]
-        for t, (fs, _, _) in enumerate(own[1:]):
-            assert np.array_equal(fs.gamma_m, trace.arrays["gamma_mean"][t, bins])
+    # the capture runs every bin in one group: one frame record per frame,
+    # each with the state that its frame started from
+    assert len(frames) == trace.n_frames
+    for t, (fs, frame, _) in enumerate(frames):
+        assert frame.y.size == trace.n_bins
+        if t:
+            assert np.array_equal(fs.gamma_m, trace.arrays["gamma_mean"][t - 1])
     parent = split_replay.load_package(_ROOT / "src", "replayed_frames_reverbtrack")
     assert parent.enhancer is not split_replay.enhancer
     row = split_replay.replay_frames(frames, parent.enhancer, rounds=2)

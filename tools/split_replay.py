@@ -17,9 +17,9 @@ level, the arguments of every call the cascade makes to
 ``lognorm.split_scalar_obs`` (step 7) and ``lognorm.split_distributed_obs``
 (step 8 without the b posterior, step 10 with it); at the frame level, a
 copy of the filter state and the frame record at every call of
-``enhancer._advance``, one per frame and bin group. The capture wrappers
-replace package functions, so ``enhance_frames`` runs its bin groups one
-after another in-process, and every call is seen. It then replays every
+``enhancer._advance``, one per frame. The capture wrappers replace
+package functions, so ``enhance_frames`` runs every bin in one group in
+this process, and every call is seen. It then replays every
 captured call in both checkouts, each frame from its own copy of the
 state. The first pass is untimed and compares each call's outputs and
 ``Diagnostics`` bit for bit. Each of ``--rounds`` timed passes then
@@ -180,8 +180,9 @@ def replay(calls, parent_lognorm, rounds=5):
 
 def capture_frames(audio):
     """(filter state, frame, config) at every _advance call of one enhance
-    call on audio: the frames of each bin group in order, one group after
-    another; the state is a copy taken before the frame ran."""
+    call on audio, one per frame and each on every bin, since a replaced
+    _advance runs them in one group; the state is a copy taken before the
+    frame ran."""
     frames = []
     advance = enhancer._advance
 
