@@ -143,11 +143,13 @@ class Trace:
     def write_csv(self, path, bins=None):
         """Write the rows of the given bins (all by default) as CSV.
 
-        Raises ValueError, before the file is opened, if a bin lies
-        outside 0..K-1.
+        Raises ValueError, before the file is opened, if a bin is not an
+        integer (a Python or numpy int, not a bool) or lies outside 0..K-1.
         """
         bins = range(self.n_bins) if bins is None else list(bins)
         for b in bins:
+            if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+                raise ValueError(f"bin {b!r} is not an integer")
             if not 0 <= b < self.n_bins:
                 raise ValueError(f"bin {b} is outside 0..{self.n_bins - 1}")
         with open(path, "w", newline="") as fh:
@@ -706,17 +708,20 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
 
     Returns (enhanced SpectralFrames, Trace, Diagnostics). This is the
     core of enhance(); it also serves callers whose data originates in
-    the STFT domain. The spectrum needs at least one frame and one bin,
-    all finite (else ValueError), analysed with cfg's frame_length and
-    frame_increment, from which every time constant of the cascade is
-    taken. Apart from its input, the Trace and the output spectrum, its
-    memory does not grow with the number of frames.
+    the STFT domain. The spectrum needs 2-D frames, at least one frame
+    and one bin, all finite (else ValueError), analysed with cfg's
+    frame_length and frame_increment, from which every time constant of
+    the cascade is taken. Apart from its input, the Trace and the output
+    spectrum, its memory does not grow with the number of frames.
 
     The bins run in the groups of _bin_groups, each with its own front
     end and filter state, the second, if any, in a forked child
     (_run_forked); one group and two give the same bits.
     """
     cfg = cfg or EnhancerConfig()
+    if np.ndim(spec.frames) != 2:
+        raise ValueError(f"enhance_frames needs 2-D (frames, bins) frames, "
+                         f"got shape {np.shape(spec.frames)}")
     t_frames, k_bins = spec.frames.shape
     if t_frames == 0:
         raise ValueError("enhance_frames needs at least one frame")

@@ -78,6 +78,11 @@ def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008,
     state, when given, is a dict carried from the call on the previous
     block of frames (empty before the first block) and is updated in
     place; it keeps the rows the next block's windows reach back to.
+
+    All the call's windows, the start-up ones that hold fewer rows
+    included, are fitted in one _fit_windows pass. It holds n (T, K)
+    deviation views, n the longest window's rows: at most the rows seen,
+    however long modulation_frame is.
     """
     log_mag = np.asarray(log_mag, dtype=float)
     t_frames, k_bins = log_mag.shape
@@ -86,49 +91,56 @@ def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008,
     state = {} if state is None else state
     history = state.get("history", log_mag[:0])
     h = history.shape[0]
-    rows = np.concatenate([history, log_mag]) if h else log_mag
-    state["history"] = rows[max(rows.shape[0] - (win - 1), 0):].copy()
+    # frame t's window holds the last min(win, h + t + 1) rows up to row
+    # h + t of history and log_mag; the zero rows put ahead of them let
+    # every window span the same n rows, at least p + 2 so that each lag
+    # has its views, and n, unlike win, fits an int64
+    n = min(win, max(h + t_frames, p + 2))
+    pad = max(n - 1 - h, 0)
+    rows = np.concatenate([np.zeros((pad, k_bins)), history, log_mag])
+    state["history"] = rows[max(rows.shape[0] - (win - 1), pad):].copy()
     coeffs = np.zeros((t_frames, k_bins, p))
     resid = np.zeros((t_frames, k_bins))
-    mean = np.zeros((t_frames, k_bins))
-    # the window of frame t ends at row h + t; until the input has win
-    # rows it starts at row 0 and is shorter, so those frames (at most the
-    # first win - 1) are fitted one at a time, the others in one pass
-    full = min(max(win - 1 - h, 0), t_frames)
-    for t in range(full):
-        _fit_windows(rows, 0, 1, h + t + 1, p, coeffs[t:t + 1], resid[t:t + 1],
-                     mean[t:t + 1])
-    if full < t_frames:
-        _fit_windows(rows, h + full - win + 1, t_frames - full, win, p,
-                     coeffs[full:], resid[full:], mean[full:])
+    mean = np.empty((t_frames, k_bins))
+    _fit_windows(rows, np.minimum(np.arange(h + 1, h + t_frames + 1), n), p,
+                 coeffs, resid, mean)
     return coeffs, resid, mean
 
 
-def _fit_windows(rows, first, count, n, p, coeffs, resid, mean):
-    """Yule-Walker AR(p) fits of the count windows rows[s:s + n], s = first,
-    first + 1, ..., written into coeffs (count, K, p), resid and mean
-    (count, K).
+def _fit_windows(rows, n_rows, p, coeffs, resid, mean):
+    """Yule-Walker AR(p) fits of the windows that end at each of the last
+    count = len(n_rows) rows of rows, written into coeffs (count, K, p),
+    resid and mean (count, K). Window t holds the last n_rows[t] rows up
+    to its end (n_rows rising); the rows ahead of a window shorter than
+    the longest are zero, so that every window spans the same n rows.
 
-    The windows are taken as n shifted (count, K) views of rows, so every
-    sum over a window runs over its rows in order, and each fit is bit for
-    bit the one of its window alone.
+    The windows are taken as n shifted (count, K) views of rows. Each sum
+    over a window runs over its rows in order after exact zeros (its mean
+    divides by n_rows, its deviations on the zero rows are set to 0), so
+    each fit is bit for bit the one of its window alone. A window of
+    fewer than p + 2 rows keeps its mean and a zero fit.
     """
-    seg = [rows[first + j:first + j + count] for j in range(n)]
-    m = mean
-    m[...] = seg[0]
+    count = n_rows.shape[0]
+    seg = [rows[j:j + count] for j in range(rows.shape[0] - count + 1)]
+    n = len(seg)
+    mean[...] = seg[0]
     for x in seg[1:]:
-        m += x
-    m /= n
-    if n < p + 2:
-        return
-    dev = [x - m for x in seg]
+        mean += x
+    mean /= n_rows[:, None]
+    # only the windows from s on have p + 2 rows or more
+    s = np.searchsorted(n_rows, p + 2)
+    m, n_rows = mean[s:], n_rows[s:]
+    dev = [x[s:] - m for x in seg]
+    # view j is a zero row of the windows with fewer than n - j rows
+    for d, cut in zip(dev, np.searchsorted(n_rows, n - np.arange(n))):
+        d[:cut] = 0.0
     # biased autocorrelation, lags 0..p
     lags = []
     for j in range(p + 1):
         acc = dev[j] * dev[0]
         for i in range(1, n - j):
             acc += dev[j + i] * dev[i]
-        acc /= n
+        acc /= n_rows[:, None]
         lags.append(acc)
     r0 = lags[0]
     ok = r0 > 1e-12
@@ -149,8 +161,8 @@ def _fit_windows(rows, first, count, n, p, coeffs, resid, mean):
     rv = a[..., 0] * lags[1]
     for j in range(1, p):
         rv = rv + a[..., j] * lags[j + 1]
-    coeffs[...] = a
-    resid[...] = np.where(ok, np.maximum(r0 - rv, 0.0), 0.0)
+    coeffs[s:] = a
+    resid[s:] = np.where(ok, np.maximum(r0 - rv, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ class AudioBuffer:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if self.samples.ndim != 1:
+            raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
+        if not self.sample_rate > 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio contains non-finite samples")
 

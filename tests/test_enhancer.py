@@ -2,6 +2,7 @@
 
 import copy
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -171,6 +172,12 @@ def test_enhance_frames_needs_finite_frames(bad):
     frames[35, 200] = bad
     with pytest.raises(ValueError, match="finite frames; frames 32-39 "):
         enhance_frames(SpectralFrames(frames, spec.config, FS))
+
+
+@pytest.mark.parametrize("shape", [(257,), (4, 257, 2)])
+def test_enhance_frames_needs_2d_frames(shape):
+    with pytest.raises(ValueError, match=re.escape(f"2-D (frames, bins) frames, got shape {shape}")):
+        enhance_frames(SpectralFrames(np.zeros(shape, complex), AnalysisConfig()))
 
 
 def test_enhance_frames_needs_the_config_geometry():
@@ -645,6 +652,18 @@ def test_trace_csv_rejects_out_of_range_bins(tmp_path, bins):
     with pytest.raises(ValueError, match="outside 0..256"):
         trace.write_csv(path, bins=bins)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bins", [[1.5], [True], [0, 2.0]])
+def test_trace_csv_rejects_non_integer_bins(tmp_path, bins):
+    spec = _random_frames(t_frames=30, seed=9)
+    _, trace, _ = enhance_frames(spec)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="is not an integer"):
+        trace.write_csv(path, bins=bins)
+    assert not path.exists()
+    trace.write_csv(path, bins=np.array([3, 4]))      # numpy integers are bins
+    assert len(path.read_text().splitlines()) == 1 + 2 * trace.n_frames
 
 
 def test_config_validation():

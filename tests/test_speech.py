@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import exp1
 
 from oracles import estimate_ar_ref, predict_ref
 
+from reverbtrack import speech
 from reverbtrack.speech import (decorrelate_arrays, estimate_ar, log_mmse_gain,
                                 log_mmse_preclean, predict_arrays,
                                 recorrelate_arrays)
@@ -100,6 +103,57 @@ def test_estimate_ar_matches_one_window_at_a_time(order):
     got = estimate_ar(x, order=order)
     for g, ref in zip(got, estimate_ar_ref(x, order=order)):
         assert np.array_equal(g, ref)
+
+
+def _ar_in_blocks(x, bounds, **kwargs):
+    """estimate_ar on the blocks x[lo:hi] between bounds, one carried
+    state, its outputs joined; and the state."""
+    state = {}
+    parts = [estimate_ar(x[lo:hi], state=state, **kwargs) for lo, hi in zip(bounds, bounds[1:])]
+    return [np.concatenate([part[i] for part in parts]) for i in range(3)], state
+
+
+# K >= 2: numpy sums the rows of a single column pairwise, not in order,
+# so at K = 1 estimate_ar_ref itself rounds differently
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(t_frames=st.integers(1, 90), win=st.integers(4, 40), order=st.integers(1, 3),
+       cuts=st.lists(st.integers(1, 89), max_size=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_estimate_ar_any_window_and_blocks_match_the_oracle(t_frames, win, order, cuts, seed):
+    """For windows of 4-40 frames, start-up windows included, estimate_ar in
+    any blocks gives every bit of the one-window-at-a-time fits."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal((t_frames, 3)), axis=0)
+    x[t_frames // 3:t_frames // 2, 0] = 1.5         # constant windows: zero fit
+    bounds = [0] + sorted({c for c in cuts if c < t_frames}) + [t_frames]
+    got, _ = _ar_in_blocks(x, bounds, order=order, modulation_frame=win, frame_increment=1)
+    for g, ref in zip(got, estimate_ar_ref(x, order=order, win=max(win, order + 2))):
+        assert np.array_equal(g, ref)
+
+
+def test_estimate_ar_fits_a_call_in_one_pass(monkeypatch):
+    """Every frame of a call, the start-up frames whose windows are still
+    filling included, is fitted by one _fit_windows call."""
+    calls = []
+    fit = speech._fit_windows
+    monkeypatch.setattr(speech, "_fit_windows", lambda *args: calls.append(1) or fit(*args))
+    x = np.random.default_rng(5).standard_normal((20, 4))
+    estimate_ar(x)
+    assert len(calls) == 1
+    _ar_in_blocks(x, [0, 1, 3, 12, 20])
+    assert len(calls) == 5
+
+
+def test_estimate_ar_window_longer_than_any_input():
+    """A modulation frame of 1e300 s fits each frame over all the rows so
+    far, whole and in 7-frame blocks, and keeps no more rows than it saw."""
+    x = np.random.default_rng(6).standard_normal((40, 3))
+    ref = estimate_ar_ref(x, order=2, win=10 ** 400)
+    for g, r in zip(estimate_ar(x, modulation_frame=1e300), ref):
+        assert np.array_equal(g, r)
+    got, state = _ar_in_blocks(x, list(range(0, 40, 7)) + [40], modulation_frame=1e300)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    assert state["history"].shape == (40, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -124,3 +124,12 @@ def test_audio_buffer_rejects_nonfinite():
     for rate in (0, -16000):
         with pytest.raises(ValueError, match="sample_rate must be positive"):
             AudioBuffer(np.zeros(4), sample_rate=rate)
+
+
+def test_audio_buffer_names_a_bad_field():
+    """Samples must be 1-D, and the rate > 0, which NaN is not."""
+    for samples in (np.zeros((FS, 2)), np.float64(0.0)):
+        with pytest.raises(ValueError, match=r"samples must be 1-D, got shape \("):
+            AudioBuffer(samples)
+    with pytest.raises(ValueError, match="sample_rate must be positive, got nan"):
+        AudioBuffer(np.zeros(4), sample_rate=float("nan"))

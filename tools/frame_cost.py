@@ -4,8 +4,9 @@ Run from anywhere:
 
     python3 tools/frame_cost.py
 
-Synthesises the 4 s condition-G scene of the benchmark (white noise at
-20 dB SNR, acoustics seed 0, utterance seed 3), takes its STFT and times
+Takes the benchmark's 4 s condition-G scene from ``perfbench/run.py``'s
+``WORKLOADS["room_g_4s"](0)`` (white noise at 20 dB SNR, acoustics seed
+0), as ``tools/split_replay.py`` does, takes its STFT and times
 ``enhance_frames`` on the full spectrum (K = 257) and on the single bin
 64 (K = 1), alternating the two, five times each, with every bin in one
 group in this process, as it runs where it cannot fork. Prints the
@@ -46,11 +47,10 @@ sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(0, str(_ROOT / "perfbench"))
 
 import probe  # noqa: E402
+import run as bench  # noqa: E402  perfbench/run.py, for its workload scenes
 from reverbtrack import enhancer  # noqa: E402
 from reverbtrack.enhancer import enhance_frames  # noqa: E402
-from reverbtrack.reverb import RoomParams  # noqa: E402
-from reverbtrack.simkit import make_scene, speechlike_excitation  # noqa: E402
-from reverbtrack.stft import SpectralFrames, stft  # noqa: E402
+from reverbtrack.stft import AudioBuffer, SpectralFrames, stft  # noqa: E402
 
 BIN = 64            # the bin of the K = 1 run
 REPEATS = 5         # timed calls per K
@@ -58,9 +58,7 @@ REPEATS = 5         # timed calls per K
 
 def scene_spectrum():
     """The STFT of the benchmark's 4 s condition-G scene, seed 0."""
-    clean = speechlike_excitation(4.0, seed=3)
-    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
-    return stft(noisy)
+    return stft(AudioBuffer(bench.WORKLOADS["room_g_4s"](0).noisy))
 
 
 def timed_call(spec, kernel):
