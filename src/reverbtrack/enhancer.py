@@ -12,8 +12,8 @@ pre-cleaning, AR fits, decay-run detection) a block of frames at a time
 just ahead of it and yields each frame's inputs, RNR gate and decay
 priors. Each frame's gain is applied as soon as the frame is done, so
 nothing but the input, the Trace and the output grows with the number
-of frames. No frame reads the T60/DRR estimates, so they are converted
-from the stored gamma/beta once, after the last frame. The r -> old/new
+of frames. No frame reads the T60/DRR estimates, so each group of bins
+converts its stored gamma/beta once, after its last frame. The r -> old/new
 split and the gamma/beta updates (steps 10-12) run only on the bins
 that pass the per-bin RNR gate in that frame; the other bins keep their
 gamma and beta priors.
@@ -25,19 +25,20 @@ the contiguous halves, where this process can fork a child beside it
 (_host_forks), nothing would miss the child's work (_watched) and the
 spectrum has at least 64 bins and 16 frames; elsewhere one group holds
 every bin. Each group has its own front end, which pre-cleans every bin
-for the broadband energy, and its own filter state. The first group runs
-in the caller and the second at the same time in a child of os.fork
-(_run_forked), which writes its columns into a shared anonymous mmap
-that backs the returned arrays and sends its Diagnostics counts or its
-exception through a pipe.
+for the broadband energy, and its own filter state. Either way the
+returned arrays are views of one shared anonymous mmap (_output_arrays),
+and one runner (_run_groups) runs the first group in the caller; only a
+second group forks a child, which runs at the same time, writes its
+columns into the mmap and sends its Diagnostics counts or its exception
+through a pipe.
 """
 
-import math
+import mmap
 import numbers
 import os
 import pickle
+import signal
 import sys
-import threading
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import lognorm, reverb, speech
 from .lognorm import Diagnostics
-from .stft import (SAMPLE_RATE, AnalysisConfig, AudioBuffer, SpectralFrames,
+from .stft import (SAMPLE_RATE, AnalysisConfig, AudioBuffer, SpectralFrames, check_number,
                    floored_magnitude, istft, stft)
 
 
@@ -76,11 +77,13 @@ class EnhancerConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
+            if f.type is float and not check_number(f.name, value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.type is int and (not isinstance(value, numbers.Integral)
-                                  or isinstance(value, bool)):
+            if f.type is int and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type is bool and not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p!r}")
         for name in ("look_ahead", "fdr_skip", "min_fdr_length"):
@@ -107,8 +110,9 @@ class EnhancerConfig:
             reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(
                 self.init_t60, self.init_drr, self.frame_increment)))
         except ValueError as exc:
-            raise ValueError(f"init_t60 = {self.init_t60!r} and init_drr = {self.init_drr!r} "
-                             f"give no initial room: {exc}") from None
+            raise ValueError(f"init_t60 = {self.init_t60!r}, init_drr = {self.init_drr!r} and "
+                             f"frame_increment = {self.frame_increment!r} give no initial "
+                             f"room: {exc}") from None
 
     def analysis(self):
         return AnalysisConfig(self.frame_length, self.frame_increment)
@@ -232,9 +236,8 @@ class _FilterState:
         self.s_cov = np.tile(np.eye(p) * cfg.init_param_variance, (k_bins, 1, 1))
         self.r_mean = noise_mean0.copy()
         self.r_var = np.full(k_bins, 1.0)
-        a, b = reverb.room_to_ab(reverb.RoomParams(cfg.init_t60, cfg.init_drr,
-                                                   cfg.frame_increment))
-        g0, b0 = reverb.ab_to_gamma_beta(a, b)
+        g0, b0 = reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(
+            cfg.init_t60, cfg.init_drr, cfg.frame_increment)))
         self.gamma_m = np.full(k_bins, g0)
         self.gamma_v = np.full(k_bins, cfg.init_param_variance)
         self.beta_m = np.full(k_bins, b0)
@@ -261,7 +264,7 @@ class _Frame(NamedTuple):
 
 def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnostics):
     """One frame of the cascade for all bins, updating fs in place. Returns
-    the trace row dict, without t60_est and drr_est, which enhance_frames
+    the trace row dict, without t60_est and drr_est, which _run_group
     converts from the stored gamma_mean and beta_mean after the last frame.
 
     The noise variance is cfg.noise_variance on every bin. Bins never
@@ -471,7 +474,7 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
 
 
 # frames the stages ahead of the cascade process per call, and rows per
-# call of the T60/DRR conversion after it
+# call of a group's T60/DRR conversion after it
 _BLOCK = 32
 
 
@@ -569,16 +572,16 @@ def _bin_groups(t_frames, k_bins):
 
 def _host_forks():
     """Whether this process can fork a child to compute beside it: os.fork
-    exists, two CPUs are usable and no other thread runs (a BLAS pool
-    counts: pin it to one thread)."""
-    if not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    exists, os.sched_getaffinity shows two usable CPUs and /proc/self/task
+    shows no other thread (a BLAS pool counts: pin it to one thread). A
+    host where either cannot be read does not fork: a Python-level count
+    misses BLAS and system-library threads, and a child forked beside one
+    can inherit the locks it held."""
     try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        threads = threading.active_count()
-    return (cpus or 1) >= 2 and threads == 1
+        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):   # no os.sched_getaffinity, no /proc
+        return False
 
 
 def _watched():
@@ -596,7 +599,9 @@ def _watched():
 def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
     """The cascade on one group: its own front end and filter state on the
     bins slice, writing the slice's columns of the output spectrum and of
-    every trace field but t60_est and drr_est."""
+    every trace field. No frame reads the room estimates, so the group
+    converts its gamma/beta columns to t60_est and drr_est after its last
+    frame, _BLOCK rows at a time so that no (T, K) temporary is formed."""
     gain_floor = 10.0 ** (cfg.gain_floor_db / 20.0)
     for t, frame in enumerate(_front_end(spec.frames, cfg, bins)):
         if t == 0:
@@ -606,6 +611,10 @@ def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
             trace[f][t, bins] = v
         out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
         out[t, bins] = np.clip(np.exp(out_log - frame.y), gain_floor, 1.0) * spec.frames[t, bins]
+    for lo in range(0, len(out), _BLOCK):
+        rows = slice(lo, lo + _BLOCK), bins
+        trace["t60_est"][rows], trace["drr_est"][rows] = reverb.gamma_beta_to_room(
+            trace["gamma_mean"][rows], trace["beta_mean"][rows], cfg.frame_increment)
 
 
 def _package_functions():
@@ -617,36 +626,29 @@ def _package_functions():
             for name, v in vars(mod).items() if callable(v) and not isinstance(v, type)]
 
 
-def _output_arrays(t_frames, k_bins, out_dtype, shared):
-    """The trace dict and the output spectrum, zeroed. When shared, all of
-    them are views of one anonymous shared mmap, so that a forked child
-    writes its columns where the caller reads them."""
-    kinds = {f: np.float64 for f in TRACE_FIELDS}
-    kinds["fallback_flags"] = np.uint8
-    kinds["out"] = out_dtype
-    if not shared:
-        arrays = {f: np.zeros((t_frames, k_bins), dtype) for f, dtype in kinds.items()}
-    else:
-        import mmap
-
-        sizes = {f: -(-t_frames * k_bins * np.dtype(dtype).itemsize // 64) * 64
-                 for f, dtype in kinds.items()}
-        buf, offset, arrays = mmap.mmap(-1, sum(sizes.values())), 0, {}
-        for f, dtype in kinds.items():
-            arrays[f] = np.frombuffer(buf, dtype, t_frames * k_bins, offset).reshape(
-                t_frames, k_bins)
-            offset += sizes[f]
+def _output_arrays(t_frames, k_bins, out_dtype):
+    """The trace dict and the output spectrum, zeroed: views of one
+    anonymous shared mmap, so that a forked child writes its columns where
+    the caller reads them."""
+    kinds = {**dict.fromkeys(TRACE_FIELDS, np.float64), "fallback_flags": np.uint8,
+             "out": out_dtype}
+    sizes = {f: -(-t_frames * k_bins * np.dtype(dtype).itemsize // 64) * 64
+             for f, dtype in kinds.items()}
+    buf, offset, arrays = mmap.mmap(-1, sum(sizes.values())), 0, {}
+    for f, dtype in kinds.items():
+        arrays[f] = np.frombuffer(buf, dtype, t_frames * k_bins, offset).reshape(t_frames, k_bins)
+        offset += sizes[f]
     return arrays, arrays.pop("out")
 
 
-def _run_forked(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics):
-    """Runs the first of the two groups here and the second in a forked
-    child, which writes its columns into the shared trace and out and
-    sends its Diagnostics counts, or the exception it raised, through a
-    pipe. The child is reaped before this returns, and killed first if
-    this raises."""
-    import signal
-
+def _run_groups(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics):
+    """Runs the first group here and the second, if there is one, at the
+    same time in a forked child, which writes its columns into the shared
+    trace and out and sends its Diagnostics counts, or the exception it
+    raised, through a pipe. The child is reaped before this returns, and
+    killed first if this raises."""
+    if len(groups) == 1:
+        return _run_group(spec, cfg, groups[0], trace, out, diag)
     first, second = groups
     r, w = os.pipe()
     try:
@@ -716,7 +718,7 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
 
     The bins run in the groups of _bin_groups, each with its own front
     end and filter state, the second, if any, in a forked child
-    (_run_forked); one group and two give the same bits.
+    (_run_groups); one group and two give the same bits.
     """
     cfg = cfg or EnhancerConfig()
     if np.ndim(spec.frames) != 2:
@@ -736,19 +738,8 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
             raise ValueError(f"enhance_frames needs finite frames; frames {lo}-"
                              f"{min(lo + _BLOCK, t_frames) - 1} hold a NaN or an inf")
     diag = Diagnostics()
-    groups = _bin_groups(t_frames, k_bins)
-    trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=len(groups) == 2)
-    if len(groups) == 2:
-        _run_forked(spec, cfg, groups, trace, out, diag)
-    else:
-        _run_group(spec, cfg, groups[0], trace, out, diag)
-    # no frame reads the room estimates, so they are converted once, a
-    # block of rows at a time so that no (T, K) temporary is formed
-    for lo in range(0, t_frames, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        trace["t60_est"][rows], trace["drr_est"][rows] = reverb.gamma_beta_to_room(
-            trace["gamma_mean"][rows], trace["beta_mean"][rows], cfg.frame_increment)
-
+    trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype)
+    _run_groups(spec, cfg, _bin_groups(t_frames, k_bins), trace, out, diag)
     enhanced = SpectralFrames(out, spec.config, spec.sample_rate)
     return enhanced, Trace(trace), diag
 

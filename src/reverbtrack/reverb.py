@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stft import check_number
+
 DB_TO_NATS = np.log(10.0) / 20.0       # amplitude dB -> nats
 FDR_R_VARIANCE = DB_TO_NATS ** 2        # "1 dB^2" observation variance in nats^2
 GAMMA_CLAMP = -1e-4
@@ -47,8 +49,9 @@ class RoomParams:
     def __post_init__(self):
         for name in ("t60", "frame_increment"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (check_number(name, value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        check_number("drr", self.drr)
         # room_to_ab divides by the power ratio 10^(drr/10): it must be a
         # normal float, so drr lies within about [-3076, +3082] dB
         try:
@@ -61,9 +64,12 @@ class RoomParams:
 
 
 def room_to_ab(room: RoomParams):
-    """a from a^{T60/L} = 1e-6; b = (1-a) / DRR (power-domain DRR)."""
-    a = 10.0 ** (-6.0 * room.frame_increment / room.t60)
-    b = (1.0 - a) / (10.0 ** (room.drr / 10.0))
+    """a from a^{T60/L} = 1e-6; b = (1-a) / DRR (power-domain DRR), in
+    Python floats whatever real numbers the room holds, so that a numpy
+    float32 rounds no step and a numpy scalar raises no overflow warning."""
+    t60, drr, increment = float(room.t60), float(room.drr), float(room.frame_increment)
+    a = 10.0 ** (-6.0 * increment / t60)
+    b = (1.0 - a) / (10.0 ** (drr / 10.0))
     return a, b
 
 

@@ -5,6 +5,8 @@ A periodic square-root raised-cosine window is applied at both analysis
 and synthesis so that 75% overlap satisfies constant overlap-add.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,18 @@ class StftError(ValueError):
     pass
 
 
+def check_number(name, value):
+    """Raises ValueError, naming the field name, unless value is a real
+    number, numpy's included: not a bool, a string or None. Returns whether
+    a float holds it finite (an int too large for a float is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class AudioBuffer:
     samples: np.ndarray
@@ -30,6 +44,7 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
+        check_number("sample_rate", self.sample_rate)
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
@@ -40,6 +55,11 @@ class AudioBuffer:
 class AnalysisConfig:
     frame_length: float = 0.032
     frame_increment: float = 0.008
+
+    def __post_init__(self):
+        for name in ("frame_length", "frame_increment"):
+            if not check_number(name, getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     def frame_samples(self, sample_rate):
         return int(round(self.frame_length * sample_rate))

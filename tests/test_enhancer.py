@@ -1,6 +1,10 @@
 """Filter-cascade orchestration tests."""
 
 import copy
+import dataclasses
+import math
+import mmap
+import numbers
 import os
 import re
 import threading
@@ -601,6 +605,56 @@ def test_a_host_that_cannot_fork_runs_every_bin_at_once(condition_g_spec_1s, for
     assert advance_calls == [spec.n_bins] * (2 * spec.n_frames)
 
 
+def test_a_host_whose_threads_or_cpus_cannot_be_read_runs_one_group(forks, monkeypatch):
+    """Without /proc/self/task or os.sched_getaffinity no thread count can
+    see a BLAS or system-library thread, so the call runs every bin here."""
+    halves = [slice(0, 128), slice(128, 257)]
+    assert enhancer._bin_groups(500, 257) == halves
+    listdir = os.listdir
+
+    def no_proc(path="."):
+        if str(path).startswith("/proc"):
+            raise FileNotFoundError(path)
+        return listdir(path)
+    monkeypatch.setattr(os, "listdir", no_proc)
+    assert enhancer._bin_groups(500, 257) == [slice(0, 257)]
+    monkeypatch.setattr(os, "listdir", listdir)
+    assert enhancer._bin_groups(500, 257) == halves
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert enhancer._bin_groups(500, 257) == [slice(0, 257)]
+    assert forks == []
+
+
+def _mapping(array):
+    """The object whose memory an array views."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+@pytest.mark.parametrize("watched", [False, True])
+def test_each_group_converts_its_room_estimates(condition_g_spec_1s, forks, monkeypatch,
+                                                watched):
+    """Forked or not, t60_est and drr_est hold the bits of one conversion
+    of the stored gamma and beta, and every returned array is a view of
+    one shared mmap."""
+    spec, cfg = condition_g_spec_1s, EnhancerConfig()
+    if watched:
+        monkeypatch.setattr(os, "fork", _no_fork)
+        advance_calls = _count_advance_calls(monkeypatch)
+    out, trace, _ = enhance_frames(spec, cfg)
+    assert len(forks) == (0 if watched else 1)
+    if watched:
+        assert advance_calls == [spec.n_bins] * spec.n_frames
+    t60, drr = reverb.gamma_beta_to_room(trace.arrays["gamma_mean"], trace.arrays["beta_mean"],
+                                         cfg.frame_increment)
+    assert np.array_equal(trace.arrays["t60_est"], t60)
+    assert np.array_equal(trace.arrays["drr_est"], drr)
+    buf = _mapping(out.frames)
+    assert isinstance(buf, mmap.mmap)
+    assert all(_mapping(v) is buf for v in trace.arrays.values())
+
+
 def test_trace_schema_and_estimates_valid():
     spec = _random_frames(seed=8)
     _, trace, _ = enhance_frames(spec)
@@ -707,3 +761,54 @@ def test_config_validation():
     edge = EnhancerConfig(p=1, look_ahead=0, fdr_skip=0, min_fdr_length=0, noise_smooth=0.0)
     out, _, _ = enhance(AudioBuffer(np.random.default_rng(4).normal(0.0, 0.1, FS // 2)), edge)
     assert np.all(np.isfinite(out.samples))
+
+
+def test_config_fields_reject_bools_and_non_numbers():
+    """A number field takes a real number, numpy's included, but not a bool,
+    a string or None, and the bool field a bool; the error names the field."""
+    for name, value in (("q_gamma", True), ("q_beta", np.True_), ("init_t60", "0.5"),
+                        ("q_gamma", None), ("noise_variance", "inf"),
+                        ("lognormal_correction", 2), ("lognormal_correction", 0.0),
+                        ("lognormal_correction", "false"), ("lognormal_correction", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            EnhancerConfig(**{name: value})
+    # an int beyond the float range is not finite
+    with pytest.raises(ValueError, match="^q_beta must be finite"):
+        EnhancerConfig(q_beta=10 ** 400)
+    # a frame increment that gives no initial room is named with it
+    with pytest.raises(ValueError, match="init_t60 .* init_drr .* frame_increment"):
+        EnhancerConfig(frame_increment=1e300)
+    cfg = EnhancerConfig(lognormal_correction=np.True_, q_gamma=np.float32(1e-4),
+                         init_t60=np.float64(5e-1), init_drr=np.int64(-2))
+    assert cfg.lognormal_correction is np.True_ and cfg.init_drr == -2
+
+
+# one of each kind a config field could be handed
+_ANY_VALUE = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_))
+
+
+@pytest.mark.parametrize("cls, base", [
+    (EnhancerConfig, {}), (RoomParams, {"t60": 0.5, "drr": 0.0}), (AnalysisConfig, {})])
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_config_fields_raise_naming_the_field_or_store_the_value(cls, base, data):
+    """Each value raises a ValueError that names its field, or is stored as
+    it is, and then it is of the field's kind: a bool for a bool, an
+    integer for an int, a finite number for a float."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    name = data.draw(st.sampled_from(sorted(kinds)))
+    value = data.draw(_ANY_VALUE)
+    try:
+        config = cls(**{**base, name: value})
+    except ValueError as exc:
+        assert re.search(rf"\b{name}\b", str(exc)), str(exc)
+        return
+    assert getattr(config, name) is value
+    assert isinstance(value, (bool, np.bool_)) == (kinds[name] is bool)
+    if kinds[name] is int:
+        assert isinstance(value, numbers.Integral)
+    elif kinds[name] is float:
+        assert isinstance(value, numbers.Real) and math.isfinite(value)

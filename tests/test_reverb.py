@@ -53,6 +53,22 @@ def test_room_params_require_finite_positive_times():
             RoomParams(t60, 0.0, increment)
 
 
+def test_room_params_take_numbers_only():
+    """A bool, a string or None is no T60, DRR or frame increment, and the
+    error names the field; numpy numbers are numbers, and the room they
+    give has the bits of the same Python floats."""
+    for args, name in (((True, 0.0), "t60"), (("0.5", 0.0), "t60"), ((0.5, "0.5"), "drr"),
+                       ((0.5, None), "drr"), ((0.5, np.False_), "drr"),
+                       ((0.5, 0.0, True), "frame_increment"), ((10 ** 400, 0.0), "t60")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RoomParams(*args)
+    numpy_room = RoomParams(np.float32(0.5), np.int64(-2), np.float64(0.008))
+    assert room_to_ab(numpy_room) == room_to_ab(RoomParams(0.5, -2.0, 0.008))
+    # a room that gives no a warns of no overflow: it raises, naming a
+    with pytest.raises(ValueError, match="a must lie in"):
+        ab_to_gamma_beta(*room_to_ab(RoomParams(np.float64(5e-324), 0.0)))
+
+
 def test_ab_to_gamma_beta():
     g, be = ab_to_gamma_beta(0.54, 1.0)
     assert g == pytest.approx(-0.3077, abs=1e-3)

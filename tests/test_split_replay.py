@@ -1,6 +1,7 @@
 """tools/split_replay.py on a 0.25 s scene, replayed against this same checkout."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -66,17 +67,42 @@ def test_frame_replay_against_this_checkout(monkeypatch):
     assert row["max_abs_diff"]["s_mean"] == pytest.approx(1e-3)
 
 
-def test_call_replay_against_this_checkout():
+def test_frame_replay_stops_where_the_frame_records_differ(monkeypatch):
+    clean = speechlike_excitation(0.1, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    frames = split_replay.capture_frames(noisy)
+    parent = split_replay.load_package(_ROOT / "src", "replayed_records_reverbtrack")
+
+    def other_record(fs, frame, cfg, diag):
+        # a parent whose decay priors hold one item more than this checkout's
+        prior_gm, prior_gv, prior_bm, prior_bv, prior_mask, prior_w = frame.priors
+    monkeypatch.setattr(parent.enhancer, "_advance", other_record)
+    with pytest.raises(SystemExit, match="not enough values to unpack.*--level call$"):
+        split_replay.replay_frames(frames, parent.enhancer, rounds=1)
+
+
+def test_call_replay_against_this_checkout(monkeypatch):
     clean = speechlike_excitation(0.25, seed=3)
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     parent = split_replay.load_package(_ROOT / "src", "replayed_calls_reverbtrack")
     assert parent.enhancer is not split_replay.enhancer
+    # a host that shows two usable CPUs: both sides fork their second bin group
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     row = split_replay.replay_calls(noisy.samples, parent, rounds=2)
     assert row["calls"] == 2
     assert row["identical"] and row["max_abs_diff"] == 0.0
     assert np.isfinite(row["ratio"]) and row["ratio"] > 0
     assert 0.0 <= row["change_won"] <= 1.0
-    assert row["parent_cpu_s"] > 0 and row["change_cpu_s"] > 0
+    for side in ("parent", "change"):
+        assert row[f"{side}_cpu_s"] > 0 and row[f"{side}_child_cpu_s"] > 0
+        assert row[f"{side}_total_cpu_s"] == pytest.approx(
+            row[f"{side}_cpu_s"] + row[f"{side}_child_cpu_s"])
+    # a replaced package function runs one group, with no child
+    advance = parent.enhancer._advance
+    monkeypatch.setattr(parent.enhancer, "_advance", lambda *args: advance(*args))
+    row = split_replay.replay_calls(noisy.samples, parent, rounds=2)
+    assert row["parent_child_cpu_s"] == 0.0 and row["change_child_cpu_s"] > 0
+    assert row["identical"]
     # a side whose output moves is reported
     enhance = parent.enhance
 

@@ -133,3 +133,18 @@ def test_audio_buffer_names_a_bad_field():
             AudioBuffer(samples)
     with pytest.raises(ValueError, match="sample_rate must be positive, got nan"):
         AudioBuffer(np.zeros(4), sample_rate=float("nan"))
+
+
+def test_audio_buffer_and_analysis_take_numbers_only():
+    """A bool, a string or None is no rate or time, and an analysis time must
+    be finite; the error names the field. Numpy numbers are numbers."""
+    for rate in (True, "16000", None):
+        with pytest.raises(ValueError, match="^sample_rate must be a number"):
+            AudioBuffer(np.zeros(4), sample_rate=rate)
+    assert AudioBuffer(np.zeros(4), sample_rate=np.int64(FS)).sample_rate == FS
+    for args, name in (((True, 0.008), "frame_length"), ((np.nan, 0.008), "frame_length"),
+                       ((0.032, "0.008"), "frame_increment"), ((0.032, np.inf), "frame_increment"),
+                       ((0.032, None), "frame_increment")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            AnalysisConfig(*args)
+    assert AnalysisConfig(np.float32(0.032), np.int64(1)).frame_increment == 1

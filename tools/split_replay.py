@@ -37,11 +37,19 @@ largest |change - parent| of each row field that was not.
 At ``--level call`` it alternates whole ``enhance`` calls of the two
 checkouts, after one untimed call each, so that the work of a forked
 child, which no replay in this process sees, is in the wall time. It
-prints one line: each side's median wall and the CPU time of this
-process alone (children excluded) per call, the wall ratio, the share of
-rounds the change ran faster, whether the samples, all Trace arrays and
-the Diagnostics counts were identical, and the largest |change - parent|
-of the samples.
+prints one line: each side's median wall per call and its median CPU
+time per call, of this process alone, of the forked child alone (the
+``resource.RUSAGE_CHILDREN`` user + system delta around the call, 0
+where one group ran) and of both, the wall ratio, the share of rounds
+the change ran faster, whether the samples, all Trace arrays and the
+Diagnostics counts were identical, and the largest |change - parent| of
+the samples. Where a few per cent of wall cannot be resolved on a shared
+host, the CPU times can still show where the work went.
+
+The frame level feeds this checkout's frame records (``enhancer._Frame``)
+to both checkouts' ``_advance``. Where the parent's cannot run the first
+one, as where the two take different records, it stops and points to
+``--level call``.
 
 Single whole-run walls drift by several per cent on a shared host; the
 interleaved replay times the splits or the frames alone, on identical
@@ -59,6 +67,7 @@ import copy  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -212,7 +221,16 @@ def replay_frames(frames, parent_enhancer, rounds=5):
     """Frames, each side's µs per frame (median over the timed rounds),
     their ratio, the share of frames the change ran faster over all
     rounds, whether every row and Diagnostics count was identical, and
-    max |change - parent| of each row field that was not."""
+    max |change - parent| of each row field that was not. A captured
+    frame is this checkout's record, so where the parent's _advance cannot
+    run the first one, this stops and points to --level call."""
+    try:
+        _run_frame(parent_enhancer, frames[0])
+    except Exception as exc:
+        raise SystemExit(f"the parent's _advance cannot run this checkout's frame record "
+                         f"({type(exc).__name__}: {exc}); where the two checkouts' _advance "
+                         f"take different frame records, compare whole calls with "
+                         f"--level call") from exc
     sides = {"parent": parent_enhancer, "change": enhancer}
     identical, max_diff = True, {}
     for captured in frames:
@@ -243,31 +261,41 @@ def _outputs_equal(a, b):
             == (diag_b.fallbacks, diag_b.variance_clamps))
 
 
+def _children_cpu():
+    """User + system seconds of this process's reaped children."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def replay_calls(samples, parent, rounds=5):
-    """Each side's median wall and this process's CPU seconds per enhance
-    call on samples, the wall ratio, the share of rounds the change ran
-    faster, whether the two outputs were identical and max |change -
-    parent| of the samples. Each side runs once untimed, then once per
-    round, the side that runs first alternating from round to round."""
+    """Each side's median wall and median CPU seconds per enhance call on
+    samples: this process's, its forked child's (the RUSAGE_CHILDREN delta
+    around the call, 0 where one group ran) and their sum; the wall ratio,
+    the share of rounds the change ran faster, whether the two outputs
+    were identical and max |change - parent| of the samples. Each side runs
+    once untimed, then once per round, the side that runs first
+    alternating from round to round."""
     sides = {"parent": parent, "change": reverbtrack}
     inputs = {side: package.AudioBuffer(samples) for side, package in sides.items()}
     first = {side: package.enhance(inputs[side]) for side, package in sides.items()}
-    walls = {side: [] for side in sides}
-    cpus = {side: [] for side in sides}
+    walls, cpus, child_cpus = ({side: [] for side in sides} for _ in range(3))
     for r in range(rounds):
         for side in (tuple(sides) if r % 2 == 0 else tuple(reversed(sides))):
-            c0, t0 = time.process_time(), time.perf_counter()
+            k0, c0, t0 = _children_cpu(), time.process_time(), time.perf_counter()
             sides[side].enhance(inputs[side])
             walls[side].append(time.perf_counter() - t0)
             cpus[side].append(time.process_time() - c0)
+            child_cpus[side].append(_children_cpu() - k0)
     wall = {side: statistics.median(v) for side, v in walls.items()}
     won = np.mean(np.array(walls["change"]) < np.array(walls["parent"]))
     diff = np.max(np.abs(first["change"][0].samples - first["parent"][0].samples))
-    return {"calls": rounds, "parent_s": wall["parent"], "change_s": wall["change"],
-            "ratio": wall["change"] / wall["parent"], "change_won": float(won),
-            "parent_cpu_s": statistics.median(cpus["parent"]),
-            "change_cpu_s": statistics.median(cpus["change"]),
-            "identical": _outputs_equal(first["change"], first["parent"]),
+    row = {"calls": rounds, "parent_s": wall["parent"], "change_s": wall["change"],
+           "ratio": wall["change"] / wall["parent"], "change_won": float(won)}
+    for side in sides:
+        row[f"{side}_cpu_s"] = statistics.median(cpus[side])
+        row[f"{side}_child_cpu_s"] = statistics.median(child_cpus[side])
+        row[f"{side}_total_cpu_s"] = statistics.median(np.add(cpus[side], child_cpus[side]))
+    return {**row, "identical": _outputs_equal(first["change"], first["parent"]),
             "max_abs_diff": float(diff)}
 
 
