@@ -25,12 +25,12 @@ the contiguous halves, where this process can fork a child beside it
 (_host_forks), nothing would miss the child's work (_watched) and the
 spectrum has at least 64 bins and 16 frames; elsewhere one group holds
 every bin. Each group has its own front end, which pre-cleans every bin
-for the broadband energy, and its own filter state. Either way the
-returned arrays are views of one shared anonymous mmap (_output_arrays),
-and one runner (_run_groups) runs the first group in the caller; only a
-second group forks a child, which runs at the same time, writes its
-columns into the mmap and sends its Diagnostics counts or its exception
-through a pipe.
+for the broadband energy, and its own filter state. One runner
+(_run_groups) runs the first group in the caller; only a second group
+forks a child, which runs at the same time, writes its columns into the
+shared anonymous mmaps that back the returned arrays (_output_arrays)
+and sends its Diagnostics counts or its exception through a pipe. One
+group writes into numpy arrays, which cost it less to write.
 """
 
 import mmap
@@ -626,19 +626,19 @@ def _package_functions():
             for name, v in vars(mod).items() if callable(v) and not isinstance(v, type)]
 
 
-def _output_arrays(t_frames, k_bins, out_dtype):
-    """The trace dict and the output spectrum, zeroed: views of one
-    anonymous shared mmap, so that a forked child writes its columns where
-    the caller reads them."""
-    kinds = {**dict.fromkeys(TRACE_FIELDS, np.float64), "fallback_flags": np.uint8,
-             "out": out_dtype}
-    sizes = {f: -(-t_frames * k_bins * np.dtype(dtype).itemsize // 64) * 64
-             for f, dtype in kinds.items()}
-    buf, offset, arrays = mmap.mmap(-1, sum(sizes.values())), 0, {}
-    for f, dtype in kinds.items():
-        arrays[f] = np.frombuffer(buf, dtype, t_frames * k_bins, offset).reshape(t_frames, k_bins)
-        offset += sizes[f]
-    return arrays, arrays.pop("out")
+def _output_arrays(t_frames, k_bins, out_dtype, shared):
+    """The trace dict and the output spectrum, zeroed. Where shared, each
+    is a view of its own anonymous shared mmap, so that a forked child
+    writes its columns where the caller reads them; else a numpy array,
+    which a one-group call writes faster than shared pages."""
+    def zeros(dtype):
+        if not shared:
+            return np.zeros((t_frames, k_bins), dtype)
+        buf = mmap.mmap(-1, t_frames * k_bins * np.dtype(dtype).itemsize)
+        return np.frombuffer(buf, dtype).reshape(t_frames, k_bins)
+    arrays = {f: zeros(np.float64) for f in TRACE_FIELDS}
+    arrays["fallback_flags"] = zeros(np.uint8)
+    return arrays, zeros(out_dtype)
 
 
 def _run_groups(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics):
@@ -646,7 +646,10 @@ def _run_groups(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics
     same time in a forked child, which writes its columns into the shared
     trace and out and sends its Diagnostics counts, or the exception it
     raised, through a pipe. The child is reaped before this returns, and
-    killed first if this raises."""
+    killed first if this raises. Warnings that the second group issues,
+    its T60/DRR conversion's included, stay in the child: the caller's
+    catch_warnings and 'once' registry do not see them, and only an
+    'error' filter carries one back, as the exception it raises."""
     if len(groups) == 1:
         return _run_group(spec, cfg, groups[0], trace, out, diag)
     first, second = groups
@@ -738,8 +741,9 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
             raise ValueError(f"enhance_frames needs finite frames; frames {lo}-"
                              f"{min(lo + _BLOCK, t_frames) - 1} hold a NaN or an inf")
     diag = Diagnostics()
-    trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype)
-    _run_groups(spec, cfg, _bin_groups(t_frames, k_bins), trace, out, diag)
+    groups = _bin_groups(t_frames, k_bins)
+    trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=len(groups) == 2)
+    _run_groups(spec, cfg, groups, trace, out, diag)
     enhanced = SpectralFrames(out, spec.config, spec.sample_rate)
     return enhanced, Trace(trace), diag
 

@@ -636,8 +636,8 @@ def _mapping(array):
 def test_each_group_converts_its_room_estimates(condition_g_spec_1s, forks, monkeypatch,
                                                 watched):
     """Forked or not, t60_est and drr_est hold the bits of one conversion
-    of the stored gamma and beta, and every returned array is a view of
-    one shared mmap."""
+    of the stored gamma and beta. Forked, every returned array is a view
+    of a shared mmap; in one group, every one is a numpy array of its own."""
     spec, cfg = condition_g_spec_1s, EnhancerConfig()
     if watched:
         monkeypatch.setattr(os, "fork", _no_fork)
@@ -650,9 +650,11 @@ def test_each_group_converts_its_room_estimates(condition_g_spec_1s, forks, monk
                                          cfg.frame_increment)
     assert np.array_equal(trace.arrays["t60_est"], t60)
     assert np.array_equal(trace.arrays["drr_est"], drr)
-    buf = _mapping(out.frames)
-    assert isinstance(buf, mmap.mmap)
-    assert all(_mapping(v) is buf for v in trace.arrays.values())
+    for array in [out.frames, *trace.arrays.values()]:
+        if watched:
+            assert array.base is None
+        else:
+            assert isinstance(_mapping(array), mmap.mmap)
 
 
 def test_trace_schema_and_estimates_valid():

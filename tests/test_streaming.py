@@ -166,11 +166,20 @@ def test_stft_in_blocks_matches_whole_signal_and_peaks_near_its_result():
     assert peak <= 2.5 * spec.n_frames * spec.n_bins * 8
 
 
+def _traced_bytes(a):
+    """a's bytes where numpy allocated them, which tracemalloc traces; 0
+    where they belong to another buffer, such as an mmap, which it does not."""
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    return a.nbytes if owner.base is None else 0
+
+
 def _excess_bytes(seconds):
     """(tracemalloc peak of enhance_frames on a condition-G scene less the
-    bytes of the Trace and the output spectrum it returns, bytes of one
-    (T, K) float64 array). The input spectrum exists before tracing starts,
-    so it is not in the peak."""
+    traced bytes of the Trace and the output spectrum it returns, bytes of
+    one (T, K) float64 array). The input spectrum exists before tracing
+    starts, so it is not in the peak."""
     _, spec = _scene_spectrum(seconds)
     tracemalloc.start()
     try:
@@ -178,7 +187,7 @@ def _excess_bytes(seconds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = out.frames.nbytes + sum(a.nbytes for a in trace.arrays.values())
+    returned = _traced_bytes(out.frames) + sum(map(_traced_bytes, trace.arrays.values()))
     return peak - returned, spec.n_frames * spec.n_bins * 8
 
 
