@@ -228,10 +228,13 @@ def _window_min(x, w):
 
 class _FilterState:
     """Vectorised filter state across K bins; the head of the speech
-    state, s_mean[:, 0] and s_cov[:, 0, 0], is the last speech posterior."""
+    state, s_mean[:, 0] and s_cov[:, 0, 0], is the last speech posterior.
+    n_var is the noise variance, cfg.noise_variance on every bin, so that
+    no cascade operation has to broadcast."""
 
     def __init__(self, k_bins, cfg: EnhancerConfig, first_log, noise_mean0):
         p = cfg.p
+        self.n_var = np.full(k_bins, cfg.noise_variance, dtype=float)
         self.s_mean = np.tile(first_log[:, None], (1, p))
         self.s_cov = np.tile(np.eye(p) * cfg.init_param_variance, (k_bins, 1, 1))
         self.r_mean = noise_mean0.copy()
@@ -267,13 +270,11 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     the trace row dict, without t60_est and drr_est, which _run_group
     converts from the stored gamma_mean and beta_mean after the last frame.
 
-    The noise variance is cfg.noise_variance on every bin. Bins never
-    interact, and no sum runs in an order that depends on the number of
-    bins, so a bin's results have the same bits in any set of bins."""
-    y, n_mean = frame.y, frame.n_mean
+    Bins never interact, and no sum runs in an order that depends on the
+    number of bins, so a bin's results have the same bits in any set of
+    bins."""
+    y, n_mean, n_var = frame.y, frame.n_mean, fs.n_var
     prior_gm, prior_gv, prior_bm, prior_bv, prior_mask = frame.priors
-    # one variance per bin, so that no cascade operation has to broadcast
-    n_var = np.full(n_mean.shape, cfg.noise_variance, dtype=float)
 
     # speech KF prediction + decorrelation
     sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, frame.coeffs, frame.resid,
@@ -321,7 +322,7 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
         rm, rv, n_mean, n_var, zpm, zpv, diag=diag, b_moments=False, obs_points=2)
 
     gpm, gpv, bpm, bpv, fb10 = _learn_room(
-        (gm, gv), (bm, bv), (fs.r_mean, fs.r_var), (sprev_m, sprev_v), (rpm, rpv),
+        (gm, gv), (bm, bv), (dm, dv), (fs.r_mean, fs.r_var), (sprev_m, sprev_v), (rpm, rpv),
         frame.gate, diag)
 
     # step 13: shift posteriors to priors
@@ -338,35 +339,33 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     }
 
 
-def _learn_room(gamma, beta, r_prev, s_prev, r_post, gate, diag: Diagnostics):
+def _learn_room(gamma, beta, old, r_prev, s_prev, r_post, gate, diag: Diagnostics):
     """Steps 9-12: the (gm, gv, bm, bv, step-10 fallbacks) posterior of gamma
-    and beta, from their priors, the last frame's reverberation and
-    smoothed speech, and this frame's reverberation posterior, each a
-    (mean, var) pair of (bins,) arrays. A noise-dominated bin's old/new
-    split tells nothing of the decay, so the steps run only on the bins
-    gate selects, and the others keep their priors with no fallback. With
-    no gated bin a frame has one distributed split (step 8), not two."""
+    and beta, from their priors, step 3's old-reverberation prior, the last
+    frame's reverberation and smoothed speech, and this frame's
+    reverberation posterior, each a (mean, var) pair of (bins,) arrays. A
+    noise-dominated bin's old/new split tells nothing of the decay, so the
+    steps run only on the bins gate selects, and the others keep their
+    priors with no fallback. With no gated bin a frame has one distributed
+    split (step 8), not two."""
     (gm, gv), (bm, bv) = gamma, beta
     idx = np.flatnonzero(gate)
     gpm, gpv, bpm, bpv = gm.copy(), gv.copy(), bm.copy(), bv.copy()
     fb10 = np.zeros(gm.shape, dtype=bool)
     if idx.size:
+        g_m, g_v, b_m, b_v = gm[idx], gv[idx], bm[idx], bv[idx]
         r_m, r_v = r_prev[0][idx], r_prev[1][idx]
         s_m, s_v = s_prev[0][idx], s_prev[1][idx]
-        # step 3's old-reverberation prior on these bins; step 9: the
-        # new-reverberation prior, refreshed from the smoothed speech
-        dm, dv = gm[idx] + r_m, gv[idx] + r_v
-        epm, epv = bm[idx] + s_m, bv[idx] + s_v
+        # step 9: the new-reverberation prior, refreshed from the smoothed speech
+        epm, epv = b_m + s_m, b_v + s_v
 
         # step 10: distributed split r -> (old, new)
         dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
-            dm, dv, epm, epv, r_post[0][idx], r_post[1][idx], diag=diag)
+            old[0][idx], old[1][idx], epm, epv, r_post[0][idx], r_post[1][idx], diag=diag)
 
         # steps 11-12: straight-line constrained updates of gamma and beta
-        gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(
-            gm[idx], gv[idx], r_m, r_v, dpm, dpv)
-        bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(
-            bm[idx], bv[idx], s_m, s_v, eppm, eppv)
+        gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(g_m, g_v, r_m, r_v, dpm, dpv)
+        bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(b_m, b_v, s_m, s_v, eppm, eppv)
     return reverb.clamp_gamma(gpm), gpv, bpm, bpv, fb10
 
 

@@ -442,8 +442,9 @@ def test_learn_room_identifies_the_room_from_true_spectra(clean_spectrum_2s, t60
     var, gate = np.full(k_bins, 1e-4), np.ones(k_bins, bool)
     t60_est, drr_est = [], []
     for t in range(1, r.shape[0]):
+        gv, bv = gv + cfg.q_gamma, bv + cfg.q_beta
         gm, gv, bm, bv, _ = enhancer._learn_room(
-            (gm, gv + cfg.q_gamma), (bm, bv + cfg.q_beta), (r[t - 1], var), (s[t - 1], var),
+            (gm, gv), (bm, bv), (gm + r[t - 1], gv + var), (r[t - 1], var), (s[t - 1], var),
             (r[t], var), gate, Diagnostics())
         room = reverb.gamma_beta_to_room(gm[16:97], bm[16:97], cfg.frame_increment)
         t60_est.append(room[0])
