@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -19,9 +20,14 @@ _BOOL_WORDS = {"1": True, "0": False, "true": True, "false": False,
 
 
 def load_config(path) -> EnhancerConfig:
-    """Flat key=value config file over the defaults; every EnhancerConfig field addressable."""
+    """Flat key=value config file over the defaults; every EnhancerConfig field addressable.
+
+    A ValueError names the file and the line at fault; where EnhancerConfig
+    rejects the values, the lines that last set the fields its message
+    names."""
     values = dataclasses.asdict(EnhancerConfig())
     valid = {f.name: f.type for f in dataclasses.fields(EnhancerConfig)}
+    set_at = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -47,7 +53,12 @@ def load_config(path) -> EnhancerConfig:
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: {key} expects {word}, got {val!r}") from None
-    return EnhancerConfig(**values)
+            set_at[key] = lineno
+    try:
+        return EnhancerConfig(**values)
+    except ValueError as exc:
+        lines = sorted(n for key, n in set_at.items() if re.search(rf"\b{key}\b", str(exc)))
+        raise ValueError(f"{path}:{','.join(map(str, lines))}: {exc}") from None
 
 
 def _bin_for_hz(hz, cfg: EnhancerConfig):

@@ -247,6 +247,15 @@ class _FilterState:
         self.beta_v = np.full(k_bins, cfg.init_param_variance)
 
 
+# the floor of the speech KF's process noise, as a fraction of
+# cfg.noise_variance: a flat pre-cleaned window fits an AR residual of 0,
+# and a prediction with no process noise has zero variance, which step 7
+# cannot split. At 5e-4 nats^2 by default it lies below the residual of
+# every fitted window on the benchmark scenes (p1 7.7e-3), so it acts on
+# the flat windows alone.
+_RESID_FLOOR = 1e-3
+
+
 class _Frame(NamedTuple):
     """One frame's inputs to the cascade, as _front_end yields them: the
     pre-cleaned log-magnitude, from which (with n_mean) the filter state
@@ -277,8 +286,8 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     prior_gm, prior_gv, prior_bm, prior_bv, prior_mask = frame.priors
 
     # speech KF prediction + decorrelation
-    sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, frame.coeffs, frame.resid,
-                                   frame.loc_mean)
+    resid = np.maximum(frame.resid, _RESID_FLOOR * cfg.noise_variance)
+    sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, frame.coeffs, resid, frame.loc_mean)
     head_m, head_v, tail_m, tail_c, c = speech.decorrelate_arrays(sm, sc)
     head_v = np.maximum(head_v, 0.0)
 
@@ -475,6 +484,10 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
 # frames the stages ahead of the cascade process per call, and rows per
 # call of a group's T60/DRR conversion after it
 _BLOCK = 32
+# the largest spectral magnitude enhance_frames takes: the noise tracker
+# and the pre-clean square it and divide by a noise power that frames of
+# silence floor near 1e-24, which stays far from overflow below this
+_MAX_MAGNITUDE = 1e100
 
 
 def _front_end(frames, cfg: EnhancerConfig, bins):
@@ -609,7 +622,9 @@ def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
         for f, v in row.items():
             trace[f][t, bins] = v
         out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
-        out[t, bins] = np.clip(np.exp(out_log - frame.y), gain_floor, 1.0) * spec.frames[t, bins]
+        # a gain above 1 is clipped to 1, so its exponent is first: exp cannot overflow
+        gain = np.exp(np.minimum(out_log - frame.y, 0.0))
+        out[t, bins] = np.clip(gain, gain_floor, 1.0) * spec.frames[t, bins]
     for lo in range(0, len(out), _BLOCK):
         rows = slice(lo, lo + _BLOCK), bins
         trace["t60_est"][rows], trace["drr_est"][rows] = reverb.gamma_beta_to_room(
@@ -713,7 +728,8 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     Returns (enhanced SpectralFrames, Trace, Diagnostics). This is the
     core of enhance(); it also serves callers whose data originates in
     the STFT domain. The spectrum needs 2-D frames, at least one frame
-    and one bin, all finite (else ValueError), analysed with cfg's
+    and one bin, all finite and of magnitude at most _MAX_MAGNITUDE (else
+    ValueError), analysed with cfg's
     frame_length and frame_increment, from which every time constant of
     the cascade is taken. Apart from its input, the Trace and the output
     spectrum, its memory does not grow with the number of frames.
@@ -736,9 +752,10 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
                          f"time constants assume {cfg.analysis()}")
     # a block of rows at a time, so that no (T, K) temporary is formed
     for lo in range(0, t_frames, _BLOCK):
-        if not np.isfinite(spec.frames[lo:lo + _BLOCK]).all():
+        if not (np.abs(spec.frames[lo:lo + _BLOCK]) <= _MAX_MAGNITUDE).all():
             raise ValueError(f"enhance_frames needs finite frames; frames {lo}-"
-                             f"{min(lo + _BLOCK, t_frames) - 1} hold a NaN or an inf")
+                             f"{min(lo + _BLOCK, t_frames) - 1} hold a NaN, an inf or a "
+                             f"magnitude above {_MAX_MAGNITUDE:g}")
     diag = Diagnostics()
     groups = _bin_groups(t_frames, k_bins)
     trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=len(groups) == 2)
@@ -748,10 +765,19 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
 
 
 def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
-    """Enhance one utterance. Returns (enhanced AudioBuffer, Trace, Diagnostics)."""
+    """Enhance one utterance. Returns (enhanced AudioBuffer, Trace, Diagnostics).
+
+    The audio needs at least one frame of samples (else StftError) and a
+    peak at most _MAX_MAGNITUDE over the frame's samples, so that no
+    frame's magnitude exceeds _MAX_MAGNITUDE (else ValueError)."""
     cfg = cfg or EnhancerConfig()
     if audio.sample_rate != SAMPLE_RATE:
         raise ValueError(f"unsupported sample rate {audio.sample_rate}; need {SAMPLE_RATE}")
+    limit = _MAX_MAGNITUDE / cfg.analysis().frame_samples(SAMPLE_RATE)
+    peak = np.max(np.abs(audio.samples), initial=0.0)
+    if peak > limit:
+        raise ValueError(f"audio peak {peak:.3g} exceeds {limit:.3g}, above which a "
+                         f"frame's magnitude could exceed {_MAX_MAGNITUDE:g}")
     spec = stft(audio, cfg.analysis())
     enhanced, trace, diag = enhance_frames(spec, cfg)
     del spec                        # synthesis needs only the enhanced spectrum

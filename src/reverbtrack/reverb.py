@@ -84,14 +84,18 @@ def ab_to_gamma_beta(a, b):
 def gamma_beta_to_room(gamma, beta, frame_increment=0.008):
     """Invert (gamma, beta) to (T60 in s, DRR in dB), elementwise.
 
-    The DRR's power ratio is floored at 1e-300, so a vanishing ratio
-    reads -3000 dB rather than -inf.
+    The DRR's power ratio is bounded to [1e-300, the largest float], so
+    a vanishing ratio reads -3000 dB rather than -inf and one that
+    overflows, as where exp(2 beta) does or is 0, about +3082.5 dB rather
+    than +inf, with no warning; a finite ratio within the bounds keeps its
+    bits.
     """
     if np.any(np.asarray(gamma) >= 0):
         raise ValueError("gamma must be negative")
     t60 = -3.0 * np.log(10.0) * frame_increment / gamma
-    drr = 10.0 * np.log10(np.maximum(
-        (1.0 - np.exp(2.0 * gamma)) / np.exp(2.0 * beta), 1e-300))
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = (1.0 - np.exp(2.0 * gamma)) / np.exp(2.0 * beta)
+    drr = 10.0 * np.log10(np.clip(ratio, 1e-300, np.finfo(float).max))
     return t60, drr
 
 

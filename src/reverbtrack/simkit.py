@@ -6,6 +6,8 @@ RIR (exponentially decaying noise tail) for model-mismatch testing.
 Metrics: cepstral distance, log-spectral distance and segmental SNR.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +65,30 @@ def stft_domain_reverb(clean_frames: SpectralFrames, room: RoomParams, seed=0):
     return out, truth
 
 
+def _snr_ratio(snr_db):
+    """The power ratio 10^(snr_db/10), as the noise scaling divides by it.
+
+    Raises ValueError unless snr_db is finite and the ratio a normal
+    float, so snr_db lies within about [-3076, +3082] dB: a larger one
+    overflows and a smaller one gives a ratio of 0, and so infinite noise.
+    """
+    if not np.isfinite(snr_db):
+        raise ValueError("SNR must be finite")
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not sys.float_info.min <= ratio < math.inf:
+        raise ValueError(f"SNR {snr_db!r} dB is out of range: 10^(SNR/10) must be a normal float")
+    return ratio
+
+
 def add_stft_noise(reverberant: SpectralFrames, truth: GroundTruth, snr_db,
                    kind="white", seed=1):
     """Add seeded noise in the STFT domain at the given SNR (vs S + R
     power) and update the ground-truth z/n logs. Returns new frames."""
-    if not np.isfinite(snr_db):
-        raise ValueError("SNR must be finite")
+    ratio = _snr_ratio(snr_db)
     if kind not in ("white", "pink"):
         raise ValueError(f"unknown noise kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -80,7 +100,7 @@ def add_stft_noise(reverberant: SpectralFrames, truth: GroundTruth, snr_db,
     noise.imag = rng.standard_normal((t_frames, k_bins))
     if kind == "pink":
         noise *= 1.0 / np.sqrt(np.maximum(np.arange(k_bins), 1.0))
-    noise *= np.sqrt(_mean_power(y) / _mean_power(noise) / 10.0 ** (snr_db / 10.0))
+    noise *= np.sqrt(_mean_power(y) / _mean_power(noise) / ratio)
     # z = r + n a block of frames at a time, so that it never exists whole
     z_true = np.empty((t_frames, k_bins))
     for a in range(0, t_frames, _Z_BLOCK):
@@ -147,8 +167,7 @@ def true_reverb_reference(clean: AudioBuffer, rir) -> AudioBuffer:
 
 def mix_noise(signal: AudioBuffer, kind="white", snr_db=20.0, seed=0) -> AudioBuffer:
     """Add seeded noise scaled to the requested SNR over the active region."""
-    if not np.isfinite(snr_db):
-        raise ValueError("SNR must be finite")
+    ratio = _snr_ratio(snr_db)
     rng = np.random.default_rng(seed)
     x = signal.samples
     noise = rng.standard_normal(len(x))
@@ -167,7 +186,7 @@ def mix_noise(signal: AudioBuffer, kind="white", snr_db=20.0, seed=0) -> AudioBu
     active = fe >= fe.max() * 10.0 ** (-ACTIVE_RANGE_DB / 10.0)
     sig_pow = fe[active].sum() / (active.sum() * frame)
     noise_pow = np.mean(noise ** 2)
-    noise *= np.sqrt(sig_pow / noise_pow / 10.0 ** (snr_db / 10.0))
+    noise *= np.sqrt(sig_pow / noise_pow / ratio)
     return AudioBuffer(x + noise, signal.sample_rate)
 
 

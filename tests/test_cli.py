@@ -1,7 +1,11 @@
 """Command-line interface and WAV I/O tests."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import wave
@@ -9,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reverbtrack
 from reverbtrack import cli
@@ -113,6 +119,114 @@ def test_load_config_names_an_unparsable_number(tmp_path):
         with pytest.raises(ValueError) as err:
             load_config(path)
         assert str(err.value) == f"{path}:2: {key} expects {word}, got '{value}'"
+
+
+_FIELD_KINDS = {f.name: type(getattr(EnhancerConfig(), f.name))
+                for f in dataclasses.fields(EnhancerConfig)}
+_NUMBER_WORDS = ["0", "-1", "1", "2", "3", "0.5", "1e-4", "-20", "1e400", "-1e400", "inf",
+                 "-inf", "nan", "1e300", "-1e300", "1_000", " 2 ", "2.5", "0x10", "", "true",
+                 "off", "x"]
+
+
+@st.composite
+def _config_lines(draw):
+    """A line of a config file: key=value with a known or unknown key and a
+    number, bool or other word, a comment, a blank line or a line with no
+    "=". Returns (line, key or None, value or None)."""
+    kind = draw(st.sampled_from(["pair", "pair", "pair", "pair", "comment", "blank", "no_eq"]))
+    if kind == "comment":
+        return "# " + draw(st.text(max_size=8)).replace("\n", " ").replace("\r", " "), None, None
+    if kind == "blank":
+        return "   ", None, None
+    key = draw(st.sampled_from(sorted(_FIELD_KINDS) + ["k_u", "no_such"]))
+    if kind == "no_eq":
+        return key, None, None
+    value = draw(st.sampled_from(_NUMBER_WORDS) | st.floats().map(repr)
+                 | st.integers(-5, 10 ** 6).map(str))
+    return f"{key} = {value}", key, value
+
+
+def _parsed(key, value):
+    """What load_config stores for a key=value line, or None for a value
+    its field's kind cannot take."""
+    kind, word = _FIELD_KINDS[key], value.strip()
+    if kind is bool:
+        return {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False,
+                "on": True, "off": False}.get(word.lower())
+    try:
+        return kind(word)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(lines=st.lists(_config_lines(), max_size=6))
+def test_load_config_names_the_line_or_yields_the_values(tmp_path_factory, lines):
+    """A generated key=value file either fails with a ValueError whose
+    message starts with the file and the number of a line of it that sets
+    a key, or yields the parsed value of the last line of each key."""
+    path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    path.write_text("".join(line + "\n" for line, _, _ in lines))
+    try:
+        cfg = load_config(path)
+    except ValueError as exc:
+        match = re.match(rf"{re.escape(str(path))}:(\d+)(,\d+)*: ", str(exc))
+        assert match, str(exc)
+        assert 1 <= int(match.group(1)) <= len(lines)
+        return
+    last = {key: value for _, key, value in lines if key is not None}
+    for key, value in last.items():
+        assert getattr(cfg, key) == _parsed(key, value)
+
+
+def test_load_config_names_the_line_of_a_value_the_config_rejects(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("# header\nnoise_variance = 1e400\np = 2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: noise_variance must be"):
+        load_config(path)
+    # fields rejected together: the lines that set them
+    path.write_text("init_t60 = 1e-9\np = 2\ninit_drr = 5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1,3: init_t60 = "):
+        load_config(path)
+
+
+@pytest.fixture(scope="module")
+def short_clean_wav(tmp_path_factory):
+    path = tmp_path_factory.mktemp("audio") / "short.wav"
+    write_wav(path, speechlike_excitation(0.1, seed=1))
+    return path
+
+
+_CLI_NUMBERS = ["-inf", "inf", "nan", "NaN", "1e400", "-1e400", "1e300", "-1e300", "3083",
+                "-3090", "0", "-0.5", "0.5", "20", "1e-320", "x", "", "--"]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(option=st.sampled_from(["--t60", "--drr", "--snr"]),
+       value=st.sampled_from(_CLI_NUMBERS) | st.floats().map(repr), joined=st.booleans())
+def test_cli_numbers_name_the_option_or_run(short_clean_wav, tmp_path_factory, option,
+                                            value, joined):
+    """simulate with one of --t60, --drr or --snr drawn, as its own word or
+    joined by "=": status 1 with an error that names the option's quantity,
+    a usage error (status 2) naming the option, or status 0 and the file."""
+    out = tmp_path_factory.mktemp("sim") / "noisy.wav"
+    words = {"--t60": "0.5", "--drr": "0", "--snr": "20"}
+    words[option] = value
+    argv = ["simulate", str(short_clean_wav), str(out)]
+    for opt, word in words.items():
+        argv += [f"{opt}={word}"] if joined and opt == option else [opt, word]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    if status == 0:
+        assert out.exists() and err.getvalue() == ""
+    elif status == 1:
+        assert option[2:] in err.getvalue().lower() and not out.exists()
+    else:
+        assert status == 2 and option in err.getvalue() and not out.exists()
 
 
 def _loaded_after(code, modules):

@@ -113,6 +113,30 @@ def test_advance_z_matches_r_when_noise_negligible(advance_bin):
     assert abs(row["z_mean"] - row["r_mean"]) <= 0.1
 
 
+def test_flat_window_keeps_speech_process_noise():
+    """A constant pre-cleaned log-spectrum window fits AR coefficients and
+    a residual of 0; the speech prediction still has a positive variance,
+    so step 7 splits y without falling back."""
+    cfg = EnhancerConfig()
+    k_bins = 2
+    flat = np.full((8, k_bins), -2.0)
+    coeffs, resid, loc_mean = speech.estimate_ar(flat, cfg.p, cfg.modulation_frame,
+                                                 cfg.frame_increment)
+    assert not coeffs[-1].any() and not resid[-1].any()
+    fs = _FilterState(k_bins, cfg, flat[0], np.full(k_bins, -3.0))
+    no_priors = (np.zeros(k_bins), np.ones(k_bins), np.zeros(k_bins), np.ones(k_bins),
+                 np.zeros(k_bins, bool))
+    diag = Diagnostics()
+    for _ in range(5):
+        frame = enhancer._Frame(flat[-1], np.array([-2.0, -1.0]), np.full(k_bins, -3.0),
+                                coeffs[-1], resid[-1], loc_mean[-1], np.ones(k_bins, bool),
+                                no_priors)
+        row = enhancer._advance(fs, frame, cfg, diag)
+        assert (row["s_var"] > 0).all()
+        assert not (row["fallback_flags"] & 1).any()
+    assert diag.fallbacks == 0
+
+
 def test_advance_posterior_variances_nonnegative(advance_bin):
     cfg = EnhancerConfig()
     rng = np.random.default_rng(2)
@@ -176,6 +200,76 @@ def test_enhance_frames_needs_finite_frames(bad):
     frames[35, 200] = bad
     with pytest.raises(ValueError, match="finite frames; frames 32-39 "):
         enhance_frames(SpectralFrames(frames, spec.config, FS))
+
+
+def test_enhance_frames_rejects_a_magnitude_whose_power_could_overflow():
+    spec = _random_frames(t_frames=40, seed=6)
+    frames = spec.frames.copy()
+    frames[33, 7] = 2e100
+    with pytest.raises(ValueError, match="finite frames; frames 32-39 .* magnitude above 1e"):
+        enhance_frames(SpectralFrames(frames, spec.config, FS))
+    frames[33, 7] = 1e100
+    out, _, _ = enhance_frames(SpectralFrames(frames, spec.config, FS))
+    assert np.isfinite(out.frames).all()
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(0, 3 * 512), seed=st.integers(0, 2 ** 32 - 1),
+       level=st.sampled_from([0.0, 1e-300, 1e-12, 1.0, 1e30, 1e97, 1e98, 1e300, 1.7e308]))
+def test_enhance_short_audio_raises_naming_it_or_returns_its_length(n, seed, level):
+    """Audio of 0-3 frames' worth of samples, at any level: a ValueError
+    that names the audio, or finite output and Trace of its length."""
+    samples = level * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    try:
+        out, trace, _ = enhance(AudioBuffer(samples))
+    except ValueError as exc:
+        assert "audio" in str(exc)
+        return
+    assert out.samples.shape == (n,) and np.isfinite(out.samples).all()
+    assert all(np.isfinite(a).all() for a in trace.arrays.values())
+
+
+def test_a_loud_onset_after_silence_raises_no_overflow():
+    """Where the speech posterior's log-normal correction puts the gain's
+    exponent past exp's range, the gain is clipped to 1 with no warning."""
+    samples = np.random.default_rng(0).standard_normal(4000)
+    samples[:2000] = 0.0
+    out, _, _ = enhance(AudioBuffer(1e30 * samples))
+    assert np.isfinite(out.samples).all()
+
+
+@pytest.fixture(scope="module")
+def random_spec_80():
+    return _random_frames(t_frames=80, seed=8)
+
+
+_BAD_VALUES = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0), 2e100, 1e300]
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_enhance_frames_with_bad_values_raises_naming_the_frames(random_spec_80, data):
+    """inf, nan or too large a magnitude at drawn positions, one of them in
+    the second bin group's columns or none at all: a ValueError that names
+    the first block of frames holding one, or finite output of the input's
+    shape."""
+    spec = random_spec_80
+    t_frames, k_bins = spec.frames.shape
+    cells = data.draw(st.lists(st.tuples(st.integers(0, t_frames - 1), st.integers(0, k_bins - 1)),
+                               max_size=3))
+    if cells and data.draw(st.booleans()):
+        cells[0] = (cells[0][0], data.draw(st.integers(k_bins // 2, k_bins - 1)))
+    frames = spec.frames.copy()
+    for t, k in cells:
+        frames[t, k] = data.draw(st.sampled_from(_BAD_VALUES))
+    if cells:
+        lo = min(t for t, _ in cells) // 32 * 32
+        with pytest.raises(ValueError, match=f"finite frames; frames {lo}-"):
+            enhance_frames(SpectralFrames(frames, spec.config, FS))
+        return
+    out, trace, _ = enhance_frames(SpectralFrames(frames, spec.config, FS))
+    assert out.frames.shape == frames.shape and np.isfinite(out.frames).all()
+    assert all(np.isfinite(a).all() for a in trace.arrays.values())
 
 
 @pytest.mark.parametrize("shape", [(257,), (4, 257, 2)])
@@ -544,8 +638,13 @@ def _count_advance_calls(monkeypatch):
 
 
 def test_forked_groups_give_the_bits_of_one_group(condition_g_spec_1s, forks, monkeypatch):
-    spec = condition_g_spec_1s
+    # the last frames 100 dB down, so that steps 7 and 8 fall back in both
+    # groups and the child's counts must reach the caller
+    frames = condition_g_spec_1s.frames.copy()
+    frames[60:] *= 1e-5
+    spec = SpectralFrames(frames, condition_g_spec_1s.config, FS)
     out_f, trace_f, diag_f = enhance_frames(spec)
+    assert trace_f.arrays["fallback_flags"][:, spec.n_bins // 2:].any()
     assert len(forks) == 1
     # a replaced function runs every bin in one group here
     monkeypatch.setattr(os, "fork", _no_fork)

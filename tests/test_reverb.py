@@ -88,6 +88,19 @@ def test_gamma_beta_to_room_inverts():
         gamma_beta_to_room(np.array([-0.3, 0.0]), np.zeros(2))
 
 
+def test_gamma_beta_to_room_bounds_the_drr_at_both_ends():
+    """A beta posterior far from 0 (one run of init_param_variance=1e10
+    reached -11,018 and +2,298) reads a finite DRR at the ratio's bounds,
+    with no overflow or divide warning; a finite ratio keeps its bits."""
+    gamma = np.full(4, -0.01)
+    beta = np.array([-11018.0, 2298.0, -3.0, 1.0])
+    _, drr = gamma_beta_to_room(gamma, beta)
+    assert drr[0] == 10.0 * np.log10(np.finfo(float).max)
+    assert drr[1] == -3000.0
+    ratio = (1.0 - np.exp(2.0 * gamma[2:])) / np.exp(2.0 * beta[2:])
+    assert np.array_equal(drr[2:], 10.0 * np.log10(ratio))
+
+
 def test_round_trip_identity_over_grid():
     for t60 in np.linspace(0.1, 2.0, 9):
         for drr in np.linspace(-10.0, 15.0, 11):
