@@ -84,11 +84,11 @@ def ab_to_gamma_beta(a, b):
 def gamma_beta_to_room(gamma, beta, frame_increment=0.008):
     """Invert (gamma, beta) to (T60 in s, DRR in dB), elementwise.
 
-    The DRR's power ratio is bounded to [1e-300, the largest float], so
-    a vanishing ratio reads -3000 dB rather than -inf and one that
-    overflows, as where exp(2 beta) does or is 0, about +3082.5 dB rather
-    than +inf, with no warning; a finite ratio within the bounds keeps its
-    bits.
+    The DRR's power ratio is bounded to [1e-300, the largest float] with
+    no warning: a vanishing ratio (exp(2 beta) overflowing included)
+    reads -3000 dB rather than -inf, and an infinite one (exp(2 beta)
+    reaching 0) about +3082.5 dB rather than +inf. A ratio within the
+    bounds keeps its bits.
     """
     if np.any(np.asarray(gamma) >= 0):
         raise ValueError("gamma must be negative")

@@ -75,7 +75,7 @@ def _snr_ratio(snr_db):
     if not np.isfinite(snr_db):
         raise ValueError("SNR must be finite")
     try:
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore"):
             ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         ratio = math.inf

@@ -188,9 +188,10 @@ def test_enhance_frames_needs_a_bin():
         enhance_frames(SpectralFrames(np.zeros((20, 0), complex), AnalysisConfig()))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), 2e100])
 def test_enhance_frames_needs_finite_frames(bad):
-    """A non-finite frame would run the cascade on NaN and return it."""
+    """A non-finite frame would run the cascade on NaN and return it, and
+    one above 1e100 would overflow the noise tracker's power."""
     spec = _random_frames(t_frames=40, seed=6)
     frames = spec.frames[:, :3].copy()
     frames[:, 1] = bad
@@ -200,17 +201,6 @@ def test_enhance_frames_needs_finite_frames(bad):
     frames[35, 200] = bad
     with pytest.raises(ValueError, match="finite frames; frames 32-39 "):
         enhance_frames(SpectralFrames(frames, spec.config, FS))
-
-
-def test_enhance_frames_rejects_a_magnitude_whose_power_could_overflow():
-    spec = _random_frames(t_frames=40, seed=6)
-    frames = spec.frames.copy()
-    frames[33, 7] = 2e100
-    with pytest.raises(ValueError, match="finite frames; frames 32-39 .* magnitude above 1e"):
-        enhance_frames(SpectralFrames(frames, spec.config, FS))
-    frames[33, 7] = 1e100
-    out, _, _ = enhance_frames(SpectralFrames(frames, spec.config, FS))
-    assert np.isfinite(out.frames).all()
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
