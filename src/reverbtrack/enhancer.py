@@ -768,8 +768,9 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     """Enhance one utterance. Returns (enhanced AudioBuffer, Trace, Diagnostics).
 
     The audio needs at least one frame of samples (else StftError) and a
-    peak at most _MAX_MAGNITUDE over the frame's samples, so that no
-    frame's magnitude exceeds _MAX_MAGNITUDE (else ValueError)."""
+    peak of at most _MAX_MAGNITUDE divided by the frame's length in
+    samples, so that no frame's magnitude exceeds _MAX_MAGNITUDE (else
+    ValueError)."""
     cfg = cfg or EnhancerConfig()
     if audio.sample_rate != SAMPLE_RATE:
         raise ValueError(f"unsupported sample rate {audio.sample_rate}; need {SAMPLE_RATE}")

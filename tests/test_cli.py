@@ -135,7 +135,8 @@ def _config_lines(draw):
     "=". Returns (line, key or None, value or None)."""
     kind = draw(st.sampled_from(["pair", "pair", "pair", "pair", "comment", "blank", "no_eq"]))
     if kind == "comment":
-        return "# " + draw(st.text(max_size=8)).replace("\n", " ").replace("\r", " "), None, None
+        return "# " + draw(st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                                   max_size=8)), None, None
     if kind == "blank":
         return "   ", None, None
     key = draw(st.sampled_from(sorted(_FIELD_KINDS) + ["k_u", "no_such"]))
@@ -163,8 +164,8 @@ def _parsed(key, value):
 @given(lines=st.lists(_config_lines(), max_size=6))
 def test_load_config_names_the_line_or_yields_the_values(tmp_path_factory, lines):
     """A generated key=value file either fails with a ValueError whose
-    message starts with the file and the number of a line of it that sets
-    a key, or yields the parsed value of the last line of each key."""
+    message starts with the file and the number of one of its lines, or
+    yields the parsed value of the last line of each key."""
     path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
     path.write_text("".join(line + "\n" for line, _, _ in lines))
     try:
