@@ -29,16 +29,18 @@ for the broadband energy, and its own filter state. One runner
 (_run_groups) runs the first group in the caller; only a second group
 forks a child, which runs at the same time, writes its columns into the
 shared anonymous mmaps that back the returned arrays (_output_arrays)
-and sends its Diagnostics counts or its exception through a pipe. One
-group writes into numpy arrays, which cost it less to write.
+and its Diagnostics counts into one more, and reports through its exit
+status alone. A child that fails, for whatever reason, has its group run
+again in the caller, with a RuntimeWarning. One group writes into numpy
+arrays, which cost it less to write.
 """
 
 import mmap
 import numbers
 import os
-import pickle
 import signal
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -658,68 +660,43 @@ def _output_arrays(t_frames, k_bins, out_dtype, shared):
 def _run_groups(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics):
     """Runs the first group here and the second, if there is one, at the
     same time in a forked child, which writes its columns into the shared
-    trace and out and sends its Diagnostics counts, or the exception it
-    raised, through a pipe. The child is reaped before this returns, and
-    killed first if this raises. Warnings that the second group issues,
-    its T60/DRR conversion's included, stay in the child: the caller's
-    catch_warnings and 'once' registry do not see them, and only an
-    'error' filter carries one back, as the exception it raises."""
+    trace and out and its (fallbacks, variance clamps) into a shared pair
+    of counts, and exits with status 0, or 1 if anything raised. The child
+    is reaped before this returns, and killed first if this raises. A
+    child that ends in any other way (it raised, or a signal killed it)
+    has its group run again here, into the same columns, with a
+    RuntimeWarning: a failure of that group alone then gives the bits of
+    one group, and one in every process raises here with its own type
+    and traceback. The child's own warnings go where the caller's filters,
+    as it forked, sent them; its stderr is the caller's."""
     if len(groups) == 1:
         return _run_group(spec, cfg, groups[0], trace, out, diag)
     first, second = groups
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
+    counts = np.frombuffer(mmap.mmap(-1, 16), np.int64)
+    pid = os.fork()
     if pid == 0:
-        os.close(r)
-        _child(w, spec, cfg, second, trace, out)
-    os.close(w)
+        try:
+            child = Diagnostics()
+            _run_group(spec, cfg, second, trace, out, child)
+            counts[:] = child.fallbacks, child.variance_clamps
+            os._exit(0)
+        finally:
+            os._exit(1)
     try:
         _run_group(spec, cfg, first, trace, out, diag)
-        with open(r, "rb", closefd=False) as fh:
-            message = fh.read()
-        where = f"the process of bins {second.start}-{second.stop - 1}"
-        if not message:
-            raise ChildProcessError(f"{where} ended with no result")
-        result = pickle.loads(message)
-        if isinstance(result[0], BaseException):
-            exc, text = result
-            raise exc from ChildProcessError(f"in {where}:\n{text}")
-        diag.fallbacks += result[0]
-        diag.variance_clamps += result[1]
     except BaseException:
         os.kill(pid, signal.SIGKILL)    # an unreaped child can always be signalled
         raise
     finally:
-        os.close(r)
-        os.waitpid(pid, 0)
-
-
-def _child(w, spec, cfg: EnhancerConfig, bins, trace, out):
-    """A forked child's whole life: runs its group, writes the pickled
-    (fallbacks, variance clamps), or (exception, traceback text), to the
-    pipe's write end w, and ends in os._exit, whatever happens."""
-    try:
-        diag = Diagnostics()
-        try:
-            _run_group(spec, cfg, bins, trace, out, diag)
-            message = pickle.dumps((diag.fallbacks, diag.variance_clamps))
-        except BaseException as exc:
-            import traceback
-
-            text = "".join(traceback.format_exception(exc))
-            try:
-                message = pickle.dumps((exc, text))
-            except Exception:   # an exception that cannot be pickled
-                message = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
-        with open(w, "wb") as fh:
-            fh.write(message)
-    finally:
-        os._exit(0)
+        _, status = os.waitpid(pid, 0)
+    if status == 0:
+        diag.fallbacks += int(counts[0])
+        diag.variance_clamps += int(counts[1])
+        return
+    _run_group(spec, cfg, second, trace, out, diag)
+    warnings.warn(f"the forked process of bins {second.start}-{second.stop - 1} ended with "
+                  f"status {os.waitstatus_to_exitcode(status)}; they ran again in the caller",
+                  RuntimeWarning)
 
 
 def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):

@@ -7,6 +7,7 @@ import mmap
 import numbers
 import os
 import re
+import signal
 import threading
 import tracemalloc
 import warnings
@@ -649,19 +650,56 @@ def test_forked_groups_give_the_bits_of_one_group(condition_g_spec_1s, forks, mo
     assert diag_f == diag_i and diag_f.fallbacks > 0
 
 
-@pytest.mark.parametrize("where", ["child", "caller"])
+@pytest.mark.parametrize("where", ["second_group", "caller"])
 def test_a_failing_group_raises_in_the_caller_and_leaves_no_child(condition_g_spec_1s, forks,
                                                                   monkeypatch, where):
+    """A group that fails in the caller, or the second group in every
+    process (its 129-bin gains, in the child and in the caller's rerun),
+    raises its own exception in the caller."""
     caller = os.getpid()
 
-    def clip(*args, _clip=np.clip, **kwargs):
-        if (os.getpid() == caller) == (where == "caller"):
+    def clip(a, *args, _clip=np.clip, **kwargs):
+        if os.getpid() == caller if where == "caller" else np.size(a) == 129:
             raise ZeroDivisionError(f"clip in the {where}")
-        return _clip(*args, **kwargs)
+        return _clip(a, *args, **kwargs)
     monkeypatch.setattr(np, "clip", clip)
     with pytest.raises(ZeroDivisionError, match=f"^clip in the {where}$"):
         enhance_frames(condition_g_spec_1s)
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("failure", ["raises", "is_killed"])
+def test_a_child_that_fails_alone_has_its_group_run_again_in_the_caller(
+        condition_g_spec_1s, forks, monkeypatch, failure):
+    """A child that raises, or that a signal kills, leaves the caller to
+    run its group again: the call returns the bits and counts of one group
+    and warns, naming the bins."""
+    # the last frames 100 dB down, so that the second group falls back and
+    # the rerun's counts must reach the caller
+    frames = condition_g_spec_1s.frames.copy()
+    frames[60:] *= 1e-5
+    spec = SpectralFrames(frames, condition_g_spec_1s.config, FS)
+    caller = os.getpid()
+
+    def clip(*args, _clip=np.clip, **kwargs):
+        if os.getpid() != caller:
+            if failure == "raises":
+                raise ZeroDivisionError("clip in the child")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _clip(*args, **kwargs)
+    monkeypatch.setattr(np, "clip", clip)
+    with pytest.warns(RuntimeWarning, match="128-256"):
+        out_f, trace_f, diag_f = enhance_frames(spec)
+    assert len(forks) == 1
+    assert trace_f.arrays["fallback_flags"][:, spec.n_bins // 2:].any()
+    monkeypatch.setattr(os, "fork", _no_fork)
+    advance_calls = _count_advance_calls(monkeypatch)
+    out_i, trace_i, diag_i = enhance_frames(spec)
+    assert advance_calls == [spec.n_bins] * spec.n_frames
+    assert np.array_equal(out_f.frames, out_i.frames)
+    for f in TRACE_FIELDS:
+        assert np.array_equal(trace_f.arrays[f], trace_i.arrays[f])
+    assert diag_f == diag_i and diag_f.fallbacks > 0
 
 
 def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, forks, monkeypatch,
