@@ -80,9 +80,8 @@ def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008,
     place; it keeps the rows the next block's windows reach back to.
 
     All the call's windows, the start-up ones that hold fewer rows
-    included, are fitted in one _fit_windows pass. It holds n (T, K)
-    deviation views, n the longest window's rows: at most the rows seen,
-    however long modulation_frame is.
+    included, are fitted in one _fit_windows pass, which holds p + 1 (T, K)
+    deviation arrays and p + 1 lag sums, however long modulation_frame is.
     """
     log_mag = np.asarray(log_mag, dtype=float)
     t_frames, k_bins = log_mag.shape
@@ -117,8 +116,10 @@ def _fit_windows(rows, n_rows, p, coeffs, resid, mean):
     The windows are taken as n shifted (count, K) views of rows. Each sum
     over a window runs over its rows in order after exact zeros (its mean
     divides by n_rows, its deviations on the zero rows are set to 0), so
-    each fit is bit for bit the one of its window alone. A window of
-    fewer than p + 2 rows keeps its mean and a zero fit.
+    each fit is bit for bit the one of its window alone. The deviations
+    from the mean are formed one view at a time, and at most p + 1 of
+    them are held, however many rows the windows span. A window of fewer
+    than p + 2 rows keeps its mean and a zero fit.
     """
     count = n_rows.shape[0]
     seg = [rows[j:j + count] for j in range(rows.shape[0] - count + 1)]
@@ -130,18 +131,21 @@ def _fit_windows(rows, n_rows, p, coeffs, resid, mean):
     # only the windows from s on have p + 2 rows or more
     s = np.searchsorted(n_rows, p + 2)
     m, n_rows = mean[s:], n_rows[s:]
-    dev = [x[s:] - m for x in seg]
-    # view j is a zero row of the windows with fewer than n - j rows
-    for d, cut in zip(dev, np.searchsorted(n_rows, n - np.arange(n))):
-        d[:cut] = 0.0
-    # biased autocorrelation, lags 0..p
-    lags = []
-    for j in range(p + 1):
-        acc = dev[j] * dev[0]
-        for i in range(1, n - j):
-            acc += dev[j + i] * dev[i]
+    # biased autocorrelation, lags 0..p: deviation view k adds term k - j
+    # of lag j, so each lag's terms are added in order, and only the last
+    # p + 1 views (newest first) are kept
+    lags, recent = [], []
+    for k, (x, cut) in enumerate(zip(seg, np.searchsorted(n_rows, n - np.arange(n)))):
+        d = x[s:] - m
+        d[:cut] = 0.0           # view k is a zero row of the windows with fewer than n - k rows
+        recent = [d] + recent[:p]
+        for j in range(min(k, p) + 1):
+            if j == k:
+                lags.append(d * recent[j])
+            else:
+                lags[j] += d * recent[j]
+    for acc in lags:
         acc /= n_rows[:, None]
-        lags.append(acc)
     r0 = lags[0]
     ok = r0 > 1e-12
     # Yule-Walker: Toeplitz(r0..r_{p-1}) a = (r1..rp)

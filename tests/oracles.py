@@ -186,6 +186,15 @@ def predict_ref(mean, cov, coeffs, resid, local_mean):
     return new_mean, new_cov
 
 
+def _sum_rows(x):
+    """The sum of x's rows, added one after another; numpy sums the rows of
+    a lone column pairwise."""
+    acc = x[0].copy()
+    for row in x[1:]:
+        acc += row
+    return acc
+
+
 def estimate_ar_ref(log_mag, order=2, win=8):
     """Yule-Walker AR(order) fits of each frame's window of the last win
     rows of log_mag (fewer at the start), one window at a time: (coeffs
@@ -198,11 +207,11 @@ def estimate_ar_ref(log_mag, order=2, win=8):
     for t in range(t_frames):
         seg = log_mag[max(0, t - win + 1):t + 1]
         n = seg.shape[0]
-        mean[t] = seg.mean(axis=0)
+        mean[t] = _sum_rows(seg) / n
         if n < p + 2:
             continue
         dev = seg - mean[t]
-        lags = np.stack([np.sum(dev[j:] * dev[:n - j], axis=0) / n for j in range(p + 1)])
+        lags = np.stack([_sum_rows(dev[j:] * dev[:n - j]) / n for j in range(p + 1)])
         r0 = lags[0]
         ok = r0 > 1e-12
         toep = np.empty((k_bins, p, p))

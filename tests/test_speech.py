@@ -1,5 +1,7 @@
 """Pre-cleaning, AR estimation and speech-state KF tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,16 +115,16 @@ def _ar_in_blocks(x, bounds, **kwargs):
     return [np.concatenate([part[i] for part in parts]) for i in range(3)], state
 
 
-# K >= 2: numpy sums the rows of a single column pairwise, not in order,
-# so at K = 1 estimate_ar_ref itself rounds differently
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(t_frames=st.integers(1, 90), win=st.integers(4, 40), order=st.integers(1, 3),
-       cuts=st.lists(st.integers(1, 89), max_size=6), seed=st.integers(0, 2 ** 32 - 1))
-def test_estimate_ar_any_window_and_blocks_match_the_oracle(t_frames, win, order, cuts, seed):
+@given(t_frames=st.integers(1, 90), k_bins=st.integers(1, 3), win=st.integers(4, 40),
+       order=st.integers(1, 3), cuts=st.lists(st.integers(1, 89), max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_estimate_ar_any_window_and_blocks_match_the_oracle(t_frames, k_bins, win, order, cuts,
+                                                            seed):
     """For windows of 4-40 frames, start-up windows included, estimate_ar in
     any blocks gives every bit of the one-window-at-a-time fits."""
     rng = np.random.default_rng(seed)
-    x = np.cumsum(rng.standard_normal((t_frames, 3)), axis=0)
+    x = np.cumsum(rng.standard_normal((t_frames, k_bins)), axis=0)
     x[t_frames // 3:t_frames // 2, 0] = 1.5         # constant windows: zero fit
     bounds = [0] + sorted({c for c in cuts if c < t_frames}) + [t_frames]
     got, _ = _ar_in_blocks(x, bounds, order=order, modulation_frame=win, frame_increment=1)
@@ -155,6 +157,23 @@ def test_estimate_ar_window_longer_than_any_input():
         assert np.array_equal(g, r)
     assert state["history"].shape == (40, 3)
 
+
+
+def test_estimate_ar_memory_does_not_grow_with_the_window():
+    """A 500-frame modulation window holds at most half as much again as
+    the default 8-frame one: the fit keeps p + 1 deviation arrays, not one
+    per row of the window."""
+    x = np.cumsum(np.random.default_rng(7).standard_normal((500, 257)), axis=0)
+    estimate_ar(x[:20])             # first-use imports and caches
+    peaks = []
+    for modulation_frame in (0.064, 4.0):
+        tracemalloc.start()
+        try:
+            estimate_ar(x, modulation_frame=modulation_frame)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 # ---------------------------------------------------------------------------
 # prediction (one bin: a leading bin axis of length 1)
