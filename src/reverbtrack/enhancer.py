@@ -747,23 +747,28 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     The audio needs at least one frame of samples (else StftError) and a
     peak of at most _MAX_MAGNITUDE divided by the frame's length in
     samples, so that no frame's magnitude exceeds _MAX_MAGNITUDE (else
-    ValueError)."""
+    ValueError). Audio that ends inside a hop is analysed with zeros
+    after it, up to the end of one more frame, so that every sample is
+    enhanced; the output has the input's length."""
     cfg = cfg or EnhancerConfig()
     if audio.sample_rate != SAMPLE_RATE:
         raise ValueError(f"unsupported sample rate {audio.sample_rate}; need {SAMPLE_RATE}")
-    limit = _MAX_MAGNITUDE / cfg.analysis().frame_samples(SAMPLE_RATE)
+    n = cfg.analysis().frame_samples(SAMPLE_RATE)
+    limit = _MAX_MAGNITUDE / n
     peak = np.max(np.abs(audio.samples), initial=0.0)
     if peak > limit:
         raise ValueError(f"audio peak {peak:.3g} exceeds {limit:.3g}, above which a "
                          f"frame's magnitude could exceed {_MAX_MAGNITUDE:g}")
-    spec = stft(audio, cfg.analysis())
+    # stft drops a partial last frame; audio shorter than a frame raises there
+    padded, pad = audio, -(len(audio.samples) - n) % cfg.analysis().hop_samples(SAMPLE_RATE)
+    if len(audio.samples) > n and pad:
+        padded = AudioBuffer(np.concatenate([audio.samples, np.zeros(pad)]), audio.sample_rate)
+    spec = stft(padded, cfg.analysis())
+    del padded
     enhanced, trace, diag = enhance_frames(spec, cfg)
     del spec                        # synthesis needs only the enhanced spectrum
     out = istft(enhanced)
-    samples = np.zeros(len(audio.samples))
-    n_copy = min(len(out.samples), len(samples))
-    samples[:n_copy] = out.samples[:n_copy]
-    return AudioBuffer(samples, audio.sample_rate), trace, diag
+    return AudioBuffer(out.samples[:len(audio.samples)], audio.sample_rate), trace, diag
 
 
 # every module-level function of the package as imported; _watched

@@ -24,7 +24,7 @@ from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
 from reverbtrack.lognorm import Diagnostics, fuse_moments
 from reverbtrack.reverb import RoomParams, clamp_gamma
 from reverbtrack.simkit import make_scene, speechlike_excitation, stft_domain_reverb
-from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, stft
+from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, istft, stft
 
 FS = 16000
 
@@ -219,6 +219,21 @@ def test_enhance_short_audio_raises_naming_it_or_returns_its_length(n, seed, lev
     assert out.samples.shape == (n,) and np.isfinite(out.samples).all()
     assert all(np.isfinite(a).all() for a in trace.arrays.values())
 
+
+
+def test_enhance_analyses_the_last_partial_hop():
+    """Audio that ends inside a hop is analysed with zeros after it, so its
+    last samples are enhanced, not set to 0; frame-aligned audio is
+    enhanced as its own frames are."""
+    samples = np.random.default_rng(0).standard_normal(4000)
+    out, trace, _ = enhance(AudioBuffer(samples))
+    assert trace.n_frames == 29 and out.samples.shape == (4000,)
+    assert (out.samples[-32:] != 0.0).all()
+    assert np.abs(out.samples).max() <= np.abs(samples).max()
+    aligned = AudioBuffer(samples[:512 + 27 * 128])
+    out, trace, _ = enhance(aligned)
+    assert trace.n_frames == 28
+    assert np.array_equal(out.samples, istft(enhance_frames(stft(aligned))[0]).samples)
 
 def test_a_loud_onset_after_silence_raises_no_overflow():
     """Where the speech posterior's log-normal correction puts the gain's
