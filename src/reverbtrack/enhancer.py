@@ -760,7 +760,8 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
         raise ValueError(f"audio peak {peak:.3g} exceeds {limit:.3g}, above which a "
                          f"frame's magnitude could exceed {_MAX_MAGNITUDE:g}")
     # stft drops a partial last frame; audio shorter than a frame raises there
-    padded, pad = audio, -(len(audio.samples) - n) % cfg.analysis().hop_samples(SAMPLE_RATE)
+    padded = audio
+    pad = -(len(audio.samples) - n) % cfg.analysis().hop_samples(SAMPLE_RATE)
     if len(audio.samples) > n and pad:
         padded = AudioBuffer(np.concatenate([audio.samples, np.zeros(pad)]), audio.sample_rate)
     spec = stft(padded, cfg.analysis())

@@ -643,16 +643,22 @@ def _count_advance_calls(monkeypatch):
     return calls
 
 
-def test_forked_groups_give_the_bits_of_one_group(condition_g_spec_1s, forks, monkeypatch):
-    # the last frames 100 dB down, so that steps 7 and 8 fall back in both
-    # groups and the child's counts must reach the caller
+@pytest.fixture(scope="module")
+def quiet_end_spec_1s(condition_g_spec_1s):
+    """The 1 s condition-G spectrum with its last frames 100 dB down, so
+    that steps 7 and 8 fall back in both groups and the second group's
+    counts must reach the caller."""
     frames = condition_g_spec_1s.frames.copy()
     frames[60:] *= 1e-5
-    spec = SpectralFrames(frames, condition_g_spec_1s.config, FS)
-    out_f, trace_f, diag_f = enhance_frames(spec)
+    return SpectralFrames(frames, condition_g_spec_1s.config, FS)
+
+
+def _assert_bits_of_one_group(spec, forked, monkeypatch):
+    """Checks that forked, the (spectrum, Trace, Diagnostics) of a call on
+    spec that forked, holds every bit and count of a one-group call, which
+    a replaced function makes here."""
+    out_f, trace_f, diag_f = forked
     assert trace_f.arrays["fallback_flags"][:, spec.n_bins // 2:].any()
-    assert len(forks) == 1
-    # a replaced function runs every bin in one group here
     monkeypatch.setattr(os, "fork", _no_fork)
     advance_calls = _count_advance_calls(monkeypatch)
     out_i, trace_i, diag_i = enhance_frames(spec)
@@ -663,6 +669,12 @@ def test_forked_groups_give_the_bits_of_one_group(condition_g_spec_1s, forks, mo
         assert trace_f.arrays[f].dtype == trace_i.arrays[f].dtype
         assert np.array_equal(trace_f.arrays[f], trace_i.arrays[f])
     assert diag_f == diag_i and diag_f.fallbacks > 0
+
+
+def test_forked_groups_give_the_bits_of_one_group(quiet_end_spec_1s, forks, monkeypatch):
+    forked = enhance_frames(quiet_end_spec_1s)
+    assert len(forks) == 1
+    _assert_bits_of_one_group(quiet_end_spec_1s, forked, monkeypatch)
 
 
 @pytest.mark.parametrize("where", ["second_group", "caller"])
@@ -685,15 +697,10 @@ def test_a_failing_group_raises_in_the_caller_and_leaves_no_child(condition_g_sp
 
 @pytest.mark.parametrize("failure", ["raises", "is_killed"])
 def test_a_child_that_fails_alone_has_its_group_run_again_in_the_caller(
-        condition_g_spec_1s, forks, monkeypatch, failure):
+        quiet_end_spec_1s, forks, monkeypatch, failure):
     """A child that raises, or that a signal kills, leaves the caller to
     run its group again: the call returns the bits and counts of one group
     and warns, naming the bins."""
-    # the last frames 100 dB down, so that the second group falls back and
-    # the rerun's counts must reach the caller
-    frames = condition_g_spec_1s.frames.copy()
-    frames[60:] *= 1e-5
-    spec = SpectralFrames(frames, condition_g_spec_1s.config, FS)
     caller = os.getpid()
 
     def clip(*args, _clip=np.clip, **kwargs):
@@ -704,17 +711,9 @@ def test_a_child_that_fails_alone_has_its_group_run_again_in_the_caller(
         return _clip(*args, **kwargs)
     monkeypatch.setattr(np, "clip", clip)
     with pytest.warns(RuntimeWarning, match="128-256"):
-        out_f, trace_f, diag_f = enhance_frames(spec)
+        forked = enhance_frames(quiet_end_spec_1s)
     assert len(forks) == 1
-    assert trace_f.arrays["fallback_flags"][:, spec.n_bins // 2:].any()
-    monkeypatch.setattr(os, "fork", _no_fork)
-    advance_calls = _count_advance_calls(monkeypatch)
-    out_i, trace_i, diag_i = enhance_frames(spec)
-    assert advance_calls == [spec.n_bins] * spec.n_frames
-    assert np.array_equal(out_f.frames, out_i.frames)
-    for f in TRACE_FIELDS:
-        assert np.array_equal(trace_f.arrays[f], trace_i.arrays[f])
-    assert diag_f == diag_i and diag_f.fallbacks > 0
+    _assert_bits_of_one_group(quiet_end_spec_1s, forked, monkeypatch)
 
 
 def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, forks, monkeypatch,
