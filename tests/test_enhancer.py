@@ -220,7 +220,6 @@ def test_enhance_short_audio_raises_naming_it_or_returns_its_length(n, seed, lev
     assert all(np.isfinite(a).all() for a in trace.arrays.values())
 
 
-
 def test_enhance_analyses_the_last_partial_hop():
     """Audio that ends inside a hop is analysed with zeros after it, so its
     last samples are enhanced, not set to 0; frame-aligned audio is
@@ -234,6 +233,7 @@ def test_enhance_analyses_the_last_partial_hop():
     out, trace, _ = enhance(aligned)
     assert trace.n_frames == 28
     assert np.array_equal(out.samples, istft(enhance_frames(stft(aligned))[0]).samples)
+
 
 def test_a_loud_onset_after_silence_raises_no_overflow():
     """Where the speech posterior's log-normal correction puts the gain's

@@ -158,7 +158,6 @@ def test_estimate_ar_window_longer_than_any_input():
     assert state["history"].shape == (40, 3)
 
 
-
 def test_estimate_ar_memory_does_not_grow_with_the_window():
     """A 500-frame modulation window holds at most half as much again as
     the default 8-frame one: the fit keeps p + 1 deviation arrays, not one
@@ -174,6 +173,7 @@ def test_estimate_ar_memory_does_not_grow_with_the_window():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
 
 # ---------------------------------------------------------------------------
 # prediction (one bin: a leading bin axis of length 1)
