@@ -10,9 +10,10 @@ look-ahead of C frames feeds the decay priors. One generator,
 _front_end, runs the stages ahead of the cascade (noise tracking,
 pre-cleaning, AR fits, decay-run detection) a block of frames at a time
 just ahead of it and yields each frame's inputs, RNR gate and decay
-priors. Each frame's gain is applied as soon as the frame is done, so
-nothing but the input, the Trace and the output grows with the number
-of frames. No frame reads the T60/DRR estimates, so each group of bins
+priors from one store of rows, which it trims to the rows a decay prior
+can still read. Each frame's gain is applied as soon as the frame is
+done, so nothing but the input, the Trace and the output grows with the
+number of frames. No frame reads the T60/DRR estimates, so each group of bins
 converts its stored gamma/beta once, after its last frame. The r -> old/new
 split and the gamma/beta updates (steps 10-12) run only on the bins
 that pass the per-bin RNR gate in that frame; the other bins keep their
@@ -499,15 +500,15 @@ def _front_end(frames, cfg: EnhancerConfig, bins):
     the smoothed broadband energy and the decay-run counter advance one
     block of frames at a time, just far enough ahead of the cascade for
     its look-ahead; this yields each frame's inputs on the bins slice as
-    a _Frame. Only rows the cascade or the fits can still read are kept
-    (the per-frame inputs from frame t on, pre_log and gate from frame
-    t - _FDR_MAX_LEN + 1 on), so memory does not grow with the input
-    length.
+    a _Frame. Their rows live in one store, a dict of arrays by field name
+    (every _Frame field but priors, and runs, the decay-run lengths), whose
+    row 0 is frame base. Before a block is appended it is trimmed to the
+    rows from frame max(t - _FDR_MAX_LEN + 1, 0) on, the oldest a decay
+    prior can read, so memory does not grow with the input length.
     """
     n_frames = frames.shape[0]
     states = {k: {} for k in ("noise", "preclean", "ar", "energy", "runs")}
-    rows, base = {}, 0          # per-frame cascade inputs and decay-run lengths
-    hist, hist_base = {}, 0     # pre-cleaned log-magnitude and RNR gate
+    store, base = {}, 0
     ready = 0                   # frames processed
     for t in range(n_frames):
         # the priors read the run length at t + look_ahead, and its
@@ -515,26 +516,22 @@ def _front_end(frames, cfg: EnhancerConfig, bins):
         need = min(t + cfg.look_ahead + 2, n_frames)
         if ready < need:
             lo = max(t - _FDR_MAX_LEN + 1, 0)
-            rows = {k: v[t - base:] for k, v in rows.items()}
-            hist = {k: v[lo - hist_base:] for k, v in hist.items()}
-            base, hist_base = t, lo
+            store = {k: v[lo - base:] for k, v in store.items()}
+            base = lo
         while ready < need:
             b = min(ready + _BLOCK, n_frames)
-            _front_block(frames[ready:b], cfg, bins, states, rows, hist, final=b == n_frames)
+            _front_block(frames[ready:b], cfg, bins, states, store, final=b == n_frames)
             ready = b
-        i, h = t - base, t - hist_base
-        j = min(t + cfg.look_ahead, n_frames - 1)
-        priors = _fdr_priors_at(j - hist_base, rows["runs"][j - base],
-                                hist["pre_log"], hist["gate"], cfg)
-        yield _Frame(hist["pre_log"][h], rows["y_log"][i], rows["n_mean"][i], rows["coeffs"][i],
-                     rows["resid"][i], rows["loc_mean"][i], hist["gate"][h], priors)
+        i, j = t - base, min(t + cfg.look_ahead, n_frames - 1) - base
+        priors = _fdr_priors_at(j, store["runs"][j], store["pre_log"], store["gate"], cfg)
+        yield _Frame(priors=priors, **{f: store[f][i] for f in _Frame._fields[:-1]})
 
 
-def _front_block(frames, cfg: EnhancerConfig, bins, states, rows, hist, final):
+def _front_block(frames, cfg: EnhancerConfig, bins, states, store, final):
     """The stages ahead of the cascade on one block of frames, with the
-    carried states; appends the block's per-frame inputs on the bins slice
-    and its decay-run lengths to rows and its pre_log and gate to hist.
-    The broadband energy of the decay-run detector sums every bin's
+    carried states; appends the block's rows of every _Frame field but
+    priors, on the bins slice, and its decay-run lengths (runs) to the
+    store. The broadband energy of the decay-run detector sums every bin's
     pre-cleaned power, so the noise tracker and the pre-clean run on every
     bin; the per-bin stages after them run on the slice alone. Its
     block-sized temporaries are freed on return, not kept alive across a
@@ -556,9 +553,8 @@ def _front_block(frames, cfg: EnhancerConfig, bins, states, rows, hist, final):
     # genuine decay runs short
     energy = _smooth_energy(energy, states["energy"], final=final)
     # the run lengths are one frame behind the other rows until the end
-    _append(rows, y_log=np.log(mag), n_mean=n_mean, coeffs=coeffs, resid=resid,
-            loc_mean=loc_mean, runs=_decay_run_lengths(energy, states["runs"]))
-    _append(hist, pre_log=pre_log, gate=gate)
+    _append(store, pre_log=pre_log, y=np.log(mag), n_mean=n_mean, coeffs=coeffs, resid=resid,
+            loc_mean=loc_mean, gate=gate, runs=_decay_run_lengths(energy, states["runs"]))
 
 
 def _append(store, **blocks):

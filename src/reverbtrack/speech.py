@@ -120,6 +120,13 @@ def _fit_windows(rows, n_rows, p, coeffs, resid, mean):
     from the mean are formed one view at a time, and at most p + 1 of
     them are held, however many rows the windows span. A window of fewer
     than p + 2 rows keeps its mean and a zero fit.
+
+    Every window's Yule-Walker system is solved in one batched
+    np.linalg.solve, which factors each matrix on its own, so a window's
+    fit has the same bits in any batch. A degenerate window (r0 <= 1e-12)
+    then gets a zero fit and residual. Its diagonally loaded Toeplitz
+    matrix stays positive definite, since |r_k| <= r0 < r0 + load, so its
+    solve cannot fail.
     """
     count = n_rows.shape[0]
     seg = [rows[j:j + count] for j in range(rows.shape[0] - count + 1)]
@@ -155,12 +162,7 @@ def _fit_windows(rows, n_rows, p, coeffs, resid, mean):
             toep[..., i, j] = lags[abs(i - j)]
     toep[..., np.arange(p), np.arange(p)] += np.maximum(r0[..., None], 1e-12) * 1e-9
     rhs = np.stack(lags[1:], axis=-1)        # (count, K, p)
-    if ok.all():
-        a = np.linalg.solve(toep, rhs[..., None])[..., 0]
-    else:
-        a = np.zeros(rhs.shape)
-        if ok.any():
-            a[ok] = np.linalg.solve(toep[ok], rhs[ok][..., None])[..., 0]
+    a = np.where(ok[..., None], np.linalg.solve(toep, rhs[..., None])[..., 0], 0.0)
     # a^T r, its terms added in order, as one window's einsum adds them
     rv = a[..., 0] * lags[1]
     for j in range(1, p):

@@ -3,15 +3,16 @@
 Each stage that enhance_frames advances block by block takes a carried
 state; consecutive uneven blocks must reproduce one whole-array call bit
 for bit. Apart from its outputs, enhance_frames must hold a working set
-that does not grow with the number of frames, and stft little more than
-the spectrum it returns.
+that does not grow with the number of frames, nor with a setting beyond
+the rows that setting makes its front end hold, and stft little more
+than the spectrum it returns.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reverbtrack import enhancer
@@ -204,3 +205,82 @@ def test_enhance_frames_working_set_does_not_grow_with_length():
     # (T, K) float64 array of the added frames; whole-utterance
     # intermediates grow by about 11 such arrays
     assert excess_5s - excess_2s <= 0.5 * (array_5s - array_2s)
+
+
+@pytest.mark.parametrize("look_ahead", [0, 3])
+def test_front_end_store_holds_a_bounded_number_of_rows(monkeypatch, look_ahead):
+    """The front end keeps one store of rows, every _Frame field but priors
+    and the decay-run lengths from one base frame on, trimmed before each
+    block to the rows a decay prior can still read. Wrapping _append runs
+    the call as one group in this process (_watched), where every store the
+    3 s call appends to is seen."""
+    _, spec = _scene_spectrum(3.0)
+    append, held = enhancer._append, []
+
+    def recording(store, **blocks):
+        append(store, **blocks)
+        assert set(store) == set(enhancer._Frame._fields[:-1]) | {"runs"}
+        # one base: every field but the lagging run lengths spans the same frames
+        assert len({v.shape[0] for k, v in store.items() if k != "runs"}) == 1
+        held.append(max(v.shape[0] for v in store.values()))
+
+    monkeypatch.setattr(enhancer, "_append", recording)
+    enhance_frames(spec, EnhancerConfig(look_ahead=look_ahead))
+    assert len(held) >= spec.n_frames // enhancer._BLOCK
+    assert max(held) <= enhancer._FDR_MAX_LEN + look_ahead + enhancer._BLOCK + 2
+
+
+def _traced_peak(spec, cfg):
+    tracemalloc.start()
+    try:
+        enhance_frames(spec, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _held_bytes(cfg, t_frames, k_bins):
+    """Bytes of the rows whose count a setting sets, that the front end
+    holds at most: the row store (p + 7 float64 per bin bounds the p + 5
+    fields, the gate and the run lengths), the AR fits' carried window and
+    the noise tracker's carried window, none longer than the input."""
+    inc = cfg.frame_increment
+    store = enhancer._FDR_MAX_LEN + cfg.look_ahead + enhancer._BLOCK + 2
+    ar = max(round(cfg.modulation_frame / inc), cfg.p + 2) - 1
+    noise = max(round(cfg.noise_window_s / inc), 1) - 1
+    return 8 * k_bins * sum(min(rows, t_frames) * width
+                            for rows, width in ((store, cfg.p + 7), (ar, 1), (noise, 1)))
+
+
+@pytest.fixture(scope="module")
+def scene_1s_default_peak():
+    """A 1 s condition-G spectrum and the traced peak of enhance_frames on
+    it at the default config, after a warm-up call builds the first-use
+    caches."""
+    _, spec = _scene_spectrum(1.0)
+    enhance_frames(spec)
+    return spec, _traced_peak(spec, EnhancerConfig())
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@example(setting=("look_ahead", 122))         # the top of each range
+@example(setting=("modulation_frame", 1.0))
+@example(setting=("noise_window_s", 2.0))
+@given(setting=st.one_of(
+    st.tuples(st.just("look_ahead"), st.integers(0, 122)),
+    st.tuples(st.just("modulation_frame"), st.floats(0.0, 1.0, exclude_min=True)),
+    st.tuples(st.just("noise_window_s"), st.floats(0.0, 2.0, exclude_min=True))))
+def test_enhance_frames_memory_follows_the_rows_a_setting_holds(scene_1s_default_peak, setting):
+    """A look-ahead up to the frame count, a modulation frame up to 1 s or
+    a noise window up to 2 s raises the traced peak of enhance_frames on a
+    1 s spectrum (122 frames) over the default's by at most twice the
+    bytes of the extra rows the setting makes the front end hold, plus one
+    block of rows of the spectrum for the allocator's slack."""
+    spec, default_peak = scene_1s_default_peak
+    t_frames, k_bins = spec.frames.shape
+    assert t_frames == 122
+    cfg = EnhancerConfig(**dict([setting]))
+    extra = (_held_bytes(cfg, t_frames, k_bins)
+             - _held_bytes(EnhancerConfig(), t_frames, k_bins))
+    slack = enhancer._BLOCK * k_bins * 8
+    assert _traced_peak(spec, cfg) - default_peak <= 2 * max(extra, 0) + slack
