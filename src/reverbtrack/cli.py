@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .enhancer import EnhancerConfig, enhance
+from .enhancer import EnhancerConfig, enhance, write_bin_rows
 from .reverb import ENVIRONMENTS, RoomParams, ab_to_gamma_beta, room_to_ab
 from .stft import SAMPLE_RATE, AnalysisConfig
 from .wavio import WavFormatError, read_wav, write_wav
@@ -62,7 +62,7 @@ def load_config(path) -> EnhancerConfig:
 
 
 def _bin_for_hz(hz, cfg: EnhancerConfig):
-    return int(round(hz * cfg.analysis().frame_samples(SAMPLE_RATE) / SAMPLE_RATE))
+    return int(round(hz * cfg.analysis().frame_samples() / SAMPLE_RATE))
 
 
 def _parse_bins(text, n_bins):
@@ -82,7 +82,7 @@ def _parse_bins(text, n_bins):
 def cmd_enhance(args):
     cfg = load_config(args.config) if args.config else EnhancerConfig()
     # a bad --bins fails here, not after a whole enhancement
-    k_bins = cfg.analysis().frame_samples(SAMPLE_RATE) // 2 + 1
+    k_bins = cfg.analysis().frame_samples() // 2 + 1
     bins = _parse_bins(args.bins, k_bins) if args.bins else [_bin_for_hz(1000.0, cfg)]
     audio = read_wav(args.input)
     out, trace, diag = enhance(audio, cfg)
@@ -99,26 +99,21 @@ def cmd_simulate(args):
     room = RoomParams(args.t60, args.drr)
     # make_scene analyses with the default AnalysisConfig; a bad --bins
     # fails here, not after the scene is synthesised
-    k_bins = AnalysisConfig().frame_samples(SAMPLE_RATE) // 2 + 1
+    k_bins = AnalysisConfig().frame_samples() // 2 + 1
     bins = _parse_bins(args.bins, k_bins) if args.bins else range(k_bins)
     from . import simkit        # scipy.signal, which enhance and params never load
 
     clean = read_wav(args.clean)
     noisy, truth, _ = simkit.make_scene(clean, room, args.snr,
                                         noise_kind=args.noise, seed=args.seed)
-    t_frames = truth.s_true.shape[0]
     write_wav(args.out, noisy)
     if args.truth:
         a, b = room_to_ab(room)
         with open(args.truth, "w", newline="") as fh:
             fh.write(f"# t60={args.t60} drr={args.drr} a={a:.4f} b={b:.4f} "
                      f"snr={args.snr} noise={args.noise} seed={args.seed}\n")
-            fh.write("frame,bin,s_true,r_true,z_true,n_true\n")
-            for b_ in bins:
-                for t in range(t_frames):
-                    fh.write(f"{t},{b_},{truth.s_true[t, b_]:.6g},"
-                             f"{truth.r_true[t, b_]:.6g},{truth.z_true[t, b_]:.6g},"
-                             f"{truth.n_true[t, b_]:.6g}\n")
+            write_bin_rows(fh, {"s_true": truth.s_true, "r_true": truth.r_true,
+                                "z_true": truth.z_true, "n_true": truth.n_true}, bins)
     return 0
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import lognorm, reverb, speech
 from .lognorm import Diagnostics
-from .stft import (SAMPLE_RATE, AnalysisConfig, AudioBuffer, SpectralFrames, check_number,
+from .stft import (AnalysisConfig, AudioBuffer, SpectralFrames, check_number,
                    floored_magnitude, istft, stft)
 
 
@@ -160,14 +160,21 @@ class Trace:
             if not 0 <= b < self.n_bins:
                 raise ValueError(f"bin {b} is outside 0..{self.n_bins - 1}")
         with open(path, "w", newline="") as fh:
-            fh.write("frame,bin," + ",".join(TRACE_FIELDS) + "\n")
-            for b in bins:
-                for t in range(self.n_frames):
-                    row = [str(t), str(b)]
-                    for f in TRACE_FIELDS:
-                        v = self.arrays[f][t, b]
-                        row.append(str(int(v)) if f == "fallback_flags" else f"{v:.6g}")
-                    fh.write(",".join(row) + "\n")
+            write_bin_rows(fh, {f: self.arrays[f] for f in TRACE_FIELDS}, bins)
+
+
+def write_bin_rows(fh, arrays, bins):
+    """Write CSV rows frame,bin,<one column per (T, K) array> to the open
+    text file fh, after their header: every frame of each bin in turn,
+    integer arrays as integers and floats to 6 significant digits."""
+    fh.write("frame,bin," + ",".join(arrays) + "\n")
+    fmt = ["%d", "%d"] + ["%d" if np.issubdtype(a.dtype, np.integer) else "%.6g"
+                          for a in arrays.values()]
+    t_frames = len(next(iter(arrays.values())))
+    for b in bins:
+        rows = np.column_stack([np.arange(t_frames), np.full(t_frames, b),
+                                *(a[:, b] for a in arrays.values())])
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",")
 
 
 def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
@@ -733,7 +740,7 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     groups = _bin_groups(t_frames, k_bins)
     trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=len(groups) == 2)
     _run_groups(spec, cfg, groups, trace, out, diag)
-    enhanced = SpectralFrames(out, spec.config, spec.sample_rate)
+    enhanced = SpectralFrames(out, spec.config)
     return enhanced, Trace(trace), diag
 
 
@@ -747,9 +754,7 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     after it, up to the end of one more frame, so that every sample is
     enhanced; the output has the input's length."""
     cfg = cfg or EnhancerConfig()
-    if audio.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"unsupported sample rate {audio.sample_rate}; need {SAMPLE_RATE}")
-    n = cfg.analysis().frame_samples(SAMPLE_RATE)
+    n = cfg.analysis().frame_samples()
     limit = _MAX_MAGNITUDE / n
     peak = np.max(np.abs(audio.samples), initial=0.0)
     if peak > limit:
@@ -757,15 +762,15 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
                          f"frame's magnitude could exceed {_MAX_MAGNITUDE:g}")
     # stft drops a partial last frame; audio shorter than a frame raises there
     padded = audio
-    pad = -(len(audio.samples) - n) % cfg.analysis().hop_samples(SAMPLE_RATE)
+    pad = -(len(audio.samples) - n) % cfg.analysis().hop_samples()
     if len(audio.samples) > n and pad:
-        padded = AudioBuffer(np.concatenate([audio.samples, np.zeros(pad)]), audio.sample_rate)
+        padded = AudioBuffer(np.concatenate([audio.samples, np.zeros(pad)]))
     spec = stft(padded, cfg.analysis())
     del padded
     enhanced, trace, diag = enhance_frames(spec, cfg)
     del spec                        # synthesis needs only the enhanced spectrum
     out = istft(enhanced)
-    return AudioBuffer(out.samples[:len(audio.samples)], audio.sample_rate), trace, diag
+    return AudioBuffer(out.samples[:len(audio.samples)]), trace, diag
 
 
 # every module-level function of the package as imported; _watched

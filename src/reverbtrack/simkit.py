@@ -40,8 +40,12 @@ def stft_domain_reverb(clean_frames: SpectralFrames, room: RoomParams, seed=0):
     Phases are uniform per frame/bin from the seeded generator. Returns
     (reverberant SpectralFrames holding S + R, GroundTruth). The truth's
     z/n fields are filled as if noiseless (z = r); add noise with
-    add_stft_noise to update them.
+    add_stft_noise to update them. (a, b) hold per frame of the room's
+    frame_increment, so it must be the spectrum's (else ValueError).
     """
+    if room.frame_increment != clean_frames.config.frame_increment:
+        raise ValueError(f"room frame_increment {room.frame_increment!r} s differs from the "
+                         f"spectrum's frame_increment {clean_frames.config.frame_increment!r} s")
     rng = np.random.default_rng(seed)
     s = clean_frames.frames
     t_frames, k_bins = s.shape
@@ -56,7 +60,7 @@ def stft_domain_reverb(clean_frames: SpectralFrames, room: RoomParams, seed=0):
         r[t] = sqrt_a * prev_r * np.exp(1j * theta) + sqrt_b * prev_s * np.exp(1j * psi)
         prev_r = r[t]
         prev_s = s[t]
-    out = SpectralFrames(s + r, clean_frames.config, clean_frames.sample_rate)
+    out = SpectralFrames(s + r, clean_frames.config)
     s_log = np.log(floored_magnitude(s))
     r_log = np.log(floored_magnitude(r))
     truth = GroundTruth(s_log, r_log, r_log.copy(),
@@ -110,7 +114,7 @@ def add_stft_noise(reverberant: SpectralFrames, truth: GroundTruth, snr_db,
     n_mag = floored_magnitude(noise)
     truth.n_true = np.log(n_mag, out=n_mag)
     noise += y
-    return SpectralFrames(noise, reverberant.config, reverberant.sample_rate)
+    return SpectralFrames(noise, reverberant.config)
 
 
 def _mean_power(frames):
@@ -132,18 +136,18 @@ def make_scene(clean: AudioBuffer, room: RoomParams, snr_db, noise_kind="white",
     return audio, truth, noisy
 
 
-def polack_rir(room: RoomParams, sample_rate=SAMPLE_RATE, seed=0):
+def polack_rir(room: RoomParams, seed=0):
     """Unit direct impulse plus an exponentially decaying noise tail.
 
     The RIR lasts max(1.5 T60, 0.1 s). The tail starts after 2 ms and is
     scaled so the direct/tail energy ratio equals the requested DRR.
     """
     rng = np.random.default_rng(seed)
-    n = int(round(max(1.5 * room.t60, 0.1) * sample_rate))
+    n = int(round(max(1.5 * room.t60, 0.1) * SAMPLE_RATE))
     h = np.zeros(n)
     h[0] = 1.0
-    start = int(round(DIRECT_WINDOW_S * sample_rate))
-    t = np.arange(start, n) / sample_rate
+    start = int(round(DIRECT_WINDOW_S * SAMPLE_RATE))
+    t = np.arange(start, n) / SAMPLE_RATE
     tail = rng.standard_normal(n - start) * np.exp(-3.0 * np.log(10.0) * t / room.t60)
     tail_energy = np.sum(tail ** 2)
     if tail_energy > 0:
@@ -156,13 +160,13 @@ def polack_rir(room: RoomParams, sample_rate=SAMPLE_RATE, seed=0):
 def true_reverb_reference(clean: AudioBuffer, rir) -> AudioBuffer:
     """Convolve with the RIR with its first 30 ms zeroed (late reverb only)."""
     rir = np.asarray(rir, dtype=float)
-    cut = int(round(LATE_CUTOFF_S * clean.sample_rate))
+    cut = int(round(LATE_CUTOFF_S * SAMPLE_RATE))
     if len(rir) <= cut:
         raise ValueError("RIR shorter than the direct/early cutoff")
     late = rir.copy()
     late[:cut] = 0.0
     out = fftconvolve(clean.samples, late)[:len(clean.samples)]
-    return AudioBuffer(out, clean.sample_rate)
+    return AudioBuffer(out)
 
 
 def mix_noise(signal: AudioBuffer, kind="white", snr_db=20.0, seed=0) -> AudioBuffer:
@@ -187,13 +191,13 @@ def mix_noise(signal: AudioBuffer, kind="white", snr_db=20.0, seed=0) -> AudioBu
     sig_pow = fe[active].sum() / (active.sum() * frame)
     noise_pow = np.mean(noise ** 2)
     noise *= np.sqrt(sig_pow / noise_pow / ratio)
-    return AudioBuffer(x + noise, signal.sample_rate)
+    return AudioBuffer(x + noise)
 
 
-def _voiced_syllable(burst, sample_rate, rng):
+def _voiced_syllable(burst, rng):
     """Harmonic source through two formant resonators plus breath noise."""
     f0 = rng.uniform(100.0, 200.0)
-    t = np.arange(burst) / sample_rate
+    t = np.arange(burst) / SAMPLE_RATE
     n_harm = max(int(6000.0 / f0), 1)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_harm)
     y = np.zeros(burst)
@@ -201,8 +205,8 @@ def _voiced_syllable(burst, sample_rate, rng):
         y += np.cos(2.0 * np.pi * f0 * h * t + phases[h - 1]) / h
     for fc, bw in ((rng.uniform(300.0, 800.0), 80.0),
                    (rng.uniform(1000.0, 2200.0), 120.0)):
-        r = np.exp(-np.pi * bw / sample_rate)
-        w = 2.0 * np.pi * fc / sample_rate
+        r = np.exp(-np.pi * bw / SAMPLE_RATE)
+        w = 2.0 * np.pi * fc / SAMPLE_RATE
         y = lfilter([1.0 - r], [1.0, -2.0 * r * np.cos(w), r * r], y)
     y /= np.std(y) + 1e-12
     # aspiration noise keeps inter-harmonic valleys at a realistic level
@@ -244,7 +248,7 @@ def speechlike_excitation(duration_s, seed=0):
         burst = min(burst, n - pos)
         if burst > 80:
             if rng.uniform() < 0.75:
-                y = _voiced_syllable(burst, SAMPLE_RATE, rng)
+                y = _voiced_syllable(burst, rng)
             else:
                 y = _unvoiced_syllable(burst, rng)
             # fast attack, sustained body, sharp release: abrupt offsets
@@ -257,7 +261,7 @@ def speechlike_excitation(duration_s, seed=0):
             amp = rng.uniform(0.5, 1.0)
             x[pos:pos + burst] = amp * env * y / (np.std(y) + 1e-12)
         pos += burst + gap
-    return AudioBuffer(0.05 * x, SAMPLE_RATE)
+    return AudioBuffer(0.05 * x)
 
 
 # ---------------------------------------------------------------------------

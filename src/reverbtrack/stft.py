@@ -1,17 +1,18 @@
 """Time-frequency analysis/synthesis and the floored magnitude.
 
-Default geometry: 32 ms frames, 8 ms increment, 16 kHz, no zero padding.
-A periodic square-root raised-cosine window is applied at both analysis
-and synthesis so that 75% overlap satisfies constant overlap-add.
+Every signal is at SAMPLE_RATE, 16 kHz. Default geometry: 32 ms frames,
+8 ms increment, no zero padding. A periodic square-root raised-cosine
+window is applied at both analysis and synthesis so that 75% overlap
+satisfies constant overlap-add.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-SAMPLE_RATE = 16000         # the one rate the enhancer and its file I/O take
+SAMPLE_RATE = 16000         # the rate of every AudioBuffer and SpectralFrames
 MAG_FLOOR_REL = 1e-10
 MAG_FLOOR_ABS = 1e-12
 _ANALYSIS_BLOCK = 32        # frames transformed at a time by stft
@@ -37,16 +38,12 @@ def check_number(name, value):
 
 @dataclass
 class AudioBuffer:
-    samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
+    samples: np.ndarray     # at SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
-        check_number("sample_rate", self.sample_rate)
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio contains non-finite samples")
 
@@ -61,25 +58,25 @@ class AnalysisConfig:
             if not check_number(name, getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
-    def frame_samples(self, sample_rate):
-        return int(round(self.frame_length * sample_rate))
+    def frame_samples(self):
+        return int(round(self.frame_length * SAMPLE_RATE))
 
-    def hop_samples(self, sample_rate):
-        return int(round(self.frame_increment * sample_rate))
+    def hop_samples(self):
+        return int(round(self.frame_increment * SAMPLE_RATE))
 
-    def make_window(self, sample_rate):
-        n = self.frame_samples(sample_rate)
+    def make_window(self):
+        n = self.frame_samples()
         # periodic Hann; sqrt applied so analysis*synthesis = Hann
         hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
         return np.sqrt(hann)
 
-    def check_cola(self, sample_rate):
+    def check_cola(self):
         """Verify that the squared window overlap-adds to a constant."""
-        n = self.frame_samples(sample_rate)
-        hop = self.hop_samples(sample_rate)
+        n = self.frame_samples()
+        hop = self.hop_samples()
         if hop <= 0 or hop > n:
             raise StftError("need 0 < frame_increment <= frame_length")
-        w2 = self.make_window(sample_rate) ** 2
+        w2 = self.make_window() ** 2
         acc = np.zeros(3 * n)
         for start in range(0, 2 * n + 1, hop):
             acc[start:start + n] += w2
@@ -94,7 +91,6 @@ class AnalysisConfig:
 class SpectralFrames:
     frames: np.ndarray  # complex, (T, K)
     config: AnalysisConfig
-    sample_rate: int = SAMPLE_RATE
 
     @property
     def n_frames(self):
@@ -120,33 +116,31 @@ def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFr
     nothing but the result grows with the input's length.
     """
     config = config or AnalysisConfig()
-    fs = audio.sample_rate
-    n = config.frame_samples(fs)
-    hop = config.hop_samples(fs)
-    config.check_cola(fs)
+    n = config.frame_samples()
+    hop = config.hop_samples()
+    config.check_cola()
     x = audio.samples
     if len(x) < n:
         raise StftError(f"audio ({len(x)} samples) shorter than one frame ({n})")
-    win = config.make_window(fs)
+    win = config.make_window()
     framed = np.lib.stride_tricks.sliding_window_view(x, n)[::hop]     # (T, n) view
     frames = np.empty((framed.shape[0], n // 2 + 1), dtype=complex)
     for start in range(0, framed.shape[0], _ANALYSIS_BLOCK):
         block = slice(start, start + _ANALYSIS_BLOCK)
         frames[block] = np.fft.rfft(framed[block] * win, n, axis=1)
-    return SpectralFrames(frames, config, fs)
+    return SpectralFrames(frames, config)
 
 
 def istft(spec: SpectralFrames) -> AudioBuffer:
     """Overlap-add synthesis with the geometry the spectrum was analysed with."""
     config = spec.config
-    fs = spec.sample_rate
-    n = config.frame_samples(fs)
-    hop = config.hop_samples(fs)
+    n = config.frame_samples()
+    hop = config.hop_samples()
     if spec.n_bins != n // 2 + 1:
         raise StftError(
             f"frame bins ({spec.n_bins}) do not match config frame size ({n})"
         )
-    win = config.make_window(fs)
+    win = config.make_window()
     t = spec.n_frames
     out = np.zeros((t - 1) * hop + n)
     norm = np.zeros_like(out)
@@ -159,5 +153,5 @@ def istft(spec: SpectralFrames) -> AudioBuffer:
             out[i * hop:i * hop + n] += frame
             norm[i * hop:i * hop + n] += w2
     out /= np.maximum(norm, 1e-8)
-    return AudioBuffer(out, fs)
+    return AudioBuffer(out)
 

@@ -25,13 +25,14 @@ def read_wav(path) -> AudioBuffer:
                 "(resampling is out of scope)")
         data = wf.readframes(wf.getnframes())
     samples = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0
-    return AudioBuffer(samples, rate)
+    return AudioBuffer(samples)
 
 
 def write_wav(path, audio: AudioBuffer):
-    pcm = np.clip(np.round(audio.samples * 32767.0), -32768, 32767).astype("<i2")
+    """16-bit PCM at read_wav's scale, so a file read and written back keeps its bytes."""
+    pcm = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(audio.sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())

@@ -152,7 +152,7 @@ def test_criterion_04_stft_reconstruction():
         x = rng.standard_normal(int(rng.integers(8000, 32000)))
         audio = AudioBuffer(x)
         out = istft(stft(audio, cfg))
-        n = cfg.frame_samples(16000)
+        n = cfg.frame_samples()
         m = min(len(out.samples), len(x))
         err = out.samples[n:m - n] - x[n:m - n]
         db = 20.0 * np.log10(np.linalg.norm(err)

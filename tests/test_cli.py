@@ -37,23 +37,37 @@ def test_wav_round_trip(tmp_path):
     path = tmp_path / "x.wav"
     write_wav(path, AudioBuffer(x))
     back = read_wav(path)
-    assert back.sample_rate == FS
     assert np.allclose(back.samples, x, atol=1e-4)
 
 
+def test_wav_read_and_written_back_keeps_its_bytes(tmp_path):
+    """write_wav scales as read_wav does, so every int16 value survives."""
+    pcm = np.arange(-32768, 32768, dtype="<i2")
+    first = tmp_path / "all.wav"
+    with wave.open(str(first), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(FS)
+        wf.writeframes(pcm.tobytes())
+    second = tmp_path / "again.wav"
+    write_wav(second, read_wav(first))
+    assert second.read_bytes() == first.read_bytes()
+    # full scale clips to the int16 range
+    write_wav(second, AudioBuffer(np.array([-2.0, -1.0, 1.0, 2.0])))
+    assert read_wav(second).samples.tolist() == [-1.0, -1.0, 32767 / 32768, 32767 / 32768]
+
+
 def test_wav_rejects_wrong_rate(tmp_path):
-    path = tmp_path / "x8k.wav"
-    write_wav(path, AudioBuffer(np.zeros(8000), sample_rate=8000))
-    with pytest.raises(WavFormatError):
-        read_wav(path)
-    # as it rejects stereo and 8-bit files, naming what it got
-    for channels, width, message in ((2, 2, "need mono, got 2 channels"),
-                                     (1, 1, "need 16-bit PCM, got 8-bit")):
-        path = tmp_path / f"x{channels}x{width}.wav"
+    # an 8 kHz, a stereo and an 8-bit file, each named for what it holds
+    for rate, channels, width, message in (
+            (8000, 1, 2, "sample rate 8000 unsupported, need 16000"),
+            (FS, 2, 2, "need mono, got 2 channels"),
+            (FS, 1, 1, "need 16-bit PCM, got 8-bit")):
+        path = tmp_path / f"x{rate}x{channels}x{width}.wav"
         with wave.open(str(path), "wb") as wf:
             wf.setnchannels(channels)
             wf.setsampwidth(width)
-            wf.setframerate(FS)
+            wf.setframerate(rate)
             wf.writeframes(bytes(channels * width * 16))
         with pytest.raises(WavFormatError, match=message):
             read_wav(path)

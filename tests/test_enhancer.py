@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import minimum_filter1d
 
 from reverbtrack import enhancer, lognorm, reverb, speech
-from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, _FilterState,
+from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, Trace, _FilterState,
                                   enhance, enhance_frames, track_noise)
 from reverbtrack.lognorm import Diagnostics, fuse_moments
 from reverbtrack.reverb import RoomParams, clamp_gamma
@@ -157,7 +157,7 @@ def _random_frames(t_frames=120, k_bins=257, seed=3):
     rng = np.random.default_rng(seed)
     frames = 0.1 * (rng.standard_normal((t_frames, k_bins))
                     + 1j * rng.standard_normal((t_frames, k_bins)))
-    return SpectralFrames(frames, AnalysisConfig(), FS)
+    return SpectralFrames(frames, AnalysisConfig())
 
 
 def test_enhance_frames_deterministic():
@@ -197,11 +197,11 @@ def test_enhance_frames_needs_finite_frames(bad):
     frames = spec.frames[:, :3].copy()
     frames[:, 1] = bad
     with pytest.raises(ValueError, match="finite frames; frames 0-31 "):
-        enhance_frames(SpectralFrames(frames, spec.config, FS))
+        enhance_frames(SpectralFrames(frames, spec.config))
     frames = spec.frames.copy()
     frames[35, 200] = bad
     with pytest.raises(ValueError, match="finite frames; frames 32-39 "):
-        enhance_frames(SpectralFrames(frames, spec.config, FS))
+        enhance_frames(SpectralFrames(frames, spec.config))
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -271,9 +271,9 @@ def test_enhance_frames_with_bad_values_raises_naming_the_frames(random_spec_80,
     if cells:
         lo = min(t for t, _ in cells) // 32 * 32
         with pytest.raises(ValueError, match=f"finite frames; frames {lo}-"):
-            enhance_frames(SpectralFrames(frames, spec.config, FS))
+            enhance_frames(SpectralFrames(frames, spec.config))
         return
-    out, trace, _ = enhance_frames(SpectralFrames(frames, spec.config, FS))
+    out, trace, _ = enhance_frames(SpectralFrames(frames, spec.config))
     assert out.frames.shape == frames.shape and np.isfinite(out.frames).all()
     assert all(np.isfinite(a).all() for a in trace.arrays.values())
 
@@ -288,7 +288,7 @@ def test_enhance_frames_needs_the_config_geometry():
     """A spectrum analysed at another hop than the config's would run every
     time constant of the cascade at the wrong rate."""
     spec = _random_frames(t_frames=20, seed=6)
-    coarse = SpectralFrames(spec.frames, AnalysisConfig(frame_increment=0.016), FS)
+    coarse = SpectralFrames(spec.frames, AnalysisConfig(frame_increment=0.016))
     with pytest.raises(ValueError, match=r"frame_increment=0\.016\).*frame_increment=0\.008\)"):
         enhance_frames(coarse)
     enhance_frames(coarse, EnhancerConfig(frame_increment=0.016))
@@ -299,7 +299,7 @@ def test_enhance_frames_bounded_look_ahead():
     spec1 = _random_frames(t_frames=100, seed=5)
     frames2 = spec1.frames.copy()
     frames2[60:] *= 3.0                      # change the future only
-    spec2 = SpectralFrames(frames2, spec1.config, FS)
+    spec2 = SpectralFrames(frames2, spec1.config)
     out1, _, _ = enhance_frames(spec1, cfg)
     out2, _, _ = enhance_frames(spec2, cfg)
     # outputs may differ within the look-ahead horizon of the change
@@ -309,13 +309,10 @@ def test_enhance_frames_bounded_look_ahead():
     assert not np.array_equal(out1.frames[60:], out2.frames[60:])
 
 
-def test_enhance_preserves_length_and_rejects_bad_rate():
+def test_enhance_preserves_length():
     audio = speechlike_excitation(1.0, seed=6)
     out, trace, diag = enhance(audio)
     assert len(out.samples) == len(audio.samples)
-    assert out.sample_rate == FS
-    with pytest.raises(ValueError):
-        enhance(AudioBuffer(np.zeros(8000), sample_rate=8000))
 
 
 def test_enhance_suppresses_pure_stationary_noise():
@@ -340,7 +337,7 @@ def test_enhance_scale_equivariance(condition_g_1s, c):
     # a gain c shifts every log-spectrum by log c; each log-domain shift
     # must cancel, so the output scales by c up to rounding
     noisy, out = condition_g_1s
-    scaled, _, _ = enhance(AudioBuffer(c * noisy.samples, noisy.sample_rate))
+    scaled, _, _ = enhance(AudioBuffer(c * noisy.samples))
     ref = c * out.samples
     assert np.max(np.abs(scaled.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -650,7 +647,7 @@ def quiet_end_spec_1s(condition_g_spec_1s):
     counts must reach the caller."""
     frames = condition_g_spec_1s.frames.copy()
     frames[60:] *= 1e-5
-    return SpectralFrames(frames, condition_g_spec_1s.config, FS)
+    return SpectralFrames(frames, condition_g_spec_1s.config)
 
 
 def _assert_bits_of_one_group(spec, forked, monkeypatch):
@@ -720,7 +717,7 @@ def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, for
                                                         advance_calls):
     spec = condition_g_spec_1s
     monkeypatch.setattr(os, "fork", _no_fork)
-    short = SpectralFrames(spec.frames[:enhancer._MIN_FORK_FRAMES - 1].copy(), spec.config, FS)
+    short = SpectralFrames(spec.frames[:enhancer._MIN_FORK_FRAMES - 1].copy(), spec.config)
     enhance_frames(short)
     assert advance_calls == [spec.n_bins] * short.n_frames
     # a replaced function's side effects would be lost in a child
@@ -840,6 +837,26 @@ def test_trace_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("frame,bin,s_mean,s_var")
     assert len(lines) == 1 + 2 * trace.n_frames
+
+
+def test_trace_csv_rows_match_a_formatting_loop(tmp_path):
+    """The rows are those of a loop over bins and frames that writes each
+    float with '.6g' and the flags as integers, non-finite values and -0
+    included."""
+    rng = np.random.default_rng(3)
+    arrays = {f: rng.normal(0.0, 1e3, (4, 3)) for f in TRACE_FIELDS}
+    arrays["s_mean"][0] = [np.inf, -np.inf, np.nan]
+    arrays["r_var"][1] = [-0.0, 1e-300, 123456789.0]
+    arrays["fallback_flags"] = rng.integers(0, 8, (4, 3)).astype(np.uint8)
+    path = tmp_path / "trace.csv"
+    Trace(arrays).write_csv(path, bins=[2, 0])
+    rows = ["frame,bin," + ",".join(TRACE_FIELDS)]
+    for b in (2, 0):
+        for t in range(4):
+            rows.append(",".join([str(t), str(b)] + [
+                str(int(arrays[f][t, b])) if f == "fallback_flags" else f"{arrays[f][t, b]:.6g}"
+                for f in TRACE_FIELDS]))
+    assert path.read_text() == "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize("bins", [[-1], [32, 999]])

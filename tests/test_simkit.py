@@ -23,7 +23,7 @@ FS = 16000
 def _impulse_frames(t_frames=60, k_bins=257, hit=5):
     frames = np.zeros((t_frames, k_bins), dtype=complex)
     frames[hit] = 1.0
-    return SpectralFrames(frames, AnalysisConfig(), FS)
+    return SpectralFrames(frames, AnalysisConfig())
 
 
 def test_reverb_vanishes_for_tiny_a_and_b():
@@ -52,7 +52,7 @@ def test_condition_g_tail_slope_matches_t60():
     t_frames, k_bins = 400, 64
     frames = np.zeros((t_frames, k_bins), dtype=complex)
     frames[10] = rng.standard_normal(k_bins) + 1j * rng.standard_normal(k_bins)
-    clean = SpectralFrames(frames, AnalysisConfig(), FS)
+    clean = SpectralFrames(frames, AnalysisConfig())
     room = RoomParams(0.61, -1.74, 0.008)
     _, truth = stft_domain_reverb(clean, room, seed=3)
     # energy decay of the Monte-Carlo tail across bins
@@ -61,6 +61,24 @@ def test_condition_g_tail_slope_matches_t60():
     slope, _ = np.polyfit(tail * 0.008, energy_db, 1)
     t60_measured = -60.0 / slope
     assert t60_measured == pytest.approx(0.61, rel=0.1)
+
+
+def test_reverb_takes_the_room_at_the_spectrum_increment():
+    """(a, b) hold per frame of the room's increment: a room at another
+    increment than the spectrum's would decay at another T60 than it
+    reads, so it is refused, naming both; at the same one, the tail
+    decays at the room's T60."""
+    rng = np.random.default_rng(2)
+    frames = np.zeros((200, 64), dtype=complex)
+    frames[10] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    clean = SpectralFrames(frames, AnalysisConfig(frame_increment=0.016))
+    with pytest.raises(ValueError, match=r"room frame_increment 0\.008 s .* 0\.016 s"):
+        stft_domain_reverb(clean, RoomParams(0.61, -1.74), seed=3)
+    _, truth = stft_domain_reverb(clean, RoomParams(0.61, -1.74, 0.016), seed=3)
+    tail = np.arange(15, 60)
+    energy_db = 10.0 * np.log10(np.mean(np.exp(2.0 * truth.r_true[tail]), axis=1))
+    slope, _ = np.polyfit(tail * 0.016, energy_db, 1)
+    assert -60.0 / slope == pytest.approx(0.61, rel=0.1)
 
 
 def test_add_stft_noise_power_and_truth():
@@ -105,13 +123,13 @@ def test_make_scene_deterministic():
 
 def test_polack_rir_t60_by_schroeder():
     for t60 in (0.2, 0.5, 1.0):
-        rir = polack_rir(RoomParams(t60, 0.0), FS, seed=7)
+        rir = polack_rir(RoomParams(t60, 0.0), seed=7)
         assert schroeder_t60(rir, FS) == pytest.approx(t60, rel=0.1)
 
 
 def test_polack_rir_drr_energy_ratio():
     for drr in (-3.0, 0.0, 6.0):
-        rir = polack_rir(RoomParams(0.5, drr), FS, seed=8)
+        rir = polack_rir(RoomParams(0.5, drr), seed=8)
         cut = int(round(0.002 * FS))
         direct = np.sum(rir[:cut] ** 2)
         tail = np.sum(rir[cut:] ** 2)
@@ -119,7 +137,7 @@ def test_polack_rir_drr_energy_ratio():
 
 
 def test_polack_rir_infinite_drr_limit():
-    rir = polack_rir(RoomParams(0.5, 200.0), FS, seed=9)
+    rir = polack_rir(RoomParams(0.5, 200.0), seed=9)
     assert np.sum(rir[int(0.002 * FS):] ** 2) <= 1e-18
 
 

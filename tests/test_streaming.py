@@ -129,7 +129,7 @@ def test_enhance_frames_independent_of_block_size(monkeypatch, t_frames, look_ah
     rng = np.random.default_rng(5)
     frames = 0.1 * (rng.standard_normal((90, 257)) + 1j * rng.standard_normal((90, 257)))
     frames[30:45] *= 1e-3                      # a decay-like drop for the priors
-    spec = SpectralFrames(frames[:t_frames], AnalysisConfig(), 16000)
+    spec = SpectralFrames(frames[:t_frames], AnalysisConfig())
     cfg = EnhancerConfig(look_ahead=look_ahead)
     runs = []
     for block in (1, 2, 7, 1000):
@@ -151,10 +151,10 @@ def _scene_spectrum(seconds):
 def test_stft_in_blocks_matches_whole_signal_and_peaks_near_its_result():
     noisy, spec = _scene_spectrum(4.0)
     cfg = AnalysisConfig()
-    n, hop = cfg.frame_samples(16000), cfg.hop_samples(16000)
+    n, hop = cfg.frame_samples(), cfg.hop_samples()
     # the reference frames the whole signal at once through an index array
     idx = np.arange(n)[None, :] + hop * np.arange(spec.n_frames)[:, None]
-    ref = np.fft.rfft(noisy.samples[idx] * cfg.make_window(16000), n, axis=1)
+    ref = np.fft.rfft(noisy.samples[idx] * cfg.make_window(), n, axis=1)
     assert np.array_equal(spec.frames, ref)
     tracemalloc.start()
     try:
