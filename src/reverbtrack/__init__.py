@@ -2,10 +2,10 @@
 
 from .enhancer import EnhancerConfig, Trace, enhance, enhance_frames
 from .reverb import RoomParams
-from .stft import AnalysisConfig, AudioBuffer, SpectralFrames, istft, stft
+from .stft import AudioBuffer, SpectralFrames, istft, stft
 
 __all__ = [
-    "AnalysisConfig", "AudioBuffer", "EnhancerConfig", "RoomParams",
+    "AudioBuffer", "EnhancerConfig", "RoomParams",
     "SpectralFrames", "Trace",
     "enhance", "enhance_frames", "istft", "stft",
 ]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .enhancer import EnhancerConfig, enhance, write_bin_rows
 from .reverb import ENVIRONMENTS, RoomParams, ab_to_gamma_beta, room_to_ab
-from .stft import SAMPLE_RATE, AnalysisConfig
+from .stft import FRAME_SAMPLES, N_BINS, SAMPLE_RATE
 from .wavio import WavFormatError, read_wav, write_wav
 
 
@@ -61,8 +61,8 @@ def load_config(path) -> EnhancerConfig:
         raise ValueError(f"{path}:{','.join(map(str, lines))}: {exc}") from None
 
 
-def _bin_for_hz(hz, cfg: EnhancerConfig):
-    return int(round(hz * cfg.analysis().frame_samples() / SAMPLE_RATE))
+def _bin_for_hz(hz):
+    return int(round(hz * FRAME_SAMPLES / SAMPLE_RATE))
 
 
 def _parse_bins(text, n_bins):
@@ -82,8 +82,7 @@ def _parse_bins(text, n_bins):
 def cmd_enhance(args):
     cfg = load_config(args.config) if args.config else EnhancerConfig()
     # a bad --bins fails here, not after a whole enhancement
-    k_bins = cfg.analysis().frame_samples() // 2 + 1
-    bins = _parse_bins(args.bins, k_bins) if args.bins else [_bin_for_hz(1000.0, cfg)]
+    bins = _parse_bins(args.bins, N_BINS) if args.bins else [_bin_for_hz(1000.0)]
     audio = read_wav(args.input)
     out, trace, diag = enhance(audio, cfg)
     write_wav(args.output, out)
@@ -97,10 +96,8 @@ def cmd_enhance(args):
 
 def cmd_simulate(args):
     room = RoomParams(args.t60, args.drr)
-    # make_scene analyses with the default AnalysisConfig; a bad --bins
-    # fails here, not after the scene is synthesised
-    k_bins = AnalysisConfig().frame_samples() // 2 + 1
-    bins = _parse_bins(args.bins, k_bins) if args.bins else range(k_bins)
+    # a bad --bins fails here, not after the scene is synthesised
+    bins = _parse_bins(args.bins, N_BINS) if args.bins else range(N_BINS)
     from . import simkit        # scipy.signal, which enhance and params never load
 
     clean = read_wav(args.clean)
@@ -121,7 +118,7 @@ def cmd_params(args):
     if args.table:
         print("index,t60,drr,room,a,b,gamma,beta")
         for idx, t60, drr, room_dims in ENVIRONMENTS:
-            a, b = room_to_ab(RoomParams(t60, drr, args.L))
+            a, b = room_to_ab(RoomParams(t60, drr))
             g, be = ab_to_gamma_beta(a, b)
             print(f"{idx},{t60:.4f},{drr:.4f},{room_dims},{a:.4f},{b:.4f},{g:.4f},{be:.4f}")
         return 0
@@ -130,17 +127,17 @@ def cmd_params(args):
         print("curve,x,beta")
         for drr in (4.0, 0.0, -4.0):
             for t60 in np.linspace(0.1, 1.2, 56):
-                a, b = room_to_ab(RoomParams(t60, drr, args.L))
+                a, b = room_to_ab(RoomParams(t60, drr))
                 print(f"beta_vs_t60_drr{drr:g},{t60:.4f},{0.5 * np.log(b):.6f}")
         for t60 in (0.2, 0.5, 0.8):
             for drr in np.linspace(-8.0, 8.0, 65):
-                a, b = room_to_ab(RoomParams(t60, drr, args.L))
+                a, b = room_to_ab(RoomParams(t60, drr))
                 print(f"beta_vs_drr_t60{t60:g},{drr:.4f},{0.5 * np.log(b):.6f}")
         return 0
     if args.t60 is None or args.drr is None:
         print("error: need --t60 and --drr (or --table / --fig1)", file=sys.stderr)
         return 2
-    a, b = room_to_ab(RoomParams(args.t60, args.drr, args.L))
+    a, b = room_to_ab(RoomParams(args.t60, args.drr))
     g, be = ab_to_gamma_beta(a, b)
     print(f"a={a:.4f} b={b:.4f} gamma={g:.4f} beta={be:.4f}")
     return 0
@@ -222,7 +219,6 @@ def build_parser():
     p = sub.add_parser("params", help="print reverberation parameters")
     p.add_argument("--t60", type=float)
     p.add_argument("--drr", type=float)
-    p.add_argument("--L", type=float, default=0.008)
     p.add_argument("--table", action="store_true", help="print the full environment table")
     p.add_argument("--fig1", action="store_true", help="emit the beta curve CSV")
     p.set_defaults(func=cmd_params)
@@ -240,7 +236,7 @@ def main(argv=None):
     args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
-    except (WavFormatError, FileNotFoundError, ValueError) as exc:
+    except (WavFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,8 +49,8 @@ import numpy as np
 
 from . import lognorm, reverb, speech
 from .lognorm import Diagnostics
-from .stft import (AnalysisConfig, AudioBuffer, SpectralFrames, check_number,
-                   floored_magnitude, istft, stft)
+from .stft import (FRAME_INCREMENT, FRAME_SAMPLES, HOP_SAMPLES, AudioBuffer,
+                   SpectralFrames, check_number, floored_magnitude, istft, stft)
 
 
 @dataclass
@@ -73,8 +73,6 @@ class EnhancerConfig:
     noise_window_s: float = 1.5
     noise_smooth: float = 0.9
     noise_bias: float = 1.5
-    frame_length: float = 0.032
-    frame_increment: float = 0.008
     modulation_frame: float = 0.064
 
     def __post_init__(self):
@@ -92,10 +90,16 @@ class EnhancerConfig:
         for name in ("look_ahead", "fdr_skip", "min_fdr_length"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("frame_length", "frame_increment", "modulation_frame",
-                     "noise_window_s", "noise_bias"):
+        for name in ("modulation_frame", "noise_window_s", "noise_bias"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        # the windows are counted in frames, so that count must be finite
+        for name in ("modulation_frame", "noise_window_s"):
+            with np.errstate(over="ignore"):
+                frames = getattr(self, name) / FRAME_INCREMENT
+            if not np.isfinite(frames):
+                raise ValueError(f"{name} must be finite in frames of {FRAME_INCREMENT} s, "
+                                 f"got {getattr(self, name)!r}")
         if not 0 <= self.noise_smooth < 1:
             raise ValueError(f"noise_smooth must lie in [0, 1), got {self.noise_smooth!r}")
         if not (self.q_gamma >= 0 and self.q_beta >= 0):
@@ -111,14 +115,10 @@ class EnhancerConfig:
         # a room the filter cannot start from fails here, naming its fields
         try:
             reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(
-                self.init_t60, self.init_drr, self.frame_increment)))
+                self.init_t60, self.init_drr)))
         except ValueError as exc:
-            raise ValueError(f"init_t60 = {self.init_t60!r}, init_drr = {self.init_drr!r} and "
-                             f"frame_increment = {self.frame_increment!r} give no initial "
-                             f"room: {exc}") from None
-
-    def analysis(self):
-        return AnalysisConfig(self.frame_length, self.frame_increment)
+            raise ValueError(f"init_t60 = {self.init_t60!r} and init_drr = {self.init_drr!r} "
+                             f"give no initial room: {exc}") from None
 
 
 TRACE_FIELDS = [
@@ -177,8 +177,7 @@ def write_bin_rows(fh, arrays, bins):
         np.savetxt(fh, rows, fmt=fmt, delimiter=",")
 
 
-def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
-                bias=1.5, state=None):
+def track_noise(noisy_power, window_s=1.5, smooth=0.9, bias=1.5, state=None):
     """Minimum-statistics style noise tracker.
 
     Sliding-window minimum of exponentially smoothed power over window_s,
@@ -202,7 +201,7 @@ def track_noise(noisy_power, frame_increment=0.008, window_s=1.5, smooth=0.9,
     for t in range(power.shape[0]):
         acc = smooth * acc + (1 - smooth) * power[t]
         smoothed[t] = acc
-    w = max(int(round(window_s / frame_increment)), 1)
+    w = max(int(round(window_s / FRAME_INCREMENT)), 1)
     # causal window [t-w+1, t] of at most the frames seen: prepend the carried
     # rows and copies of frame 0, so that row t is the minimum of pad[t:t + span]
     history = state.pop("history", smoothed[:0])
@@ -250,7 +249,7 @@ class _FilterState:
         self.r_mean = noise_mean0.copy()
         self.r_var = np.full(k_bins, 1.0)
         g0, b0 = reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(
-            cfg.init_t60, cfg.init_drr, cfg.frame_increment)))
+            cfg.init_t60, cfg.init_drr)))
         self.gamma_m = np.full(k_bins, g0)
         self.gamma_v = np.full(k_bins, cfg.init_param_variance)
         self.beta_m = np.full(k_bins, b0)
@@ -459,7 +458,7 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
     if m < max(cfg.min_fdr_length, skip + 3):
         return gm, gv, bm, bv, mask
     sigma_r2 = reverb.FDR_R_VARIANCE
-    l = cfg.frame_increment
+    l = FRAME_INCREMENT
     win = z_fdr[j - m + 1:j + 1]                # (m, K)
     wg = gate[j - m + 1:j + 1]                  # (m, K) inclusion mask
     # leading gated prefix: frame count before the first gate failure
@@ -544,8 +543,8 @@ def _front_block(frames, cfg: EnhancerConfig, bins, states, store, final):
     block-sized temporaries are freed on return, not kept alive across a
     yield."""
     mag = floored_magnitude(frames)
-    n_mean = track_noise(mag ** 2, cfg.frame_increment, cfg.noise_window_s,
-                         cfg.noise_smooth, cfg.noise_bias, state=states["noise"])
+    n_mean = track_noise(mag ** 2, cfg.noise_window_s, cfg.noise_smooth, cfg.noise_bias,
+                         state=states["noise"])
     precleaned = speech.log_mmse_preclean(
         mag, np.exp(2.0 * n_mean), gain_floor_db=cfg.preclean_gain_floor_db,
         state=states["preclean"])
@@ -554,7 +553,7 @@ def _front_block(frames, cfg: EnhancerConfig, bins, states, store, final):
     mag, n_mean = mag[:, bins], n_mean[:, bins]
     pre_log = np.log(np.maximum(precleaned[:, bins], 1e-300))
     coeffs, resid, loc_mean = speech.estimate_ar(
-        pre_log, cfg.p, cfg.modulation_frame, cfg.frame_increment, state=states["ar"])
+        pre_log, cfg.p, cfg.modulation_frame, state=states["ar"])
     gate = (pre_log - n_mean) > cfg.rnr_threshold_db * reverb.DB_TO_NATS
     # a 3-frame moving average keeps frame-to-frame wiggle from cutting
     # genuine decay runs short
@@ -633,7 +632,7 @@ def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
     for lo in range(0, len(out), _BLOCK):
         rows = slice(lo, lo + _BLOCK), bins
         trace["t60_est"][rows], trace["drr_est"][rows] = reverb.gamma_beta_to_room(
-            trace["gamma_mean"][rows], trace["beta_mean"][rows], cfg.frame_increment)
+            trace["gamma_mean"][rows], trace["beta_mean"][rows])
 
 
 def _package_functions():
@@ -709,10 +708,10 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     core of enhance(); it also serves callers whose data originates in
     the STFT domain. The spectrum needs 2-D frames, at least one frame
     and one bin, all finite and of magnitude at most _MAX_MAGNITUDE (else
-    ValueError), analysed with cfg's
-    frame_length and frame_increment, from which every time constant of
-    the cascade is taken. Apart from its input, the Trace and the output
-    spectrum, its memory does not grow with the number of frames.
+    ValueError), FRAME_INCREMENT apart as stft makes them, from which every
+    time constant of the cascade is taken. Apart from its input, the Trace
+    and the output spectrum, its memory does not grow with the number of
+    frames.
 
     The bins run in the groups of _bin_groups, each with its own front
     end and filter state, the second, if any, in a forked child
@@ -727,9 +726,6 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
         raise ValueError("enhance_frames needs at least one frame")
     if k_bins == 0:
         raise ValueError("enhance_frames needs at least one bin")
-    if spec.config != cfg.analysis():
-        raise ValueError(f"spectrum analysed with {spec.config}, but the config's "
-                         f"time constants assume {cfg.analysis()}")
     # a block of rows at a time, so that no (T, K) temporary is formed
     for lo in range(0, t_frames, _BLOCK):
         if not (np.abs(spec.frames[lo:lo + _BLOCK]) <= _MAX_MAGNITUDE).all():
@@ -740,7 +736,7 @@ def enhance_frames(spec: SpectralFrames, cfg: EnhancerConfig | None = None):
     groups = _bin_groups(t_frames, k_bins)
     trace, out = _output_arrays(t_frames, k_bins, spec.frames.dtype, shared=len(groups) == 2)
     _run_groups(spec, cfg, groups, trace, out, diag)
-    enhanced = SpectralFrames(out, spec.config)
+    enhanced = SpectralFrames(out)
     return enhanced, Trace(trace), diag
 
 
@@ -754,18 +750,17 @@ def enhance(audio: AudioBuffer, cfg: EnhancerConfig | None = None):
     after it, up to the end of one more frame, so that every sample is
     enhanced; the output has the input's length."""
     cfg = cfg or EnhancerConfig()
-    n = cfg.analysis().frame_samples()
-    limit = _MAX_MAGNITUDE / n
+    limit = _MAX_MAGNITUDE / FRAME_SAMPLES
     peak = np.max(np.abs(audio.samples), initial=0.0)
     if peak > limit:
         raise ValueError(f"audio peak {peak:.3g} exceeds {limit:.3g}, above which a "
                          f"frame's magnitude could exceed {_MAX_MAGNITUDE:g}")
     # stft drops a partial last frame; audio shorter than a frame raises there
     padded = audio
-    pad = -(len(audio.samples) - n) % cfg.analysis().hop_samples()
-    if len(audio.samples) > n and pad:
+    pad = -(len(audio.samples) - FRAME_SAMPLES) % HOP_SAMPLES
+    if len(audio.samples) > FRAME_SAMPLES and pad:
         padded = AudioBuffer(np.concatenate([audio.samples, np.zeros(pad)]))
-    spec = stft(padded, cfg.analysis())
+    spec = stft(padded)
     del padded
     enhanced, trace, diag = enhance_frames(spec, cfg)
     del spec                        # synthesis needs only the enhanced spectrum

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import check_number
+from .stft import FRAME_INCREMENT, check_number
 
 DB_TO_NATS = np.log(10.0) / 20.0       # amplitude dB -> nats
 FDR_R_VARIANCE = DB_TO_NATS ** 2        # "1 dB^2" observation variance in nats^2
@@ -44,13 +44,10 @@ ENVIRONMENTS = [
 class RoomParams:
     t60: float          # seconds
     drr: float          # dB, power ratio
-    frame_increment: float = 0.008
 
     def __post_init__(self):
-        for name in ("t60", "frame_increment"):
-            value = getattr(self, name)
-            if not (check_number(name, value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not (check_number("t60", self.t60) and self.t60 > 0):
+            raise ValueError(f"t60 must be finite and > 0, got {self.t60!r}")
         check_number("drr", self.drr)
         # room_to_ab divides by the power ratio 10^(drr/10): it must be a
         # normal float, so drr lies within about [-3076, +3082] dB
@@ -64,11 +61,12 @@ class RoomParams:
 
 
 def room_to_ab(room: RoomParams):
-    """a from a^{T60/L} = 1e-6; b = (1-a) / DRR (power-domain DRR), in
-    Python floats whatever real numbers the room holds, so that a numpy
-    float32 rounds no step and a numpy scalar raises no overflow warning."""
-    t60, drr, increment = float(room.t60), float(room.drr), float(room.frame_increment)
-    a = 10.0 ** (-6.0 * increment / t60)
+    """a from a^{T60/L} = 1e-6 at L = FRAME_INCREMENT; b = (1-a) / DRR
+    (power-domain DRR), in Python floats whatever real numbers the room
+    holds, so that a numpy float32 rounds no step and a numpy scalar
+    raises no overflow warning."""
+    t60, drr = float(room.t60), float(room.drr)
+    a = 10.0 ** (-6.0 * FRAME_INCREMENT / t60)
     b = (1.0 - a) / (10.0 ** (drr / 10.0))
     return a, b
 
@@ -81,8 +79,9 @@ def ab_to_gamma_beta(a, b):
     return 0.5 * np.log(a), 0.5 * np.log(b)
 
 
-def gamma_beta_to_room(gamma, beta, frame_increment=0.008):
-    """Invert (gamma, beta) to (T60 in s, DRR in dB), elementwise.
+def gamma_beta_to_room(gamma, beta):
+    """Invert (gamma, beta) to (T60 in s, DRR in dB), elementwise, at
+    L = FRAME_INCREMENT.
 
     The DRR's power ratio is bounded to [1e-300, the largest float] with
     no warning: a vanishing ratio (exp(2 beta) overflowing included)
@@ -92,7 +91,7 @@ def gamma_beta_to_room(gamma, beta, frame_increment=0.008):
     """
     if np.any(np.asarray(gamma) >= 0):
         raise ValueError("gamma must be negative")
-    t60 = -3.0 * np.log(10.0) * frame_increment / gamma
+    t60 = -3.0 * np.log(10.0) * FRAME_INCREMENT / gamma
     with np.errstate(over="ignore", divide="ignore"):
         ratio = (1.0 - np.exp(2.0 * gamma)) / np.exp(2.0 * beta)
     drr = 10.0 * np.log10(np.clip(ratio, 1e-300, np.finfo(float).max))

@@ -40,12 +40,8 @@ def stft_domain_reverb(clean_frames: SpectralFrames, room: RoomParams, seed=0):
     Phases are uniform per frame/bin from the seeded generator. Returns
     (reverberant SpectralFrames holding S + R, GroundTruth). The truth's
     z/n fields are filled as if noiseless (z = r); add noise with
-    add_stft_noise to update them. (a, b) hold per frame of the room's
-    frame_increment, so it must be the spectrum's (else ValueError).
+    add_stft_noise to update them.
     """
-    if room.frame_increment != clean_frames.config.frame_increment:
-        raise ValueError(f"room frame_increment {room.frame_increment!r} s differs from the "
-                         f"spectrum's frame_increment {clean_frames.config.frame_increment!r} s")
     rng = np.random.default_rng(seed)
     s = clean_frames.frames
     t_frames, k_bins = s.shape
@@ -60,7 +56,7 @@ def stft_domain_reverb(clean_frames: SpectralFrames, room: RoomParams, seed=0):
         r[t] = sqrt_a * prev_r * np.exp(1j * theta) + sqrt_b * prev_s * np.exp(1j * psi)
         prev_r = r[t]
         prev_s = s[t]
-    out = SpectralFrames(s + r, clean_frames.config)
+    out = SpectralFrames(s + r)
     s_log = np.log(floored_magnitude(s))
     r_log = np.log(floored_magnitude(r))
     truth = GroundTruth(s_log, r_log, r_log.copy(),
@@ -114,7 +110,7 @@ def add_stft_noise(reverberant: SpectralFrames, truth: GroundTruth, snr_db,
     n_mag = floored_magnitude(noise)
     truth.n_true = np.log(n_mag, out=n_mag)
     noise += y
-    return SpectralFrames(noise, reverberant.config)
+    return SpectralFrames(noise)
 
 
 def _mean_power(frames):

@@ -12,6 +12,7 @@ comes from reverbtrack.special.
 import numpy as np
 
 from .special import exp1
+from .stft import FRAME_INCREMENT
 
 PRECLEAN_GAIN_FLOOR_DB = -20.0
 DD_ALPHA = 0.98     # decision-directed a-priori SNR weight
@@ -67,13 +68,12 @@ def log_mmse_preclean(noisy_mag, noise_power, gain_floor_db=PRECLEAN_GAIN_FLOOR_
 # AR estimation on modulation frames
 # ---------------------------------------------------------------------------
 
-def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008,
-                state=None):
+def estimate_ar(log_mag, order=2, modulation_frame=0.064, state=None):
     """Per-bin, per-frame AR(order) fits over a causal modulation window.
 
     log_mag is (T, K). Returns (coeffs (T, K, p), residual_var (T, K),
     local_mean (T, K)). The window holds the last `modulation_frame /
-    frame_increment` acoustic frames; early frames use what is available.
+    FRAME_INCREMENT` acoustic frames; early frames use what is available.
     Degenerate (constant) windows get zero coefficients and residual.
     state, when given, is a dict carried from the call on the previous
     block of frames (empty before the first block) and is updated in
@@ -86,7 +86,7 @@ def estimate_ar(log_mag, order=2, modulation_frame=0.064, frame_increment=0.008,
     log_mag = np.asarray(log_mag, dtype=float)
     t_frames, k_bins = log_mag.shape
     p = order
-    win = max(int(round(modulation_frame / frame_increment)), p + 2)
+    win = max(int(round(modulation_frame / FRAME_INCREMENT)), p + 2)
     state = {} if state is None else state
     history = state.get("history", log_mag[:0])
     h = history.shape[0]
@@ -163,7 +163,7 @@ def _fit_windows(rows, n_rows, p, coeffs, resid, mean):
     toep[..., np.arange(p), np.arange(p)] += np.maximum(r0[..., None], 1e-12) * 1e-9
     rhs = np.stack(lags[1:], axis=-1)        # (count, K, p)
     a = np.where(ok[..., None], np.linalg.solve(toep, rhs[..., None])[..., 0], 0.0)
-    # a^T r, its terms added in order, as one window's einsum adds them
+    # a^T r, its terms added in order
     rv = a[..., 0] * lags[1]
     for j in range(1, p):
         rv = rv + a[..., j] * lags[j + 1]

@@ -1,9 +1,10 @@
 """Time-frequency analysis/synthesis and the floored magnitude.
 
-Every signal is at SAMPLE_RATE, 16 kHz. Default geometry: 32 ms frames,
-8 ms increment, no zero padding. A periodic square-root raised-cosine
-window is applied at both analysis and synthesis so that 75% overlap
-satisfies constant overlap-add.
+Every signal is at SAMPLE_RATE, 16 kHz, and every spectrum has one
+geometry: FRAME_SAMPLES (32 ms) frames every HOP_SAMPLES (8 ms, the frame
+increment L of the signal model), no zero padding, N_BINS bins. The
+periodic square-root raised-cosine WINDOW is applied at both analysis and
+synthesis, so that its square overlap-adds to a constant at 75% overlap.
 """
 
 import math
@@ -13,11 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 SAMPLE_RATE = 16000         # the rate of every AudioBuffer and SpectralFrames
+FRAME_SAMPLES = 512         # 32 ms
+HOP_SAMPLES = 128           # 8 ms
+FRAME_INCREMENT = HOP_SAMPLES / SAMPLE_RATE     # L in seconds, the double 0.008
+N_BINS = FRAME_SAMPLES // 2 + 1
+# periodic Hann; sqrt applied so analysis*synthesis = Hann
+WINDOW = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_SAMPLES) / FRAME_SAMPLES))
+WINDOW.flags.writeable = False
 MAG_FLOOR_REL = 1e-10
 MAG_FLOOR_ABS = 1e-12
 _ANALYSIS_BLOCK = 32        # frames transformed at a time by stft
 _SYNTHESIS_BLOCK = 256      # frames inverse-transformed at a time by istft
-_COLA_TOL = 1e-6            # largest relative ripple of the overlap-added window
 
 
 class StftError(ValueError):
@@ -49,48 +56,8 @@ class AudioBuffer:
 
 
 @dataclass
-class AnalysisConfig:
-    frame_length: float = 0.032
-    frame_increment: float = 0.008
-
-    def __post_init__(self):
-        for name in ("frame_length", "frame_increment"):
-            if not check_number(name, getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-
-    def frame_samples(self):
-        return int(round(self.frame_length * SAMPLE_RATE))
-
-    def hop_samples(self):
-        return int(round(self.frame_increment * SAMPLE_RATE))
-
-    def make_window(self):
-        n = self.frame_samples()
-        # periodic Hann; sqrt applied so analysis*synthesis = Hann
-        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-        return np.sqrt(hann)
-
-    def check_cola(self):
-        """Verify that the squared window overlap-adds to a constant."""
-        n = self.frame_samples()
-        hop = self.hop_samples()
-        if hop <= 0 or hop > n:
-            raise StftError("need 0 < frame_increment <= frame_length")
-        w2 = self.make_window() ** 2
-        acc = np.zeros(3 * n)
-        for start in range(0, 2 * n + 1, hop):
-            acc[start:start + n] += w2
-        interior = acc[n:2 * n]
-        ripple = (interior.max() - interior.min()) / interior.mean()
-        if ripple > _COLA_TOL:
-            raise StftError(f"window/overlap pair violates COLA (ripple {ripple:.2e})")
-        return interior.mean()
-
-
-@dataclass
 class SpectralFrames:
     frames: np.ndarray  # complex, (T, K)
-    config: AnalysisConfig
 
     @property
     def n_frames(self):
@@ -108,50 +75,39 @@ def floored_magnitude(frames):
     return np.maximum(mag, np.maximum(MAG_FLOOR_REL * frame_max, MAG_FLOOR_ABS), out=mag)
 
 
-def stft(audio: AudioBuffer, config: AnalysisConfig | None = None) -> SpectralFrames:
-    """The complex (T, n // 2 + 1) spectrum of the windowed frames.
+def stft(audio: AudioBuffer) -> SpectralFrames:
+    """The complex (T, N_BINS) spectrum of the windowed frames.
 
     The frames are read through a strided view of the samples and
     transformed a block at a time into the preallocated result, so that
     nothing but the result grows with the input's length.
     """
-    config = config or AnalysisConfig()
-    n = config.frame_samples()
-    hop = config.hop_samples()
-    config.check_cola()
     x = audio.samples
-    if len(x) < n:
-        raise StftError(f"audio ({len(x)} samples) shorter than one frame ({n})")
-    win = config.make_window()
-    framed = np.lib.stride_tricks.sliding_window_view(x, n)[::hop]     # (T, n) view
-    frames = np.empty((framed.shape[0], n // 2 + 1), dtype=complex)
+    if len(x) < FRAME_SAMPLES:
+        raise StftError(f"audio ({len(x)} samples) shorter than one frame ({FRAME_SAMPLES})")
+    framed = np.lib.stride_tricks.sliding_window_view(x, FRAME_SAMPLES)[::HOP_SAMPLES]
+    frames = np.empty((framed.shape[0], N_BINS), dtype=complex)
     for start in range(0, framed.shape[0], _ANALYSIS_BLOCK):
         block = slice(start, start + _ANALYSIS_BLOCK)
-        frames[block] = np.fft.rfft(framed[block] * win, n, axis=1)
-    return SpectralFrames(frames, config)
+        frames[block] = np.fft.rfft(framed[block] * WINDOW, FRAME_SAMPLES, axis=1)
+    return SpectralFrames(frames)
 
 
 def istft(spec: SpectralFrames) -> AudioBuffer:
-    """Overlap-add synthesis with the geometry the spectrum was analysed with."""
-    config = spec.config
-    n = config.frame_samples()
-    hop = config.hop_samples()
-    if spec.n_bins != n // 2 + 1:
-        raise StftError(
-            f"frame bins ({spec.n_bins}) do not match config frame size ({n})"
-        )
-    win = config.make_window()
+    """Overlap-add synthesis of a spectrum of N_BINS bins (else StftError)."""
+    n, hop = FRAME_SAMPLES, HOP_SAMPLES
+    if spec.n_bins != N_BINS:
+        raise StftError(f"frame bins ({spec.n_bins}) do not match the frame size ({n})")
     t = spec.n_frames
     out = np.zeros((t - 1) * hop + n)
     norm = np.zeros_like(out)
-    w2 = win * win
+    w2 = WINDOW * WINDOW
     # block by block, so that the time-domain frames never exist all at once
     for start in range(0, t, _SYNTHESIS_BLOCK):
         frames = np.fft.irfft(spec.frames[start:start + _SYNTHESIS_BLOCK], n, axis=1)
-        frames *= win
+        frames *= WINDOW
         for i, frame in enumerate(frames, start):
             out[i * hop:i * hop + n] += frame
             norm[i * hop:i * hop + n] += w2
     out /= np.maximum(norm, 1e-8)
     return AudioBuffer(out)
-

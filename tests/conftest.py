@@ -49,7 +49,7 @@ def _advance_bin(fs, y, n_mean, cfg, priors=None, update=True, diag=None):
         priors=(*prior_rows, np.array([priors is not None])))
     row = enhancer._advance(fs, frame, cfg, Diagnostics() if diag is None else diag)
     row["t60_est"], row["drr_est"] = reverb.gamma_beta_to_room(
-        row["gamma_mean"], row["beta_mean"], cfg.frame_increment)
+        row["gamma_mean"], row["beta_mean"])
     return {f: row[f][0].item() for f in row}
 
 

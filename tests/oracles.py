@@ -224,7 +224,12 @@ def estimate_ar_ref(log_mag, order=2, win=8):
         if np.any(ok):
             a[ok] = np.linalg.solve(toep[ok], rhs[ok][..., None])[..., 0]
         coeffs[t] = a
-        resid[t] = np.where(ok, np.maximum(r0 - np.einsum("kp,kp->k", a, rhs), 0.0), 0.0)
+        # a^T r, its terms added in order: einsum adds them in another
+        # order where the bins' rows are contiguous (a lone bin at p = 3)
+        rv = a[:, 0] * rhs[:, 0]
+        for j in range(1, p):
+            rv = rv + a[:, j] * rhs[:, j]
+        resid[t] = np.where(ok, np.maximum(r0 - rv, 0.0), 0.0)
     return coeffs, resid, mean
 
 

@@ -8,13 +8,13 @@ import pytest
 import conftest
 from oracles import BinnedPool, grid_conditional_gaussian, mc_logsum_moments
 
-from reverbtrack import (AnalysisConfig, AudioBuffer, RoomParams, SpectralFrames,
-                         enhance, enhance_frames, istft, stft)
+from reverbtrack import AudioBuffer, RoomParams, enhance, enhance_frames, istft, stft
 from reverbtrack.cli import main as cli_main
 from reverbtrack.lognorm import (line_constrained_update, logsum_moments,
                                  split_distributed_obs, split_scalar_obs)
 from reverbtrack.reverb import ENVIRONMENTS, room_to_ab
 from reverbtrack.simkit import cepstral_distance, make_scene, speechlike_excitation
+from reverbtrack.stft import FRAME_SAMPLES
 
 # Reference (a, b) operating points for the 22 standard environments,
 # keyed by the environment index of reverbtrack.reverb.ENVIRONMENTS.
@@ -55,7 +55,7 @@ def test_criterion_01_environment_table():
             bad.append(f"{idx}: table b={rb} but (1-{ra})/10^(DRR/10)="
                        f"{table_b:.4f}")
             continue
-        a, b = room_to_ab(RoomParams(t60, drr, 0.008))
+        a, b = room_to_ab(RoomParams(t60, drr))
         if abs(a - ra) > 0.005:
             bad.append(f"{idx}: a={a:.4f} (ref {ra})")
         # move the program's b from its exact a to the table's rounded a
@@ -146,13 +146,12 @@ def test_criterion_03_constrained_update():
 
 def test_criterion_04_stft_reconstruction():
     rng = np.random.default_rng(11)
-    cfg = AnalysisConfig()
     worst_db = -np.inf
     for _ in range(10):
         x = rng.standard_normal(int(rng.integers(8000, 32000)))
         audio = AudioBuffer(x)
-        out = istft(stft(audio, cfg))
-        n = cfg.frame_samples()
+        out = istft(stft(audio))
+        n = FRAME_SAMPLES
         m = min(len(out.samples), len(x))
         err = out.samples[n:m - n] - x[n:m - n]
         db = 20.0 * np.log10(np.linalg.norm(err)

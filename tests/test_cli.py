@@ -290,7 +290,7 @@ def test_params_single_point(capsys):
 
 
 def test_params_beta_reference_point(capsys):
-    assert main(["params", "--t60", "0.5", "--drr", "0", "--L", "0.008"]) == 0
+    assert main(["params", "--t60", "0.5", "--drr", "0"]) == 0
     out = capsys.readouterr().out
     assert "a=0.8017" in out
     assert "b=0.1983" in out
@@ -441,6 +441,28 @@ def test_negative_value_as_its_own_word_reaches_the_library_check(tmp_path, clea
 def test_enhance_missing_input_fails(tmp_path):
     assert main(["enhance", str(tmp_path / "nope.wav"),
                  str(tmp_path / "out.wav")]) != 0
+
+
+def test_enhance_file_errors_print_one_line_naming_the_path(tmp_path, short_clean_wav):
+    """Input that is no WAV file, and an output path that cannot be
+    written, end enhance with status 1 and one stderr line that names the
+    path: no traceback, and no report of a half-made wave writer. The
+    console script runs in its own process, whose stderr is all of it."""
+    text, bare = tmp_path / "five.txt", tmp_path / "bare.wav"
+    text.write_text("hello")
+    bare.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+    out = tmp_path / "out.wav"
+    src = str(Path(reverbtrack.__file__).resolve().parents[1])
+    for given_in, given_out, named in ((text, out, text), (bare, out, bare),
+                                       (short_clean_wav, tmp_path, tmp_path),
+                                       (short_clean_wav, tmp_path / "no" / "out.wav",
+                                        tmp_path / "no" / "out.wav")):
+        done = subprocess.run(
+            [sys.executable, "-m", "reverbtrack.cli", "enhance", str(given_in), str(given_out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 1 and len(lines) == 1, done.stderr
+        assert lines[0].startswith("error:") and str(named) in lines[0], lines[0]
 
 
 def test_eval_outputs(capsys, tmp_path, clean_wav):

@@ -24,7 +24,7 @@ from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, Trace, _FilterSt
 from reverbtrack.lognorm import Diagnostics, fuse_moments
 from reverbtrack.reverb import RoomParams, clamp_gamma
 from reverbtrack.simkit import make_scene, speechlike_excitation, stft_domain_reverb
-from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, istft, stft
+from reverbtrack.stft import AudioBuffer, SpectralFrames, istft, stft
 
 FS = 16000
 
@@ -121,8 +121,7 @@ def test_flat_window_keeps_speech_process_noise():
     cfg = EnhancerConfig()
     k_bins = 2
     flat = np.full((8, k_bins), -2.0)
-    coeffs, resid, loc_mean = speech.estimate_ar(flat, cfg.p, cfg.modulation_frame,
-                                                 cfg.frame_increment)
+    coeffs, resid, loc_mean = speech.estimate_ar(flat, cfg.p, cfg.modulation_frame)
     assert not coeffs[-1].any() and not resid[-1].any()
     fs = _FilterState(k_bins, cfg, flat[0], np.full(k_bins, -3.0))
     no_priors = (np.zeros(k_bins), np.ones(k_bins), np.zeros(k_bins), np.ones(k_bins),
@@ -157,7 +156,7 @@ def _random_frames(t_frames=120, k_bins=257, seed=3):
     rng = np.random.default_rng(seed)
     frames = 0.1 * (rng.standard_normal((t_frames, k_bins))
                     + 1j * rng.standard_normal((t_frames, k_bins)))
-    return SpectralFrames(frames, AnalysisConfig())
+    return SpectralFrames(frames)
 
 
 def test_enhance_frames_deterministic():
@@ -181,12 +180,12 @@ def test_enhance_frames_gain_bounds():
 
 def test_enhance_frames_needs_a_frame():
     with pytest.raises(ValueError, match="at least one frame"):
-        enhance_frames(SpectralFrames(np.zeros((0, 257), complex), AnalysisConfig()))
+        enhance_frames(SpectralFrames(np.zeros((0, 257), complex)))
 
 
 def test_enhance_frames_needs_a_bin():
     with pytest.raises(ValueError, match="at least one bin"):
-        enhance_frames(SpectralFrames(np.zeros((20, 0), complex), AnalysisConfig()))
+        enhance_frames(SpectralFrames(np.zeros((20, 0), complex)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), 2e100])
@@ -197,11 +196,11 @@ def test_enhance_frames_needs_finite_frames(bad):
     frames = spec.frames[:, :3].copy()
     frames[:, 1] = bad
     with pytest.raises(ValueError, match="finite frames; frames 0-31 "):
-        enhance_frames(SpectralFrames(frames, spec.config))
+        enhance_frames(SpectralFrames(frames))
     frames = spec.frames.copy()
     frames[35, 200] = bad
     with pytest.raises(ValueError, match="finite frames; frames 32-39 "):
-        enhance_frames(SpectralFrames(frames, spec.config))
+        enhance_frames(SpectralFrames(frames))
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -271,9 +270,9 @@ def test_enhance_frames_with_bad_values_raises_naming_the_frames(random_spec_80,
     if cells:
         lo = min(t for t, _ in cells) // 32 * 32
         with pytest.raises(ValueError, match=f"finite frames; frames {lo}-"):
-            enhance_frames(SpectralFrames(frames, spec.config))
+            enhance_frames(SpectralFrames(frames))
         return
-    out, trace, _ = enhance_frames(SpectralFrames(frames, spec.config))
+    out, trace, _ = enhance_frames(SpectralFrames(frames))
     assert out.frames.shape == frames.shape and np.isfinite(out.frames).all()
     assert all(np.isfinite(a).all() for a in trace.arrays.values())
 
@@ -281,17 +280,7 @@ def test_enhance_frames_with_bad_values_raises_naming_the_frames(random_spec_80,
 @pytest.mark.parametrize("shape", [(257,), (4, 257, 2)])
 def test_enhance_frames_needs_2d_frames(shape):
     with pytest.raises(ValueError, match=re.escape(f"2-D (frames, bins) frames, got shape {shape}")):
-        enhance_frames(SpectralFrames(np.zeros(shape, complex), AnalysisConfig()))
-
-
-def test_enhance_frames_needs_the_config_geometry():
-    """A spectrum analysed at another hop than the config's would run every
-    time constant of the cascade at the wrong rate."""
-    spec = _random_frames(t_frames=20, seed=6)
-    coarse = SpectralFrames(spec.frames, AnalysisConfig(frame_increment=0.016))
-    with pytest.raises(ValueError, match=r"frame_increment=0\.016\).*frame_increment=0\.008\)"):
-        enhance_frames(coarse)
-    enhance_frames(coarse, EnhancerConfig(frame_increment=0.016))
+        enhance_frames(SpectralFrames(np.zeros(shape, complex)))
 
 
 def test_enhance_frames_bounded_look_ahead():
@@ -299,7 +288,7 @@ def test_enhance_frames_bounded_look_ahead():
     spec1 = _random_frames(t_frames=100, seed=5)
     frames2 = spec1.frames.copy()
     frames2[60:] *= 3.0                      # change the future only
-    spec2 = SpectralFrames(frames2, spec1.config)
+    spec2 = SpectralFrames(frames2)
     out1, _, _ = enhance_frames(spec1, cfg)
     out2, _, _ = enhance_frames(spec2, cfg)
     # outputs may differ within the look-ahead horizon of the change
@@ -543,7 +532,7 @@ def test_learn_room_identifies_the_room_from_true_spectra(clean_spectrum_2s, t60
         gm, gv, bm, bv, _ = enhancer._learn_room(
             (gm, gv), (bm, bv), (gm + r[t - 1], gv + var), (r[t - 1], var), (s[t - 1], var),
             (r[t], var), gate, Diagnostics())
-        room = reverb.gamma_beta_to_room(gm[16:97], bm[16:97], cfg.frame_increment)
+        room = reverb.gamma_beta_to_room(gm[16:97], bm[16:97])
         t60_est.append(room[0])
         drr_est.append(room[1])
     last_quarter = slice(3 * len(t60_est) // 4, None)
@@ -647,7 +636,7 @@ def quiet_end_spec_1s(condition_g_spec_1s):
     counts must reach the caller."""
     frames = condition_g_spec_1s.frames.copy()
     frames[60:] *= 1e-5
-    return SpectralFrames(frames, condition_g_spec_1s.config)
+    return SpectralFrames(frames)
 
 
 def _assert_bits_of_one_group(spec, forked, monkeypatch):
@@ -717,7 +706,7 @@ def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, for
                                                         advance_calls):
     spec = condition_g_spec_1s
     monkeypatch.setattr(os, "fork", _no_fork)
-    short = SpectralFrames(spec.frames[:enhancer._MIN_FORK_FRAMES - 1].copy(), spec.config)
+    short = SpectralFrames(spec.frames[:enhancer._MIN_FORK_FRAMES - 1].copy())
     enhance_frames(short)
     assert advance_calls == [spec.n_bins] * short.n_frames
     # a replaced function's side effects would be lost in a child
@@ -785,8 +774,7 @@ def test_each_group_converts_its_room_estimates(condition_g_spec_1s, forks, monk
     assert len(forks) == (0 if watched else 1)
     if watched:
         assert advance_calls == [spec.n_bins] * spec.n_frames
-    t60, drr = reverb.gamma_beta_to_room(trace.arrays["gamma_mean"], trace.arrays["beta_mean"],
-                                         cfg.frame_increment)
+    t60, drr = reverb.gamma_beta_to_room(trace.arrays["gamma_mean"], trace.arrays["beta_mean"])
     assert np.array_equal(trace.arrays["t60_est"], t60)
     assert np.array_equal(trace.arrays["drr_est"], drr)
     for array in [out.frames, *trace.arrays.values()]:
@@ -820,11 +808,11 @@ def test_room_estimates_are_gamma_and_beta_converted(n_frames):
     cfg = EnhancerConfig()
     _, trace, _ = enhance_frames(_random_frames(t_frames=n_frames, seed=8), cfg)
     gamma, beta = trace.arrays["gamma_mean"], trace.arrays["beta_mean"]
-    t60, drr = reverb.gamma_beta_to_room(gamma, beta, cfg.frame_increment)
+    t60, drr = reverb.gamma_beta_to_room(gamma, beta)
     assert np.array_equal(trace.arrays["t60_est"], t60)
     assert np.array_equal(trace.arrays["drr_est"], drr)
     for t in range(n_frames):
-        t60, drr = reverb.gamma_beta_to_room(gamma[t], beta[t], cfg.frame_increment)
+        t60, drr = reverb.gamma_beta_to_room(gamma[t], beta[t])
         assert np.array_equal(trace.arrays["t60_est"][t], t60)
         assert np.array_equal(trace.arrays["drr_est"][t], drr)
 
@@ -904,8 +892,7 @@ def test_config_validation():
     assert EnhancerConfig(p=np.int64(3), look_ahead=np.arange(3).max()).look_ahead == 2
     # ranges; the error names the field
     for name, value in (("p", 0), ("p", -1), ("fdr_skip", -3), ("min_fdr_length", -1),
-                        ("frame_length", 0.0), ("frame_increment", 0.0),
-                        ("frame_increment", -0.008), ("modulation_frame", 0.0),
+                        ("modulation_frame", 0.0),
                         ("noise_window_s", -1.0), ("noise_window_s", 0.0),
                         ("noise_bias", 0.0), ("noise_bias", -1.5),
                         ("noise_smooth", 1.5), ("noise_smooth", 1.0),
@@ -936,12 +923,23 @@ def test_config_fields_reject_bools_and_non_numbers():
     # an int beyond the float range is not finite
     with pytest.raises(ValueError, match="^q_beta must be finite"):
         EnhancerConfig(q_beta=10 ** 400)
-    # a frame increment that gives no initial room is named with it
-    with pytest.raises(ValueError, match="init_t60 .* init_drr .* frame_increment"):
-        EnhancerConfig(frame_increment=1e300)
     cfg = EnhancerConfig(lognormal_correction=np.True_, q_gamma=np.float32(1e-4),
                          init_t60=np.float64(5e-1), init_drr=np.int64(-2))
     assert cfg.lognormal_correction is np.True_ and cfg.init_drr == -2
+
+
+def test_config_windows_must_be_finite_in_frames():
+    """enhance counts the noise and modulation windows in frames of 8 ms;
+    a window whose count overflows a float would raise OverflowError
+    there, so the config refuses it, naming the field. 1e300 s is still
+    a window."""
+    audio = AudioBuffer(np.random.default_rng(5).normal(0.0, 0.1, FS // 4))
+    for name in ("noise_window_s", "modulation_frame"):
+        for value in (1e308, 10 ** 308, np.float32(3e38)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite in frames"):
+                EnhancerConfig(**{name: value})
+        out, _, _ = enhance(audio, EnhancerConfig(**{name: 1e300}))
+        assert np.isfinite(out.samples).all()
 
 
 # one of each kind a config field could be handed
@@ -952,7 +950,7 @@ _ANY_VALUE = st.one_of(
 
 
 @pytest.mark.parametrize("cls, base", [
-    (EnhancerConfig, {}), (RoomParams, {"t60": 0.5, "drr": 0.0}), (AnalysisConfig, {})])
+    (EnhancerConfig, {}), (RoomParams, {"t60": 0.5, "drr": 0.0})])
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_config_fields_raise_naming_the_field_or_store_the_value(cls, base, data):

@@ -8,6 +8,7 @@ from reverbtrack.enhancer import (EnhancerConfig, _decay_run_lengths,
 from reverbtrack.reverb import (DB_TO_NATS, ENVIRONMENTS, FDR_R_VARIANCE,
                                 RoomParams, ab_to_gamma_beta, clamp_gamma,
                                 gamma_beta_to_room, room_to_ab)
+from reverbtrack.stft import FRAME_INCREMENT
 
 
 # ---------------------------------------------------------------------------
@@ -19,14 +20,14 @@ def test_room_to_ab_reference_rows():
     # program's b is rescaled from its exact a before the comparison
     for t60, drr, ra, rb in ((0.18, 8.43, 0.54, 0.07),
                              (1.05, -3.33, 0.90, 0.22)):
-        a, b = room_to_ab(RoomParams(t60, drr, 0.008))
+        a, b = room_to_ab(RoomParams(t60, drr))
         assert a == pytest.approx(ra, abs=0.005)
         assert b * (1.0 - ra) / (1.0 - a) == pytest.approx(rb, abs=0.005)
 
 
 def test_room_to_ab_zero_drr():
     for t60 in (0.2, 0.5, 1.0):
-        a, b = room_to_ab(RoomParams(t60, 0.0, 0.008))
+        a, b = room_to_ab(RoomParams(t60, 0.0))
         assert b == pytest.approx(1.0 - a, abs=1e-14)
 
 
@@ -44,26 +45,23 @@ def test_invalid_room_params():
 
 
 def test_room_params_require_finite_positive_times():
-    """A non-finite T60 or frame increment fails with the field's name."""
-    for t60, increment, name in ((np.nan, 0.008, "t60"), (np.inf, 0.008, "t60"),
-                                 (0.0, 0.008, "t60"), (0.5, np.nan, "frame_increment"),
-                                 (0.5, np.inf, "frame_increment"),
-                                 (0.5, 0.0, "frame_increment")):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
-            RoomParams(t60, 0.0, increment)
+    """A non-finite or non-positive T60 fails with the field's name."""
+    for t60 in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="^t60 must be finite and > 0"):
+            RoomParams(t60, 0.0)
 
 
 def test_room_params_take_numbers_only():
-    """A bool, a string or None is no T60, DRR or frame increment, and the
+    """A bool, a string or None is no T60 or DRR, and the
     error names the field; numpy numbers are numbers, and the room they
     give has the bits of the same Python floats."""
     for args, name in (((True, 0.0), "t60"), (("0.5", 0.0), "t60"), ((0.5, "0.5"), "drr"),
                        ((0.5, None), "drr"), ((0.5, np.False_), "drr"),
-                       ((0.5, 0.0, True), "frame_increment"), ((10 ** 400, 0.0), "t60")):
+                       ((10 ** 400, 0.0), "t60")):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             RoomParams(*args)
-    numpy_room = RoomParams(np.float32(0.5), np.int64(-2), np.float64(0.008))
-    assert room_to_ab(numpy_room) == room_to_ab(RoomParams(0.5, -2.0, 0.008))
+    numpy_room = RoomParams(np.float32(0.5), np.int64(-2))
+    assert room_to_ab(numpy_room) == room_to_ab(RoomParams(0.5, -2.0))
     # a room that gives no a warns of no overflow: it raises, naming a
     with pytest.raises(ValueError, match="a must lie in"):
         ab_to_gamma_beta(*room_to_ab(RoomParams(np.float64(5e-324), 0.0)))
@@ -80,7 +78,7 @@ def test_ab_to_gamma_beta():
 
 
 def test_gamma_beta_to_room_inverts():
-    t60, _ = gamma_beta_to_room(-0.3077, 0.5 * np.log(0.0659), 0.008)
+    t60, _ = gamma_beta_to_room(-0.3077, 0.5 * np.log(0.0659))
     assert t60 == pytest.approx(0.1796, abs=2e-3)
     with pytest.raises(ValueError):
         gamma_beta_to_room(0.1, 0.0)
@@ -104,16 +102,16 @@ def test_gamma_beta_to_room_bounds_the_drr_at_both_ends():
 def test_round_trip_identity_over_grid():
     for t60 in np.linspace(0.1, 2.0, 9):
         for drr in np.linspace(-10.0, 15.0, 11):
-            a, b = room_to_ab(RoomParams(t60, drr, 0.008))
+            a, b = room_to_ab(RoomParams(t60, drr))
             g, be = ab_to_gamma_beta(a, b)
-            t60_out, drr_out = gamma_beta_to_room(g, be, 0.008)
+            t60_out, drr_out = gamma_beta_to_room(g, be)
             assert t60_out == pytest.approx(t60, rel=1e-9)
             assert drr_out == pytest.approx(drr, abs=1e-9)
     # elementwise over arrays, as the frame loop converts all bins at once
     t60s, drrs = np.meshgrid(np.linspace(0.1, 2.0, 9), np.linspace(-10.0, 15.0, 11))
     a = 10.0 ** (-6.0 * 0.008 / t60s)
     b = (1.0 - a) / 10.0 ** (drrs / 10.0)
-    t60_out, drr_out = gamma_beta_to_room(0.5 * np.log(a), 0.5 * np.log(b), 0.008)
+    t60_out, drr_out = gamma_beta_to_room(0.5 * np.log(a), 0.5 * np.log(b))
     assert np.allclose(t60_out, t60s, rtol=1e-9, atol=0.0)
     assert np.allclose(drr_out, drrs, rtol=0.0, atol=1e-9)
 
@@ -197,21 +195,21 @@ def test_fdr_priors_gap_breaks_run():
     # out of the fit, so it recovers the line. Bin 0 also fits frames 6-9,
     # which are off it; bin 2 keeps a single frame, too few for a prior
     assert list(mask) == [True, True, False]
-    assert gm[1] == pytest.approx(-50.0 * cfg.frame_increment, rel=1e-9)
+    assert gm[1] == pytest.approx(-50.0 * FRAME_INCREMENT, rel=1e-9)
     assert bm[1] == pytest.approx(1.0 - 2.0, abs=1e-9)
     assert abs(gm[0] - gm[1]) > 1e-3
 
 
 def _prior_terms(cfg, m):
     """The OLS sums over the fitted frames fdr_skip..m-1 of the window."""
-    x = (np.arange(cfg.fdr_skip, m) - 1.0) * cfg.frame_increment
+    x = (np.arange(cfg.fdr_skip, m) - 1.0) * FRAME_INCREMENT
     n, sx, sxx = x.size, x.sum(), (x * x).sum()
     return x, n, sxx, n * sxx - sx * sx
 
 
 def test_fit_line_exact_recovery():
     cfg = EnhancerConfig()
-    l = cfg.frame_increment
+    l = FRAME_INCREMENT
     z = _decay(-5.0, 2.0, 2.5)[:, None]
     gm, gv, bm, bv, mask = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool), cfg)
     assert mask[0]
@@ -233,7 +231,7 @@ def test_fit_line_equals_ols_for_equal_weights():
     x, *_ = _prior_terms(cfg, 9)
     slope, intercept = np.polyfit(x, z[cfg.fdr_skip:], 1)
     assert mask[0]
-    assert gm[0] / cfg.frame_increment == pytest.approx(slope, abs=1e-10)
+    assert gm[0] / FRAME_INCREMENT == pytest.approx(slope, abs=1e-10)
     assert bm[0] + z[0] == pytest.approx(intercept, abs=1e-10)
 
 
@@ -292,7 +290,7 @@ def test_fdr_observation_to_r():
     z = _decay(-20.0, 0.0, 1.0, m=12)[:, None]
     gv = _fdr_priors_at(11, 12, z, np.ones(z.shape, bool), cfg)[1]
     x, *_ = _prior_terms(cfg, 12)
-    assert gv[0] == pytest.approx(cfg.frame_increment ** 2 * FDR_R_VARIANCE
+    assert gv[0] == pytest.approx(FRAME_INCREMENT ** 2 * FDR_R_VARIANCE
                                   / np.sum((x - x.mean()) ** 2), rel=1e-12)
 
 

@@ -11,7 +11,7 @@ from reverbtrack.simkit import (add_stft_noise, cepstral_distance,
                                 polack_rir, segmental_snr,
                                 speechlike_excitation, stft_domain_reverb,
                                 true_reverb_reference)
-from reverbtrack.stft import AnalysisConfig, AudioBuffer, SpectralFrames, stft
+from reverbtrack.stft import AudioBuffer, SpectralFrames, stft
 
 FS = 16000
 
@@ -23,13 +23,13 @@ FS = 16000
 def _impulse_frames(t_frames=60, k_bins=257, hit=5):
     frames = np.zeros((t_frames, k_bins), dtype=complex)
     frames[hit] = 1.0
-    return SpectralFrames(frames, AnalysisConfig())
+    return SpectralFrames(frames)
 
 
 def test_reverb_vanishes_for_tiny_a_and_b():
     clean = _impulse_frames()
     # T60 so short that a ~ 1e-24; huge DRR makes b ~ 1e-30
-    room = RoomParams(0.002, 300.0, 0.008)
+    room = RoomParams(0.002, 300.0)
     out, truth = stft_domain_reverb(clean, room, seed=0)
     assert np.allclose(out.frames, clean.frames, atol=1e-12)
 
@@ -37,7 +37,7 @@ def test_reverb_vanishes_for_tiny_a_and_b():
 def test_reverb_tail_decays_sqrt_a_per_frame():
     a = 0.7
     drr = 10.0 * np.log10(1.0 - a)        # makes b = 1 exactly
-    room = RoomParams(-6.0 * 0.008 / np.log10(a), drr, 0.008)
+    room = RoomParams(-6.0 * 0.008 / np.log10(a), drr)
     aa, bb = room_to_ab(room)
     assert aa == pytest.approx(a, rel=1e-12)
     assert bb == pytest.approx(1.0, rel=1e-12)
@@ -52,8 +52,8 @@ def test_condition_g_tail_slope_matches_t60():
     t_frames, k_bins = 400, 64
     frames = np.zeros((t_frames, k_bins), dtype=complex)
     frames[10] = rng.standard_normal(k_bins) + 1j * rng.standard_normal(k_bins)
-    clean = SpectralFrames(frames, AnalysisConfig())
-    room = RoomParams(0.61, -1.74, 0.008)
+    clean = SpectralFrames(frames)
+    room = RoomParams(0.61, -1.74)
     _, truth = stft_domain_reverb(clean, room, seed=3)
     # energy decay of the Monte-Carlo tail across bins
     tail = np.arange(15, 120)
@@ -63,27 +63,9 @@ def test_condition_g_tail_slope_matches_t60():
     assert t60_measured == pytest.approx(0.61, rel=0.1)
 
 
-def test_reverb_takes_the_room_at_the_spectrum_increment():
-    """(a, b) hold per frame of the room's increment: a room at another
-    increment than the spectrum's would decay at another T60 than it
-    reads, so it is refused, naming both; at the same one, the tail
-    decays at the room's T60."""
-    rng = np.random.default_rng(2)
-    frames = np.zeros((200, 64), dtype=complex)
-    frames[10] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    clean = SpectralFrames(frames, AnalysisConfig(frame_increment=0.016))
-    with pytest.raises(ValueError, match=r"room frame_increment 0\.008 s .* 0\.016 s"):
-        stft_domain_reverb(clean, RoomParams(0.61, -1.74), seed=3)
-    _, truth = stft_domain_reverb(clean, RoomParams(0.61, -1.74, 0.016), seed=3)
-    tail = np.arange(15, 60)
-    energy_db = 10.0 * np.log10(np.mean(np.exp(2.0 * truth.r_true[tail]), axis=1))
-    slope, _ = np.polyfit(tail * 0.016, energy_db, 1)
-    assert -60.0 / slope == pytest.approx(0.61, rel=0.1)
-
-
 def test_add_stft_noise_power_and_truth():
     clean = _impulse_frames()
-    room = RoomParams(0.5, 0.0, 0.008)
+    room = RoomParams(0.5, 0.0)
     rev, truth = stft_domain_reverb(clean, room, seed=4)
     noisy = add_stft_noise(rev, truth, snr_db=10.0, kind="white", seed=5)
     noise = noisy.frames - rev.frames
@@ -99,7 +81,7 @@ def test_add_stft_noise_power_and_truth():
 
 @pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
 def test_add_stft_noise_rejects_non_finite_snr(snr_db):
-    rev, truth = stft_domain_reverb(_impulse_frames(), RoomParams(0.5, 0.0, 0.008), seed=4)
+    rev, truth = stft_domain_reverb(_impulse_frames(), RoomParams(0.5, 0.0), seed=4)
     z_true, n_true = truth.z_true, truth.n_true
     with pytest.raises(ValueError, match="SNR must be finite"):
         add_stft_noise(rev, truth, snr_db, seed=5)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
@@ -14,6 +14,7 @@ from reverbtrack import speech
 from reverbtrack.speech import (decorrelate_arrays, estimate_ar, log_mmse_gain,
                                 log_mmse_preclean, predict_arrays,
                                 recorrelate_arrays)
+from reverbtrack.stft import FRAME_INCREMENT
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +75,7 @@ def test_estimate_ar_recovers_ar1():
     for t in range(1, t_frames):
         x[t] = 0.9 * x[t - 1] + 0.3 * rng.standard_normal()
     # long estimation window so the Yule-Walker fit is well conditioned
-    coeffs, resid, mean = estimate_ar(x, order=2, modulation_frame=8.0,
-                                      frame_increment=0.008)
+    coeffs, resid, mean = estimate_ar(x, order=2, modulation_frame=8.0)
     a1 = coeffs[-1, 0, 0]
     assert a1 == pytest.approx(0.9, abs=0.05)
     assert resid[-1, 0] > 0
@@ -119,6 +119,8 @@ def _ar_in_blocks(x, bounds, **kwargs):
 @given(t_frames=st.integers(1, 90), k_bins=st.integers(1, 3), win=st.integers(4, 40),
        order=st.integers(1, 3), cuts=st.lists(st.integers(1, 89), max_size=6),
        seed=st.integers(0, 2 ** 32 - 1))
+# a lone bin at order 3: the oracle's residual once differed here by an ulp
+@example(t_frames=15, k_bins=1, win=4, order=3, cuts=[], seed=0)
 def test_estimate_ar_any_window_and_blocks_match_the_oracle(t_frames, k_bins, win, order, cuts,
                                                             seed):
     """For windows of 4-40 frames, start-up windows included, estimate_ar in
@@ -127,7 +129,7 @@ def test_estimate_ar_any_window_and_blocks_match_the_oracle(t_frames, k_bins, wi
     x = np.cumsum(rng.standard_normal((t_frames, k_bins)), axis=0)
     x[t_frames // 3:t_frames // 2, 0] = 1.5         # constant windows: zero fit
     bounds = [0] + sorted({c for c in cuts if c < t_frames}) + [t_frames]
-    got, _ = _ar_in_blocks(x, bounds, order=order, modulation_frame=win, frame_increment=1)
+    got, _ = _ar_in_blocks(x, bounds, order=order, modulation_frame=win * FRAME_INCREMENT)
     for g, ref in zip(got, estimate_ar_ref(x, order=order, win=max(win, order + 2))):
         assert np.array_equal(g, ref)
 

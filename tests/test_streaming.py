@@ -21,7 +21,8 @@ from reverbtrack.enhancer import (EnhancerConfig, _decay_run_lengths, _smooth_en
 from reverbtrack.reverb import RoomParams
 from reverbtrack.simkit import make_scene, speechlike_excitation
 from reverbtrack.speech import estimate_ar, log_mmse_preclean
-from reverbtrack.stft import AnalysisConfig, SpectralFrames, stft
+from reverbtrack.stft import (FRAME_INCREMENT, FRAME_SAMPLES, HOP_SAMPLES, WINDOW,
+                              SpectralFrames, stft)
 
 # uneven blocks of 400 frames: single frames, a block shorter than the AR
 # window, and blocks shorter and longer than the 188-frame noise window
@@ -129,7 +130,7 @@ def test_enhance_frames_independent_of_block_size(monkeypatch, t_frames, look_ah
     rng = np.random.default_rng(5)
     frames = 0.1 * (rng.standard_normal((90, 257)) + 1j * rng.standard_normal((90, 257)))
     frames[30:45] *= 1e-3                      # a decay-like drop for the priors
-    spec = SpectralFrames(frames[:t_frames], AnalysisConfig())
+    spec = SpectralFrames(frames[:t_frames])
     cfg = EnhancerConfig(look_ahead=look_ahead)
     runs = []
     for block in (1, 2, 7, 1000):
@@ -150,11 +151,10 @@ def _scene_spectrum(seconds):
 
 def test_stft_in_blocks_matches_whole_signal_and_peaks_near_its_result():
     noisy, spec = _scene_spectrum(4.0)
-    cfg = AnalysisConfig()
-    n, hop = cfg.frame_samples(), cfg.hop_samples()
+    n, hop = FRAME_SAMPLES, HOP_SAMPLES
     # the reference frames the whole signal at once through an index array
     idx = np.arange(n)[None, :] + hop * np.arange(spec.n_frames)[:, None]
-    ref = np.fft.rfft(noisy.samples[idx] * cfg.make_window(), n, axis=1)
+    ref = np.fft.rfft(noisy.samples[idx] * WINDOW, n, axis=1)
     assert np.array_equal(spec.frames, ref)
     tracemalloc.start()
     try:
@@ -244,7 +244,7 @@ def _held_bytes(cfg, t_frames, k_bins):
     holds at most: the row store (p + 7 float64 per bin bounds the p + 5
     fields, the gate and the run lengths), the AR fits' carried window and
     the noise tracker's carried window, none longer than the input."""
-    inc = cfg.frame_increment
+    inc = FRAME_INCREMENT
     store = enhancer._FDR_MAX_LEN + cfg.look_ahead + enhancer._BLOCK + 2
     ar = max(round(cfg.modulation_frame / inc), cfg.p + 2) - 1
     noise = max(round(cfg.noise_window_s / inc), 1) - 1
