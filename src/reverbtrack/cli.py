@@ -14,11 +14,6 @@ from .stft import FRAME_SAMPLES, N_BINS, SAMPLE_RATE
 from .wavio import WavFormatError, read_wav, write_wav
 
 
-# accepted config spellings of a boolean, case-insensitive
-_BOOL_WORDS = {"1": True, "0": False, "true": True, "false": False,
-               "yes": True, "no": False, "on": True, "off": False}
-
-
 def load_config(path) -> EnhancerConfig:
     """Flat key=value config file over the defaults; every EnhancerConfig field addressable.
 
@@ -38,21 +33,11 @@ def load_config(path) -> EnhancerConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            cur = values[key]
-            if isinstance(cur, bool):
-                word = val.lower()
-                if word not in _BOOL_WORDS:
-                    raise ValueError(
-                        f"{path}:{lineno}: {key} expects one of "
-                        f"{'/'.join(_BOOL_WORDS)}, got {val!r}")
-                values[key] = _BOOL_WORDS[word]
-            else:
-                kind, word = (int, "an integer") if isinstance(cur, int) else (float, "a number")
-                try:
-                    values[key] = kind(val)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: {key} expects {word}, got {val!r}") from None
+            kind, word = (int, "an integer") if valid[key] is int else (float, "a number")
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} expects {word}, got {val!r}") from None
             set_at[key] = lineno
     try:
         return EnhancerConfig(**values)

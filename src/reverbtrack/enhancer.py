@@ -53,26 +53,26 @@ from .stft import (FRAME_INCREMENT, FRAME_SAMPLES, HOP_SAMPLES, AudioBuffer,
                    SpectralFrames, check_number, floored_magnitude, istft, stft)
 
 
+# The cascade's fixed parameters. Each is read where it is used, never
+# bound as a default, so that a script can patch it on the module.
+AR_ORDER = 2                # frames in the speech state, the AR model's order
+Q_GAMMA = 1e-4              # per-frame drift variance of gamma
+Q_BETA = 4e-4               # per-frame drift variance of beta
+INIT_PARAM_VARIANCE = 1.0   # initial variance of the speech state, gamma and beta
+NOISE_VARIANCE = 0.5        # variance of the noise log-magnitude, nats^2
+GAIN_FLOOR_DB = -14.0       # floor of the output gain
+NOISE_SMOOTH = 0.9          # the noise tracker's smoothing weight
+NOISE_BIAS = 1.5            # the noise tracker's bias factor on its minimum
+FDR_SKIP = 2                # frames after an FDR's peak that its fit skips (at least 1)
+FDR_BETA_EXTRA_VAR = 4.0    # variance added to beta's decay prior
+
+
 @dataclass
 class EnhancerConfig:
-    p: int = 2
-    q_gamma: float = 1e-4
-    q_beta: float = 4e-4
     look_ahead: int = 3
-    gain_floor_db: float = -14.0
-    noise_variance: float = 0.5
-    preclean_gain_floor_db: float = speech.PRECLEAN_GAIN_FLOOR_DB
-    min_fdr_length: int = reverb.MIN_FDR_LENGTH
-    rnr_threshold_db: float = reverb.RNR_THRESHOLD_DB
-    fdr_skip: int = 2
-    fdr_beta_extra_var: float = 4.0
     init_t60: float = 0.5
     init_drr: float = 0.0
-    init_param_variance: float = 1.0
-    lognormal_correction: bool = True
     noise_window_s: float = 1.5
-    noise_smooth: float = 0.9
-    noise_bias: float = 1.5
     modulation_frame: float = 0.064
 
     def __post_init__(self):
@@ -83,35 +83,17 @@ class EnhancerConfig:
             if f.type is int and (isinstance(value, bool)
                                   or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
-            if f.type is bool and not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{f.name} must be a bool, got {value!r}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p!r}")
-        for name in ("look_ahead", "fdr_skip", "min_fdr_length"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("modulation_frame", "noise_window_s", "noise_bias"):
+        if self.look_ahead < 0:
+            raise ValueError(f"look_ahead must be >= 0, got {self.look_ahead!r}")
+        for name in ("modulation_frame", "noise_window_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        # the windows are counted in frames, so that count must be finite
-        for name in ("modulation_frame", "noise_window_s"):
+            # the windows are counted in frames, so that count must be finite
             with np.errstate(over="ignore"):
                 frames = getattr(self, name) / FRAME_INCREMENT
             if not np.isfinite(frames):
                 raise ValueError(f"{name} must be finite in frames of {FRAME_INCREMENT} s, "
                                  f"got {getattr(self, name)!r}")
-        if not 0 <= self.noise_smooth < 1:
-            raise ValueError(f"noise_smooth must lie in [0, 1), got {self.noise_smooth!r}")
-        if not (self.q_gamma >= 0 and self.q_beta >= 0):
-            raise ValueError("drift variances q_gamma, q_beta must be >= 0")
-        if not self.init_param_variance >= 0:
-            raise ValueError("init_param_variance must be >= 0")
-        if not self.noise_variance > 0:
-            raise ValueError("noise_variance must be > 0")
-        # a gain is clipped to [floor, 1], so a floor above 0 dB passes the input
-        for name in ("gain_floor_db", "preclean_gain_floor_db"):
-            if getattr(self, name) > 0:
-                raise ValueError(f"{name} must be <= 0 dB, got {getattr(self, name)!r}")
         # a room the filter cannot start from fails here, naming its fields
         try:
             reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(
@@ -177,15 +159,15 @@ def write_bin_rows(fh, arrays, bins):
         np.savetxt(fh, rows, fmt=fmt, delimiter=",")
 
 
-def track_noise(noisy_power, window_s=1.5, smooth=0.9, bias=1.5, state=None):
+def track_noise(noisy_power, window_s=1.5, state=None):
     """Minimum-statistics style noise tracker.
 
-    Sliding-window minimum of exponentially smoothed power over window_s,
-    bias-compensated by a fixed factor. Returns the noise mean, (T, K) in
-    nats of log-amplitude; the cascade takes its variance from the
-    config's noise_variance. state, when given, is a dict carried
-    from the call on the previous block of frames (empty before the first
-    block) and is updated in place; it keeps the smoother's last value
+    Sliding-window minimum over window_s of the power, exponentially
+    smoothed with weight NOISE_SMOOTH, bias-compensated by the factor
+    NOISE_BIAS. Returns the noise mean, (T, K) in nats of log-amplitude;
+    the cascade takes its variance from NOISE_VARIANCE. state, when given,
+    is a dict carried from the call on the previous block of frames (empty
+    before the first block) and is updated in place; it keeps the smoother's last value
     and the last min(w - 1, frames seen) smoothed rows, for a window of w
     frames: a window longer than the frames seen has their minimum.
 
@@ -199,7 +181,7 @@ def track_noise(noisy_power, window_s=1.5, smooth=0.9, bias=1.5, state=None):
     smoothed = np.empty_like(power)
     acc = state.get("acc", power[0])
     for t in range(power.shape[0]):
-        acc = smooth * acc + (1 - smooth) * power[t]
+        acc = NOISE_SMOOTH * acc + (1 - NOISE_SMOOTH) * power[t]
         smoothed[t] = acc
     w = max(int(round(window_s / FRAME_INCREMENT)), 1)
     # causal window [t-w+1, t] of at most the frames seen: prepend the carried
@@ -213,7 +195,7 @@ def track_noise(noisy_power, window_s=1.5, smooth=0.9, bias=1.5, state=None):
     state["acc"] = acc
     state["history"] = pad[pad.shape[0] - min(w - 1, h + n):].copy()
     mins = _window_min(pad, span)
-    est = bias * np.maximum(mins, 1e-300)
+    est = NOISE_BIAS * np.maximum(mins, 1e-300)
     return 0.5 * np.log(est)
 
 
@@ -238,28 +220,27 @@ def _window_min(x, w):
 class _FilterState:
     """Vectorised filter state across K bins; the head of the speech
     state, s_mean[:, 0] and s_cov[:, 0, 0], is the last speech posterior.
-    n_var is the noise variance, cfg.noise_variance on every bin, so that
-    no cascade operation has to broadcast."""
+    n_var is the noise variance, NOISE_VARIANCE on every bin, so that no
+    cascade operation has to broadcast."""
 
     def __init__(self, k_bins, cfg: EnhancerConfig, first_log, noise_mean0):
-        p = cfg.p
-        self.n_var = np.full(k_bins, cfg.noise_variance, dtype=float)
-        self.s_mean = np.tile(first_log[:, None], (1, p))
-        self.s_cov = np.tile(np.eye(p) * cfg.init_param_variance, (k_bins, 1, 1))
+        self.n_var = np.full(k_bins, NOISE_VARIANCE, dtype=float)
+        self.s_mean = np.tile(first_log[:, None], (1, AR_ORDER))
+        self.s_cov = np.tile(np.eye(AR_ORDER) * INIT_PARAM_VARIANCE, (k_bins, 1, 1))
         self.r_mean = noise_mean0.copy()
         self.r_var = np.full(k_bins, 1.0)
         g0, b0 = reverb.ab_to_gamma_beta(*reverb.room_to_ab(reverb.RoomParams(
             cfg.init_t60, cfg.init_drr)))
         self.gamma_m = np.full(k_bins, g0)
-        self.gamma_v = np.full(k_bins, cfg.init_param_variance)
+        self.gamma_v = np.full(k_bins, INIT_PARAM_VARIANCE)
         self.beta_m = np.full(k_bins, b0)
-        self.beta_v = np.full(k_bins, cfg.init_param_variance)
+        self.beta_v = np.full(k_bins, INIT_PARAM_VARIANCE)
 
 
 # the floor of the speech KF's process noise, as a fraction of
-# cfg.noise_variance: a flat pre-cleaned window fits an AR residual of 0,
+# NOISE_VARIANCE: a flat pre-cleaned window fits an AR residual of 0,
 # and a prediction with no process noise has zero variance, which step 7
-# cannot split. At 5e-4 nats^2 by default it lies 15 times below the 1st
+# cannot split. At 5e-4 nats^2 it lies 15 times below the 1st
 # percentile of the fitted residuals on the 4 s room-G scene, so it raises
 # only the flat and near-flat windows (0.8 % of that scene's).
 _RESID_FLOOR = 1e-3
@@ -290,19 +271,21 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
 
     Bins never interact, and no sum runs in an order that depends on the
     number of bins, so a bin's results have the same bits in any set of
-    bins."""
+    bins. Every parameter a frame reads is a module constant, so cfg is
+    not read; it keeps the signature that tools/split_replay.py calls in
+    two checkouts."""
     y, n_mean, n_var = frame.y, frame.n_mean, fs.n_var
     prior_gm, prior_gv, prior_bm, prior_bv, prior_mask = frame.priors
 
     # speech KF prediction + decorrelation
-    resid = np.maximum(frame.resid, _RESID_FLOOR * cfg.noise_variance)
+    resid = np.maximum(frame.resid, _RESID_FLOOR * NOISE_VARIANCE)
     sm, sc = speech.predict_arrays(fs.s_mean, fs.s_cov, frame.coeffs, resid, frame.loc_mean)
     head_m, head_v, tail_m, tail_c, c = speech.decorrelate_arrays(sm, sc)
     head_v = np.maximum(head_v, 0.0)
 
     # steps 1-2: random walk + decay priors
-    gm, gv = fs.gamma_m, fs.gamma_v + cfg.q_gamma
-    bm, bv = fs.beta_m, fs.beta_v + cfg.q_beta
+    gm, gv = fs.gamma_m, fs.gamma_v + Q_GAMMA
+    bm, bv = fs.beta_m, fs.beta_v + Q_BETA
     if prior_mask.any():
         fgm, fgv = lognorm.fuse_moments(gm, gv, prior_gm, prior_gv)
         fbm, fbv = lognorm.fuse_moments(bm, bv, prior_bm, prior_bv)
@@ -327,11 +310,8 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
 
     # recorrelate; smoothed previous-frame speech
     new_s_mean, new_s_cov = speech.recorrelate_arrays(spm, spv, tail_m, tail_c, c)
-    if cfg.p >= 2:
-        sprev_m = new_s_mean[:, 1]
-        sprev_v = np.maximum(new_s_cov[:, 1, 1], 0.0)
-    else:
-        sprev_m, sprev_v = post_m, post_v
+    sprev_m = new_s_mean[:, 1]
+    sprev_v = np.maximum(new_s_cov[:, 1, 1], 0.0)
 
     # step 8: distributed split z -> (r, n); the n posterior is unused,
     # so only the r posterior is computed. The z posterior is narrow
@@ -434,7 +414,7 @@ def _smooth_energy(frame_energy, state=None, final=True):
 _FDR_MAX_LEN = 100
 
 
-def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
+def _fdr_priors_at(j, m, z_fdr, gate):
     """Decay-line priors from the FDR of length m ending at row j.
 
     z_fdr holds rows of the (T, K) denoised log-magnitude and gate the
@@ -442,7 +422,7 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
     last frame. The rows must start at frame 0 or reach _FDR_MAX_LEN rows
     back from j, so that no FDR the fit can use is cut short. Returns (gm,
     gv, bm, bv, mask). The FDR's first frame is the energy peak. The first
-    fdr_skip frames after the peak still carry windowed-out speech and are
+    FDR_SKIP frames after the peak still carry windowed-out speech and are
     excluded from the fit; per bin, the fit stops at the first frame that
     fails the RNR gate. The line's intercept is referenced to the frame
     after the peak, so beta = intercept - peak value.
@@ -454,8 +434,8 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
     bv = np.ones(k_bins)
     mask = np.zeros(k_bins, dtype=bool)
     m = min(int(m), j + 1, _FDR_MAX_LEN)
-    skip = max(cfg.fdr_skip, 1)
-    if m < max(cfg.min_fdr_length, skip + 3):
+    skip = max(FDR_SKIP, 1)
+    if m < max(reverb.MIN_FDR_LENGTH, skip + 3):
         return gm, gv, bm, bv, mask
     sigma_r2 = reverb.FDR_R_VARIANCE
     l = FRAME_INCREMENT
@@ -472,7 +452,7 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
     sy = (w * win).sum(axis=0)
     sxy = (w * x[:, None] * win).sum(axis=0)
     det0 = n * sxx - sx * sx
-    enough = n >= max(cfg.min_fdr_length - 1, 3)
+    enough = n >= max(reverb.MIN_FDR_LENGTH - 1, 3)
     det0 = np.where(det0 > 0, det0, 1.0)
     theta1 = (n * sxy - sx * sy) / det0
     theta2 = np.where(n > 0, (sy - theta1 * sx) / np.maximum(n, 1.0), 0.0)
@@ -485,7 +465,7 @@ def _fdr_priors_at(j, m, z_fdr, gate, cfg: EnhancerConfig):
     # from the last excited frame; residual contamination of the peak by
     # the accumulated tail keeps this prior weaker than the slope prior
     bm[ok] = theta2[ok] - win[0][ok]
-    bv[ok] = var2[ok] + sigma_r2 + cfg.fdr_beta_extra_var
+    bv[ok] = var2[ok] + sigma_r2 + FDR_BETA_EXTRA_VAR
     mask[ok] = True
     return gm, gv, bm, bv, mask
 
@@ -529,7 +509,7 @@ def _front_end(frames, cfg: EnhancerConfig, bins):
             _front_block(frames[ready:b], cfg, bins, states, store, final=b == n_frames)
             ready = b
         i, j = t - base, min(t + cfg.look_ahead, n_frames - 1) - base
-        priors = _fdr_priors_at(j, store["runs"][j], store["pre_log"], store["gate"], cfg)
+        priors = _fdr_priors_at(j, store["runs"][j], store["pre_log"], store["gate"])
         yield _Frame(priors=priors, **{f: store[f][i] for f in _Frame._fields[:-1]})
 
 
@@ -543,18 +523,15 @@ def _front_block(frames, cfg: EnhancerConfig, bins, states, store, final):
     block-sized temporaries are freed on return, not kept alive across a
     yield."""
     mag = floored_magnitude(frames)
-    n_mean = track_noise(mag ** 2, cfg.noise_window_s, cfg.noise_smooth, cfg.noise_bias,
-                         state=states["noise"])
-    precleaned = speech.log_mmse_preclean(
-        mag, np.exp(2.0 * n_mean), gain_floor_db=cfg.preclean_gain_floor_db,
-        state=states["preclean"])
+    n_mean = track_noise(mag ** 2, cfg.noise_window_s, state=states["noise"])
+    precleaned = speech.log_mmse_preclean(mag, np.exp(2.0 * n_mean), state=states["preclean"])
     # decay-region detection on broadband energy; per-bin RNR gate for fits
     energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))
     mag, n_mean = mag[:, bins], n_mean[:, bins]
     pre_log = np.log(np.maximum(precleaned[:, bins], 1e-300))
     coeffs, resid, loc_mean = speech.estimate_ar(
-        pre_log, cfg.p, cfg.modulation_frame, state=states["ar"])
-    gate = (pre_log - n_mean) > cfg.rnr_threshold_db * reverb.DB_TO_NATS
+        pre_log, AR_ORDER, cfg.modulation_frame, state=states["ar"])
+    gate = (pre_log - n_mean) > reverb.RNR_THRESHOLD_DB * reverb.DB_TO_NATS
     # a 3-frame moving average keeps frame-to-frame wiggle from cutting
     # genuine decay runs short
     energy = _smooth_energy(energy, states["energy"], final=final)
@@ -618,14 +595,14 @@ def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
     every trace field. No frame reads the room estimates, so the group
     converts its gamma/beta columns to t60_est and drr_est after its last
     frame, _BLOCK rows at a time so that no (T, K) temporary is formed."""
-    gain_floor = 10.0 ** (cfg.gain_floor_db / 20.0)
+    gain_floor = 10.0 ** (GAIN_FLOOR_DB / 20.0)
     for t, frame in enumerate(_front_end(spec.frames, cfg, bins)):
         if t == 0:
             fs = _FilterState(frame.y.size, cfg, frame.pre_log, frame.n_mean)
         row = _advance(fs, frame, cfg, diag)
         for f, v in row.items():
             trace[f][t, bins] = v
-        out_log = row["s_mean"] + (0.5 * row["s_var"] if cfg.lognormal_correction else 0.0)
+        out_log = row["s_mean"] + 0.5 * row["s_var"]
         # a gain above 1 is clipped to 1, so its exponent is first: exp cannot overflow
         gain = np.exp(np.minimum(out_log - frame.y, 0.0))
         out[t, bins] = np.clip(gain, gain_floor, 1.0) * spec.frames[t, bins]

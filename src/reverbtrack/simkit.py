@@ -11,14 +11,13 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import lfilter
 
 from .reverb import RoomParams, room_to_ab
 from .stft import SAMPLE_RATE, AudioBuffer, SpectralFrames, floored_magnitude, stft, istft
 
 ACTIVE_RANGE_DB = 40.0     # frames within this of the utterance max count as active
 DIRECT_WINDOW_S = 0.002    # RIR direct-path window for DRR scaling
-LATE_CUTOFF_S = 0.030      # RIR start zeroed by true_reverb_reference (direct + early)
 METRIC_FRAME = 512         # samples per metric frame (32 ms at 16 kHz)
 METRIC_HOP = 256           # samples between metric frames
 CEPSTRUM_ORDER = 24
@@ -151,18 +150,6 @@ def polack_rir(room: RoomParams, seed=0):
         tail *= np.sqrt(target / tail_energy)
     h[start:] = tail
     return h
-
-
-def true_reverb_reference(clean: AudioBuffer, rir) -> AudioBuffer:
-    """Convolve with the RIR with its first 30 ms zeroed (late reverb only)."""
-    rir = np.asarray(rir, dtype=float)
-    cut = int(round(LATE_CUTOFF_S * SAMPLE_RATE))
-    if len(rir) <= cut:
-        raise ValueError("RIR shorter than the direct/early cutoff")
-    late = rir.copy()
-    late[:cut] = 0.0
-    out = fftconvolve(clean.samples, late)[:len(clean.samples)]
-    return AudioBuffer(out)
 
 
 def mix_noise(signal: AudioBuffer, kind="white", snr_db=20.0, seed=0) -> AudioBuffer:

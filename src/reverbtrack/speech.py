@@ -30,9 +30,10 @@ def log_mmse_gain(xi, gamma_post):
     return a * np.exp(0.5 * exp1(v))
 
 
-def log_mmse_preclean(noisy_mag, noise_power, gain_floor_db=PRECLEAN_GAIN_FLOOR_DB, state=None):
+def log_mmse_preclean(noisy_mag, noise_power, state=None):
     """Apply per-bin Log-MMSE gains with decision-directed a-priori SNR,
-    weight DD_ALPHA = 0.98 (Ephraim & Malah, IEEE TASSP 32(6), 1984).
+    weight DD_ALPHA = 0.98 (Ephraim & Malah, IEEE TASSP 32(6), 1984),
+    floored at PRECLEAN_GAIN_FLOOR_DB.
 
     noisy_mag and noise_power are (T, K); returns cleaned magnitudes.
     state, when given, is a dict carried from the call on the previous
@@ -43,7 +44,7 @@ def log_mmse_preclean(noisy_mag, noise_power, gain_floor_db=PRECLEAN_GAIN_FLOOR_
     noise_power = np.asarray(noise_power, dtype=float)
     if noisy_mag.shape != noise_power.shape:
         raise ValueError("noisy_mag and noise_power must have the same shape")
-    gmin = 10.0 ** (gain_floor_db / 20.0)
+    gmin = 10.0 ** (PRECLEAN_GAIN_FLOOR_DB / 20.0)
     xi_min = 10.0 ** (-25.0 / 10.0)
     state = {} if state is None else state
     out = np.empty_like(noisy_mag)

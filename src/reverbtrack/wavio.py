@@ -30,6 +30,9 @@ def read_wav(path) -> AudioBuffer:
         # wave raises EOFError, with no message, where the header ends early
         detail = str(exc) or "the header ends early"
         raise WavFormatError(f"{path}: not a WAV file: {detail}") from None
+    if len(data) % 2:
+        raise WavFormatError(f"{path}: the data ends inside a sample: {len(data)} bytes "
+                             "is not a whole number of 2-byte samples")
     samples = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0
     return AudioBuffer(samples)
 

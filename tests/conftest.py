@@ -32,7 +32,7 @@ def _advance_bin(fs, y, n_mean, cfg, priors=None, update=True, diag=None):
     """One frame of enhancer._advance on the single bin of the state fs.
 
     n_mean is the noise log-magnitude's mean; its variance is
-    cfg.noise_variance. priors, when given, are the decay priors (gamma
+    enhancer.NOISE_VARIANCE. priors, when given, are the decay priors (gamma
     mean, gamma variance, beta mean, beta variance) to fuse; update is the
     bin's RNR gate, which runs steps 9-12 when true. The AR model is a
     random walk with residual variance 0.01. Returns the trace row with a
@@ -41,7 +41,7 @@ def _advance_bin(fs, y, n_mean, cfg, priors=None, update=True, diag=None):
     """
     prior_rows = np.array(priors if priors is not None else (0.0, 1.0, 0.0, 1.0),
                           dtype=float)[:, None]
-    coeffs = np.zeros((1, cfg.p))
+    coeffs = np.zeros((1, enhancer.AR_ORDER))
     coeffs[0, 0] = 1.0
     frame = enhancer._Frame(
         pre_log=np.array([float(y)]), y=np.array([float(y)]), n_mean=np.array([float(n_mean)]),

@@ -79,27 +79,42 @@ def test_wav_rejects_wrong_rate(tmp_path):
 
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "cfg.txt"
-    path.write_text("gain_floor_db = -20\n"
-                    "p = 3\n"
-                    "lognormal_correction = false\n"
+    path.write_text("init_drr = -5\n"
+                    "look_ahead = 4\n"
                     "# comment line\n")
     cfg = load_config(path)
-    assert cfg.gain_floor_db == -20.0
-    assert cfg.p == 3
-    assert cfg.lognormal_correction is False
-    assert cfg.q_gamma == EnhancerConfig().q_gamma    # untouched default
+    assert cfg.init_drr == -5.0
+    assert cfg.look_ahead == 4
+    assert cfg.noise_window_s == EnhancerConfig().noise_window_s    # untouched default
 
 
-def test_load_config_bool_words(tmp_path):
+def test_readme_config_example_loads(tmp_path):
+    """The example file of the README's config section loads, and sets
+    each key it names to the value it gives."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("Config files for `enhance --config`"):]
+    example = re.search(r"```\n(.*?)```", section, re.S).group(1)
     path = tmp_path / "cfg.txt"
-    for word, value in [("1", True), ("0", False), ("TRUE", True), ("False", False),
-                        ("yes", True), ("No", False), ("on", True), ("OFF", False)]:
-        path.write_text(f"lognormal_correction = {word}\n")
-        assert load_config(path).lognormal_correction is value
-    for word in ("ture", "2", "", "enabled"):
-        path.write_text(f"# header\nlognormal_correction = {word}\n")
-        with pytest.raises(ValueError, match=f"{path}:2:"):
+    path.write_text(example)
+    cfg = load_config(path)
+    pairs = [line.split("=") for line in example.splitlines() if "=" in line]
+    assert pairs
+    for key, value in pairs:
+        assert getattr(cfg, key.strip()) == float(value)
+
+
+def test_load_config_refuses_the_fixed_parameters(tmp_path):
+    """A file that sets one of the cascade's fixed parameters, once config
+    fields, fails as an unknown key, naming its file and line."""
+    path = tmp_path / "cfg.txt"
+    for key in ("p", "q_gamma", "q_beta", "init_param_variance", "noise_variance",
+                "gain_floor_db", "noise_smooth", "noise_bias", "fdr_skip", "fdr_beta_extra_var",
+                "preclean_gain_floor_db", "min_fdr_length", "rnr_threshold_db",
+                "lognormal_correction"):
+        path.write_text(f"# header\nlook_ahead = 3\n{key} = 1\n")
+        with pytest.raises(ValueError) as err:
             load_config(path)
+        assert str(err.value) == f"{path}:3: unknown config key {key!r}"
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -117,8 +132,8 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_invalid_value(tmp_path):
     path = tmp_path / "bad.txt"
-    for key, value in (("q_beta", "-1"), ("rnr_threshold_db", "nan"), ("noise_bias", "inf"),
-                       ("p", "0"), ("noise_smooth", "1.5"), ("init_t60", "-1"),
+    for key, value in (("look_ahead", "-1"), ("init_drr", "nan"), ("noise_window_s", "inf"),
+                       ("modulation_frame", "0"), ("noise_window_s", "-1.5"), ("init_t60", "-1"),
                        ("init_t60", "1e-9"), ("init_drr", "-4000")):
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=key):
@@ -127,8 +142,8 @@ def test_load_config_rejects_invalid_value(tmp_path):
 
 def test_load_config_names_an_unparsable_number(tmp_path):
     path = tmp_path / "bad.txt"
-    for key, value, word in (("p", "2.5", "an integer"), ("look_ahead", "x", "an integer"),
-                             ("q_gamma", "abc", "a number"), ("gain_floor_db", "", "a number")):
+    for key, value, word in (("look_ahead", "2.5", "an integer"), ("look_ahead", "x", "an integer"),
+                             ("init_t60", "abc", "a number"), ("noise_window_s", "", "a number")):
         path.write_text(f"# header\n{key} = {value}\n")
         with pytest.raises(ValueError) as err:
             load_config(path)
@@ -165,9 +180,6 @@ def _parsed(key, value):
     """What load_config stores for a key=value line, or None for a value
     its field's kind cannot take."""
     kind, word = _FIELD_KINDS[key], value.strip()
-    if kind is bool:
-        return {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False,
-                "on": True, "off": False}.get(word.lower())
     try:
         return kind(word)
     except ValueError:
@@ -196,11 +208,11 @@ def test_load_config_names_the_line_or_yields_the_values(tmp_path_factory, lines
 
 def test_load_config_names_the_line_of_a_value_the_config_rejects(tmp_path):
     path = tmp_path / "cfg.txt"
-    path.write_text("# header\nnoise_variance = 1e400\np = 2\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: noise_variance must be"):
+    path.write_text("# header\nnoise_window_s = 1e400\nlook_ahead = 2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: noise_window_s must be"):
         load_config(path)
     # fields rejected together: the lines that set them
-    path.write_text("init_t60 = 1e-9\np = 2\ninit_drr = 5\n")
+    path.write_text("init_t60 = 1e-9\nlook_ahead = 2\ninit_drr = 5\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1,3: init_t60 = "):
         load_config(path)
 
@@ -436,6 +448,19 @@ def test_negative_value_as_its_own_word_reaches_the_library_check(tmp_path, clea
     # the words after a bare "--" are left as they are
     assert (_join_negative_values(["--snr", "-1", "--", "--t60", "-2"])
             == ["--snr=-1", "--", "--t60", "-2"])
+
+
+def test_enhance_names_a_wav_cut_inside_a_sample(tmp_path, short_clean_wav, capsys):
+    """A WAV whose data ends inside its last 2-byte sample ends enhance
+    with one error line that names the file and the odd byte count."""
+    cut, out = tmp_path / "cut.wav", tmp_path / "out.wav"
+    cut.write_bytes(short_clean_wav.read_bytes()[:-1])
+    assert main(["enhance", str(cut), str(out)]) == 1
+    data_bytes = len(read_wav(short_clean_wav).samples) * 2 - 1
+    assert capsys.readouterr().err == (
+        f"error: {cut}: the data ends inside a sample: {data_bytes} bytes is not a whole "
+        "number of 2-byte samples\n")
+    assert not out.exists()
 
 
 def test_enhance_missing_input_fails(tmp_path):

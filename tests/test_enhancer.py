@@ -57,9 +57,13 @@ def test_track_noise_follows_silence_floor():
     assert speech_db - floor_db >= 10.0
 
 
-def test_track_noise_constant_input():
-    mean = track_noise(np.full((400, 2), 0.01), bias=1.5)
+def test_track_noise_constant_input(monkeypatch):
+    # the bias factor is read when the call runs
+    mean = track_noise(np.full((400, 2), 0.01))
     assert np.allclose(mean[-1], 0.5 * np.log(0.015))
+    monkeypatch.setattr(enhancer, "NOISE_BIAS", 2.0)
+    mean = track_noise(np.full((400, 2), 0.01))
+    assert np.allclose(mean[-1], 0.5 * np.log(0.02))
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4, 127, 128, 129, 188, 250])
@@ -93,8 +97,9 @@ def test_advance_low_observation_lowers_speech(advance_bin):
     assert np.isfinite(row["t60_est"]) and row["t60_est"] > 0
 
 
-def test_advance_tracks_y_without_disturbance(advance_bin):
-    cfg = EnhancerConfig(noise_variance=1e-4)
+def test_advance_tracks_y_without_disturbance(advance_bin, monkeypatch):
+    monkeypatch.setattr(enhancer, "NOISE_VARIANCE", 1e-4)
+    cfg = EnhancerConfig()
     fs = _one_bin(cfg, first_log=0.0, noise_mean=-30.0)
     # kill reverberation: a = 1e-6, b = 1e-6, tight beliefs
     g = 0.5 * np.log(1e-6)
@@ -121,7 +126,7 @@ def test_flat_window_keeps_speech_process_noise():
     cfg = EnhancerConfig()
     k_bins = 2
     flat = np.full((8, k_bins), -2.0)
-    coeffs, resid, loc_mean = speech.estimate_ar(flat, cfg.p, cfg.modulation_frame)
+    coeffs, resid, loc_mean = speech.estimate_ar(flat, enhancer.AR_ORDER, cfg.modulation_frame)
     assert not coeffs[-1].any() and not resid[-1].any()
     fs = _FilterState(k_bins, cfg, flat[0], np.full(k_bins, -3.0))
     no_priors = (np.zeros(k_bins), np.ones(k_bins), np.zeros(k_bins), np.ones(k_bins),
@@ -173,7 +178,7 @@ def test_enhance_frames_gain_bounds():
     spec = _random_frames(seed=4)
     out, _, _ = enhance_frames(spec, cfg)
     gain = np.abs(out.frames) / np.maximum(np.abs(spec.frames), 1e-300)
-    floor = 10.0 ** (cfg.gain_floor_db / 20.0)
+    floor = 10.0 ** (enhancer.GAIN_FLOOR_DB / 20.0)
     assert np.all(gain <= 1.0 + 1e-9)
     assert np.all(gain >= floor - 1e-9)
 
@@ -448,7 +453,7 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
     # 100 nats: step 10 cannot explain r there and falls back
     fs = copy.deepcopy(fs)
     odd = [10, 100, 200]
-    fs.s_mean[odd], fs.s_cov[odd] = -50.0, 1e-6 * np.eye(cfg.p)
+    fs.s_mean[odd], fs.s_cov[odd] = -50.0, 1e-6 * np.eye(enhancer.AR_ORDER)
     fs.gamma_v[odd] = fs.beta_v[odd] = fs.r_var[odd] = 1e-6
 
     def recorrelate_off(*args, _fn=speech.recorrelate_arrays):
@@ -458,8 +463,8 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
     monkeypatch.setattr(speech, "recorrelate_arrays", recorrelate_off)
 
     # steps 1-2: the random walk fused with the decay priors
-    gm, gv = fs.gamma_m, fs.gamma_v + cfg.q_gamma
-    bm, bv = fs.beta_m, fs.beta_v + cfg.q_beta
+    gm, gv = fs.gamma_m, fs.gamma_v + enhancer.Q_GAMMA
+    bm, bv = fs.beta_m, fs.beta_v + enhancer.Q_BETA
     fgm, fgv = fuse_moments(gm, gv, pg, pgv)
     fbm, fbv = fuse_moments(bm, bv, pb, pbv)
     priors = {"gamma_mean": clamp_gamma(np.where(pmask, fgm, gm)),
@@ -518,17 +523,16 @@ def test_learn_room_identifies_the_room_from_true_spectra(clean_spectrum_2s, t60
     (the last frame's reverberation and speech, this frame's reverberation)
     with a small variance, converge to the room's T60 and DRR from a start
     far from both."""
-    cfg = EnhancerConfig()
     _, truth = stft_domain_reverb(clean_spectrum_2s, RoomParams(t60, drr))
     r, s = truth.r_true, truth.s_true
     k_bins = r.shape[1]
     g0, b0 = reverb.ab_to_gamma_beta(*reverb.room_to_ab(RoomParams(start_t60, drr + drr_offset)))
     gm, bm = np.full(k_bins, g0), np.full(k_bins, b0)
-    gv = bv = np.full(k_bins, cfg.init_param_variance)
+    gv = bv = np.full(k_bins, enhancer.INIT_PARAM_VARIANCE)
     var, gate = np.full(k_bins, 1e-4), np.ones(k_bins, bool)
     t60_est, drr_est = [], []
     for t in range(1, r.shape[0]):
-        gv, bv = gv + cfg.q_gamma, bv + cfg.q_beta
+        gv, bv = gv + enhancer.Q_GAMMA, bv + enhancer.Q_BETA
         gm, gv, bm, bv, _ = enhancer._learn_room(
             (gm, gv), (bm, bv), (gm + r[t - 1], gv + var), (r[t - 1], var), (s[t - 1], var),
             (r[t], var), gate, Diagnostics())
@@ -869,63 +873,52 @@ def test_trace_csv_rejects_non_integer_bins(tmp_path, bins):
     assert len(path.read_text().splitlines()) == 1 + 2 * trace.n_frames
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         EnhancerConfig(look_ahead=-1)
-    for bad in ({"q_gamma": -1.0}, {"q_beta": -1.0}, {"init_param_variance": -1.0},
-                {"noise_variance": 0.0}, {"noise_variance": -0.5},
-                {"q_gamma": float("nan")}):
-        with pytest.raises(ValueError):
-            EnhancerConfig(**bad)
     # every float field must be finite; the error names the field
-    for name, value in (("gain_floor_db", float("nan")), ("noise_bias", float("inf")),
-                        ("rnr_threshold_db", float("nan")),
-                        ("fdr_beta_extra_var", float("nan")), ("init_t60", -float("inf"))):
+    for name, value in (("init_t60", -float("inf")), ("init_drr", float("nan")),
+                        ("noise_window_s", float("inf")), ("modulation_frame", float("nan"))):
         with pytest.raises(ValueError, match=name):
             EnhancerConfig(**{name: value})
-    # integer fields take integers only, not floats or bools; the error names the field
-    for name, value in (("p", 2.5), ("p", True), ("look_ahead", 1.5), ("fdr_skip", 2.0),
-                        ("min_fdr_length", False), ("look_ahead", np.bool_(True))):
-        with pytest.raises(ValueError, match=name):
-            EnhancerConfig(**{name: value})
+    # the integer field takes integers only, not floats or bools; the error names it
+    for value in (1.5, 2.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="look_ahead"):
+            EnhancerConfig(look_ahead=value)
     # numpy integers are integers
-    assert EnhancerConfig(p=np.int64(3), look_ahead=np.arange(3).max()).look_ahead == 2
+    assert EnhancerConfig(look_ahead=np.arange(3).max()).look_ahead == 2
     # ranges; the error names the field
-    for name, value in (("p", 0), ("p", -1), ("fdr_skip", -3), ("min_fdr_length", -1),
-                        ("modulation_frame", 0.0),
-                        ("noise_window_s", -1.0), ("noise_window_s", 0.0),
-                        ("noise_bias", 0.0), ("noise_bias", -1.5),
-                        ("noise_smooth", 1.5), ("noise_smooth", 1.0),
-                        ("noise_smooth", -0.5), ("gain_floor_db", 6.0),
-                        ("preclean_gain_floor_db", 6.0)):
+    for name, value in (("modulation_frame", 0.0), ("modulation_frame", -0.064),
+                        ("noise_window_s", -1.0), ("noise_window_s", 0.0)):
         with pytest.raises(ValueError, match=name):
             EnhancerConfig(**{name: value})
     # an initial room the filter cannot start from fails here, naming both fields
     for t60, drr in ((-1.0, 0.0), (1e-9, 0.0), (1e300, 0.0), (0.5, 1e308), (0.5, -1e308)):
         with pytest.raises(ValueError, match="init_t60 .* init_drr"):
             EnhancerConfig(init_t60=t60, init_drr=drr)
-    # the boundary values stay valid
-    EnhancerConfig(q_gamma=0.0, q_beta=0.0, init_param_variance=0.0)
-    edge = EnhancerConfig(p=1, look_ahead=0, fdr_skip=0, min_fdr_length=0, noise_smooth=0.0)
+    # the boundary values stay valid, with the decay priors' fit and the
+    # noise tracker's smoother at theirs
+    monkeypatch.setattr(enhancer, "FDR_SKIP", 0)
+    monkeypatch.setattr(reverb, "MIN_FDR_LENGTH", 0)
+    monkeypatch.setattr(enhancer, "NOISE_SMOOTH", 0.0)
+    edge = EnhancerConfig(look_ahead=0)
     out, _, _ = enhance(AudioBuffer(np.random.default_rng(4).normal(0.0, 0.1, FS // 2)), edge)
     assert np.all(np.isfinite(out.samples))
 
 
 def test_config_fields_reject_bools_and_non_numbers():
     """A number field takes a real number, numpy's included, but not a bool,
-    a string or None, and the bool field a bool; the error names the field."""
-    for name, value in (("q_gamma", True), ("q_beta", np.True_), ("init_t60", "0.5"),
-                        ("q_gamma", None), ("noise_variance", "inf"),
-                        ("lognormal_correction", 2), ("lognormal_correction", 0.0),
-                        ("lognormal_correction", "false"), ("lognormal_correction", None)):
+    a string or None; the error names the field."""
+    for name, value in (("init_t60", True), ("init_drr", np.True_), ("init_t60", "0.5"),
+                        ("noise_window_s", None), ("modulation_frame", "inf")):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             EnhancerConfig(**{name: value})
     # an int beyond the float range is not finite
-    with pytest.raises(ValueError, match="^q_beta must be finite"):
-        EnhancerConfig(q_beta=10 ** 400)
-    cfg = EnhancerConfig(lognormal_correction=np.True_, q_gamma=np.float32(1e-4),
-                         init_t60=np.float64(5e-1), init_drr=np.int64(-2))
-    assert cfg.lognormal_correction is np.True_ and cfg.init_drr == -2
+    with pytest.raises(ValueError, match="^init_drr must be finite"):
+        EnhancerConfig(init_drr=10 ** 400)
+    cfg = EnhancerConfig(noise_window_s=np.float32(1.5), init_t60=np.float64(5e-1),
+                         init_drr=np.int64(-2))
+    assert cfg.noise_window_s == 1.5 and cfg.init_drr == -2
 
 
 def test_config_windows_must_be_finite_in_frames():

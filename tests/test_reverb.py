@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from reverbtrack.enhancer import (EnhancerConfig, _decay_run_lengths,
-                                  _fdr_priors_at, _FilterState)
+from reverbtrack import enhancer
+from reverbtrack.enhancer import (FDR_BETA_EXTRA_VAR, FDR_SKIP, EnhancerConfig,
+                                  _decay_run_lengths, _fdr_priors_at, _FilterState)
 from reverbtrack.reverb import (DB_TO_NATS, ENVIRONMENTS, FDR_R_VARIANCE,
                                 RoomParams, ab_to_gamma_beta, clamp_gamma,
                                 gamma_beta_to_room, room_to_ab)
@@ -132,25 +133,24 @@ def _params_state(cfg, gm=-0.3, gv=0.01, bm=-0.8, bv=0.02):
     return fs
 
 
-def test_random_walk_predict(advance_bin):
-    # a bin outside the RNR gate keeps the predicted gamma and beta
-    cfg = EnhancerConfig(q_gamma=0.0, q_beta=0.0)
+def test_random_walk_predict(advance_bin, monkeypatch):
+    # a bin outside the RNR gate keeps the predicted gamma and beta; the
+    # drift variances are read when the frame runs
+    cfg = EnhancerConfig()
+    monkeypatch.setattr(enhancer, "Q_GAMMA", 0.0)
+    monkeypatch.setattr(enhancer, "Q_BETA", 0.0)
     row = advance_bin(_params_state(cfg), -1.0, -3.0, cfg, update=False)
     assert row["gamma_var"] == pytest.approx(0.01)
-    cfg = EnhancerConfig(q_gamma=0.0004, q_beta=0.0)
+    monkeypatch.setattr(enhancer, "Q_GAMMA", 0.0004)
     row = advance_bin(_params_state(cfg), -1.0, -3.0, cfg, update=False)
     assert row["gamma_mean"] == pytest.approx(-0.3)
     assert row["gamma_var"] == pytest.approx(0.0104)
-    cfg = EnhancerConfig(q_gamma=0.0004, q_beta=0.001)
+    monkeypatch.setattr(enhancer, "Q_BETA", 0.001)
     fs = _params_state(cfg)
     for _ in range(5):
         row = advance_bin(fs, -1.0, -3.0, cfg, update=False)
     assert row["gamma_var"] == pytest.approx(0.01 + 5 * 0.0004)
     assert row["beta_var"] == pytest.approx(0.02 + 5 * 0.001)
-    with pytest.raises(ValueError):
-        EnhancerConfig(q_gamma=-1.0)
-    with pytest.raises(ValueError):
-        EnhancerConfig(q_beta=-1.0)
 
 
 def test_decay_run_lengths_full_run():
@@ -164,7 +164,7 @@ def test_decay_run_lengths_rejects_increasing():
     assert np.all(run == 1)
     # a run of one frame yields no decay prior
     z = np.tile(energy[:, None], (1, 3))
-    *_, mask = _fdr_priors_at(4, run[4], z, np.ones(z.shape, bool), EnhancerConfig())
+    *_, mask = _fdr_priors_at(4, run[4], z, np.ones(z.shape, bool))
     assert not np.any(mask)
 
 
@@ -184,13 +184,12 @@ def _decay(slope, intercept, peak, m=8, l=0.008):
 
 
 def test_fdr_priors_gap_breaks_run():
-    cfg = EnhancerConfig()
     z = np.tile(_decay(-50.0, 1.0, 2.0, m=10)[:, None], (1, 3))
     z[6:] += 0.5                          # frames 6-9 leave the line
     gate = np.ones(z.shape, bool)
     gate[6, 1] = False                    # bin 1: gate fails at frame 6 ...
     gate[3, 2] = False                    # bin 2: ... and at frame 3
-    gm, gv, bm, bv, mask = _fdr_priors_at(9, 10, z, gate, cfg)
+    gm, gv, bm, bv, mask = _fdr_priors_at(9, 10, z, gate)
     # bin 1 fits frames 2-5 only: frames 7-9 pass the gate again but stay
     # out of the fit, so it recovers the line. Bin 0 also fits frames 6-9,
     # which are off it; bin 2 keeps a single frame, too few for a prior
@@ -200,36 +199,34 @@ def test_fdr_priors_gap_breaks_run():
     assert abs(gm[0] - gm[1]) > 1e-3
 
 
-def _prior_terms(cfg, m):
-    """The OLS sums over the fitted frames fdr_skip..m-1 of the window."""
-    x = (np.arange(cfg.fdr_skip, m) - 1.0) * FRAME_INCREMENT
+def _prior_terms(m):
+    """The OLS sums over the fitted frames FDR_SKIP..m-1 of the window."""
+    x = (np.arange(FDR_SKIP, m) - 1.0) * FRAME_INCREMENT
     n, sx, sxx = x.size, x.sum(), (x * x).sum()
     return x, n, sxx, n * sxx - sx * sx
 
 
 def test_fit_line_exact_recovery():
-    cfg = EnhancerConfig()
     l = FRAME_INCREMENT
     z = _decay(-5.0, 2.0, 2.5)[:, None]
-    gm, gv, bm, bv, mask = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool), cfg)
+    gm, gv, bm, bv, mask = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool))
     assert mask[0]
     assert gm[0] == pytest.approx(-5.0 * l, abs=1e-9)
     # the intercept is referenced to the frame after the peak, and beta
     # is the intercept minus the peak value
     assert bm[0] == pytest.approx(2.0 - 2.5, abs=1e-9)
-    _, n, sxx, det = _prior_terms(cfg, 8)
+    _, n, sxx, det = _prior_terms(8)
     assert gv[0] == pytest.approx(l * l * FDR_R_VARIANCE * n / det, rel=1e-12)
     assert bv[0] == pytest.approx(FDR_R_VARIANCE * sxx / det + FDR_R_VARIANCE
-                                  + cfg.fdr_beta_extra_var, rel=1e-12)
+                                  + FDR_BETA_EXTRA_VAR, rel=1e-12)
 
 
 def test_fit_line_equals_ols_for_equal_weights():
-    cfg = EnhancerConfig()
     rng = np.random.default_rng(5)
     z = _decay(-4.0, 0.3, 0.5, m=9) + 0.01 * rng.standard_normal(9)
-    gm, _, bm, _, mask = _fdr_priors_at(8, 9, z[:, None], np.ones((9, 1), bool), cfg)
-    x, *_ = _prior_terms(cfg, 9)
-    slope, intercept = np.polyfit(x, z[cfg.fdr_skip:], 1)
+    gm, _, bm, _, mask = _fdr_priors_at(8, 9, z[:, None], np.ones((9, 1), bool))
+    x, *_ = _prior_terms(9)
+    slope, intercept = np.polyfit(x, z[FDR_SKIP:], 1)
     assert mask[0]
     assert gm[0] / FRAME_INCREMENT == pytest.approx(slope, abs=1e-10)
     assert bm[0] + z[0] == pytest.approx(intercept, abs=1e-10)
@@ -237,32 +234,32 @@ def test_fit_line_equals_ols_for_equal_weights():
 
 def test_priors_from_line_gamma_chain():
     # slope corresponding to T60 = 0.18 s: theta1 = -3 ln10 / 0.18
-    cfg = EnhancerConfig()
     theta1 = -3.0 * np.log(10.0) / 0.18
     z = _decay(theta1, -1.0, 0.0)[:, None]
-    gm, gv, bm, bv, _ = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool), cfg)
+    gm, gv, bm, bv, _ = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool))
     assert gm[0] == pytest.approx(0.008 * theta1, abs=1e-12)
     assert gm[0] == pytest.approx(-0.3070, abs=1e-3)
     # beta combines the intercept with the pre-decay peak frame: means
     # subtract, and the peak's 1 dB^2 and the extra beta variance add
-    _, n, sxx, det = _prior_terms(cfg, 8)
+    _, n, sxx, det = _prior_terms(8)
     assert bm[0] == pytest.approx(-1.0, abs=1e-12)
     assert bv[0] == pytest.approx(FDR_R_VARIANCE * sxx / det + FDR_R_VARIANCE
-                                  + cfg.fdr_beta_extra_var, rel=1e-12)
+                                  + FDR_BETA_EXTRA_VAR, rel=1e-12)
 
 
 def test_priors_from_line_equal_terms_give_zero_beta():
-    cfg = EnhancerConfig()
     z = _decay(-10.0, 0.0, 0.0)[:, None]
-    _, _, bm, _, mask = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool), cfg)
+    _, _, bm, _, mask = _fdr_priors_at(7, 8, z, np.ones(z.shape, bool))
     assert mask[0]
     assert bm[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_apply_priors(advance_bin):
+def test_apply_priors(advance_bin, monkeypatch):
     # a bin outside the RNR gate: its gamma and beta are the random-walk
     # prediction fused with the decay priors
-    cfg = EnhancerConfig(q_gamma=0.0, q_beta=0.0)
+    cfg = EnhancerConfig()
+    monkeypatch.setattr(enhancer, "Q_GAMMA", 0.0)
+    monkeypatch.setattr(enhancer, "Q_BETA", 0.0)
 
     def fused(priors):
         return advance_bin(_params_state(cfg), -1.0, -3.0, cfg,
@@ -286,10 +283,9 @@ def test_fdr_observation_to_r():
     assert FDR_R_VARIANCE == pytest.approx((np.log(10.0) / 20.0) ** 2)
     assert FDR_R_VARIANCE == pytest.approx(0.013256, abs=2e-6)
     assert DB_TO_NATS ** 2 == FDR_R_VARIANCE
-    cfg = EnhancerConfig()
     z = _decay(-20.0, 0.0, 1.0, m=12)[:, None]
-    gv = _fdr_priors_at(11, 12, z, np.ones(z.shape, bool), cfg)[1]
-    x, *_ = _prior_terms(cfg, 12)
+    gv = _fdr_priors_at(11, 12, z, np.ones(z.shape, bool))[1]
+    x, *_ = _prior_terms(12)
     assert gv[0] == pytest.approx(FRAME_INCREMENT ** 2 * FDR_R_VARIANCE
                                   / np.sum((x - x.mean()) ** 2), rel=1e-12)
 

@@ -9,8 +9,7 @@ from reverbtrack.reverb import RoomParams, room_to_ab
 from reverbtrack.simkit import (add_stft_noise, cepstral_distance,
                                 log_spectral_distance, make_scene, mix_noise,
                                 polack_rir, segmental_snr,
-                                speechlike_excitation, stft_domain_reverb,
-                                true_reverb_reference)
+                                speechlike_excitation, stft_domain_reverb)
 from reverbtrack.stft import AudioBuffer, SpectralFrames, stft
 
 FS = 16000
@@ -121,20 +120,6 @@ def test_polack_rir_drr_energy_ratio():
 def test_polack_rir_infinite_drr_limit():
     rir = polack_rir(RoomParams(0.5, 200.0), seed=9)
     assert np.sum(rir[int(0.002 * FS):] ** 2) <= 1e-18
-
-
-def test_true_reverb_reference():
-    clean = AudioBuffer(np.r_[1.0, np.zeros(FS - 1)])
-    direct_only = np.zeros(FS // 2)
-    direct_only[0] = 1.0
-    assert np.all(true_reverb_reference(clean, direct_only).samples == 0.0)
-    late_only = np.zeros(FS // 2)
-    late_only[int(0.031 * FS)] = 0.5
-    out = true_reverb_reference(clean, late_only)
-    full = np.convolve(clean.samples, late_only)[:FS]
-    assert np.allclose(out.samples, full)
-    with pytest.raises(ValueError):
-        true_reverb_reference(clean, np.zeros(10))
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,18 @@ def test_preclean_zero_input_is_finite():
     assert np.all(np.isfinite(out))
 
 
-def test_preclean_gain_bounds():
+def test_preclean_gain_bounds(monkeypatch):
+    """The gains lie in [floor, 1], the floor read from
+    PRECLEAN_GAIN_FLOOR_DB when the call runs."""
     rng = np.random.default_rng(1)
     mag = np.abs(rng.standard_normal((100, 16)))
     noise = np.full_like(mag, 0.5)
-    out = log_mmse_preclean(mag, noise, gain_floor_db=-20.0)
-    gain = out / np.maximum(mag, 1e-300)
-    assert np.all(gain <= 1.0 + 1e-12)
-    assert np.all(gain >= 10.0 ** (-20.0 / 20.0) - 1e-12)
+    for floor_db in (speech.PRECLEAN_GAIN_FLOOR_DB, -6.0):
+        monkeypatch.setattr(speech, "PRECLEAN_GAIN_FLOOR_DB", floor_db)
+        gain = log_mmse_preclean(mag, noise) / np.maximum(mag, 1e-300)
+        assert np.all(gain <= 1.0 + 1e-12)
+        assert np.all(gain >= 10.0 ** (floor_db / 20.0) - 1e-12)
+        assert np.any(gain <= 10.0 ** (floor_db / 20.0) + 1e-12)
 
 
 def test_preclean_shape_mismatch():

@@ -241,15 +241,17 @@ def _traced_peak(spec, cfg):
 
 def _held_bytes(cfg, t_frames, k_bins):
     """Bytes of the rows whose count a setting sets, that the front end
-    holds at most: the row store (p + 7 float64 per bin bounds the p + 5
+    holds at most: the row store (p + 7 float64 per bin, at p = AR_ORDER,
+    bounds the p + 5
     fields, the gate and the run lengths), the AR fits' carried window and
     the noise tracker's carried window, none longer than the input."""
     inc = FRAME_INCREMENT
     store = enhancer._FDR_MAX_LEN + cfg.look_ahead + enhancer._BLOCK + 2
-    ar = max(round(cfg.modulation_frame / inc), cfg.p + 2) - 1
+    p = enhancer.AR_ORDER
+    ar = max(round(cfg.modulation_frame / inc), p + 2) - 1
     noise = max(round(cfg.noise_window_s / inc), 1) - 1
     return 8 * k_bins * sum(min(rows, t_frames) * width
-                            for rows, width in ((store, cfg.p + 7), (ar, 1), (noise, 1)))
+                            for rows, width in ((store, p + 7), (ar, 1), (noise, 1)))
 
 
 @pytest.fixture(scope="module")
