@@ -73,9 +73,10 @@ def cmd_enhance(args):
     write_wav(args.output, out)
     if args.trace:
         trace.write_csv(args.trace, bins)
-    if diag.fallbacks or diag.variance_clamps:
+    if diag.fallbacks or diag.variance_clamps or diag.floored_bins:
         print(f"diagnostics: {diag.fallbacks} fallbacks, "
-              f"{diag.variance_clamps} variance clamps", file=sys.stderr)
+              f"{diag.variance_clamps} variance clamps, "
+              f"{diag.floored_bins} floored bin-frames", file=sys.stderr)
     return 0
 
 

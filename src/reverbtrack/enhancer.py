@@ -17,7 +17,12 @@ number of frames. No frame reads the T60/DRR estimates, so each group of bins
 converts its stored gamma/beta once, after its last frame. The r -> old/new
 split and the gamma/beta updates (steps 10-12) run only on the bins
 that pass the per-bin RNR gate in that frame; the other bins keep their
-gamma and beta priors.
+gamma and beta priors. A bin whose magnitude sat at its frame's floor
+(stft.magnitude_floor) has no observed value, only a bound, so the
+observation updates (steps 7, 8 and 10-12) skip it, as a Kalman filter
+skips a missing observation: it keeps its priors, with no fallback, and
+Diagnostics.floored_bins counts it. A frame of digital silence then costs
+the predictions alone.
 
 No stage mixes bins but the decay-run detector's broadband energy, and no
 sum of the cascade depends on how many bins share a call, so the bins
@@ -50,7 +55,7 @@ import numpy as np
 from . import lognorm, reverb, speech
 from .lognorm import Diagnostics
 from .stft import (FRAME_INCREMENT, FRAME_SAMPLES, HOP_SAMPLES, AudioBuffer,
-                   SpectralFrames, check_number, floored_magnitude, istft, stft)
+                   SpectralFrames, check_number, istft, magnitude_floor, stft)
 
 
 # The cascade's fixed parameters. Each is read where it is used, never
@@ -250,9 +255,12 @@ class _Frame(NamedTuple):
     """One frame's inputs to the cascade, as _front_end yields them: the
     pre-cleaned log-magnitude, from which (with n_mean) the filter state
     starts at frame 0; the observed log-magnitude y; the noise mean; the AR
-    model (speech.estimate_ar); the RNR gate; and the _fdr_priors_at tuple
-    of the decay priors, fitted at frame t + look_ahead. Every field but
-    priors is an array with the bins on its first axis."""
+    model (speech.estimate_ar); the RNR gate; observed, false where the
+    bin's magnitude sat at its frame's floor, so that y holds only the
+    floor's log and the observation updates skip the bin; and the
+    _fdr_priors_at tuple of the decay priors, fitted at frame t +
+    look_ahead. Every field but priors is an array with the bins on its
+    first axis."""
 
     pre_log: np.ndarray
     y: np.ndarray
@@ -261,6 +269,7 @@ class _Frame(NamedTuple):
     resid: np.ndarray
     loc_mean: np.ndarray
     gate: np.ndarray
+    observed: np.ndarray
     priors: tuple
 
 
@@ -268,6 +277,8 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     """One frame of the cascade for all bins, updating fs in place. Returns
     the trace row dict, without t60_est and drr_est, which _run_group
     converts from the stored gamma_mean and beta_mean after the last frame.
+    Steps 7, 8 and 10-12 run on the bins frame.observed marks alone, and
+    not at all where it marks none.
 
     Bins never interact, and no sum runs in an order that depends on the
     number of bins, so a bin's results have the same bits in any set of
@@ -304,24 +315,43 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     rm, rv = lognorm.logsum_moments(dm, dv, em, ev, diag=diag)
     zm, zv = lognorm.logsum_moments(rm, rv, n_mean, n_var, diag=diag)
 
-    # step 7: scalar observation split y -> (s, z)
-    spm, spv, zpm, zpv, fb7 = lognorm.split_scalar_obs(
-        head_m, head_v, zm, zv, y, diag=diag)
+    # steps 7, 8 and 10-12 update the observed bins alone (obs, a full
+    # slice where every bin is observed); a floored bin keeps its priors:
+    # the speech prediction, the z and r priors, and in _learn_room gamma
+    # and beta
+    obs = lognorm._all_or_where(frame.observed)
+    n_obs = y.size if isinstance(obs, slice) else obs.size
+    diag.floored_bins += y.size - n_obs
+    no_fb = np.zeros(y.shape, dtype=bool)
+    s_z, state, r = (head_m, head_v, zm, zv, no_fb), (sm, sc), (rm, rv, no_fb)
+    if n_obs:
+        # step 7: scalar observation split y -> (s, z)
+        post7 = lognorm.split_scalar_obs(
+            head_m[obs], head_v[obs], zm[obs], zv[obs], y[obs], diag=diag)
 
-    # recorrelate; smoothed previous-frame speech
-    new_s_mean, new_s_cov = speech.recorrelate_arrays(spm, spv, tail_m, tail_c, c)
+        # recorrelate
+        post_s = speech.recorrelate_arrays(*post7[:2], tail_m[obs], tail_c[obs], c[obs])
+
+        # step 8: distributed split z -> (r, n); the n posterior is unused,
+        # so only the r posterior is computed. The z posterior is narrow
+        # against the r prior, so two observation points do as well as three
+        rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
+            rm[obs], rv[obs], n_mean[obs], n_var[obs], *post7[2:4], diag=diag,
+            b_moments=False, obs_points=2)
+
+        s_z = _on_observed(obs, s_z, post7)
+        state = _on_observed(obs, state, post_s)
+        r = _on_observed(obs, r, (rpm, rpv, fb8))
+    spm, spv, zpm, zpv, fb7 = s_z
+    new_s_mean, new_s_cov = state
+    rpm, rpv, fb8 = r
+
+    # smoothed previous-frame speech
     sprev_m = new_s_mean[:, 1]
     sprev_v = np.maximum(new_s_cov[:, 1, 1], 0.0)
-
-    # step 8: distributed split z -> (r, n); the n posterior is unused,
-    # so only the r posterior is computed. The z posterior is narrow
-    # against the r prior, so two observation points do as well as three
-    rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
-        rm, rv, n_mean, n_var, zpm, zpv, diag=diag, b_moments=False, obs_points=2)
-
     gpm, gpv, bpm, bpv, fb10 = _learn_room(
         (gm, gv), (bm, bv), (dm, dv), (fs.r_mean, fs.r_var), (sprev_m, sprev_v), (rpm, rpv),
-        frame.gate, diag)
+        frame.gate & frame.observed, diag)      # so step 10 never runs without step 8
 
     # step 13: shift posteriors to priors
     fs.s_mean, fs.s_cov = new_s_mean, new_s_cov
@@ -335,6 +365,17 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
         "z_mean": zpm, "z_var": zpv, "gamma_mean": gpm, "gamma_var": gpv,
         "beta_mean": bpm, "beta_var": bpv, "fallback_flags": flags,
     }
+
+
+def _on_observed(obs, priors, posts):
+    """Each post on the observed bins obs and its prior on the others: the
+    posts themselves where obs is every bin (a full slice)."""
+    if isinstance(obs, slice):
+        return posts
+    merged = [prior.copy() for prior in priors]
+    for out, post in zip(merged, posts, strict=True):
+        out[obs] = post
+    return merged
 
 
 def _learn_room(gamma, beta, old, r_prev, s_prev, r_post, gate, diag: Diagnostics):
@@ -522,7 +563,10 @@ def _front_block(frames, cfg: EnhancerConfig, bins, states, store, final):
     bin; the per-bin stages after them run on the slice alone. Its
     block-sized temporaries are freed on return, not kept alive across a
     yield."""
-    mag = floored_magnitude(frames)
+    mag = np.abs(frames)
+    floor = magnitude_floor(mag)
+    observed = mag[:, bins] > floor
+    mag = np.maximum(mag, floor, out=mag)       # as stft.floored_magnitude floors it
     n_mean = track_noise(mag ** 2, cfg.noise_window_s, state=states["noise"])
     precleaned = speech.log_mmse_preclean(mag, np.exp(2.0 * n_mean), state=states["preclean"])
     # decay-region detection on broadband energy; per-bin RNR gate for fits
@@ -537,7 +581,8 @@ def _front_block(frames, cfg: EnhancerConfig, bins, states, store, final):
     energy = _smooth_energy(energy, states["energy"], final=final)
     # the run lengths are one frame behind the other rows until the end
     _append(store, pre_log=pre_log, y=np.log(mag), n_mean=n_mean, coeffs=coeffs, resid=resid,
-            loc_mean=loc_mean, gate=gate, runs=_decay_run_lengths(energy, states["runs"]))
+            loc_mean=loc_mean, gate=gate, observed=observed,
+            runs=_decay_run_lengths(energy, states["runs"]))
 
 
 def _append(store, **blocks):
@@ -639,11 +684,11 @@ def _output_arrays(t_frames, k_bins, out_dtype, shared):
 def _run_groups(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics):
     """Runs the first group here and the second, if there is one, at the
     same time in a forked child, which writes its columns into the shared
-    trace and out and its (fallbacks, variance clamps) into a shared pair
-    of counts, and exits with status 0, or 1 if anything raised. The child
-    is reaped before this returns, and killed first if this raises. A
-    child that ends in any other way (it raised, or a signal killed it)
-    has its group run again here, into the same columns, with a
+    trace and out and its Diagnostics counts into shared ones, and exits
+    with status 0, or 1 if anything raised. The child is reaped before
+    this returns, and killed first if this raises. A child that ends in
+    any other way (it raised, or a signal killed it) has its group run
+    again here, into the same columns, with a
     RuntimeWarning: a failure of that group alone then gives the bits of
     one group, and one in every process raises here with its own type
     and traceback. The child's own warnings go where the caller's filters,
@@ -651,13 +696,14 @@ def _run_groups(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics
     if len(groups) == 1:
         return _run_group(spec, cfg, groups[0], trace, out, diag)
     first, second = groups
-    counts = np.frombuffer(mmap.mmap(-1, 16), np.int64)
+    names = [f.name for f in fields(Diagnostics)]
+    counts = np.frombuffer(mmap.mmap(-1, 8 * len(names)), np.int64)
     pid = os.fork()
     if pid == 0:
         try:
             child = Diagnostics()
             _run_group(spec, cfg, second, trace, out, child)
-            counts[:] = child.fallbacks, child.variance_clamps
+            counts[:] = [getattr(child, name) for name in names]
             os._exit(0)
         finally:
             os._exit(1)
@@ -669,8 +715,8 @@ def _run_groups(spec, cfg: EnhancerConfig, groups, trace, out, diag: Diagnostics
     finally:
         _, status = os.waitpid(pid, 0)
     if status == 0:
-        diag.fallbacks += int(counts[0])
-        diag.variance_clamps += int(counts[1])
+        for name, count in zip(names, counts.tolist()):
+            setattr(diag, name, getattr(diag, name) + count)
         return
     _run_group(spec, cfg, second, trace, out, diag)
     warnings.warn(f"the forked process of bins {second.start}-{second.stop - 1} ended with "

@@ -70,10 +70,15 @@ _LOG_W_MIN = -600.0
 
 @dataclass
 class Diagnostics:
-    """Counters for numerical events; exposed instead of silently masked."""
+    """Counters for numerical events; exposed instead of silently masked.
+
+    floored_bins counts the bin-frames whose magnitude sat at the floor, so
+    that the cascade skipped their observation updates and they kept their
+    priors; they are not fallbacks."""
 
     variance_clamps: int = 0
     fallbacks: int = 0
+    floored_bins: int = 0
 
 
 @functools.cache

@@ -68,11 +68,16 @@ class SpectralFrames:
         return self.frames.shape[1]
 
 
+def magnitude_floor(mag):
+    """Each frame's magnitude floor, max(1e-10 * frame max, 1e-12), with the
+    bins axis of mag kept as 1."""
+    return np.maximum(MAG_FLOOR_REL * mag.max(axis=-1, keepdims=True), MAG_FLOOR_ABS)
+
+
 def floored_magnitude(frames):
-    """|X| floored per frame: max(|X|, 1e-10 * frame max, 1e-12)."""
+    """|X| floored per frame: max(|X|, magnitude_floor(|X|))."""
     mag = np.abs(frames)
-    frame_max = mag.max(axis=-1, keepdims=True)
-    return np.maximum(mag, np.maximum(MAG_FLOOR_REL * frame_max, MAG_FLOOR_ABS), out=mag)
+    return np.maximum(mag, magnitude_floor(mag), out=mag)
 
 
 def stft(audio: AudioBuffer) -> SpectralFrames:

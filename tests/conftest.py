@@ -1,7 +1,8 @@
 """Shared pytest hooks and fixtures.
 
 The hook echoes acceptance-criterion verdicts in the summary; the
-advance_bin fixture runs one frame of the cascade on a single bin.
+advance_bin fixture runs one frame of the cascade on a single bin, and
+criterion_8_audio is acceptance criterion 8's adversarial input.
 """
 
 import os
@@ -17,6 +18,7 @@ import pytest  # noqa: E402
 
 from reverbtrack import enhancer, reverb  # noqa: E402
 from reverbtrack.lognorm import Diagnostics  # noqa: E402
+from reverbtrack.stft import AudioBuffer  # noqa: E402
 
 CRITERION_LINES = []
 
@@ -46,7 +48,7 @@ def _advance_bin(fs, y, n_mean, cfg, priors=None, update=True, diag=None):
     frame = enhancer._Frame(
         pre_log=np.array([float(y)]), y=np.array([float(y)]), n_mean=np.array([float(n_mean)]),
         coeffs=coeffs, resid=np.array([0.01]), loc_mean=np.zeros(1), gate=np.array([update]),
-        priors=(*prior_rows, np.array([priors is not None])))
+        observed=np.array([True]), priors=(*prior_rows, np.array([priors is not None])))
     row = enhancer._advance(fs, frame, cfg, Diagnostics() if diag is None else diag)
     row["t60_est"], row["drr_est"] = reverb.gamma_beta_to_room(
         row["gamma_mean"], row["beta_mean"])
@@ -56,3 +58,20 @@ def _advance_bin(fs, y, n_mean, cfg, priors=None, update=True, diag=None):
 @pytest.fixture
 def advance_bin():
     return _advance_bin
+
+
+@pytest.fixture(scope="session")
+def criterion_8_audio():
+    """Acceptance criterion 8's adversarial input: 2 s each of silence, DC,
+    clicks, clipped noise and full-scale noise at 16 kHz."""
+    rng = np.random.default_rng(5)
+    fs = 16000
+    parts = [
+        np.zeros(2 * fs),                              # silence
+        np.full(2 * fs, 0.5),                          # DC
+        np.zeros(2 * fs),                              # clicks
+        np.clip(rng.standard_normal(2 * fs), -1, 1),   # clipped noise
+        rng.uniform(-1.0, 1.0, 2 * fs),                # full-scale noise
+    ]
+    parts[2][::1600] = 1.0
+    return AudioBuffer(np.concatenate(parts))

@@ -230,19 +230,8 @@ def test_criterion_07_mean_cd_improvement():
 # 8. numerical robustness on adversarial input
 # ---------------------------------------------------------------------------
 
-def test_criterion_08_adversarial_robustness():
-    rng = np.random.default_rng(5)
-    fs = 16000
-    parts = [
-        np.zeros(2 * fs),                              # silence
-        np.full(2 * fs, 0.5),                          # DC
-        np.zeros(2 * fs),                              # clicks
-        np.clip(rng.standard_normal(2 * fs), -1, 1),   # clipped noise
-        rng.uniform(-1.0, 1.0, 2 * fs),                # full-scale noise
-    ]
-    parts[2][::1600] = 1.0
-    audio = AudioBuffer(np.concatenate(parts))
-    out, trace, diag = enhance(audio)
+def test_criterion_08_adversarial_robustness(criterion_8_audio):
+    out, trace, diag = enhance(criterion_8_audio)
     bad = [f for f, arr in trace.arrays.items() if not np.all(np.isfinite(arr))]
     ok = not bad and np.all(np.isfinite(out.samples))
     report(8, "adversarial-input robustness", ok,

@@ -368,6 +368,18 @@ def test_enhance_silence_round_trip(tmp_path):
     assert all(ln.split(",")[1] == "32" for ln in lines[1:])
 
 
+def test_enhance_skips_digital_silence_without_fallbacks(tmp_path, capsys):
+    """speechlike_excitation leaves its gaps as exact zeros, and 0.5 s of it
+    (seed 1) holds 6 all-zero frames. Every bin of them sits at the
+    magnitude floor, so the cascade keeps its priors there: the
+    diagnostics line names 6 x 257 floored bin-frames and no fallback."""
+    src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
+    write_wav(src, speechlike_excitation(0.5, seed=1))
+    assert main(["enhance", str(src), str(dst)]) == 0
+    assert capsys.readouterr().err == (
+        f"diagnostics: 0 fallbacks, 0 variance clamps, {6 * 257} floored bin-frames\n")
+
+
 def test_enhance_rejects_out_of_range_bins(tmp_path, capsys, monkeypatch):
     src = tmp_path / "sil.wav"
     dst = tmp_path / "out.wav"

@@ -24,7 +24,7 @@ from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, Trace, _FilterSt
 from reverbtrack.lognorm import Diagnostics, fuse_moments
 from reverbtrack.reverb import RoomParams, clamp_gamma
 from reverbtrack.simkit import make_scene, speechlike_excitation, stft_domain_reverb
-from reverbtrack.stft import AudioBuffer, SpectralFrames, istft, stft
+from reverbtrack.stft import AudioBuffer, SpectralFrames, istft, magnitude_floor, stft
 
 FS = 16000
 
@@ -135,7 +135,7 @@ def test_flat_window_keeps_speech_process_noise():
     for _ in range(5):
         frame = enhancer._Frame(flat[-1], np.array([-2.0, -1.0]), np.full(k_bins, -3.0),
                                 coeffs[-1], resid[-1], loc_mean[-1], np.ones(k_bins, bool),
-                                no_priors)
+                                np.ones(k_bins, bool), no_priors)
         row = enhancer._advance(fs, frame, cfg, diag)
         assert (row["s_var"] > 0).all()
         assert not (row["fallback_flags"] & 1).any()
@@ -385,14 +385,20 @@ def _advance_quietly(fs, frame, cfg, diag):
 _WINDOW = slice(44, 64)
 
 
-def _advance_bins(recorded_frames, sub):
+def _advance_bins(recorded_frames, sub, floored=None):
     """The rows of _advance over the frames of _WINDOW on the bins sub
     alone, from the recorded state at the window's first frame, and the
-    state after its last frame."""
+    state after its last frame. floored, when given, holds a row of K
+    bools per frame of the window: the bins to mark as at the magnitude
+    floor."""
     fs0, _, cfg = recorded_frames[_WINDOW.start]
     part = _state_bins(fs0, sub)
+    window = [frame for _, frame, _ in recorded_frames[_WINDOW]]
+    if floored is not None:
+        window = [frame._replace(observed=frame.observed & ~row)
+                  for frame, row in zip(window, floored, strict=True)]
     rows = [enhancer._advance(part, _frame_bins(frame, sub), cfg, Diagnostics())
-            for _, frame, _ in recorded_frames[_WINDOW]]
+            for frame in window]
     return rows, part
 
 
@@ -437,11 +443,20 @@ def test_cascade_bins_are_independent(recorded_frames, all_bins):
 def test_any_set_of_bins_gets_the_bits_of_every_bin(recorded_frames, all_bins, data):
     """Per-bin independence as a property: a bin's rows have the same bits
     whatever other bins share the calls, one bin alone included (a step-10
-    split holds one bin where one bin of a call passes the RNR gate)."""
+    split holds one bin where one bin of a call passes the RNR gate), and
+    whatever bins sit at the magnitude floor in which frames, none, some
+    or all of them."""
     k_bins = recorded_frames[0][0].gamma_m.size
     size = data.draw(st.integers(1, k_bins), label="bins")
     sub = np.sort(data.draw(st.permutations(range(k_bins)), label="order")[:size])
-    _assert_rows_equal(_advance_bins(recorded_frames, sub)[0], all_bins[0], sub)
+    share = data.draw(st.sampled_from((0.0, 0.05, 0.5, 1.0)), label="floored share")
+    floored = None
+    if share:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        floored = rng.random((_WINDOW.stop - _WINDOW.start, k_bins)) < share
+    ref = all_bins[0] if floored is None else _advance_bins(recorded_frames, slice(None),
+                                                            floored)[0]
+    _assert_rows_equal(_advance_bins(recorded_frames, sub, floored)[0], ref, sub)
 
 
 def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
@@ -508,6 +523,108 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
         assert np.array_equal(flags & 4, np.where(mask, ref & 4, 0))
         # every counted fallback is a flagged one
         assert diag.fallbacks == sum(np.count_nonzero(flags & bit) for bit in (1, 2, 4))
+
+
+def test_floored_bins_keep_their_priors(recorded_frames, monkeypatch):
+    """A bin at the magnitude floor has no observed value: the observation
+    updates skip it and it keeps its priors exactly, with no fallback,
+    while the observed bins get the bits of the call where every bin is
+    observed, and the splits and line updates receive them alone."""
+    fs, frame, cfg = recorded_frames[58]
+    k_bins = frame.y.size
+    assert frame.observed.all()
+    ref = _advance_quietly(fs, frame, cfg, Diagnostics())
+    pg, pgv, pb, pbv, pmask = frame.priors
+    mixed = np.zeros(k_bins, bool)
+    mixed[np.random.default_rng(1).permutation(k_bins)[:k_bins // 3]] = True
+    # floored bins among the gated ones and among those with decay priors
+    assert np.any(mixed & frame.gate) and np.any(mixed & pmask)
+    assert np.any(~mixed & frame.gate)
+
+    # steps 1-2: the random walk fused with the decay priors
+    gm, gv = fs.gamma_m, fs.gamma_v + enhancer.Q_GAMMA
+    bm, bv = fs.beta_m, fs.beta_v + enhancer.Q_BETA
+    fgm, fgv = fuse_moments(gm, gv, pg, pgv)
+    fbm, fbv = fuse_moments(bm, bv, pb, pbv)
+    room_priors = {"gamma_mean": clamp_gamma(np.where(pmask, fgm, gm)),
+                   "gamma_var": np.where(pmask, fgv, gv),
+                   "beta_mean": np.where(pmask, fbm, bm),
+                   "beta_var": np.where(pmask, fbv, bv)}
+
+    # the speech prediction and the r and z priors (steps 5 and 6) as the
+    # cascade forms them, and the arguments of every update
+    calls = {}
+    for mod, name in ((speech, "predict_arrays"), (lognorm, "logsum_moments"),
+                      (lognorm, "split_scalar_obs"), (lognorm, "split_distributed_obs"),
+                      (lognorm, "line_constrained_update")):
+        def recorded(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.setdefault(_name, []).append((args, out))
+            return out
+        monkeypatch.setattr(mod, name, recorded)
+
+    for floored in (mixed, np.ones(k_bins, bool)):
+        calls.clear()
+        state, diag = copy.deepcopy(fs), Diagnostics()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = enhancer._advance(state, frame._replace(observed=~floored), cfg, diag)
+        kept = ~floored
+        for f, v in row.items():
+            assert np.array_equal(v[kept], ref[f][kept])
+
+        (_, (sm, sc)), = calls["predict_arrays"]
+        (_, (rm, rv)), (_, (zm, zv)) = calls["logsum_moments"]
+        assert np.array_equal(state.s_mean[floored], sm[floored])
+        assert np.array_equal(state.s_cov[floored], sc[floored])
+        assert np.array_equal(row["s_mean"][floored], sm[floored, 0])
+        assert np.array_equal(row["s_var"][floored], sc[floored, 0, 0])
+        for f, prior in {"r_mean": rm, "r_var": rv, "z_mean": zm, "z_var": zv,
+                         **room_priors}.items():
+            assert np.array_equal(row[f][floored], prior[floored])
+        assert np.array_equal(state.r_mean[floored], rm[floored])
+        assert not row["fallback_flags"][floored].any()
+        assert diag.floored_bins == np.count_nonzero(floored)
+        assert diag.fallbacks == sum(np.count_nonzero(row["fallback_flags"] & bit)
+                                     for bit in (1, 2, 4))
+
+        # step 7 splits the observed y, step 8 the observed bins' z and step
+        # 10 and the line updates the observed bins that pass the RNR gate;
+        # with no observed bin none of them runs
+        learn = kept & frame.gate
+        splits = calls.get("split_scalar_obs", []) + calls.get("split_distributed_obs", [])
+        assert [a[0].size for a, _ in splits] == ([kept.sum()] * 2 + [learn.sum()]
+                                                  if kept.any() else [])
+        if kept.any():
+            assert np.array_equal(splits[0][0][4], frame.y[kept])
+            assert np.array_equal(splits[1][0][2], frame.n_mean[kept])
+        assert [a[0].size for a, _ in calls.get("line_constrained_update", [])] == (
+            [learn.sum()] * 2 if kept.any() else [])
+
+
+def test_floored_bins_run_no_split(criterion_8_audio, monkeypatch):
+    """On criterion 8's input, step 7 splits once per frame that has an
+    observed bin, the frame's observed log-magnitudes alone, and
+    Diagnostics counts every bin-frame at the floor, none of which falls
+    back."""
+    mag = np.abs(stft(criterion_8_audio).frames)
+    floor = magnitude_floor(mag)
+    observed = mag > floor
+    y = np.log(np.maximum(mag, floor))
+    with_obs = np.flatnonzero(observed.any(axis=1))
+    assert 0 < with_obs.size < len(mag)         # frames of digital silence, and others
+    seen = []
+
+    def counted(ma, va, mb, vb, y, diag=None, _fn=lognorm.split_scalar_obs):
+        seen.append(np.array(y, copy=True))
+        return _fn(ma, va, mb, vb, y, diag=diag)
+    monkeypatch.setattr(lognorm, "split_scalar_obs", counted)
+    _, trace, diag = enhance(criterion_8_audio)     # one group: a function is replaced
+    assert trace.n_frames == len(mag) and len(seen) == with_obs.size
+    for t, got in zip(with_obs, seen):
+        assert np.array_equal(got, y[t, observed[t]])
+    assert diag.floored_bins == np.count_nonzero(~observed)
+    assert not trace.arrays["fallback_flags"][~observed].any()
 
 
 @pytest.fixture(scope="module")
@@ -636,10 +753,12 @@ def _count_advance_calls(monkeypatch):
 @pytest.fixture(scope="module")
 def quiet_end_spec_1s(condition_g_spec_1s):
     """The 1 s condition-G spectrum with its last frames 100 dB down, so
-    that steps 7 and 8 fall back in both groups and the second group's
+    that steps 7 and 8 fall back in both groups, and four frames of digital
+    silence, so that both groups count floored bins: the second group's
     counts must reach the caller."""
     frames = condition_g_spec_1s.frames.copy()
     frames[60:] *= 1e-5
+    frames[40:44] = 0.0
     return SpectralFrames(frames)
 
 
@@ -659,6 +778,7 @@ def _assert_bits_of_one_group(spec, forked, monkeypatch):
         assert trace_f.arrays[f].dtype == trace_i.arrays[f].dtype
         assert np.array_equal(trace_f.arrays[f], trace_i.arrays[f])
     assert diag_f == diag_i and diag_f.fallbacks > 0
+    assert diag_f.floored_bins == 4 * spec.n_bins
 
 
 def test_forked_groups_give_the_bits_of_one_group(quiet_end_spec_1s, forks, monkeypatch):
