@@ -22,7 +22,10 @@ gamma and beta priors. A bin whose magnitude sat at its frame's floor
 observation updates (steps 7, 8 and 10-12) skip it, as a Kalman filter
 skips a missing observation: it keeps its priors, with no fallback, and
 Diagnostics.floored_bins counts it. A frame of digital silence then costs
-the predictions alone.
+the predictions alone. The noise tracker takes the same mask, on every
+bin, and holds a floored bin's smoothed power, so digital silence does not
+pull the noise mean down to the floor, which would open the RNR gate on
+every bin for the tracker's window after it.
 
 No stage mixes bins but the decay-run detector's broadband energy, and no
 sum of the cascade depends on how many bins share a call, so the bins
@@ -164,7 +167,7 @@ def write_bin_rows(fh, arrays, bins):
         np.savetxt(fh, rows, fmt=fmt, delimiter=",")
 
 
-def track_noise(noisy_power, window_s=1.5, state=None):
+def track_noise(noisy_power, window_s=1.5, state=None, observed=None):
     """Minimum-statistics style noise tracker.
 
     Sliding-window minimum over window_s of the power, exponentially
@@ -176,17 +179,28 @@ def track_noise(noisy_power, window_s=1.5, state=None):
     and the last min(w - 1, frames seen) smoothed rows, for a window of w
     frames: a window longer than the frames seen has their minimum.
 
+    observed, when given, is a (T, K) bool mask, false where the bin's
+    magnitude sat at its frame's floor: such a power is a bound, not a
+    value, so the smoother holds its last value there. None marks every
+    bin observed. A bin not observed yet has no value to hold; it puts +inf
+    into the window minimum, and while its whole window is +inf its mean
+    reads its own frame's power, as a leading silence reads with every bin
+    marked observed. Its smoother starts at its first observed power.
+
     The window minimum is taken by doubling (_window_min): at most
     floor(log2 w) np.minimum passes over the carried rows and the block,
     then one pass that joins two overlapping power-of-two spans. A minimum
     is exact, so this gives the same bits as any other way of taking it.
     """
     power = np.asarray(noisy_power, dtype=float)
+    observed = np.ones(power.shape, dtype=bool) if observed is None else observed
     state = {} if state is None else state
     smoothed = np.empty_like(power)
-    acc = state.get("acc", power[0])
+    # +inf: not observed yet; a bin observed for the first time starts from its power
+    acc = state.get("acc", np.full(power.shape[1:], np.inf))
     for t in range(power.shape[0]):
-        acc = NOISE_SMOOTH * acc + (1 - NOISE_SMOOTH) * power[t]
+        start = np.where(np.isinf(acc), power[t], acc)
+        acc = np.where(observed[t], NOISE_SMOOTH * start + (1 - NOISE_SMOOTH) * power[t], acc)
         smoothed[t] = acc
     w = max(int(round(window_s / FRAME_INCREMENT)), 1)
     # causal window [t-w+1, t] of at most the frames seen: prepend the carried
@@ -200,6 +214,8 @@ def track_noise(noisy_power, window_s=1.5, state=None):
     state["acc"] = acc
     state["history"] = pad[pad.shape[0] - min(w - 1, h + n):].copy()
     mins = _window_min(pad, span)
+    # a window holds +inf alone where its bin was never observed
+    mins = np.where(np.isinf(mins), power, mins)
     est = NOISE_BIAS * np.maximum(mins, 1e-300)
     return 0.5 * np.log(est)
 
@@ -565,9 +581,10 @@ def _front_block(frames, cfg: EnhancerConfig, bins, states, store, final):
     yield."""
     mag = np.abs(frames)
     floor = magnitude_floor(mag)
-    observed = mag[:, bins] > floor
+    observed = mag > floor
     mag = np.maximum(mag, floor, out=mag)       # as stft.floored_magnitude floors it
-    n_mean = track_noise(mag ** 2, cfg.noise_window_s, state=states["noise"])
+    n_mean = track_noise(mag ** 2, cfg.noise_window_s, state=states["noise"], observed=observed)
+    observed = observed[:, bins]
     precleaned = speech.log_mmse_preclean(mag, np.exp(2.0 * n_mean), state=states["preclean"])
     # decay-region detection on broadband energy; per-bin RNR gate for fits
     energy = np.log(np.maximum(np.sum(precleaned ** 2, axis=1), 1e-300))

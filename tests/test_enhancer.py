@@ -24,7 +24,8 @@ from reverbtrack.enhancer import (TRACE_FIELDS, EnhancerConfig, Trace, _FilterSt
 from reverbtrack.lognorm import Diagnostics, fuse_moments
 from reverbtrack.reverb import RoomParams, clamp_gamma
 from reverbtrack.simkit import make_scene, speechlike_excitation, stft_domain_reverb
-from reverbtrack.stft import AudioBuffer, SpectralFrames, istft, magnitude_floor, stft
+from reverbtrack.stft import (FRAME_INCREMENT, HOP_SAMPLES, AudioBuffer, SpectralFrames, istft,
+                              magnitude_floor, stft)
 
 FS = 16000
 
@@ -64,6 +65,65 @@ def test_track_noise_constant_input(monkeypatch):
     monkeypatch.setattr(enhancer, "NOISE_BIAS", 2.0)
     mean = track_noise(np.full((400, 2), 0.01))
     assert np.allclose(mean[-1], 0.5 * np.log(0.02))
+
+
+# frames in the tracker's default 1.5 s window
+_NOISE_WINDOW = round(1.5 / FRAME_INCREMENT)
+
+
+def test_track_noise_holds_a_bin_through_floored_frames():
+    """A bin that falls to the floor, its power only a bound, holds its
+    smoothed value: once the window has passed its last observed frame, its
+    mean is that value's, where without the mask it drops to the floor."""
+    power = 0.01 * np.random.default_rng(4).chisquare(2, size=(600, 3))
+    observed = np.ones(power.shape, bool)
+    power[300:], observed[300:] = 1e-24, False
+    held = {}
+    before = track_noise(power[:300], state=held)
+    mean = track_noise(power, observed=observed)
+    assert np.array_equal(mean[:300], before)
+    last = 0.5 * np.log(enhancer.NOISE_BIAS * held["acc"])
+    assert (mean[299 + _NOISE_WINDOW:] == last).all()
+    assert (np.diff(mean[299:], axis=0) >= 0).all()     # the window forgets its lower rows
+    assert (track_noise(power)[-1] < last - 10).all()   # unmasked: falling to the floor
+
+
+def test_track_noise_reads_the_floor_until_a_bin_is_observed():
+    """A bin not observed yet reads its own frame's floored power, as a
+    leading silence reads without the mask, and its smoother starts at its
+    first observed power."""
+    rng = np.random.default_rng(5)
+    power = 0.01 * rng.chisquare(2, size=(300, 2))
+    observed = np.ones(power.shape, bool)
+    power[:100, 1] = 1e-24 * rng.uniform(1.0, 2.0, 100)    # a floor that moves
+    observed[:100, 1] = False
+    mean = track_noise(power, observed=observed)
+    assert np.array_equal(mean[:100, 1], 0.5 * np.log(enhancer.NOISE_BIAS * power[:100, 1]))
+    assert np.array_equal(mean[:, 0], track_noise(power[:, :1])[:, 0])
+    p = power[100, 1]
+    first = enhancer.NOISE_SMOOTH * p + (1 - enhancer.NOISE_SMOOTH) * p
+    assert mean[100, 1] == 0.5 * np.log(enhancer.NOISE_BIAS * first)
+    assert np.array_equal(mean[100:, 1], track_noise(power[100:, 1:])[:, 0])
+
+
+def test_track_noise_all_observed_keeps_the_plain_recursion():
+    """With every bin observed, the masked loop gives the bits of the plain
+    tracker: the smoother starts at frame 0's power, and each mean is the
+    bias times the minimum of the last w smoothed rows (of fewer at the
+    start)."""
+    rng = np.random.default_rng(6)
+    power = 0.01 * rng.chisquare(2, size=(60, 5))
+    power[20:30] = 1e-8
+    w = 10
+    acc, smoothed = power[0], []
+    for p in power:
+        acc = enhancer.NOISE_SMOOTH * acc + (1 - enhancer.NOISE_SMOOTH) * p
+        smoothed.append(acc)
+    mins = np.array([np.min(smoothed[max(t - w + 1, 0):t + 1], axis=0) for t in range(60)])
+    ref = 0.5 * np.log(enhancer.NOISE_BIAS * mins)
+    assert np.array_equal(track_noise(power, window_s=w * FRAME_INCREMENT), ref)
+    assert np.array_equal(track_noise(power, window_s=w * FRAME_INCREMENT,
+                                      observed=np.ones(power.shape, bool)), ref)
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4, 127, 128, 129, 188, 250])
@@ -625,6 +685,24 @@ def test_floored_bins_run_no_split(criterion_8_audio, monkeypatch):
         assert np.array_equal(got, y[t, observed[t]])
     assert diag.floored_bins == np.count_nonzero(~observed)
     assert not trace.arrays["fallback_flags"][~observed].any()
+
+
+def test_noise_tracker_holds_through_digital_silence(criterion_8_audio, monkeypatch):
+    """On criterion 8's input the noise tracker takes in no floored power, so
+    after the leading silence the DC segment's leakage is not read as far
+    above the noise: the RNR gate passes under 5 % of the bin-frames of the
+    frames that start in it (over 70 % with the floor taken in), and no
+    step falls back (23 with it, at the clipped noise's onset)."""
+    gates = []
+
+    def recorded(fs, frame, cfg, diag, _fn=enhancer._advance):
+        gates.append(frame.gate)
+        return _fn(fs, frame, cfg, diag)
+    monkeypatch.setattr(enhancer, "_advance", recorded)
+    _, trace, diag = enhance(criterion_8_audio)     # one group: a function is replaced
+    dc = slice(2 * FS // HOP_SAMPLES, 4 * FS // HOP_SAMPLES)     # frames that start in 2-4 s
+    assert np.mean(gates[dc]) < 0.05
+    assert diag.fallbacks == 0 and not trace.arrays["fallback_flags"].any()
 
 
 @pytest.fixture(scope="module")

@@ -62,16 +62,29 @@ def test_track_noise_history_is_bounded_by_the_frames_seen():
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(t_frames=st.integers(1, 199), w=st.integers(1, 7500),
-       cuts=st.lists(st.integers(1, 198), max_size=6), seed=st.integers(0, 2 ** 32 - 1))
-def test_track_noise_any_blocks_match_whole(t_frames, w, cuts, seed):
-    """For windows of 8 ms to 60 s, track_noise in any blocks gives the whole
-    call's bits and keeps at most min(w - 1, frames seen) history rows."""
-    power = np.random.default_rng(seed).exponential(size=(t_frames, 3))
+       cuts=st.lists(st.integers(1, 198), max_size=6), seed=st.integers(0, 2 ** 32 - 1),
+       p_floored=st.sampled_from([None, 0.0, 0.3, 0.9, 1.0]), silence=st.integers(0, 198))
+@example(t_frames=50, w=188, cuts=[], seed=0, p_floored=0.0, silence=20)
+def test_track_noise_any_blocks_match_whole(t_frames, w, cuts, seed, p_floored, silence):
+    """For windows of 8 ms to 60 s, with no observed mask or one that floors
+    a leading silence and a drawn share of the other bin-frames, track_noise
+    in any blocks, one of them starting where the silence ends, gives the
+    whole call's bits and keeps at most min(w - 1, frames seen) history
+    rows."""
+    rng = np.random.default_rng(seed)
+    power = rng.exponential(size=(t_frames, 3))
+    observed = None
+    if p_floored is not None:
+        observed = rng.random(power.shape) >= p_floored
+        observed[:silence] = False
+        power[~observed] = 1e-24
+        cuts = [*cuts, silence]
     window_s = w * 0.008
-    whole = track_noise(power, window_s=window_s)
-    bounds = [0] + sorted({c for c in cuts if c < t_frames}) + [t_frames]
+    whole = track_noise(power, window_s=window_s, observed=observed)
+    bounds = [0] + sorted({c for c in cuts if 0 < c < t_frames}) + [t_frames]
     state = {}
-    parts = [track_noise(power[lo:hi], window_s=window_s, state=state)
+    parts = [track_noise(power[lo:hi], window_s=window_s, state=state,
+                         observed=None if observed is None else observed[lo:hi])
              for lo, hi in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
     assert state["history"].shape[0] <= min(w - 1, t_frames)
