@@ -20,11 +20,12 @@ are written for fewer operations per bin:
   one einsum;
 - _split_core (the posterior given log|A+B|) folds the three Gaussian
   log-pdfs of its (u, phi) quadrature into one quadratic per node and
-  takes all observation points in one stacked pass. It clamps the
-  log-weights, shifted to each point's heaviest node, at -600, so that
-  no exponential underflows and a weighted product w*de^2 falls
-  subnormal only for |de| below ~3e-24, and sums the nodes relative to
-  that node by einsum reductions that form no product array.
+  takes all observation points in one stacked pass. It shifts each
+  point's log-weights by their maximum and clamps them at -600, so that
+  no exponential underflows, and takes each point's moments about its
+  own weighted mean by einsum reductions that form no product array; a
+  weighted square w*de^2 of an offset de from that mean falls subnormal
+  only for |de| below ~3e-24.
 
 Both public splits run one path, _split: _split_core at observation
 points (one of weight 1 in split_scalar_obs, Gauss-Hermite points of the
@@ -342,17 +343,17 @@ def logsum_moments(ma, va, mb, vb, diag=None):
 @functools.cache
 def _split_nodes(k_u, k_phase):
     """The split's (u, phi) rule, k_u Gauss-Hermite nodes along u by k_phase
-    phase nodes, for (k_u, k_phase, bins) arrays; built once per order.
+    phase nodes, for (k_phase, k_u, bins) arrays; built once per order.
 
     Returns (x, cos_phi, const): the standard normal nodes of u as a
-    (k_u, 1) column, the phase cosines as a (k_phase, 1) column, and the
+    (k_u, 1) column, the phase cosines as a (k_phase, 1, 1) array, and the
     constant part of each u node's log-weight, log w_u + log w_phi + x^2/2,
-    as a (k_u, 1, 1) array (the phase weights are all 1/k_phase).
+    as a (k_u, 1) column (the phase weights are all 1/k_phase).
     """
     x, wu = _gh_nodes(k_u)
     phi, w_phi = phase_sigma_points(k_phase)
     const = np.log(wu) + np.log(w_phi[0]) + 0.5 * x * x
-    return x[:, None], np.cos(phi)[:, None], const[:, None, None]
+    return x[:, None], np.cos(phi)[:, None, None], const[:, None]
 
 
 def _split_core(ma, va, mb, vb, obs, nodes, b_moments=True):
@@ -371,35 +372,38 @@ def _split_core(ma, va, mb, vb, obs, nodes, b_moments=True):
     unnormalised maximum against _LOG_TINY.
 
     All observation points are taken in one pass over
-    (points, k_u, k_phase, bins) arrays: one log-weight pass, one argmax
+    (points, k_phase, k_u, bins) arrays: one log-weight pass, one maximum
     over the nodes, one shift and clamp and one exponential, whatever the
     number of points. Each point's log-weights are shifted by their
-    maximum, so its heaviest node, which is also its reference, weighs 1;
-    they are then clamped at _LOG_W_MIN before the exponential. The sums
-    of w, w de and w de^2 (and of w df, w df^2), where de and df are the
-    offsets of e and f from the point's reference node, are einsum
-    reductions over the k_u*k_phase nodes that form no product array;
-    referenced to the heaviest node, a narrow posterior keeps its
-    variance.
+    maximum, so that its heaviest node weighs 1, and clamped at
+    _LOG_W_MIN before the exponential. Each point's moments are taken
+    about its own weighted mean: E e from the sums of w and w e, then
+    var e from the sum of w (e - E e)^2, a sum of non-negative terms, so a
+    narrow posterior keeps its variance. f - E f is the centred e plus
+    s_u*x - E[s_u*x], where E[s_u*x] comes from the summed weight of each
+    u node. The sums over the k_u*k_phase nodes are einsum reductions that
+    form no product array.
 
     Everything that does not depend on y is computed once, per u node
     where it does not depend on the phase. With the bins last, every
-    per-bin or per-node operand broadcasts along whole rows of bins.
+    per-bin or per-node operand broadcasts along whole rows of bins, and
+    with the u nodes next to them, a per-u-node operand along whole
+    (k_u, bins) blocks.
 
-    With b_moments False, f is never formed: only the sums of w, w de and
-    w de^2 are taken, by the same calls as with b_moments True, and E f,
-    var f are returned as None.
+    With b_moments False, f is never formed: only E e and var e are
+    taken, by the same calls as with b_moments True, and E f, var f are
+    returned as None.
 
     The priors are (bins,) arrays and obs is (points, bins). Returns (E e,
-    var e, E f, var f, fallback), each (points, bins), variances unclamped.
+    var e, E f, var f, fallback), each (points, bins).
     """
     x, cos_phi, const = nodes
 
     va_f = np.maximum(va, _VAR_FLOOR)
     vb_f = np.maximum(vb, _VAR_FLOOR)
     vu = np.maximum(va + vb, _VAR_FLOOR)
-    sx = (np.sqrt(vu) * x)[:, None]                  # s_u*x, (k_u, 1, bins)
-    lps = log_phasor_sum(mb - ma + sx, cos_phi)      # (k_u, k_phase, bins)
+    sx = np.sqrt(vu) * x                             # s_u*x, (k_u, bins)
+    lps = log_phasor_sum(mb - ma + sx, cos_phi)      # (k_phase, k_u, bins)
     # log-weight = const - e^2/(2 va) - (e + s_u x)^2/(2 vb) + per-bin terms
     #            = quad - e*(curv*e + lin)
     hb = 0.5 / vb_f
@@ -408,54 +412,47 @@ def _split_core(ma, va, mb, vb, obs, nodes, b_moments=True):
     quad = const - hb * sx * sx
     lconst = 0.5 * np.log(vu / va_f / vb_f / (2.0 * np.pi))
 
-    # one workspace for e (then de, then df) and the log-weights (then
-    # w): a fresh array per step, at this size, cost page faults per call
+    # one workspace for e (then e - E e, then f - E f) and the log-weights
+    # (then w): a fresh array per step, at this size, cost page faults per
+    # call
     points, bins = obs.shape
-    nodes = lps.shape[0] * lps.shape[1]
-    cols = np.arange(bins)
-    work = np.empty((2, points) + lps.shape)
-    de, logw = work[0], work[1]
-    np.subtract((obs - ma)[:, None, None, :], lps, out=de)
-    np.multiply(de, curv, out=logw)
-    logw += lin
-    logw *= de
-    np.subtract(quad, logw, out=logw)
-    de, logw = de.reshape(points, nodes, bins), logw.reshape(points, nodes, bins)
-    # each point's heaviest node: its maximum log-weight and reference e
-    node = logw.argmax(axis=1)
-    top = (np.arange(0, points * nodes, nodes)[:, None] + node) * bins + cols
-    mx, e_ref = logw.take(top), de.take(top)
-    de -= e_ref[:, None]
+    k_phase, k_u = lps.shape[:2]
+    work = np.empty((2, points, k_phase, k_u, bins))
+    np.subtract((obs - ma)[:, None, None, :], lps, out=work[0])
+    np.multiply(work[0], curv, out=work[1])
+    work[1] += lin
+    work[1] *= work[0]
+    np.subtract(quad, work[1], out=work[1])
+    e, logw = work.reshape(2, points, k_phase * k_u, bins)
+    mx = np.maximum.reduce(logw, axis=1)
     logw -= np.where(np.isfinite(mx), mx, 0.0)[:, None]
     np.maximum(logw, _LOG_W_MIN, out=logw)
     w = np.exp(logw, out=logw)
-    z = np.einsum("onk->ok", w)
-    s_e = np.einsum("onk,onk->ok", w, de)
-    s_e2 = np.einsum("onk,onk,onk->ok", w, de, de)
 
     # a point falls back unless its unnormalised maximum is a finite number
     # >= 1e-300. Where it is, the heaviest node's log-weight is finite, so
     # that node weighs 1, no node is NaN, and 1 <= z <= k_u*k_phase
     lmax = mx + lconst
     fallback = ~((lmax >= _LOG_TINY) & (lmax < np.inf))
-    inv_z = 1.0 / z
-    d_e = s_e * inv_z
-    a_post = (e_ref + d_e, s_e2 * inv_z - d_e * d_e)
+    w_u = np.einsum("opuk->ouk", work[1])                    # each u node's weight
+    inv_z = 1.0 / np.einsum("ouk->ok", w_u)
+    e_mean = np.einsum("onk,onk->ok", w, e) * inv_z
+    e -= e_mean[:, None]
+    e_var = np.einsum("onk,onk,onk->ok", w, e, e) * inv_z
     if not b_moments:
-        return (*a_post, None, None, fallback)
-    # df = de + s_u x - (s_u x at the reference node), in place of de
-    sx_ref = sx[node // lps.shape[1], 0, cols]
-    df = np.add(work[0], sx - sx_ref[:, None, None], out=work[0]).reshape(points, nodes, bins)
-    d_f = np.einsum("onk,onk->ok", w, df) * inv_z
-    return (*a_post, e_ref + sx_ref + d_f,
-            np.einsum("onk,onk,onk->ok", w, df, df) * inv_z - d_f * d_f, fallback)
+        return e_mean, e_var, None, None, fallback
+    sx_mean = np.einsum("ouk,uk->ok", w_u, sx) * inv_z
+    df = np.add(work[0], (sx - sx_mean[:, None])[:, None], out=work[0]).reshape(e.shape)
+    return (e_mean, e_var, e_mean + sx_mean,
+            np.einsum("onk,onk,onk->ok", w, df, df) * inv_z, fallback)
 
 
 def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
     """Posterior moments of (a, b) given log|A+B| at the observation points
     obs, mixed with the (points,) weights: the one path of both public
     splits. The priors are float arrays of one shape, and obs stacks the
-    points on a first axis before it.
+    points on a first axis before it; priors of any shape but 1-D are
+    split as one row of bins.
 
     _split_core takes each point on the (u, phi) rule nodes. The mixture
     runs over the points that did not fall back: the mean of their means,
@@ -471,10 +468,14 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
     back are mixed by plain weighted sums. Each path gives the bits of
     the masked mixture, whose sums over the points run in the same order.
     """
-    shape = ma.shape
-    ma, va, mb, vb = (v.ravel() for v in (ma, va, mb, vb))
-    obs = obs.reshape(len(obs), -1)
-    if ma.size == 1:    # einsum sums a lone bin's nodes in another order than a row's
+    if ma.ndim != 1:
+        out = _split(*(v.ravel() for v in (ma, va, mb, vb)), obs.reshape(len(obs), -1),
+                     weights, nodes, diag, b_moments)
+        return tuple(None if v is None else v.reshape(ma.shape) for v in out)
+    # einsum's sums of z, of w e and of w_u s_u x over the nodes add a lone
+    # bin's terms in another order than a row's, so a lone bin runs as two
+    # copies of itself
+    if ma.size == 1:
         core = _split_core(*(np.repeat(v, 2, axis=-1) for v in (ma, va, mb, vb, obs)),
                            nodes, b_moments)
         ea, va_obs, eb, vb_obs, fb = (None if v is None else v[:, :1] for v in core)
@@ -505,12 +506,11 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
             v1 = ((np.where(fb, 0.0, v1) if some_fb else v1) * wts).sum(axis=0) / z
         v1 = _clamp_var(v1, diag)
         if some_fb:
-            return (np.where(all_fb, prior_m, prior_m + m1).reshape(shape),
-                    np.where(all_fb, prior_v, v1).reshape(shape))
-        return (prior_m + m1).reshape(shape), v1.reshape(shape)
+            return np.where(all_fb, prior_m, prior_m + m1), np.where(all_fb, prior_v, v1)
+        return prior_m + m1, v1
 
     b_out = _post(mb, vb, eb, vb_obs) if b_moments else (None, None)
-    return (*_post(ma, va, ea, va_obs), *b_out, all_fb.reshape(shape))
+    return (*_post(ma, va, ea, va_obs), *b_out, all_fb)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):

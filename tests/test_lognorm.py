@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_hermitenorm, roots_legendre
 
 from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
@@ -401,11 +403,11 @@ def test_split_distributed_matches_unfolded_reference(points):
 
 def test_split_distributed_outer_points_keep_their_variance():
     """_split_cases' narrow priors under a wide observation, one prior decade
-    at a time from 1e-10 to 1e-4: an outer point's heaviest node lies nats
-    from the middle point's, and referenced to any node but its own, its
-    variance cancels so far below 0 that the mixture clamps on a few bins
-    per decade. Every point's variances of a and b stay >= 0 wherever the
-    point does not fall back."""
+    at a time from 1e-10 to 1e-4: an outer point's weight lies nats from
+    the middle point's, and taken about anything but the point's own
+    weighted mean, its variance cancels so far below 0 that the mixture
+    clamps on a few bins per decade. Every point's variances of a and b
+    stay >= 0 wherever the point does not fall back."""
     rng = np.random.default_rng(23)
     n = 2000
     ma, mb = rng.normal(-1.0, 3.0, (2, n))
@@ -514,6 +516,44 @@ def test_split_keeps_input_shapes():
                           split_scalar_ref(ma, va, mb, vb, y))
     _assert_split_matches(split_distributed_obs(ma, va, mb, vb, y, vo),
                           split_distributed_ref(ma, va, mb, vb, y, vo))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_split_on_any_set_of_bins_gets_the_bits_of_every_bin(data):
+    """_split on some of _split_cases' bins, fallbacks included, gives
+    those bins the bits of the call on all of them: one bin, two bins, a
+    run of half of them or the first half of a random permutation, at 1, 2
+    and 3 observation points, with and without the b posterior. So no sum
+    over the nodes or the points runs in an order that depends on how many
+    bins share the call."""
+    cases = _split_cases()
+    ma, va, mb, vb, y, vo = cases[data.draw(st.integers(0, len(cases) - 1), label="case")]
+    points = data.draw(st.sampled_from([1, 2, 3]), label="points")
+    b_moments = data.draw(st.booleans(), label="b_moments")
+    n = ma.size
+    kind = data.draw(st.sampled_from(["one", "two", "half", "permuted half"]), label="bins")
+    if kind == "one":
+        sub = [data.draw(st.integers(0, n - 1), label="bin")]
+    elif kind == "two":
+        sub = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                        label="two bins")
+    elif kind == "half":
+        start = data.draw(st.integers(0, n - n // 2), label="start")
+        sub = list(range(start, start + n // 2))
+    else:
+        sub = data.draw(st.permutations(range(n)), label="order")[:n // 2]
+    if points == 1:
+        obs, weights = y[None], np.ones(1)
+    else:
+        x, weights = _gh_nodes(points)
+        obs = y + np.sqrt(vo) * x[:, None]
+    nodes = _split_nodes(_K_U, _K_PHASE)
+    full = _split(ma, va, mb, vb, obs, weights, nodes, b_moments=b_moments)
+    sub = np.array(sub)
+    part = _split(ma[sub], va[sub], mb[sub], vb[sub], obs[:, sub], weights, nodes,
+                  b_moments=b_moments)
+    assert all(_same_bits(p, None if f is None else f[sub]) for p, f in zip(part, full))
 
 
 def test_fast_kernels_emit_no_warnings():

@@ -16,7 +16,7 @@ split_replay = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(split_replay)
 
 
-def test_replay_against_this_checkout():
+def test_replay_against_this_checkout(monkeypatch):
     clean = speechlike_excitation(0.25, seed=3)
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     calls = split_replay.capture(noisy)
@@ -29,9 +29,22 @@ def test_replay_against_this_checkout():
     rows = split_replay.replay(calls, parent.lognorm, rounds=2)
     assert [row["step"] for row in rows] == [7, 8, 10]
     for row in rows:
-        assert row["identical"]
+        assert row["identical"] and row["max_abs_diff"] == {}
         assert row["calls"] == sum(step == row["step"] for step, *_ in calls)
         assert np.isfinite(row["ratio"]) and row["ratio"] > 0
+    # a side whose outputs move is reported, output by output: here the b
+    # posterior's mean, which step 8 does not take
+    split = parent.lognorm._split
+
+    def nudged(*args, **kwargs):
+        ma, va, mb, vb, fallback = split(*args, **kwargs)
+        return ma, va, None if mb is None else mb - 1e-3, vb, fallback
+    monkeypatch.setattr(parent.lognorm, "_split", nudged)
+    rows = split_replay.replay(calls, parent.lognorm, rounds=1)
+    assert [row["identical"] for row in rows] == [False, True, False]
+    assert [list(row["max_abs_diff"]) for row in rows] == [["mb"], [], ["mb"]]
+    for row in rows[::2]:
+        assert row["max_abs_diff"]["mb"] == pytest.approx(1e-3)
 
 
 def test_frame_replay_against_this_checkout(monkeypatch):

@@ -27,12 +27,14 @@ times every call on both sides with ``time.perf_counter``, the side that
 runs first alternating from call to call and from round to round, so
 that a drift in machine load favours neither side. At the split level it
 prints one JSON line per step: its calls, each side's µs per call (the
-median over the rounds), their ratio (change / parent) and whether every
-output and every Diagnostics count was identical. At the frame level it
-prints one line: the frames, each side's µs per frame, their ratio, the
-share of frames the change ran faster (summed over the rounds), whether
-every trace row and every Diagnostics count was identical, and the
-largest |change - parent| of each row field that was not.
+median over the rounds), their ratio (change / parent), whether every
+output and every Diagnostics count was identical, and the largest
+|change - parent| of each output (ma', va', mb', vb', fallback) that was
+not. At the frame level it prints one line: the frames, each side's µs
+per frame, their ratio, the share of frames the change ran faster
+(summed over the rounds), whether every trace row and every Diagnostics
+count was identical, and the largest |change - parent| of each row
+field that was not.
 
 At ``--level call`` it alternates whole ``enhance`` calls of the two
 checkouts, after one untimed call each, so that the work of a forked
@@ -84,6 +86,7 @@ from reverbtrack import AudioBuffer, enhance, enhancer, lognorm  # noqa: E402
 
 PARENT_NAME = "parent_reverbtrack"
 SPLITS = ("split_scalar_obs", "split_distributed_obs")
+OUTPUTS = ("ma", "va", "mb", "vb", "fallback")      # a split's outputs, in order
 
 
 def load_package(src_dir, name=PARENT_NAME):
@@ -138,6 +141,18 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _compare(max_diff, field, parent, change):
+    """Whether the two sides' values of field have the same bits; where
+    they do not, max_diff[field] keeps the largest |change - parent| seen
+    (of values of one shape)."""
+    if _same_bits(parent, change):
+        return True
+    if parent is not None and change is not None and parent.shape == change.shape:
+        diff = np.max(np.abs(change.astype(float) - parent.astype(float)), initial=0.0)
+        max_diff[field] = max(max_diff.get(field, 0.0), float(diff))
+    return False
+
+
 def _run(module, call):
     _, name, args, kwargs = call
     diag = module.Diagnostics()
@@ -166,15 +181,18 @@ def _timed_split(module, call):
 
 def replay(calls, parent_lognorm, rounds=5):
     """One row per step: calls, each side's µs per call (median over the
-    timed rounds), their ratio and whether outputs and Diagnostics were
-    identical in every call."""
+    timed rounds), their ratio, whether outputs and Diagnostics were
+    identical in every call, and max |change - parent| of each output
+    that was not."""
     sides = {"parent": parent_lognorm, "change": lognorm}
     steps = sorted({c[0] for c in calls})
     identical = dict.fromkeys(steps, True)
+    max_diff = {s: {} for s in steps}
     for call in calls:
+        step = call[0]
         (out_p, diag_p), (out_c, diag_c) = (_run(m, call) for m in sides.values())
-        identical[call[0]] &= diag_p == diag_c and all(
-            _same_bits(p, c) for p, c in zip(out_p, out_c))
+        same = [_compare(max_diff[step], f, p, c) for f, p, c in zip(OUTPUTS, out_p, out_c)]
+        identical[step] &= diag_p == diag_c and all(same)
     spent = _alternate(calls, sides, _timed_split, rounds)
     rows = []
     for s in steps:
@@ -183,7 +201,8 @@ def replay(calls, parent_lognorm, rounds=5):
         us = {side: statistics.median(spent[side][:, of_step].sum(axis=1)) / n * 1e6
               for side in sides}
         rows.append({"step": s, "calls": n, "parent_us": us["parent"], "change_us": us["change"],
-                     "ratio": us["change"] / us["parent"], "identical": identical[s]})
+                     "ratio": us["change"] / us["parent"], "identical": identical[s],
+                     "max_abs_diff": {f: max_diff[s][f] for f in OUTPUTS if f in max_diff[s]}})
     return rows
 
 
@@ -237,10 +256,7 @@ def replay_frames(frames, parent_enhancer, rounds=5):
         (row_p, diag_p, _), (row_c, diag_c, _) = (_run_frame(m, captured) for m in sides.values())
         identical &= diag_p == diag_c and row_p.keys() == row_c.keys()
         for f in row_p.keys() & row_c.keys():
-            if not _same_bits(row_p[f], row_c[f]):
-                identical = False
-                diff = np.max(np.abs(row_c[f].astype(float) - row_p[f].astype(float)))
-                max_diff[f] = max(max_diff.get(f, 0.0), float(diff))
+            identical &= _compare(max_diff, f, row_p[f], row_c[f])
     spent = _alternate(frames, sides, lambda m, captured: _run_frame(m, captured)[2], rounds)
     n = len(frames)
     us = {side: statistics.median(spent[side].sum(axis=1)) / n * 1e6 for side in sides}
