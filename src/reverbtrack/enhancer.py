@@ -14,18 +14,22 @@ priors from one store of rows, which it trims to the rows a decay prior
 can still read. Each frame's gain is applied as soon as the frame is
 done, so nothing but the input, the Trace and the output grows with the
 number of frames. No frame reads the T60/DRR estimates, so each group of bins
-converts its stored gamma/beta once, after its last frame. The r -> old/new
-split and the gamma/beta updates (steps 10-12) run only on the bins
-that pass the per-bin RNR gate in that frame; the other bins keep their
-gamma and beta priors. A bin whose magnitude sat at its frame's floor
-(stft.magnitude_floor) has no observed value, only a bound, so the
-observation updates (steps 7, 8 and 10-12) skip it, as a Kalman filter
-skips a missing observation: it keeps its priors, with no fallback, and
-Diagnostics.floored_bins counts it. A frame of digital silence then costs
-the predictions alone. The noise tracker takes the same mask, on every
-bin, and holds a floored bin's smoothed power, so digital silence does not
-pull the noise mean down to the floor, which would open the RNR gate on
-every bin for the tracker's window after it.
+converts its stored gamma/beta once, after its last frame.
+
+A bin that a step has nothing to update from keeps its priors through
+that step, as a Kalman filter keeps its prediction through a missing
+observation, and each such step runs through one helper, _on_bins, on
+the bins its mask selects: the decay-prior fusion on the bins that have
+a decay prior; steps 7-8 on the observed bins; steps 9-12 on the
+observed bins that pass the per-bin RNR gate in that frame. A bin whose
+magnitude sat at its frame's floor (stft.magnitude_floor) is not
+observed: it has no value, only a bound. A skipped bin takes no
+fallback, Diagnostics.floored_bins counts the floored ones, and a frame
+of digital silence costs the predictions alone. The noise tracker takes
+the observed mask, on every bin, and holds a floored bin's smoothed
+power, so digital silence does not pull the noise mean down to the
+floor, which would open the RNR gate on every bin for the tracker's
+window after it.
 
 No stage mixes bins but the decay-run detector's broadband energy, and no
 sum of the cascade depends on how many bins share a call, so the bins
@@ -293,8 +297,11 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     """One frame of the cascade for all bins, updating fs in place. Returns
     the trace row dict, without t60_est and drr_est, which _run_group
     converts from the stored gamma_mean and beta_mean after the last frame.
-    Steps 7, 8 and 10-12 run on the bins frame.observed marks alone, and
-    not at all where it marks none.
+    The masked stages run through _on_bins: step 2's fusion on the bins
+    with a decay prior, steps 7-8 (_observe) on the bins frame.observed
+    marks and steps 9-12 (_learn_room) on those of them that pass
+    frame.gate. A bin a stage skips keeps its priors, and a stage whose
+    mask selects no bin is not called.
 
     Bins never interact, and no sum runs in an order that depends on the
     number of bins, so a bin's results have the same bits in any set of
@@ -302,7 +309,7 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     not read; it keeps the signature that tools/split_replay.py calls in
     two checkouts."""
     y, n_mean, n_var = frame.y, frame.n_mean, fs.n_var
-    prior_gm, prior_gv, prior_bm, prior_bv, prior_mask = frame.priors
+    *priors, prior_mask = frame.priors
 
     # speech KF prediction + decorrelation
     resid = np.maximum(frame.resid, _RESID_FLOOR * NOISE_VARIANCE)
@@ -310,16 +317,9 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     head_m, head_v, tail_m, tail_c, c = speech.decorrelate_arrays(sm, sc)
     head_v = np.maximum(head_v, 0.0)
 
-    # steps 1-2: random walk + decay priors
-    gm, gv = fs.gamma_m, fs.gamma_v + Q_GAMMA
-    bm, bv = fs.beta_m, fs.beta_v + Q_BETA
-    if prior_mask.any():
-        fgm, fgv = lognorm.fuse_moments(gm, gv, prior_gm, prior_gv)
-        fbm, fbv = lognorm.fuse_moments(bm, bv, prior_bm, prior_bv)
-        gm = np.where(prior_mask, fgm, gm)
-        gv = np.where(prior_mask, fgv, gv)
-        bm = np.where(prior_mask, fbm, bm)
-        bv = np.where(prior_mask, fbv, bv)
+    # steps 1-2: random walk, fused with the decay priors on the bins that have one
+    walk = fs.gamma_m, fs.gamma_v + Q_GAMMA, fs.beta_m, fs.beta_v + Q_BETA
+    gm, gv, bm, bv = _on_bins(prior_mask, walk, _fuse_priors, *walk, *priors)
     gm = reverb.clamp_gamma(gm)
 
     # steps 3-4: old/new reverberation priors, from the last speech posterior
@@ -331,43 +331,22 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     rm, rv = lognorm.logsum_moments(dm, dv, em, ev, diag=diag)
     zm, zv = lognorm.logsum_moments(rm, rv, n_mean, n_var, diag=diag)
 
-    # steps 7, 8 and 10-12 update the observed bins alone (obs, a full
-    # slice where every bin is observed); a floored bin keeps its priors:
-    # the speech prediction, the z and r priors, and in _learn_room gamma
-    # and beta
-    obs = lognorm._all_or_where(frame.observed)
-    n_obs = y.size if isinstance(obs, slice) else obs.size
-    diag.floored_bins += y.size - n_obs
+    # steps 7-8 on the observed bins; a floored bin keeps the speech
+    # prediction and the z and r priors, with no fallback
+    diag.floored_bins += y.size - int(np.count_nonzero(frame.observed))
     no_fb = np.zeros(y.shape, dtype=bool)
-    s_z, state, r = (head_m, head_v, zm, zv, no_fb), (sm, sc), (rm, rv, no_fb)
-    if n_obs:
-        # step 7: scalar observation split y -> (s, z)
-        post7 = lognorm.split_scalar_obs(
-            head_m[obs], head_v[obs], zm[obs], zv[obs], y[obs], diag=diag)
+    spm, spv, zpm, zpv, fb7, new_s_mean, new_s_cov, rpm, rpv, fb8 = _on_bins(
+        frame.observed, (head_m, head_v, zm, zv, no_fb, sm, sc, rm, rv, no_fb),
+        _observe, head_m, head_v, zm, zv, y, tail_m, tail_c, c, rm, rv, n_mean, n_var, diag=diag)
 
-        # recorrelate
-        post_s = speech.recorrelate_arrays(*post7[:2], tail_m[obs], tail_c[obs], c[obs])
-
-        # step 8: distributed split z -> (r, n); the n posterior is unused,
-        # so only the r posterior is computed. The z posterior is narrow
-        # against the r prior, so two observation points do as well as three
-        rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
-            rm[obs], rv[obs], n_mean[obs], n_var[obs], *post7[2:4], diag=diag,
-            b_moments=False, obs_points=2)
-
-        s_z = _on_observed(obs, s_z, post7)
-        state = _on_observed(obs, state, post_s)
-        r = _on_observed(obs, r, (rpm, rpv, fb8))
-    spm, spv, zpm, zpv, fb7 = s_z
-    new_s_mean, new_s_cov = state
-    rpm, rpv, fb8 = r
-
-    # smoothed previous-frame speech
+    # steps 9-12 on the gated bins that are observed, so that step 10 never
+    # runs without step 8; the others keep gamma and beta
     sprev_m = new_s_mean[:, 1]
     sprev_v = np.maximum(new_s_cov[:, 1, 1], 0.0)
-    gpm, gpv, bpm, bpv, fb10 = _learn_room(
-        (gm, gv), (bm, bv), (dm, dv), (fs.r_mean, fs.r_var), (sprev_m, sprev_v), (rpm, rpv),
-        frame.gate & frame.observed, diag)      # so step 10 never runs without step 8
+    gpm, gpv, bpm, bpv, fb10 = _on_bins(
+        frame.gate & frame.observed, (gm, gv, bm, bv, no_fb),
+        _learn_room, gm, gv, bm, bv, dm, dv, fs.r_mean, fs.r_var, sprev_m, sprev_v, rpm, rpv,
+        diag=diag)
 
     # step 13: shift posteriors to priors
     fs.s_mean, fs.s_cov = new_s_mean, new_s_cov
@@ -383,44 +362,66 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     }
 
 
-def _on_observed(obs, priors, posts):
-    """Each post on the observed bins obs and its prior on the others: the
-    posts themselves where obs is every bin (a full slice)."""
-    if isinstance(obs, slice):
-        return posts
-    merged = [prior.copy() for prior in priors]
+def _on_bins(mask, keep, step, *arrays, **kwargs):
+    """step(*arrays, **kwargs) on the bins the 1-D mask selects, and keep,
+    a tuple of arrays with the bins on their first axis, on the others:
+    how a cascade step leaves a bin it does not update with its priors.
+
+    Where the mask selects every bin (lognorm._all_or_where's full
+    slice), step's outputs on the arrays themselves, with nothing copied;
+    where it selects none, keep itself, with step not called; else step on
+    the selected rows, written into copies of keep. keep's arrays are
+    never written."""
+    rows = lognorm._all_or_where(mask)
+    if isinstance(rows, slice):
+        return step(*arrays, **kwargs)
+    if not rows.size:
+        return keep
+    posts = step(*[a[rows] for a in arrays], **kwargs)
+    merged = [k.copy() for k in keep]
     for out, post in zip(merged, posts, strict=True):
-        out[obs] = post
+        out[rows] = post
     return merged
 
 
-def _learn_room(gamma, beta, old, r_prev, s_prev, r_post, gate, diag: Diagnostics):
+def _fuse_priors(gm, gv, bm, bv, prior_gm, prior_gv, prior_bm, prior_bv):
+    """Step 2: the gamma and beta predictions fused with their decay priors."""
+    return (*lognorm.fuse_moments(gm, gv, prior_gm, prior_gv),
+            *lognorm.fuse_moments(bm, bv, prior_bm, prior_bv))
+
+
+def _observe(head_m, head_v, zm, zv, y, tail_m, tail_c, c, rm, rv, n_mean, n_var, diag):
+    """Steps 7-8 on observed bins: the (s, z) posterior and its fallbacks,
+    the recorrelated speech state and the (r, fallbacks) posterior."""
+    # step 7: scalar observation split y -> (s, z)
+    post7 = lognorm.split_scalar_obs(head_m, head_v, zm, zv, y, diag=diag)
+    # recorrelate
+    post_s = speech.recorrelate_arrays(*post7[:2], tail_m, tail_c, c)
+    # step 8: distributed split z -> (r, n); the n posterior is unused,
+    # so only the r posterior is computed. The z posterior is narrow
+    # against the r prior, so two observation points do as well as three
+    rpm, rpv, _, _, fb8 = lognorm.split_distributed_obs(
+        rm, rv, n_mean, n_var, *post7[2:4], diag=diag, b_moments=False, obs_points=2)
+    return (*post7, *post_s, rpm, rpv, fb8)
+
+
+def _learn_room(gm, gv, bm, bv, dm, dv, r_prev_m, r_prev_v, s_m, s_v, rp_m, rp_v, diag):
     """Steps 9-12: the (gm, gv, bm, bv, step-10 fallbacks) posterior of gamma
     and beta, from their priors, step 3's old-reverberation prior, the last
     frame's reverberation and smoothed speech, and this frame's
-    reverberation posterior, each a (mean, var) pair of (bins,) arrays. A
-    noise-dominated bin's old/new split tells nothing of the decay, so the
-    steps run only on the bins gate selects, and the others keep their
-    priors with no fallback. With no gated bin a frame has one distributed
-    split (step 8), not two."""
-    (gm, gv), (bm, bv) = gamma, beta
-    idx = np.flatnonzero(gate)
-    gpm, gpv, bpm, bpv = gm.copy(), gv.copy(), bm.copy(), bv.copy()
-    fb10 = np.zeros(gm.shape, dtype=bool)
-    if idx.size:
-        g_m, g_v, b_m, b_v = gm[idx], gv[idx], bm[idx], bv[idx]
-        r_m, r_v = r_prev[0][idx], r_prev[1][idx]
-        s_m, s_v = s_prev[0][idx], s_prev[1][idx]
-        # step 9: the new-reverberation prior, refreshed from the smoothed speech
-        epm, epv = b_m + s_m, b_v + s_v
+    reverberation posterior, each a mean and a variance array over the
+    bins it runs on. _advance runs it on the gated bins alone: a
+    noise-dominated bin's old/new split tells nothing of the decay."""
+    # step 9: the new-reverberation prior, refreshed from the smoothed speech
+    epm, epv = bm + s_m, bv + s_v
 
-        # step 10: distributed split r -> (old, new)
-        dpm, dpv, eppm, eppv, fb10[idx] = lognorm.split_distributed_obs(
-            old[0][idx], old[1][idx], epm, epv, r_post[0][idx], r_post[1][idx], diag=diag)
+    # step 10: distributed split r -> (old, new)
+    dpm, dpv, eppm, eppv, fb10 = lognorm.split_distributed_obs(
+        dm, dv, epm, epv, rp_m, rp_v, diag=diag)
 
-        # steps 11-12: straight-line constrained updates of gamma and beta
-        gpm[idx], gpv[idx], _, _ = lognorm.line_constrained_update(g_m, g_v, r_m, r_v, dpm, dpv)
-        bpm[idx], bpv[idx], _, _ = lognorm.line_constrained_update(b_m, b_v, s_m, s_v, eppm, eppv)
+    # steps 11-12: straight-line constrained updates of gamma and beta
+    gpm, gpv, _, _ = lognorm.line_constrained_update(gm, gv, r_prev_m, r_prev_v, dpm, dpv)
+    bpm, bpv, _, _ = lognorm.line_constrained_update(bm, bv, s_m, s_v, eppm, eppv)
     return reverb.clamp_gamma(gpm), gpv, bpm, bpv, fb10
 
 

@@ -684,6 +684,7 @@ def test_floored_bins_run_no_split(criterion_8_audio, monkeypatch):
     for t, got in zip(with_obs, seen):
         assert np.array_equal(got, y[t, observed[t]])
     assert diag.floored_bins == np.count_nonzero(~observed)
+    assert all(type(getattr(diag, f.name)) is int for f in dataclasses.fields(diag))
     assert not trace.arrays["fallback_flags"][~observed].any()
 
 
@@ -724,19 +725,76 @@ def test_learn_room_identifies_the_room_from_true_spectra(clean_spectrum_2s, t60
     g0, b0 = reverb.ab_to_gamma_beta(*reverb.room_to_ab(RoomParams(start_t60, drr + drr_offset)))
     gm, bm = np.full(k_bins, g0), np.full(k_bins, b0)
     gv = bv = np.full(k_bins, enhancer.INIT_PARAM_VARIANCE)
-    var, gate = np.full(k_bins, 1e-4), np.ones(k_bins, bool)
+    var = np.full(k_bins, 1e-4)
     t60_est, drr_est = [], []
     for t in range(1, r.shape[0]):
         gv, bv = gv + enhancer.Q_GAMMA, bv + enhancer.Q_BETA
         gm, gv, bm, bv, _ = enhancer._learn_room(
-            (gm, gv), (bm, bv), (gm + r[t - 1], gv + var), (r[t - 1], var), (s[t - 1], var),
-            (r[t], var), gate, Diagnostics())
+            gm, gv, bm, bv, gm + r[t - 1], gv + var, r[t - 1], var, s[t - 1], var,
+            r[t], var, Diagnostics())
         room = reverb.gamma_beta_to_room(gm[16:97], bm[16:97])
         t60_est.append(room[0])
         drr_est.append(room[1])
     last_quarter = slice(3 * len(t60_est) // 4, None)
     assert np.median(t60_est[last_quarter]) == pytest.approx(t60, rel=0.05)
     assert np.median(drr_est[last_quarter]) == pytest.approx(drr, abs=0.5)
+
+
+@pytest.mark.parametrize("selected", [range(6), [], [3], [0, 2, 5]],
+                         ids=["every", "none", "one", "some"])
+def test_on_bins_steps_the_selected_rows_and_keeps_the_others(selected):
+    """_on_bins hands step the selected rows alone (the arrays themselves
+    where it selects them all), does not call it where it selects none, and
+    never writes keep: every input is read-only here. A partial mask gives
+    fresh arrays, step's posts on the selected rows and keep on the others."""
+    k_bins = 6
+    mask = np.isin(np.arange(k_bins), list(selected))
+    rng = np.random.default_rng(0)
+    x, scale = rng.normal(size=k_bins), rng.normal(size=(k_bins, 2))
+    keep = (rng.normal(size=k_bins), rng.normal(size=(k_bins, 2, 2)), np.zeros(k_bins, bool))
+    for a in (x, scale, *keep):
+        a.flags.writeable = False
+    calls = []
+
+    def step(x, scale, *, diag):
+        posts = (x + 1.0, scale[:, :, None] * scale[:, None, :], x > 0)
+        calls.append(((x, scale), diag, posts))
+        return posts
+    diag = Diagnostics()
+    out = enhancer._on_bins(mask, keep, step, x, scale, diag=diag)
+    if not mask.any():
+        assert calls == [] and out is keep
+        return
+    ((got_x, got_scale), got_diag, posts), = calls
+    assert got_diag is diag
+    assert got_x.tobytes() == x[mask].tobytes() and got_scale.tobytes() == scale[mask].tobytes()
+    if mask.all():
+        assert got_x is x and got_scale is scale
+        assert all(o is p for o, p in zip(out, posts, strict=True))
+        return
+    for o, kept, post in zip(out, keep, posts, strict=True):
+        assert o.flags.writeable and not np.shares_memory(o, kept)
+        assert o[mask].tobytes() == post.tobytes()
+        assert o[~mask].tobytes() == kept[~mask].tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1),
+       uninformative=st.lists(st.booleans(), max_size=12))
+def test_on_bins_fuses_with_the_bits_of_fusing_every_bin(mask, seed, uninformative):
+    """fuse_moments on the selected bins alone, through _on_bins, has the
+    bits of fusing every bin and keeping the unselected ones by np.where,
+    also where an infinite prior variance sends a call down the masked
+    branch."""
+    mask = np.array(mask)
+    rng = np.random.default_rng(seed)
+    m1, m2 = rng.normal(0.0, 3.0, (2, mask.size))
+    v1, v2 = 10.0 ** rng.uniform(-6.0, 3.0, (2, mask.size))
+    v2[np.flatnonzero(uninformative[:mask.size])] = np.inf
+    fm, fv = fuse_moments(m1, v1, m2, v2)
+    got = enhancer._on_bins(mask, (m1, v1), fuse_moments, m1, v1, m2, v2)
+    for g, want in zip(got, (np.where(mask, fm, m1), np.where(mask, fv, v1)), strict=True):
+        assert g.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
