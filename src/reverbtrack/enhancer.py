@@ -195,16 +195,29 @@ def track_noise(noisy_power, window_s=1.5, state=None, observed=None):
     floor(log2 w) np.minimum passes over the carried rows and the block,
     then one pass that joins two overlapping power-of-two spans. A minimum
     is exact, so this gives the same bits as any other way of taking it.
+
+    The smoother's frame loop does only what the frame needs: the power's
+    share (1 - NOISE_SMOOTH)*power is formed for the whole block, the test
+    for bins not observed yet stops once every bin has been (a smoothed
+    value turns infinite again only from an infinite power), and the hold
+    of unobserved bins is skipped in a block where every bin is observed.
     """
     power = np.asarray(noisy_power, dtype=float)
-    observed = np.ones(power.shape, dtype=bool) if observed is None else observed
     state = {} if state is None else state
     smoothed = np.empty_like(power)
     # +inf: not observed yet; a bin observed for the first time starts from its power
     acc = state.get("acc", np.full(power.shape[1:], np.inf))
+    unseen = lognorm.count_nonzero(np.isinf(acc))
+    infinite_power = lognorm.count_nonzero(np.isinf(power))
+    every_observed = observed is None or lognorm.count_nonzero(observed) == observed.size
+    fresh = (1 - NOISE_SMOOTH) * power
     for t in range(power.shape[0]):
-        start = np.where(np.isinf(acc), power[t], acc)
-        acc = np.where(observed[t], NOISE_SMOOTH * start + (1 - NOISE_SMOOTH) * power[t], acc)
+        start = np.where(np.isinf(acc), power[t], acc) if unseen else acc
+        start = NOISE_SMOOTH * start
+        start += fresh[t]
+        acc = start if every_observed else np.where(observed[t], start, acc)
+        if unseen or infinite_power:
+            unseen = lognorm.count_nonzero(np.isinf(acc))
         smoothed[t] = acc
     w = max(int(round(window_s / FRAME_INCREMENT)), 1)
     # causal window [t-w+1, t] of at most the frames seen: prepend the carried
@@ -333,7 +346,7 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
 
     # steps 7-8 on the observed bins; a floored bin keeps the speech
     # prediction and the z and r priors, with no fallback
-    diag.floored_bins += y.size - int(np.count_nonzero(frame.observed))
+    diag.floored_bins += y.size - int(lognorm.count_nonzero(frame.observed))
     no_fb = np.zeros(y.shape, dtype=bool)
     spm, spv, zpm, zpv, fb7, new_s_mean, new_s_cov, rpm, rpv, fb8 = _on_bins(
         frame.observed, (head_m, head_v, zm, zv, no_fb, sm, sc, rm, rv, no_fb),
@@ -354,7 +367,11 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
     fs.gamma_m, fs.gamma_v = gpm, gpv
     fs.beta_m, fs.beta_v = bpm, bpv
 
-    flags = fb7.astype(np.uint8) | (fb8.astype(np.uint8) << 1) | (fb10.astype(np.uint8) << 2)
+    flags = fb10.astype(np.uint8)          # fb7 | fb8 << 1 | fb10 << 2, in place
+    flags <<= 1
+    flags |= fb8
+    flags <<= 1
+    flags |= fb7
     return {
         "s_mean": spm, "s_var": spv, "r_mean": rpm, "r_var": rpv,
         "z_mean": zpm, "z_var": zpv, "gamma_mean": gpm, "gamma_var": gpv,
@@ -373,10 +390,10 @@ def _on_bins(mask, keep, step, *arrays, **kwargs):
     the selected rows, written into copies of keep. keep's arrays are
     never written."""
     rows = lognorm._all_or_where(mask)
+    if rows is None:
+        return keep
     if isinstance(rows, slice):
         return step(*arrays, **kwargs)
-    if not rows.size:
-        return keep
     posts = step(*[a[rows] for a in arrays], **kwargs)
     merged = [k.copy() for k in keep]
     for out, post in zip(merged, posts, strict=True):
@@ -484,31 +501,29 @@ def _fdr_priors_at(j, m, z_fdr, gate):
     excluded from the fit; per bin, the fit stops at the first frame that
     fails the RNR gate. The line's intercept is referenced to the frame
     after the peak, so beta = intercept - peak value.
+
+    A bin without a prior reads mean 0 and variance 1 in each.
     """
-    k_bins = z_fdr.shape[1]
-    gm = np.zeros(k_bins)
-    gv = np.ones(k_bins)
-    bm = np.zeros(k_bins)
-    bv = np.ones(k_bins)
-    mask = np.zeros(k_bins, dtype=bool)
     m = min(int(m), j + 1, _FDR_MAX_LEN)
     skip = max(FDR_SKIP, 1)
     if m < max(reverb.MIN_FDR_LENGTH, skip + 3):
-        return gm, gv, bm, bv, mask
+        k_bins = z_fdr.shape[1]
+        return (np.zeros(k_bins), np.ones(k_bins), np.zeros(k_bins), np.ones(k_bins),
+                np.zeros(k_bins, dtype=bool))
     sigma_r2 = reverb.FDR_R_VARIANCE
     l = FRAME_INCREMENT
     win = z_fdr[j - m + 1:j + 1]                # (m, K)
     wg = gate[j - m + 1:j + 1]                  # (m, K) inclusion mask
     # leading gated prefix: frame count before the first gate failure
-    lead = np.where(wg.all(axis=0), m, np.argmin(wg, axis=0))
+    lead = np.where(np.logical_and.reduce(wg, axis=0), m, wg.argmin(axis=0))
     idx = np.arange(m)
     w = ((idx[:, None] >= skip) & (idx[:, None] < lead[None, :])).astype(float)
     x = (idx - 1.0) * l                          # x = 0 one frame after the peak
-    n = w.sum(axis=0)
-    sx = (w * x[:, None]).sum(axis=0)
-    sxx = (w * (x * x)[:, None]).sum(axis=0)
-    sy = (w * win).sum(axis=0)
-    sxy = (w * x[:, None] * win).sum(axis=0)
+    n = np.add.reduce(w, axis=0)
+    sx = np.add.reduce(w * x[:, None], axis=0)
+    sxx = np.add.reduce(w * (x * x)[:, None], axis=0)
+    sy = np.add.reduce(w * win, axis=0)
+    sxy = np.add.reduce(w * x[:, None] * win, axis=0)
     det0 = n * sxx - sx * sx
     enough = n >= max(reverb.MIN_FDR_LENGTH - 1, 3)
     det0 = np.where(det0 > 0, det0, 1.0)
@@ -517,15 +532,12 @@ def _fdr_priors_at(j, m, z_fdr, gate):
     var1 = sigma_r2 * n / det0
     var2 = sigma_r2 * sxx / det0
     ok = enough & (theta1 < 0)
-    gm[ok] = l * theta1[ok]
-    gv[ok] = l * l * var1[ok]
     # the intercept-minus-peak construction assumes the decay starts
     # from the last excited frame; residual contamination of the peak by
     # the accumulated tail keeps this prior weaker than the slope prior
-    bm[ok] = theta2[ok] - win[0][ok]
-    bv[ok] = var2[ok] + sigma_r2 + FDR_BETA_EXTRA_VAR
-    mask[ok] = True
-    return gm, gv, bm, bv, mask
+    return (np.where(ok, l * theta1, 0.0), np.where(ok, l * l * var1, 1.0),
+            np.where(ok, theta2 - win[0], 0.0),
+            np.where(ok, var2 + sigma_r2 + FDR_BETA_EXTRA_VAR, 1.0), ok)
 
 
 # frames the stages ahead of the cascade process per call, and rows per

@@ -56,6 +56,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# np.einsum without optimize, and np.count_nonzero without an axis, only
+# pass their arguments on to these C functions; the frame loop calls them
+# directly, without the Python wrappers' dispatch. tests/test_lognorm.py
+# checks that they give the wrappers' results
+try:
+    from numpy._core.multiarray import c_einsum, count_nonzero
+except ImportError:     # numpy < 2
+    from numpy.core.multiarray import c_einsum, count_nonzero
+
 from .special import li2_exp, ndtr
 
 _LOG_TINY = np.log(1e-300)
@@ -63,6 +72,7 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _VAR_FLOOR = 1e-12
 _FLOAT64 = np.dtype(np.float64)
 _K_U, _K_PHASE, _K_OBS = 15, 6, 3     # the split's quadrature orders
+_ONE_POINT = np.ones(1)               # split_scalar_obs's weight, never written
 # floor of the split's shifted log-weights: e^-600 is far below one ulp
 # of their sum (>= 1), and w*de^2 stays a normal double for any |de| above
 # ~3e-24, where e^-700 let it fall subnormal below |de| ~ 0.015
@@ -128,10 +138,11 @@ def _clamp_var(v, diag=None):
     v itself is returned where nothing is negative.
     """
     neg = v < 0
-    if not neg.any():
+    count = count_nonzero(neg)
+    if not count:
         return v
     if diag is not None:
-        diag.variance_clamps += int(np.count_nonzero(neg))
+        diag.variance_clamps += int(count)
     return np.where(neg, 0.0, v)
 
 
@@ -143,7 +154,8 @@ def _float_arrays(*values):
     identity, which is cheaper than ==; an equal dtype that is another
     object (one with metadata) only takes the broadcasting path.
     """
-    shape = np.shape(values[0])
+    first = values[0]
+    shape = first.shape if type(first) is np.ndarray else None
     for v in values:
         if type(v) is not np.ndarray or v.dtype is not _FLOAT64 or v.shape != shape:
             return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
@@ -206,7 +218,7 @@ def _mean_dilog_quad(md, vd):
     span = np.maximum(np.minimum(r + 9.0, 20.0 / s) - lo, 0.0)
     u = lo + span * t2
     dens = np.exp(-0.5 * (u - r) ** 2) + np.exp(-0.5 * (u + r) ** 2)
-    return np.einsum("...n,n->...", li2_exp(s * u) * dens, w) * span[..., 0]
+    return c_einsum("...n,n->...", li2_exp(s * u) * dens, w) * span[..., 0]
 
 
 @functools.cache
@@ -237,9 +249,13 @@ def _dilog_table():
 
 
 def _all_or_where(mask):
-    """A full slice where every entry of the 1-D mask is True, else the
-    indices of its True entries: a slice indexes without a copy."""
-    return slice(None) if mask.all() else mask.nonzero()[0]
+    """None where no entry of the 1-D mask is True, a full slice where every
+    entry is (a slice indexes without a copy), else the indices of its True
+    entries. One count_nonzero tells the three apart."""
+    count = count_nonzero(mask)
+    if count == mask.size:
+        return slice(None)
+    return mask.nonzero()[0] if count else None
 
 
 def _mean_dilog_exp(md, vd):
@@ -257,6 +273,21 @@ def _mean_dilog_exp(md, vd):
       quadrature itself.
     vd is floored at the smallest normal double, so vd <= 0 takes one of
     the last two branches, which give the limit Li2(e^{-2|md|}) to 1e-14.
+    The lookup itself is _dilog_lookup, which logsum_moments calls with
+    the s and r it already holds.
+    """
+    md, vd = _float_arrays(md, vd)
+    shape = md.shape
+    md, vd = md.ravel(), np.maximum(vd.ravel(), _DILOG_VAR_MIN)
+    s = np.sqrt(vd)
+    return _dilog_lookup(md, vd, s, np.abs(md) / s).reshape(shape)
+
+
+def _dilog_lookup(md, vd, s, r):
+    """_mean_dilog_exp on 1-D arrays of one shape: the means md (of either
+    sign), the variances vd >= _DILOG_VAR_MIN (or NaN), s = sqrt(vd) and
+    r = |md|/s. md and vd are read only at points outside the table.
+
     Each point reads its cell's 16 bicubic coefficients and sums them
     against the powers of its offsets in one einsum. Where every point
     lies in the table, as in the frame loop's common case, the branches
@@ -264,20 +295,16 @@ def _mean_dilog_exp(md, vd):
     _mean_dilog_quad is an einsum, not a BLAS @, whose order for a point
     changes with the number of points in the call.
     """
-    md, vd = _float_arrays(np.abs(md), vd)
-    shape = md.shape
-    md, vd = md.ravel(), np.maximum(vd.ravel(), _DILOG_VAR_MIN)
     tab = _dilog_table()
-    s = np.sqrt(vd)
-    r = md / s
     t = np.log(s)
     pos = np.empty((2,) + r.shape)                      # table coordinates
     np.multiply(r, tab["inv_hr"], out=pos[0])
     np.subtract(t, tab["t_lo"], out=pos[1])
     pos[1] *= tab["inv_ht"]
     # NaN fails every comparison, so it never counts as inside
-    inside = not r.size or (r.max() <= _DILOG_R_MAX and t.min() >= tab["t_lo"]
-                            and t.max() <= tab["t_hi"])
+    inside = not r.size or (np.maximum.reduce(r) <= _DILOG_R_MAX
+                            and np.minimum.reduce(t) >= tab["t_lo"]
+                            and np.maximum.reduce(t) <= tab["t_hi"])
     if not inside:
         # clamped into the table (fmin/fmax keep NaN in it too); what is
         # read there for points outside the table is replaced below
@@ -289,23 +316,22 @@ def _mean_dilog_exp(md, vd):
     np.multiply(powers[1], powers[1], out=powers[2])
     np.multiply(powers[2], powers[1], out=powers[3])
     coef = tab["coef"].take(cell[0] * tab["cols"] + cell[1], axis=1).reshape(4, 4, -1)
-    out = np.einsum("kn,ln,kln->n", powers[:, 0], powers[:, 1], coef)
+    out = c_einsum("kn,ln,kln->n", powers[:, 0], powers[:, 1], coef)
     if inside:
-        return out.reshape(shape)
+        return out
 
-    far = r > _DILOG_R_MAX
-    if far.any():
-        far = _all_or_where(far)
+    far = _all_or_where(r > _DILOG_R_MAX)
+    if far is not None:
         x, wx = _gh_nodes(_DILOG_GH_NODES)
-        out[far] = np.einsum("pn,n->p", li2_exp(np.abs(md[far, None] + s[far, None] * x)), wx)
-    wide = ((t < tab["t_lo"]) | (t > tab["t_hi"])) & (r <= _DILOG_R_MAX)
-    if wide.any():
-        wide = _all_or_where(wide)
+        out[far] = c_einsum("pn,n->p", li2_exp(np.abs(np.abs(md[far])[:, None] + s[far, None] * x)),
+                            wx)
+    wide = _all_or_where(((t < tab["t_lo"]) | (t > tab["t_hi"])) & (r <= _DILOG_R_MAX))
+    if wide is not None:
         out[wide] = _mean_dilog_quad(md[wide], vd[wide])
     nan = np.isnan(r)
-    if nan.any():
+    if count_nonzero(nan):
         out[nan] = np.nan
-    return out.reshape(shape)
+    return out
 
 
 def logsum_moments(ma, va, mb, vb, diag=None):
@@ -320,13 +346,21 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     _mean_dilog_exp, which is exact where both variances are 0 and
     continuous as they go to 0. The closed form is the converged
     limit of a sigma-point evaluation over (a, b, phi).
+
+    With theta^2 = va + vb, the mean dilogarithm's s and r are theta and
+    |alpha| = |ma - mb|/theta, which this holds already, wherever theta^2
+    is at least the lookup's floor, the smallest normal double, and the
+    inputs are 1-D arrays of one shape, as the frame loop's are. Elsewhere
+    it is read from _mean_dilog_exp, which floors theta^2 itself.
     """
     # every result broadcasts over all four inputs, so none is broadcast here
-    ma, va, mb, vb = (np.asarray(x, dtype=float) for x in (ma, va, mb, vb))
+    ma, va = np.asarray(ma, dtype=float), np.asarray(va, dtype=float)
+    mb, vb = np.asarray(mb, dtype=float), np.asarray(vb, dtype=float)
     theta2 = np.maximum(va, 0.0) + np.maximum(vb, 0.0)
-    degenerate = theta2 <= 0.0
-    some_degenerate = degenerate.any()
-    theta = np.sqrt(np.where(degenerate, 1.0, theta2) if some_degenerate else theta2)
+    # below the floor: the degenerate theta^2 <= 0 and the subnormals
+    floored = count_nonzero(theta2 < _DILOG_VAR_MIN)
+    degenerate = theta2 <= 0.0 if floored else None
+    theta = np.sqrt(np.where(degenerate, 1.0, theta2) if floored else theta2)
     d = ma - mb
     alpha = d / theta
     cdf = ndtr(alpha)
@@ -334,10 +368,14 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     # moments of max(a, b) - mb
     e1 = d * cdf + tpdf
     e2 = (d * d + va) * cdf + vb * (1.0 - cdf) + d * tpdf
-    if some_degenerate:
+    if floored:
         e1 = np.where(degenerate, np.maximum(d, 0.0), e1)
         e2 = np.where(degenerate, e1 * e1, e2)
-    return mb + e1, _clamp_var(e2 - e1 * e1 + 0.5 * _mean_dilog_exp(d, theta2), diag)
+    if floored or theta.ndim != 1 or d.shape != theta.shape:
+        dilog = _mean_dilog_exp(d, theta2)
+    else:
+        dilog = _dilog_lookup(d, theta2, theta, np.abs(alpha))
+    return mb + e1, _clamp_var(e2 - e1 * e1 + 0.5 * dilog, diag)
 
 
 @functools.cache
@@ -434,17 +472,17 @@ def _split_core(ma, va, mb, vb, obs, nodes, b_moments=True):
     # that node weighs 1, no node is NaN, and 1 <= z <= k_u*k_phase
     lmax = mx + lconst
     fallback = ~((lmax >= _LOG_TINY) & (lmax < np.inf))
-    w_u = np.einsum("opuk->ouk", work[1])                    # each u node's weight
-    inv_z = 1.0 / np.einsum("ouk->ok", w_u)
-    e_mean = np.einsum("onk,onk->ok", w, e) * inv_z
+    w_u = c_einsum("opuk->ouk", work[1])                    # each u node's weight
+    inv_z = 1.0 / c_einsum("ouk->ok", w_u)
+    e_mean = c_einsum("onk,onk->ok", w, e) * inv_z
     e -= e_mean[:, None]
-    e_var = np.einsum("onk,onk,onk->ok", w, e, e) * inv_z
+    e_var = c_einsum("onk,onk,onk->ok", w, e, e) * inv_z
     if not b_moments:
         return e_mean, e_var, None, None, fallback
-    sx_mean = np.einsum("ouk,uk->ok", w_u, sx) * inv_z
+    sx_mean = c_einsum("ouk,uk->ok", w_u, sx) * inv_z
     df = np.add(work[0], (sx - sx_mean[:, None])[:, None], out=work[0]).reshape(e.shape)
     return (e_mean, e_var, e_mean + sx_mean,
-            np.einsum("onk,onk,onk->ok", w, df, df) * inv_z, fallback)
+            c_einsum("onk,onk,onk->ok", w, df, df) * inv_z, fallback)
 
 
 def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
@@ -456,17 +494,18 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
 
     _split_core takes each point on the (u, phi) rule nodes. The mixture
     runs over the points that did not fall back: the mean of their means,
-    and the mean of their variances plus the spread of their means,
-    clamped at 0 (counted in diag) where a bin keeps it. Where all points
-    fall back, the priors are kept, flagged and counted in diag. Returns
-    (ma', va', mb', vb', fallback), with mb' and vb' None where b_moments
-    is False.
+    and the mean of their variances plus the spread of their means. Those
+    variances are sums of non-negative terms, so none is clamped here.
+    Where all points fall back, the priors are kept, flagged and counted
+    in diag. Returns (ma', va', mb', vb', fallback), with mb' and vb' None
+    where b_moments is False.
 
     The mixture masks the points only in a call where one fell back. A
     single point is taken at weight 1 and is its own mixture: its
     posterior, or the prior where it fell back. Points of which none fell
-    back are mixed by plain weighted sums. Each path gives the bits of
-    the masked mixture, whose sums over the points run in the same order.
+    back are mixed by plain weighted sums (_mixed), and returned with no
+    masking step at all. Each path gives the bits of the masked mixture,
+    whose sums over the points run in the same order.
     """
     if ma.ndim != 1:
         out = _split(*(v.ravel() for v in (ma, va, mb, vb)), obs.reshape(len(obs), -1),
@@ -481,36 +520,48 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
         ea, va_obs, eb, vb_obs, fb = (None if v is None else v[:, :1] for v in core)
     else:
         ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, nodes, b_moments)
-    points, some_fb = len(fb), fb.any()
+    points = len(fb)
+    if not count_nonzero(fb):
+        if points == 1:
+            a_out = ma + ea[0], va_obs[0]
+            b_out = (mb + eb[0], vb_obs[0]) if b_moments else (None, None)
+        else:
+            z = weights[0]
+            for w in weights[1:]:       # in the order of the masked sum over the points
+                z = z + w
+            a_out = _mixed(ma, ea, va_obs, weights[:, None], z)
+            b_out = _mixed(mb, eb, vb_obs, weights[:, None], z) if b_moments else (None, None)
+        return (*a_out, *b_out, fb[0])
+
     if points == 1:
         all_fb = fb[0]
-    elif some_fb:
+    else:
         wts = np.where(fb, 0.0, weights[:, None])
-        z = wts.sum(axis=0)
+        z = np.add.reduce(wts, axis=0)
         all_fb = z <= 0
         z = np.where(all_fb, 1.0, z)
-    else:
-        wts, all_fb = weights[:, None], fb[0]
-        z = weights[0]
-        for w in weights[1:]:       # in the order of the masked sum over the points
-            z = z + w
-    if some_fb and diag is not None:
-        diag.fallbacks += int(np.count_nonzero(all_fb))
+    if diag is not None:
+        diag.fallbacks += int(count_nonzero(all_fb))
 
     def _post(prior_m, prior_v, m, v):
         if points == 1:
-            m1, v1 = m[0], np.where(all_fb, 0.0, v[0]) if some_fb else v[0]
+            m1, v1 = m[0], np.where(all_fb, 0.0, v[0])
         else:
-            m1 = ((np.where(fb, 0.0, m) if some_fb else m) * wts).sum(axis=0) / z
-            v1 = v + (m - m1) ** 2
-            v1 = ((np.where(fb, 0.0, v1) if some_fb else v1) * wts).sum(axis=0) / z
-        v1 = _clamp_var(v1, diag)
-        if some_fb:
-            return np.where(all_fb, prior_m, prior_m + m1), np.where(all_fb, prior_v, v1)
-        return prior_m + m1, v1
+            m1 = np.add.reduce(np.where(fb, 0.0, m) * wts, axis=0) / z
+            v1 = np.add.reduce(np.where(fb, 0.0, v + (m - m1) ** 2) * wts, axis=0) / z
+        return np.where(all_fb, prior_m, prior_m + m1), np.where(all_fb, prior_v, v1)
 
     b_out = _post(mb, vb, eb, vb_obs) if b_moments else (None, None)
     return (*_post(ma, va, ea, va_obs), *b_out, all_fb)
+
+
+def _mixed(prior_m, m, v, wts, z):
+    """prior_m plus the mixture of the points' posteriors (m, v), each
+    (points, bins), with the (points, 1) weights wts that sum to z: the
+    mean of their means, and the mean of their variances plus the spread
+    of their means."""
+    m1 = np.add.reduce(m * wts, axis=0) / z
+    return prior_m + m1, np.add.reduce((v + (m - m1) ** 2) * wts, axis=0) / z
 
 
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):
@@ -521,7 +572,7 @@ def split_scalar_obs(ma, va, mb, vb, y, diag=None):
     the fallback flag is set.
     """
     ma, va, mb, vb, y = _float_arrays(ma, va, mb, vb, y)
-    return _split(ma, va, mb, vb, y[None], np.ones(1), _split_nodes(_K_U, _K_PHASE), diag)
+    return _split(ma, va, mb, vb, y[None], _ONE_POINT, _split_nodes(_K_U, _K_PHASE), diag)
 
 
 def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True,
@@ -531,8 +582,8 @@ def split_distributed_obs(ma, va, mb, vb, mo, vo, diag=None, b_moments=True,
     _split at obs_points Gauss-Hermite points of the observation. With
     b_moments False only the posterior of a is computed, and the
     posterior mean and variance of b are returned as None; the posterior
-    of a and the fallback flags are the same as with b_moments True, and
-    diag counts variance clamps of a only.
+    of a, the fallback flags and the counts in diag are the same as with
+    b_moments True.
     """
     ma, va, mb, vb, mo, vo = _float_arrays(ma, va, mb, vb, mo, vo)
     x, w = _gh_nodes(obs_points)
@@ -550,7 +601,7 @@ def line_constrained_update(mx, vx, my, vy, mt, vt):
     mx, vx, my, vy, mt, vt = _float_arrays(mx, vx, my, vy, mt, vt)
     denom = vx + vy + vt
     ok = denom > 0
-    all_ok = ok.all()
+    all_ok = count_nonzero(ok) == ok.size
     d = denom if all_ok else np.where(ok, denom, 1.0)
     innov = mt - (mx + my)
     mx_out, my_out = mx + vx / d * innov, my + vy / d * innov
@@ -567,7 +618,7 @@ def fuse_moments(m1, v1, m2, v2):
     tot = v1 + v2
     # masked arithmetic: an infinite factor would give inf/inf here
     ok = np.isfinite(tot) & (tot > 0)
-    all_ok = ok.all()
+    all_ok = count_nonzero(ok) == ok.size
     if all_ok:
         v1_ok, v2_ok, t = v1, v2, tot
     else:

@@ -134,13 +134,25 @@ def exp1(v):
     exp1 comes within 3.3e-16); inf at 0, 0 at +inf, NaN where v < 0 or v
     is NaN.
     """
-    shape = np.shape(v)
-    v = np.asarray(v, dtype=float).ravel()
+    v = np.asarray(v, dtype=float)
+    shape = v.shape
+    v = v.ravel()
     far = v > _EXP1_SPLIT
-    s, w = _ein_rule()
     near = np.minimum(v, _EXP1_SPLIT)            # NaN stays NaN
-    with np.errstate(all="ignore"):              # log: -inf at 0, NaN below 0
-        out = -_EULER_GAMMA - np.log(near) + w @ -np.expm1(-s * near)
-    if far.any():
+    # log warns at 0 (-inf) and below 0 (NaN), and expm1 can overflow
+    # below 0; only an input that holds such a point pays for errstate
+    if np.count_nonzero(near <= 0.0):
+        with np.errstate(all="ignore"):
+            out = _exp1_near(near)
+    else:
+        out = _exp1_near(near)
+    if np.count_nonzero(far):
         out[far] = _exp1_far(v[far])
     return out.reshape(shape)
+
+
+def _exp1_near(v):
+    """E1 as -gamma - log v + Ein(v), Ein by the quadrature of _ein_rule,
+    for v <= _EXP1_SPLIT."""
+    s, w = _ein_rule()
+    return -_EULER_GAMMA - np.log(v) + w @ -np.expm1(-s * v)

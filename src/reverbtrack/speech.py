@@ -11,6 +11,7 @@ comes from reverbtrack.special.
 
 import numpy as np
 
+from .lognorm import c_einsum
 from .special import exp1
 from .stft import FRAME_INCREMENT
 
@@ -39,6 +40,11 @@ def log_mmse_preclean(noisy_mag, noise_power, state=None):
     state, when given, is a dict carried from the call on the previous
     block of frames (empty before the first block) and is updated in
     place, so that consecutive blocks give the rows of one whole call.
+
+    Only the a-priori SNR and the gain depend on the previous frame; the
+    floored noise power, the a-posteriori SNR and the decision-directed
+    term (1 - DD_ALPHA)*max(gamma - 1, 0) are formed for every frame of the
+    call at once.
     """
     noisy_mag = np.asarray(noisy_mag, dtype=float)
     noise_power = np.asarray(noise_power, dtype=float)
@@ -49,17 +55,19 @@ def log_mmse_preclean(noisy_mag, noise_power, state=None):
     state = {} if state is None else state
     out = np.empty_like(noisy_mag)
     prev_clean_pow = state.get("clean_pow")
+    npow = np.maximum(noise_power, 1e-300)
+    gamma_post = np.minimum(noisy_mag ** 2 / npow, 1e4)
+    dd_term = (1 - DD_ALPHA) * np.maximum(gamma_post - 1.0, 0.0)
     for t in range(noisy_mag.shape[0]):
-        npow = np.maximum(noise_power[t], 1e-300)
-        gamma_post = np.minimum(noisy_mag[t] ** 2 / npow, 1e4)
         if prev_clean_pow is None:
-            xi = np.maximum(gamma_post - 1.0, xi_min)
+            xi = np.maximum(gamma_post[t] - 1.0, xi_min)
         else:
-            xi = (DD_ALPHA * prev_clean_pow / npow
-                  + (1 - DD_ALPHA) * np.maximum(gamma_post - 1.0, 0.0))
+            xi = DD_ALPHA * prev_clean_pow / npow[t] + dd_term[t]
             xi = np.maximum(xi, xi_min)
-        gain = np.clip(log_mmse_gain(xi, gamma_post), gmin, 1.0)
-        out[t] = gain * noisy_mag[t]
+        gain = log_mmse_gain(xi, gamma_post[t])
+        np.maximum(gain, gmin, out=gain)            # clipped to [gmin, 1]
+        np.minimum(gain, 1.0, out=gain)
+        np.multiply(gain, noisy_mag[t], out=out[t])
         prev_clean_pow = out[t] ** 2
     state["clean_pow"] = prev_clean_pow
     return out
@@ -184,29 +192,36 @@ def predict_arrays(mean, cov, coeffs, resid, local_mean):
     shifted identity below, so F C F^T needs no matrix product: its head
     variance is c^T C c, the rest of its first row is (c^T C)[:-1], the
     rest of its first column (C c)[:-1], and its lower block C[:-1, :-1].
+    These are taken one entry of C at a time, on (...,) views along the
+    bins: an operation on a whole (..., p, p) array runs its innermost
+    loop along p, so that its cost grows with the bins several times as
+    fast.
     """
     dev = mean - local_mean[..., None]
-    new_mean = np.empty_like(dev)
-    new_mean[..., 0] = np.einsum("...j,...j->...", coeffs, dev)
+    new_mean = np.empty(dev.shape, dev.dtype)
+    new_mean[..., 0] = c_einsum("...j,...j->...", coeffs, dev)
     new_mean[..., 1:] = dev[..., :-1]
     new_mean += local_mean[..., None]
     # each sum runs term by term from the first, as in the multiplied-out
     # product, so that p = 1 and p = 2 reproduce its rounding exactly
-    cc = coeffs[..., :, None] * cov                 # c_j C_jk
-    ccc = cc * coeffs[..., None, :]                 # c_j C_jk c_k
-    cl = cov[..., :-1, :] * coeffs[..., None, :]    # C_ik c_k
-    per_j, row, col = ccc[..., 0], cc[..., 0, :-1], cl[..., 0]
-    for i in range(1, mean.shape[-1]):
-        per_j = per_j + ccc[..., i]
-        row = row + cc[..., i, :-1]
-        col = col + cl[..., i]
-    head = per_j[..., 0]
-    for j in range(1, mean.shape[-1]):
-        head = head + per_j[..., j]
-    new_cov = np.empty_like(cov)
+    p = mean.shape[-1]
+    c = [coeffs[..., j] for j in range(p)]
+    cc = [[c[i] * cov[..., i, j] for j in range(p)] for i in range(p)]     # c_i C_ij
+    for i in range(p):
+        per_i = cc[i][0] * c[0]                             # sum_j c_i C_ij c_j
+        for j in range(1, p):
+            per_i = per_i + cc[i][j] * c[j]
+        head = per_i if i == 0 else head + per_i
+    new_cov = np.empty(cov.shape, cov.dtype)
+    for j in range(p - 1):
+        row = cc[0][j]                                      # (c^T C)_j
+        col = cov[..., j, 0] * c[0]                         # (C c)_j
+        for i in range(1, p):
+            row = row + cc[i][j]
+            col = col + cov[..., j, i] * c[i]
+        new_cov[..., 0, j + 1] = row
+        new_cov[..., j + 1, 0] = col
     new_cov[..., 0, 0] = head + resid
-    new_cov[..., 0, 1:] = row
-    new_cov[..., 1:, 0] = col
     new_cov[..., 1:, 1:] = cov[..., :-1, :-1]
     return new_mean, new_cov
 
@@ -230,7 +245,6 @@ def recorrelate_arrays(head_m, head_v, tail_m, tail_cov, c):
     mean[..., 1:] = tail_m + c * head_m[..., None]
     cov = np.empty(tail_m.shape[:-1] + (p, p))
     cov[..., 0, 0] = head_v
-    cov[..., 0, 1:] = head_v[..., None] * c
-    cov[..., 1:, 0] = head_v[..., None] * c
+    cov[..., 0, 1:] = cov[..., 1:, 0] = head_v[..., None] * c
     cov[..., 1:, 1:] = tail_cov + c[..., :, None] * c[..., None, :] * head_v[..., None, None]
     return mean, cov

@@ -9,6 +9,7 @@ import os
 import re
 import signal
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -124,6 +125,32 @@ def test_track_noise_all_observed_keeps_the_plain_recursion():
     assert np.array_equal(track_noise(power, window_s=w * FRAME_INCREMENT), ref)
     assert np.array_equal(track_noise(power, window_s=w * FRAME_INCREMENT,
                                       observed=np.ones(power.shape, bool)), ref)
+
+
+def test_track_noise_restarts_a_bin_after_an_infinite_power():
+    """An infinite power makes a bin's smoothed value infinite, which reads
+    as a bin not observed yet: its next observed frame starts it from its
+    power, also where every bin had been observed before and where the
+    infinite power comes in a later block. A window of one frame shows
+    each smoothed value."""
+    rng = np.random.default_rng(8)
+    power = 0.01 * rng.chisquare(2, size=(40, 3))
+    power[10, 1] = power[25, 2] = np.inf
+    observed = np.ones(power.shape, bool)
+    observed[26:29, 2] = False
+    acc, smoothed = np.full(3, np.inf), []
+    for p, obs in zip(power, observed):
+        start = np.where(np.isinf(acc), p, acc)
+        acc = np.where(obs, enhancer.NOISE_SMOOTH * start + (1 - enhancer.NOISE_SMOOTH) * p, acc)
+        smoothed.append(acc)
+    mins = np.where(np.isinf(smoothed), power, smoothed)
+    ref = 0.5 * np.log(enhancer.NOISE_BIAS * np.maximum(mins, 1e-300))
+    assert np.isfinite(ref[11:, 1]).all() and np.isfinite(ref[29:, 2]).all()
+    assert np.array_equal(track_noise(power, window_s=FRAME_INCREMENT, observed=observed), ref)
+    state = {}
+    blocks = [track_noise(power[a:b], window_s=FRAME_INCREMENT, state=state,
+                          observed=observed[a:b]) for a, b in ((0, 20), (20, 40))]
+    assert np.array_equal(np.concatenate(blocks), ref)
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4, 127, 128, 129, 188, 250])
@@ -833,6 +860,10 @@ def _no_fork():
 
 
 def _beside_a_thread(fn):
+    """fn() while a second thread runs. The thread is joined, and then this
+    waits, up to 10 s, until /proc/self/task lists one task: join() returns
+    before the kernel task of the thread has gone, and a _host_forks() that
+    still counts it would run the next call in one group."""
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -841,6 +872,10 @@ def _beside_a_thread(fn):
     finally:
         stop.set()
         thread.join()
+        deadline = time.monotonic() + 10.0
+        while (os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) > 1
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
 
 
 def test_bin_groups_follow_the_shape_and_the_host(forks, monkeypatch):

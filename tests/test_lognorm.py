@@ -13,8 +13,9 @@ from oracles import (BinnedPool, grid_conditional_gaussian, mc_logsum_moments,
                      split_scalar_ref)
 
 from reverbtrack import lognorm
-from reverbtrack.lognorm import (_K_OBS, _K_PHASE, _K_U, Diagnostics, _gh_nodes,
-                                 _mean_dilog_exp, _quad_rule, _split, _split_core,
+from reverbtrack.lognorm import (_DILOG_VAR_MIN, _K_OBS, _K_PHASE, _K_U, Diagnostics,
+                                 _dilog_lookup, _gh_nodes, _mean_dilog_exp, _quad_rule,
+                                 _split, _split_core,
                                  _split_nodes, fuse_moments, line_constrained_update,
                                  logsum_moments, phase_sigma_points,
                                  split_distributed_obs, split_scalar_obs)
@@ -326,6 +327,78 @@ def test_mean_dilog_outside_the_table_has_the_bits_of_any_subset():
         assert np.array_equal(_mean_dilog_exp(md[sub], vd[sub]), full[sub])
 
 
+def test_c_functions_give_the_bits_of_numpy_wrappers():
+    """c_einsum and count_nonzero, which the frame loop calls without
+    numpy's Python wrappers, against np.einsum and np.count_nonzero: on
+    every subscript string the package passes, with operands of the shapes
+    it passes, non-contiguous ones among them."""
+    rng = np.random.default_rng(3)
+    o, p, u, k, n = 3, 6, 15, 37, 8
+    work = rng.exponential(size=(2, o, p, u, k))
+    w_u = rng.exponential(size=(o, u, k))
+    w, e = work[1].reshape(o, p * u, k), work[0].reshape(o, p * u, k)
+    powers = rng.uniform(size=(4, 2, k))
+    cases = [
+        ("opuk->ouk", work[1]), ("ouk->ok", w_u), ("onk,onk->ok", w, e),
+        ("onk,onk,onk->ok", w, e, e), ("ouk,uk->ok", w_u, rng.normal(size=(u, k))),
+        ("kn,ln,kln->n", powers[:, 0], powers[:, 1], rng.normal(size=(4, 4, k))),
+        ("pn,n->p", rng.uniform(size=(k, n)), rng.uniform(size=n)),
+        ("...n,n->...", rng.uniform(size=(5, k, n)), rng.uniform(size=n)),
+        ("...j,...j->...", rng.normal(size=(k, 2)), rng.normal(size=(2, k)).T),
+    ]
+    for subscripts, *operands in cases:
+        got, ref = lognorm.c_einsum(subscripts, *operands), np.einsum(subscripts, *operands)
+        assert _same_bits(got, ref), subscripts
+    for mask in (np.zeros(0, bool), np.ones(7, bool), rng.uniform(size=(4, 9)) < 0.3,
+                 (rng.uniform(size=(6, 5)) < 0.5)[:, ::2]):
+        got, ref = lognorm.count_nonzero(mask), np.count_nonzero(mask)
+        assert got == ref and type(got) is type(ref)
+
+
+_DILOG_BRANCHES = {
+    # (r range, s range) of each branch of the lookup
+    "table": ((0.0, 8.0), (0.05, 20.0)),
+    "r > 8": ((8.0, 60.0), (1e-6, 1e3)),
+    "s < 0.05": ((0.0, 8.0), (1e-8, 0.05)),
+    "s > 20": ((0.0, 8.0), (20.0, 1e4)),
+}
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_dilog_lookup_fed_theta_and_alpha_gives_the_bits_of_mean_dilog_exp(data):
+    """logsum_moments feeds _dilog_lookup the theta and |alpha| it holds,
+    from theta^2 floored at _DILOG_VAR_MIN, instead of calling
+    _mean_dilog_exp(d, theta^2). The two give the same bits on points of
+    every branch, alone or mixed in one call: inside the table, r > 8, s
+    outside [0.05, 20], a zero total variance (theta^2 = 0 or negative, as
+    the floor takes it) and NaN in the mean or the variance."""
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_DILOG_BRANCHES) + ["zero", "nan"]),
+                               min_size=1, max_size=12), label="branches")
+    d, theta2 = [], []
+    for i, kind in enumerate(kinds):
+        sign = data.draw(st.sampled_from([-1.0, 1.0]), label=f"sign {i}")
+        if kind == "zero":
+            d.append(sign * data.draw(st.floats(0.0, 30.0), label=f"|d| {i}"))
+            theta2.append(data.draw(st.sampled_from([0.0, -1e-300, -2.0]), label=f"var {i}"))
+        elif kind == "nan":
+            nan_var = data.draw(st.booleans(), label=f"nan var {i}")
+            d.append(1.5 if nan_var else np.nan)
+            theta2.append(np.nan if nan_var else 0.7)
+        else:
+            (r_lo, r_hi), (s_lo, s_hi) = _DILOG_BRANCHES[kind]
+            r = data.draw(st.floats(r_lo, r_hi, exclude_min=kind == "r > 8"), label=f"r {i}")
+            log_s = data.draw(st.floats(np.log(s_lo), np.log(s_hi)), label=f"log s {i}")
+            s = np.exp(log_s)
+            d.append(sign * r * s)
+            theta2.append(s * s)
+    d, theta2 = np.array(d), np.array(theta2)
+    vd = np.maximum(theta2, _DILOG_VAR_MIN)
+    theta = np.sqrt(vd)
+    got = _dilog_lookup(d, vd, theta, np.abs(d / theta))
+    assert _same_bits(got, _mean_dilog_exp(d, theta2))
+
+
 def test_logsum_moments_continuous_at_zero_variance():
     # the mean dilogarithm's v -> 0 limit meets its closed form at v = 0
     d = np.array([0.0, 0.3, -2.0, 9.0])
@@ -371,6 +444,22 @@ def _split_cases():
         (30.0 + ma, va, mb - 40.0, vb, y + 30.0, vo),
         (ma, narrow[0], mb, narrow[1], spread, wide_vo),
     ]
+
+
+def test_split_core_variances_are_never_negative():
+    """_split_core's per-point variances of a and b are sums of
+    non-negative terms: on _split_cases() at 1, 2 and 3 observation
+    points, fallbacks included, none is negative or NaN. So the split
+    mixes them with no clamp."""
+    nodes = _split_nodes(_K_U, _K_PHASE)
+    fell_back = 0
+    for ma, va, mb, vb, y, vo in _split_cases():
+        for points in (1, 2, 3):
+            obs = y[None] if points == 1 else y + np.sqrt(vo) * _gh_nodes(points)[0][:, None]
+            _, va_obs, _, vb_obs, fb = _split_core(ma, va, mb, vb, obs, nodes)
+            assert np.all(va_obs >= 0) and np.all(vb_obs >= 0)
+            fell_back += np.count_nonzero(fb)
+    assert fell_back > 0
 
 
 def _assert_split_matches(got, ref):
@@ -470,37 +559,28 @@ def _same_bits(got, ref):
 
 @pytest.mark.parametrize("b_moments", [True, False])
 @pytest.mark.parametrize("points", [1, 2, 3])
-def test_split_mixture_matches_masked_reference(monkeypatch, points, b_moments):
+def test_split_mixture_matches_masked_reference(points, b_moments):
     """_split against the mixture that masks its points on every call
-    (tests/oracles.py), bit for bit in its outputs and Diagnostics: on
-    the bins where no point falls back, which take the unmasked path, and
-    on all bins, where no point, some points or every point falls back.
-    Every fifth bin's per-point variances are lowered by 10, so that the
-    mixture clamps there and the clamps are counted too. The weights of
-    several points are not the Gauss-Hermite ones: their sum depends on
-    the order it is taken in."""
+    (tests/oracles.py), bit for bit in its outputs and Diagnostics, on
+    the kernel's own per-point posteriors: on the bins where no point
+    falls back, which take the unmasked path, and on all bins, where no
+    point, some points or every point falls back. The kernel's variances
+    are sums of non-negative terms, so the reference clamps none and
+    _split, which has no clamp, counts none. The weights of several
+    points are not the Gauss-Hermite ones: their sum depends on the order
+    it is taken in."""
     ma, va, mb, vb, obs, far = _mixture_inputs(points)
     weights = np.array([0.1, 0.2, 0.3])[:points] if points > 1 else np.ones(1)
     nodes = _split_nodes(_K_U, _K_PHASE)
-    core = lognorm._split_core
-    assert np.array_equal(core(ma, va, mb, vb, obs, nodes)[4], far)
-
-    def lowered(*args):
-        ea, va_obs, eb, vb_obs, fb = core(*args)
-        va_obs[:, ::5] -= 10.0
-        if vb_obs is not None:
-            vb_obs[:, ::5] -= 10.0
-        return ea, va_obs, eb, vb_obs, fb
-
-    monkeypatch.setattr(lognorm, "_split_core", lowered)
+    assert np.array_equal(_split_core(ma, va, mb, vb, obs, nodes)[4], far)
     for bins in (~far.any(axis=0), slice(None)):
         priors = tuple(v[bins] for v in (ma, va, mb, vb))
         diag, ref_diag = Diagnostics(), Diagnostics()
         got = _split(*priors, obs[:, bins], weights, nodes, diag, b_moments)
-        ref = split_mixture_ref(*priors, lowered(*priors, obs[:, bins], nodes, b_moments),
+        ref = split_mixture_ref(*priors, _split_core(*priors, obs[:, bins], nodes, b_moments),
                                 weights, ref_diag)
         assert all(_same_bits(g, r) for g, r in zip(got, ref))
-        assert diag == ref_diag and diag.variance_clamps > 0
+        assert diag == ref_diag and diag.variance_clamps == 0
         assert diag.fallbacks == np.count_nonzero(far.all(axis=0)[bins])
 
 

@@ -1,5 +1,6 @@
 """tools/split_replay.py on a 0.25 s scene, replayed against this same checkout."""
 
+import copy
 import importlib.util
 import os
 from pathlib import Path
@@ -78,6 +79,39 @@ def test_frame_replay_against_this_checkout(monkeypatch):
     assert not row["identical"]
     assert list(row["max_abs_diff"]) == ["s_mean"]
     assert row["max_abs_diff"]["s_mean"] == pytest.approx(1e-3)
+
+
+def test_frame_replay_on_a_bin_slice():
+    """--bins cuts every captured state and frame record to a slice of the
+    bins; the cascade never mixes bins, so each sliced frame gives the
+    slice of the full frame's trace row."""
+    clean = speechlike_excitation(0.25, seed=3)
+    noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
+    frames = split_replay.capture_frames(noisy)
+    bins = split_replay.parse_bins("3:5")
+    assert bins == slice(3, 5)
+    sliced = split_replay.slice_frames(frames, bins)
+    assert len(sliced) == len(frames)
+    for (fs, frame, _), (fs_all, frame_all, _) in zip(sliced, frames):
+        assert frame.y.size == 2 and np.array_equal(frame.y, frame_all.y[3:5])
+        assert fs.s_cov.shape == fs_all.s_cov[3:5].shape
+        assert all(p.shape == (2,) for p in frame.priors)
+        # the records the slices came from are left whole
+        assert frame_all.y.size == fs_all.gamma_m.size > 5
+    for (fs, frame, cfg), (fs_all, frame_all, _) in list(zip(sliced, frames))[::10]:
+        row = split_replay.enhancer._advance(copy.deepcopy(fs), frame, cfg,
+                                             split_replay.lognorm.Diagnostics())
+        row_all = split_replay.enhancer._advance(copy.deepcopy(fs_all), frame_all, cfg,
+                                                 split_replay.lognorm.Diagnostics())
+        for f, v in row.items():
+            assert np.array_equal(v, row_all[f][3:5])
+    parent = split_replay.load_package(_ROOT / "src", "replayed_slices_reverbtrack")
+    row = split_replay.replay_frames(split_replay.slice_frames(frames, bins), parent.enhancer,
+                                     rounds=1)
+    assert row["frames"] == len(frames) and row["identical"]
+    for text in ("5:3", "2", "a:b", "-1:4"):
+        with pytest.raises(split_replay.argparse.ArgumentTypeError):
+            split_replay.parse_bins(text)
 
 
 def test_frame_replay_stops_where_the_frame_records_differ(monkeypatch):

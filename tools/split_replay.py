@@ -5,6 +5,7 @@ Run from anywhere:
 
     python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --seed 0
     python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --level frame
+    python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --level frame --bins 0:2
     python3 tools/split_replay.py PARENT_DIR --workload room_g_4s --level call
 
 Synthesises the workload's input as ``perfbench/run.py`` does and imports
@@ -47,6 +48,13 @@ the change ran faster, whether the samples, all Trace arrays and the
 Diagnostics counts were identical, and the largest |change - parent| of
 the samples. Where a few per cent of wall cannot be resolved on a shared
 host, the CPU times can still show where the work went.
+
+``--bins LO:HI`` (frame level only) slices every captured filter state
+and frame record to bins LO..HI-1 before the replay. The cascade never
+mixes bins, so each frame then runs as a bin group of that size would
+run it; ``--bins 0:2`` reads the cost per frame that does not shrink
+with the bins, ``--bins 0:128`` the first group of a forked call. The
+row then names the slice.
 
 The frame level feeds this checkout's frame records (``enhancer._Frame``)
 to both checkouts' ``_advance``. Where the parent's cannot run the first
@@ -226,6 +234,34 @@ def capture_frames(audio):
     return frames
 
 
+def slice_frames(frames, bins):
+    """The captured (filter state, frame, config) records with every array
+    of the state and of the frame (the decay priors' too) cut to the bins
+    slice along its first axis, the bins axis of each; copies, so that
+    each sliced array is contiguous."""
+    out = []
+    for fs, frame, cfg in frames:
+        fs = copy.copy(fs)
+        for name, value in vars(fs).items():
+            setattr(fs, name, value[bins].copy())
+        frame = frame._replace(priors=tuple(p[bins].copy() for p in frame.priors), **{
+            f: getattr(frame, f)[bins].copy() for f in frame._fields if f != "priors"})
+        out.append((fs, frame, cfg))
+    return out
+
+
+def parse_bins(text):
+    """'LO:HI' as slice(LO, HI), with 0 <= LO < HI."""
+    lo, sep, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bins must be LO:HI, got {text!r}") from None
+    if not sep or not 0 <= lo < hi:
+        raise argparse.ArgumentTypeError(f"bins must be LO:HI with 0 <= LO < HI, got {text!r}")
+    return slice(lo, hi)
+
+
 def _run_frame(module, captured):
     """One captured frame from a copy of its state: (trace row,
     Diagnostics counts, seconds _advance took)."""
@@ -326,9 +362,13 @@ def main(argv=None):
                     help="replay the split calls or whole frames of the cascade, "
                          "or alternate whole enhance calls")
     ap.add_argument("--rounds", type=int, default=5, help="timed passes over the calls")
+    ap.add_argument("--bins", type=parse_bins, metavar="LO:HI",
+                    help="at the frame level, replay bins LO..HI-1 of every frame alone")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
+    if args.bins is not None and args.level != "frame":
+        ap.error("--bins needs --level frame")
     parent = load_package(args.parent / "src")
     scene = bench.WORKLOADS[args.workload](args.seed)
     head = {"workload": args.workload, "seed": args.seed}
@@ -337,6 +377,13 @@ def main(argv=None):
         return 0
     if args.level == "frame":
         frames = capture_frames(AudioBuffer(scene.noisy))
+        if args.bins is not None:
+            n_bins = frames[0][1].y.size
+            if args.bins.stop > n_bins:
+                ap.error(f"--bins {args.bins.start}:{args.bins.stop} reaches past the "
+                         f"spectrum's {n_bins} bins")
+            frames = slice_frames(frames, args.bins)
+            head["bins"] = [args.bins.start, args.bins.stop]
         print(json.dumps({**head, **replay_frames(frames, parent.enhancer, args.rounds)}))
         return 0
     calls = capture(AudioBuffer(scene.noisy))
