@@ -306,7 +306,7 @@ class _Frame(NamedTuple):
     priors: tuple
 
 
-def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnostics):
+def _advance(fs: _FilterState, frame: _Frame, diag: Diagnostics):
     """One frame of the cascade for all bins, updating fs in place. Returns
     the trace row dict, without t60_est and drr_est, which _run_group
     converts from the stored gamma_mean and beta_mean after the last frame.
@@ -318,9 +318,8 @@ def _advance(fs: _FilterState, frame: _Frame, cfg: EnhancerConfig, diag: Diagnos
 
     Bins never interact, and no sum runs in an order that depends on the
     number of bins, so a bin's results have the same bits in any set of
-    bins. Every parameter a frame reads is a module constant, so cfg is
-    not read; it keeps the signature that tools/split_replay.py calls in
-    two checkouts."""
+    bins. Every parameter a frame reads is a module constant, so it takes
+    no config."""
     y, n_mean, n_var = frame.y, frame.n_mean, fs.n_var
     *priors, prior_mask = frame.priors
 
@@ -674,7 +673,7 @@ def _run_group(spec, cfg: EnhancerConfig, bins, trace, out, diag: Diagnostics):
     for t, frame in enumerate(_front_end(spec.frames, cfg, bins)):
         if t == 0:
             fs = _FilterState(frame.y.size, cfg, frame.pre_log, frame.n_mean)
-        row = _advance(fs, frame, cfg, diag)
+        row = _advance(fs, frame, diag)
         for f, v in row.items():
             trace[f][t, bins] = v
         out_log = row["s_mean"] + 0.5 * row["s_var"]

@@ -30,9 +30,10 @@ are written for fewer operations per bin:
 Both public splits run one path, _split: _split_core at observation
 points (one of weight 1 in split_scalar_obs, Gauss-Hermite points of the
 observation in split_distributed_obs), mixed over those that did not
-fall back. It masks the points only in a call where one fell back: a
-single point is its own posterior, and points of which none fell back
-are mixed by plain weighted sums, at the bits of the masked mixture.
+fall back by one formula, _mixed. Only in a call where a point fell back
+does it first zero that point's weight and posterior; otherwise a single
+point is its own posterior and several are mixed as they are, at the
+same bits.
 Its (u, phi) rule comes from _split_nodes(k_u, k_phase); the
 public splits pass _K_U = 15 nodes along u = b - a and _K_PHASE = 6
 phase nodes, with by default _K_OBS = 3 observation points (the
@@ -46,8 +47,11 @@ Every operation works on numpy arrays of means and variances,
 elementwise over any shape of bins; the frame loop calls each one once
 per frame on all bins at once. A call costs tens of microseconds even
 on one bin, so the operations skip their broadcasting where the frame
-loop's equal-shape inputs make it a no-op, and their masking where no
-bin is degenerate (in the splits, where no observation point fell back).
+loop's equal-shape inputs make it a no-op, and the splits their masking
+where no observation point fell back. Each operation takes the variances
+that enhance gives it, finite with a positive total (each docstring
+states its domain), and has no branch for others; tests/test_enhancer.py
+checks that domain on the inputs of enhance calls.
 """
 
 import functools
@@ -152,7 +156,9 @@ def _float_arrays(*values):
     Arrays that already are (as the frame loop passes them) are returned
     as they are, without the cost of broadcasting. The dtype is tested by
     identity, which is cheaper than ==; an equal dtype that is another
-    object (one with metadata) only takes the broadcasting path.
+    object (one with metadata) only takes the broadcasting path. enhance
+    never takes that path; library callers do, with scalars (acceptance
+    criterion 2) or arrays of any shape.
     """
     first = values[0]
     shape = first.shape if type(first) is np.ndarray else None
@@ -291,9 +297,15 @@ def _dilog_lookup(md, vd, s, r):
     Each point reads its cell's 16 bicubic coefficients and sums them
     against the powers of its offsets in one einsum. Where every point
     lies in the table, as in the frame loop's common case, the branches
-    cost only the three range checks. Every sum over nodes here and in
-    _mean_dilog_quad is an einsum, not a BLAS @, whose order for a point
-    changes with the number of points in the call.
+    cost only the three range checks. The frame loop also reaches the
+    branches outside the table: r > 8 on most frames, and theta outside
+    _DILOG_S_RANGE wherever the total variance falls below 0.0025 or
+    rises above 400. NaN it never gives, but a library caller can
+    (tests/test_lognorm.py's test_fast_kernels_emit_no_warnings).
+
+    Every sum over nodes here and in _mean_dilog_quad is an einsum, not a
+    BLAS @, whose order for a point changes with the number of points in
+    the call.
     """
     tab = _dilog_table()
     t = np.log(s)
@@ -343,24 +355,25 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     (Fourier expansion of log|1 + q e^{j phi}|), so the outer Gaussian
     expectation reduces to the moments of max(a, b) (Clark, 1961), taken
     relative to mb, plus the mean dilogarithm E{Li2(e^{-2|a-b|})} of
-    _mean_dilog_exp, which is exact where both variances are 0 and
-    continuous as they go to 0. The closed form is the converged
-    limit of a sigma-point evaluation over (a, b, phi).
+    _mean_dilog_exp. The closed form is the converged limit of a
+    sigma-point evaluation over (a, b, phi).
 
-    With theta^2 = va + vb, the mean dilogarithm's s and r are theta and
-    |alpha| = |ma - mb|/theta, which this holds already, wherever theta^2
-    is at least the lookup's floor, the smallest normal double, and the
-    inputs are 1-D arrays of one shape, as the frame loop's are. Elsewhere
-    it is read from _mean_dilog_exp, which floors theta^2 itself.
+    The variances are finite and >= 0, and theta^2 = va + vb is at least
+    the smallest normal double (_DILOG_VAR_MIN): in the frame loop, vb is
+    NOISE_VARIANCE at step 6, and va >= gamma's variance > 0 at step 5.
+    Where both variances go to 0 the moments go to max(a, b) and
+    0.5*Li2(e^{-2|a-b|}); at theta^2 = 0 itself they are NaN. The mean
+    dilogarithm's s and r are theta and |alpha| = |ma - mb|/theta, which
+    this holds already, where the inputs are 1-D arrays of one shape, as
+    the frame loop's are; for other shapes (scalars, N-D bins) it is read
+    from _mean_dilog_exp, which broadcasts them. A variance that rounding
+    leaves negative is clamped to 0 and counted in diag.variance_clamps.
     """
     # every result broadcasts over all four inputs, so none is broadcast here
     ma, va = np.asarray(ma, dtype=float), np.asarray(va, dtype=float)
     mb, vb = np.asarray(mb, dtype=float), np.asarray(vb, dtype=float)
-    theta2 = np.maximum(va, 0.0) + np.maximum(vb, 0.0)
-    # below the floor: the degenerate theta^2 <= 0 and the subnormals
-    floored = count_nonzero(theta2 < _DILOG_VAR_MIN)
-    degenerate = theta2 <= 0.0 if floored else None
-    theta = np.sqrt(np.where(degenerate, 1.0, theta2) if floored else theta2)
+    theta2 = va + vb
+    theta = np.sqrt(theta2)
     d = ma - mb
     alpha = d / theta
     cdf = ndtr(alpha)
@@ -368,10 +381,7 @@ def logsum_moments(ma, va, mb, vb, diag=None):
     # moments of max(a, b) - mb
     e1 = d * cdf + tpdf
     e2 = (d * d + va) * cdf + vb * (1.0 - cdf) + d * tpdf
-    if floored:
-        e1 = np.where(degenerate, np.maximum(d, 0.0), e1)
-        e2 = np.where(degenerate, e1 * e1, e2)
-    if floored or theta.ndim != 1 or d.shape != theta.shape:
+    if theta.ndim != 1 or d.shape != theta.shape:
         dilog = _mean_dilog_exp(d, theta2)
     else:
         dilog = _dilog_lookup(d, theta2, theta, np.abs(alpha))
@@ -489,23 +499,24 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
     """Posterior moments of (a, b) given log|A+B| at the observation points
     obs, mixed with the (points,) weights: the one path of both public
     splits. The priors are float arrays of one shape, and obs stacks the
-    points on a first axis before it; priors of any shape but 1-D are
-    split as one row of bins.
+    points on a first axis before it; priors of any shape but 1-D, which
+    enhance never passes but library callers do (scalars in acceptance
+    criterion 2), are split as one row of bins.
 
-    _split_core takes each point on the (u, phi) rule nodes. The mixture
-    runs over the points that did not fall back: the mean of their means,
-    and the mean of their variances plus the spread of their means. Those
+    _split_core takes each point on the (u, phi) rule nodes, and _mixed
+    mixes the points that did not fall back: the mean of their means, and
+    the mean of their variances plus the spread of their means. Those
     variances are sums of non-negative terms, so none is clamped here.
     Where all points fall back, the priors are kept, flagged and counted
     in diag. Returns (ma', va', mb', vb', fallback), with mb' and vb' None
     where b_moments is False.
 
-    The mixture masks the points only in a call where one fell back. A
-    single point is taken at weight 1 and is its own mixture: its
-    posterior, or the prior where it fell back. Points of which none fell
-    back are mixed by plain weighted sums (_mixed), and returned with no
-    masking step at all. Each path gives the bits of the masked mixture,
-    whose sums over the points run in the same order.
+    Only in a call where a point fell back are the points masked: a point
+    that fell back gets weight 0 and a posterior of 0, as its NaN or inf
+    would otherwise reach the sums. A single point of which none fell back
+    is its own mixture, and points of which none fell back are mixed as
+    they are, at the bits of the masked mixture, whose sums over the
+    points run in the same order.
     """
     if ma.ndim != 1:
         out = _split(*(v.ravel() for v in (ma, va, mb, vb)), obs.reshape(len(obs), -1),
@@ -520,48 +531,38 @@ def _split(ma, va, mb, vb, obs, weights, nodes, diag=None, b_moments=True):
         ea, va_obs, eb, vb_obs, fb = (None if v is None else v[:, :1] for v in core)
     else:
         ea, va_obs, eb, vb_obs, fb = _split_core(ma, va, mb, vb, obs, nodes, b_moments)
-    points = len(fb)
     if not count_nonzero(fb):
-        if points == 1:
-            a_out = ma + ea[0], va_obs[0]
+        if len(fb) == 1:
             b_out = (mb + eb[0], vb_obs[0]) if b_moments else (None, None)
-        else:
-            z = weights[0]
-            for w in weights[1:]:       # in the order of the masked sum over the points
-                z = z + w
-            a_out = _mixed(ma, ea, va_obs, weights[:, None], z)
-            b_out = _mixed(mb, eb, vb_obs, weights[:, None], z) if b_moments else (None, None)
-        return (*a_out, *b_out, fb[0])
-
-    if points == 1:
-        all_fb = fb[0]
+            return ma + ea[0], va_obs[0], *b_out, fb[0]
+        wts, kept = weights[:, None], None
+        z = weights[0]
+        for w in weights[1:]:       # in the order of np.add.reduce over the points
+            z = z + w
     else:
         wts = np.where(fb, 0.0, weights[:, None])
         z = np.add.reduce(wts, axis=0)
-        all_fb = z <= 0
-        z = np.where(all_fb, 1.0, z)
-    if diag is not None:
-        diag.fallbacks += int(count_nonzero(all_fb))
-
-    def _post(prior_m, prior_v, m, v):
-        if points == 1:
-            m1, v1 = m[0], np.where(all_fb, 0.0, v[0])
-        else:
-            m1 = np.add.reduce(np.where(fb, 0.0, m) * wts, axis=0) / z
-            v1 = np.add.reduce(np.where(fb, 0.0, v + (m - m1) ** 2) * wts, axis=0) / z
-        return np.where(all_fb, prior_m, prior_m + m1), np.where(all_fb, prior_v, v1)
-
-    b_out = _post(mb, vb, eb, vb_obs) if b_moments else (None, None)
-    return (*_post(ma, va, ea, va_obs), *b_out, all_fb)
+        kept = z <= 0               # every point fell back: the priors are kept
+        z = np.where(kept, 1.0, z)
+        if diag is not None:
+            diag.fallbacks += int(count_nonzero(kept))
+        ea, va_obs, eb, vb_obs = (None if v is None else np.where(fb, 0.0, v)
+                                  for v in (ea, va_obs, eb, vb_obs))
+    b_out = _mixed(mb, vb, eb, vb_obs, wts, z, kept) if b_moments else (None, None)
+    return (*_mixed(ma, va, ea, va_obs, wts, z, kept), *b_out, fb[0] if kept is None else kept)
 
 
-def _mixed(prior_m, m, v, wts, z):
+def _mixed(prior_m, prior_v, m, v, wts, z, kept=None):
     """prior_m plus the mixture of the points' posteriors (m, v), each
-    (points, bins), with the (points, 1) weights wts that sum to z: the
-    mean of their means, and the mean of their variances plus the spread
-    of their means."""
+    (points, bins), with the weights wts that sum to z over the points:
+    the mean of their means, and the mean of their variances plus the
+    spread of their means. Where the (bins,) mask kept is set, the priors
+    (prior_m, prior_v) instead."""
     m1 = np.add.reduce(m * wts, axis=0) / z
-    return prior_m + m1, np.add.reduce((v + (m - m1) ** 2) * wts, axis=0) / z
+    mean, var = prior_m + m1, np.add.reduce((v + (m - m1) ** 2) * wts, axis=0) / z
+    if kept is None:
+        return mean, var
+    return np.where(kept, prior_m, mean), np.where(kept, prior_v, var)
 
 
 def split_scalar_obs(ma, va, mb, vb, y, diag=None):
@@ -595,39 +596,29 @@ def line_constrained_update(mx, vx, my, vy, mt, vt):
     """Condition the diagonal Gaussian (x, y, w) on x + y - w = mt.
 
     w is a zero-mean slack with variance vt. Returns the posterior
-    marginals (mx', vx', my', vy'). Degenerate bins (all three variances
-    zero) keep their priors.
+    marginals (mx', vx', my', vy').
+
+    The variances are finite and >= 0 with a total d = vx + vy + vt > 0:
+    in the frame loop vx is gamma's or beta's variance, which is > 0. In
+    floating point d >= vx, so vx/d <= 1 and vx*(1 - vx/d) is never
+    below 0, and likewise for vy. Where d = 0 the result is NaN.
     """
     mx, vx, my, vy, mt, vt = _float_arrays(mx, vx, my, vy, mt, vt)
-    denom = vx + vy + vt
-    ok = denom > 0
-    all_ok = count_nonzero(ok) == ok.size
-    d = denom if all_ok else np.where(ok, denom, 1.0)
+    d = vx + vy + vt
     innov = mt - (mx + my)
-    mx_out, my_out = mx + vx / d * innov, my + vy / d * innov
-    vx_out, vy_out = vx * (1.0 - vx / d), vy * (1.0 - vy / d)
-    if not all_ok:
-        mx_out, my_out = np.where(ok, mx_out, mx), np.where(ok, my_out, my)
-        vx_out, vy_out = np.where(ok, vx_out, vx), np.where(ok, vy_out, vy)
-    return mx_out, np.maximum(vx_out, 0.0), my_out, np.maximum(vy_out, 0.0)
+    return mx + vx / d * innov, vx * (1.0 - vx / d), my + vy / d * innov, vy * (1.0 - vy / d)
 
 
 def fuse_moments(m1, v1, m2, v2):
-    """Gaussian-Gaussian multiplication (precision-weighted fusion)."""
+    """Gaussian-Gaussian multiplication (precision-weighted fusion).
+
+    Both variances are finite and >= 0 with a sum > 0. In the frame loop
+    one factor is gamma's or beta's random walk, whose variance is at least
+    Q_GAMMA or Q_BETA, and the other its decay prior, whose variance is
+    finite and > 0 wherever the prior's mask is set (enhancer's
+    _fdr_priors_at). An infinite variance gives NaN; a factor that adds
+    no information is left out by the caller instead.
+    """
     m1, v1, m2, v2 = _float_arrays(m1, v1, m2, v2)
     tot = v1 + v2
-    # masked arithmetic: an infinite factor would give inf/inf here
-    ok = np.isfinite(tot) & (tot > 0)
-    all_ok = count_nonzero(ok) == ok.size
-    if all_ok:
-        v1_ok, v2_ok, t = v1, v2, tot
-    else:
-        v1_ok, v2_ok, t = np.where(ok, v1, 0.0), np.where(ok, v2, 0.0), np.where(ok, tot, 1.0)
-    mean = (m1 * v2_ok + m2 * v1_ok) / t
-    var = v1_ok * v2_ok / t
-    if not all_ok:
-        mean, var = np.where(ok, mean, m1), np.where(ok, var, 0.0)
-        # infinite-variance inputs: the other factor wins
-        mean = np.where(np.isinf(v1), m2, np.where(np.isinf(v2), m1, mean))
-        var = np.where(np.isinf(v1), v2, np.where(np.isinf(v2), v1, var))
-    return mean, var
+    return (m1 * v2 + m2 * v1) / tot, v1 * v2 / tot

@@ -30,7 +30,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def _advance_bin(fs, y, n_mean, cfg, priors=None, update=True, diag=None):
+def _advance_bin(fs, y, n_mean, priors=None, update=True, diag=None):
     """One frame of enhancer._advance on the single bin of the state fs.
 
     n_mean is the noise log-magnitude's mean; its variance is
@@ -49,7 +49,7 @@ def _advance_bin(fs, y, n_mean, cfg, priors=None, update=True, diag=None):
         pre_log=np.array([float(y)]), y=np.array([float(y)]), n_mean=np.array([float(n_mean)]),
         coeffs=coeffs, resid=np.array([0.01]), loc_mean=np.zeros(1), gate=np.array([update]),
         observed=np.array([True]), priors=(*prior_rows, np.array([priors is not None])))
-    row = enhancer._advance(fs, frame, cfg, Diagnostics() if diag is None else diag)
+    row = enhancer._advance(fs, frame, Diagnostics() if diag is None else diag)
     row["t60_est"], row["drr_est"] = reverb.gamma_beta_to_room(
         row["gamma_mean"], row["beta_mean"])
     return {f: row[f][0].item() for f in row}

@@ -169,16 +169,15 @@ def test_window_min_matches_minimum_filter(w):
 # single-frame cascade
 # ---------------------------------------------------------------------------
 
-def _one_bin(cfg, first_log, noise_mean):
+def _one_bin(first_log, noise_mean):
     """The batch path's start state for a single bin."""
-    return _FilterState(1, cfg, np.array([first_log]), np.array([noise_mean]))
+    return _FilterState(1, EnhancerConfig(), np.array([first_log]), np.array([noise_mean]))
 
 
 def test_advance_low_observation_lowers_speech(advance_bin):
-    cfg = EnhancerConfig()
-    fs = _one_bin(cfg, first_log=0.0, noise_mean=-2.0)
+    fs = _one_bin(first_log=0.0, noise_mean=-2.0)
     prior_head = fs.s_mean[0, 0]
-    row = advance_bin(fs, -8.0, -2.0, cfg)
+    row = advance_bin(fs, -8.0, -2.0)
     # evidence far below the prior cannot raise the speech belief
     assert row["s_mean"] <= prior_head
     assert np.isfinite(row["t60_est"]) and row["t60_est"] > 0
@@ -186,23 +185,21 @@ def test_advance_low_observation_lowers_speech(advance_bin):
 
 def test_advance_tracks_y_without_disturbance(advance_bin, monkeypatch):
     monkeypatch.setattr(enhancer, "NOISE_VARIANCE", 1e-4)
-    cfg = EnhancerConfig()
-    fs = _one_bin(cfg, first_log=0.0, noise_mean=-30.0)
+    fs = _one_bin(first_log=0.0, noise_mean=-30.0)
     # kill reverberation: a = 1e-6, b = 1e-6, tight beliefs
     g = 0.5 * np.log(1e-6)
     fs.gamma_m[:], fs.gamma_v[:] = g, 1e-8
     fs.beta_m[:], fs.beta_v[:] = g, 1e-8
     y = 0.3
     for _ in range(20):
-        row = advance_bin(fs, y, -30.0, cfg)
+        row = advance_bin(fs, y, -30.0)
     assert abs(row["s_mean"] - y) <= 0.2
 
 
 def test_advance_z_matches_r_when_noise_negligible(advance_bin):
-    cfg = EnhancerConfig()
-    fs = _one_bin(cfg, first_log=0.0, noise_mean=0.0)
+    fs = _one_bin(first_log=0.0, noise_mean=0.0)
     fs.r_mean[:], fs.r_var[:] = -1.0, 0.3
-    row = advance_bin(fs, 0.0, -1.0 - 40.0, cfg)
+    row = advance_bin(fs, 0.0, -1.0 - 40.0)
     assert abs(row["z_mean"] - row["r_mean"]) <= 0.1
 
 
@@ -223,18 +220,17 @@ def test_flat_window_keeps_speech_process_noise():
         frame = enhancer._Frame(flat[-1], np.array([-2.0, -1.0]), np.full(k_bins, -3.0),
                                 coeffs[-1], resid[-1], loc_mean[-1], np.ones(k_bins, bool),
                                 np.ones(k_bins, bool), no_priors)
-        row = enhancer._advance(fs, frame, cfg, diag)
+        row = enhancer._advance(fs, frame, diag)
         assert (row["s_var"] > 0).all()
         assert not (row["fallback_flags"] & 1).any()
     assert diag.fallbacks == 0
 
 
 def test_advance_posterior_variances_nonnegative(advance_bin):
-    cfg = EnhancerConfig()
     rng = np.random.default_rng(2)
-    fs = _one_bin(cfg, first_log=0.0, noise_mean=-3.0)
+    fs = _one_bin(first_log=0.0, noise_mean=-3.0)
     for _ in range(50):
-        row = advance_bin(fs, rng.normal(-1.0, 2.0), -3.0, cfg)
+        row = advance_bin(fs, rng.normal(-1.0, 2.0), -3.0)
         for f in ("s_var", "r_var", "z_var", "gamma_var", "beta_var"):
             assert np.isfinite(row[f]) and row[f] >= 0.0
         assert row["gamma_mean"] < 0.0
@@ -429,17 +425,17 @@ def test_enhance_scale_equivariance(condition_g_1s, c):
 
 @pytest.fixture(scope="module")
 def recorded_frames():
-    """(filter state, frame, config) of each frame of a 1 s condition-G
-    scene, as enhance_frames passes them to _advance; a replaced _advance
-    runs every bin in one group."""
+    """(filter state, frame) of each frame of a 1 s condition-G scene, as
+    enhance_frames passes them to _advance; a replaced _advance runs every
+    bin in one group."""
     clean = speechlike_excitation(1.0, seed=3)
     noisy, _, _ = make_scene(clean, RoomParams(0.61, -1.74), 20.0, "white", seed=0)
     calls = []
     advance = enhancer._advance
 
-    def record(fs, frame, cfg, diag):
-        calls.append((copy.deepcopy(fs), copy.deepcopy(frame), cfg))
-        return advance(fs, frame, cfg, diag)
+    def record(fs, frame, diag):
+        calls.append((copy.deepcopy(fs), copy.deepcopy(frame)))
+        return advance(fs, frame, diag)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enhancer, "_advance", record)
@@ -461,11 +457,11 @@ def _state_bins(fs, sub):
     return part
 
 
-def _advance_quietly(fs, frame, cfg, diag):
+def _advance_quietly(fs, frame, diag):
     """One frame from a copy of fs; any warning is an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return enhancer._advance(copy.deepcopy(fs), frame, cfg, diag)
+        return enhancer._advance(copy.deepcopy(fs), frame, diag)
 
 
 # frames 44-63 hold mixed RNR gates and, at frame 58, decay priors
@@ -478,13 +474,13 @@ def _advance_bins(recorded_frames, sub, floored=None):
     state after its last frame. floored, when given, holds a row of K
     bools per frame of the window: the bins to mark as at the magnitude
     floor."""
-    fs0, _, cfg = recorded_frames[_WINDOW.start]
+    fs0, _ = recorded_frames[_WINDOW.start]
     part = _state_bins(fs0, sub)
-    window = [frame for _, frame, _ in recorded_frames[_WINDOW]]
+    window = [frame for _, frame in recorded_frames[_WINDOW]]
     if floored is not None:
         window = [frame._replace(observed=frame.observed & ~row)
                   for frame, row in zip(window, floored, strict=True)]
-    rows = [enhancer._advance(part, _frame_bins(frame, sub), cfg, Diagnostics())
+    rows = [enhancer._advance(part, _frame_bins(frame, sub), Diagnostics())
             for frame in window]
     return rows, part
 
@@ -508,7 +504,7 @@ def all_bins(recorded_frames):
 def test_cascade_bins_are_independent(recorded_frames, all_bins):
     k_bins = recorded_frames[0][0].gamma_m.size
     sub = np.random.default_rng(0).permutation(k_bins)[:k_bins // 2]
-    window = [frame for _, frame, _ in recorded_frames[_WINDOW]]
+    window = [frame for _, frame in recorded_frames[_WINDOW]]
     assert any(0 < np.count_nonzero(frame.gate[sub]) < sub.size for frame in window)
     assert any(np.any(pmask[sub]) for *_, pmask in (frame.priors for frame in window))
 
@@ -547,7 +543,7 @@ def test_any_set_of_bins_gets_the_bits_of_every_bin(recorded_frames, all_bins, d
 
 
 def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
-    fs, frame, cfg = recorded_frames[58]
+    fs, frame = recorded_frames[58]
     pg, pgv, pb, pbv, pmask = frame.priors
     assert np.any(pmask)                       # decay priors in this frame
     # three bins whose refreshed speech prior (step 9's smoothed
@@ -575,8 +571,7 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
               "beta_var": np.where(pmask, fbv, bv)}
 
     k_bins = frame.gate.size
-    ungated = _advance_quietly(fs, frame._replace(gate=np.ones(k_bins, bool)), cfg,
-                               Diagnostics())
+    ungated = _advance_quietly(fs, frame._replace(gate=np.ones(k_bins, bool)), Diagnostics())
     assert np.all(ungated["fallback_flags"][odd] & 4)
 
     # count the distributed splits (steps 8 and 10) and the line updates
@@ -593,7 +588,7 @@ def test_gate_restricts_steps_10_to_12(recorded_frames, monkeypatch):
     for mask in (np.ones(k_bins, bool), np.zeros(k_bins, bool), mixed):
         diag = Diagnostics()
         calls.clear()
-        row = _advance_quietly(fs, frame._replace(gate=mask), cfg, diag)
+        row = _advance_quietly(fs, frame._replace(gate=mask), diag)
         # with no gated bin, steps 9-12 do not run at all: step 8 is the
         # frame's only distributed split
         steps_10_to_12 = 1 if mask.any() else 0
@@ -617,10 +612,10 @@ def test_floored_bins_keep_their_priors(recorded_frames, monkeypatch):
     updates skip it and it keeps its priors exactly, with no fallback,
     while the observed bins get the bits of the call where every bin is
     observed, and the splits and line updates receive them alone."""
-    fs, frame, cfg = recorded_frames[58]
+    fs, frame = recorded_frames[58]
     k_bins = frame.y.size
     assert frame.observed.all()
-    ref = _advance_quietly(fs, frame, cfg, Diagnostics())
+    ref = _advance_quietly(fs, frame, Diagnostics())
     pg, pgv, pb, pbv, pmask = frame.priors
     mixed = np.zeros(k_bins, bool)
     mixed[np.random.default_rng(1).permutation(k_bins)[:k_bins // 3]] = True
@@ -655,7 +650,7 @@ def test_floored_bins_keep_their_priors(recorded_frames, monkeypatch):
         state, diag = copy.deepcopy(fs), Diagnostics()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            row = enhancer._advance(state, frame._replace(observed=~floored), cfg, diag)
+            row = enhancer._advance(state, frame._replace(observed=~floored), diag)
         kept = ~floored
         for f, v in row.items():
             assert np.array_equal(v[kept], ref[f][kept])
@@ -723,9 +718,9 @@ def test_noise_tracker_holds_through_digital_silence(criterion_8_audio, monkeypa
     step falls back (23 with it, at the clipped noise's onset)."""
     gates = []
 
-    def recorded(fs, frame, cfg, diag, _fn=enhancer._advance):
+    def recorded(fs, frame, diag, _fn=enhancer._advance):
         gates.append(frame.gate)
-        return _fn(fs, frame, cfg, diag)
+        return _fn(fs, frame, diag)
     monkeypatch.setattr(enhancer, "_advance", recorded)
     _, trace, diag = enhance(criterion_8_audio)     # one group: a function is replaced
     dc = slice(2 * FS // HOP_SAMPLES, 4 * FS // HOP_SAMPLES)     # frames that start in 2-4 s
@@ -806,18 +801,14 @@ def test_on_bins_steps_the_selected_rows_and_keeps_the_others(selected):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(mask=st.lists(st.booleans(), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1),
-       uninformative=st.lists(st.booleans(), max_size=12))
-def test_on_bins_fuses_with_the_bits_of_fusing_every_bin(mask, seed, uninformative):
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_on_bins_fuses_with_the_bits_of_fusing_every_bin(mask, seed):
     """fuse_moments on the selected bins alone, through _on_bins, has the
-    bits of fusing every bin and keeping the unselected ones by np.where,
-    also where an infinite prior variance sends a call down the masked
-    branch."""
+    bits of fusing every bin and keeping the unselected ones by np.where."""
     mask = np.array(mask)
     rng = np.random.default_rng(seed)
     m1, m2 = rng.normal(0.0, 3.0, (2, mask.size))
     v1, v2 = 10.0 ** rng.uniform(-6.0, 3.0, (2, mask.size))
-    v2[np.flatnonzero(uninformative[:mask.size])] = np.inf
     fm, fv = fuse_moments(m1, v1, m2, v2)
     got = enhancer._on_bins(mask, (m1, v1), fuse_moments, m1, v1, m2, v2)
     for g, want in zip(got, (np.where(mask, fm, m1), np.where(mask, fv, v1)), strict=True):
@@ -914,20 +905,22 @@ def _count_advance_calls(monkeypatch):
     enhance_frames from forking."""
     calls = []
 
-    def counted(fs, frame, cfg, diag, _advance=enhancer._advance):
+    def counted(fs, frame, diag, _advance=enhancer._advance):
         calls.append(frame.y.size)
-        return _advance(fs, frame, cfg, diag)
+        return _advance(fs, frame, diag)
     monkeypatch.setattr(enhancer, "_advance", counted)
     return calls
 
 
 @pytest.fixture(scope="module")
-def quiet_end_spec_1s(condition_g_spec_1s):
-    """The 1 s condition-G spectrum with its last frames 100 dB down, so
-    that steps 7 and 8 fall back in both groups, and four frames of digital
-    silence, so that both groups count floored bins: the second group's
-    counts must reach the caller."""
+def falling_back_spec_1s(condition_g_spec_1s):
+    """The 1 s condition-G spectrum with a burst 80 dB up in frames 30-31,
+    so that step 10 falls back in the frame after it, its last frames 100
+    dB down, so that steps 7 and 8 fall back, each in both groups, and four
+    frames of digital silence, so that both groups count floored bins: the
+    second group's counts must reach the caller. No function is replaced."""
     frames = condition_g_spec_1s.frames.copy()
+    frames[30:32] *= 1e4
     frames[60:] *= 1e-5
     frames[40:44] = 0.0
     return SpectralFrames(frames)
@@ -938,7 +931,10 @@ def _assert_bits_of_one_group(spec, forked, monkeypatch):
     spec that forked, holds every bit and count of a one-group call, which
     a replaced function makes here."""
     out_f, trace_f, diag_f = forked
-    assert trace_f.arrays["fallback_flags"][:, spec.n_bins // 2:].any()
+    half = spec.n_bins // 2
+    for bit in (1, 2, 4):       # steps 7, 8 and 10 fall back in each group
+        flagged = trace_f.arrays["fallback_flags"] & bit
+        assert flagged[:, :half].any() and flagged[:, half:].any()
     monkeypatch.setattr(os, "fork", _no_fork)
     advance_calls = _count_advance_calls(monkeypatch)
     out_i, trace_i, diag_i = enhance_frames(spec)
@@ -952,10 +948,73 @@ def _assert_bits_of_one_group(spec, forked, monkeypatch):
     assert diag_f.floored_bins == 4 * spec.n_bins
 
 
-def test_forked_groups_give_the_bits_of_one_group(quiet_end_spec_1s, forks, monkeypatch):
-    forked = enhance_frames(quiet_end_spec_1s)
+def test_forked_groups_give_the_bits_of_one_group(falling_back_spec_1s, forks, monkeypatch):
+    forked = enhance_frames(falling_back_spec_1s)
     assert len(forks) == 1
-    _assert_bits_of_one_group(quiet_end_spec_1s, forked, monkeypatch)
+    _assert_bits_of_one_group(falling_back_spec_1s, forked, monkeypatch)
+
+
+def test_fallbacks_keep_their_split_priors(falling_back_spec_1s, monkeypatch):
+    """falling_back_spec_1s makes steps 7, 8 and 10 fall back with no
+    function replaced, and test_forked_groups_give_the_bits_of_one_group
+    checks that the forked call gives the flags and Diagnostics counts of
+    one group. Here, in one group with every split recorded, each bin whose
+    split fell back keeps that split's priors and sets its step's bit of
+    fallback_flags, which no other bin sets."""
+    frames, splits = [], []
+
+    def advance(fs, frame, diag, _fn=enhancer._advance):
+        frames.append(frame)
+        return _fn(fs, frame, diag)
+    monkeypatch.setattr(enhancer, "_advance", advance)
+    for name in ("split_scalar_obs", "split_distributed_obs"):
+        def recorded(*args, _fn=getattr(lognorm, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            splits.append((len(frames) - 1, _name, args, out))
+            return out
+        monkeypatch.setattr(lognorm, name, recorded)
+    _, trace, diag = enhance_frames(falling_back_spec_1s)
+    flags = trace.arrays["fallback_flags"]
+    seen = np.zeros_like(flags)
+    for t, name, args, out in splits:
+        frame = frames[t]
+        if name == "split_scalar_obs":
+            bit, bins = 1, frame.observed
+        else:       # step 8 takes no b posterior; step 10 runs on the gated bins
+            bit, bins = (2, frame.observed) if out[2] is None else (4, frame.observed & frame.gate)
+        fell_back = out[4]
+        for post, prior in zip(out[:4], args[:4]):
+            assert post is None or np.array_equal(post[fell_back], prior[fell_back])
+        seen[t, np.flatnonzero(bins)[fell_back]] |= bit
+    assert np.array_equal(seen, flags)
+    assert all((flags & bit).any() for bit in (1, 2, 4))
+    assert diag.fallbacks == sum(np.count_nonzero(flags & bit) for bit in (1, 2, 4))
+
+
+def test_linear_and_logsum_operations_get_variances_in_their_domain(
+        falling_back_spec_1s, criterion_8_audio, monkeypatch):
+    """Every variance that fuse_moments, line_constrained_update and
+    logsum_moments receive in enhance calls is finite and > 0, and
+    logsum_moments' theta^2 = va + vb is at least the smallest normal
+    double: the domain for which they have no other branch. On
+    falling_back_spec_1s, whose burst, 100 dB drop and digital silence
+    make steps 7, 8 and 10 fall back, and on criterion 8's input."""
+    variances = {"fuse_moments": (1, 3), "line_constrained_update": (1, 3, 5),
+                 "logsum_moments": (1, 3)}
+    seen = {name: [] for name in variances}
+    for name, at in variances.items():
+        def recorded(*args, _fn=getattr(lognorm, name), _name=name, _at=at, **kwargs):
+            seen[_name].append([np.array(args[i], copy=True) for i in _at])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lognorm, name, recorded)
+    enhance_frames(falling_back_spec_1s)
+    enhance(criterion_8_audio)
+    assert all(seen.values())
+    for name, calls in seen.items():
+        for v in calls:
+            assert all(np.all(np.isfinite(x) & (x > 0)) for x in v), name
+    for va, vb in seen["logsum_moments"]:
+        assert np.all(va + vb >= np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("where", ["second_group", "caller"])
@@ -978,7 +1037,7 @@ def test_a_failing_group_raises_in_the_caller_and_leaves_no_child(condition_g_sp
 
 @pytest.mark.parametrize("failure", ["raises", "is_killed"])
 def test_a_child_that_fails_alone_has_its_group_run_again_in_the_caller(
-        quiet_end_spec_1s, forks, monkeypatch, failure):
+        falling_back_spec_1s, forks, monkeypatch, failure):
     """A child that raises, or that a signal kills, leaves the caller to
     run its group again: the call returns the bits and counts of one group
     and warns, naming the bins."""
@@ -992,9 +1051,9 @@ def test_a_child_that_fails_alone_has_its_group_run_again_in_the_caller(
         return _clip(*args, **kwargs)
     monkeypatch.setattr(np, "clip", clip)
     with pytest.warns(RuntimeWarning, match="128-256"):
-        forked = enhance_frames(quiet_end_spec_1s)
+        forked = enhance_frames(falling_back_spec_1s)
     assert len(forks) == 1
-    _assert_bits_of_one_group(quiet_end_spec_1s, forked, monkeypatch)
+    _assert_bits_of_one_group(falling_back_spec_1s, forked, monkeypatch)
 
 
 def test_small_inputs_and_replaced_functions_never_fork(condition_g_spec_1s, forks, monkeypatch,

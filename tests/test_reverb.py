@@ -127,8 +127,8 @@ def test_environment_table_shape():
 # random walk and decay priors, one frame of the cascade on one bin
 # ---------------------------------------------------------------------------
 
-def _params_state(cfg, gm=-0.3, gv=0.01, bm=-0.8, bv=0.02):
-    fs = _FilterState(1, cfg, np.zeros(1), np.array([-3.0]))
+def _params_state(gm=-0.3, gv=0.01, bm=-0.8, bv=0.02):
+    fs = _FilterState(1, EnhancerConfig(), np.zeros(1), np.array([-3.0]))
     fs.gamma_m[:], fs.gamma_v[:], fs.beta_m[:], fs.beta_v[:] = gm, gv, bm, bv
     return fs
 
@@ -136,19 +136,18 @@ def _params_state(cfg, gm=-0.3, gv=0.01, bm=-0.8, bv=0.02):
 def test_random_walk_predict(advance_bin, monkeypatch):
     # a bin outside the RNR gate keeps the predicted gamma and beta; the
     # drift variances are read when the frame runs
-    cfg = EnhancerConfig()
     monkeypatch.setattr(enhancer, "Q_GAMMA", 0.0)
     monkeypatch.setattr(enhancer, "Q_BETA", 0.0)
-    row = advance_bin(_params_state(cfg), -1.0, -3.0, cfg, update=False)
+    row = advance_bin(_params_state(), -1.0, -3.0, update=False)
     assert row["gamma_var"] == pytest.approx(0.01)
     monkeypatch.setattr(enhancer, "Q_GAMMA", 0.0004)
-    row = advance_bin(_params_state(cfg), -1.0, -3.0, cfg, update=False)
+    row = advance_bin(_params_state(), -1.0, -3.0, update=False)
     assert row["gamma_mean"] == pytest.approx(-0.3)
     assert row["gamma_var"] == pytest.approx(0.0104)
     monkeypatch.setattr(enhancer, "Q_BETA", 0.001)
-    fs = _params_state(cfg)
+    fs = _params_state()
     for _ in range(5):
-        row = advance_bin(fs, -1.0, -3.0, cfg, update=False)
+        row = advance_bin(fs, -1.0, -3.0, update=False)
     assert row["gamma_var"] == pytest.approx(0.01 + 5 * 0.0004)
     assert row["beta_var"] == pytest.approx(0.02 + 5 * 0.001)
 
@@ -257,13 +256,11 @@ def test_priors_from_line_equal_terms_give_zero_beta():
 def test_apply_priors(advance_bin, monkeypatch):
     # a bin outside the RNR gate: its gamma and beta are the random-walk
     # prediction fused with the decay priors
-    cfg = EnhancerConfig()
     monkeypatch.setattr(enhancer, "Q_GAMMA", 0.0)
     monkeypatch.setattr(enhancer, "Q_BETA", 0.0)
 
     def fused(priors):
-        return advance_bin(_params_state(cfg), -1.0, -3.0, cfg,
-                           priors=priors, update=False)
+        return advance_bin(_params_state(), -1.0, -3.0, priors=priors, update=False)
 
     out = fused((0.0, 1e12, 0.0, 1e12))
     assert out["gamma_mean"] == pytest.approx(-0.3, abs=1e-9)

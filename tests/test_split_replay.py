@@ -56,7 +56,7 @@ def test_frame_replay_against_this_checkout(monkeypatch):
     # the capture runs every bin in one group: one frame record per frame,
     # each with the state that its frame started from
     assert len(frames) == trace.n_frames
-    for t, (fs, frame, _) in enumerate(frames):
+    for t, (fs, frame) in enumerate(frames):
         assert frame.y.size == trace.n_bins
         if t:
             assert np.array_equal(fs.gamma_m, trace.arrays["gamma_mean"][t - 1])
@@ -92,16 +92,16 @@ def test_frame_replay_on_a_bin_slice():
     assert bins == slice(3, 5)
     sliced = split_replay.slice_frames(frames, bins)
     assert len(sliced) == len(frames)
-    for (fs, frame, _), (fs_all, frame_all, _) in zip(sliced, frames):
+    for (fs, frame), (fs_all, frame_all) in zip(sliced, frames):
         assert frame.y.size == 2 and np.array_equal(frame.y, frame_all.y[3:5])
         assert fs.s_cov.shape == fs_all.s_cov[3:5].shape
         assert all(p.shape == (2,) for p in frame.priors)
         # the records the slices came from are left whole
         assert frame_all.y.size == fs_all.gamma_m.size > 5
-    for (fs, frame, cfg), (fs_all, frame_all, _) in list(zip(sliced, frames))[::10]:
-        row = split_replay.enhancer._advance(copy.deepcopy(fs), frame, cfg,
+    for (fs, frame), (fs_all, frame_all) in list(zip(sliced, frames))[::10]:
+        row = split_replay.enhancer._advance(copy.deepcopy(fs), frame,
                                              split_replay.lognorm.Diagnostics())
-        row_all = split_replay.enhancer._advance(copy.deepcopy(fs_all), frame_all, cfg,
+        row_all = split_replay.enhancer._advance(copy.deepcopy(fs_all), frame_all,
                                                  split_replay.lognorm.Diagnostics())
         for f, v in row.items():
             assert np.array_equal(v, row_all[f][3:5])
@@ -120,7 +120,7 @@ def test_frame_replay_stops_where_the_frame_records_differ(monkeypatch):
     frames = split_replay.capture_frames(noisy)
     parent = split_replay.load_package(_ROOT / "src", "replayed_records_reverbtrack")
 
-    def other_record(fs, frame, cfg, diag):
+    def other_record(fs, frame, diag):
         # a parent whose decay priors hold one item more than this checkout's
         prior_gm, prior_gv, prior_bm, prior_bv, prior_mask, prior_w = frame.priors
     monkeypatch.setattr(parent.enhancer, "_advance", other_record)

@@ -57,9 +57,9 @@ with the bins, ``--bins 0:128`` the first group of a forked call. The
 row then names the slice.
 
 The frame level feeds this checkout's frame records (``enhancer._Frame``)
-to both checkouts' ``_advance``. Where the parent's cannot run the first
-one, as where the two take different records, it stops and points to
-``--level call``.
+to both checkouts' ``_advance``, as ``_advance(state, frame, diag)``.
+Where the parent's cannot run the first one, as where the two take
+different records or arguments, it stops and points to ``--level call``.
 
 Single whole-run walls drift by several per cent on a shared host; the
 interleaved replay times the splits or the frames alone, on identical
@@ -215,16 +215,16 @@ def replay(calls, parent_lognorm, rounds=5):
 
 
 def capture_frames(audio):
-    """(filter state, frame, config) at every _advance call of one enhance
-    call on audio, one per frame and each on every bin, since a replaced
-    _advance runs them in one group; the state is a copy taken before the
-    frame ran."""
+    """(filter state, frame) at every _advance call of one enhance call on
+    audio, one per frame and each on every bin, since a replaced _advance
+    runs them in one group; the state is a copy taken before the frame
+    ran."""
     frames = []
     advance = enhancer._advance
 
-    def record(fs, frame, cfg, diag):
-        frames.append((copy.deepcopy(fs), copy.deepcopy(frame), cfg))
-        return advance(fs, frame, cfg, diag)
+    def record(fs, frame, diag):
+        frames.append((copy.deepcopy(fs), copy.deepcopy(frame)))
+        return advance(fs, frame, diag)
 
     enhancer._advance = record
     try:
@@ -235,18 +235,18 @@ def capture_frames(audio):
 
 
 def slice_frames(frames, bins):
-    """The captured (filter state, frame, config) records with every array
-    of the state and of the frame (the decay priors' too) cut to the bins
-    slice along its first axis, the bins axis of each; copies, so that
-    each sliced array is contiguous."""
+    """The captured (filter state, frame) records with every array of the
+    state and of the frame (the decay priors' too) cut to the bins slice
+    along its first axis, the bins axis of each; copies, so that each
+    sliced array is contiguous."""
     out = []
-    for fs, frame, cfg in frames:
+    for fs, frame in frames:
         fs = copy.copy(fs)
         for name, value in vars(fs).items():
             setattr(fs, name, value[bins].copy())
         frame = frame._replace(priors=tuple(p[bins].copy() for p in frame.priors), **{
             f: getattr(frame, f)[bins].copy() for f in frame._fields if f != "priors"})
-        out.append((fs, frame, cfg))
+        out.append((fs, frame))
     return out
 
 
@@ -265,10 +265,10 @@ def parse_bins(text):
 def _run_frame(module, captured):
     """One captured frame from a copy of its state: (trace row,
     Diagnostics counts, seconds _advance took)."""
-    fs, frame, cfg = captured
+    fs, frame = captured
     fs, diag = copy.deepcopy(fs), module.Diagnostics()
     t0 = time.perf_counter()
-    row = module._advance(fs, frame, cfg, diag)
+    row = module._advance(fs, frame, diag)
     return row, (diag.fallbacks, diag.variance_clamps), time.perf_counter() - t0
 
 
